@@ -5,11 +5,13 @@ to a small max-norm slack and symmetrized on entry, so downstream code can rely
 on exact Hermiticity.  The real vectorization maps a d x d Hermitian matrix to
 d^2 real coordinates (diagonal first, then sqrt(2)-scaled real and imaginary
 parts of the strict upper triangle); it is an isometry for the Hilbert-Schmidt
-inner product, which is what the feasibility solver builds on.
+inner product, which is what the feasibility solver builds on.  Its index
+layout is computed once per dimension and cached; the cached index arrays,
+including those returned by ``real_vec_basis_indices``, are read-only.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -143,10 +145,47 @@ def frob_norm(a) -> float:
 _SQRT2 = np.sqrt(2.0)
 
 
+def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def real_vec_basis_indices(dim: int):
-    """Index arrays defining the vectorization layout for dimension ``dim``."""
+    """Index arrays defining the vectorization layout for dimension ``dim``.
+
+    Returns ``(diag, iu, ju)``: the diagonal indices and the row/column indices
+    of the strict upper triangle in row-major order.  The arrays are cached
+    and shared, hence read-only.
+    """
     iu, ju = np.triu_indices(dim, k=1)
-    return np.arange(dim), iu, ju
+    return _readonly(np.arange(dim), iu, ju)
+
+
+@lru_cache(maxsize=None)
+def _gather_layout(dim: int):
+    """``(src, scale)`` with ``vec = flat[src] * scale``, where ``flat`` is the
+    float view of the row-major complex matrix (real, imag interleaved)."""
+    diag, iu, ju = real_vec_basis_indices(dim)
+    upper = 2 * (iu * dim + ju)
+    src = np.concatenate([2 * (diag * dim + diag), upper, upper + 1])
+    scale = np.concatenate([np.ones(dim), np.full(2 * iu.size, _SQRT2)])
+    return _readonly(src, scale)
+
+
+@lru_cache(maxsize=None)
+def _scatter_layout(dim: int):
+    """``(dst, src, div)`` with ``flat[dst] = vec[src] / div`` on a zeroed
+    float view; the lower triangle gets the conjugate of the upper one."""
+    diag, iu, ju = real_vec_basis_indices(dim)
+    k = iu.size
+    re_pos = np.arange(dim, dim + k)
+    upper, lower = 2 * (iu * dim + ju), 2 * (ju * dim + iu)
+    dst = np.concatenate([2 * (diag * dim + diag), upper, lower, upper + 1, lower + 1])
+    src = np.concatenate([diag, re_pos, re_pos, re_pos + k, re_pos + k])
+    div = np.concatenate([np.ones(dim), np.full(3 * k, _SQRT2), np.full(k, -_SQRT2)])
+    return _readonly(dst, src, div)
 
 
 def hermitian_to_real_vec(a) -> np.ndarray:
@@ -157,12 +196,13 @@ def hermitian_to_real_vec(a) -> np.ndarray:
     inner product of two vectorizations equals the Hilbert-Schmidt inner
     product tr(A B) of the matrices.
     """
-    m = np.asarray(a, dtype=complex)
+    m = np.ascontiguousarray(a, dtype=complex)
     d = m.shape[-1]
-    diag_idx, iu, ju = real_vec_basis_indices(d)
-    upper = m[..., iu, ju]
-    parts = [np.real(m[..., diag_idx, diag_idx]), _SQRT2 * np.real(upper), _SQRT2 * np.imag(upper)]
-    return np.concatenate(parts, axis=-1)
+    if m.shape[-2:] != (d, d):
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    src, scale = _gather_layout(d)
+    flat = m.reshape(m.shape[:-2] + (d * d,)).view(float)
+    return flat[..., src] * scale
 
 
 def real_vec_to_hermitian(v, dim: int) -> np.ndarray:
@@ -170,11 +210,7 @@ def real_vec_to_hermitian(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != dim * dim:
         raise ValueError(f"vector length {v.shape[-1]} does not match dim {dim}")
-    diag_idx, iu, ju = real_vec_basis_indices(dim)
-    k = iu.size
+    dst, src, div = _scatter_layout(dim)
     out = np.zeros(v.shape[:-1] + (dim, dim), dtype=complex)
-    out[..., diag_idx, diag_idx] = v[..., :dim]
-    upper = (v[..., dim : dim + k] + 1j * v[..., dim + k :]) / _SQRT2
-    out[..., iu, ju] = upper
-    out[..., ju, iu] = np.conj(upper)
+    out.reshape(v.shape[:-1] + (dim * dim,)).view(float)[..., dst] = v[..., src] / div
     return out

@@ -74,9 +74,11 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
     """
     n = in_dim * in_dim
     cols = np.empty((out_dim * out_dim, n))
-    basis = np.eye(n)
+    e = np.zeros(n)
     for i in range(n):
-        h = la.real_vec_to_hermitian(basis[i], in_dim)
+        e[i] = 1.0
+        h = la.real_vec_to_hermitian(e, in_dim)
+        e[i] = 0.0
         cols[:, i] = la.hermitian_to_real_vec(fn(h))
     return cols
 
@@ -239,7 +241,7 @@ class _Projector:
         for dim, blks in groups.items():
             idx = np.stack([np.arange(b_.offset, b_.offset + b_.length) for b_ in blks])
             caps = np.array([float(b_.cap) for b_ in blks])
-            self.psd_groups.append((dim, idx, caps))
+            self.psd_groups.append((dim, idx, caps, np.arange(1, dim + 1)))
         if scalars:
             self.scalar_idx = np.concatenate([np.arange(b_.offset, b_.offset + b_.length) for b_ in scalars])
             self.scalar_caps = np.concatenate([b_.cap for b_ in scalars])
@@ -254,19 +256,19 @@ class _Projector:
 
     def cone(self, x: np.ndarray) -> np.ndarray:
         z = x.copy()
-        for dim, idx, caps in self.psd_groups:
+        for dim, idx, caps, counts in self.psd_groups:
             mats = la.real_vec_to_hermitian(z[idx], dim)
             vals, vecs = np.linalg.eigh(mats)
             w = np.clip(vals, 0.0, None)
             over = w.sum(axis=1) > caps
             if np.any(over):
                 # exact projection of the spectrum onto {w >= 0, sum w <= cap}:
-                # uniform shift, not rescaling
+                # uniform shift, not rescaling; eigh returns ascending values,
+                # so reversing them sorts descending
                 lam = vals[over]
                 c = caps[over]
-                srt = np.sort(lam, axis=1)[:, ::-1]
+                srt = lam[:, ::-1]
                 csum = np.cumsum(srt, axis=1)
-                counts = np.arange(1, dim + 1)
                 theta_j = (csum - c[:, None]) / counts
                 jstar = np.sum(srt > theta_j, axis=1)
                 theta = theta_j[np.arange(len(c)), jstar - 1]
@@ -280,7 +282,7 @@ class _Projector:
     def cone_infimum(self, h: np.ndarray) -> float:
         """Exact infimum of <h, x> over the capped cone product."""
         total = 0.0
-        for dim, idx, caps in self.psd_groups:
+        for dim, idx, caps, _ in self.psd_groups:
             mats = la.real_vec_to_hermitian(h[idx], dim)
             vals = np.linalg.eigvalsh(mats)
             total += float(np.sum(caps * np.minimum(vals[:, 0], 0.0)))

@@ -32,6 +32,66 @@ def test_real_vec_batched(rng):
     assert np.abs(back - hs).max() < 1e-13
 
 
+# reference layout: the index-based formulas the gather/scatter tables encode
+
+def _ref_to_vec(a):
+    m = np.asarray(a, dtype=complex)
+    d = m.shape[-1]
+    iu, ju = np.triu_indices(d, k=1)
+    diag = np.arange(d)
+    upper = m[..., iu, ju]
+    parts = [np.real(m[..., diag, diag]), np.sqrt(2.0) * np.real(upper), np.sqrt(2.0) * np.imag(upper)]
+    return np.concatenate(parts, axis=-1)
+
+
+def _ref_to_herm(v, d):
+    v = np.asarray(v, dtype=float)
+    iu, ju = np.triu_indices(d, k=1)
+    diag = np.arange(d)
+    k = iu.size
+    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    out[..., diag, diag] = v[..., :d]
+    upper = (v[..., d : d + k] + 1j * v[..., d + k :]) / np.sqrt(2.0)
+    out[..., iu, ju] = upper
+    out[..., ju, iu] = np.conj(upper)
+    return out
+
+
+def _check_against_reference(h, v):
+    d = h.shape[-1]
+    assert np.array_equal(la.hermitian_to_real_vec(h), _ref_to_vec(h))
+    # complex / real division in the reference may differ from a real division by 1 ulp
+    got, want = la.real_vec_to_hermitian(v, d), _ref_to_herm(v, d)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_max_ulp(got.view(float), want.view(float), maxulp=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_real_vec_matches_reference(rng, d):
+    h = rand_herm(rng, d)
+    _check_against_reference(h, rng.normal(size=d * d))
+    # batched, and a transposed (non-contiguous) view
+    hs = np.stack([rand_herm(rng, d) for _ in range(3)])
+    _check_against_reference(hs, rng.normal(size=(3, d * d)))
+    _check_against_reference(hs[1].T, rng.normal(size=(2, 2, d * d)))
+    # a column-strided view whose rows still merge into one strided axis
+    wide = np.zeros((d, 2 * d), dtype=complex)
+    wide[:, ::2] = hs[2]
+    _check_against_reference(wide[:, ::2], rng.normal(size=d * d))
+    # real-dtype input
+    s = rng.normal(size=(d, d))
+    _check_against_reference(s + s.T, rng.normal(size=d * d))
+
+
+def test_real_vec_layout_read_only():
+    arrays = la.real_vec_basis_indices(3) + la._gather_layout(3) + la._scatter_layout(3)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    h = np.diag([1.0, 2.0, 3.0])
+    assert np.array_equal(la.hermitian_to_real_vec(h), _ref_to_vec(h))
+
+
 def test_partial_trace_product(rng):
     a = rand_herm(rng, 2)
     b = rand_herm(rng, 3)

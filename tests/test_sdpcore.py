@@ -4,7 +4,7 @@ import pytest
 import qincompat.linalg as la
 from conftest import rand_herm
 from qincompat.config import DEFAULT_TOLS
-from qincompat.sdpcore import (SdpProblem, Verdict, bisect_threshold,
+from qincompat.sdpcore import (SdpProblem, Verdict, _Projector, bisect_threshold,
                                real_linear_map, solve_feasibility, vec_of,
                                verify_witness)
 
@@ -26,6 +26,40 @@ def test_real_linear_map(rng):
     got = m @ la.hermitian_to_real_vec(h)
     want = la.hermitian_to_real_vec(la.partial_trace(h, [2, 3], keep=[0]))
     assert np.abs(got - want).max() < 1e-12
+
+
+def test_cone_cap_projection_matches_sorted_reference(rng):
+    # the trace-cap projection of the spectrum, written with an explicit sort
+    def ref_cone(vec, dim, cap):
+        vals, vecs = np.linalg.eigh(la.real_vec_to_hermitian(vec, dim))
+        w = np.clip(vals, 0.0, None)
+        if w.sum() > cap:
+            srt = np.sort(vals)[::-1]
+            theta_j = (np.cumsum(srt) - cap) / np.arange(1, dim + 1)
+            theta = theta_j[np.sum(srt > theta_j) - 1]
+            w = np.clip(vals - theta, 0.0, None)
+        return la.hermitian_to_real_vec((vecs * w) @ vecs.conj().T)
+
+    prob = SdpProblem()
+    blocks = [("a", 3, 1.0), ("b", 3, 50.0), ("c", 3, 0.5), ("d", 2, 1.0), ("e", 4, 2.0)]
+    for name, dim, cap in blocks:
+        prob.add_psd_block(name, dim, trace_cap=cap)
+    mats = {
+        "a": 3.0 * rand_psd(rng, 3),
+        "b": rand_herm(rng, 3),                 # under the cap
+        "c": np.diag([2.0, 2.0, -1.0]),         # tied eigenvalues over the cap
+        "d": 4.0 * rand_psd(rng, 2) - np.eye(2),
+        "e": 5.0 * rand_herm(rng, 4),
+    }
+    x = np.concatenate([la.hermitian_to_real_vec(mats[name]) for name, _, _ in blocks])
+    z = _Projector(prob).cone(x)
+    for name, dim, cap in blocks:
+        blk = prob.block(name)
+        got = z[blk.offset : blk.offset + blk.length]
+        assert np.abs(got - ref_cone(x[blk.offset : blk.offset + blk.length], dim, cap)).max() < 1e-12
+        herm = la.real_vec_to_hermitian(got, dim)
+        assert np.trace(herm).real <= cap + 1e-12
+        assert np.linalg.eigvalsh(herm)[0] >= -1e-12
 
 
 def test_assemble_split(rng):
