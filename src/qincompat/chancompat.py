@@ -57,10 +57,6 @@ def _ptrace_map(dims, keep):
     return real_linear_map(lambda h: la.partial_trace(h, dims, keep), total, kept)
 
 
-def _witness_atol(tols: Tolerances) -> float:
-    return tols.witness_factor * tols.feas
-
-
 def _require_side(side: int):
     if side > MAX_BLOCK_SIDE:
         raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
@@ -104,7 +100,7 @@ def check_channel_pair(chan_a: Channel, chan_b: Channel,
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return ChannelPairResult(res)
-    joint = Channel.from_choi(res.witness["joint"], din, da * db, atol=_witness_atol(tols))
+    joint = Channel.from_choi(res.witness["joint"], din, da * db, atol=tols.witness_atol)
     return ChannelPairResult(res, joint)
 
 
@@ -158,7 +154,7 @@ def channel_division(chan: Channel, through: Channel,
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return DivisionReport(False)
-    factor = Channel.from_choi(res.witness["factor"], dmid, dout, atol=_witness_atol(tols))
+    factor = Channel.from_choi(res.witness["factor"], dmid, dout, atol=tols.witness_atol)
     recon = choi_compose(j_through, factor.choi(), din, dmid, dout)
     residual = float(np.abs(recon - chan.choi()).max())
     return DivisionReport(True, factor, residual)
@@ -373,5 +369,5 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return MarginalResult(res)
-    omega = State(la.psd_project(res.witness["omega"]), atol=_witness_atol(tols))
+    omega = State(la.psd_project(res.witness["omega"]), atol=tols.witness_atol)
     return MarginalResult(res, omega)

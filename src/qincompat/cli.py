@@ -27,7 +27,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .devices import (Observable, cloner_marginal_coefficient, diag_channel,
                       fourier_pair, identity_channel, mix_with_trivial, mub_qubit,
                       sharp_observable, werner_cloner)
-from .sdpcore import SolveResult, bisect_threshold
+from .sdpcore import SolveResult, Verdict, bisect_threshold
 from .serialize import load_device, serialize
 
 EXIT_FEASIBLE = 0
@@ -46,10 +46,9 @@ def _tols(args) -> Tolerances:
 
 
 def _code(solve: SolveResult) -> int:
-    name = solve.verdict.name
-    if name == "FEASIBLE":
+    if solve.verdict is Verdict.FEASIBLE:
         return EXIT_FEASIBLE
-    if name.startswith("INFEASIBLE"):
+    if solve.verdict in (Verdict.INFEASIBLE_CERTIFIED, Verdict.INFEASIBLE_HEURISTIC):
         return EXIT_INFEASIBLE
     return EXIT_UNDECIDED
 

@@ -17,9 +17,8 @@ class Tolerances:
 
     # feasibility solver
     feas: float = 1e-7            # residual below which a problem is FEASIBLE
-    infeas: float = 1e-5          # residual above which a plateau means infeasible
-    plateau_window: int = 200     # iterations over which stalling is measured
-    plateau_rel: float = 1e-3     # relative residual decrease counted as progress
+    infeas: float = 1e-5          # best residual above which certificates are tried
+    plateau_window: int = 200     # largest spacing of certificate attempts (1, 2, 4, ... up to it)
     max_iter: int = 50_000
     witness_factor: float = 10.0  # witness re-verification slack, in units of feas
 
@@ -28,10 +27,11 @@ class Tolerances:
 
     # domain checks
     marginal_atol: float = 1e-8   # joint-observable marginal reproduction
-    residual_atol: float = 1e-7   # linear-form residuals (rank-one channel form)
-    projection_atol: float = 1e-8 # "is this effect a projection" slack
-    rank_atol: float = 1e-8       # rank decisions (informational completeness)
-    cert_margin: float = 1e-12    # strict-inequality margin for analytic criteria
+
+    @property
+    def witness_atol(self) -> float:
+        """Slack within which a solver witness must satisfy its constraints."""
+        return self.witness_factor * self.feas
 
     def with_(self, **kwargs) -> "Tolerances":
         """A copy with the given fields replaced."""

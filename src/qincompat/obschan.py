@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .chancompat import DivisionReport, channel_division
+from .chancompat import MAX_BLOCK_SIDE, DivisionReport, channel_division
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import OrderReport, postprocessing_order
@@ -33,8 +33,6 @@ __all__ = [
     "rank1_channel_form_check",
     "nddr_test",
 ]
-
-MAX_BLOCK_SIDE = 64
 
 
 def _effect_root(effect: np.ndarray) -> np.ndarray:
@@ -85,10 +83,9 @@ def check_obs_channel(obs: Observable, chan: Channel,
 
     result = solve_feasibility(prob, tols)
     instrument = None
-    if result.verdict.name == "FEASIBLE":
-        atol = tols.witness_factor * tols.feas
+    if result.feasible:
         blocks = np.stack([result.witness[f"op{x}"] for x in range(m)])
-        instrument = Instrument(blocks, din, dout, outcomes=obs.outcomes, atol=atol)
+        instrument = Instrument(blocks, din, dout, outcomes=obs.outcomes, atol=tols.witness_atol)
     return ObsChannelResult(result, instrument)
 
 
@@ -171,10 +168,9 @@ def sequential_recover(first: Observable, second: Observable,
 
     result = solve_feasibility(prob, tols)
     observable = None
-    if result.verdict.name == "FEASIBLE":
-        atol = tols.witness_factor * tols.feas
+    if result.feasible:
         effects = np.stack([result.witness[f"rec{y}"] for y in range(n)])
-        observable = Observable(effects, second.outcomes, atol=atol)
+        observable = Observable(effects, second.outcomes, atol=tols.witness_atol)
     return SequentialResult(result, observable)
 
 

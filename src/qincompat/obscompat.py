@@ -203,10 +203,6 @@ def _joint_problem(observables, dim):
     return prob, names, factor_outcomes
 
 
-def _witness_atol(tols: Tolerances) -> float:
-    return tols.witness_factor * tols.feas
-
-
 def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
     """Decide joint measurability; on success return the joint observable."""
     tols = tols or DEFAULT_TOLS
@@ -217,7 +213,7 @@ def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
     if not res.feasible:
         return JointResult(res)
     blocks = {t: res.witness[name] for t, name in names.items()}
-    joint = _joint_from_blocks(blocks, factor_outcomes, dim, _witness_atol(tols))
+    joint = _joint_from_blocks(blocks, factor_outcomes, dim, tols.witness_atol)
     worst = _marginal_deviation(joint, observables)
     if worst > tols.marginal_atol:
         res = SolveResult(
@@ -346,7 +342,7 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     if not res.feasible:
         return JointResult(res)
     blocks = {t: res.witness[name] for t, name in names.items()}
-    joint = _joint_from_blocks(blocks, factor_outcomes, dim, _witness_atol(tols))
+    joint = _joint_from_blocks(blocks, factor_outcomes, dim, tols.witness_atol)
     dists = tuple(np.clip(res.witness[f"p{k}"], 0.0, None) for k in range(len(observables)))
     dists = tuple(p / p.sum() for p in dists)
     return JointResult(res, joint, dists)

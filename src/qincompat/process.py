@@ -170,7 +170,7 @@ def check_tester_pair(t1: Tester, t2: Tester,
 
     result = solve_feasibility(prob, tols)
     joint = None
-    if result.verdict.name == "FEASIBLE":
+    if result.feasible:
         joint = np.stack([
             np.stack([la.psd_project(result.witness[f"g{j}_{l}"]) for l in range(n)])
             for j in range(m)])

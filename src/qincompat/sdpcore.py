@@ -12,11 +12,14 @@ solver alternates exact projections:
   trace rescaling when a cap is exceeded).
 
 The caps make the cone product compact, so on infeasible instances the iterates
-approach the minimum-distance gap pair and the residual plateaus at the gap
-distance.  A plateau above ``infeas`` triggers a separating-functional
-certificate attempt built from the gap direction; the certificate is validated
-exactly from problem data (supremum over the affine set vs infimum over the
-capped cones), never trusted from solver state alone.
+approach the minimum-distance gap pair and the residual tends to the gap
+distance.  While the best residual is above ``infeas``, a separating-functional
+certificate built from the gap direction is tried at iterations 1, 2, 4, ...,
+doubling until the spacing reaches ``plateau_window``, and then every
+``plateau_window`` iterations.  Each certificate is validated exactly from
+problem data (the functional's value on the affine set vs its infimum over the
+capped cones), never trusted from solver state alone, so early attempts are
+as safe as late ones.
 """
 from __future__ import annotations
 
@@ -313,7 +316,7 @@ def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: To
     ``witness_factor * feas`` per the solver contract.
     """
     tols = tols or DEFAULT_TOLS
-    slack = tols.witness_factor * tols.feas
+    slack = tols.witness_atol
     x = np.zeros(problem.n_vars)
     for name, val in witness.items():
         blk = problem.block(name)
@@ -367,12 +370,10 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None) -> So
             "affine constraints are inconsistent (empty affine set)",
         )
     x = proj.x_part.copy()
-    window = tols.plateau_window
-    best_hist: list[float] = []
     best = float("inf")
     res = float("inf")
     pl = pk = x
-    last_attempt = 0
+    next_attempt = 1
     for it in range(1, tols.max_iter + 1):
         pl = proj.affine(x)
         pk = proj.cone(2.0 * pl - x)
@@ -385,22 +386,17 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None) -> So
             if ok:
                 return SolveResult(Verdict.FEASIBLE, witness, it, res)
         best = min(best, res)
-        best_hist.append(best)
-        # the residual is not monotone here, so stagnation is judged on the
-        # best value seen; a failed certificate never ends the run early
-        if (
-            len(best_hist) > window
-            and best > tols.infeas
-            and it - last_attempt >= window
-        ):
-            old = best_hist[-window - 1]
-            if old - best < tols.plateau_rel * old:
-                last_attempt = it
+        # certificates are validated exactly, so an early attempt is safe: try
+        # at iterations 1, 2, 4, ... and then every plateau_window iterations;
+        # a failed attempt never ends the run
+        if it == next_attempt:
+            next_attempt += min(it, tols.plateau_window)
+            if best > tols.infeas:
                 cert = _certificate(proj, pk, pl, tols)
                 if cert is not None:
                     return SolveResult(
                         Verdict.INFEASIBLE_CERTIFIED, None, it, res, cert,
-                        "residual plateau; separating functional validated",
+                        "separating functional validated before the iteration cap",
                     )
     if best > tols.infeas:
         cert = _certificate(proj, pk, pl, tols)

@@ -181,7 +181,7 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
 
     result = solve_feasibility(prob, tols)
     model = None
-    if result.verdict.name == "FEASIBLE":
+    if result.feasible:
         states = np.stack([la.psd_project(result.witness[f"s{k}"])
                            for k in range(len(strategies))])
         model = LhsModel(states, strategies)

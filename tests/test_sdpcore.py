@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qincompat.linalg as la
 from conftest import rand_herm
 from qincompat.config import DEFAULT_TOLS
+from qincompat.devices import mix_with_trivial, random_povm
+from qincompat.obscompat import _joint_problem, check_joint
 from qincompat.sdpcore import (SdpProblem, Verdict, _Projector, bisect_threshold,
                                real_linear_map, solve_feasibility, vec_of,
                                verify_witness)
@@ -178,6 +182,53 @@ def test_verify_witness_rejects_corruption(rng):
     bad["x"] = bad["x"] + 0.1 * np.eye(3)
     ok, _ = verify_witness(prob, bad, DEFAULT_TOLS)
     assert not ok
+
+
+# --- certificate schedule ----------------------------------------------------
+
+def test_incompatible_pair_certified_early(sharp_x, sharp_z):
+    res = check_joint([sharp_x, sharp_z])
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
+    assert res.solve.iterations < DEFAULT_TOLS.plateau_window
+    # re-check the certificate from the problem data alone, no solver state
+    prob, _, _ = _joint_problem([sharp_x, sharp_z], 2)
+    a, b = prob.assemble()
+    h = np.zeros(prob.n_vars)
+    caps = 0.0
+    cone_inf = 0.0
+    for name, mat in res.solve.certificate.functional.items():
+        blk = prob.block(name)
+        h[blk.offset : blk.offset + blk.length] = la.hermitian_to_real_vec(mat)
+        cone_inf += float(blk.cap) * min(float(np.linalg.eigvalsh(mat)[0]), 0.0)
+        caps += float(blk.cap)
+    # h = a^T y + h_null; on the affine set h @ x = y @ b + h_null @ x, and
+    # |h_null @ x| <= |h_null| * caps on the capped PSD blocks
+    y = np.linalg.lstsq(a.T, h, rcond=None)[0]
+    h_null = float(np.linalg.norm(h - a.T @ y))
+    assert h_null < 1e-9
+    value = float(h @ np.linalg.lstsq(a, b, rcond=None)[0])
+    assert value == pytest.approx(float(y @ b), abs=1e-9)
+    assert cone_inf - value - h_null * caps > DEFAULT_TOLS.feas
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
+       outcomes=st.integers(2, 3), frac=st.floats(0.0, 1.0))
+def test_toss_compatible_families_never_certified(seed, n, outcomes, frac):
+    # lam <= 1/n makes the family compatible through the coin-toss joint, so
+    # an early certificate attempt must never validate; random noise
+    # distributions keep most solves past iteration 1, where attempts start
+    rng = np.random.default_rng(seed)
+    lam = frac / n
+    family = [mix_with_trivial(random_povm(2, outcomes, rng), lam,
+                               probs=rng.dirichlet(np.ones(outcomes)))
+              for _ in range(n)]
+    prob, _, _ = _joint_problem(family, 2)
+    res = solve_feasibility(prob)
+    assert res.verdict is not Verdict.INFEASIBLE_CERTIFIED
+    if res.verdict is Verdict.FEASIBLE:
+        ok, report = verify_witness(prob, res.witness)
+        assert ok, report
 
 
 # --- bisection ---------------------------------------------------------------
