@@ -27,10 +27,10 @@ from .sdpcore import (
     SdpProblem,
     SolveResult,
     Verdict,
-    bisect_threshold,
     real_linear_map,
     solve_feasibility,
     vec_of,
+    warm_bisect,
 )
 
 __all__ = [
@@ -174,116 +174,157 @@ class NoiseClass(Enum):
     ARBITRARY_NOISE = "arbitrary"
 
 
-def _channel_pair_noisy_problem(chan_a, chan_b, lam, mode):
-    """Feasibility of joint measurement of lam-mixtures with a noise pair."""
+def _channel_pair_noisy_family(chan_a, chan_b, mode):
+    """Function lam -> problem: joint measurability of lam-mixtures with a noise pair.
+
+    The coefficient maps do not depend on lam: they are built once here and
+    shared by every problem the returned function makes.
+    """
     din, da, db = chan_a.in_dim, chan_a.out_dim, chan_b.out_dim
     side = din * da * db
     _require_side(side)
     dims = (din, da, db)
-    prob = SdpProblem()
-    prob.add_psd_block("joint", side, trace_cap=float(din))
     tr_b = _ptrace_map(dims, (0, 1))
     tr_a = _ptrace_map(dims, (0, 2))
     ja = vec_of(chan_a.choi())
     jb = vec_of(chan_b.choi())
     eye_in = np.eye(din, dtype=complex)
 
+    def joint_problem():
+        prob = SdpProblem()
+        prob.add_psd_block("joint", side, trace_cap=float(din))
+        return prob
+
     if mode is NoiseClass.TRIVIAL_NOISE:
         # constant-channel noise: Choi = I_in (x) xi
-        prob.add_psd_block("xi_a", da, trace_cap=1.0)
-        prob.add_psd_block("xi_b", db, trace_cap=1.0)
         lift_a = real_linear_map(lambda s: np.kron(eye_in, s), da, din * da)
         lift_b = real_linear_map(lambda s: np.kron(eye_in, s), db, din * db)
-        prob.add_equality({"joint": tr_b, "xi_a": -(1 - lam) * lift_a}, lam * ja)
-        prob.add_equality({"joint": tr_a, "xi_b": -(1 - lam) * lift_b}, lam * jb)
-        prob.add_equality({"xi_a": vec_of(np.eye(da))[None, :]}, np.array([1.0]))
-        prob.add_equality({"xi_b": vec_of(np.eye(db))[None, :]}, np.array([1.0]))
+        tr_xa = vec_of(np.eye(da))[None, :]
+        tr_xb = vec_of(np.eye(db))[None, :]
+
+        def at(lam):
+            prob = joint_problem()
+            prob.add_psd_block("xi_a", da, trace_cap=1.0)
+            prob.add_psd_block("xi_b", db, trace_cap=1.0)
+            prob.add_equality({"joint": tr_b, "xi_a": -(1 - lam) * lift_a}, lam * ja)
+            prob.add_equality({"joint": tr_a, "xi_b": -(1 - lam) * lift_b}, lam * jb)
+            prob.add_equality({"xi_a": tr_xa}, np.array([1.0]))
+            prob.add_equality({"xi_b": tr_xb}, np.array([1.0]))
+            return prob
+
     elif mode is NoiseClass.ARBITRARY_NOISE:
-        prob.add_psd_block("noise_a", din * da, trace_cap=float(din))
-        prob.add_psd_block("noise_b", din * db, trace_cap=float(din))
-        prob.add_equality(
-            {"joint": tr_b, "noise_a": -(1 - lam) * np.eye((din * da) ** 2)}, lam * ja
-        )
-        prob.add_equality(
-            {"joint": tr_a, "noise_b": -(1 - lam) * np.eye((din * db) ** 2)}, lam * jb
-        )
-        prob.add_equality({"noise_a": _ptrace_map((din, da), (0,))}, vec_of(eye_in))
-        prob.add_equality({"noise_b": _ptrace_map((din, db), (0,))}, vec_of(eye_in))
+        eye_a = np.eye((din * da) ** 2)
+        eye_b = np.eye((din * db) ** 2)
+        out_a = _ptrace_map((din, da), (0,))
+        out_b = _ptrace_map((din, db), (0,))
+        eye_in_vec = vec_of(eye_in)
+
+        def at(lam):
+            prob = joint_problem()
+            prob.add_psd_block("noise_a", din * da, trace_cap=float(din))
+            prob.add_psd_block("noise_b", din * db, trace_cap=float(din))
+            prob.add_equality({"joint": tr_b, "noise_a": -(1 - lam) * eye_a}, lam * ja)
+            prob.add_equality({"joint": tr_a, "noise_b": -(1 - lam) * eye_b}, lam * jb)
+            prob.add_equality({"noise_a": out_a}, eye_in_vec)
+            prob.add_equality({"noise_b": out_b}, eye_in_vec)
+            return prob
+
     elif mode is NoiseClass.COMPATIBLE_NOISE:
         # noise pair given as marginals of one joint noise channel
-        prob.add_psd_block("noise_joint", side, trace_cap=float(din))
-        prob.add_equality({"joint": tr_b, "noise_joint": -(1 - lam) * tr_b}, lam * ja)
-        prob.add_equality({"joint": tr_a, "noise_joint": -(1 - lam) * tr_a}, lam * jb)
-        prob.add_equality(
-            {"noise_joint": _ptrace_map(dims, (0,))}, vec_of(eye_in)
-        )
+        out_joint = _ptrace_map(dims, (0,))
+        eye_in_vec = vec_of(eye_in)
+
+        def at(lam):
+            prob = joint_problem()
+            prob.add_psd_block("noise_joint", side, trace_cap=float(din))
+            prob.add_equality({"joint": tr_b, "noise_joint": -(1 - lam) * tr_b}, lam * ja)
+            prob.add_equality({"joint": tr_a, "noise_joint": -(1 - lam) * tr_a}, lam * jb)
+            prob.add_equality({"noise_joint": out_joint}, eye_in_vec)
+            return prob
+
     else:
         raise ValueError(f"unknown noise class {mode}")
-    return prob
+    return at
 
 
-def _obs_channel_noisy_problem(obs, chan, lam, mode):
-    """Instrument feasibility for lam-mixtures of an observable and a channel."""
+def _obs_channel_noisy_family(obs, chan, mode):
+    """Function lam -> problem: an instrument for lam-mixtures of an observable and a channel.
+
+    The coefficient maps do not depend on lam: they are built once here and
+    shared by every problem the returned function makes.
+    """
     din, dout = chan.in_dim, chan.out_dim
     m = obs.n_outcomes
     side = din * dout
     _require_side(side)
-    prob = SdpProblem()
-    for x in range(m):
-        prob.add_psd_block(f"op{x}", side, trace_cap=float(din))
     tr_out = _ptrace_map((din, dout), (0,))
     jc = vec_of(chan.choi())
     eye_vec = vec_of(np.eye(din))
-    total = {f"op{x}": np.eye(side * side) for x in range(m)}
+    eye_side = np.eye(side * side)
+    total = {f"op{x}": eye_side for x in range(m)}
+    effects = [vec_of(e.T) for e in obs.effects]
+
+    def instrument_problem():
+        prob = SdpProblem()
+        for x in range(m):
+            prob.add_psd_block(f"op{x}", side, trace_cap=float(din))
+        return prob
 
     if mode is NoiseClass.TRIVIAL_NOISE:
-        prob.add_scalar_block("p", m, cap=1.0)
-        prob.add_psd_block("xi", dout, trace_cap=1.0)
         lift = real_linear_map(lambda s: np.kron(np.eye(din, dtype=complex), s), dout, side)
-        for x in range(m):
-            coeff = np.zeros((din * din, m))
-            coeff[:, x] = -(1 - lam) * eye_vec
-            prob.add_equality(
-                {f"op{x}": tr_out, "p": coeff},
-                lam * vec_of(obs.effects[x].T),
-            )
-        prob.add_equality({"p": np.ones((1, m))}, np.array([1.0]))
-        terms = dict(total)
-        terms["xi"] = -(1 - lam) * lift
-        prob.add_equality(terms, lam * jc)
+
+        def at(lam):
+            prob = instrument_problem()
+            prob.add_scalar_block("p", m, cap=1.0)
+            prob.add_psd_block("xi", dout, trace_cap=1.0)
+            for x in range(m):
+                coeff = np.zeros((din * din, m))
+                coeff[:, x] = -(1 - lam) * eye_vec
+                prob.add_equality({f"op{x}": tr_out, "p": coeff}, lam * effects[x])
+            prob.add_equality({"p": np.ones((1, m))}, np.array([1.0]))
+            terms = dict(total)
+            terms["xi"] = -(1 - lam) * lift
+            prob.add_equality(terms, lam * jc)
+            return prob
+
     elif mode is NoiseClass.ARBITRARY_NOISE:
-        for x in range(m):
-            prob.add_psd_block(f"eff{x}", din, trace_cap=float(din))
-            prob.add_equality(
-                {f"op{x}": tr_out, f"eff{x}": -(1 - lam) * np.eye(din * din)},
-                lam * vec_of(obs.effects[x].T),
-            )
-        prob.add_equality(
-            {f"eff{x}": np.eye(din * din) for x in range(m)}, vec_of(np.eye(din))
-        )
-        prob.add_psd_block("noise_chan", side, trace_cap=float(din))
-        terms = dict(total)
-        terms["noise_chan"] = -(1 - lam) * np.eye(side * side)
-        prob.add_equality(terms, lam * jc)
-        prob.add_equality({"noise_chan": tr_out}, eye_vec)
+        eye_eff = np.eye(din * din)
+
+        def at(lam):
+            prob = instrument_problem()
+            for x in range(m):
+                prob.add_psd_block(f"eff{x}", din, trace_cap=float(din))
+                prob.add_equality(
+                    {f"op{x}": tr_out, f"eff{x}": -(1 - lam) * eye_eff}, lam * effects[x]
+                )
+            prob.add_equality({f"eff{x}": eye_eff for x in range(m)}, eye_vec)
+            prob.add_psd_block("noise_chan", side, trace_cap=float(din))
+            terms = dict(total)
+            terms["noise_chan"] = -(1 - lam) * eye_side
+            prob.add_equality(terms, lam * jc)
+            prob.add_equality({"noise_chan": tr_out}, eye_vec)
+            return prob
+
     elif mode is NoiseClass.COMPATIBLE_NOISE:
         # noise devices are the marginals of one noise instrument
-        for x in range(m):
-            prob.add_psd_block(f"nop{x}", side, trace_cap=float(din))
-            prob.add_equality(
-                {f"op{x}": tr_out, f"nop{x}": -(1 - lam) * tr_out},
-                lam * vec_of(obs.effects[x].T),
-            )
-        terms = dict(total)
-        for x in range(m):
-            terms[f"nop{x}"] = -(1 - lam) * np.eye(side * side)
-        prob.add_equality(terms, lam * jc)
-        prob.add_equality(
-            {f"nop{x}": tr_out for x in range(m)}, eye_vec
-        )
+        def at(lam):
+            prob = instrument_problem()
+            for x in range(m):
+                prob.add_psd_block(f"nop{x}", side, trace_cap=float(din))
+                prob.add_equality(
+                    {f"op{x}": tr_out, f"nop{x}": -(1 - lam) * tr_out}, lam * effects[x]
+                )
+            terms = dict(total)
+            scaled = -(1 - lam) * eye_side
+            for x in range(m):
+                terms[f"nop{x}"] = scaled
+            prob.add_equality(terms, lam * jc)
+            prob.add_equality({f"nop{x}": tr_out for x in range(m)}, eye_vec)
+            return prob
+
     else:
         raise ValueError(f"unknown noise class {mode}")
-    return prob
+    return at
 
 
 def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE,
@@ -293,28 +334,25 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
     Accepts a channel pair or an observable paired with a channel.  The weight
     multiplies both devices; (1 - weight) multiplies a noise pair of the
     selected class, itself part of the feasibility search.  Bisection returns
-    the certified-feasible supremum.
+    the certified-feasible supremum; each probe is warm-started from the last
+    feasible one.
     """
     tols = tols or DEFAULT_TOLS
     if isinstance(device_a, Channel) and isinstance(device_b, Channel):
         if device_a.in_dim != device_b.in_dim:
             raise ValueError("channels must share the input dimension")
-
-        def feasible_at(lam):
-            prob = _channel_pair_noisy_problem(device_a, device_b, lam, mode)
-            return solve_feasibility(prob, tols).feasible
-
+        problem_at = _channel_pair_noisy_family(device_a, device_b, mode)
     elif isinstance(device_a, Observable) and isinstance(device_b, Channel):
         if device_a.dim != device_b.in_dim:
             raise ValueError("observable and channel must share the input dimension")
-
-        def feasible_at(lam):
-            prob = _obs_channel_noisy_problem(device_a, device_b, lam, mode)
-            return solve_feasibility(prob, tols).feasible
-
+        problem_at = _obs_channel_noisy_family(device_a, device_b, mode)
     else:
         raise TypeError("expected (Channel, Channel) or (Observable, Channel)")
-    return bisect_threshold(feasible_at, tols.bisect_tol).value
+
+    def solve_at(lam, start):
+        return solve_feasibility(problem_at(lam), tols, start)
+
+    return warm_bisect(solve_at, tols.bisect_tol).value
 
 
 # === state marginal problem ==================================================

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -29,9 +29,9 @@ from .sdpcore import (
     SdpProblem,
     SolveResult,
     Verdict,
-    bisect_threshold,
     solve_feasibility,
     vec_of,
+    warm_bisect,
 )
 
 __all__ = [
@@ -203,22 +203,26 @@ def _joint_problem(observables, dim):
     return prob, names, factor_outcomes
 
 
-def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
-    """Decide joint measurability; on success return the joint observable."""
+def check_joint(observables, tols: Tolerances | None = None,
+                start: np.ndarray | None = None) -> JointResult:
+    """Decide joint measurability; on success return the joint observable.
+
+    ``start`` is an optional solver start (see :func:`solve_feasibility`).
+    """
     tols = tols or DEFAULT_TOLS
     dim = _check_family_dim(observables)
     _require_size(observables)
     prob, names, factor_outcomes = _joint_problem(observables, dim)
-    res = solve_feasibility(prob, tols)
+    res = solve_feasibility(prob, tols, start)
     if not res.feasible:
         return JointResult(res)
     blocks = {t: res.witness[name] for t, name in names.items()}
     joint = _joint_from_blocks(blocks, factor_outcomes, dim, tols.witness_atol)
     worst = _marginal_deviation(joint, observables)
     if worst > tols.marginal_atol:
-        res = SolveResult(
-            Verdict.UNDECIDED, res.witness, res.iterations, res.residual, None,
-            f"joint witness marginal deviation {worst:.2e} above tolerance",
+        res = replace(
+            res, verdict=Verdict.UNDECIDED,
+            message=f"joint witness marginal deviation {worst:.2e} above tolerance",
         )
         return JointResult(res)
     return JointResult(res, joint)
@@ -300,11 +304,13 @@ def _resolve_distributions(observables, noise: NoiseSpec):
     return list(dists)
 
 
-def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = None) -> JointResult:
+def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = None,
+                      start: np.ndarray | None = None) -> JointResult:
     """Joint measurability of the noisy family lam_k M_k + (1-lam_k) p_k(.) I.
 
     With optimized noise the distributions p_k are solver variables, so the
     answer quantifies over every choice of trivial noise at the given weights.
+    ``start`` is an optional solver start (see :func:`solve_feasibility`).
     """
     tols = tols or DEFAULT_TOLS
     dim = _check_family_dim(observables)
@@ -317,7 +323,7 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
             mix_with_trivial(obs, w, probs=p)
             for obs, w, p in zip(observables, noise.weights, dists)
         ]
-        res = check_joint(mixed, tols)
+        res = check_joint(mixed, tols, start)
         return JointResult(res.solve, res.joint, tuple(dists))
 
     factor_outcomes = [obs.outcomes for obs in observables]
@@ -338,7 +344,7 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
             prob.add_matrix_equality(terms, noise.weights[k] * obs.effects[xi])
         prob.add_equality({f"p{k}": np.ones((1, m))}, np.array([1.0]))
     prob.add_matrix_equality({name: 1.0 for name in names.values()}, np.eye(dim))
-    res = solve_feasibility(prob, tols)
+    res = solve_feasibility(prob, tols, start)
     if not res.feasible:
         return JointResult(res)
     blocks = {t: res.witness[name] for t, name in names.items()}
@@ -356,7 +362,8 @@ def degree_of_compatibility(
     """Largest symmetric weight at which trivial noise restores compatibility.
 
     Bisection from the feasible side; the returned value is certified feasible
-    within the bisection tolerance.  A single observable has degree 1.
+    within the bisection tolerance, and each probe is warm-started from the
+    last feasible one.  A single observable has degree 1.
     """
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
@@ -364,11 +371,11 @@ def degree_of_compatibility(
         return 1.0
     n = len(observables)
 
-    def feasible_at(lam: float) -> bool:
+    def solve_at(lam: float, start) -> SolveResult:
         spec = NoiseSpec((lam,) * n, noise_mode)
-        return region_membership(observables, spec, tols).feasible
+        return region_membership(observables, spec, tols, start).solve
 
-    return bisect_threshold(feasible_at, tols.bisect_tol).value
+    return warm_bisect(solve_at, tols.bisect_tol).value
 
 
 def fourier_region_formula(d: int, lam1: float, lam2: float) -> bool:

@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Observable, State
-from .sdpcore import (SdpProblem, SolveResult, ThresholdResult, bisect_threshold,
-                      real_linear_map, solve_feasibility, vec_of)
+from .sdpcore import (SdpProblem, SolveResult, ThresholdResult, real_linear_map,
+                      solve_feasibility, vec_of, warm_bisect)
 
 __all__ = [
     "Tester",
@@ -185,7 +185,8 @@ def tester_degree(t1: Tester, t2: Tester,
     sum_l G_jl = q F1_j + (1-q) A_j (x) I with A_j >= 0, sum_j tr A_j = 1,
     and likewise on the other side.  Always at least 1/2: tossing a fair
     coin between the two testers and faking the other outcome realizes
-    q = 1/2 for any pair.
+    q = 1/2 for any pair.  Each bisection probe is warm-started from the last
+    feasible one.
     """
     tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
@@ -195,7 +196,7 @@ def tester_degree(t1: Tester, t2: Tester,
     lift = real_linear_map(lambda a: la.kron(a, np.eye(dout)), din, side)
     tr_row = vec_of(np.eye(din, dtype=complex))[None, :]
 
-    def feasible_at(q: float) -> bool:
+    def solve_at(q: float, start) -> SolveResult:
         prob = SdpProblem()
         for j in range(m):
             for l in range(n):
@@ -214,9 +215,9 @@ def tester_degree(t1: Tester, t2: Tester,
             prob.add_matrix_equality(terms, q * t2.effects[l])
         prob.add_equality({f"a{j}": tr_row for j in range(m)}, np.array([1.0]))
         prob.add_equality({f"b{l}": tr_row for l in range(n)}, np.array([1.0]))
-        return solve_feasibility(prob, tols).feasible
+        return solve_feasibility(prob, tols, start)
 
-    return bisect_threshold(feasible_at, tols.bisect_tol)
+    return warm_bisect(solve_at, tols.bisect_tol)
 
 
 @dataclass(frozen=True)

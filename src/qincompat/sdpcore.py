@@ -20,6 +20,13 @@ doubling until the spacing reaches ``plateau_window``, and then every
 problem data (the functional's value on the affine set vs its infimum over the
 capped cones), never trusted from solver state alone, so early attempts are
 as safe as late ones.
+
+A solve starts from the affine particular solution unless it is given a
+``start`` iterate; the iteration converges from any start.  Threshold
+searches use this through :func:`warm_bisect`: each probe starts at the final
+iterate of the search's last feasible probe, because neighbouring weights
+have nearby solutions.  Infeasible probes never seed a start, since their
+iterates drift along the gap direction.
 """
 from __future__ import annotations
 
@@ -44,6 +51,7 @@ __all__ = [
     "solve_feasibility",
     "verify_witness",
     "bisect_threshold",
+    "warm_bisect",
 ]
 
 
@@ -210,6 +218,7 @@ class SolveResult:
     residual: float
     certificate: Certificate | None = None
     message: str = ""
+    iterate: np.ndarray | None = None  # final fixed-point variable x; a later solve's start
 
     @property
     def feasible(self) -> bool:
@@ -305,8 +314,9 @@ def _certificate(proj: _Projector, z: np.ndarray, a_pt: np.ndarray, tols: Tolera
     h = h / nh
     affine_value = float(h @ a_pt)
     cone_inf = proj.cone_infimum(h)
-    cert = Certificate(proj.problem.split(h), affine_value, cone_inf)
-    return cert if cert.gap < -tols.feas else None
+    if not affine_value - cone_inf < -tols.feas:  # a NaN gap never validates
+        return None
+    return Certificate(proj.problem.split(h), affine_value, cone_inf)
 
 
 def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: Tolerances | None = None):
@@ -345,7 +355,8 @@ def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: To
     return ok, report
 
 
-def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None) -> SolveResult:
+def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
+                      start: np.ndarray | None = None) -> SolveResult:
     """Decide feasibility of the block problem by alternating projections.
 
     The iteration is the reflected (averaged) form of alternating projections:
@@ -356,8 +367,19 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None) -> So
     joint device is an extreme point.  The tracked residual is the distance
     between the two projected points; it tends to zero exactly on feasible
     problems and to the gap distance on infeasible ones.
+
+    ``start`` is the initial x, a flat vector of length ``problem.n_vars``
+    (for instance ``iterate`` of an earlier result); ``None`` starts at the
+    affine particular solution.  A start changes only the path, never how a
+    verdict is checked.
     """
     tols = tols or DEFAULT_TOLS
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (problem.n_vars,):
+            raise ValueError(f"start has shape {start.shape}, expected ({problem.n_vars},)")
+        if not np.all(np.isfinite(start)):
+            raise ValueError("start has non-finite entries")
     proj = _Projector(problem)
     if proj.inconsistency > 1e-9 * (1.0 + float(np.abs(proj.b).max(initial=0.0))):
         cert = Certificate({}, float("nan"), float("nan"))
@@ -369,7 +391,7 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None) -> So
             cert,
             "affine constraints are inconsistent (empty affine set)",
         )
-    x = proj.x_part.copy()
+    x = proj.x_part.copy() if start is None else start.copy()
     best = float("inf")
     res = float("inf")
     pl = pk = x
@@ -384,7 +406,7 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None) -> So
             witness = problem.split(a_pt)
             ok, _ = verify_witness(problem, witness, tols)
             if ok:
-                return SolveResult(Verdict.FEASIBLE, witness, it, res)
+                return SolveResult(Verdict.FEASIBLE, witness, it, res, iterate=x)
         best = min(best, res)
         # certificates are validated exactly, so an early attempt is safe: try
         # at iterations 1, 2, 4, ... and then every plateau_window iterations;
@@ -396,22 +418,22 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None) -> So
                 if cert is not None:
                     return SolveResult(
                         Verdict.INFEASIBLE_CERTIFIED, None, it, res, cert,
-                        "separating functional validated before the iteration cap",
+                        "separating functional validated before the iteration cap", x,
                     )
     if best > tols.infeas:
         cert = _certificate(proj, pk, pl, tols)
         if cert is not None:
             return SolveResult(
                 Verdict.INFEASIBLE_CERTIFIED, None, tols.max_iter, res, cert,
-                "iteration cap with validated separating functional",
+                "iteration cap with validated separating functional", x,
             )
         return SolveResult(
             Verdict.INFEASIBLE_HEURISTIC, None, tols.max_iter, res, None,
-            "iteration cap with residual above the infeasibility tolerance",
+            "iteration cap with residual above the infeasibility tolerance", x,
         )
     return SolveResult(
         Verdict.UNDECIDED, None, tols.max_iter, res, None,
-        "iteration cap with residual between tolerances",
+        "iteration cap with residual between tolerances", x,
     )
 
 
@@ -465,3 +487,28 @@ def bisect_threshold(
         else:
             hi = mid
     return ThresholdResult(lo, tuple(history))
+
+
+def warm_bisect(
+    solve_at: Callable[[float, np.ndarray | None], SolveResult],
+    tol: float | None = None,
+) -> ThresholdResult:
+    """:func:`bisect_threshold` over solves that reuse the last feasible iterate.
+
+    ``solve_at(lam, start)`` decides the problem at ``lam``, starting the
+    solver at ``start`` (``None`` for a cold start), and returns the deciding
+    result; a probe is feasible exactly when that result is.  Each probe
+    starts at the final iterate of the last feasible probe.  Infeasible
+    probes are never used as starts: their iterates run off along the gap
+    direction.
+    """
+    start = None
+
+    def feasible_at(lam: float) -> bool:
+        nonlocal start
+        res = solve_at(lam, start)
+        if res.feasible:
+            start = res.iterate
+        return res.feasible
+
+    return bisect_threshold(feasible_at, tol)

@@ -8,9 +8,9 @@ from conftest import rand_herm
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm
 from qincompat.obscompat import _joint_problem, check_joint
-from qincompat.sdpcore import (SdpProblem, Verdict, _Projector, bisect_threshold,
-                               real_linear_map, solve_feasibility, vec_of,
-                               verify_witness)
+from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _Projector,
+                               bisect_threshold, real_linear_map, solve_feasibility,
+                               vec_of, verify_witness, warm_bisect)
 
 
 def rand_psd(rng, d, trace=None):
@@ -213,22 +213,65 @@ def test_incompatible_pair_certified_early(sharp_x, sharp_z):
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
-       outcomes=st.integers(2, 3), frac=st.floats(0.0, 1.0))
-def test_toss_compatible_families_never_certified(seed, n, outcomes, frac):
+       outcomes=st.integers(2, 3), frac=st.floats(0.0, 1.0),
+       start_scale=st.floats(0.0, 3.0))
+def test_toss_compatible_families_never_certified(seed, n, outcomes, frac, start_scale):
     # lam <= 1/n makes the family compatible through the coin-toss joint, so
-    # an early certificate attempt must never validate; random noise
-    # distributions keep most solves past iteration 1, where attempts start
+    # an early certificate attempt must never validate, from any start;
+    # random noise distributions keep most solves past iteration 1, where
+    # attempts start
     rng = np.random.default_rng(seed)
     lam = frac / n
     family = [mix_with_trivial(random_povm(2, outcomes, rng), lam,
                                probs=rng.dirichlet(np.ones(outcomes)))
               for _ in range(n)]
     prob, _, _ = _joint_problem(family, 2)
-    res = solve_feasibility(prob)
+    res = solve_feasibility(prob, start=start_scale * rng.normal(size=prob.n_vars))
     assert res.verdict is not Verdict.INFEASIBLE_CERTIFIED
     if res.verdict is Verdict.FEASIBLE:
         ok, report = verify_witness(prob, res.witness)
         assert ok, report
+
+
+# --- warm starts -------------------------------------------------------------
+
+def test_start_is_validated(rng):
+    prob = SdpProblem()
+    prob.add_psd_block("x", 2, trace_cap=2.0)
+    prob.add_matrix_equality({"x": 1.0}, np.eye(2) / 2)
+    for bad in (np.zeros(3), np.zeros((1, 4)), np.array([0.0, np.nan, 0.0, 0.0]),
+                np.array([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            solve_feasibility(prob, start=bad)
+    res = solve_feasibility(prob, start=rng.normal(size=prob.n_vars))
+    assert res.feasible
+    assert res.iterate.shape == (prob.n_vars,)
+    # the final iterate is a fixed point up to tolerance: restarting there
+    # decides the same problem at once
+    again = solve_feasibility(prob, start=res.iterate)
+    assert again.feasible and again.iterations == 1
+
+
+def test_warm_bisect_starts_from_last_feasible_probe():
+    starts = []
+
+    def solve_at(lam, start):
+        starts.append((lam, start))
+        verdict = Verdict.FEASIBLE if lam <= 0.3 else Verdict.INFEASIBLE_CERTIFIED
+        return SolveResult(verdict, None, 1, 0.0, iterate=np.array([lam]))
+
+    res = warm_bisect(solve_at, tol=1e-2)
+    assert res.value == pytest.approx(0.3, abs=1e-2)
+    assert [lam for lam, _ in starts] == [lam for lam, _ in res.history]
+    assert starts[0][1] is None and starts[1][1] is None  # hi, then lo: both cold
+    last_feasible = None
+    for (lam, start), (_, ok) in zip(starts, res.history):
+        if last_feasible is None:
+            assert start is None
+        else:
+            assert start[0] == last_feasible
+        if ok:
+            last_feasible = lam
 
 
 # --- bisection ---------------------------------------------------------------
