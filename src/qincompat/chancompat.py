@@ -9,7 +9,6 @@ question here is again an affine-plus-PSD feasibility problem.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +26,7 @@ from .sdpcore import (
     SdpProblem,
     SolveResult,
     Verdict,
+    partial_trace_map,
     real_linear_map,
     solve_feasibility,
     vec_of,
@@ -48,13 +48,6 @@ __all__ = [
 ]
 
 MAX_BLOCK_SIDE = 64
-
-
-def _ptrace_map(dims, keep):
-    """Coefficient matrix of a partial trace in real vectorized coordinates."""
-    total = math.prod(dims)
-    kept = math.prod(dims[k] for k in keep)
-    return real_linear_map(lambda h: la.partial_trace(h, dims, keep), total, kept)
 
 
 def _require_side(side: int):
@@ -95,8 +88,8 @@ def check_channel_pair(chan_a: Channel, chan_b: Channel,
     prob = SdpProblem()
     prob.add_psd_block("joint", side, trace_cap=float(din))
     dims = (din, da, db)
-    prob.add_equality({"joint": _ptrace_map(dims, (0, 1))}, vec_of(chan_a.choi()))
-    prob.add_equality({"joint": _ptrace_map(dims, (0, 2))}, vec_of(chan_b.choi()))
+    prob.add_equality({"joint": partial_trace_map(dims, (0, 1))}, vec_of(chan_a.choi()))
+    prob.add_equality({"joint": partial_trace_map(dims, (0, 2))}, vec_of(chan_b.choi()))
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return ChannelPairResult(res)
@@ -149,7 +142,7 @@ def channel_division(chan: Channel, through: Channel,
     prob.add_psd_block("factor", side, trace_cap=float(dmid))
     prob.add_equality({"factor": compose_map}, vec_of(chan.choi()))
     prob.add_equality(
-        {"factor": _ptrace_map((dmid, dout), (0,))}, vec_of(np.eye(dmid))
+        {"factor": partial_trace_map((dmid, dout), (0,))}, vec_of(np.eye(dmid))
     )
     res = solve_feasibility(prob, tols)
     if not res.feasible:
@@ -184,8 +177,8 @@ def _channel_pair_noisy_family(chan_a, chan_b, mode):
     side = din * da * db
     _require_side(side)
     dims = (din, da, db)
-    tr_b = _ptrace_map(dims, (0, 1))
-    tr_a = _ptrace_map(dims, (0, 2))
+    tr_b = partial_trace_map(dims, (0, 1))
+    tr_a = partial_trace_map(dims, (0, 2))
     ja = vec_of(chan_a.choi())
     jb = vec_of(chan_b.choi())
     eye_in = np.eye(din, dtype=complex)
@@ -197,8 +190,8 @@ def _channel_pair_noisy_family(chan_a, chan_b, mode):
 
     if mode is NoiseClass.TRIVIAL_NOISE:
         # constant-channel noise: Choi = I_in (x) xi
-        lift_a = real_linear_map(lambda s: np.kron(eye_in, s), da, din * da)
-        lift_b = real_linear_map(lambda s: np.kron(eye_in, s), db, din * db)
+        lift_a = partial_trace_map((din, da), (1,)).T
+        lift_b = partial_trace_map((din, db), (1,)).T
         tr_xa = vec_of(np.eye(da))[None, :]
         tr_xb = vec_of(np.eye(db))[None, :]
 
@@ -215,8 +208,8 @@ def _channel_pair_noisy_family(chan_a, chan_b, mode):
     elif mode is NoiseClass.ARBITRARY_NOISE:
         eye_a = np.eye((din * da) ** 2)
         eye_b = np.eye((din * db) ** 2)
-        out_a = _ptrace_map((din, da), (0,))
-        out_b = _ptrace_map((din, db), (0,))
+        out_a = partial_trace_map((din, da), (0,))
+        out_b = partial_trace_map((din, db), (0,))
         eye_in_vec = vec_of(eye_in)
 
         def at(lam):
@@ -231,7 +224,7 @@ def _channel_pair_noisy_family(chan_a, chan_b, mode):
 
     elif mode is NoiseClass.COMPATIBLE_NOISE:
         # noise pair given as marginals of one joint noise channel
-        out_joint = _ptrace_map(dims, (0,))
+        out_joint = partial_trace_map(dims, (0,))
         eye_in_vec = vec_of(eye_in)
 
         def at(lam):
@@ -257,7 +250,7 @@ def _obs_channel_noisy_family(obs, chan, mode):
     m = obs.n_outcomes
     side = din * dout
     _require_side(side)
-    tr_out = _ptrace_map((din, dout), (0,))
+    tr_out = partial_trace_map((din, dout), (0,))
     jc = vec_of(chan.choi())
     eye_vec = vec_of(np.eye(din))
     eye_side = np.eye(side * side)
@@ -271,7 +264,7 @@ def _obs_channel_noisy_family(obs, chan, mode):
         return prob
 
     if mode is NoiseClass.TRIVIAL_NOISE:
-        lift = real_linear_map(lambda s: np.kron(np.eye(din, dtype=complex), s), dout, side)
+        lift = partial_trace_map((din, dout), (1,)).T
 
         def at(lam):
             prob = instrument_problem()
@@ -401,8 +394,8 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
     prob = SdpProblem()
     prob.add_psd_block("omega", side, trace_cap=1.0)
     tdims = (da, db, dc)
-    prob.add_equality({"omega": _ptrace_map(tdims, (0, 1))}, vec_of(rho_ab))
-    prob.add_equality({"omega": _ptrace_map(tdims, (1, 2))}, vec_of(rho_bc))
+    prob.add_equality({"omega": partial_trace_map(tdims, (0, 1))}, vec_of(rho_ab))
+    prob.add_equality({"omega": partial_trace_map(tdims, (1, 2))}, vec_of(rho_bc))
     prob.add_equality({"omega": vec_of(np.eye(side))[None, :]}, np.array([1.0]))
     res = solve_feasibility(prob, tols)
     if not res.feasible:

@@ -20,7 +20,8 @@ from .chancompat import MAX_BLOCK_SIDE, DivisionReport, channel_division
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import OrderReport, postprocessing_order
-from .sdpcore import SdpProblem, SolveResult, real_linear_map, solve_feasibility
+from .sdpcore import (SdpProblem, SolveResult, partial_trace_map, real_linear_map,
+                      solve_feasibility)
 
 __all__ = [
     "ObsChannelResult",
@@ -71,8 +72,7 @@ def check_obs_channel(obs: Observable, chan: Channel,
     if side > MAX_BLOCK_SIDE or m > MAX_BLOCK_SIDE:
         raise ValueError(f"problem too large: block side {side}, {m} outcomes")
 
-    tr_out = real_linear_map(
-        lambda h: la.partial_trace(h, [din, dout], keep=[0]), side, din)
+    tr_out = partial_trace_map((din, dout), (0,))
 
     prob = SdpProblem()
     for x in range(m):

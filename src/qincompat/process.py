@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Observable, State
-from .sdpcore import (SdpProblem, SolveResult, ThresholdResult, real_linear_map,
+from .sdpcore import (SdpProblem, SolveResult, ThresholdResult, partial_trace_map,
                       solve_feasibility, vec_of, warm_bisect)
 
 __all__ = [
@@ -193,7 +193,7 @@ def tester_degree(t1: Tester, t2: Tester,
     m, n = t1.n_outcomes, t2.n_outcomes
     din, dout = t1.in_dim, t1.out_dim
     side = din * dout
-    lift = real_linear_map(lambda a: la.kron(a, np.eye(dout)), din, side)
+    lift = partial_trace_map((din, dout), (0,)).T
     tr_row = vec_of(np.eye(din, dtype=complex))[None, :]
 
     def solve_at(q: float, start) -> SolveResult:

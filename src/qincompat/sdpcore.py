@@ -47,6 +47,7 @@ __all__ = [
     "Certificate",
     "ThresholdResult",
     "real_linear_map",
+    "partial_trace_map",
     "vec_of",
     "solve_feasibility",
     "verify_witness",
@@ -81,7 +82,11 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
     """Matrix of a Hermitian-to-Hermitian real-linear map in vectorized coordinates.
 
     ``fn`` must map Hermitian in_dim x in_dim matrices to Hermitian
-    out_dim x out_dim matrices linearly over the reals.
+    out_dim x out_dim matrices linearly over the reals.  It is called once per
+    basis matrix, in_dim**2 times.  The real vectorization is orthonormal, so
+    the matrix of the adjoint map is the transpose: when the output side is
+    smaller and the adjoint is known, probe the adjoint and transpose (as
+    :func:`partial_trace_map` does).
     """
     n = in_dim * in_dim
     cols = np.empty((out_dim * out_dim, n))
@@ -92,6 +97,35 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
         e[i] = 0.0
         cols[:, i] = la.hermitian_to_real_vec(fn(h))
     return cols
+
+
+def partial_trace_map(dims, keep) -> np.ndarray:
+    """Matrix of ``la.partial_trace(., dims, keep)`` in real vectorized coordinates.
+
+    Built as the transpose of its adjoint, the lift X -> X (x) I on the traced
+    factors permuted back into factor order, which :func:`real_linear_map`
+    probes kept**2 times instead of total**2.  The transpose of the result is
+    the matrix of that lift.  ``keep`` is read as ``la.partial_trace`` reads it
+    (sorted, repeats dropped); an index out of range raises ``ValueError``.
+    """
+    dims = [int(d) for d in dims]
+    n = len(dims)
+    keep = sorted(set(int(k) for k in keep))
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} factors")
+    traced = [i for i in range(n) if i not in keep]
+    order = keep + traced
+    kept = math.prod(dims[k] for k in keep)
+    total = math.prod(dims)
+    eye = np.eye(total // kept)
+    shape = [dims[i] for i in order] * 2
+    inverse = np.argsort(order)
+    axes = list(inverse) + [n + i for i in inverse]
+
+    def lift(x):
+        return np.kron(x, eye).reshape(shape).transpose(axes).reshape(total, total)
+
+    return real_linear_map(lift, kept, total).T
 
 
 class SdpProblem:

@@ -155,6 +155,23 @@ def test_robustness_search_is_warm_started(monkeypatch, ident):
     assert counts["iterations"] < 2000
 
 
+def test_channel_pair_maps_skip_partial_trace_probes(monkeypatch):
+    # no-cloning at d=4: the two (256 x 4096) margin maps are built from the
+    # adjoint lift, not by probing la.partial_trace on 2 x 4096 basis matrices
+    calls = {"n": 0}
+    ptrace = la.partial_trace
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return ptrace(*args, **kwargs)
+
+    monkeypatch.setattr(la, "partial_trace", counted)
+    ident4 = q.identity_channel(4)
+    res = q.check_channel_pair(ident4, ident4)
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
+    assert calls["n"] < 100
+
+
 def test_robustness_compatible_pair_is_one():
     dz = q.diag_channel(dim=2)
     val = q.robustness(dz, dz, q.NoiseClass.ARBITRARY_NOISE)

@@ -9,8 +9,8 @@ from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm
 from qincompat.obscompat import _joint_problem, check_joint
 from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _Projector,
-                               bisect_threshold, real_linear_map, solve_feasibility,
-                               vec_of, verify_witness, warm_bisect)
+                               bisect_threshold, partial_trace_map, real_linear_map,
+                               solve_feasibility, vec_of, verify_witness, warm_bisect)
 
 
 def rand_psd(rng, d, trace=None):
@@ -30,6 +30,27 @@ def test_real_linear_map(rng):
     got = m @ la.hermitian_to_real_vec(h)
     want = la.hermitian_to_real_vec(la.partial_trace(h, [2, 3], keep=[0]))
     assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims,keep", [
+    ((2, 3), (0,)), ((2, 3), (1,)), ((3, 2, 2), (1,)), ((2, 2, 3), (0, 2)),
+    ((4, 4, 4), (0, 1)), ((4, 4, 4), (0, 2)), ((4, 4, 4), (1, 2)), ((4, 4, 4), (0,)),
+    ((2, 3, 2), (2, 0, 0)), ((2, 3, 2), (0, 1, 2)),
+])
+def test_partial_trace_map_equals_probed_map(dims, keep):
+    # the adjoint-built matrix is the probed partial trace, bit for bit
+    total = int(np.prod(dims))
+    kept = int(np.prod([dims[k] for k in set(keep)]))
+    want = real_linear_map(lambda h: la.partial_trace(h, dims, keep), total, kept)
+    assert np.array_equal(partial_trace_map(dims, keep), want)
+
+
+@pytest.mark.parametrize("keep", [(2,), (-1,), (0, 3)])
+def test_partial_trace_map_rejects_bad_keep(keep):
+    with pytest.raises(ValueError):
+        la.partial_trace(np.eye(6), (2, 3), keep)
+    with pytest.raises(ValueError):
+        partial_trace_map((2, 3), keep)
 
 
 def test_cone_cap_projection_matches_sorted_reference(rng):
