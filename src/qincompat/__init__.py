@@ -19,9 +19,9 @@ from .devices import (Channel, Instrument, NaimarkDilation, Observable,
                       random_povm, random_state, random_unitary, relabel,
                       sharp_observable, tensor_channel, transpose_observable,
                       trivial_observable, unitary_channel, werner_cloner)
-from .sdpcore import (Certificate, SdpProblem, SolveResult, ThresholdResult,
-                      Verdict, bisect_threshold, solve_feasibility,
-                      verify_witness)
+from .sdpcore import (Certificate, Decision, SdpProblem, SolveResult,
+                      ThresholdResult, Verdict, bisect_threshold,
+                      solve_feasibility, verify_witness)
 from .obscompat import (CommutatorReport, JointObservable, JointResult,
                         JordanReport, MurReport, NoiseMode, NoiseSpec,
                         OrderReport, WeakCoexistenceReport, build_postprocess_joint,
@@ -65,7 +65,7 @@ __all__ = [
     "diag_channel", "conjugate_channel", "ctrl_unitary_selfconjugate",
     "werner_cloner", "cloner_marginal_coefficient", "random_state",
     "random_unitary", "random_povm", "random_channel",
-    "Verdict", "SdpProblem", "SolveResult", "ThresholdResult", "Certificate",
+    "Verdict", "SdpProblem", "SolveResult", "Decision", "ThresholdResult", "Certificate",
     "solve_feasibility", "verify_witness", "bisect_threshold",
     "NoiseMode", "NoiseSpec", "JointResult", "check_joint", "build_toss_joint",
     "build_postprocess_joint", "region_membership", "degree_of_compatibility",

@@ -23,6 +23,7 @@ from .devices import (
     conjugate_channel,
 )
 from .sdpcore import (
+    Decision,
     SdpProblem,
     SolveResult,
     Verdict,
@@ -58,17 +59,8 @@ def _require_side(side: int):
 # === channel pairs ===========================================================
 
 @dataclass(frozen=True)
-class ChannelPairResult:
-    solve: SolveResult
+class ChannelPairResult(Decision):
     joint: Channel | None = None
-
-    @property
-    def verdict(self) -> Verdict:
-        return self.solve.verdict
-
-    @property
-    def feasible(self) -> bool:
-        return self.solve.feasible
 
 
 def check_channel_pair(chan_a: Channel, chan_b: Channel,
@@ -206,8 +198,6 @@ def _channel_pair_noisy_family(chan_a, chan_b, mode):
             return prob
 
     elif mode is NoiseClass.ARBITRARY_NOISE:
-        eye_a = np.eye((din * da) ** 2)
-        eye_b = np.eye((din * db) ** 2)
         out_a = partial_trace_map((din, da), (0,))
         out_b = partial_trace_map((din, db), (0,))
         eye_in_vec = vec_of(eye_in)
@@ -216,8 +206,8 @@ def _channel_pair_noisy_family(chan_a, chan_b, mode):
             prob = joint_problem()
             prob.add_psd_block("noise_a", din * da, trace_cap=float(din))
             prob.add_psd_block("noise_b", din * db, trace_cap=float(din))
-            prob.add_equality({"joint": tr_b, "noise_a": -(1 - lam) * eye_a}, lam * ja)
-            prob.add_equality({"joint": tr_a, "noise_b": -(1 - lam) * eye_b}, lam * jb)
+            prob.add_equality({"joint": tr_b, "noise_a": -(1 - lam)}, lam * ja)
+            prob.add_equality({"joint": tr_a, "noise_b": -(1 - lam)}, lam * jb)
             prob.add_equality({"noise_a": out_a}, eye_in_vec)
             prob.add_equality({"noise_b": out_b}, eye_in_vec)
             return prob
@@ -253,8 +243,7 @@ def _obs_channel_noisy_family(obs, chan, mode):
     tr_out = partial_trace_map((din, dout), (0,))
     jc = vec_of(chan.choi())
     eye_vec = vec_of(np.eye(din))
-    eye_side = np.eye(side * side)
-    total = {f"op{x}": eye_side for x in range(m)}
+    total = {f"op{x}": 1.0 for x in range(m)}
     effects = [vec_of(e.T) for e in obs.effects]
 
     def instrument_problem():
@@ -281,19 +270,17 @@ def _obs_channel_noisy_family(obs, chan, mode):
             return prob
 
     elif mode is NoiseClass.ARBITRARY_NOISE:
-        eye_eff = np.eye(din * din)
-
         def at(lam):
             prob = instrument_problem()
             for x in range(m):
                 prob.add_psd_block(f"eff{x}", din, trace_cap=float(din))
                 prob.add_equality(
-                    {f"op{x}": tr_out, f"eff{x}": -(1 - lam) * eye_eff}, lam * effects[x]
+                    {f"op{x}": tr_out, f"eff{x}": -(1 - lam)}, lam * effects[x]
                 )
-            prob.add_equality({f"eff{x}": eye_eff for x in range(m)}, eye_vec)
+            prob.add_equality({f"eff{x}": 1.0 for x in range(m)}, eye_vec)
             prob.add_psd_block("noise_chan", side, trace_cap=float(din))
             terms = dict(total)
-            terms["noise_chan"] = -(1 - lam) * eye_side
+            terms["noise_chan"] = -(1 - lam)
             prob.add_equality(terms, lam * jc)
             prob.add_equality({"noise_chan": tr_out}, eye_vec)
             return prob
@@ -308,9 +295,8 @@ def _obs_channel_noisy_family(obs, chan, mode):
                     {f"op{x}": tr_out, f"nop{x}": -(1 - lam) * tr_out}, lam * effects[x]
                 )
             terms = dict(total)
-            scaled = -(1 - lam) * eye_side
             for x in range(m):
-                terms[f"nop{x}"] = scaled
+                terms[f"nop{x}"] = -(1 - lam)
             prob.add_equality(terms, lam * jc)
             prob.add_equality({f"nop{x}": tr_out for x in range(m)}, eye_vec)
             return prob
@@ -351,17 +337,8 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
 # === state marginal problem ==================================================
 
 @dataclass(frozen=True)
-class MarginalResult:
-    solve: SolveResult
+class MarginalResult(Decision):
     omega: State | None = None
-
-    @property
-    def verdict(self) -> Verdict:
-        return self.solve.verdict
-
-    @property
-    def feasible(self) -> bool:
-        return self.solve.feasible
 
 
 def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,

@@ -6,7 +6,7 @@ optional ``tols`` argument defaulting to :data:`DEFAULT_TOLS`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class Tolerances:
     def witness_atol(self) -> float:
         """Slack within which a solver witness must satisfy its constraints."""
         return self.witness_factor * self.feas
-
-    def with_(self, **kwargs) -> "Tolerances":
-        """A copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLS = Tolerances()

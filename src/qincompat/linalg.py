@@ -30,7 +30,6 @@ __all__ = [
     "partial_trace",
     "kron",
     "op_norm",
-    "frob_norm",
     "hermitian_to_real_vec",
     "real_vec_to_hermitian",
     "real_vec_basis_indices",
@@ -74,9 +73,6 @@ class EigenDecomposition(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ dagger(self.vectors)
 
 
 def eig_hermitian(a, atol: float | None = None) -> EigenDecomposition:
@@ -134,10 +130,6 @@ def kron(*ops) -> np.ndarray:
 def op_norm(a) -> float:
     """Operator (spectral) norm."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
-
-
-def frob_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
 # === real vectorization ======================================================

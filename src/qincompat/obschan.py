@@ -20,8 +20,8 @@ from .chancompat import MAX_BLOCK_SIDE, DivisionReport, channel_division
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import OrderReport, postprocessing_order
-from .sdpcore import (SdpProblem, SolveResult, partial_trace_map, real_linear_map,
-                      solve_feasibility)
+from .sdpcore import (Decision, SdpProblem, partial_trace_map, real_linear_map,
+                      solve_feasibility, vec_of)
 
 __all__ = [
     "ObsChannelResult",
@@ -42,15 +42,10 @@ def _effect_root(effect: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ObsChannelResult:
+class ObsChannelResult(Decision):
     """Outcome of an observable/channel realizability check."""
 
-    solve: SolveResult
     instrument: Instrument | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.solve.feasible
 
 
 def check_obs_channel(obs: Observable, chan: Channel,
@@ -77,9 +72,9 @@ def check_obs_channel(obs: Observable, chan: Channel,
     prob = SdpProblem()
     for x in range(m):
         prob.add_psd_block(f"op{x}", side, trace_cap=float(din))
-    prob.add_matrix_equality({f"op{x}": 1.0 for x in range(m)}, chan.choi())
+    prob.add_equality({f"op{x}": 1.0 for x in range(m)}, vec_of(chan.choi()))
     for x in range(m):
-        prob.add_matrix_equality({f"op{x}": tr_out}, obs.effects[x].T.copy())
+        prob.add_equality({f"op{x}": tr_out}, vec_of(obs.effects[x].T.copy()))
 
     result = solve_feasibility(prob, tols)
     instrument = None
@@ -114,15 +109,10 @@ def least_disturbing_channel(obs: Observable) -> Channel:
 
 
 @dataclass(frozen=True)
-class SequentialResult:
+class SequentialResult(Decision):
     """Outcome of a sequential measurement recovery search."""
 
-    solve: SolveResult
     observable: Observable | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.solve.feasible
 
 
 def sequential_recover(first: Observable, second: Observable,
@@ -162,9 +152,9 @@ def sequential_recover(first: Observable, second: Observable,
     prob = SdpProblem()
     for y in range(n):
         prob.add_psd_block(f"rec{y}", side, trace_cap=float(side))
-    prob.add_matrix_equality({f"rec{y}": 1.0 for y in range(n)}, np.eye(side, dtype=complex))
+    prob.add_equality({f"rec{y}": 1.0 for y in range(n)}, vec_of(np.eye(side, dtype=complex)))
     for y in range(n):
-        prob.add_matrix_equality({f"rec{y}": heis}, second.effects[y])
+        prob.add_equality({f"rec{y}": heis}, vec_of(second.effects[y]))
 
     result = solve_feasibility(prob, tols)
     observable = None

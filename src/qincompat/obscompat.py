@@ -26,6 +26,7 @@ from .devices import (
     mix_with_trivial,
 )
 from .sdpcore import (
+    Decision,
     SdpProblem,
     SolveResult,
     Verdict,
@@ -142,28 +143,18 @@ def _product_combos(factor_outcomes):
     return list(itertools.product(*factor_outcomes))
 
 
-def _joint_from_blocks(blocks, factor_outcomes, dim, atol) -> JointObservable:
-    combos = _product_combos(factor_outcomes)
-    effects = np.stack([np.asarray(blocks[t]) for t in combos])
-    obs = Observable(effects, outcomes=combos, atol=atol)
+def _joint_from_blocks(blocks, factor_outcomes, atol) -> JointObservable:
+    """Joint observable from its effects, listed in product order of the outcomes."""
+    obs = Observable(np.stack(blocks), outcomes=_product_combos(factor_outcomes), atol=atol)
     return JointObservable(obs, tuple(tuple(o) for o in factor_outcomes), atol)
 
 
 @dataclass(frozen=True)
-class JointResult:
+class JointResult(Decision):
     """Feasibility verdict for a joint-observable question, with witnesses."""
 
-    solve: SolveResult
     joint: JointObservable | None = None
     noise_distributions: tuple[np.ndarray, ...] | None = None
-
-    @property
-    def verdict(self) -> Verdict:
-        return self.solve.verdict
-
-    @property
-    def feasible(self) -> bool:
-        return self.solve.feasible
 
 
 def _check_family_dim(observables) -> int:
@@ -187,20 +178,38 @@ def _require_size(observables):
     return total
 
 
-def _joint_problem(observables, dim):
-    """Blocks G_t per product outcome; marginal and total-sum constraints."""
-    factor_outcomes = [obs.outcomes for obs in observables]
-    combos = _product_combos(factor_outcomes)
+def _joint_problem(observables, dim, weights=None):
+    """Blocks g{i} per product outcome; marginal and total-sum constraints.
+
+    With ``weights`` the kth marginal is w_k M_k + (1 - w_k) p_k(.) I, where
+    the distribution p_k is the scalar block ``p{k}``.
+    """
     prob = SdpProblem()
-    names = {}
-    for i, t in enumerate(combos):
-        names[t] = prob.add_psd_block(f"g{i}", dim, trace_cap=float(dim))
-    for k, obs in enumerate(observables):
-        for xi, x in enumerate(obs.outcomes):
-            terms = {names[t]: 1.0 for t in combos if t[k] == x}
-            prob.add_matrix_equality(terms, obs.effects[xi])
-    prob.add_matrix_equality({name: 1.0 for name in names.values()}, np.eye(dim))
-    return prob, names, factor_outcomes
+    fibres = prob.add_product_blocks("g", [obs.n_outcomes for obs in observables], dim, float(dim))
+    eye_vec = vec_of(np.eye(dim))
+    for k, (obs, fibre) in enumerate(zip(observables, fibres)):
+        m = obs.n_outcomes
+        if weights is not None:
+            prob.add_scalar_block(f"p{k}", m, cap=1.0)
+        for xi, names in enumerate(fibre):
+            terms = dict.fromkeys(names, 1.0)
+            rhs = obs.effects[xi]
+            if weights is not None:
+                coeff = np.zeros((dim * dim, m))
+                coeff[:, xi] = -(1.0 - weights[k]) * eye_vec
+                terms[f"p{k}"] = coeff
+                rhs = weights[k] * rhs
+            prob.add_equality(terms, vec_of(rhs))
+        if weights is not None:
+            prob.add_equality({f"p{k}": np.ones((1, m))}, np.array([1.0]))
+    prob.add_equality({name: 1.0 for names in fibres[0] for name in names}, eye_vec)
+    return prob
+
+
+def _joint_witness(res: SolveResult, observables, atol) -> JointObservable:
+    total = math.prod(obs.n_outcomes for obs in observables)
+    blocks = [res.witness[f"g{i}"] for i in range(total)]
+    return _joint_from_blocks(blocks, [obs.outcomes for obs in observables], atol)
 
 
 def check_joint(observables, tols: Tolerances | None = None,
@@ -212,12 +221,10 @@ def check_joint(observables, tols: Tolerances | None = None,
     tols = tols or DEFAULT_TOLS
     dim = _check_family_dim(observables)
     _require_size(observables)
-    prob, names, factor_outcomes = _joint_problem(observables, dim)
-    res = solve_feasibility(prob, tols, start)
+    res = solve_feasibility(_joint_problem(observables, dim), tols, start)
     if not res.feasible:
         return JointResult(res)
-    blocks = {t: res.witness[name] for t, name in names.items()}
-    joint = _joint_from_blocks(blocks, factor_outcomes, dim, tols.witness_atol)
+    joint = _joint_witness(res, observables, tols.witness_atol)
     worst = _marginal_deviation(joint, observables)
     if worst > tols.marginal_atol:
         res = replace(
@@ -257,7 +264,7 @@ def build_toss_joint(observables, trivials=None) -> JointObservable:
                 raise ValueError("trivial outcome count must match the observable")
             dists.append(np.asarray(t.probs, dtype=float))
     factor_outcomes = [obs.outcomes for obs in observables]
-    blocks = {}
+    blocks = []
     for combo in _product_combos(factor_outcomes):
         idx = [obs.outcomes.index(x) for obs, x in zip(observables, combo)]
         g = np.zeros((dim, dim), dtype=complex)
@@ -267,8 +274,8 @@ def build_toss_joint(observables, trivials=None) -> JointObservable:
                 if j != k:
                     coeff *= dists[j][idx[j]]
             g += coeff * observables[k].effects[idx[k]]
-        blocks[combo] = g / n
-    return _joint_from_blocks(blocks, factor_outcomes, dim, 1e-10)
+        blocks.append(g / n)
+    return _joint_from_blocks(blocks, factor_outcomes, 1e-10)
 
 
 def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
@@ -280,7 +287,7 @@ def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
             raise ValueError("processing input size must match the parent outcomes")
     factor_outcomes = [tuple(range(p.shape[0])) for p in mats]
     dim = obs.dim
-    blocks = {}
+    blocks = []
     for combo in _product_combos(factor_outcomes):
         g = np.zeros((dim, dim), dtype=complex)
         for xi in range(obs.n_outcomes):
@@ -288,8 +295,8 @@ def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
             for p, y in zip(mats, combo):
                 coeff *= p[y, xi]
             g += coeff * obs.effects[xi]
-        blocks[combo] = g
-    return _joint_from_blocks(blocks, factor_outcomes, dim, 1e-10)
+        blocks.append(g)
+    return _joint_from_blocks(blocks, factor_outcomes, 1e-10)
 
 
 # === compatibility region and degree =========================================
@@ -326,29 +333,10 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
         res = check_joint(mixed, tols, start)
         return JointResult(res.solve, res.joint, tuple(dists))
 
-    factor_outcomes = [obs.outcomes for obs in observables]
-    combos = _product_combos(factor_outcomes)
-    prob = SdpProblem()
-    names = {}
-    for i, t in enumerate(combos):
-        names[t] = prob.add_psd_block(f"g{i}", dim, trace_cap=float(dim))
-    eye_vec = vec_of(np.eye(dim))
-    for k, obs in enumerate(observables):
-        m = obs.n_outcomes
-        prob.add_scalar_block(f"p{k}", m, cap=1.0)
-        for xi, x in enumerate(obs.outcomes):
-            terms = {names[t]: 1.0 for t in combos if t[k] == x}
-            coeff = np.zeros((dim * dim, m))
-            coeff[:, xi] = -(1.0 - noise.weights[k]) * eye_vec
-            terms[f"p{k}"] = coeff
-            prob.add_matrix_equality(terms, noise.weights[k] * obs.effects[xi])
-        prob.add_equality({f"p{k}": np.ones((1, m))}, np.array([1.0]))
-    prob.add_matrix_equality({name: 1.0 for name in names.values()}, np.eye(dim))
-    res = solve_feasibility(prob, tols, start)
+    res = solve_feasibility(_joint_problem(observables, dim, noise.weights), tols, start)
     if not res.feasible:
         return JointResult(res)
-    blocks = {t: res.witness[name] for t, name in names.items()}
-    joint = _joint_from_blocks(blocks, factor_outcomes, dim, tols.witness_atol)
+    joint = _joint_witness(res, observables, tols.witness_atol)
     dists = tuple(np.clip(res.witness[f"p{k}"], 0.0, None) for k in range(len(observables)))
     dists = tuple(p / p.sum() for p in dists)
     return JointResult(res, joint, dists)
@@ -408,7 +396,7 @@ def jordan_criterion(observables, atol: float = 1e-10) -> JordanReport:
         raise ValueError("symmetrized products limited to at most 4 factors")
     _require_size(observables)
     factor_outcomes = [obs.outcomes for obs in observables]
-    blocks = {}
+    blocks = []
     worst = np.inf
     for combo in _product_combos(factor_outcomes):
         effs = [obs.effects[obs.outcomes.index(x)] for obs, x in zip(observables, combo)]
@@ -419,11 +407,11 @@ def jordan_criterion(observables, atol: float = 1e-10) -> JordanReport:
                 term = term @ effs[i]
             acc += term
         block = la.hermitian_part(acc / math.factorial(n))
-        blocks[combo] = block
+        blocks.append(block)
         worst = min(worst, la.min_eig(block))
     if worst < -atol:
         return JordanReport(False, float(worst))
-    joint = _joint_from_blocks(blocks, factor_outcomes, dim, max(atol * 10, 1e-9))
+    joint = _joint_from_blocks(blocks, factor_outcomes, max(atol * 10, 1e-9))
     return JordanReport(True, float(worst), joint)
 
 

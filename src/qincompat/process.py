@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Observable, State
-from .sdpcore import (SdpProblem, SolveResult, ThresholdResult, partial_trace_map,
-                      solve_feasibility, vec_of, warm_bisect)
+from .sdpcore import (Decision, SdpProblem, SolveResult, ThresholdResult,
+                      partial_trace_map, solve_feasibility, vec_of, warm_bisect)
 
 __all__ = [
     "Tester",
@@ -126,15 +126,10 @@ def tester_probability(tester: Tester, chan: Channel) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TesterPairResult:
+class TesterPairResult(Decision):
     """Outcome of a joint tester search."""
 
-    solve: SolveResult
     joint: np.ndarray | None = None  # (m, n, side, side)
-
-    @property
-    def feasible(self) -> bool:
-        return self.solve.feasible
 
 
 def _require_pair(t1: Tester, t2: Tester) -> None:
@@ -143,6 +138,36 @@ def _require_pair(t1: Tester, t2: Tester) -> None:
     if t1.n_outcomes * t2.n_outcomes > MAX_JOINT_OUTCOMES:
         raise ValueError(f"joint outcome count {t1.n_outcomes * t2.n_outcomes} "
                          f"exceeds the supported {MAX_JOINT_OUTCOMES}")
+
+
+def _tester_problem(t1: Tester, t2: Tester, q: float | None = None) -> SdpProblem:
+    """Joint tester blocks g{i}, i = j * n + l, with margins F1_j and F2_l.
+
+    With ``q`` each margin is q F + (1-q) A (x) I instead, for channel-blind
+    noise blocks ``a{j}`` and ``b{l}`` with total trace one on each side.
+    """
+    din, dout = t1.in_dim, t1.out_dim
+    side = din * dout
+    prob = SdpProblem()
+    fibres = prob.add_product_blocks("g", (t1.n_outcomes, t2.n_outcomes), side, float(side))
+    if q is not None:
+        lift = partial_trace_map((din, dout), (0,)).T
+        tr_row = vec_of(np.eye(din, dtype=complex))[None, :]
+        for noise, t in (("a", t1), ("b", t2)):
+            for x in range(t.n_outcomes):
+                prob.add_psd_block(f"{noise}{x}", din, trace_cap=1.0)
+    for noise, t, fibre in (("a", t1, fibres[0]), ("b", t2, fibres[1])):
+        for x, names in enumerate(fibre):
+            terms = dict.fromkeys(names, 1.0)
+            rhs = t.effects[x]
+            if q is not None:
+                terms[f"{noise}{x}"] = -(1.0 - q) * lift
+                rhs = q * rhs
+            prob.add_equality(terms, vec_of(rhs))
+    if q is not None:
+        for noise, t in (("a", t1), ("b", t2)):
+            prob.add_equality({f"{noise}{x}": tr_row for x in range(t.n_outcomes)}, np.array([1.0]))
+    return prob
 
 
 def check_tester_pair(t1: Tester, t2: Tester,
@@ -156,24 +181,12 @@ def check_tester_pair(t1: Tester, t2: Tester,
     """
     tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-    m, n = t1.n_outcomes, t2.n_outcomes
-    side = t1.in_dim * t1.out_dim
-
-    prob = SdpProblem()
-    for j in range(m):
-        for l in range(n):
-            prob.add_psd_block(f"g{j}_{l}", side, trace_cap=float(t1.in_dim * t1.out_dim))
-    for j in range(m):
-        prob.add_matrix_equality({f"g{j}_{l}": 1.0 for l in range(n)}, t1.effects[j])
-    for l in range(n):
-        prob.add_matrix_equality({f"g{j}_{l}": 1.0 for j in range(m)}, t2.effects[l])
-
-    result = solve_feasibility(prob, tols)
+    result = solve_feasibility(_tester_problem(t1, t2), tols)
     joint = None
     if result.feasible:
-        joint = np.stack([
-            np.stack([la.psd_project(result.witness[f"g{j}_{l}"]) for l in range(n)])
-            for j in range(m)])
+        m, n, side = t1.n_outcomes, t2.n_outcomes, t1.in_dim * t1.out_dim
+        blocks = [la.psd_project(result.witness[f"g{i}"]) for i in range(m * n)]
+        joint = np.stack(blocks).reshape(m, n, side, side)
     return TesterPairResult(result, joint)
 
 
@@ -190,32 +203,9 @@ def tester_degree(t1: Tester, t2: Tester,
     """
     tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-    m, n = t1.n_outcomes, t2.n_outcomes
-    din, dout = t1.in_dim, t1.out_dim
-    side = din * dout
-    lift = partial_trace_map((din, dout), (0,)).T
-    tr_row = vec_of(np.eye(din, dtype=complex))[None, :]
 
     def solve_at(q: float, start) -> SolveResult:
-        prob = SdpProblem()
-        for j in range(m):
-            for l in range(n):
-                prob.add_psd_block(f"g{j}_{l}", side, trace_cap=float(side))
-        for j in range(m):
-            prob.add_psd_block(f"a{j}", din, trace_cap=1.0)
-        for l in range(n):
-            prob.add_psd_block(f"b{l}", din, trace_cap=1.0)
-        for j in range(m):
-            terms = {f"g{j}_{l}": 1.0 for l in range(n)}
-            terms[f"a{j}"] = -(1.0 - q) * lift
-            prob.add_matrix_equality(terms, q * t1.effects[j])
-        for l in range(n):
-            terms = {f"g{j}_{l}": 1.0 for j in range(m)}
-            terms[f"b{l}"] = -(1.0 - q) * lift
-            prob.add_matrix_equality(terms, q * t2.effects[l])
-        prob.add_equality({f"a{j}": tr_row for j in range(m)}, np.array([1.0]))
-        prob.add_equality({f"b{l}": tr_row for l in range(n)}, np.array([1.0]))
-        return solve_feasibility(prob, tols, start)
+        return solve_feasibility(_tester_problem(t1, t2, q), tols, start)
 
     return warm_bisect(solve_at, tols.bisect_tol)
 

@@ -30,6 +30,7 @@ iterates drift along the gap direction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,6 +45,7 @@ __all__ = [
     "Verdict",
     "SdpProblem",
     "SolveResult",
+    "Decision",
     "Certificate",
     "ThresholdResult",
     "real_linear_map",
@@ -133,7 +135,7 @@ class SdpProblem:
 
     def __init__(self):
         self._blocks: dict[str, _Block] = {}
-        self._rows: list[tuple[dict[str, np.ndarray], np.ndarray]] = []
+        self._rows: list[tuple[dict[str, float | np.ndarray], np.ndarray]] = []
         self._n = 0
 
     # --- variables ---------------------------------------------------------
@@ -161,6 +163,20 @@ class SdpProblem:
         self._n += length
         return name
 
+    def add_product_blocks(self, prefix: str, shape, dim: int, trace_cap: float) -> list[list[list[str]]]:
+        """PSD blocks ``prefix{i}``, one per index tuple of ``shape``.
+
+        Block i belongs to the ith tuple of ``itertools.product`` over the
+        ranges of ``shape``.  Returns the fibres: ``fibres[k][x]`` lists, in
+        block order, the names whose kth index is x.
+        """
+        fibres = [[[] for _ in range(size)] for size in shape]
+        for i, t in enumerate(itertools.product(*(range(size) for size in shape))):
+            name = self.add_psd_block(f"{prefix}{i}", dim, trace_cap)
+            for fibre, x in zip(fibres, t):
+                fibre[x].append(name)
+        return fibres
+
     def block(self, name: str) -> _Block:
         return self._blocks[name]
 
@@ -170,49 +186,50 @@ class SdpProblem:
 
     # --- constraints -------------------------------------------------------
 
-    def add_equality(self, terms: dict[str, np.ndarray], rhs: np.ndarray) -> None:
-        """Rows sum_b T_b vec(X_b) = rhs, with T_b of shape (k, len(b))."""
+    def add_equality(self, terms: dict[str, float | np.ndarray], rhs: np.ndarray) -> None:
+        """Rows sum_b T_b vec(X_b) = rhs, with T_b of shape (k, len(b)).
+
+        A scalar T_b = c means c times the identity, for a block of length k.
+        """
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         checked = {}
         for name, t in terms.items():
             blk = self._blocks[name]
-            t = np.asarray(t, dtype=float)
-            if t.ndim == 1:
-                t = t[None, :]
-            if t.shape != (rhs.size, blk.length):
-                raise ValueError(
-                    f"coefficient block for {name!r} has shape {t.shape}, expected {(rhs.size, blk.length)}"
-                )
-            checked[name] = t
-        self._rows.append((checked, rhs))
-
-    def add_matrix_equality(self, terms: dict[str, float | np.ndarray], rhs) -> None:
-        """Equality of Hermitian matrices; scalar coefficients mean c * X_b."""
-        rhs_vec = vec_of(rhs)
-        k = rhs_vec.size
-        built = {}
-        for name, coeff in terms.items():
-            blk = self._blocks[name]
-            if np.isscalar(coeff):
-                if blk.length != k:
+            if np.isscalar(t):
+                if blk.length != rhs.size:
                     raise ValueError(
-                        f"scalar coefficient needs block {name!r} to match the rhs dimension"
+                        f"scalar coefficient needs block {name!r} of length {rhs.size}, not {blk.length}"
                     )
-                built[name] = float(coeff) * np.eye(k)
+                checked[name] = float(t)
             else:
-                built[name] = np.asarray(coeff, dtype=float)
-        self.add_equality(built, rhs_vec)
+                t = np.asarray(t, dtype=float)
+                if t.ndim == 1:
+                    t = t[None, :]
+                if t.shape != (rhs.size, blk.length):
+                    raise ValueError(
+                        f"coefficient block for {name!r} has shape {t.shape}, expected {(rhs.size, blk.length)}"
+                    )
+                checked[name] = t
+        self._rows.append((checked, rhs))
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
         rows = sum(r.size for _, r in self._rows)
-        a = np.zeros((rows, self._n))
+        n = self._n
+        a = np.zeros((rows, n))
+        flat = a.reshape(-1)
         b = np.zeros(rows)
         at = 0
         for terms, rhs in self._rows:
             k = rhs.size
             for name, t in terms.items():
                 blk = self._blocks[name]
-                a[at : at + k, blk.offset : blk.offset + blk.length] += t
+                if isinstance(t, float):
+                    # c on the diagonal of the (k x k) block, a strided slice of
+                    # the flat matrix: no identity and no index arrays are built
+                    start = at * n + blk.offset
+                    flat[start : start + k * (n + 1) : n + 1] += t
+                else:
+                    a[at : at + k, blk.offset : blk.offset + blk.length] += t
             b[at : at + k] = rhs
             at += k
         return a, b
@@ -257,6 +274,21 @@ class SolveResult:
     @property
     def feasible(self) -> bool:
         return self.verdict is Verdict.FEASIBLE
+
+
+@dataclass(frozen=True)
+class Decision:
+    """A check's answer: the deciding solve; subclasses add the typed witness."""
+
+    solve: SolveResult
+
+    @property
+    def verdict(self) -> Verdict:
+        return self.solve.verdict
+
+    @property
+    def feasible(self) -> bool:
+        return self.solve.feasible
 
 
 class _Projector:

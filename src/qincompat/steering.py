@@ -21,7 +21,7 @@ from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import State, transpose_observable
 from .obscompat import JointResult, check_joint
-from .sdpcore import SdpProblem, SolveResult, solve_feasibility
+from .sdpcore import Decision, SdpProblem, solve_feasibility, vec_of
 
 __all__ = [
     "Assemblage",
@@ -113,10 +113,9 @@ class LhsModel:
 
 
 @dataclass(frozen=True)
-class LhsResult:
+class LhsResult(Decision):
     """Outcome of a local hidden state search."""
 
-    solve: SolveResult
     model: LhsModel | None = None
 
     @property
@@ -172,12 +171,12 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
         raise ValueError(f"{len(strategies)} strategies exceed the supported {MAX_STRATEGIES}")
 
     prob = SdpProblem()
-    for k in range(len(strategies)):
-        prob.add_psd_block(f"s{k}", d, trace_cap=1.0)
-    for j in range(n):
-        for x in range(o):
-            sel = np.flatnonzero(strategies[:, j] == x)
-            prob.add_matrix_equality({f"s{k}": 1.0 for k in sel}, assemblage.blocks[j, x])
+    # strategy k is the kth outcome assignment in product order, so the
+    # fibre fibres[j][x] holds the strategies that pick x at setting j
+    fibres = prob.add_product_blocks("s", (o,) * n, d, trace_cap=1.0)
+    for j, fibre in enumerate(fibres):
+        for x, names in enumerate(fibre):
+            prob.add_equality(dict.fromkeys(names, 1.0), vec_of(assemblage.blocks[j, x]))
 
     result = solve_feasibility(prob, tols)
     model = None

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from conftest import rand_herm
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm
 from qincompat.obscompat import _joint_problem, check_joint
+from qincompat.process import _tester_problem, check_tester_pair, prepare_measure_tester
 from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _Projector,
                                bisect_threshold, partial_trace_map, real_linear_map,
                                solve_feasibility, vec_of, verify_witness, warm_bisect)
@@ -91,7 +94,7 @@ def test_assemble_split(rng):
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=2.0)
     prob.add_scalar_block("p", 2, cap=1.0)
-    prob.add_matrix_equality({"x": 1.0}, np.eye(3) / 3)
+    prob.add_equality({"x": 1.0}, vec_of(np.eye(3) / 3))
     a, b = prob.assemble()
     assert a.shape[1] == prob.n_vars == 9 + 2
     parts = prob.split(np.arange(prob.n_vars, dtype=float))
@@ -101,13 +104,67 @@ def test_assemble_split(rng):
         prob.add_psd_block("x", 2, 1.0)  # duplicate name
 
 
+@pytest.mark.parametrize("coeffs", [(1.0,), (-0.37,), (2.5, -1.25)])
+def test_scalar_term_assembles_to_dense_identity(rng, coeffs):
+    # a scalar c means c * I: the same rows as the dense block, bit for bit,
+    # also next to a dense term and below earlier rows
+    mix = rng.normal(size=(9, 3))
+    rhs = rng.normal(size=9)
+
+    def build(dense):
+        prob = SdpProblem()
+        prob.add_scalar_block("p", 3, cap=1.0)
+        for i in range(len(coeffs)):
+            prob.add_psd_block(f"x{i}", 3, trace_cap=2.0)
+        prob.add_equality({"p": np.ones((1, 3))}, np.array([1.0]))
+        terms = {f"x{i}": c * np.eye(9) if dense else c for i, c in enumerate(coeffs)}
+        terms["p"] = mix
+        prob.add_equality(terms, rhs)
+        prob.add_equality({"x0": -2.0 * np.eye(9) if dense else -2.0}, rhs)
+        return prob.assemble()
+
+    a_dense, b_dense = build(dense=True)
+    a, b = build(dense=False)
+    assert np.array_equal(a, a_dense)
+    assert np.array_equal(b, b_dense)
+
+
+def test_scalar_term_needs_matching_block_length():
+    prob = SdpProblem()
+    prob.add_psd_block("x", 2, trace_cap=1.0)
+    prob.add_scalar_block("p", 3)
+    prob.add_equality({"x": 1.0, "p": np.zeros((4, 3))}, np.zeros(4))
+    with pytest.raises(ValueError):
+        prob.add_equality({"x": 1.0}, np.zeros(9))
+    with pytest.raises(ValueError):
+        prob.add_equality({"p": -1.0}, np.zeros(2))
+
+
+def test_add_product_blocks_fibres():
+    shape = (2, 3, 2)
+    prob = SdpProblem()
+    prob.add_scalar_block("p", 2)
+    fibres = prob.add_product_blocks("g", shape, 2, trace_cap=2.0)
+    combos = list(itertools.product(*(range(size) for size in shape)))
+    names = [f"g{i}" for i in range(len(combos))]
+    # block i is the ith product tuple, laid out in that order
+    assert [prob.block(name).offset for name in names] == list(range(2, 2 + 4 * len(names), 4))
+    assert len(fibres) == len(shape)
+    for k, size in enumerate(shape):
+        assert len(fibres[k]) == size
+        assert sorted(name for fibre in fibres[k] for name in fibre) == sorted(names)
+        for x, fibre in enumerate(fibres[k]):
+            assert fibre == [name for name, t in zip(names, combos) if t[k] == x]
+            assert len(fibre) == len(combos) // size
+
+
 # --- basic verdicts ----------------------------------------------------------
 
 def test_feasible_pinned_block(rng):
     target = rand_psd(rng, 3, trace=1.5)
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=2.0)
-    prob.add_matrix_equality({"x": 1.0}, target)
+    prob.add_equality({"x": 1.0}, vec_of(target))
     res = solve_feasibility(prob)
     assert res.verdict is Verdict.FEASIBLE
     assert np.abs(res.witness["x"] - target).max() < 1e-6
@@ -131,7 +188,7 @@ def test_infeasible_cone_separated(rng):
     assert la.min_eig(m) == pytest.approx(-0.4, abs=1e-12)
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=10.0)
-    prob.add_matrix_equality({"x": 1.0}, m)
+    prob.add_equality({"x": 1.0}, vec_of(m))
     res = solve_feasibility(prob)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
     assert res.certificate is not None
@@ -188,7 +245,7 @@ def test_random_infeasible_instances():
         m -= (la.min_eig(m) + rng.uniform(0.2, 1.0)) * np.eye(d)
         prob = SdpProblem()
         prob.add_psd_block("x", d, trace_cap=float(d))
-        prob.add_matrix_equality({"x": 1.0}, m)
+        prob.add_equality({"x": 1.0}, vec_of(m))
         res = solve_feasibility(prob)
         assert res.verdict is Verdict.INFEASIBLE_CERTIFIED, f"trial {trial}: {res.verdict}"
 
@@ -197,7 +254,7 @@ def test_verify_witness_rejects_corruption(rng):
     target = rand_psd(rng, 3, trace=1.0)
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=2.0)
-    prob.add_matrix_equality({"x": 1.0}, target)
+    prob.add_equality({"x": 1.0}, vec_of(target))
     res = solve_feasibility(prob)
     bad = dict(res.witness)
     bad["x"] = bad["x"] + 0.1 * np.eye(3)
@@ -207,12 +264,21 @@ def test_verify_witness_rejects_corruption(rng):
 
 # --- certificate schedule ----------------------------------------------------
 
-def test_incompatible_pair_certified_early(sharp_x, sharp_z):
-    res = check_joint([sharp_x, sharp_z])
+def _joint_xz(sharp_x, sharp_z):
+    return check_joint([sharp_x, sharp_z]), _joint_problem([sharp_x, sharp_z], 2)
+
+
+def _tester_xz(sharp_x, sharp_z):
+    tx, tz = (prepare_measure_tester(np.eye(2) / 2, obs) for obs in (sharp_x, sharp_z))
+    return check_tester_pair(tx, tz), _tester_problem(tx, tz)
+
+
+@pytest.mark.parametrize("case", [_joint_xz, _tester_xz], ids=["joint", "tester"])
+def test_incompatible_pair_certified_early(sharp_x, sharp_z, case):
+    res, prob = case(sharp_x, sharp_z)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
     assert res.solve.iterations < DEFAULT_TOLS.plateau_window
     # re-check the certificate from the problem data alone, no solver state
-    prob, _, _ = _joint_problem([sharp_x, sharp_z], 2)
     a, b = prob.assemble()
     h = np.zeros(prob.n_vars)
     caps = 0.0
@@ -246,7 +312,7 @@ def test_toss_compatible_families_never_certified(seed, n, outcomes, frac, start
     family = [mix_with_trivial(random_povm(2, outcomes, rng), lam,
                                probs=rng.dirichlet(np.ones(outcomes)))
               for _ in range(n)]
-    prob, _, _ = _joint_problem(family, 2)
+    prob = _joint_problem(family, 2)
     res = solve_feasibility(prob, start=start_scale * rng.normal(size=prob.n_vars))
     assert res.verdict is not Verdict.INFEASIBLE_CERTIFIED
     if res.verdict is Verdict.FEASIBLE:
@@ -259,7 +325,7 @@ def test_toss_compatible_families_never_certified(seed, n, outcomes, frac, start
 def test_start_is_validated(rng):
     prob = SdpProblem()
     prob.add_psd_block("x", 2, trace_cap=2.0)
-    prob.add_matrix_equality({"x": 1.0}, np.eye(2) / 2)
+    prob.add_equality({"x": 1.0}, vec_of(np.eye(2) / 2))
     for bad in (np.zeros(3), np.zeros((1, 4)), np.array([0.0, np.nan, 0.0, 0.0]),
                 np.array([np.inf, 0.0, 0.0, 0.0])):
         with pytest.raises(ValueError):
