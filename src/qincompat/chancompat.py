@@ -74,18 +74,11 @@ def check_channel_pair(chan_a: Channel, chan_b: Channel,
     tols = tols or DEFAULT_TOLS
     if chan_a.in_dim != chan_b.in_dim:
         raise ValueError("channels must share the input dimension")
-    din, da, db = chan_a.in_dim, chan_a.out_dim, chan_b.out_dim
-    side = din * da * db
-    _require_side(side)
-    prob = SdpProblem()
-    prob.add_psd_block("joint", side, trace_cap=float(din))
-    dims = (din, da, db)
-    prob.add_equality({"joint": partial_trace_map(dims, (0, 1))}, vec_of(chan_a.choi()))
-    prob.add_equality({"joint": partial_trace_map(dims, (0, 2))}, vec_of(chan_b.choi()))
-    res = solve_feasibility(prob, tols)
+    res = solve_feasibility(_channel_pair_problem(chan_a, chan_b), tols)
     if not res.feasible:
         return ChannelPairResult(res)
-    joint = Channel.from_choi(res.witness["joint"], din, da * db, atol=tols.witness_atol)
+    joint = Channel.from_choi(res.witness["joint"], chan_a.in_dim,
+                              chan_a.out_dim * chan_b.out_dim, atol=tols.witness_atol)
     return ChannelPairResult(res, joint)
 
 
@@ -159,11 +152,18 @@ class NoiseClass(Enum):
     ARBITRARY_NOISE = "arbitrary"
 
 
-def _channel_pair_noisy_family(chan_a, chan_b, mode):
-    """Function lam -> problem: joint measurability of lam-mixtures with a noise pair.
+def _add_margins(prob: SdpProblem, margins, lam: float) -> None:
+    """One row ``terms - (1 - lam) noise = lam device`` per (terms, noise, device)."""
+    for terms, noise, device in margins:
+        noisy = {name: -(1 - lam) * t for name, t in noise.items()}
+        prob.add_equality({**terms, **noisy}, lam * device)
 
-    The coefficient maps do not depend on lam: they are built once here and
-    shared by every problem the returned function makes.
+
+def _channel_pair_problem(chan_a: Channel, chan_b: Channel,
+                          mode: NoiseClass | None = None, lam: float = 1.0) -> SdpProblem:
+    """Joint channel for lam-mixtures of two channels with a noise pair of class ``mode``.
+
+    With ``mode=None`` there is no noise: the plain compatibility problem.
     """
     din, da, db = chan_a.in_dim, chan_a.out_dim, chan_b.out_dim
     side = din * da * db
@@ -171,139 +171,83 @@ def _channel_pair_noisy_family(chan_a, chan_b, mode):
     dims = (din, da, db)
     tr_b = partial_trace_map(dims, (0, 1))
     tr_a = partial_trace_map(dims, (0, 2))
-    ja = vec_of(chan_a.choi())
-    jb = vec_of(chan_b.choi())
-    eye_in = np.eye(din, dtype=complex)
-
-    def joint_problem():
-        prob = SdpProblem()
-        prob.add_psd_block("joint", side, trace_cap=float(din))
-        return prob
-
+    eye_in = vec_of(np.eye(din))
+    prob = SdpProblem()
+    prob.add_psd_block("joint", side, trace_cap=float(din))
+    noise_a, noise_b, norms = {}, {}, []
     if mode is NoiseClass.TRIVIAL_NOISE:
         # constant-channel noise: Choi = I_in (x) xi
-        lift_a = partial_trace_map((din, da), (1,)).T
-        lift_b = partial_trace_map((din, db), (1,)).T
-        tr_xa = vec_of(np.eye(da))[None, :]
-        tr_xb = vec_of(np.eye(db))[None, :]
-
-        def at(lam):
-            prob = joint_problem()
-            prob.add_psd_block("xi_a", da, trace_cap=1.0)
-            prob.add_psd_block("xi_b", db, trace_cap=1.0)
-            prob.add_equality({"joint": tr_b, "xi_a": -(1 - lam) * lift_a}, lam * ja)
-            prob.add_equality({"joint": tr_a, "xi_b": -(1 - lam) * lift_b}, lam * jb)
-            prob.add_equality({"xi_a": tr_xa}, np.array([1.0]))
-            prob.add_equality({"xi_b": tr_xb}, np.array([1.0]))
-            return prob
-
+        for noise, name, d in ((noise_a, "xi_a", da), (noise_b, "xi_b", db)):
+            prob.add_psd_block(name, d, trace_cap=1.0)
+            noise[name] = partial_trace_map((din, d), (1,)).T
+            norms.append(({name: vec_of(np.eye(d))[None, :]}, np.array([1.0])))
     elif mode is NoiseClass.ARBITRARY_NOISE:
-        out_a = partial_trace_map((din, da), (0,))
-        out_b = partial_trace_map((din, db), (0,))
-        eye_in_vec = vec_of(eye_in)
-
-        def at(lam):
-            prob = joint_problem()
-            prob.add_psd_block("noise_a", din * da, trace_cap=float(din))
-            prob.add_psd_block("noise_b", din * db, trace_cap=float(din))
-            prob.add_equality({"joint": tr_b, "noise_a": -(1 - lam)}, lam * ja)
-            prob.add_equality({"joint": tr_a, "noise_b": -(1 - lam)}, lam * jb)
-            prob.add_equality({"noise_a": out_a}, eye_in_vec)
-            prob.add_equality({"noise_b": out_b}, eye_in_vec)
-            return prob
-
+        for noise, name, d in ((noise_a, "noise_a", da), (noise_b, "noise_b", db)):
+            prob.add_psd_block(name, din * d, trace_cap=float(din))
+            noise[name] = 1.0
+            norms.append(({name: partial_trace_map((din, d), (0,))}, eye_in))
     elif mode is NoiseClass.COMPATIBLE_NOISE:
         # noise pair given as marginals of one joint noise channel
-        out_joint = partial_trace_map(dims, (0,))
-        eye_in_vec = vec_of(eye_in)
-
-        def at(lam):
-            prob = joint_problem()
-            prob.add_psd_block("noise_joint", side, trace_cap=float(din))
-            prob.add_equality({"joint": tr_b, "noise_joint": -(1 - lam) * tr_b}, lam * ja)
-            prob.add_equality({"joint": tr_a, "noise_joint": -(1 - lam) * tr_a}, lam * jb)
-            prob.add_equality({"noise_joint": out_joint}, eye_in_vec)
-            return prob
-
-    else:
-        raise ValueError(f"unknown noise class {mode}")
-    return at
+        prob.add_psd_block("noise_joint", side, trace_cap=float(din))
+        noise_a["noise_joint"] = tr_b
+        noise_b["noise_joint"] = tr_a
+        norms.append(({"noise_joint": partial_trace_map(dims, (0,))}, eye_in))
+    _add_margins(prob, [({"joint": tr_b}, noise_a, vec_of(chan_a.choi())),
+                        ({"joint": tr_a}, noise_b, vec_of(chan_b.choi()))], lam)
+    for terms, rhs in norms:
+        prob.add_equality(terms, rhs)
+    return prob
 
 
-def _obs_channel_noisy_family(obs, chan, mode):
-    """Function lam -> problem: an instrument for lam-mixtures of an observable and a channel.
+def _obs_channel_problem(obs: Observable, chan: Channel,
+                         mode: NoiseClass | None = None, lam: float = 1.0) -> SdpProblem:
+    """Instrument for lam-mixtures of an observable and a channel with noise of class ``mode``.
 
-    The coefficient maps do not depend on lam: they are built once here and
-    shared by every problem the returned function makes.
+    Blocks ``op{x}`` are the instrument's Choi blocks: their sum is the
+    channel and ``tr_out op{x}`` is effect x transposed.  With ``mode=None``
+    there is no noise: the plain realizability problem.
     """
     din, dout = chan.in_dim, chan.out_dim
     m = obs.n_outcomes
     side = din * dout
-    _require_side(side)
+    if side > MAX_BLOCK_SIDE or m > MAX_BLOCK_SIDE:
+        raise ValueError(f"problem too large: block side {side}, {m} outcomes")
     tr_out = partial_trace_map((din, dout), (0,))
-    jc = vec_of(chan.choi())
-    eye_vec = vec_of(np.eye(din))
-    total = {f"op{x}": 1.0 for x in range(m)}
-    effects = [vec_of(e.T) for e in obs.effects]
-
-    def instrument_problem():
-        prob = SdpProblem()
-        for x in range(m):
-            prob.add_psd_block(f"op{x}", side, trace_cap=float(din))
-        return prob
-
+    eye_in = vec_of(np.eye(din))
+    prob = SdpProblem()
+    ops = [prob.add_psd_block(f"op{x}", side, trace_cap=float(din)) for x in range(m)]
+    # noise[0] joins the channel row, noise[1 + x] the row of effect x
+    noise = [{} for _ in range(m + 1)]
+    norms = []
     if mode is NoiseClass.TRIVIAL_NOISE:
-        lift = partial_trace_map((din, dout), (1,)).T
-
-        def at(lam):
-            prob = instrument_problem()
-            prob.add_scalar_block("p", m, cap=1.0)
-            prob.add_psd_block("xi", dout, trace_cap=1.0)
-            for x in range(m):
-                coeff = np.zeros((din * din, m))
-                coeff[:, x] = -(1 - lam) * eye_vec
-                prob.add_equality({f"op{x}": tr_out, "p": coeff}, lam * effects[x])
-            prob.add_equality({"p": np.ones((1, m))}, np.array([1.0]))
-            terms = dict(total)
-            terms["xi"] = -(1 - lam) * lift
-            prob.add_equality(terms, lam * jc)
-            return prob
-
+        prob.add_scalar_block("p", m, cap=1.0)
+        prob.add_psd_block("xi", dout, trace_cap=1.0)
+        noise[0]["xi"] = partial_trace_map((din, dout), (1,)).T
+        for x in range(m):
+            coeff = np.zeros((din * din, m))
+            coeff[:, x] = eye_in
+            noise[1 + x]["p"] = coeff
+        norms.append(({"p": np.ones((1, m))}, np.array([1.0])))
     elif mode is NoiseClass.ARBITRARY_NOISE:
-        def at(lam):
-            prob = instrument_problem()
-            for x in range(m):
-                prob.add_psd_block(f"eff{x}", din, trace_cap=float(din))
-                prob.add_equality(
-                    {f"op{x}": tr_out, f"eff{x}": -(1 - lam)}, lam * effects[x]
-                )
-            prob.add_equality({f"eff{x}": 1.0 for x in range(m)}, eye_vec)
-            prob.add_psd_block("noise_chan", side, trace_cap=float(din))
-            terms = dict(total)
-            terms["noise_chan"] = -(1 - lam)
-            prob.add_equality(terms, lam * jc)
-            prob.add_equality({"noise_chan": tr_out}, eye_vec)
-            return prob
-
+        for x in range(m):
+            noise[1 + x][prob.add_psd_block(f"eff{x}", din, trace_cap=float(din))] = 1.0
+        prob.add_psd_block("noise_chan", side, trace_cap=float(din))
+        noise[0]["noise_chan"] = 1.0
+        norms.append(({f"eff{x}": 1.0 for x in range(m)}, eye_in))
+        norms.append(({"noise_chan": tr_out}, eye_in))
     elif mode is NoiseClass.COMPATIBLE_NOISE:
         # noise devices are the marginals of one noise instrument
-        def at(lam):
-            prob = instrument_problem()
-            for x in range(m):
-                prob.add_psd_block(f"nop{x}", side, trace_cap=float(din))
-                prob.add_equality(
-                    {f"op{x}": tr_out, f"nop{x}": -(1 - lam) * tr_out}, lam * effects[x]
-                )
-            terms = dict(total)
-            for x in range(m):
-                terms[f"nop{x}"] = -(1 - lam)
-            prob.add_equality(terms, lam * jc)
-            prob.add_equality({f"nop{x}": tr_out for x in range(m)}, eye_vec)
-            return prob
-
-    else:
-        raise ValueError(f"unknown noise class {mode}")
-    return at
+        for x in range(m):
+            name = prob.add_psd_block(f"nop{x}", side, trace_cap=float(din))
+            noise[0][name] = 1.0
+            noise[1 + x][name] = tr_out
+        norms.append(({f"nop{x}": tr_out for x in range(m)}, eye_in))
+    rows = [dict.fromkeys(ops, 1.0)] + [{op: tr_out} for op in ops]
+    devices = [vec_of(chan.choi())] + [vec_of(e.T) for e in obs.effects]
+    _add_margins(prob, zip(rows, noise, devices), lam)
+    for terms, rhs in norms:
+        prob.add_equality(terms, rhs)
+    return prob
 
 
 def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE,
@@ -320,16 +264,18 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
     if isinstance(device_a, Channel) and isinstance(device_b, Channel):
         if device_a.in_dim != device_b.in_dim:
             raise ValueError("channels must share the input dimension")
-        problem_at = _channel_pair_noisy_family(device_a, device_b, mode)
+        build = _channel_pair_problem
     elif isinstance(device_a, Observable) and isinstance(device_b, Channel):
         if device_a.dim != device_b.in_dim:
             raise ValueError("observable and channel must share the input dimension")
-        problem_at = _obs_channel_noisy_family(device_a, device_b, mode)
+        build = _obs_channel_problem
     else:
         raise TypeError("expected (Channel, Channel) or (Observable, Channel)")
+    if not isinstance(mode, NoiseClass):
+        raise ValueError(f"unknown noise class {mode}")
 
     def solve_at(lam, start):
-        return solve_feasibility(problem_at(lam), tols, start)
+        return solve_feasibility(build(device_a, device_b, mode, lam), tols, start)
 
     return warm_bisect(solve_at, tols.bisect_tol).value
 

@@ -3,7 +3,7 @@
 Each subcommand loads device files, runs one of the feasibility checks
 and reports the verdict on stdout.  Exit codes encode the outcome so
 shell pipelines can branch on it: 0 feasible, 1 infeasible, 2 undecided,
-3 malformed input.  The ``reproduce`` subcommand regenerates the bundled
+3 malformed input or usage.  The ``reproduce`` subcommand regenerates the bundled
 reference tables as deterministic CSV files.
 """
 
@@ -38,9 +38,9 @@ EXIT_MALFORMED = 3
 
 def _tols(args) -> Tolerances:
     tols = DEFAULT_TOLS
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         tols = replace(tols, feas=args.tol)
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         tols = replace(tols, max_iter=args.max_iter)
     return tols
 
@@ -62,7 +62,7 @@ def _load(path, kinds) -> object:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -82,9 +82,9 @@ def _solve_text(solve: SolveResult) -> str:
 
 
 def _write_witness(args, device) -> None:
-    if getattr(args, "witness", False) and device is not None:
+    if args.witness and device is not None:
         text = serialize(device)
-        if getattr(args, "out", None):
+        if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
             print(f"witness written to {args.out}")
         else:
@@ -391,14 +391,20 @@ def cmd_reproduce(args) -> int:
 # === parser ==================================================================
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None, help="feasibility tolerance")
-    sub.add_argument("--max-iter", type=int, default=None, help="iteration cap")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--out", default=None, help="output file or directory")
-    sub.add_argument("--witness", action="store_true", help="emit the feasibility witness")
-    sub.add_argument("--parallel", type=int, default=1, metavar="K",
-                     help="worker processes for grid sweeps")
+_FLAGS = {
+    "--tol": dict(type=float, default=None, help="feasibility tolerance"),
+    "--max-iter": dict(type=int, default=None, help="iteration cap"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--out": dict(default=None, help="output file or directory"),
+    "--witness": dict(action="store_true", help="emit the feasibility witness"),
+    "--parallel": dict(type=int, default=1, metavar="K", help="worker processes for grid sweeps"),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Register --tol, --max-iter and the named flags, each only where it is read."""
+    for name in ("--tol", "--max-iter") + names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,58 +415,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-joint", help="joint measurability of observables")
     p.add_argument("files", nargs="+")
-    _add_common(p)
+    _add_flags(p, "--json", "--witness", "--out")
     p.set_defaults(func=cmd_check_joint)
 
     p = sub.add_parser("degree", help="symmetric noise threshold of a family")
     p.add_argument("files", nargs="+")
     p.add_argument("--noise-mode", choices=("uniform", "optimized"), default="optimized")
-    _add_common(p)
+    _add_flags(p, "--json")
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("region", help="compatibility region on a weight grid")
     p.add_argument("files", nargs="+")
     p.add_argument("--grid", required=True, metavar="A:B:N")
     p.add_argument("--noise-mode", choices=("uniform", "optimized"), default="uniform")
-    _add_common(p)
+    _add_flags(p, "--json", "--out", "--parallel")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("criteria", help="analytic incompatibility criteria")
     p.add_argument("files", nargs="+")
     p.add_argument("--weights", default=None, help="comma-separated mixing weights")
-    _add_common(p)
+    _add_flags(p, "--json")
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("channel-compat", help="compatibility of two channels")
     p.add_argument("files", nargs=2)
     p.add_argument("--noise-mode", choices=("trivial", "compatible", "arbitrary"),
                    default=None, help="report noise robustness instead of a verdict")
-    _add_common(p)
+    _add_flags(p, "--json", "--witness", "--out")
     p.set_defaults(func=cmd_channel_compat)
 
     p = sub.add_parser("obs-channel", help="joint realizability of observable and channel")
     p.add_argument("files", nargs=2)
-    _add_common(p)
+    _add_flags(p, "--json")
     p.set_defaults(func=cmd_obs_channel)
 
     p = sub.add_parser("steering", help="local hidden state search")
     p.add_argument("files", nargs="+")
-    _add_common(p)
+    _add_flags(p, "--json")
     p.set_defaults(func=cmd_steering)
 
     p = sub.add_parser("process", help="tester pair compatibility")
     p.add_argument("files", nargs=2)
-    _add_common(p)
+    _add_flags(p, "--json")
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("order", help="classical post-processing order")
     p.add_argument("files", nargs=2)
-    _add_common(p)
+    _add_flags(p, "--json")
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("reproduce", help="regenerate a reference table")
     p.add_argument("target", choices=sorted(REPRO_TARGETS))
-    _add_common(p)
+    _add_flags(p, "--out", "--parallel")
     p.set_defaults(func=cmd_reproduce)
 
     return parser
@@ -468,7 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here would read as undecided
+        return EXIT_MALFORMED if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .chancompat import MAX_BLOCK_SIDE, DivisionReport, channel_division
+from .chancompat import MAX_BLOCK_SIDE, DivisionReport, _obs_channel_problem, channel_division
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import OrderReport, postprocessing_order
-from .sdpcore import (Decision, SdpProblem, partial_trace_map, real_linear_map,
-                      solve_feasibility, vec_of)
+from .sdpcore import Decision, SdpProblem, real_linear_map, solve_feasibility, vec_of
 
 __all__ = [
     "ObsChannelResult",
@@ -60,27 +59,12 @@ def check_obs_channel(obs: Observable, chan: Channel,
     tols = tols or DEFAULT_TOLS
     if obs.dim != chan.in_dim:
         raise ValueError("observable and channel must share the input dimension")
-    din = chan.in_dim
-    dout = chan.out_dim
-    m = obs.n_outcomes
-    side = din * dout
-    if side > MAX_BLOCK_SIDE or m > MAX_BLOCK_SIDE:
-        raise ValueError(f"problem too large: block side {side}, {m} outcomes")
-
-    tr_out = partial_trace_map((din, dout), (0,))
-
-    prob = SdpProblem()
-    for x in range(m):
-        prob.add_psd_block(f"op{x}", side, trace_cap=float(din))
-    prob.add_equality({f"op{x}": 1.0 for x in range(m)}, vec_of(chan.choi()))
-    for x in range(m):
-        prob.add_equality({f"op{x}": tr_out}, vec_of(obs.effects[x].T.copy()))
-
-    result = solve_feasibility(prob, tols)
+    result = solve_feasibility(_obs_channel_problem(obs, chan), tols)
     instrument = None
     if result.feasible:
-        blocks = np.stack([result.witness[f"op{x}"] for x in range(m)])
-        instrument = Instrument(blocks, din, dout, outcomes=obs.outcomes, atol=tols.witness_atol)
+        blocks = np.stack([result.witness[f"op{x}"] for x in range(obs.n_outcomes)])
+        instrument = Instrument(blocks, chan.in_dim, chan.out_dim, outcomes=obs.outcomes,
+                                atol=tols.witness_atol)
     return ObsChannelResult(result, instrument)
 
 

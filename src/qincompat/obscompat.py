@@ -179,7 +179,9 @@ def _require_size(observables):
 
 
 def _joint_problem(observables, dim, weights=None):
-    """Blocks g{i} per product outcome; marginal and total-sum constraints.
+    """Blocks g{i} per product outcome; one marginal constraint per outcome.
+
+    The marginal rows already fix the total sum_i g{i} = I.
 
     With ``weights`` the kth marginal is w_k M_k + (1 - w_k) p_k(.) I, where
     the distribution p_k is the scalar block ``p{k}``.
@@ -202,7 +204,6 @@ def _joint_problem(observables, dim, weights=None):
             prob.add_equality(terms, vec_of(rhs))
         if weights is not None:
             prob.add_equality({f"p{k}": np.ones((1, m))}, np.array([1.0]))
-    prob.add_equality({name: 1.0 for names in fibres[0] for name in names}, eye_vec)
     return prob
 
 

@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -101,6 +102,9 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
     return cols
 
 
+PARTIAL_TRACE_MAPS_CACHED = 32
+
+
 def partial_trace_map(dims, keep) -> np.ndarray:
     """Matrix of ``la.partial_trace(., dims, keep)`` in real vectorized coordinates.
 
@@ -109,13 +113,21 @@ def partial_trace_map(dims, keep) -> np.ndarray:
     probes kept**2 times instead of total**2.  The transpose of the result is
     the matrix of that lift.  ``keep`` is read as ``la.partial_trace`` reads it
     (sorted, repeats dropped); an index out of range raises ``ValueError``.
+    The maps depend only on the shape, so the last
+    ``PARTIAL_TRACE_MAPS_CACHED`` of them are cached and shared, hence
+    read-only.
     """
-    dims = [int(d) for d in dims]
+    dims = tuple(int(d) for d in dims)
+    keep = tuple(sorted(set(int(k) for k in keep)))
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError(f"keep indices {list(keep)} out of range for {len(dims)} factors")
+    return _partial_trace_map(dims, keep)
+
+
+@lru_cache(maxsize=PARTIAL_TRACE_MAPS_CACHED)
+def _partial_trace_map(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    traced = [i for i in range(n) if i not in keep]
+    traced = tuple(i for i in range(n) if i not in keep)
     order = keep + traced
     kept = math.prod(dims[k] for k in keep)
     total = math.prod(dims)
@@ -127,7 +139,9 @@ def partial_trace_map(dims, keep) -> np.ndarray:
     def lift(x):
         return np.kron(x, eye).reshape(shape).transpose(axes).reshape(total, total)
 
-    return real_linear_map(lift, kept, total).T
+    m = real_linear_map(lift, kept, total).T
+    m.setflags(write=False)
+    return m
 
 
 class SdpProblem:
@@ -297,19 +311,13 @@ class _Projector:
     def __init__(self, problem: SdpProblem):
         self.problem = problem
         a, b = problem.assemble()
-        self.n = problem.n_vars
-        if a.shape[0]:
-            u, s, vt = np.linalg.svd(a, full_matrices=False)
-            tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            r = int(np.sum(s > tol))
-            self.vr = vt[:r].T
-            self.x_part = self.vr @ ((u[:, :r].T @ b) / s[:r])
-            self.inconsistency = float(np.abs(a @ self.x_part - b).max()) if r else float(np.abs(b).max())
-        else:
-            self.vr = np.zeros((self.n, 0))
-            self.x_part = np.zeros(self.n)
-            self.inconsistency = 0.0
-        self.a, self.b = a, b
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        tol = max(a.shape) * np.finfo(float).eps * s.max(initial=0.0)
+        r = int(np.sum(s > tol))
+        self.vr = vt[:r].T
+        self.x_part = self.vr @ ((u[:, :r].T @ b) / s[:r])
+        self.inconsistency = float(np.abs(a @ self.x_part - b).max(initial=0.0))
+        self.b = b
         # group psd blocks by dimension for batched eigendecompositions
         groups: dict[int, list[_Block]] = {}
         scalars: list[_Block] = []
@@ -328,8 +336,6 @@ class _Projector:
             self.scalar_caps = np.zeros(0)
 
     def affine(self, x: np.ndarray) -> np.ndarray:
-        if self.vr.shape[1] == 0:
-            return x if self.a.shape[0] == 0 else self.x_part.copy()
         return x - self.vr @ (self.vr.T @ x) + self.x_part
 
     def cone(self, x: np.ndarray) -> np.ndarray:
@@ -371,9 +377,8 @@ class _Projector:
 
 def _certificate(proj: _Projector, z: np.ndarray, a_pt: np.ndarray, tols: Tolerances):
     """Validate a separating functional from the gap direction z - P_affine(z)."""
-    h = z - a_pt
-    if proj.vr.shape[1]:
-        h = proj.vr @ (proj.vr.T @ h)  # exactness hygiene: constant on the affine set
+    # in the row space of A, h = A^T y, so <h, x> = y.b at every affine point
+    h = proj.vr @ (proj.vr.T @ (z - a_pt))
     nh = float(np.linalg.norm(h))
     if nh < 1e-15:
         return None

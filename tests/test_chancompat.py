@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
-from qincompat import chancompat
+from qincompat import chancompat, sdpcore
 from qincompat import linalg as la
 from qincompat.sdpcore import Verdict
 
@@ -166,10 +166,26 @@ def test_channel_pair_maps_skip_partial_trace_probes(monkeypatch):
         return ptrace(*args, **kwargs)
 
     monkeypatch.setattr(la, "partial_trace", counted)
+    sdpcore._partial_trace_map.cache_clear()
     ident4 = q.identity_channel(4)
     res = q.check_channel_pair(ident4, ident4)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
     assert calls["n"] < 100
+
+
+def test_channel_pair_maps_are_cached_by_shape(monkeypatch, ident):
+    # a second pair of the same dimensions reuses the margin maps
+    q.check_channel_pair(ident, ident)
+    calls = {"n": 0}
+    probe = sdpcore.real_linear_map
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(sdpcore, "real_linear_map", counted)
+    q.check_channel_pair(q.diag_channel(dim=2), ident)
+    assert calls["n"] == 0
 
 
 def test_robustness_compatible_pair_is_one():
@@ -178,10 +194,13 @@ def test_robustness_compatible_pair_is_one():
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
-def test_robustness_obs_channel(sharp_z):
-    val = q.robustness(sharp_z, q.identity_channel(2), q.NoiseClass.ARBITRARY_NOISE,
-                       tols=q.Tolerances(bisect_tol=5e-3))
-    assert 0.0 < val < 1.0
+@pytest.mark.parametrize("mode, value", [
+    (q.NoiseClass.TRIVIAL_NOISE, 0.66650390625),
+    (q.NoiseClass.COMPATIBLE_NOISE, 0.828125),
+    (q.NoiseClass.ARBITRARY_NOISE, 0.853515625),
+], ids=["TRIVIAL_NOISE", "COMPATIBLE_NOISE", "ARBITRARY_NOISE"])
+def test_robustness_obs_channel(sharp_z, mode, value):
+    assert q.robustness(sharp_z, q.identity_channel(2), mode) == value
 
 
 def test_robustness_dim_mismatch(ident):
@@ -189,6 +208,8 @@ def test_robustness_dim_mismatch(ident):
         q.robustness(ident, q.identity_channel(3))
     with pytest.raises(TypeError):
         q.robustness(ident, q.State(np.eye(2) / 2))
+    with pytest.raises(ValueError):
+        q.robustness(ident, ident, None)
 
 
 # --- marginal problem for states ---------------------------------------------

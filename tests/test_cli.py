@@ -56,6 +56,24 @@ def test_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_usage_errors_exit_malformed(xz_paths, capsys):
+    # a usage error is malformed input (3), not undecided (2); flags are
+    # registered only on the subcommands that read them
+    assert main(["check-joint", *xz_paths, "--bogus"]) == 3
+    assert main(["degree", *xz_paths, "--witness"]) == 3
+    assert main(["obs-channel", *xz_paths, "--parallel", "2"]) == 3
+    assert main(["reproduce", "process-q", "--json"]) == 3
+    assert main([]) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["check-joint", "--help"]) == 0
+    assert "--witness" in capsys.readouterr().out
+    assert main(["degree", "--help"]) == 0
+    assert "--witness" not in capsys.readouterr().out
+
+
 def test_wrong_kind_rejected(files, capsys):
     chan = files("chan.json", q.identity_channel(2))
     assert main(["check-joint", chan]) == 3

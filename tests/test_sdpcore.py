@@ -56,6 +56,14 @@ def test_partial_trace_map_rejects_bad_keep(keep):
         partial_trace_map((2, 3), keep)
 
 
+def test_partial_trace_map_is_cached_read_only():
+    # equal keys, however written, share one read-only matrix
+    m = partial_trace_map((2, 3, 2), (1, 0, 0))
+    assert partial_trace_map([2, 3, 2], [0, 1]) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
 def test_cone_cap_projection_matches_sorted_reference(rng):
     # the trace-cap projection of the spectrum, written with an explicit sort
     def ref_cone(vec, dim, cap):
@@ -337,6 +345,15 @@ def test_start_is_validated(rng):
     # decides the same problem at once
     again = solve_feasibility(prob, start=res.iterate)
     assert again.feasible and again.iterations == 1
+
+
+def test_problem_without_rows_is_feasible_from_any_start():
+    # with no equality rows the affine set is the whole space, so a start
+    # outside the cone must not yield a separating certificate
+    prob = SdpProblem()
+    prob.add_psd_block("x", 2, trace_cap=1.0)
+    res = solve_feasibility(prob, start=np.array([-1.0, 0.0, 0.0, 0.0]))
+    assert res.verdict is Verdict.FEASIBLE
 
 
 def test_warm_bisect_starts_from_last_feasible_probe():
