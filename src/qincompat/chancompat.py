@@ -25,8 +25,6 @@ from .devices import (
 from .sdpcore import (
     Decision,
     SdpProblem,
-    SolveResult,
-    Verdict,
     partial_trace_map,
     real_linear_map,
     solve_feasibility,
@@ -152,13 +150,6 @@ class NoiseClass(Enum):
     ARBITRARY_NOISE = "arbitrary"
 
 
-def _add_margins(prob: SdpProblem, margins, lam: float) -> None:
-    """One row ``terms - (1 - lam) noise = lam device`` per (terms, noise, device)."""
-    for terms, noise, device in margins:
-        noisy = {name: -(1 - lam) * t for name, t in noise.items()}
-        prob.add_equality({**terms, **noisy}, lam * device)
-
-
 def _channel_pair_problem(chan_a: Channel, chan_b: Channel,
                           mode: NoiseClass | None = None, lam: float = 1.0) -> SdpProblem:
     """Joint channel for lam-mixtures of two channels with a noise pair of class ``mode``.
@@ -192,8 +183,8 @@ def _channel_pair_problem(chan_a: Channel, chan_b: Channel,
         noise_a["noise_joint"] = tr_b
         noise_b["noise_joint"] = tr_a
         norms.append(({"noise_joint": partial_trace_map(dims, (0,))}, eye_in))
-    _add_margins(prob, [({"joint": tr_b}, noise_a, vec_of(chan_a.choi())),
-                        ({"joint": tr_a}, noise_b, vec_of(chan_b.choi()))], lam)
+    prob.add_margins([({"joint": tr_b}, noise_a, vec_of(chan_a.choi())),
+                      ({"joint": tr_a}, noise_b, vec_of(chan_b.choi()))], lam)
     for terms, rhs in norms:
         prob.add_equality(terms, rhs)
     return prob
@@ -244,7 +235,7 @@ def _obs_channel_problem(obs: Observable, chan: Channel,
         norms.append(({f"nop{x}": tr_out for x in range(m)}, eye_in))
     rows = [dict.fromkeys(ops, 1.0)] + [{op: tr_out} for op in ops]
     devices = [vec_of(chan.choi())] + [vec_of(e.T) for e in obs.effects]
-    _add_margins(prob, zip(rows, noise, devices), lam)
+    prob.add_margins(zip(rows, noise, devices), lam)
     for terms, rhs in norms:
         prob.add_equality(terms, rhs)
     return prob
@@ -291,9 +282,10 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
                             tols: Tolerances | None = None) -> MarginalResult:
     """Does a tripartite state have the two given overlapping marginals?
 
-    ``dims`` = (dA, dB, dC).  The shared B marginals must agree up front;
-    a mismatch is an immediate certified infeasibility.  Restricting to pure
-    global states is a nonconvex constraint and is rejected.
+    ``dims`` = (dA, dB, dC).  Shared B marginals that disagree make the
+    constraints inconsistent, which the solver certifies before iterating.
+    Restricting to pure global states is a nonconvex constraint and is
+    rejected.
     """
     tols = tols or DEFAULT_TOLS
     if pure_required:
@@ -303,15 +295,6 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
     rho_bc = np.asarray(rho_bc, dtype=complex)
     if abs(np.trace(rho_ab) - 1.0) > 1e-8 or abs(np.trace(rho_bc) - 1.0) > 1e-8:
         raise ValueError("marginals must have unit trace")
-    overlap_ab = la.partial_trace(rho_ab, (da, db), (1,))
-    overlap_bc = la.partial_trace(rho_bc, (db, dc), (0,))
-    mismatch = float(np.abs(overlap_ab - overlap_bc).max())
-    if mismatch > 1e-8:
-        res = SolveResult(
-            Verdict.INFEASIBLE_CERTIFIED, None, 0, mismatch, None,
-            f"shared-system marginals disagree by {mismatch:.2e}",
-        )
-        return MarginalResult(res)
     side = da * db * dc
     _require_side(side)
     prob = SdpProblem()

@@ -46,9 +46,10 @@ def _tols(args) -> Tolerances:
 
 
 def _code(solve: SolveResult) -> int:
+    """Exit code of a verdict; an infeasibility without a certificate is undecided."""
     if solve.verdict is Verdict.FEASIBLE:
         return EXIT_FEASIBLE
-    if solve.verdict in (Verdict.INFEASIBLE_CERTIFIED, Verdict.INFEASIBLE_HEURISTIC):
+    if solve.verdict is Verdict.INFEASIBLE_CERTIFIED:
         return EXIT_INFEASIBLE
     return EXIT_UNDECIDED
 
@@ -129,6 +130,14 @@ def _region_point(payload) -> tuple:
     return weights, res.solve.verdict.name
 
 
+def _run_grid(payloads, parallel: int) -> list:
+    """Region points in order, over ``parallel`` worker processes when above 1."""
+    if parallel > 1:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            return list(pool.map(_region_point, payloads))
+    return [_region_point(p) for p in payloads]
+
+
 def cmd_region(args) -> int:
     observables = [_load(p, ("observable",)) for p in args.files]
     grid = _parse_grid(args.grid)
@@ -140,11 +149,7 @@ def cmd_region(args) -> int:
         raise ValueError(f"{len(points)} grid points exceed the supported 10000")
     tols = _tols(args)
     payloads = [(observables, tuple(map(float, w)), mode_name, tols) for w in points]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_region_point, payloads))
-    else:
-        rows = [_region_point(p) for p in payloads]
+    rows = _run_grid(payloads, args.parallel)
     lines = ["weights,verdict"]
     lines += [",".join(f"{w:.6f}" for w in ws) + f",{v}" for ws, v in rows]
     text = "\n".join(lines) + "\n"
@@ -263,16 +268,7 @@ def cmd_order(args) -> int:
 
 
 def _boundary_lam2(d: int, lam1: float) -> float:
-    if oc.fourier_region_formula(d, lam1, 1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if oc.fourier_region_formula(d, lam1, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_threshold(lambda lam2: oc.fourier_region_formula(d, lam1, lam2), 2.0 ** -40).value
 
 
 def _repro_fig4(outdir: Path, args, tols) -> list[Path]:
@@ -287,11 +283,7 @@ def _repro_fig4(outdir: Path, args, tols) -> list[Path]:
     grid = np.linspace(0.0, 1.0, 6)
     payloads = [((q3, p3), (float(l1), float(l2)), "UNIFORM_TRIVIAL", tols)
                 for l1 in grid for l2 in grid]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_region_point, payloads))
-    else:
-        rows = [_region_point(p) for p in payloads]
+    rows = _run_grid(payloads, args.parallel)
     lines = ["# seed=0", "lam1,lam2,verdict"]
     lines += [f"{w[0]:.6f},{w[1]:.6f},{v}" for w, v in rows]
     grid_path = outdir / "fig4_grid.csv"
@@ -327,15 +319,11 @@ def _repro_mub(outdir: Path, args, tols) -> list[Path]:
     families = {"xz": (bx, bz), "xyz": (bx, by, bz)}
     lines = ["# seed=0", "family,joint_threshold,steering_threshold"]
     for name, obs in families.items():
-        def joint_at(lam, obs=obs):
-            noisy = [mix_with_trivial(o, lam) for o in obs]
-            return oc.check_joint(noisy, tols).solve.feasible
-
         def lhs_at(lam, obs=obs):
             noisy = [mix_with_trivial(o, lam) for o in obs]
             return st.check_lhs(st.max_entangled_assemblage(noisy), tols).solve.feasible
 
-        tj = bisect_threshold(joint_at, tols.bisect_tol).value
+        tj = oc.degree_of_compatibility(obs, oc.NoiseMode.UNIFORM_TRIVIAL, tols)
         ts = bisect_threshold(lhs_at, tols.bisect_tol).value
         lines.append(f"{name},{tj:.6f},{ts:.6f}")
     path = outdir / "mub_thresholds.csv"

@@ -30,6 +30,7 @@ from .sdpcore import (
     SdpProblem,
     SolveResult,
     Verdict,
+    joint_problem,
     solve_feasibility,
     vec_of,
     warm_bisect,
@@ -178,35 +179,6 @@ def _require_size(observables):
     return total
 
 
-def _joint_problem(observables, dim, weights=None):
-    """Blocks g{i} per product outcome; one marginal constraint per outcome.
-
-    The marginal rows already fix the total sum_i g{i} = I.
-
-    With ``weights`` the kth marginal is w_k M_k + (1 - w_k) p_k(.) I, where
-    the distribution p_k is the scalar block ``p{k}``.
-    """
-    prob = SdpProblem()
-    fibres = prob.add_product_blocks("g", [obs.n_outcomes for obs in observables], dim, float(dim))
-    eye_vec = vec_of(np.eye(dim))
-    for k, (obs, fibre) in enumerate(zip(observables, fibres)):
-        m = obs.n_outcomes
-        if weights is not None:
-            prob.add_scalar_block(f"p{k}", m, cap=1.0)
-        for xi, names in enumerate(fibre):
-            terms = dict.fromkeys(names, 1.0)
-            rhs = obs.effects[xi]
-            if weights is not None:
-                coeff = np.zeros((dim * dim, m))
-                coeff[:, xi] = -(1.0 - weights[k]) * eye_vec
-                terms[f"p{k}"] = coeff
-                rhs = weights[k] * rhs
-            prob.add_equality(terms, vec_of(rhs))
-        if weights is not None:
-            prob.add_equality({f"p{k}": np.ones((1, m))}, np.array([1.0]))
-    return prob
-
-
 def _joint_witness(res: SolveResult, observables, atol) -> JointObservable:
     total = math.prod(obs.n_outcomes for obs in observables)
     blocks = [res.witness[f"g{i}"] for i in range(total)]
@@ -220,9 +192,9 @@ def check_joint(observables, tols: Tolerances | None = None,
     ``start`` is an optional solver start (see :func:`solve_feasibility`).
     """
     tols = tols or DEFAULT_TOLS
-    dim = _check_family_dim(observables)
+    _check_family_dim(observables)
     _require_size(observables)
-    res = solve_feasibility(_joint_problem(observables, dim), tols, start)
+    res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols, start)
     if not res.feasible:
         return JointResult(res)
     joint = _joint_witness(res, observables, tols.witness_atol)
@@ -321,7 +293,7 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     ``start`` is an optional solver start (see :func:`solve_feasibility`).
     """
     tols = tols or DEFAULT_TOLS
-    dim = _check_family_dim(observables)
+    _check_family_dim(observables)
     if len(noise.weights) != len(observables):
         raise ValueError("one noise weight per observable required")
     _require_size(observables)
@@ -334,11 +306,15 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
         res = check_joint(mixed, tols, start)
         return JointResult(res.solve, res.joint, tuple(dists))
 
-    res = solve_feasibility(_joint_problem(observables, dim, noise.weights), tols, start)
+    prob = joint_problem([obs.effects for obs in observables], noise.weights)
+    res = solve_feasibility(prob, tols, start)
     if not res.feasible:
         return JointResult(res)
     joint = _joint_witness(res, observables, tols.witness_atol)
-    dists = tuple(np.clip(res.witness[f"p{k}"], 0.0, None) for k in range(len(observables)))
+    dists = tuple(
+        np.clip([res.witness[f"n{k}_{x}"][0, 0].real for x in range(obs.n_outcomes)], 0.0, None)
+        for k, obs in enumerate(observables)
+    )
     dists = tuple(p / p.sum() for p in dists)
     return JointResult(res, joint, dists)
 

@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Observable, State
-from .sdpcore import (Decision, SdpProblem, SolveResult, ThresholdResult,
-                      partial_trace_map, solve_feasibility, vec_of, warm_bisect)
+from .sdpcore import (Decision, SolveResult, ThresholdResult, joint_problem,
+                      solve_feasibility, warm_bisect)
 
 __all__ = [
     "Tester",
@@ -140,36 +140,6 @@ def _require_pair(t1: Tester, t2: Tester) -> None:
                          f"exceeds the supported {MAX_JOINT_OUTCOMES}")
 
 
-def _tester_problem(t1: Tester, t2: Tester, q: float | None = None) -> SdpProblem:
-    """Joint tester blocks g{i}, i = j * n + l, with margins F1_j and F2_l.
-
-    With ``q`` each margin is q F + (1-q) A (x) I instead, for channel-blind
-    noise blocks ``a{j}`` and ``b{l}`` with total trace one on each side.
-    """
-    din, dout = t1.in_dim, t1.out_dim
-    side = din * dout
-    prob = SdpProblem()
-    fibres = prob.add_product_blocks("g", (t1.n_outcomes, t2.n_outcomes), side, float(side))
-    if q is not None:
-        lift = partial_trace_map((din, dout), (0,)).T
-        tr_row = vec_of(np.eye(din, dtype=complex))[None, :]
-        for noise, t in (("a", t1), ("b", t2)):
-            for x in range(t.n_outcomes):
-                prob.add_psd_block(f"{noise}{x}", din, trace_cap=1.0)
-    for noise, t, fibre in (("a", t1, fibres[0]), ("b", t2, fibres[1])):
-        for x, names in enumerate(fibre):
-            terms = dict.fromkeys(names, 1.0)
-            rhs = t.effects[x]
-            if q is not None:
-                terms[f"{noise}{x}"] = -(1.0 - q) * lift
-                rhs = q * rhs
-            prob.add_equality(terms, vec_of(rhs))
-    if q is not None:
-        for noise, t in (("a", t1), ("b", t2)):
-            prob.add_equality({f"{noise}{x}": tr_row for x in range(t.n_outcomes)}, np.array([1.0]))
-    return prob
-
-
 def check_tester_pair(t1: Tester, t2: Tester,
                       tols: Tolerances | None = None) -> TesterPairResult:
     """Can one joint tester produce both testers as margins?
@@ -181,7 +151,7 @@ def check_tester_pair(t1: Tester, t2: Tester,
     """
     tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-    result = solve_feasibility(_tester_problem(t1, t2), tols)
+    result = solve_feasibility(joint_problem([t1.effects, t2.effects]), tols)
     joint = None
     if result.feasible:
         m, n, side = t1.n_outcomes, t2.n_outcomes, t1.in_dim * t1.out_dim
@@ -205,7 +175,8 @@ def tester_degree(t1: Tester, t2: Tester,
     _require_pair(t1, t2)
 
     def solve_at(q: float, start) -> SolveResult:
-        return solve_feasibility(_tester_problem(t1, t2, q), tols, start)
+        prob = joint_problem([t1.effects, t2.effects], (q, q), t1.in_dim)
+        return solve_feasibility(prob, tols, start)
 
     return warm_bisect(solve_at, tols.bisect_tol)
 

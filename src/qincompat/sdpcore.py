@@ -27,6 +27,16 @@ searches use this through :func:`warm_bisect`: each probe starts at the final
 iterate of the search's last feasible probe, because neighbouring weights
 have nearby solutions.  Infeasible probes never seed a start, since their
 iterates drift along the gap direction.
+
+Joint measurability, local hidden state models and joint testers are one
+question, built once by :func:`joint_problem`: PSD blocks on a product index
+set whose fibre sums equal the given devices' outcome operators, optionally
+mixed with noise.  The trace cap of every joint block is derived from the
+margins, the trace of the joint device's total.  Every margin row in the
+package, the channel problems' included, is written by
+:meth:`SdpProblem.add_margins`.  A 1x1 PSD block is the scalar interval
+[0, cap]: it is clipped with the scalar blocks and checked as a scalar, and
+``split`` still returns it as a 1x1 matrix.
 """
 from __future__ import annotations
 
@@ -45,6 +55,7 @@ from . import linalg as la
 __all__ = [
     "Verdict",
     "SdpProblem",
+    "joint_problem",
     "SolveResult",
     "Decision",
     "Certificate",
@@ -74,6 +85,11 @@ class _Block:
     length: int        # real coordinates occupied
     offset: int
     cap: np.ndarray    # trace cap (psd, scalar shape ()) or entry caps (scalar, shape (dim,))
+
+    @property
+    def interval(self) -> bool:
+        """Scalar blocks and 1x1 PSD blocks: each coordinate lies in [0, cap]."""
+        return self.kind == "scalar" or self.dim == 1
 
 
 def vec_of(matrix) -> np.ndarray:
@@ -177,20 +193,6 @@ class SdpProblem:
         self._n += length
         return name
 
-    def add_product_blocks(self, prefix: str, shape, dim: int, trace_cap: float) -> list[list[list[str]]]:
-        """PSD blocks ``prefix{i}``, one per index tuple of ``shape``.
-
-        Block i belongs to the ith tuple of ``itertools.product`` over the
-        ranges of ``shape``.  Returns the fibres: ``fibres[k][x]`` lists, in
-        block order, the names whose kth index is x.
-        """
-        fibres = [[[] for _ in range(size)] for size in shape]
-        for i, t in enumerate(itertools.product(*(range(size) for size in shape))):
-            name = self.add_psd_block(f"{prefix}{i}", dim, trace_cap)
-            for fibre, x in zip(fibres, t):
-                fibre[x].append(name)
-        return fibres
-
     def block(self, name: str) -> _Block:
         return self._blocks[name]
 
@@ -226,6 +228,12 @@ class SdpProblem:
                 checked[name] = t
         self._rows.append((checked, rhs))
 
+    def add_margins(self, rows, lam: float) -> None:
+        """One row ``terms - (1 - lam) noise = lam device`` per (terms, noise, device)."""
+        for terms, noise, device in rows:
+            noisy = {name: -(1 - lam) * t for name, t in noise.items()}
+            self.add_equality({**terms, **noisy}, lam * device)
+
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
         rows = sum(r.size for _, r in self._rows)
         n = self._n
@@ -260,6 +268,41 @@ class SdpProblem:
             else:
                 out[blk.name] = seg.copy()
         return out
+
+
+def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
+    """Joint device with the given margins: the one compatibility question.
+
+    ``margins[k]`` stacks the kth device's outcome operators M_k(x), all of
+    one side.  Block ``g{i}`` belongs to the ith tuple of
+    ``itertools.product`` over the outcome counts, and for every (k, x) the
+    blocks whose kth index is x sum to M_k(x).  Every g block has the trace
+    cap tr sum_x M_0(x), the trace of the joint device's total.
+
+    With ``weights`` the kth margin is w_k M_k(x) + (1 - w_k) N_k(x) (x) I
+    instead, for noise blocks ``n{k}_{x}`` >= 0 of side ``noise_side`` with
+    sum_x tr N_k(x) = 1.  Side 1 is trivial noise p_k(x) I; the input side of
+    a tester is channel-blind noise.
+    """
+    side = margins[0].shape[-1]
+    cap = float(np.trace(margins[0].sum(axis=0)).real)
+    prob = SdpProblem()
+    fibres = [[{} for _ in m] for m in margins]
+    for i, t in enumerate(itertools.product(*(range(len(m)) for m in margins))):
+        name = prob.add_psd_block(f"g{i}", side, cap)
+        for fibre, x in zip(fibres, t):
+            fibre[x][name] = 1.0
+    if weights is None:
+        for fibre, m in zip(fibres, margins):
+            prob.add_margins(zip(fibre, [{}] * len(m), vec_of(m)), 1.0)
+        return prob
+    lift = partial_trace_map((noise_side, side // noise_side), (0,)).T
+    tr_row = vec_of(np.eye(noise_side))[None, :]
+    for k, (fibre, m) in enumerate(zip(fibres, margins)):
+        noise = [prob.add_psd_block(f"n{k}_{x}", noise_side, 1.0) for x in range(len(m))]
+        prob.add_margins(zip(fibre, [{n: lift} for n in noise], vec_of(m)), weights[k])
+        prob.add_equality(dict.fromkeys(noise, tr_row), np.array([1.0]))
+    return prob
 
 
 @dataclass(frozen=True)
@@ -318,11 +361,12 @@ class _Projector:
         self.x_part = self.vr @ ((u[:, :r].T @ b) / s[:r])
         self.inconsistency = float(np.abs(a @ self.x_part - b).max(initial=0.0))
         self.b = b
-        # group psd blocks by dimension for batched eigendecompositions
+        # group psd blocks by dimension for batched eigendecompositions; a 1x1
+        # block is clipped with the scalars, with no eigh group of its own
         groups: dict[int, list[_Block]] = {}
         scalars: list[_Block] = []
         for blk in problem._blocks.values():
-            (groups.setdefault(blk.dim, []).append(blk) if blk.kind == "psd" else scalars.append(blk))
+            (scalars.append(blk) if blk.interval else groups.setdefault(blk.dim, []).append(blk))
         self.psd_groups = []
         for dim, blks in groups.items():
             idx = np.stack([np.arange(b_.offset, b_.offset + b_.length) for b_ in blks])
@@ -330,7 +374,7 @@ class _Projector:
             self.psd_groups.append((dim, idx, caps, np.arange(1, dim + 1)))
         if scalars:
             self.scalar_idx = np.concatenate([np.arange(b_.offset, b_.offset + b_.length) for b_ in scalars])
-            self.scalar_caps = np.concatenate([b_.cap for b_ in scalars])
+            self.scalar_caps = np.concatenate([np.broadcast_to(b_.cap, (b_.length,)) for b_ in scalars])
         else:
             self.scalar_idx = np.zeros(0, dtype=int)
             self.scalar_caps = np.zeros(0)
@@ -411,11 +455,11 @@ def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: To
     worst_scalar = 0.0
     for blk in problem._blocks.values():
         seg = x[blk.offset : blk.offset + blk.length]
-        if blk.kind == "psd":
+        if blk.interval:
+            worst_scalar = min(worst_scalar, float(seg.min(initial=0.0)))
+        else:
             lo = float(np.linalg.eigvalsh(la.real_vec_to_hermitian(seg, blk.dim))[0])
             worst_eig = min(worst_eig, lo)
-        else:
-            worst_scalar = min(worst_scalar, float(seg.min(initial=0.0)))
     ok = constraint_residual < slack and worst_eig > -slack and worst_scalar > -slack
     report = {
         "constraint_residual": constraint_residual,

@@ -21,7 +21,7 @@ from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import State, transpose_observable
 from .obscompat import JointResult, check_joint
-from .sdpcore import Decision, SdpProblem, solve_feasibility, vec_of
+from .sdpcore import Decision, joint_problem, solve_feasibility
 
 __all__ = [
     "Assemblage",
@@ -165,23 +165,16 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
     conditional state.
     """
     tols = tols or DEFAULT_TOLS
-    n, o, d = assemblage.n_settings, assemblage.n_outcomes, assemblage.dim
-    strategies = deterministic_strategies(n, o)
+    strategies = deterministic_strategies(assemblage.n_settings, assemblage.n_outcomes)
     if len(strategies) > MAX_STRATEGIES:
         raise ValueError(f"{len(strategies)} strategies exceed the supported {MAX_STRATEGIES}")
 
-    prob = SdpProblem()
-    # strategy k is the kth outcome assignment in product order, so the
-    # fibre fibres[j][x] holds the strategies that pick x at setting j
-    fibres = prob.add_product_blocks("s", (o,) * n, d, trace_cap=1.0)
-    for j, fibre in enumerate(fibres):
-        for x, names in enumerate(fibre):
-            prob.add_equality(dict.fromkeys(names, 1.0), vec_of(assemblage.blocks[j, x]))
-
-    result = solve_feasibility(prob, tols)
+    # block g{k} belongs to strategy k, the kth outcome assignment in product
+    # order, so its fibre at setting j is the outcome it picks there
+    result = solve_feasibility(joint_problem(assemblage.blocks), tols)
     model = None
     if result.feasible:
-        states = np.stack([la.psd_project(result.witness[f"s{k}"])
+        states = np.stack([la.psd_project(result.witness[f"g{k}"])
                            for k in range(len(strategies))])
         model = LhsModel(states, strategies)
     return LhsResult(result, model)

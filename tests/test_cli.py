@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qincompat as q
-from qincompat.cli import main
+from qincompat.cli import EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, _code, main
+from qincompat.sdpcore import SolveResult, Verdict
 
 
 @pytest.fixture
@@ -32,6 +33,17 @@ def test_check_joint_exit_codes(xz_paths, noisy_xz_paths, capsys):
     assert "INFEASIBLE" in capsys.readouterr().out
     assert main(["check-joint", *noisy_xz_paths]) == 0
     assert "FEASIBLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verdict,code", [
+    (Verdict.FEASIBLE, EXIT_FEASIBLE),
+    (Verdict.INFEASIBLE_CERTIFIED, EXIT_INFEASIBLE),
+    (Verdict.INFEASIBLE_HEURISTIC, EXIT_UNDECIDED),
+    (Verdict.UNDECIDED, EXIT_UNDECIDED),
+])
+def test_exit_code_needs_evidence(verdict, code):
+    # only a certificate makes an infeasible exit; an iteration-cap tail is undecided
+    assert _code(SolveResult(verdict, None, 50_000, 1e-3)) == code
 
 
 def test_check_joint_json_and_witness(noisy_xz_paths, tmp_path, capsys):

@@ -92,6 +92,21 @@ def test_region_membership_modes(sharp_x, sharp_z):
     assert q.region_membership(pair, fixed).solve.feasible
 
 
+def test_region_optimized_noise_is_a_distribution(sharp_x, sharp_z, mub3):
+    # the returned distributions are probability vectors, and the family mixed
+    # with them has the returned joint as its joint
+    for family, weights in (([sharp_x, sharp_z], (0.6, 0.65)), (list(mub3), (0.55, 0.5, 0.55))):
+        res = q.region_membership(family, q.NoiseSpec.optimized(weights))
+        assert res.feasible
+        assert len(res.noise_distributions) == len(family)
+        for k, (obs, w, p) in enumerate(zip(family, weights, res.noise_distributions)):
+            assert p.shape == (obs.n_outcomes,)
+            assert p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+            mixed = q.mix_with_trivial(obs, w, probs=p)
+            dev = np.abs(res.joint.marginal(k).effects - mixed.effects).max()
+            assert dev < q.DEFAULT_TOLS.witness_atol
+
+
 def test_region_optimized_contains_uniform(rng):
     pair = [q.random_povm(2, 2, rng) for _ in range(2)]
     for lam in (0.3, 0.7, 0.95):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 import qincompat.linalg as la
 from conftest import rand_herm
 from qincompat.config import DEFAULT_TOLS
-from qincompat.devices import mix_with_trivial, random_povm
-from qincompat.obscompat import _joint_problem, check_joint
-from qincompat.process import _tester_problem, check_tester_pair, prepare_measure_tester
+from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
+from qincompat.obscompat import check_joint
+from qincompat.process import check_tester_pair, prepare_measure_tester
 from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _Projector,
-                               bisect_threshold, partial_trace_map, real_linear_map,
-                               solve_feasibility, vec_of, verify_witness, warm_bisect)
+                               bisect_threshold, joint_problem, partial_trace_map,
+                               real_linear_map, solve_feasibility, vec_of, verify_witness,
+                               warm_bisect)
+from qincompat.steering import check_lhs, max_entangled_assemblage
 
 
 def rand_psd(rng, d, trace=None):
@@ -148,22 +150,72 @@ def test_scalar_term_needs_matching_block_length():
         prob.add_equality({"p": -1.0}, np.zeros(2))
 
 
-def test_add_product_blocks_fibres():
+def test_joint_problem_fibres(rng):
     shape = (2, 3, 2)
-    prob = SdpProblem()
-    prob.add_scalar_block("p", 2)
-    fibres = prob.add_product_blocks("g", shape, 2, trace_cap=2.0)
+    margins = [np.stack([rand_psd(rng, 2) for _ in range(size)]) for size in shape]
+    prob = joint_problem(margins)
     combos = list(itertools.product(*(range(size) for size in shape)))
     names = [f"g{i}" for i in range(len(combos))]
     # block i is the ith product tuple, laid out in that order
-    assert [prob.block(name).offset for name in names] == list(range(2, 2 + 4 * len(names), 4))
-    assert len(fibres) == len(shape)
-    for k, size in enumerate(shape):
-        assert len(fibres[k]) == size
-        assert sorted(name for fibre in fibres[k] for name in fibre) == sorted(names)
-        for x, fibre in enumerate(fibres[k]):
-            assert fibre == [name for name, t in zip(names, combos) if t[k] == x]
-            assert len(fibre) == len(combos) // size
+    assert [prob.block(name).offset for name in names] == list(range(0, 4 * len(names), 4))
+    assert prob.n_vars == 4 * len(names)
+    # one row group per (k, x): the blocks of fibre (k, x) sum to M_k(x)
+    a, b = prob.assemble()
+    rows = [(k, x) for k, size in enumerate(shape) for x in range(size)]
+    assert a.shape[0] == 4 * len(rows)
+    for r, (k, x) in enumerate(rows):
+        for i, t in enumerate(combos):
+            want = np.eye(4) if t[k] == x else np.zeros((4, 4))
+            assert np.array_equal(a[4 * r : 4 * r + 4, 4 * i : 4 * i + 4], want)
+        assert np.array_equal(b[4 * r : 4 * r + 4], vec_of(margins[k][x]))
+
+
+def test_joint_problem_derives_trace_cap(sharp_x, sharp_z):
+    # the cap of every g block is the trace of the joint device's total, up
+    # to the rounding of that trace
+    def cap(prob):
+        caps = {float(blk.cap) for name, blk in prob._blocks.items() if name.startswith("g")}
+        assert len(caps) == 1
+        return caps.pop()
+
+    assert cap(joint_problem([sharp_x.effects, sharp_z.effects])) == pytest.approx(2.0, abs=1e-14)
+    asm = max_entangled_assemblage([sharp_x, sharp_z])
+    assert cap(joint_problem(asm.blocks)) == pytest.approx(1.0, abs=1e-14)
+    # a tester on input 2, output 3: the cap is d_out, not d_in * d_out
+    tester = prepare_measure_tester(np.eye(2) / 2, sharp_observable(np.eye(3)))
+    assert cap(joint_problem([tester.effects, tester.effects])) == pytest.approx(3.0, abs=1e-14)
+    noisy = joint_problem([tester.effects, tester.effects], (0.5, 0.5), 2)
+    assert cap(noisy) == pytest.approx(3.0, abs=1e-14)
+    assert {float(noisy.block(f"n{k}_{x}").cap) for k in range(2) for x in range(3)} == {1.0}
+
+
+def test_unit_psd_block_is_a_scalar_interval(rng):
+    # a 1x1 PSD block projects, verifies and certifies like a scalar block
+    # with the same cap; split still returns it as a 1x1 matrix
+    def build(as_psd):
+        prob = SdpProblem()
+        prob.add_psd_block("x", 2, trace_cap=2.0)
+        for i, cap in enumerate((1.0, 0.5, 3.0)):
+            if as_psd:
+                prob.add_psd_block(f"n{i}", 1, trace_cap=cap)
+            else:
+                prob.add_scalar_block(f"n{i}", 1, cap=cap)
+        prob.add_equality({"x": vec_of(np.eye(2))[None, :], "n0": np.ones((1, 1))},
+                          np.array([1.0]))
+        return prob
+
+    psd, scalar = build(True), build(False)
+    x = np.concatenate([la.hermitian_to_real_vec(rand_herm(rng, 2)), [-0.3, 0.7, 1.2]])
+    assert np.array_equal(_Projector(psd).cone(x), _Projector(scalar).cone(x))
+    assert _Projector(psd).cone_infimum(x) == _Projector(scalar).cone_infimum(x)
+    parts = psd.split(x)
+    assert parts["n1"].shape == (1, 1) and parts["n1"][0, 0] == 0.7
+    for value in (0.25, -0.25):
+        w_psd = {"x": np.eye(2) / 4, "n0": np.array([[value]]), "n1": np.zeros((1, 1)),
+                 "n2": np.zeros((1, 1))}
+        w_scalar = {"x": np.eye(2) / 4, "n0": np.array([value]), "n1": np.zeros(1),
+                    "n2": np.zeros(1)}
+        assert verify_witness(psd, w_psd) == verify_witness(scalar, w_scalar)
 
 
 # --- basic verdicts ----------------------------------------------------------
@@ -273,15 +325,20 @@ def test_verify_witness_rejects_corruption(rng):
 # --- certificate schedule ----------------------------------------------------
 
 def _joint_xz(sharp_x, sharp_z):
-    return check_joint([sharp_x, sharp_z]), _joint_problem([sharp_x, sharp_z], 2)
+    return check_joint([sharp_x, sharp_z]), joint_problem([sharp_x.effects, sharp_z.effects])
 
 
 def _tester_xz(sharp_x, sharp_z):
     tx, tz = (prepare_measure_tester(np.eye(2) / 2, obs) for obs in (sharp_x, sharp_z))
-    return check_tester_pair(tx, tz), _tester_problem(tx, tz)
+    return check_tester_pair(tx, tz), joint_problem([tx.effects, tz.effects])
 
 
-@pytest.mark.parametrize("case", [_joint_xz, _tester_xz], ids=["joint", "tester"])
+def _lhs_xz(sharp_x, sharp_z):
+    asm = max_entangled_assemblage([sharp_x, sharp_z])
+    return check_lhs(asm), joint_problem(asm.blocks)
+
+
+@pytest.mark.parametrize("case", [_joint_xz, _tester_xz, _lhs_xz], ids=["joint", "tester", "lhs"])
 def test_incompatible_pair_certified_early(sharp_x, sharp_z, case):
     res, prob = case(sharp_x, sharp_z)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
@@ -320,8 +377,47 @@ def test_toss_compatible_families_never_certified(seed, n, outcomes, frac, start
     family = [mix_with_trivial(random_povm(2, outcomes, rng), lam,
                                probs=rng.dirichlet(np.ones(outcomes)))
               for _ in range(n)]
-    prob = _joint_problem(family, 2)
+    prob = joint_problem([obs.effects for obs in family])
     res = solve_feasibility(prob, start=start_scale * rng.normal(size=prob.n_vars))
+    assert res.verdict is not Verdict.INFEASIBLE_CERTIFIED
+    if res.verdict is Verdict.FEASIBLE:
+        ok, report = verify_witness(prob, res.witness)
+        assert ok, report
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
+       outcomes=st.integers(2, 3), frac=st.floats(0.0, 1.0))
+def test_toss_compatible_assemblages_never_certified_steerable(seed, n, outcomes, frac):
+    # the max-entangled assemblage of a family has an LHS model exactly when
+    # the transposed family is jointly measurable, as it is at lam <= 1/n
+    rng = np.random.default_rng(seed)
+    lam = frac / n
+    family = [mix_with_trivial(random_povm(2, outcomes, rng), lam,
+                               probs=rng.dirichlet(np.ones(outcomes)))
+              for _ in range(n)]
+    asm = max_entangled_assemblage(family)
+    res = check_lhs(asm)
+    assert res.verdict is not Verdict.INFEASIBLE_CERTIFIED
+    if res.verdict is Verdict.FEASIBLE:
+        ok, report = verify_witness(joint_problem(asm.blocks), res.solve.witness)
+        assert ok, report
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), outcomes=st.integers(2, 3),
+       same_probe=st.booleans(), frac=st.floats(0.0, 1.0))
+def test_testers_at_degree_floor_never_certified(seed, outcomes, same_probe, frac):
+    # every tester pair is compatible at q <= 1/2: toss a fair coin between
+    # the testers and fake the other outcome
+    rng = np.random.default_rng(seed)
+    probe = random_state(2, rng)
+    t1 = prepare_measure_tester(probe, random_povm(2, outcomes, rng))
+    t2 = prepare_measure_tester(probe if same_probe else random_state(2, rng),
+                                random_povm(2, outcomes, rng))
+    q = frac / 2
+    prob = joint_problem([t1.effects, t2.effects], (q, q), t1.in_dim)
+    res = solve_feasibility(prob)
     assert res.verdict is not Verdict.INFEASIBLE_CERTIFIED
     if res.verdict is Verdict.FEASIBLE:
         ok, report = verify_witness(prob, res.witness)
