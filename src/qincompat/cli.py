@@ -259,9 +259,10 @@ def cmd_order(args) -> int:
     obs1 = _load(args.files[0], ("observable",))
     obs2 = _load(args.files[1], ("observable",))
     rep = oc.postprocessing_order(obs1, obs2, _tols(args))
-    payload = {"below": rep.below, "residual": rep.residual}
-    _emit(args, payload, f"below: {rep.below} (residual {rep.residual:.3e})")
-    return EXIT_FEASIBLE if rep.below else EXIT_INFEASIBLE
+    payload = {"below": rep.below, "residual": rep.residual, "solve": _solve_payload(rep.solve)}
+    _emit(args, payload, f"below: {rep.below} (residual {rep.residual:.3e})\n"
+                         f"solve: {_solve_text(rep.solve)}")
+    return _code(rep.solve)
 
 
 # === reproduction targets ====================================================

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -451,11 +451,17 @@ def apply_channel(channel: Channel | np.ndarray, rho, in_dim: int | None = None,
 
 
 def choi_compose(j_first, j_second, in_dim: int, mid_dim: int, out_dim: int) -> np.ndarray:
-    """Choi matrix of ``second o first`` from the factors' Choi matrices."""
+    """Choi matrix of ``second o first`` from the factors' Choi matrices.
+
+    ``j_second`` may be a stack of Choi matrices (leading axes); the result
+    is then the stack of compositions.
+    """
     a = np.asarray(j_first, dtype=complex).reshape(in_dim, mid_dim, in_dim, mid_dim)
-    b = np.asarray(j_second, dtype=complex).reshape(mid_dim, out_dim, mid_dim, out_dim)
-    out = np.einsum("imjn,monp->iojp", a, b)
-    return out.reshape(in_dim * out_dim, in_dim * out_dim)
+    b = np.asarray(j_second, dtype=complex)
+    batch = b.shape[:-2]
+    b = b.reshape(batch + (mid_dim, out_dim, mid_dim, out_dim))
+    out = np.einsum("imjn,...monp->...iojp", a, b)
+    return out.reshape(batch + (in_dim * out_dim, in_dim * out_dim))
 
 
 def tensor_channel(first: Channel, second: Channel) -> Channel:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 
 __all__ = [
     "EigenDecomposition",

@@ -21,7 +21,6 @@ from .config import DEFAULT_TOLS, Tolerances
 from .devices import (
     Observable,
     StochasticMatrix,
-    TrivialObservable,
     binarize,
     mix_with_trivial,
 )
@@ -558,10 +557,14 @@ def check_weakly_coexistent(observables, tols: Tolerances | None = None) -> Weak
 # === post-processing order ===================================================
 
 @dataclass(frozen=True)
-class OrderReport:
-    below: bool
+class OrderReport(Decision):
     witness: StochasticMatrix | None = None
     residual: float = 0.0
+
+    @property
+    def below(self) -> bool:
+        """True exactly when the deciding solve found a witness."""
+        return self.feasible
 
 
 def postprocessing_order(obs1: Observable, obs2: Observable,
@@ -591,9 +594,9 @@ def postprocessing_order(obs1: Observable, obs2: Observable,
         prob.add_equality({"p": row}, np.array([1.0]))
     res = solve_feasibility(prob, tols)
     if not res.feasible:
-        return OrderReport(False)
+        return OrderReport(res)
     mat = np.clip(res.witness["p"].reshape(m_out, m_in), 0.0, None)
     mat /= mat.sum(axis=0, keepdims=True)
     recon = np.einsum("yx,xab->yab", mat, obs2.effects)
     residual = float(np.abs(recon - obs1.effects).max())
-    return OrderReport(True, StochasticMatrix(mat), residual)
+    return OrderReport(res, StochasticMatrix(mat), residual)

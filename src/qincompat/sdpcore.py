@@ -6,8 +6,9 @@ trace cap, or vectors of nonnegative scalars with entry caps) plus affine
 equality constraints expressed on the real vectorization of the blocks.  The
 solver alternates exact projections:
 
-* onto the affine set, via a pinned SVD factorization of the constraint matrix
-  (rank revealing, so redundant or dependent rows are harmless);
+* onto the affine set, via an eigendecomposition of the Gram matrix A A^T of
+  the constraint matrix A, keeping eigenvalues above max(A.shape) * eps times
+  the largest (rank revealing, so redundant or dependent rows are harmless);
 * onto the cone product, block by block (eigenvalue clipping, scalar clamping,
   trace rescaling when a cap is exceeded).
 
@@ -354,11 +355,16 @@ class _Projector:
     def __init__(self, problem: SdpProblem):
         self.problem = problem
         a, b = problem.assemble()
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        tol = max(a.shape) * np.finfo(float).eps * s.max(initial=0.0)
-        r = int(np.sum(s > tol))
-        self.vr = vt[:r].T
-        self.x_part = self.vr @ ((u[:, :r].T @ b) / s[:r])
+        # A A^T = U S^2 U^T, so A^T U S^-1 is an orthonormal basis of the row
+        # space of A (the V of A's SVD); the rank tolerance sits on the
+        # eigenvalues S^2, where null directions land near eps ||A||^2 (their
+        # square roots would pass an SVD-style bound)
+        w, u = np.linalg.eigh(a @ a.T)
+        keep = w > max(a.shape) * np.finfo(float).eps * w.max(initial=0.0)
+        s_inv = 1.0 / np.sqrt(w[keep])
+        u = u[:, keep]
+        self.vr = a.T @ (u * s_inv)
+        self.x_part = self.vr @ (s_inv * (u.T @ b))
         self.inconsistency = float(np.abs(a @ self.x_part - b).max(initial=0.0))
         self.b = b
         # group psd blocks by dimension for batched eigendecompositions; a 1x1

@@ -94,6 +94,15 @@ def test_division_reflexive(rng):
     assert q.channel_division(chan, chan).below
 
 
+@pytest.mark.parametrize("din,dmid,dout", [(2, 2, 2), (2, 4, 2), (3, 3, 3), (3, 2, 3)])
+def test_compose_map_equals_probed_map(rng, din, dmid, dout):
+    # the basis slices through one einsum each give the probed map, bit for bit
+    j = q.random_channel(din, dmid, rng).choi()
+    want = sdpcore.real_linear_map(lambda h: q.choi_compose(j, h, din, dmid, dout),
+                                   dmid * dout, din * dout)
+    assert np.array_equal(chancompat._compose_map(j, din, dmid, dout), want)
+
+
 # --- conjugates --------------------------------------------------------------
 
 def test_conjugate_pair_compatible(rng):

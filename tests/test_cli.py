@@ -179,6 +179,21 @@ def test_order_command(files, sharp_z, capsys):
     capsys.readouterr()
 
 
+def test_order_undecided_exits_2(files, rng, capsys):
+    # a coarse-graining is below its fine observable; a solve stopped before
+    # it can tell is undecided, not infeasible
+    fine = q.random_povm(2, 3, rng)
+    fine_path = files("fine.json", fine)
+    coarse_path = files("coarse.json", q.binarize(fine, [0, 1]))
+    assert main(["order", coarse_path, fine_path, "--tol", "1e-18", "--max-iter", "20",
+                 "--json"]) == EXIT_UNDECIDED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["below"] is False
+    assert payload["solve"]["verdict"] == "UNDECIDED"
+    assert main(["order", coarse_path, fine_path]) == EXIT_FEASIBLE
+    capsys.readouterr()
+
+
 def test_reproduce_process_q(tmp_path, capsys):
     out = tmp_path / "tables"
     assert main(["reproduce", "process-q", "--out", str(out)]) == 0

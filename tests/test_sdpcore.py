@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qincompat as q
 import qincompat.linalg as la
 from conftest import rand_herm
+from qincompat import chancompat, obschan, obscompat, process, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
 from qincompat.obscompat import check_joint
@@ -216,6 +218,109 @@ def test_unit_psd_block_is_a_scalar_interval(rng):
         w_scalar = {"x": np.eye(2) / 4, "n0": np.array([value]), "n1": np.zeros(1),
                     "n2": np.zeros(1)}
         assert verify_witness(psd, w_psd) == verify_witness(scalar, w_scalar)
+
+
+# --- affine projector ---------------------------------------------------------
+
+class _Built(Exception):
+    pass
+
+
+def built_problem(module, call) -> SdpProblem:
+    """The problem that ``call`` hands to ``module.solve_feasibility``, unsolved."""
+    def capture(prob, *args, **kwargs):
+        raise _Built(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "solve_feasibility", capture)
+        with pytest.raises(_Built) as info:
+            call()
+    return info.value.args[0]
+
+
+def svd_reference(a, b):
+    """Row-space basis and particular solution from a dense SVD, rank cut on s."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    r = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+    vr = vt[:r].T
+    return vr, vr @ ((u[:, :r].T @ b) / s[:r])
+
+
+def _projector_cases():
+    rng = np.random.default_rng(2024)
+    x, z = q.mub_qubit()[:2]
+    povms = [mix_with_trivial(random_povm(2, 3, rng), 0.7) for _ in range(3)]
+    testers = [prepare_measure_tester(random_state(2, rng), random_povm(2, 2, rng)) for _ in range(2)]
+    chan, chan3 = q.random_channel(2, 2, rng), q.random_channel(2, 3, rng)
+    fine = random_povm(2, 3, rng)
+    prod = np.eye(4) / 4
+    cases = {
+        "joint": lambda: built_problem(obscompat, lambda: check_joint(povms)),
+        "lhs": lambda: built_problem(steering, lambda: steering.check_lhs(
+            steering.max_entangled_assemblage([x, z]))),
+        "tester": lambda: built_problem(process, lambda: check_tester_pair(*testers)),
+        "channel_pair_d2": lambda: chancompat._channel_pair_problem(chan, chan3),
+        "channel_pair_d3": lambda: chancompat._channel_pair_problem(
+            q.identity_channel(3), q.identity_channel(3)),
+        "division": lambda: built_problem(chancompat, lambda: chancompat.channel_division(
+            chan, q.conjugate_channel(chan3))),
+        "state_marginal": lambda: built_problem(chancompat, lambda: chancompat.state_marginal_feasible(
+            prod, prod, (2, 2, 2))),
+        "order": lambda: built_problem(obscompat, lambda: obscompat.postprocessing_order(
+            q.binarize(fine, [0, 1]), fine)),
+        "sequential": lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z)),
+    }
+    for mode in (None, *chancompat.NoiseClass):
+        name = "obs_channel_" + (mode.value if mode else "plain")
+        cases[name] = lambda mode=mode: chancompat._obs_channel_problem(fine, chan3, mode, 0.7)
+    return cases
+
+
+PROJECTOR_CASES = _projector_cases()
+
+
+@pytest.mark.parametrize("name", PROJECTOR_CASES)
+def test_gram_projector_matches_svd(name):
+    prob = PROJECTOR_CASES[name]()
+    proj = _Projector(prob)
+    a, b = prob.assemble()
+    vr, x_part = svd_reference(a, b)
+    assert proj.vr.shape == vr.shape  # equal rank
+    r = vr.shape[1]
+    assert np.abs(proj.vr.T @ proj.vr - np.eye(r)).max() < 1e-12
+    rng = np.random.default_rng(7)
+    xs = rng.normal(size=(prob.n_vars, 4))
+    xs /= np.linalg.norm(xs, axis=0)
+    assert np.abs(proj.vr @ (proj.vr.T @ xs) - vr @ (vr.T @ xs)).max() < 1e-12
+    assert np.abs(proj.x_part - x_part).max() < 1e-12
+    for col in xs.T:
+        once = proj.affine(col)
+        assert np.abs(proj.affine(once) - once).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_gram_rank_of_dependent_channel_rows(d):
+    # both margins fix the trace of J over both outputs, so d**2 of their
+    # 2 d**4 rows are dependent; the rank must come out exact
+    prob = chancompat._channel_pair_problem(q.identity_channel(d), q.identity_channel(d))
+    proj = _Projector(prob)
+    assert prob.assemble()[0].shape[0] == 2 * d**4
+    assert proj.vr.shape[1] == 2 * d**4 - d**2
+    assert proj.inconsistency < 1e-12
+
+
+@pytest.mark.parametrize("eps,verdict", [
+    (0.5, Verdict.INFEASIBLE_CERTIFIED), (1e-6, Verdict.INFEASIBLE_CERTIFIED),
+    (1e-8, Verdict.INFEASIBLE_CERTIFIED), (5e-9, Verdict.FEASIBLE), (1e-10, Verdict.FEASIBLE),
+])
+def test_marginal_mismatch_sweep(eps, verdict):
+    # B marginals diag(1/2 + eps, 1/2 - eps) and I/2: the empty affine set is
+    # certified before iterating down to eps = 1e-8, and below the
+    # inconsistency tolerance the solve finds a witness at once
+    rho_ab = np.kron(np.eye(2) / 2, np.diag([0.5 + eps, 0.5 - eps]))
+    res = chancompat.state_marginal_feasible(rho_ab, np.eye(4) / 4, (2, 2, 2))
+    assert res.verdict is verdict
+    assert res.solve.iterations == (0 if verdict is Verdict.INFEASIBLE_CERTIFIED else 1)
 
 
 # --- basic verdicts ----------------------------------------------------------
