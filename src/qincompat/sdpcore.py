@@ -6,9 +6,12 @@ trace cap, or vectors of nonnegative scalars with entry caps) plus affine
 equality constraints expressed on the real vectorization of the blocks.  The
 solver alternates exact projections:
 
-* onto the affine set, via an eigendecomposition of the Gram matrix A A^T of
-  the constraint matrix A, keeping eigenvalues above max(A.shape) * eps times
-  the largest (rank revealing, so redundant or dependent rows are harmless);
+* onto the affine set, via eigendecompositions of Gram matrices R R^T of the
+  constraint rows, in passes: each pass keeps the eigenvalues within
+  ``_PASS_RANGE`` of its largest and hands the remaining rows to the next,
+  until the singular values left fall below max(A.shape) * eps times the
+  largest (the rank a dense SVD reveals, so redundant or dependent rows are
+  harmless); a tall A is first reduced to the triangle of its QR factorization;
 * onto the cone product, block by block (eigenvalue clipping, scalar clamping,
   trace rescaling when a cap is exceeded).
 
@@ -340,6 +343,11 @@ class Decision:
 
     solve: SolveResult
 
+    def __post_init__(self):
+        if not isinstance(self.solve, SolveResult):
+            raise TypeError(f"{type(self).__name__} takes the deciding SolveResult first, "
+                            f"not {type(self.solve).__name__}")
+
     @property
     def verdict(self) -> Verdict:
         return self.solve.verdict
@@ -349,22 +357,65 @@ class Decision:
         return self.solve.feasible
 
 
+# One pass of the affine factorization keeps the Gram eigenvalues within this
+# factor of its largest: their singular vectors come out orthonormal to about
+# eps / _PASS_RANGE, and the remaining rows go to the next pass.
+_PASS_RANGE = 1e-3
+
+
+def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the row space of ``a`` and the least-norm solution of a x = b.
+
+    The rank is the one a dense SVD reveals: singular values above
+    max(a.shape) * eps times the largest.  Each pass factorizes the Gram
+    matrix R R^T = U W U^T of the rows R not yet resolved.  Eigenvalues within
+    ``_PASS_RANGE`` of the largest give basis vectors R^T U W^-1/2; the other
+    eigenvectors rotate R into rows that hold the remaining directions, and
+    the next pass resolves those relative to their own size.  A tall ``a`` is
+    first replaced by the triangle of its QR factorization, so no Gram matrix
+    exceeds min(a.shape)^2.
+    """
+    rows, rhs = a, b
+    if a.shape[0] > a.shape[1]:
+        q, rows = np.linalg.qr(a)
+        rhs = q.T @ b
+    vr = np.zeros((a.shape[1], 0))
+    coef = np.zeros(0)
+    floor = None  # eigenvalue of the SVD rank cut, set by the first pass
+    while rows.shape[0]:
+        gram = rows @ rows.T
+        if floor is not None and np.trace(gram) <= floor:
+            break
+        w, u = np.linalg.eigh(gram)
+        if floor is None:
+            floor = (max(a.shape) * np.finfo(float).eps) ** 2 * w.max()
+        keep = w > max(_PASS_RANGE * w.max(), floor)
+        if not keep.any():
+            break
+        s = np.sqrt(w[keep])
+        found = rows.T @ (u[:, keep] / s)
+        vr = np.hstack([vr, found]) if vr.size else found
+        coef = np.concatenate([coef, (u[:, keep].T @ rhs) / s])
+        # the other eigenvectors rotate R into rows orthogonal to vr, exactly
+        # so without rounding.  Writing x = vr coef + y with y orthogonal to
+        # vr, they give rows' y = rhs - (rows vr) coef, where rows' has vr
+        # projected out; that keeps the next pass's vectors orthogonal to vr,
+        # and the right-hand side carries the rounding of the rotation
+        rest = u[:, ~keep]
+        rows, rhs = rest.T @ rows, rest.T @ rhs
+        cross = rows @ vr
+        rows = rows - cross @ vr.T
+        rhs = rhs - cross @ coef
+    return vr, vr @ coef
+
+
 class _Projector:
     """Precomputed projections for one problem."""
 
     def __init__(self, problem: SdpProblem):
         self.problem = problem
         a, b = problem.assemble()
-        # A A^T = U S^2 U^T, so A^T U S^-1 is an orthonormal basis of the row
-        # space of A (the V of A's SVD); the rank tolerance sits on the
-        # eigenvalues S^2, where null directions land near eps ||A||^2 (their
-        # square roots would pass an SVD-style bound)
-        w, u = np.linalg.eigh(a @ a.T)
-        keep = w > max(a.shape) * np.finfo(float).eps * w.max(initial=0.0)
-        s_inv = 1.0 / np.sqrt(w[keep])
-        u = u[:, keep]
-        self.vr = a.T @ (u * s_inv)
-        self.x_part = self.vr @ (s_inv * (u.T @ b))
+        self.vr, self.x_part = _row_space(a, b)
         self.inconsistency = float(np.abs(a @ self.x_part - b).max(initial=0.0))
         self.b = b
         # group psd blocks by dimension for batched eigendecompositions; a 1x1

@@ -94,6 +94,15 @@ def test_division_reflexive(rng):
     assert q.channel_division(chan, chan).below
 
 
+def test_division_reflexive_nearly_depolarizing():
+    # identity weight 3e-8: nine Pauli-product directions of the constraint
+    # matrix have singular values of that order, which the affine set must keep
+    chan = partial_depolarizing(3e-8)
+    rep = q.channel_division(chan, chan)
+    assert rep.below
+    assert rep.residual < 1e-6
+
+
 @pytest.mark.parametrize("din,dmid,dout", [(2, 2, 2), (2, 4, 2), (3, 3, 3), (3, 2, 3)])
 def test_compose_map_equals_probed_map(rng, din, dmid, dout):
     # the basis slices through one einsum each give the probed map, bit for bit

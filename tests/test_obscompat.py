@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
+from conftest import near_parallel_povm
 from qincompat.sdpcore import Verdict
 
 
@@ -224,3 +225,19 @@ def test_order_reflexive_transitive(rng):
     low = q.post_process(mid, st2)
     assert q.postprocessing_order(mid, obs).below
     assert q.postprocessing_order(low, obs).below
+
+
+@pytest.mark.parametrize("theta", [3e-8, 1e-9])
+def test_order_reflexive_with_nearly_parallel_effects(theta):
+    # the constraint matrix holds a singular value of order theta times the
+    # largest, which the affine set must keep, exactly enough that the identity
+    # post-processing on the boundary of the cone stays on it
+    obs = near_parallel_povm(theta)
+    rep = q.postprocessing_order(obs, obs)
+    assert rep.solve.verdict is Verdict.FEASIBLE
+    assert rep.residual < 1e-6
+
+
+def test_order_report_takes_its_solve_first():
+    with pytest.raises(TypeError):
+        q.OrderReport(True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qincompat as q
 import qincompat.linalg as la
-from conftest import rand_herm
+from conftest import near_parallel_povm, rand_herm
 from qincompat import chancompat, obschan, obscompat, process, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
@@ -239,11 +239,22 @@ def built_problem(module, call) -> SdpProblem:
 
 
 def svd_reference(a, b):
-    """Row-space basis and particular solution from a dense SVD, rank cut on s."""
+    """Row-space basis, particular solution and condition number of the kept part
+    from a dense SVD, rank cut on s."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     r = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s.max(initial=0.0)))
     vr = vt[:r].T
-    return vr, vr @ ((u[:, :r].T @ b) / s[:r])
+    return vr, vr @ ((u[:, :r].T @ b) / s[:r]), s[0] / s[r - 1]
+
+
+def _nearly_constant_pair(g, rng):
+    """A qubit-to-qutrit channel with weight g on an isometry, the rest constant,
+    and that channel followed by a random qutrit-to-qubit channel."""
+    iso = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))[0]
+    const = q.constant_channel(random_state(3, rng), 2)
+    through = q.Channel.from_choi(g * q.kraus_to_choi(iso[None]) + (1 - g) * const.choi(), 2, 3)
+    post = q.random_channel(3, 2, rng)
+    return q.Channel.from_choi(q.choi_compose(through.choi(), post.choi(), 2, 3, 2), 2, 2), through
 
 
 def _projector_cases():
@@ -273,6 +284,19 @@ def _projector_cases():
     for mode in (None, *chancompat.NoiseClass):
         name = "obs_channel_" + (mode.value if mode else "plain")
         cases[name] = lambda mode=mode: chancompat._obs_channel_problem(fine, chan3, mode, 0.7)
+    # ill-conditioned: singular values down to about 1e-8 of the largest, which
+    # an SVD keeps and a single Gram pass cannot resolve; the division problem
+    # is wide with dependent rows, the order problem tall
+    near = near_parallel_povm(3e-8)
+    cases["order_near_dependent"] = lambda: built_problem(obscompat, lambda: obscompat.postprocessing_order(
+        near, near))
+    for g in (1e-4, 3e-8):
+        pair = _nearly_constant_pair(g, rng)
+        cases[f"division_nearly_constant_{g:g}"] = lambda pair=pair: built_problem(
+            chancompat, lambda: chancompat.channel_division(*pair))
+    povm16 = random_povm(16, 2, rng)
+    cases["order_tall"] = lambda: built_problem(obscompat, lambda: obscompat.postprocessing_order(
+        povm16, povm16))
     return cases
 
 
@@ -284,15 +308,19 @@ def test_gram_projector_matches_svd(name):
     prob = PROJECTOR_CASES[name]()
     proj = _Projector(prob)
     a, b = prob.assemble()
-    vr, x_part = svd_reference(a, b)
+    vr, x_part, kappa = svd_reference(a, b)
     assert proj.vr.shape == vr.shape  # equal rank
     r = vr.shape[1]
     assert np.abs(proj.vr.T @ proj.vr - np.eye(r)).max() < 1e-12
+    # the row space and the least-norm solution are fixed by the data only to
+    # about eps * kappa, for the SVD as for the Gram factorization
+    tol = 1e-12 + 1e-15 * kappa
     rng = np.random.default_rng(7)
     xs = rng.normal(size=(prob.n_vars, 4))
     xs /= np.linalg.norm(xs, axis=0)
-    assert np.abs(proj.vr @ (proj.vr.T @ xs) - vr @ (vr.T @ xs)).max() < 1e-12
-    assert np.abs(proj.x_part - x_part).max() < 1e-12
+    assert np.abs(proj.vr @ (proj.vr.T @ xs) - vr @ (vr.T @ xs)).max() < tol
+    assert np.abs(proj.x_part - x_part).max() < tol
+    assert abs(proj.inconsistency - np.abs(a @ x_part - b).max()) < 1e-12 * (1 + np.abs(b).max())
     for col in xs.T:
         once = proj.affine(col)
         assert np.abs(proj.affine(once) - once).max() < 1e-12
@@ -307,6 +335,22 @@ def test_gram_rank_of_dependent_channel_rows(d):
     assert prob.assemble()[0].shape[0] == 2 * d**4
     assert proj.vr.shape[1] == 2 * d**4 - d**2
     assert proj.inconsistency < 1e-12
+
+
+@pytest.mark.parametrize("name", ["order_tall", "channel_pair_d3", "division_nearly_constant_3e-08"])
+def test_gram_matrix_takes_the_smaller_side(name, monkeypatch):
+    prob = PROJECTOR_CASES[name]()
+    a, _ = prob.assemble()
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(mat, *args, **kwargs):
+        sizes.append(mat.shape[-1])
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    _Projector(prob)
+    assert sizes and max(sizes) <= min(a.shape)
 
 
 @pytest.mark.parametrize("eps,verdict", [
