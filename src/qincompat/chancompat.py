@@ -93,10 +93,16 @@ def broadcastable_states(states, atol: float = 1e-10) -> bool:
 # === division preorder =======================================================
 
 @dataclass(frozen=True)
-class DivisionReport:
-    below: bool
+class DivisionReport(Decision):
+    """Outcome of a channel division: the deciding solve, and the factor when below."""
+
     factor: Channel | None = None
     residual: float = 0.0
+
+    @property
+    def below(self) -> bool:
+        """True exactly when the deciding solve found a factor."""
+        return self.feasible
 
 
 def _compose_map(j_first, din: int, dmid: int, dout: int) -> np.ndarray:
@@ -119,9 +125,9 @@ def channel_division(chan: Channel, through: Channel,
                      tols: Tolerances | None = None) -> DivisionReport:
     """Is ``chan`` a post-processing of ``through``?
 
-    Feasibility of a channel E with chan = E o through; the factor E is
-    returned when it exists.  Composition against a fixed first channel is
-    linear in the Choi matrix of E.
+    Feasibility of a channel E with chan = E o through; the report carries
+    the deciding solve, and the factor E when it exists.  Composition against
+    a fixed first channel is linear in the Choi matrix of E.
     """
     tols = tols or DEFAULT_TOLS
     if chan.in_dim != through.in_dim:
@@ -140,11 +146,11 @@ def channel_division(chan: Channel, through: Channel,
     )
     res = solve_feasibility(prob, tols)
     if not res.feasible:
-        return DivisionReport(False)
+        return DivisionReport(res)
     factor = Channel.from_choi(res.witness["factor"], dmid, dout, atol=tols.witness_atol)
     recon = choi_compose(j_through, factor.choi(), din, dmid, dout)
     residual = float(np.abs(recon - chan.choi()).max())
-    return DivisionReport(True, factor, residual)
+    return DivisionReport(res, factor, residual)
 
 
 def conjugate_compat_check(chan_a: Channel, chan_b: Channel,

@@ -99,11 +99,12 @@ class Observable:
         eff = np.asarray(self.effects, dtype=complex)
         if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
             raise ValueError(f"effects must have shape (m, d, d), got {eff.shape}")
-        eff = np.stack([la.require_hermitian(e, max(atol, DEFAULT_TOLS.herm_atol)) for e in eff])
-        for k, e in enumerate(eff):
-            lo = la.min_eig(e)
-            if lo < -atol:
-                raise ValueError(f"effect {k} not positive (min eig {lo:.3e})")
+        eff = la.require_hermitian(eff, max(atol, DEFAULT_TOLS.herm_atol))
+        lo = la.min_eig(eff)
+        bad = np.flatnonzero(lo < -atol)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"effect {k} not positive (min eig {lo[k]:.3e})")
         total = eff.sum(axis=0)
         dev = np.abs(total - np.eye(eff.shape[1])).max()
         if dev > atol:
@@ -251,11 +252,12 @@ class Instrument:
         dio = self.in_dim * self.out_dim
         if blocks.ndim != 3 or blocks.shape[1:] != (dio, dio):
             raise ValueError(f"choi blocks must have shape (m, {dio}, {dio}), got {blocks.shape}")
-        blocks = np.stack([la.require_hermitian(b, max(atol, DEFAULT_TOLS.herm_atol)) for b in blocks])
-        for x, b in enumerate(blocks):
-            lo = la.min_eig(b)
-            if lo < -atol:
-                raise ValueError(f"operation {x} is not completely positive (min eig {lo:.3e})")
+        blocks = la.require_hermitian(blocks, max(atol, DEFAULT_TOLS.herm_atol))
+        lo = la.min_eig(blocks)
+        bad = np.flatnonzero(lo < -atol)
+        if bad.size:
+            x = bad[0]
+            raise ValueError(f"operation {x} is not completely positive (min eig {lo[x]:.3e})")
         marg = la.partial_trace(blocks.sum(axis=0), [self.in_dim, self.out_dim], keep=[0])
         dev = np.abs(marg - np.eye(self.in_dim)).max()
         if dev > atol:

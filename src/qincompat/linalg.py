@@ -37,11 +37,11 @@ __all__ = [
 
 
 def as_matrix(a, *, square: bool = True) -> np.ndarray:
-    """Coerce to a finite complex 2-d array."""
+    """Coerce to a finite complex matrix, or a stack of them on the last two axes."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
@@ -58,7 +58,10 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a, atol: float | None = None) -> np.ndarray:
-    """Validate Hermiticity to ``atol`` (max-norm) and return the symmetrized copy."""
+    """Validate Hermiticity to ``atol`` (max-norm) and return the symmetrized copy.
+
+    A stack of matrices is checked as a whole, against its largest deviation.
+    """
     if atol is None:
         atol = DEFAULT_TOLS.herm_atol
     m = as_matrix(a)
@@ -69,28 +72,31 @@ def require_hermitian(a, atol: float | None = None) -> np.ndarray:
 
 
 class EigenDecomposition(NamedTuple):
-    """Eigenvalues ascending; ``vectors[:, k]`` is the k-th eigenvector."""
+    """Eigenvalues ascending; ``vectors[..., :, k]`` is the k-th eigenvector."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
 def eig_hermitian(a, atol: float | None = None) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Full eigendecomposition of a Hermitian matrix (or a stack), eigenvalues ascending."""
     m = require_hermitian(a, atol)
     vals, vecs = np.linalg.eigh(m)
     return EigenDecomposition(vals, vecs)
 
 
 def psd_project(a, atol: float | None = None) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix: clip negative eigenvalues."""
+    """Nearest (Frobenius) positive semidefinite matrix, of each matrix in a
+    stack: clip negative eigenvalues."""
     vals, vecs = eig_hermitian(a, atol)
     clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ dagger(vecs)
+    return (vecs * clipped[..., None, :]) @ dagger(vecs)
 
 
-def min_eig(a, atol: float | None = None) -> float:
-    return float(eig_hermitian(a, atol).values[0])
+def min_eig(a, atol: float | None = None) -> float | np.ndarray:
+    """Smallest eigenvalue of a Hermitian matrix; an array of them for a stack."""
+    lo = np.linalg.eigvalsh(require_hermitian(a, atol))[..., 0]
+    return float(lo) if lo.ndim == 0 else lo
 
 
 def partial_trace(a, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -20,7 +20,7 @@ from .chancompat import MAX_BLOCK_SIDE, DivisionReport, _obs_channel_problem, ch
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import OrderReport, postprocessing_order
-from .sdpcore import Decision, SdpProblem, real_linear_map, solve_feasibility, vec_of
+from .sdpcore import Decision, SdpProblem, Verdict, real_linear_map, solve_feasibility, vec_of
 
 __all__ = [
     "ObsChannelResult",
@@ -208,9 +208,19 @@ class NddrReport:
     transfer: tuple[bool, ...]
 
     @property
-    def consistent(self) -> bool:
-        if not self.order.below:
+    def consistent(self) -> bool | None:
+        """Whether the evidence agrees with the order; ``None`` when it is not decided.
+
+        A certified "not below" order is consistent with anything.  Below
+        it, the division must be below and every transfer hold.  An
+        undecided or only heuristically infeasible order or division solve
+        decides nothing.
+        """
+        if self.order.verdict is Verdict.INFEASIBLE_CERTIFIED:
             return True
+        decided = (Verdict.FEASIBLE, Verdict.INFEASIBLE_CERTIFIED)
+        if not self.order.below or self.division.verdict not in decided:
+            return None
         return self.division.below and all(self.transfer)
 
 

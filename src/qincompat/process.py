@@ -59,11 +59,12 @@ class Tester:
         if eff.ndim != 3 or eff.shape[1:] != (dio, dio):
             raise ValueError(f"effects must have shape (m, {dio}, {dio}), got {eff.shape}")
         herm_atol = max(atol, DEFAULT_TOLS.herm_atol)
-        eff = np.stack([la.require_hermitian(e, herm_atol) for e in eff])
-        for j, e in enumerate(eff):
-            lo = la.min_eig(e)
-            if lo < -atol:
-                raise ValueError(f"effect {j} is not positive (min eig {lo:.3e})")
+        eff = la.require_hermitian(eff, herm_atol)
+        lo = la.min_eig(eff)
+        bad = np.flatnonzero(lo < -atol)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"effect {j} is not positive (min eig {lo[j]:.3e})")
         total = eff.sum(axis=0)
         xi = la.partial_trace(total, [self.in_dim, self.out_dim], keep=[0]) / self.out_dim
         dev = np.abs(total - la.kron(xi, np.eye(self.out_dim))).max()
@@ -155,8 +156,8 @@ def check_tester_pair(t1: Tester, t2: Tester,
     joint = None
     if result.feasible:
         m, n, side = t1.n_outcomes, t2.n_outcomes, t1.in_dim * t1.out_dim
-        blocks = [la.psd_project(result.witness[f"g{i}"]) for i in range(m * n)]
-        joint = np.stack(blocks).reshape(m, n, side, side)
+        blocks = la.psd_project(np.stack([result.witness[f"g{i}"] for i in range(m * n)]))
+        joint = blocks.reshape(m, n, side, side)
     return TesterPairResult(result, joint)
 
 

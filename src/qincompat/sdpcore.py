@@ -15,6 +15,15 @@ solver alternates exact projections:
 * onto the cone product, block by block (eigenvalue clipping, scalar clamping,
   trace rescaling when a cap is exceeded).
 
+The one-off work of a solve runs block by block.  The factorization sees only
+the touched columns of A, those some row uses (the d=4 channel pair touches
+1,792 of its 4,096), and decomposes each Gram matrix by its diagonal blocks,
+the connected components of its nonzero pattern, with one stacked ``eigh``
+per block size.  A problem is assembled once per solve: the touched-column
+matrix also gives the inconsistency test and the residual of every witness
+check.  Unpacking an iterate, checking a witness's blocks and the cone step
+each make one stacked call per block size.
+
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
 distance.  While the best residual is above ``infeas``, a separating-functional
@@ -262,16 +271,27 @@ class SdpProblem:
 
     # --- views -------------------------------------------------------------
 
+    def _stacks(self) -> list[tuple[list[_Block], np.ndarray]]:
+        """Blocks grouped by kind and size, for one stacked call per group.
+
+        Each group is ``(blocks, idx)`` with ``idx[i]`` the coordinates of
+        ``blocks[i]``; groups come in the order of their first block.
+        """
+        groups: dict[tuple[str, int], list[_Block]] = {}
+        for blk in self._blocks.values():
+            groups.setdefault((blk.kind, blk.dim), []).append(blk)
+        return [(blks, np.array([b.offset for b in blks])[:, None] + np.arange(blks[0].length))
+                for blks in groups.values()]
+
     def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """Unpack a flat iterate into named Hermitian matrices / scalar vectors."""
-        out = {}
-        for blk in self._blocks.values():
-            seg = x[blk.offset : blk.offset + blk.length]
-            if blk.kind == "psd":
-                out[blk.name] = la.real_vec_to_hermitian(seg, blk.dim)
-            else:
-                out[blk.name] = seg.copy()
-        return out
+        parts = {}
+        for blks, idx in self._stacks():
+            vals = x[idx]
+            if blks[0].kind == "psd":
+                vals = la.real_vec_to_hermitian(vals, blks[0].dim)
+            parts.update(zip((b.name for b in blks), vals))
+        return {name: parts[name] for name in self._blocks}
 
 
 def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
@@ -357,23 +377,54 @@ class Decision:
         return self.solve.feasible
 
 
+def _block_eigh(gram: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``eigh`` of a symmetric matrix by the diagonal blocks of its nonzero pattern.
+
+    The blocks are the connected components of the pattern: every row takes
+    the smallest row index it reaches along nonzero entries.  Returns one
+    ``(idx, w, u)`` per block size, from one stacked ``eigh``: ``idx[k]``
+    lists the rows of the kth block of that size in ascending order, and
+    ``w[k]``, ``u[k]`` are the eigenvalues and eigenvectors of
+    ``gram[idx[k]][:, idx[k]]``.  A matrix that is one block takes a single
+    ``eigh`` of the whole.
+    """
+    n = len(gram)
+    linked = gram != 0
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label, np.where(linked, label, n).min(axis=1))
+        low = low[low]  # the label of a label is in the same block and no larger
+        if np.array_equal(low, label):
+            break
+        label = low
+    size = np.bincount(label, minlength=n)[label]
+    order = np.lexsort((label, size))  # by block size, then block; rows stay ascending
+    out = []
+    for rows in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
+        idx = rows.reshape(-1, size[rows[0]])
+        w, u = np.linalg.eigh(gram[idx[:, :, None], idx[:, None, :]])
+        out.append((idx, w, u))
+    return out
+
+
 # One pass of the affine factorization keeps the Gram eigenvalues within this
 # factor of its largest: their singular vectors come out orthonormal to about
 # eps / _PASS_RANGE, and the remaining rows go to the next pass.
 _PASS_RANGE = 1e-3
 
 
-def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the row space of ``a`` and the least-norm solution of a x = b.
 
-    The rank is the one a dense SVD reveals: singular values above
-    max(a.shape) * eps times the largest.  Each pass factorizes the Gram
-    matrix R R^T = U W U^T of the rows R not yet resolved.  Eigenvalues within
-    ``_PASS_RANGE`` of the largest give basis vectors R^T U W^-1/2; the other
-    eigenvectors rotate R into rows that hold the remaining directions, and
-    the next pass resolves those relative to their own size.  A tall ``a`` is
-    first replaced by the triangle of its QR factorization, so no Gram matrix
-    exceeds min(a.shape)^2.
+    The rank is the one a dense SVD reveals with the cut ``cut``: singular
+    values above ``cut`` times the largest.  Each pass factorizes the Gram
+    matrix R R^T = U W U^T of the rows R not yet resolved, block by block
+    (:func:`_block_eigh`), and rotates R into the rows U^T R, whose squared
+    norms are W.  Rows with W within ``_PASS_RANGE`` of the largest,
+    scaled by W^-1/2, are basis vectors; the other rows hold the remaining
+    directions, and the next pass resolves those relative to their own size.
+    A tall ``a`` is first replaced by the triangle of its QR factorization,
+    so no Gram matrix exceeds min(a.shape)^2.
     """
     rows, rhs = a, b
     if a.shape[0] > a.shape[1]:
@@ -386,23 +437,34 @@ def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gram = rows @ rows.T
         if floor is not None and np.trace(gram) <= floor:
             break
-        w, u = np.linalg.eigh(gram)
+        # U^T R and U^T rhs, one stacked eigh and product per block size: a
+        # block's eigenvectors combine only its own rows
+        w = np.empty(len(rows))
+        turned = np.empty_like(rows)
+        turned_rhs = np.empty_like(rhs)
+        at = 0
+        for idx, wb, u in _block_eigh(gram):
+            span = slice(at, at + idx.size)
+            w[span] = wb.ravel()
+            np.matmul(np.swapaxes(u, 1, 2), rows[idx], out=turned[span].reshape(idx.shape + (-1,)))
+            turned_rhs[span] = np.einsum("kij,ki->kj", u, rhs[idx]).ravel()
+            at += idx.size
         if floor is None:
-            floor = (max(a.shape) * np.finfo(float).eps) ** 2 * w.max()
+            floor = cut**2 * w.max()
         keep = w > max(_PASS_RANGE * w.max(), floor)
         if not keep.any():
             break
         s = np.sqrt(w[keep])
-        found = rows.T @ (u[:, keep] / s)
-        vr = np.hstack([vr, found]) if vr.size else found
-        coef = np.concatenate([coef, (u[:, keep].T @ rhs) / s])
-        # the other eigenvectors rotate R into rows orthogonal to vr, exactly
-        # so without rounding.  Writing x = vr coef + y with y orthogonal to
-        # vr, they give rows' y = rhs - (rows vr) coef, where rows' has vr
-        # projected out; that keeps the next pass's vectors orthogonal to vr,
-        # and the right-hand side carries the rounding of the rotation
-        rest = u[:, ~keep]
-        rows, rhs = rest.T @ rows, rest.T @ rhs
+        found = turned[keep]
+        found /= s[:, None]
+        vr = np.hstack([vr, found.T]) if vr.size else found.T
+        coef = np.concatenate([coef, turned_rhs[keep] / s])
+        # the other rotated rows are orthogonal to vr, exactly so without
+        # rounding.  Writing x = vr coef + y with y orthogonal to vr, they give
+        # rows' y = rhs - (rows vr) coef, where rows' has vr projected out;
+        # that keeps the next pass's vectors orthogonal to vr, and the
+        # right-hand side carries the rounding of the rotation
+        rows, rhs = turned[~keep], turned_rhs[~keep]
         cross = rows @ vr
         rows = rows - cross @ vr.T
         rhs = rhs - cross @ coef
@@ -410,31 +472,42 @@ def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Projector:
-    """Precomputed projections for one problem."""
+    """Precomputed projections for one problem.
+
+    Only the touched columns of the constraint matrix A, those some row
+    uses, enter the factorization: ``a`` holds them and ``cols`` their
+    indices, and A x = a x[cols] for every x.  ``vr`` and ``x_part`` are
+    full width, zero on the other coordinates.
+    """
 
     def __init__(self, problem: SdpProblem):
         self.problem = problem
-        a, b = problem.assemble()
-        self.vr, self.x_part = _row_space(a, b)
-        self.inconsistency = float(np.abs(a @ self.x_part - b).max(initial=0.0))
-        self.b = b
-        # group psd blocks by dimension for batched eigendecompositions; a 1x1
-        # block is clipped with the scalars, with no eigh group of its own
-        groups: dict[int, list[_Block]] = {}
-        scalars: list[_Block] = []
-        for blk in problem._blocks.values():
-            (scalars.append(blk) if blk.interval else groups.setdefault(blk.dim, []).append(blk))
+        a, self.b = problem.assemble()
+        self.cols = np.flatnonzero(np.any(a != 0, axis=0))
+        cut = max(a.shape) * np.finfo(float).eps
+        self.a = a = np.take(a, self.cols, axis=1)  # the only copy kept, row-major
+        vr, x_part = _row_space(a, self.b, cut)
+        self.vr = np.zeros((problem.n_vars, vr.shape[1]))
+        self.vr[self.cols] = vr
+        self.x_part = np.zeros(problem.n_vars)
+        self.x_part[self.cols] = x_part
+        self.inconsistency = float(np.abs(a @ x_part - self.b).max(initial=0.0))
+        # psd blocks of one side share a batched eigendecomposition; 1x1
+        # blocks are clipped with the scalars, with no eigh group of their own
         self.psd_groups = []
-        for dim, blks in groups.items():
-            idx = np.stack([np.arange(b_.offset, b_.offset + b_.length) for b_ in blks])
-            caps = np.array([float(b_.cap) for b_ in blks])
-            self.psd_groups.append((dim, idx, caps, np.arange(1, dim + 1)))
-        if scalars:
-            self.scalar_idx = np.concatenate([np.arange(b_.offset, b_.offset + b_.length) for b_ in scalars])
-            self.scalar_caps = np.concatenate([np.broadcast_to(b_.cap, (b_.length,)) for b_ in scalars])
-        else:
-            self.scalar_idx = np.zeros(0, dtype=int)
-            self.scalar_caps = np.zeros(0)
+        scalar_idx, scalar_caps = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for blks, idx in problem._stacks():
+            if blks[0].interval:
+                scalar_idx.append(idx.ravel())
+                scalar_caps += [np.broadcast_to(b.cap, (b.length,)) for b in blks]
+            else:
+                dim = blks[0].dim
+                caps = np.array([float(b.cap) for b in blks])
+                self.psd_groups.append((dim, idx, caps, np.arange(1, dim + 1)))
+        # interval coordinates in layout order
+        order = np.argsort(np.concatenate(scalar_idx))
+        self.scalar_idx = np.concatenate(scalar_idx)[order]
+        self.scalar_caps = np.concatenate(scalar_caps)[order]
 
     def affine(self, x: np.ndarray) -> np.ndarray:
         return x - self.vr @ (self.vr.T @ x) + self.x_part
@@ -491,32 +564,46 @@ def _certificate(proj: _Projector, z: np.ndarray, a_pt: np.ndarray, tols: Tolera
     return Certificate(proj.problem.split(h), affine_value, cone_inf)
 
 
-def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: Tolerances | None = None):
+def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: Tolerances | None = None,
+                   constraints: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
     """Independent witness check: constraint residuals and cone memberships.
 
     Returns (ok, report) with the worst residuals; thresholds are
-    ``witness_factor * feas`` per the solver contract.
+    ``witness_factor * feas`` per the solver contract.  The witness is
+    vectorized and its blocks checked with one stacked call per block size.
+    ``constraints`` is ``(a, cols, b)``, the assembled constraints with A
+    restricted to the columns ``cols`` that some row uses, when the caller
+    already holds them (the solver passes its projector's); otherwise the
+    problem is assembled here.
     """
     tols = tols or DEFAULT_TOLS
     slack = tols.witness_atol
+    for name in witness:
+        problem.block(name)  # an unknown name raises KeyError
     x = np.zeros(problem.n_vars)
-    for name, val in witness.items():
-        blk = problem.block(name)
-        if blk.kind == "psd":
-            x[blk.offset : blk.offset + blk.length] = la.hermitian_to_real_vec(np.asarray(val, dtype=complex))
-        else:
-            x[blk.offset : blk.offset + blk.length] = np.asarray(val, dtype=float)
-    a, b = problem.assemble()
-    constraint_residual = float(np.abs(a @ x - b).max()) if a.shape[0] else 0.0
     worst_eig = 0.0
     worst_scalar = 0.0
-    for blk in problem._blocks.values():
-        seg = x[blk.offset : blk.offset + blk.length]
-        if blk.interval:
-            worst_scalar = min(worst_scalar, float(seg.min(initial=0.0)))
+    for blks, idx in problem._stacks():
+        given = [i for i, b in enumerate(blks) if b.name in witness]
+        if not given:
+            continue
+        vals = [witness[blks[i].name] for i in given]
+        head = blks[0]
+        if head.kind == "psd":
+            x[idx[given]] = la.hermitian_to_real_vec(np.asarray(vals, dtype=complex))
         else:
-            lo = float(np.linalg.eigvalsh(la.real_vec_to_hermitian(seg, blk.dim))[0])
-            worst_eig = min(worst_eig, lo)
+            x[idx[given]] = np.asarray(vals, dtype=float)
+        if head.interval:
+            worst_scalar = min(worst_scalar, float(x[idx].min(initial=0.0)))
+        else:
+            lo = np.linalg.eigvalsh(la.real_vec_to_hermitian(x[idx], head.dim))[:, 0]
+            worst_eig = min(worst_eig, float(lo.min()))
+    if constraints is None:
+        a, b = problem.assemble()
+        cols = slice(None)
+    else:
+        a, cols, b = constraints
+    constraint_residual = float(np.abs(a @ x[cols] - b).max()) if a.shape[0] else 0.0
     ok = constraint_residual < slack and worst_eig > -slack and worst_scalar > -slack
     report = {
         "constraint_residual": constraint_residual,
@@ -576,7 +663,7 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
         if res < tols.feas:
             a_pt = proj.affine(pk)
             witness = problem.split(a_pt)
-            ok, _ = verify_witness(problem, witness, tols)
+            ok, _ = verify_witness(problem, witness, tols, (proj.a, proj.cols, proj.b))
             if ok:
                 return SolveResult(Verdict.FEASIBLE, witness, it, res, iterate=x)
         best = min(best, res)

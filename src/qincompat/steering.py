@@ -56,13 +56,12 @@ class Assemblage:
         blocks = np.asarray(self.blocks, dtype=complex)
         if blocks.ndim != 4 or blocks.shape[2] != blocks.shape[3]:
             raise ValueError(f"blocks must have shape (settings, outcomes, d, d), got {blocks.shape}")
-        herm_atol = max(atol, DEFAULT_TOLS.herm_atol)
-        for j in range(blocks.shape[0]):
-            for x in range(blocks.shape[1]):
-                blocks[j, x] = la.require_hermitian(blocks[j, x], herm_atol)
-                lo = la.min_eig(blocks[j, x])
-                if lo < -atol:
-                    raise ValueError(f"block ({x}|{j}) is not positive (min eig {lo:.3e})")
+        blocks = la.require_hermitian(blocks, max(atol, DEFAULT_TOLS.herm_atol))
+        lo = la.min_eig(blocks)
+        bad = np.argwhere(lo < -atol)
+        if bad.size:
+            j, x = bad[0]
+            raise ValueError(f"block ({x}|{j}) is not positive (min eig {lo[j, x]:.3e})")
         totals = blocks.sum(axis=1)
         spread = np.abs(totals - totals[0]).max() if len(totals) > 1 else 0.0
         if spread > max(atol, 1e-8):
@@ -174,8 +173,8 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
     result = solve_feasibility(joint_problem(assemblage.blocks), tols)
     model = None
     if result.feasible:
-        states = np.stack([la.psd_project(result.witness[f"g{k}"])
-                           for k in range(len(strategies))])
+        states = la.psd_project(np.stack([result.witness[f"g{k}"]
+                                          for k in range(len(strategies))]))
         model = LhsModel(states, strategies)
     return LhsResult(result, model)
 

@@ -4,6 +4,7 @@ import pytest
 import qincompat as q
 from qincompat import chancompat, sdpcore
 from qincompat import linalg as la
+from qincompat.config import Tolerances
 from qincompat.sdpcore import Verdict
 
 
@@ -87,6 +88,22 @@ def test_channel_division_negative(ident):
     rep = q.channel_division(ident, partial_depolarizing(0.5))
     assert not rep.below
     assert rep.factor is None
+
+
+def test_channel_division_reports_undecided_solve():
+    # a pair that divides under the default tolerances, with the solve cut
+    # short: the report says undecided instead of a bare "not below"
+    depol = partial_depolarizing(0.5)
+    composed = q.Channel.from_choi(
+        q.choi_compose(depol.choi(), partial_depolarizing(0.6).choi(), 2, 2, 2), 2, 2)
+    assert q.channel_division(composed, depol).verdict is Verdict.FEASIBLE
+    rep = q.channel_division(composed, depol, Tolerances(feas=1e-18, max_iter=20))
+    assert rep.verdict is Verdict.UNDECIDED
+    assert not rep.below
+    assert rep.factor is None
+    assert rep.solve.iterations == 20
+    # the conjugate check still answers with a plain bool
+    assert q.conjugate_compat_check(depol, depol) is True
 
 
 def test_division_reflexive(rng):

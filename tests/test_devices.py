@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,26 @@ def test_observable_validators():
     obs = q.Observable(np.stack([np.eye(2) * 0.4, np.eye(2) * 0.6]), outcomes=("a", "b"))
     assert obs.outcomes == ("a", "b")
     assert obs.n_outcomes == 2
+
+
+def _effects_negative_at_two():
+    effects = np.stack([np.diag([0.5, 0.3]), np.diag([0.3, 0.3]), np.diag([-0.1, 0.2]),
+                        np.diag([0.3, 0.2])])
+    lo = la.eig_hermitian(effects[2]).values[0]
+    return effects, f"(min eig {lo:.3e})"
+
+
+def test_observable_names_first_non_positive_effect():
+    effects, min_eig = _effects_negative_at_two()
+    with pytest.raises(ValueError, match=re.escape(f"effect 2 not positive {min_eig}")):
+        q.Observable(effects)
+
+
+def test_instrument_names_first_non_positive_operation():
+    # maps to a one-dimensional output: the Choi blocks are the effects
+    effects, min_eig = _effects_negative_at_two()
+    with pytest.raises(ValueError, match=re.escape(f"operation 2 is not completely positive {min_eig}")):
+        q.Instrument(effects, in_dim=2, out_dim=1)
 
 
 def test_channel_validators(rng):

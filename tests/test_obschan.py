@@ -3,6 +3,7 @@ import pytest
 
 import qincompat as q
 from qincompat.linalg import partial_trace
+from qincompat.config import Tolerances
 from qincompat.sdpcore import Verdict
 
 
@@ -138,3 +139,12 @@ def test_nddr_unrelated_pair(sharp_x, sharp_z, rng):
     rep = q.nddr_test(sharp_x, sharp_z, rng=rng, samples=2)
     assert not rep.order.below
     assert rep.consistent
+
+
+def test_nddr_undecided_order_is_not_consistent(rng):
+    # an order solve cut short decides nothing, so neither does the report
+    fine = q.random_povm(2, 3, rng)
+    coarse = q.binarize(fine, [0, 1])
+    rep = q.nddr_test(coarse, fine, rng=rng, samples=2, tols=Tolerances(feas=1e-18, max_iter=20))
+    assert rep.order.verdict is Verdict.UNDECIDED
+    assert rep.consistent is None

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 import qincompat as q
 import qincompat.linalg as la
 from conftest import near_parallel_povm, rand_herm
-from qincompat import chancompat, obschan, obscompat, process, steering
+from qincompat import chancompat, obschan, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
 from qincompat.obscompat import check_joint
 from qincompat.process import check_tester_pair, prepare_measure_tester
-from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _Projector,
+from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _block_eigh, _Projector,
                                bisect_threshold, joint_problem, partial_trace_map,
                                real_linear_map, solve_feasibility, vec_of, verify_witness,
                                warm_bisect)
@@ -337,6 +337,82 @@ def test_gram_rank_of_dependent_channel_rows(d):
     assert proj.inconsistency < 1e-12
 
 
+def _block_diagonal(rng, blocks):
+    """Symmetric PSD matrix with the given diagonal blocks, rows permuted at random."""
+    n = sum(len(b) for b in blocks)
+    g = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        g[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    perm = rng.permutation(n)
+    return g[np.ix_(perm, perm)]
+
+
+def _gram_block(rng, size):
+    m = rng.normal(size=(size, size + 2))
+    return m @ m.T
+
+
+def _path_block(rng, size):
+    # tridiagonal: one block although most of its entries are exact zeros
+    off = rng.uniform(0.5, 1.0, size - 1)
+    return np.diag(rng.uniform(3.0, 4.0, size)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("case", ["one_block", "singletons", "equal_blocks", "mixed", "zeros_inside"])
+def test_block_eigh_matches_dense_eigh(rng, case):
+    blocks = {
+        "one_block": lambda: [_gram_block(rng, 9)],
+        "singletons": lambda: [_gram_block(rng, 1) for _ in range(6)] + [np.zeros((1, 1))],
+        "equal_blocks": lambda: [_gram_block(rng, 3) for _ in range(5)],
+        "mixed": lambda: [_gram_block(rng, s) for s in (1, 4, 2, 4, 1, 2, 8)],
+        "zeros_inside": lambda: [_path_block(rng, 6), _path_block(rng, 6), _gram_block(rng, 2)],
+    }[case]()
+    g = _block_diagonal(rng, blocks)
+    scale = np.linalg.norm(g)
+    found = _block_eigh(g)
+    # every row in exactly one block, and the blocks are the components
+    rows = np.concatenate([idx.ravel() for idx, _, _ in found])
+    assert np.array_equal(np.sort(rows), np.arange(len(g)))
+    assert sorted(s for idx, _, _ in found for s in [idx.shape[1]] * idx.shape[0]) == sorted(
+        len(b) for b in blocks)
+    assert len({idx.shape[1] for idx, _, _ in found}) == len(found)  # one eigh per size
+    spectrum = np.sort(np.concatenate([w.ravel() for _, w, _ in found]))
+    assert np.abs(spectrum - np.linalg.eigh(g)[0]).max() < 1e-12 * scale
+    rebuilt = np.zeros_like(g)
+    for idx, w, u in found:
+        assert np.all(np.diff(idx, axis=1) > 0)
+        assert np.abs(np.swapaxes(u, 1, 2) @ u - np.eye(idx.shape[1])).max() < 1e-12
+        rebuilt[idx[:, :, None], idx[:, None, :]] = (u * w[:, None, :]) @ np.swapaxes(u, 1, 2)
+    assert np.abs(rebuilt - g).max() < 1e-12 * scale
+
+
+def test_channel_pair_factorization_is_blockwise(monkeypatch):
+    # the d=4 channel-pair Gram matrix splits into blocks of at most 8 rows,
+    # so the factorization never decomposes a larger matrix
+    sizes, inside = [], []
+    eigh, row_space = np.linalg.eigh, sdpcore._row_space
+
+    def spy_eigh(mat, *args, **kwargs):
+        if inside:
+            sizes.append(mat.shape[-1])
+        return eigh(mat, *args, **kwargs)
+
+    def spy_row_space(*args):
+        inside.append(True)
+        try:
+            return row_space(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(sdpcore, "_row_space", spy_row_space)
+    res = q.check_channel_pair(q.identity_channel(4), q.identity_channel(4))
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
+    assert sizes and max(sizes) <= 8
+
+
 @pytest.mark.parametrize("name", ["order_tall", "channel_pair_d3", "division_nearly_constant_3e-08"])
 def test_gram_matrix_takes_the_smaller_side(name, monkeypatch):
     prob = PROJECTOR_CASES[name]()
@@ -470,6 +546,27 @@ def test_verify_witness_rejects_corruption(rng):
     ok, _ = verify_witness(prob, bad, DEFAULT_TOLS)
     assert not ok
 
+
+def test_verify_witness_stacked_matches_block_loop(rng):
+    # 1024 blocks, one of them just below the eigenvalue slack: the stacked
+    # check finds it, with the value a block-by-block loop gives
+    n_blocks, bad = 1024, 611
+    prob = SdpProblem()
+    witness = {}
+    for i in range(n_blocks):
+        witness[prob.add_psd_block(f"g{i}", 2, trace_cap=4.0)] = rand_psd(rng, 2, trace=1.0)
+    slack = DEFAULT_TOLS.witness_atol
+    lo = np.linalg.eigvalsh(witness[f"g{bad}"])[0]
+    witness[f"g{bad}"] = witness[f"g{bad}"] - (lo + 1.5 * slack) * np.eye(2)
+    total = sum(witness.values())
+    prob.add_equality(dict.fromkeys(witness, 1.0), vec_of(total))
+    ok, report = verify_witness(prob, witness)
+    want = min(np.linalg.eigvalsh(la.real_vec_to_hermitian(la.hermitian_to_real_vec(w), 2))[0]
+               for w in witness.values())
+    assert not ok
+    assert report["min_eigenvalue"] == want
+    assert want == pytest.approx(-1.5 * slack, rel=1e-6)
+    assert report["constraint_residual"] < 1e-12
 
 # --- certificate schedule ----------------------------------------------------
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
+import qincompat.linalg as la
 
 
 def noisy(obs, lam):
@@ -76,6 +77,14 @@ def test_unsteerable_assemblage(sharp_x, sharp_z):
     model = res.model
     assert model is not None
     assert model.reproduces(asm)
+
+
+def test_lhs_states_are_projected_witness_blocks(sharp_x, sharp_y, sharp_z):
+    # one stacked projection gives each strategy's state as projected alone
+    res = q.check_lhs(q.max_entangled_assemblage([noisy(o, 0.5) for o in (sharp_x, sharp_y, sharp_z)]))
+    assert res.unsteerable
+    want = np.stack([la.psd_project(res.solve.witness[f"g{k}"]) for k in range(len(res.model.strategies))])
+    assert np.abs(res.model.states - want).max() < 1e-12
 
 
 def test_steerable_assemblage(sharp_x, sharp_z):
