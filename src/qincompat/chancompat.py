@@ -27,6 +27,7 @@ from .sdpcore import (
     Decision,
     SdpProblem,
     partial_trace_map,
+    real_linear_map,
     solve_feasibility,
     vec_of,
     warm_bisect,
@@ -105,22 +106,6 @@ class DivisionReport(Decision):
         return self.feasible
 
 
-def _compose_map(j_first, din: int, dmid: int, dout: int) -> np.ndarray:
-    """Matrix of E -> E o first on real vectorized Choi matrices.
-
-    The composition is linear in E's Choi matrix, so it is applied to the
-    basis of the real vectorization: one einsum per slice of ``side`` basis
-    matrices, which keeps the stack at side**3 entries instead of side**4.
-    """
-    side = dmid * dout
-    n = side * side
-    return np.concatenate([
-        la.hermitian_to_real_vec(choi_compose(
-            j_first, la.real_vec_to_hermitian(np.eye(side, n, k), side), din, dmid, dout))
-        for k in range(0, n, side)
-    ]).T
-
-
 def channel_division(chan: Channel, through: Channel,
                      tols: Tolerances | None = None) -> DivisionReport:
     """Is ``chan`` a post-processing of ``through``?
@@ -140,7 +125,9 @@ def channel_division(chan: Channel, through: Channel,
     j_through = through.choi()
     prob = SdpProblem()
     prob.add_psd_block("factor", side, trace_cap=float(dmid))
-    prob.add_equality({"factor": _compose_map(j_through, din, dmid, dout)}, vec_of(chan.choi()))
+    compose = real_linear_map(lambda h: choi_compose(j_through, h, din, dmid, dout),
+                              side, din * dout)
+    prob.add_equality({"factor": compose}, vec_of(chan.choi()))
     prob.add_equality(
         {"factor": partial_trace_map((dmid, dout), (0,))}, vec_of(np.eye(dmid))
     )

@@ -274,9 +274,8 @@ class Instrument:
         return cls(blocks, in_dim, out_dim, atol=atol)
 
     def induced_observable(self, atol: float | None = None) -> Observable:
-        effects = np.stack(
-            [la.partial_trace(b, [self.in_dim, self.out_dim], keep=[0]).T for b in self.choi_blocks]
-        )
+        effects = la.partial_trace(self.choi_blocks, [self.in_dim, self.out_dim], keep=[0])
+        effects = np.swapaxes(effects, -1, -2)
         return Observable(effects, self.outcomes, atol=atol)
 
     def total_choi(self) -> np.ndarray:

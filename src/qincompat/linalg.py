@@ -104,7 +104,7 @@ def partial_trace(a, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
 
     Parameters
     ----------
-    a : array, shape (D, D) with D = prod(dims)
+    a : array, shape (..., D, D) with D = prod(dims); leading axes index a stack
     dims : dimensions of the tensor factors, in order
     keep : indices (into ``dims``) of the factors to retain, in their original order
     """
@@ -115,15 +115,16 @@ def partial_trace(a, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
     total = int(np.prod(dims))
     m = np.asarray(a, dtype=complex)
-    if m.shape != (total, total):
+    batch = m.shape[:-2]
+    if m.shape[-2:] != (total, total):
         raise ValueError(f"shape {m.shape} does not match dims {dims}")
-    t = m.reshape(dims + dims)
+    t = m.reshape(batch + tuple(dims + dims))
     # row subscript i, column subscript i+n; traced factors share a subscript
     row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]
     out = [i for i in keep] + [i + n for i in keep]
     kept = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return np.einsum(t, row + col, out).reshape(kept, kept)
+    return np.einsum(t, [...] + row + col, [...] + out).reshape(batch + (kept, kept))
 
 
 def kron(*ops) -> np.ndarray:

@@ -125,7 +125,7 @@ def sequential_recover(first: Observable, second: Observable,
     projs = dil.projections
 
     def back(b):
-        acc = np.zeros((d, d), dtype=complex)
+        acc = np.zeros(b.shape[:-2] + (d, d), dtype=complex)
         for p in projs:
             pb = p @ b @ p
             acc += v.conj().T @ pb @ v

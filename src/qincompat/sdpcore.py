@@ -28,11 +28,11 @@ The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
 distance.  While the best residual is above ``infeas``, a separating-functional
 certificate built from the gap direction is tried at iterations 1, 2, 4, ...,
-doubling until the spacing reaches ``plateau_window``, and then every
-``plateau_window`` iterations.  Each certificate is validated exactly from
-problem data (the functional's value on the affine set vs its infimum over the
-capped cones), never trusted from solver state alone, so early attempts are
-as safe as late ones.
+doubling until the spacing reaches ``plateau_window``, then every
+``plateau_window`` iterations, and at the iteration cap.  Each certificate is
+validated exactly from problem data (the functional's value on the affine set
+vs its infimum over the capped cones), never trusted from solver state alone,
+so early attempts are as safe as late ones.
 
 A solve starts from the affine particular solution unless it is given a
 ``start`` iterate; the iteration converges from any start.  Threshold
@@ -113,21 +113,20 @@ def vec_of(matrix) -> np.ndarray:
 def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim: int) -> np.ndarray:
     """Matrix of a Hermitian-to-Hermitian real-linear map in vectorized coordinates.
 
-    ``fn`` must map Hermitian in_dim x in_dim matrices to Hermitian
-    out_dim x out_dim matrices linearly over the reals.  It is called once per
-    basis matrix, in_dim**2 times.  The real vectorization is orthonormal, so
-    the matrix of the adjoint map is the transpose: when the output side is
-    smaller and the adjoint is known, probe the adjoint and transpose (as
-    :func:`partial_trace_map` does).
+    ``fn`` takes a stack of Hermitian in_dim x in_dim matrices (leading axis)
+    to the stack of their Hermitian out_dim x out_dim images, linearly over
+    the reals.  It is applied to the basis of the real vectorization in
+    in_dim slices of in_dim basis matrices, so it is called in_dim times and
+    a slice holds in_dim**3 entries instead of in_dim**4.  The real
+    vectorization is orthonormal, so the matrix of the adjoint map is the
+    transpose: when the output side is smaller and the adjoint is known,
+    build the adjoint and transpose (as :func:`partial_trace_map` does).
     """
     n = in_dim * in_dim
     cols = np.empty((out_dim * out_dim, n))
-    e = np.zeros(n)
-    for i in range(n):
-        e[i] = 1.0
-        h = la.real_vec_to_hermitian(e, in_dim)
-        e[i] = 0.0
-        cols[:, i] = la.hermitian_to_real_vec(fn(h))
+    for k in range(0, n, in_dim):
+        basis = la.real_vec_to_hermitian(np.eye(in_dim, n, k), in_dim)
+        cols[:, k : k + in_dim] = la.hermitian_to_real_vec(fn(basis)).T
     return cols
 
 
@@ -139,9 +138,10 @@ def partial_trace_map(dims, keep) -> np.ndarray:
 
     Built as the transpose of its adjoint, the lift X -> X (x) I on the traced
     factors permuted back into factor order, which :func:`real_linear_map`
-    probes kept**2 times instead of total**2.  The transpose of the result is
-    the matrix of that lift.  ``keep`` is read as ``la.partial_trace`` reads it
-    (sorted, repeats dropped); an index out of range raises ``ValueError``.
+    applies to kept slices of kept basis matrices instead of total slices of
+    total.  The transpose of the result is the matrix of that lift.  ``keep``
+    is read as ``la.partial_trace`` reads it (sorted, repeats dropped); an
+    index out of range raises ``ValueError``.
     The maps depend only on the shape, so the last
     ``PARTIAL_TRACE_MAPS_CACHED`` of them are cached and shared, hence
     read-only.
@@ -163,10 +163,11 @@ def _partial_trace_map(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarr
     eye = np.eye(total // kept)
     shape = [dims[i] for i in order] * 2
     inverse = np.argsort(order)
-    axes = list(inverse) + [n + i for i in inverse]
+    axes = [0] + [1 + i for i in inverse] + [1 + n + i for i in inverse]
 
     def lift(x):
-        return np.kron(x, eye).reshape(shape).transpose(axes).reshape(total, total)
+        t = np.kron(x, eye).reshape([-1] + shape).transpose(axes)
+        return t.reshape(x.shape[:-2] + (total, total))
 
     m = real_linear_map(lift, kept, total).T
     m.setflags(write=False)
@@ -668,24 +669,18 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
                 return SolveResult(Verdict.FEASIBLE, witness, it, res, iterate=x)
         best = min(best, res)
         # certificates are validated exactly, so an early attempt is safe: try
-        # at iterations 1, 2, 4, ... and then every plateau_window iterations;
-        # a failed attempt never ends the run
-        if it == next_attempt:
+        # at iterations 1, 2, 4, ... and then every plateau_window iterations,
+        # and at the cap; a failed attempt never ends the run
+        if it == next_attempt or it == tols.max_iter:
             next_attempt += min(it, tols.plateau_window)
             if best > tols.infeas:
                 cert = _certificate(proj, pk, pl, tols)
                 if cert is not None:
                     return SolveResult(
                         Verdict.INFEASIBLE_CERTIFIED, None, it, res, cert,
-                        "separating functional validated before the iteration cap", x,
+                        "validated separating functional", x,
                     )
     if best > tols.infeas:
-        cert = _certificate(proj, pk, pl, tols)
-        if cert is not None:
-            return SolveResult(
-                Verdict.INFEASIBLE_CERTIFIED, None, tols.max_iter, res, cert,
-                "iteration cap with validated separating functional", x,
-            )
         return SolveResult(
             Verdict.INFEASIBLE_HEURISTIC, None, tols.max_iter, res, None,
             "iteration cap with residual above the infeasibility tolerance", x,

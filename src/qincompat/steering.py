@@ -140,12 +140,8 @@ def assemblage_from(state: State | np.ndarray, observables) -> Assemblage:
         raise ValueError("observables must share one outcome count")
     if any(o.dim != da for o in observables):
         raise ValueError("observables must share one dimension")
-    blocks = np.empty((len(observables), outs.pop(), db, db), dtype=complex)
-    for j, obs in enumerate(observables):
-        for x in range(obs.n_outcomes):
-            blocks[j, x] = la.partial_trace(
-                la.kron(obs.effects[x], np.eye(db)) @ omega, [da, db], keep=[1])
-    return Assemblage(blocks)
+    effects = np.stack([o.effects for o in observables])
+    return Assemblage(la.partial_trace(la.kron(effects, np.eye(db)) @ omega, [da, db], keep=[1]))
 
 
 def max_entangled_assemblage(observables) -> Assemblage:

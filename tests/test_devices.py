@@ -240,6 +240,15 @@ def test_instrument(rng):
     assert np.trace(total.apply(rho)).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_induced_observable_traces_each_block(rng):
+    # one stacked partial trace gives the per-block loop's effects, bit for bit
+    weights = (0.25, 0.75)
+    inst = q.Instrument.from_kraus_ops(
+        [q.random_channel(3, 2, rng).kraus * np.sqrt(w) for w in weights])
+    want = np.stack([la.partial_trace(b, [3, 2], keep=[0]).T for b in inst.choi_blocks])
+    assert np.array_equal(inst.induced_observable().effects, q.Observable(want).effects)
+
+
 def test_random_generators(rng):
     obs = q.random_povm(3, 5, rng)
     assert np.abs(obs.effects.sum(axis=0) - np.eye(3)).max() < 1e-10

@@ -1,11 +1,13 @@
-"""Lint as a test: every name a package module imports is read in that module."""
+"""Lint as a test: every name a package module imports is read in that module,
+and every module-level private function or class is read somewhere in the package."""
 import ast
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qincompat"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +35,35 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_privates(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each module-level private function or class that no
+    module reads, by name, attribute or import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_scan_finds_dead_privates():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef public(): return _used()\n",
+        "b": "from a import _shared\nimport a\nx = a._by_attr\n",
+        "c": "def _shared(): pass\ndef _by_attr(): pass\nclass _Base: pass\nclass K(_Base): pass\n",
+    }
+    assert dead_privates(sources) == ["a:_Gone", "a:_dead"]
+
+
+def test_package_reads_every_private_definition():
+    assert dead_privates({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []

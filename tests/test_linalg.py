@@ -108,6 +108,25 @@ def test_partial_trace_three_factors(rng):
     assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("dims,keep", [
+    ((2, 3), [0]), ((2, 3), [1]), ((2, 2, 3), [0, 2]), ((3, 2, 2), [1]), ((2, 3, 2), []),
+])
+def test_partial_trace_of_a_stack(rng, dims, keep):
+    # one call on a (3, 2, D, D) stack is the per-matrix loop, bit for bit
+    side = int(np.prod(dims))
+    stack = rng.normal(size=(3, 2, side, side)) + 1j * rng.normal(size=(3, 2, side, side))
+    want = np.array([[la.partial_trace(m, dims, keep) for m in row] for row in stack])
+    got = la.partial_trace(stack, dims, keep)
+    assert got.shape == (3, 2) + want.shape[2:]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 5), (3, 4, 4), (6,)])
+def test_partial_trace_rejects_mismatched_trailing_shape(shape):
+    with pytest.raises(ValueError):
+        la.partial_trace(np.zeros(shape), (2, 3), [0])
+
+
 def test_partial_trace_preserves_trace(rng):
     h = rand_herm(rng, 6)
     reduced = la.partial_trace(h, [2, 3], keep=[1])

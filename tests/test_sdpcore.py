@@ -39,6 +39,73 @@ def test_real_linear_map(rng):
     assert np.abs(got - want).max() < 1e-12
 
 
+def basis_loop(fn, in_dim, out_dim):
+    """The map's matrix from one call of ``fn`` per basis matrix: the reference."""
+    n = in_dim * in_dim
+    cols = np.empty((out_dim * out_dim, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        cols[:, i] = la.hermitian_to_real_vec(fn(la.real_vec_to_hermitian(e, in_dim)))
+    return cols
+
+
+def captured_map(monkeypatch, module, build):
+    """``(fn, in_dim, out_dim)`` of the first map ``build()`` makes through ``module``."""
+    seen = []
+
+    def record(fn, in_dim, out_dim):
+        seen.append((fn, in_dim, out_dim))
+        return real_linear_map(fn, in_dim, out_dim)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "real_linear_map", record)
+        build()
+    return seen[0]
+
+
+def compose_case(din, dmid, dout):
+    def case(rng, monkeypatch):
+        j = q.random_channel(din, dmid, rng).choi()
+        return lambda h: q.choi_compose(j, h, din, dmid, dout), dmid * dout, din * dout
+    return case
+
+
+def lift_case(rng, monkeypatch):
+    return captured_map(monkeypatch, sdpcore,
+                        lambda: sdpcore._partial_trace_map.__wrapped__((2, 3, 2), (0, 2)))
+
+
+def heisenberg_case(rng, monkeypatch):
+    x, _, z = q.mub_qubit()
+    return captured_map(monkeypatch, obschan, lambda: obschan.sequential_recover(x, z))
+
+
+def kron_case(rng, monkeypatch):
+    et = q.random_povm(2, 2, rng).effects[0].T
+    return lambda s: np.kron(et, s), 3, 6
+
+
+@pytest.mark.parametrize("case", [
+    compose_case(2, 2, 2), compose_case(2, 4, 2), compose_case(3, 3, 3), compose_case(3, 2, 3),
+    lift_case, heisenberg_case, kron_case,
+], ids=["compose-2-2-2", "compose-2-4-2", "compose-3-3-3", "compose-3-2-3",
+        "lift", "heisenberg", "kron"])
+def test_real_linear_map_equals_basis_loop(rng, monkeypatch, case):
+    # in_dim calls on stacks of in_dim basis matrices give the per-basis-matrix
+    # loop's matrix, bit for bit
+    fn, in_dim, out_dim = case(rng, monkeypatch)
+    shapes = []
+
+    def counted(h):
+        shapes.append(h.shape)
+        return fn(h)
+
+    got = real_linear_map(counted, in_dim, out_dim)
+    assert np.array_equal(got, basis_loop(fn, in_dim, out_dim))
+    assert shapes == [(in_dim, in_dim, in_dim)] * in_dim
+
+
 @pytest.mark.parametrize("dims,keep", [
     ((2, 3), (0,)), ((2, 3), (1,)), ((3, 2, 2), (1,)), ((2, 2, 3), (0, 2)),
     ((4, 4, 4), (0, 1)), ((4, 4, 4), (0, 2)), ((4, 4, 4), (1, 2)), ((4, 4, 4), (0,)),
@@ -607,6 +674,22 @@ def test_incompatible_pair_certified_early(sharp_x, sharp_z, case):
     value = float(h @ np.linalg.lstsq(a, b, rcond=None)[0])
     assert value == pytest.approx(float(y @ b), abs=1e-9)
     assert cone_inf - value - h_null * caps > DEFAULT_TOLS.feas
+
+
+def test_certificate_attempt_at_the_cap_runs_once(monkeypatch, sharp_x, sharp_z):
+    # attempts at iterations 1, 2 and 4; the last is the cap, tried only once
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(sdpcore, "_certificate", failing)
+    prob = joint_problem([sharp_x.effects, sharp_z.effects])
+    res = solve_feasibility(prob, q.Tolerances(max_iter=4))
+    assert res.verdict is Verdict.INFEASIBLE_HEURISTIC
+    assert res.iterations == 4
+    assert len(calls) == 3
 
 
 @settings(max_examples=12, deadline=None)

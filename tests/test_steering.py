@@ -32,6 +32,17 @@ def test_assemblage_from_state(sharp_x, sharp_z):
     assert np.abs(z_blocks[0] - np.diag([0.5, 0.0])).max() < 1e-10
 
 
+@pytest.mark.parametrize("da,db", [(2, 3), (3, 2)])
+def test_assemblage_from_conditions_each_effect(rng, da, db):
+    # one stacked call gives the per-setting, per-outcome loop, bit for bit
+    omega = q.random_state(da * db, rng).matrix
+    observables = [q.random_povm(da, 3, rng) for _ in range(2)]
+    want = [[la.partial_trace(la.kron(e, np.eye(db)) @ omega, [da, db], keep=[1])
+             for e in obs.effects] for obs in observables]
+    got = q.assemblage_from(omega, observables).blocks
+    assert np.array_equal(got, q.Assemblage(np.array(want)).blocks)
+
+
 def test_max_entangled_assemblage(sharp_x, sharp_z):
     asm = q.max_entangled_assemblage([sharp_x, sharp_z])
     assert np.abs(asm.total() - np.eye(2) / 2).max() < 1e-10
