@@ -19,10 +19,14 @@ The one-off work of a solve runs block by block.  The factorization sees only
 the touched columns of A, those some row uses (the d=4 channel pair touches
 1,792 of its 4,096), and decomposes each Gram matrix by its diagonal blocks,
 the connected components of its nonzero pattern, with one stacked ``eigh``
-per block size.  A problem is assembled once per solve: the touched-column
-matrix also gives the inconsistency test and the residual of every witness
-check.  Unpacking an iterate, checking a witness's blocks and the cone step
-each make one stacked call per block size.
+per block size.  The row-space basis and the particular solution are kept on
+the touched columns only, and the affine step gathers those coordinates,
+projects them and scatters them back: every other coordinate is left as it
+is.  A problem is assembled once per solve, its c I terms written with one
+index add per row count; the touched-column matrix also gives the
+inconsistency test and the residual of every witness check.  The blocks are
+grouped by kind and size once per problem, and unpacking an iterate, checking
+a witness's blocks and the cone step each make one stacked call per group.
 
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
@@ -121,13 +125,17 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
     vectorization is orthonormal, so the matrix of the adjoint map is the
     transpose: when the output side is smaller and the adjoint is known,
     build the adjoint and transpose (as :func:`partial_trace_map` does).
+
+    The images are written as contiguous rows of the transposed matrix, and
+    the result is the transposed view of those rows (column-major), so the
+    transpose of a result is row-major and needs no copy.
     """
     n = in_dim * in_dim
-    cols = np.empty((out_dim * out_dim, n))
+    rows = np.empty((n, out_dim * out_dim))
     for k in range(0, n, in_dim):
         basis = la.real_vec_to_hermitian(np.eye(in_dim, n, k), in_dim)
-        cols[:, k : k + in_dim] = la.hermitian_to_real_vec(fn(basis)).T
-    return cols
+        rows[k : k + in_dim] = la.hermitian_to_real_vec(fn(basis))
+    return rows.T
 
 
 PARTIAL_TRACE_MAPS_CACHED = 32
@@ -142,9 +150,10 @@ def partial_trace_map(dims, keep) -> np.ndarray:
     total.  The transpose of the result is the matrix of that lift.  ``keep``
     is read as ``la.partial_trace`` reads it (sorted, repeats dropped); an
     index out of range raises ``ValueError``.
-    The maps depend only on the shape, so the last
-    ``PARTIAL_TRACE_MAPS_CACHED`` of them are cached and shared, hence
-    read-only.
+    The result is row-major (C-contiguous), the rows the lift's matrix is
+    written in, so equality rows copy it with contiguous reads.  The maps
+    depend only on the shape, so the last ``PARTIAL_TRACE_MAPS_CACHED`` of
+    them are cached and shared, hence read-only.
     """
     dims = tuple(int(d) for d in dims)
     keep = tuple(sorted(set(int(k) for k in keep)))
@@ -181,6 +190,7 @@ class SdpProblem:
         self._blocks: dict[str, _Block] = {}
         self._rows: list[tuple[dict[str, float | np.ndarray], np.ndarray]] = []
         self._n = 0
+        self._groups: tuple[tuple[list[_Block], np.ndarray], ...] | None = None
 
     # --- variables ---------------------------------------------------------
 
@@ -194,6 +204,7 @@ class SdpProblem:
         blk = _Block(name, "psd", dim, dim * dim, self._n, np.asarray(float(trace_cap)))
         self._blocks[name] = blk
         self._n += blk.length
+        self._groups = None
         return name
 
     def add_scalar_block(self, name: str, length: int, cap: float | np.ndarray = 1.0) -> str:
@@ -205,6 +216,7 @@ class SdpProblem:
         blk = _Block(name, "scalar", length, length, self._n, caps)
         self._blocks[name] = blk
         self._n += length
+        self._groups = None
         return name
 
     def block(self, name: str) -> _Block:
@@ -225,7 +237,7 @@ class SdpProblem:
         checked = {}
         for name, t in terms.items():
             blk = self._blocks[name]
-            if np.isscalar(t):
+            if isinstance(t, (int, float)) or np.isscalar(t):
                 if blk.length != rhs.size:
                     raise ValueError(
                         f"scalar coefficient needs block {name!r} of length {rhs.size}, not {blk.length}"
@@ -252,37 +264,49 @@ class SdpProblem:
         rows = sum(r.size for _, r in self._rows)
         n = self._n
         a = np.zeros((rows, n))
-        flat = a.reshape(-1)
         b = np.zeros(rows)
+        # c I terms by row count k: (flat index of the block's corner, c)
+        diagonals: dict[int, tuple[list[int], list[float]]] = {}
         at = 0
         for terms, rhs in self._rows:
             k = rhs.size
             for name, t in terms.items():
                 blk = self._blocks[name]
                 if isinstance(t, float):
-                    # c on the diagonal of the (k x k) block, a strided slice of
-                    # the flat matrix: no identity and no index arrays are built
-                    start = at * n + blk.offset
-                    flat[start : start + k * (n + 1) : n + 1] += t
+                    starts, coefs = diagonals.setdefault(k, ([], []))
+                    starts.append(at * n + blk.offset)
+                    coefs.append(t)
                 else:
                     a[at : at + k, blk.offset : blk.offset + blk.length] += t
             b[at : at + k] = rhs
             at += k
+        # c on the diagonal of each (k x k) block, one index add per k: the
+        # terms of an equality hold distinct blocks, so no entry is hit twice
+        flat = a.reshape(-1)
+        for k, (starts, coefs) in diagonals.items():
+            flat[np.array(starts)[:, None] + np.arange(k) * (n + 1)] += np.array(coefs)[:, None]
         return a, b
 
     # --- views -------------------------------------------------------------
 
-    def _stacks(self) -> list[tuple[list[_Block], np.ndarray]]:
+    def _stacks(self) -> tuple[tuple[list[_Block], np.ndarray], ...]:
         """Blocks grouped by kind and size, for one stacked call per group.
 
         Each group is ``(blocks, idx)`` with ``idx[i]`` the coordinates of
-        ``blocks[i]``; groups come in the order of their first block.
+        ``blocks[i]``; groups come in the order of their first block.  The
+        groups are built once and shared until a block is added, so ``idx``
+        is read-only.
         """
-        groups: dict[tuple[str, int], list[_Block]] = {}
-        for blk in self._blocks.values():
-            groups.setdefault((blk.kind, blk.dim), []).append(blk)
-        return [(blks, np.array([b.offset for b in blks])[:, None] + np.arange(blks[0].length))
-                for blks in groups.values()]
+        if self._groups is None:
+            groups: dict[tuple[str, int], list[_Block]] = {}
+            for blk in self._blocks.values():
+                groups.setdefault((blk.kind, blk.dim), []).append(blk)
+            self._groups = tuple(
+                (blks, np.array([b.offset for b in blks])[:, None] + np.arange(blks[0].length))
+                for blks in groups.values())
+            for _, idx in self._groups:
+                idx.setflags(write=False)
+        return self._groups
 
     def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """Unpack a flat iterate into named Hermitian matrices / scalar vectors."""
@@ -477,8 +501,10 @@ class _Projector:
 
     Only the touched columns of the constraint matrix A, those some row
     uses, enter the factorization: ``a`` holds them and ``cols`` their
-    indices, and A x = a x[cols] for every x.  ``vr`` and ``x_part`` are
-    full width, zero on the other coordinates.
+    indices, and A x = a x[cols] for every x.  ``vr`` and ``x_part`` hold the
+    row-space basis and the least-norm solution on those columns only; on
+    every other coordinate the basis is zero, so the affine step leaves
+    those coordinates as they are.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -487,12 +513,8 @@ class _Projector:
         self.cols = np.flatnonzero(np.any(a != 0, axis=0))
         cut = max(a.shape) * np.finfo(float).eps
         self.a = a = np.take(a, self.cols, axis=1)  # the only copy kept, row-major
-        vr, x_part = _row_space(a, self.b, cut)
-        self.vr = np.zeros((problem.n_vars, vr.shape[1]))
-        self.vr[self.cols] = vr
-        self.x_part = np.zeros(problem.n_vars)
-        self.x_part[self.cols] = x_part
-        self.inconsistency = float(np.abs(a @ x_part - self.b).max(initial=0.0))
+        self.vr, self.x_part = _row_space(a, self.b, cut)
+        self.inconsistency = float(np.abs(a @ self.x_part - self.b).max(initial=0.0))
         # psd blocks of one side share a batched eigendecomposition; 1x1
         # blocks are clipped with the scalars, with no eigh group of their own
         self.psd_groups = []
@@ -511,7 +533,12 @@ class _Projector:
         self.scalar_caps = np.concatenate(scalar_caps)[order]
 
     def affine(self, x: np.ndarray) -> np.ndarray:
-        return x - self.vr @ (self.vr.T @ x) + self.x_part
+        y = x.copy()
+        xc = y[self.cols]
+        xc -= self.vr @ (self.vr.T @ xc)
+        xc += self.x_part
+        y[self.cols] = xc
+        return y
 
     def cone(self, x: np.ndarray) -> np.ndarray:
         z = x.copy()
@@ -552,8 +579,11 @@ class _Projector:
 
 def _certificate(proj: _Projector, z: np.ndarray, a_pt: np.ndarray, tols: Tolerances):
     """Validate a separating functional from the gap direction z - P_affine(z)."""
-    # in the row space of A, h = A^T y, so <h, x> = y.b at every affine point
-    h = proj.vr @ (proj.vr.T @ (z - a_pt))
+    # in the row space of A, h = A^T y, so <h, x> = y.b at every affine point;
+    # h is zero off the touched columns
+    gap = (z - a_pt)[proj.cols]
+    h = np.zeros_like(z)
+    h[proj.cols] = proj.vr @ (proj.vr.T @ gap)
     nh = float(np.linalg.norm(h))
     if nh < 1e-15:
         return None
@@ -651,7 +681,11 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
             cert,
             "affine constraints are inconsistent (empty affine set)",
         )
-    x = proj.x_part.copy() if start is None else start.copy()
+    if start is None:
+        x = np.zeros(problem.n_vars)
+        x[proj.cols] = proj.x_part
+    else:
+        x = start.copy()
     best = float("inf")
     res = float("inf")
     pl = pk = x

@@ -1,6 +1,10 @@
 """Lint as a test: every name a package module imports is read in that module,
-and every module-level private function or class is read somewhere in the package."""
+and every module-level private function or class is read somewhere in the package;
+and a guard on what solving imports."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,18 @@ def test_scan_finds_dead_privates():
 
 def test_package_reads_every_private_definition():
     assert dead_privates({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+def test_solving_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 10 ms and 1.7 MB on first import (np.unique loads
+    # it); a cold process that decides a joint family and a channel pair must
+    # not pay for it
+    code = ("import sys\nimport qincompat as q\nx, _, z = q.mub_qubit()\n"
+            "assert q.check_joint([x, z]).verdict is q.Verdict.INFEASIBLE_CERTIFIED\n"
+            "assert q.check_channel_pair(q.identity_channel(2), q.depolarizing_channel(2)).feasible\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -37,6 +37,7 @@ def test_real_linear_map(rng):
     got = m @ la.hermitian_to_real_vec(h)
     want = la.hermitian_to_real_vec(la.partial_trace(h, [2, 3], keep=[0]))
     assert np.abs(got - want).max() < 1e-12
+    assert m.T.flags.c_contiguous  # written as rows of the transpose
 
 
 def basis_loop(fn, in_dim, out_dim):
@@ -135,6 +136,13 @@ def test_partial_trace_map_is_cached_read_only():
         m[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("dims,keep", [((2, 3), (1,)), ((2, 2, 3), (0, 2)), ((4, 4, 4), (0, 1))])
+def test_partial_trace_map_is_row_major(dims, keep):
+    # the cached map is the row-major transpose of the lift's matrix, no copy
+    m = partial_trace_map(dims, keep)
+    assert m.flags.c_contiguous and not m.flags.writeable
+
+
 def test_cone_cap_projection_matches_sorted_reference(rng):
     # the trace-cap projection of the spectrum, written with an explicit sort
     def ref_cone(vec, dim, cap):
@@ -183,10 +191,11 @@ def test_assemble_split(rng):
         prob.add_psd_block("x", 2, 1.0)  # duplicate name
 
 
-@pytest.mark.parametrize("coeffs", [(1.0,), (-0.37,), (2.5, -1.25)])
+@pytest.mark.parametrize("coeffs", [(1.0,), (-0.37,), (2.5, -1.25),
+                                    (0.0, -0.0, 2, np.float64(-1.5), np.int64(3))])
 def test_scalar_term_assembles_to_dense_identity(rng, coeffs):
-    # a scalar c means c * I: the same rows as the dense block, bit for bit,
-    # also next to a dense term and below earlier rows
+    # a scalar c, of any real scalar type, means c * I: the same rows as the
+    # dense block, bit for bit, also next to a dense term and below earlier rows
     mix = rng.normal(size=(9, 3))
     rhs = rng.normal(size=9)
 
@@ -204,7 +213,7 @@ def test_scalar_term_assembles_to_dense_identity(rng, coeffs):
 
     a_dense, b_dense = build(dense=True)
     a, b = build(dense=False)
-    assert np.array_equal(a, a_dense)
+    assert np.array_equal(a, a_dense) and np.array_equal(np.signbit(a), np.signbit(a_dense))
     assert np.array_equal(b, b_dense)
 
 
@@ -217,6 +226,125 @@ def test_scalar_term_needs_matching_block_length():
         prob.add_equality({"x": 1.0}, np.zeros(9))
     with pytest.raises(ValueError):
         prob.add_equality({"p": -1.0}, np.zeros(2))
+    for c in (2, np.float64(0.5), np.int64(-1), -0.0):
+        with pytest.raises(ValueError, match=r"scalar coefficient needs block 'x' of length 3, not 4"):
+            prob.add_equality({"x": c}, np.zeros(3))
+    with pytest.raises(ValueError, match=r"coefficient block for 'p' has shape \(2, 2\), expected \(2, 3\)"):
+        prob.add_equality({"p": np.zeros((2, 2))}, np.zeros(2))
+    with pytest.raises(ValueError, match=r"has shape \(1, 4\), expected \(1, 3\)"):
+        prob.add_equality({"p": np.zeros(4)}, np.zeros(1))
+    assert prob.assemble()[0].shape == (4, 7)  # only the first equality was added
+
+
+def assemble_by_term(prob):
+    """(A, b) written one term at a time, a c I term as a strided slice of the
+    flat matrix: the reference for :meth:`SdpProblem.assemble`."""
+    rows = sum(rhs.size for _, rhs in prob._rows)
+    n = prob.n_vars
+    a = np.zeros((rows, n))
+    flat = a.reshape(-1)
+    b = np.zeros(rows)
+    at = 0
+    for terms, rhs in prob._rows:
+        k = rhs.size
+        for name, t in terms.items():
+            blk = prob.block(name)
+            if isinstance(t, float):
+                start = at * n + blk.offset
+                flat[start : start + k * (n + 1) : n + 1] += t
+            else:
+                a[at : at + k, blk.offset : blk.offset + blk.length] += t
+        b[at : at + k] = rhs
+        at += k
+    return a, b
+
+
+def _coefficient_problem():
+    """c I terms with c = 0.0, -0.0, an int and numpy scalars, next to dense
+    terms, in equalities of three row counts."""
+    rng = np.random.default_rng(5)
+    prob = SdpProblem()
+    for name in "abcde":
+        prob.add_psd_block(name, 2, trace_cap=2.0)
+    prob.add_scalar_block("p", 4)
+    prob.add_scalar_block("s", 3)
+    prob.add_psd_block("u", 1, trace_cap=1.0)
+    prob.add_equality({"a": 0.0, "b": -0.0, "c": 2, "d": np.float64(-1.5), "p": np.int64(3),
+                       "e": rng.normal(size=(4, 4))}, rng.normal(size=4))
+    prob.add_equality({"s": -0.25, "a": rng.normal(size=(3, 4))}, rng.normal(size=3))
+    prob.add_equality({"u": 1, "c": rng.normal(size=4)}, rng.normal(size=1))
+    prob.add_equality({"e": -0.0, "b": 7.0}, rng.normal(size=4))
+    return prob
+
+
+def _assembly_cases():
+    rng = np.random.default_rng(11)
+    x, _, z = q.mub_qubit()
+    povms = [mix_with_trivial(random_povm(2, 3, rng), 0.7) for _ in range(3)]
+    testers = [prepare_measure_tester(random_state(2, rng), random_povm(2, 2, rng)) for _ in range(2)]
+    obs, chan = random_povm(2, 3, rng), q.random_channel(2, 3, rng)
+    cases = {
+        "joint": lambda: joint_problem([p.effects for p in povms]),
+        # weight 1 mixes in its noise with coefficient -0.0
+        "joint_weighted": lambda: joint_problem([p.effects for p in povms], (0.6, 1.0, 0.8)),
+        "lhs": lambda: built_problem(steering, lambda: check_lhs(max_entangled_assemblage([x, z]))),
+        "tester": lambda: built_problem(process, lambda: check_tester_pair(*testers)),
+        "division": lambda: built_problem(chancompat, lambda: chancompat.channel_division(
+            chan, q.conjugate_channel(chan))),
+        "sequential": lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z)),
+        "coefficients": _coefficient_problem,
+    }
+    for mode in (None, *chancompat.NoiseClass):
+        tag = mode.value if mode else "plain"
+        for lam in (0.7, 1.0):
+            for d in (2, 3, 4):
+                cases[f"channel_pair_d{d}_{tag}_{lam}"] = lambda d=d, mode=mode, lam=lam: (
+                    chancompat._channel_pair_problem(q.identity_channel(d), q.depolarizing_channel(d),
+                                                     mode, lam))
+            cases[f"obs_channel_{tag}_{lam}"] = lambda mode=mode, lam=lam: (
+                chancompat._obs_channel_problem(obs, chan, mode, lam))
+    return cases
+
+
+ASSEMBLY_CASES = _assembly_cases()
+
+
+@pytest.mark.parametrize("name", ASSEMBLY_CASES)
+def test_assemble_equals_per_term_writer(name):
+    # batched c I writes give the per-term loop's (A, b), bit for bit, signed
+    # zeros included
+    prob = ASSEMBLY_CASES[name]()
+    a, b = prob.assemble()
+    ref_a, ref_b = assemble_by_term(prob)
+    assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
+    assert np.array_equal(b, ref_b) and np.array_equal(np.signbit(b), np.signbit(ref_b))
+
+
+def test_block_groups_are_rebuilt_when_a_block_is_added():
+    prob = SdpProblem()
+    prob.add_psd_block("x", 2, trace_cap=2.0)
+    prob.add_scalar_block("p", 2)
+    prob.add_equality({"x": 1.0}, vec_of(np.eye(2) / 2))
+    prob.add_equality({"p": 1.0}, np.array([0.25, 0.5]))
+    assert solve_feasibility(prob).feasible
+    groups = prob._stacks()
+    assert prob._stacks() is groups  # shared by the split, the projector and the check
+    for _, idx in groups:
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
+    # a block of an existing group's size, added after a split and a solve
+    prob.split(np.zeros(prob.n_vars))
+    prob.add_psd_block("y", 2, trace_cap=1.0)
+    target = np.array([[0.5, 0.25j], [-0.25j, 0.25]])
+    prob.add_equality({"y": 1.0}, vec_of(target))
+    parts = prob.split(np.arange(prob.n_vars, dtype=float))
+    blk = prob.block("y")
+    assert np.array_equal(parts["y"], la.real_vec_to_hermitian(
+        np.arange(blk.offset, blk.offset + blk.length, dtype=float), 2))
+    res = solve_feasibility(prob)
+    assert res.feasible
+    assert set(res.witness) == {"x", "p", "y"}
+    assert np.abs(res.witness["y"] - target).max() < 1e-6
 
 
 def test_joint_problem_fibres(rng):
@@ -376,7 +504,13 @@ def test_gram_projector_matches_svd(name):
     proj = _Projector(prob)
     a, b = prob.assemble()
     vr, x_part, kappa = svd_reference(a, b)
-    assert proj.vr.shape == vr.shape  # equal rank
+    # the projector keeps its basis and solution on the touched columns only;
+    # scattered back, they are compared on every coordinate
+    full_vr = np.zeros((prob.n_vars, proj.vr.shape[1]))
+    full_vr[proj.cols] = proj.vr
+    full_x_part = np.zeros(prob.n_vars)
+    full_x_part[proj.cols] = proj.x_part
+    assert full_vr.shape == vr.shape  # equal rank
     r = vr.shape[1]
     assert np.abs(proj.vr.T @ proj.vr - np.eye(r)).max() < 1e-12
     # the row space and the least-norm solution are fixed by the data only to
@@ -385,11 +519,13 @@ def test_gram_projector_matches_svd(name):
     rng = np.random.default_rng(7)
     xs = rng.normal(size=(prob.n_vars, 4))
     xs /= np.linalg.norm(xs, axis=0)
-    assert np.abs(proj.vr @ (proj.vr.T @ xs) - vr @ (vr.T @ xs)).max() < tol
-    assert np.abs(proj.x_part - x_part).max() < tol
+    assert np.abs(full_vr @ (full_vr.T @ xs) - vr @ (vr.T @ xs)).max() < tol
+    assert np.abs(full_x_part - x_part).max() < tol
     assert abs(proj.inconsistency - np.abs(a @ x_part - b).max()) < 1e-12 * (1 + np.abs(b).max())
+    untouched = np.setdiff1d(np.arange(prob.n_vars), proj.cols)
     for col in xs.T:
         once = proj.affine(col)
+        assert np.array_equal(once[untouched], col[untouched])
         assert np.abs(proj.affine(once) - once).max() < 1e-12
 
 
