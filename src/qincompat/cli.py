@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -269,7 +270,13 @@ def cmd_order(args) -> int:
 
 
 def _boundary_lam2(d: int, lam1: float) -> float:
-    return bisect_threshold(lambda lam2: oc.fourier_region_formula(d, lam1, lam2), 2.0 ** -40).value
+    # largest lam2 in [0, 1] that oc.fourier_region_formula accepts: the larger
+    # root of (c (lam1 + lam2) - e)^2 + c (lam1 - lam2)^2 = d, e with its slack
+    c, e = d - 1, d - 2 + 1e-12
+    half_b = c * ((d - 2) * lam1 - e)
+    c0 = (c * lam1 - e) ** 2 + c * lam1 ** 2 - d
+    root = (math.sqrt(half_b ** 2 - c * d * c0) - half_b) / (c * d)
+    return min(max(root, 0.0), 1.0)
 
 
 def _repro_fig4(outdir: Path, args, tols) -> list[Path]:

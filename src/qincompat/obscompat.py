@@ -6,6 +6,12 @@ observable on the product outcome set returns each family member as a
 marginal.  Every quantitative question in this module reduces to that
 feasibility statement for a suitably noised family, solved by the projection
 engine in sdpcore.
+
+A joint observable is an array of effects on the product outcome grid, of
+shape ``(*counts, d, d)`` in C order (the order of ``itertools.product``,
+which is also the layout of :func:`sdpcore.joint_problem`): a marginal is a
+sum over every other axis, and the explicit joints are built by broadcasting
+each factor's effects along its own axis.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ from .sdpcore import (
     SolveResult,
     Verdict,
     joint_problem,
+    joint_witness,
     solve_feasibility,
     vec_of,
     warm_bisect,
@@ -117,37 +124,43 @@ class NoiseSpec:
 class JointObservable:
     """Observable on a product outcome set together with its factor structure.
 
-    ``observable.outcomes`` are tuples (x_1, ..., x_n); ``marginal(k)`` sums
-    out all factors but the kth.
+    ``observable.outcomes`` are the tuples (x_1, ..., x_n) of
+    ``itertools.product(*factor_outcomes)``, in that order (else
+    ``ValueError``), so the effects reshape to the outcome grid
+    ``(*counts, d, d)``; ``marginal(k)`` sums out all axes but the kth.
     """
 
     observable: Observable
     factor_outcomes: tuple[tuple, ...]
     atol: float = 1e-10
 
+    def __post_init__(self):
+        if self.observable.outcomes != tuple(itertools.product(*self.factor_outcomes)):
+            raise ValueError("joint outcomes must be the product of the factor outcomes, in order")
+
     @property
     def n_factors(self) -> int:
         return len(self.factor_outcomes)
 
     def marginal(self, k: int) -> Observable:
-        outs = self.factor_outcomes[k]
         d = self.observable.dim
-        effects = np.zeros((len(outs), d, d), dtype=complex)
-        index = {x: i for i, x in enumerate(outs)}
-        # unbuffered, in outcome order: the same sums as adding one by one
-        np.add.at(effects, [index[combo[k]] for combo in self.observable.outcomes],
-                  self.observable.effects)
-        return Observable(effects, outcomes=outs, atol=max(self.atol, 1e-10))
+        grid = self.observable.effects.reshape(tuple(map(len, self.factor_outcomes)) + (d, d))
+        others = tuple(j for j in range(self.n_factors) if j != k)
+        return Observable(grid.sum(axis=others), outcomes=self.factor_outcomes[k],
+                          atol=max(self.atol, 1e-10))
 
 
-def _product_combos(factor_outcomes):
-    return list(itertools.product(*factor_outcomes))
-
-
-def _joint_from_blocks(blocks, factor_outcomes, atol) -> JointObservable:
-    """Joint observable from its effects, listed in product order of the outcomes."""
-    obs = Observable(np.stack(blocks), outcomes=_product_combos(factor_outcomes), atol=atol)
+def _joint_from_grid(grid, factor_outcomes, atol) -> JointObservable:
+    """Joint observable from its effects on the outcome grid."""
+    d = grid.shape[-1]
+    obs = Observable(grid.reshape(-1, d, d), outcomes=itertools.product(*factor_outcomes), atol=atol)
     return JointObservable(obs, tuple(tuple(o) for o in factor_outcomes), atol)
+
+
+def _on_axis(stack, k: int, n: int) -> np.ndarray:
+    """``stack``'s leading axis moved to axis k of an n-axis outcome grid, the
+    other grid axes of length one (the trailing axes are kept)."""
+    return stack.reshape((1,) * k + stack.shape[:1] + (1,) * (n - k - 1) + stack.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -169,20 +182,11 @@ def _check_family_dim(observables) -> int:
 
 
 def _require_size(observables):
-    total = 1
-    for obs in observables:
-        total *= obs.n_outcomes
+    total = math.prod(obs.n_outcomes for obs in observables)
     if total > MAX_PRODUCT_OUTCOMES:
         raise ValueError(
             f"product outcome count {total} exceeds the cap {MAX_PRODUCT_OUTCOMES}"
         )
-    return total
-
-
-def _joint_witness(res: SolveResult, observables, atol) -> JointObservable:
-    total = math.prod(obs.n_outcomes for obs in observables)
-    blocks = [res.witness[f"g{i}"] for i in range(total)]
-    return _joint_from_blocks(blocks, [obs.outcomes for obs in observables], atol)
 
 
 def check_joint(observables, tols: Tolerances | None = None,
@@ -197,8 +201,10 @@ def check_joint(observables, tols: Tolerances | None = None,
     res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols, start)
     if not res.feasible:
         return JointResult(res)
-    joint = _joint_witness(res, observables, tols.witness_atol)
-    worst = _marginal_deviation(joint, observables)
+    grid, _ = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
+    joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
+    worst = max(float(np.abs(joint.marginal(k).effects - obs.effects).max())
+                for k, obs in enumerate(observables))
     if worst > tols.marginal_atol:
         res = replace(
             res, verdict=Verdict.UNDECIDED,
@@ -206,14 +212,6 @@ def check_joint(observables, tols: Tolerances | None = None,
         )
         return JointResult(res)
     return JointResult(res, joint)
-
-
-def _marginal_deviation(joint: JointObservable, observables) -> float:
-    worst = 0.0
-    for k, obs in enumerate(observables):
-        marg = joint.marginal(k)
-        worst = max(worst, float(np.abs(marg.effects - obs.effects).max()))
-    return worst
 
 
 # === explicit joint constructions ============================================
@@ -231,24 +229,18 @@ def build_toss_joint(observables, trivials=None) -> JointObservable:
     else:
         if len(trivials) != n:
             raise ValueError("one trivial observable per factor required")
-        dists = []
-        for obs, t in zip(observables, trivials):
-            if len(t.probs) != obs.n_outcomes:
-                raise ValueError("trivial outcome count must match the observable")
-            dists.append(np.asarray(t.probs, dtype=float))
-    factor_outcomes = [obs.outcomes for obs in observables]
-    blocks = []
-    for combo in _product_combos(factor_outcomes):
-        idx = [obs.outcomes.index(x) for obs, x in zip(observables, combo)]
-        g = np.zeros((dim, dim), dtype=complex)
-        for k in range(n):
-            coeff = 1.0
-            for j in range(n):
-                if j != k:
-                    coeff *= dists[j][idx[j]]
-            g += coeff * observables[k].effects[idx[k]]
-        blocks.append(g / n)
-    return _joint_from_blocks(blocks, factor_outcomes, 1e-10)
+        dists = [np.asarray(t.probs, dtype=float) for t in trivials]
+        if any(len(p) != obs.n_outcomes for obs, p in zip(observables, dists)):
+            raise ValueError("trivial outcome count must match the observable")
+    counts = tuple(obs.n_outcomes for obs in observables)
+    grid = np.zeros(counts + (dim, dim), dtype=complex)
+    for k in range(n):
+        coeff = 1.0
+        for j in range(n):
+            if j != k:
+                coeff = coeff * _on_axis(dists[j][:, None, None], j, n)
+        grid += coeff * _on_axis(observables[k].effects, k, n)
+    return _joint_from_grid(grid / n, [obs.outcomes for obs in observables], 1e-10)
 
 
 def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
@@ -258,18 +250,15 @@ def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
     for p in mats:
         if p.shape[1] != obs.n_outcomes:
             raise ValueError("processing input size must match the parent outcomes")
-    factor_outcomes = [tuple(range(p.shape[0])) for p in mats]
-    dim = obs.dim
-    blocks = []
-    for combo in _product_combos(factor_outcomes):
-        g = np.zeros((dim, dim), dtype=complex)
-        for xi in range(obs.n_outcomes):
-            coeff = 1.0
-            for p, y in zip(mats, combo):
-                coeff *= p[y, xi]
-            g += coeff * obs.effects[xi]
-        blocks.append(g)
-    return _joint_from_blocks(blocks, factor_outcomes, 1e-10)
+    n = len(mats)
+    # coeff[y_1, ..., y_n, x] = prod_k p_k(y_k | x)
+    coeff = np.ones(obs.n_outcomes)
+    for k, p in enumerate(mats):
+        coeff = coeff * _on_axis(p, k, n)
+    grid = np.zeros(coeff.shape[:-1] + (obs.dim, obs.dim), dtype=complex)
+    for x, effect in enumerate(obs.effects):
+        grid += coeff[..., x, None, None] * effect
+    return _joint_from_grid(grid, [tuple(range(p.shape[0])) for p in mats], 1e-10)
 
 
 # === compatibility region and degree =========================================
@@ -310,13 +299,10 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     res = solve_feasibility(prob, tols, start)
     if not res.feasible:
         return JointResult(res)
-    joint = _joint_witness(res, observables, tols.witness_atol)
-    dists = tuple(
-        np.clip([res.witness[f"n{k}_{x}"][0, 0].real for x in range(obs.n_outcomes)], 0.0, None)
-        for k, obs in enumerate(observables)
-    )
-    dists = tuple(p / p.sum() for p in dists)
-    return JointResult(res, joint, dists)
+    grid, noise = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
+    joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
+    dists = tuple(np.clip(nk[:, 0, 0].real, 0.0, None) for nk in noise)
+    return JointResult(res, joint, tuple(p / p.sum() for p in dists))
 
 
 def degree_of_compatibility(
@@ -367,29 +353,24 @@ def jordan_criterion(observables, atol: float = 1e-10) -> JordanReport:
     factor over all orderings; positivity of every block certifies
     compatibility with the average family as an explicit joint.
     """
-    dim = _check_family_dim(observables)
+    _check_family_dim(observables)
     n = len(observables)
     if n > 4:
         raise ValueError("symmetrized products limited to at most 4 factors")
     _require_size(observables)
-    factor_outcomes = [obs.outcomes for obs in observables]
-    blocks = []
-    worst = np.inf
-    for combo in _product_combos(factor_outcomes):
-        effs = [obs.effects[obs.outcomes.index(x)] for obs, x in zip(observables, combo)]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for perm in itertools.permutations(range(n)):
-            term = np.eye(dim, dtype=complex)
-            for i in perm:
-                term = term @ effs[i]
-            acc += term
-        block = la.hermitian_part(acc / math.factorial(n))
-        blocks.append(block)
-        worst = min(worst, la.min_eig(block))
+    grids = [_on_axis(obs.effects, k, n) for k, obs in enumerate(observables)]
+    acc = 0.0
+    for perm in itertools.permutations(range(n)):
+        term = grids[perm[0]]
+        for i in perm[1:]:
+            term = np.matmul(term, grids[i])
+        acc = acc + term
+    blocks = la.hermitian_part(acc / math.factorial(n))
+    worst = float(np.min(la.min_eig(blocks)))
     if worst < -atol:
-        return JordanReport(False, float(worst))
-    joint = _joint_from_blocks(blocks, factor_outcomes, max(atol * 10, 1e-9))
-    return JordanReport(True, float(worst), joint)
+        return JordanReport(False, worst)
+    joint = _joint_from_grid(blocks, [obs.outcomes for obs in observables], max(atol * 10, 1e-9))
+    return JordanReport(True, worst, joint)
 
 
 @dataclass(frozen=True)
@@ -580,19 +561,11 @@ def postprocessing_order(obs1: Observable, obs2: Observable,
         raise ValueError("observables must share one dimension")
     m_out = obs1.n_outcomes
     m_in = obs2.n_outcomes
-    d = obs1.dim
     prob = SdpProblem()
-    prob.add_scalar_block("p", m_out * m_in, cap=1.0)
-    n_vecs = la.hermitian_to_real_vec(obs2.effects)  # (m_in, d^2)
-    for yi in range(m_out):
-        coeff = np.zeros((d * d, m_out * m_in))
-        for xi in range(m_in):
-            coeff[:, yi * m_in + xi] = n_vecs[xi]
-        prob.add_equality({"p": coeff}, vec_of(obs1.effects[yi]))
-    for xi in range(m_in):
-        row = np.zeros((1, m_out * m_in))
-        row[0, xi::m_in] = 1.0
-        prob.add_equality({"p": row}, np.array([1.0]))
+    prob.add_scalar_block("p", m_out * m_in, cap=1.0)  # p[y * m_in + x] = p(y|x)
+    # row block y: sum_x p(y|x) vec obs2(x) = vec obs1(y); then one row per column sum
+    prob.add_equality({"p": np.kron(np.eye(m_out), vec_of(obs2.effects).T)}, vec_of(obs1.effects).ravel())
+    prob.add_equality({"p": np.kron(np.ones(m_out), np.eye(m_in))}, np.ones(m_in))
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return OrderReport(res)

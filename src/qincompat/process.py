@@ -20,7 +20,7 @@ from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Observable, State
 from .sdpcore import (Decision, SolveResult, ThresholdResult, joint_problem,
-                      solve_feasibility, warm_bisect)
+                      joint_witness, solve_feasibility, warm_bisect)
 
 __all__ = [
     "Tester",
@@ -155,9 +155,8 @@ def check_tester_pair(t1: Tester, t2: Tester,
     result = solve_feasibility(joint_problem([t1.effects, t2.effects]), tols)
     joint = None
     if result.feasible:
-        m, n, side = t1.n_outcomes, t2.n_outcomes, t1.in_dim * t1.out_dim
-        blocks = la.psd_project(np.stack([result.witness[f"g{i}"] for i in range(m * n)]))
-        joint = blocks.reshape(m, n, side, side)
+        grid, _ = joint_witness(result.witness, (t1.n_outcomes, t2.n_outcomes))
+        joint = la.psd_project(grid)
     return TesterPairResult(result, joint)
 
 

@@ -57,7 +57,6 @@ package, the channel problems' included, is written by
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,6 +72,7 @@ __all__ = [
     "Verdict",
     "SdpProblem",
     "joint_problem",
+    "joint_witness",
     "SolveResult",
     "Decision",
     "Certificate",
@@ -323,10 +323,11 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     """Joint device with the given margins: the one compatibility question.
 
     ``margins[k]`` stacks the kth device's outcome operators M_k(x), all of
-    one side.  Block ``g{i}`` belongs to the ith tuple of
-    ``itertools.product`` over the outcome counts, and for every (k, x) the
-    blocks whose kth index is x sum to M_k(x).  Every g block has the trace
-    cap tr sum_x M_0(x), the trace of the joint device's total.
+    one side.  The joint device lies on the outcome grid of shape
+    ``counts = (len(M_0), len(M_1), ...)`` in C order: block ``g{i}`` is the
+    ith tuple of ``itertools.product``, and for every (k, x) the blocks whose
+    kth index is x sum to M_k(x).  Every g block has the trace cap
+    tr sum_x M_0(x), the trace of the joint device's total.
 
     With ``weights`` the kth margin is w_k M_k(x) + (1 - w_k) N_k(x) (x) I
     instead, for noise blocks ``n{k}_{x}`` >= 0 of side ``noise_side`` with
@@ -335,12 +336,12 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     """
     side = margins[0].shape[-1]
     cap = float(np.trace(margins[0].sum(axis=0)).real)
+    counts = tuple(len(m) for m in margins)
     prob = SdpProblem()
-    fibres = [[{} for _ in m] for m in margins]
-    for i, t in enumerate(itertools.product(*(range(len(m)) for m in margins))):
-        name = prob.add_psd_block(f"g{i}", side, cap)
-        for fibre, x in zip(fibres, t):
-            fibre[x][name] = 1.0
+    grid = np.array([prob.add_psd_block(f"g{i}", side, cap) for i in range(math.prod(counts))]).reshape(counts)
+    # fibre (k, x): the grid's slice at index x of axis k, in block order
+    fibres = [[dict.fromkeys(np.take(grid, x, axis=k).ravel().tolist(), 1.0) for x in range(c)]
+              for k, c in enumerate(counts)]
     if weights is None:
         for fibre, m in zip(fibres, margins):
             prob.add_margins(zip(fibre, [{}] * len(m), vec_of(m)), 1.0)
@@ -352,6 +353,17 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
         prob.add_margins(zip(fibre, [{n: lift} for n in noise], vec_of(m)), weights[k])
         prob.add_equality(dict.fromkeys(noise, tr_row), np.array([1.0]))
     return prob
+
+
+def joint_witness(witness: dict[str, np.ndarray], counts) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    """``(grid, noise)`` of a solved :func:`joint_problem`: ``grid[t]``, of shape
+    ``(*counts, side, side)``, is the block of outcome tuple t, and ``noise``
+    holds one ``(counts[k], s, s)`` stack per margin, or is ``None``."""
+    blocks = np.stack([witness[f"g{i}"] for i in range(math.prod(counts))])
+    grid = blocks.reshape(tuple(counts) + blocks.shape[1:])
+    if "n0_0" not in witness:
+        return grid, None
+    return grid, tuple(np.stack([witness[f"n{k}_{x}"] for x in range(c)]) for k, c in enumerate(counts))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ observables.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from itertools import product
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import State, transpose_observable
 from .obscompat import JointResult, check_joint
-from .sdpcore import Decision, joint_problem, solve_feasibility
+from .sdpcore import Decision, joint_problem, joint_witness, solve_feasibility
 
 __all__ = [
     "Assemblage",
@@ -90,8 +89,8 @@ class Assemblage:
 
 def deterministic_strategies(n_settings: int, n_outcomes: int) -> np.ndarray:
     """All outcome assignments, one row per function settings -> outcomes."""
-    rows = list(product(range(n_outcomes), repeat=n_settings))
-    return np.array(rows, dtype=np.intp).reshape(len(rows), n_settings)
+    grid = np.indices((n_outcomes,) * n_settings, dtype=np.intp)
+    return grid.reshape(n_settings, n_outcomes ** n_settings).T
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,10 @@ class LhsModel:
 
     def reproduces(self, assemblage: Assemblage, atol: float = 1e-7) -> bool:
         """Do the selected sums match every conditional state?"""
-        dev = 0.0
-        for j in range(assemblage.n_settings):
-            for x in range(assemblage.n_outcomes):
-                sel = self.states[self.strategies[:, j] == x].sum(axis=0)
-                dev = max(dev, np.abs(sel - assemblage.blocks[j, x]).max())
-        return dev <= atol
+        # picks[j, x, s]: strategy s answers x at setting j
+        picks = self.strategies.T[:, None, :] == np.arange(assemblage.n_outcomes)[:, None]
+        selected = (picks @ self.states.reshape(len(self.states), -1)).reshape(assemblage.blocks.shape)
+        return np.abs(selected - assemblage.blocks).max() <= atol
 
 
 @dataclass(frozen=True)
@@ -164,14 +161,13 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
     if len(strategies) > MAX_STRATEGIES:
         raise ValueError(f"{len(strategies)} strategies exceed the supported {MAX_STRATEGIES}")
 
-    # block g{k} belongs to strategy k, the kth outcome assignment in product
-    # order, so its fibre at setting j is the outcome it picks there
+    # strategy k is the kth outcome assignment in product order, the kth
+    # point of the joint device's outcome grid
     result = solve_feasibility(joint_problem(assemblage.blocks), tols)
     model = None
     if result.feasible:
-        states = la.psd_project(np.stack([result.witness[f"g{k}"]
-                                          for k in range(len(strategies))]))
-        model = LhsModel(states, strategies)
+        grid, _ = joint_witness(result.witness, (assemblage.n_outcomes,) * assemblage.n_settings)
+        model = LhsModel(la.psd_project(grid.reshape((-1,) + grid.shape[-2:])), strategies)
     return LhsResult(result, model)
 
 

@@ -199,6 +199,17 @@ def test_channel_pair_maps_skip_partial_trace_probes(monkeypatch):
     assert calls["n"] < 100
 
 
+@pytest.mark.parametrize("din,dmid,dout", [(2, 2, 2), (2, 4, 2), (3, 3, 3), (3, 2, 3), (2, 3, 4)])
+def test_compose_map_equals_probed_map(rng, din, dmid, dout):
+    # the map built from its adjoint equals the probed forward map of
+    # choi_compose, up to the summation order
+    j = q.random_channel(din, dmid, rng).choi()
+    got = chancompat._compose_map(j, din, dmid, dout)
+    want = sdpcore.real_linear_map(lambda h: q.choi_compose(j, h, din, dmid, dout), dmid * dout, din * dout)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.abs(got - want).max() <= 1e-13
+
+
 def test_channel_pair_maps_are_cached_by_shape(monkeypatch, ident):
     # a second pair of the same dimensions reuses the margin maps
     q.check_channel_pair(ident, ident)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import qincompat as q
-from qincompat.cli import EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, _code, main
-from qincompat.sdpcore import SolveResult, Verdict
+from qincompat.cli import EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, _boundary_lam2, _code, main
+from qincompat.sdpcore import SolveResult, Verdict, bisect_threshold
 
 
 @pytest.fixture
@@ -212,3 +212,15 @@ def test_reproduce_bc_bound(tmp_path, capsys):
     assert "0.666666667" in text
     assert "0.625000000" in text
     assert "0.555555556" in text
+
+
+@pytest.mark.parametrize("d", [3, 100])
+def test_boundary_root_equals_bisected_formula(d):
+    # the closed-form root against bisection of the region formula, on the
+    # 200 points per d that `reproduce fig4` writes
+    for lam1 in np.linspace(0.0, 1.0, 200):
+        lam1 = float(lam1)
+        want = bisect_threshold(lambda lam2: q.fourier_region_formula(d, lam1, lam2), 2.0 ** -40).value
+        assert abs(_boundary_lam2(d, lam1) - want) <= 1e-9
+    # the formula's slack keeps the corner d=3, lam1=1 just inside
+    assert f"{_boundary_lam2(3, 1.0):.6f}" == "0.000001"

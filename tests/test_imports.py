@@ -1,6 +1,7 @@
 """Lint as a test: every name a package module imports is read in that module,
-and every module-level private function or class is read somewhere in the package;
-and a guard on what solving imports."""
+every module-level private function or class is read somewhere in the package,
+and only sdpcore spells the names of the joint device's blocks; and a guard on
+what solving imports."""
 import ast
 import os
 import subprocess
@@ -71,6 +72,28 @@ def test_scan_finds_dead_privates():
 
 def test_package_reads_every_private_definition():
     assert dead_privates({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+def joint_block_names(source: str) -> list[int]:
+    """Lines of the f-strings that start ``g{`` or ``n{``, the way
+    ``sdpcore.joint_problem`` names the joint device's blocks."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.JoinedStr) and len(node.values) > 1
+                  and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("g", "n")
+                  and isinstance(node.values[1], ast.FormattedValue))
+
+
+def test_scan_finds_joint_block_names():
+    source = ('a = f"g{i}"\nb = f"n{k}_{x}"\nc = "g{i}"\nd = f"gap{i}"\n'
+              'e = f"{g}"\nf = f"ng{i}"\ng = w[f"g{i}"] + f"{x:n}"\n')
+    assert joint_block_names(source) == [1, 2, 7]
+
+
+def test_only_sdpcore_names_joint_blocks():
+    # the layout of a joint device on its outcome grid is sdpcore's alone:
+    # other modules read it through sdpcore.joint_witness
+    spelled = {p.name for p in SOURCES if joint_block_names(p.read_text(encoding="utf-8"))}
+    assert spelled == {"sdpcore.py"}
 
 
 def test_solving_leaves_numpy_ma_unimported():

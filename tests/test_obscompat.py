@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,130 @@ def test_build_postprocess_joint(rng):
     for k, st in enumerate([st1, st2]):
         want = q.post_process(obs, st)
         assert np.abs(joint.marginal(k).effects - want.effects).max() < 1e-10
+
+
+# --- the outcome grid against per-tuple loops --------------------------------
+# The loops below are the per-tuple constructions the grid versions replaced,
+# kept as references: one block per product tuple, found by outcome label.
+
+def loop_toss_blocks(observables, dists):
+    n = len(observables)
+    blocks = []
+    for combo in itertools.product(*(obs.outcomes for obs in observables)):
+        idx = [obs.outcomes.index(x) for obs, x in zip(observables, combo)]
+        g = np.zeros((observables[0].dim,) * 2, dtype=complex)
+        for k in range(n):
+            coeff = 1.0
+            for j in range(n):
+                if j != k:
+                    coeff *= dists[j][idx[j]]
+            g += coeff * observables[k].effects[idx[k]]
+        blocks.append(g / n)
+    return np.stack(blocks)
+
+
+def loop_postprocess_blocks(obs, mats):
+    blocks = []
+    for combo in itertools.product(*(range(p.shape[0]) for p in mats)):
+        g = np.zeros((obs.dim, obs.dim), dtype=complex)
+        for xi in range(obs.n_outcomes):
+            coeff = 1.0
+            for p, y in zip(mats, combo):
+                coeff *= p[y, xi]
+            g += coeff * obs.effects[xi]
+        blocks.append(g)
+    return np.stack(blocks)
+
+
+def loop_jordan_blocks(observables):
+    n, dim = len(observables), observables[0].dim
+    blocks = []
+    for combo in itertools.product(*(obs.outcomes for obs in observables)):
+        effs = [obs.effects[obs.outcomes.index(x)] for obs, x in zip(observables, combo)]
+        acc = np.zeros((dim, dim), dtype=complex)
+        for perm in itertools.permutations(range(n)):
+            term = np.eye(dim, dtype=complex)
+            for i in perm:
+                term = term @ effs[i]
+            acc += term
+        blocks.append(q.linalg.hermitian_part(acc / math.factorial(n)))
+    return np.stack(blocks)
+
+
+def loop_marginal(joint, k):
+    outs = joint.factor_outcomes[k]
+    effects = np.zeros((len(outs), joint.observable.dim, joint.observable.dim), dtype=complex)
+    index = {x: i for i, x in enumerate(outs)}
+    np.add.at(effects, [index[combo[k]] for combo in joint.observable.outcomes],
+              joint.observable.effects)
+    return effects
+
+
+def labelled_family(rng, counts, dim=2):
+    # outcome labels are strings on the second factor, so lookups by label matter
+    family = [q.random_povm(dim, m, rng) for m in counts]
+    if len(family) > 1:
+        family[1] = q.Observable(family[1].effects, outcomes=[f"y{x}" for x in range(counts[1])])
+    return family
+
+
+FAMILIES = {"mixed": (2, 3, 2, 4), "one": (3,), "pair": (2, 3)}
+
+
+def close(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("counts", FAMILIES.values(), ids=FAMILIES.keys())
+def test_toss_joint_equals_tuple_loop(rng, counts):
+    family = labelled_family(rng, counts)
+    joint = q.build_toss_joint(family)
+    uniform = [np.full(m, 1.0 / m) for m in counts]
+    assert joint.observable.outcomes == tuple(itertools.product(*(o.outcomes for o in family)))
+    assert close(joint.observable.effects, loop_toss_blocks(family, uniform))
+    trivials = [q.TrivialObservable(tuple(rng.dirichlet(np.ones(m))), 2) for m in counts]
+    biased = q.build_toss_joint(family, trivials)
+    assert close(biased.observable.effects, loop_toss_blocks(family, [np.asarray(t.probs) for t in trivials]))
+    for k in range(len(counts)):
+        assert close(joint.marginal(k).effects, loop_marginal(joint, k))
+        assert close(biased.marginal(k).effects, loop_marginal(biased, k))
+        assert joint.marginal(k).outcomes == family[k].outcomes
+
+
+@pytest.mark.parametrize("outs", [(2, 3, 2), (3,)], ids=["three", "one"])
+def test_postprocess_joint_equals_tuple_loop(rng, outs):
+    parent = q.random_povm(2, 4, rng)
+    mats = [rng.dirichlet(np.ones(m), size=4).T for m in outs]
+    joint = q.build_postprocess_joint(parent, [q.StochasticMatrix(p) for p in mats])
+    assert close(joint.observable.effects, loop_postprocess_blocks(parent, mats))
+    for k, p in enumerate(mats):
+        assert close(joint.marginal(k).effects, loop_marginal(joint, k))
+        assert close(joint.marginal(k).effects, q.post_process(parent, q.StochasticMatrix(p)).effects)
+
+
+@pytest.mark.parametrize("counts", FAMILIES.values(), ids=FAMILIES.keys())
+def test_jordan_blocks_equal_tuple_loop(rng, counts):
+    # noised to weight 1/4, the symmetrized products are positive, so the
+    # report carries the blocks; the sharp family's are not, only the minimum
+    family = [q.mix_with_trivial(o, 0.25) for o in labelled_family(rng, counts)]
+    want = loop_jordan_blocks(family)
+    report = q.jordan_criterion(family)
+    assert report.certified
+    assert close(report.joint.observable.effects, want)
+    assert abs(report.min_eigenvalue - np.linalg.eigvalsh(want)[:, 0].min()) <= 1e-14
+    sharp = [q.sharp_observable(np.linalg.qr(rng.normal(size=(2, 2)))[0]) for _ in counts]
+    worst = np.linalg.eigvalsh(loop_jordan_blocks(sharp))[:, 0].min()
+    assert abs(q.jordan_criterion(sharp).min_eigenvalue - worst) <= 1e-14
+
+
+def test_joint_observable_needs_product_order(rng):
+    joint = q.build_toss_joint(labelled_family(rng, (2, 3)))
+    obs = joint.observable
+    order = np.roll(np.arange(obs.n_outcomes), 1)
+    permuted = q.Observable(obs.effects[order], outcomes=[obs.outcomes[i] for i in order])
+    with pytest.raises(ValueError, match="product of the factor outcomes"):
+        q.JointObservable(permuted, joint.factor_outcomes)
+    assert q.JointObservable(obs, joint.factor_outcomes).marginal(1).outcomes == ("y0", "y1", "y2")
 
 
 # --- noise models ------------------------------------------------------------

@@ -14,7 +14,7 @@ from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp
 from qincompat.obscompat import check_joint
 from qincompat.process import check_tester_pair, prepare_measure_tester
 from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _block_eigh, _Projector,
-                               bisect_threshold, joint_problem, partial_trace_map,
+                               bisect_threshold, joint_problem, joint_witness, partial_trace_map,
                                real_linear_map, solve_feasibility, vec_of, verify_witness,
                                warm_bisect)
 from qincompat.steering import check_lhs, max_entangled_assemblage
@@ -365,6 +365,58 @@ def test_joint_problem_fibres(rng):
             want = np.eye(4) if t[k] == x else np.zeros((4, 4))
             assert np.array_equal(a[4 * r : 4 * r + 4, 4 * i : 4 * i + 4], want)
         assert np.array_equal(b[4 * r : 4 * r + 4], vec_of(margins[k][x]))
+
+
+def _solved_lhs(sharp_x, sharp_z):
+    asm = max_entangled_assemblage([mix_with_trivial(o, 0.6) for o in (sharp_x, sharp_z)])
+    return joint_problem(asm.blocks), (2, 2)
+
+
+def _solved_tester_pair(sharp_x, sharp_z):
+    tx, tz = (prepare_measure_tester(np.eye(2) / 2, mix_with_trivial(o, 0.6)) for o in (sharp_x, sharp_z))
+    return joint_problem([tx.effects, tz.effects]), (2, 2)
+
+
+def _solved_noisy_testers(sharp_x, sharp_z):
+    tx, tz = (prepare_measure_tester(np.eye(2) / 2, o) for o in (sharp_x, sharp_z))
+    return joint_problem([tx.effects, tz.effects], (0.6, 0.6), 2), (2, 2)
+
+
+def _solved_noisy_family(sharp_x, sharp_z):
+    family = [sharp_x, sharp_z, q.trivial_observable([0.2, 0.3, 0.5], 2)]
+    return joint_problem([o.effects for o in family], (0.5, 0.5, 0.5)), (2, 2, 3)
+
+
+@pytest.mark.parametrize("case", [_solved_lhs, _solved_tester_pair, _solved_noisy_testers,
+                                  _solved_noisy_family],
+                         ids=["lhs", "tester", "noisy-tester", "noisy-family"])
+def test_joint_witness_reads_the_blocks_on_the_grid(sharp_x, sharp_z, case):
+    # the grid is the g blocks stacked in product order, the noise the n
+    # blocks stacked per margin
+    prob, counts = case(sharp_x, sharp_z)
+    res = solve_feasibility(prob)
+    assert res.feasible
+    grid, noise = joint_witness(res.witness, counts)
+    assert grid.shape[:-2] == counts
+    for i, t in enumerate(itertools.product(*map(range, counts))):
+        assert np.array_equal(grid[t], res.witness[f"g{i}"])
+    if "n0_0" not in res.witness:
+        assert noise is None
+    else:
+        assert len(noise) == len(counts)
+        for k, stack in enumerate(noise):
+            assert np.array_equal(stack, np.stack([res.witness[f"n{k}_{x}"] for x in range(counts[k])]))
+
+
+def test_checks_read_their_devices_from_the_grid(sharp_x, sharp_z):
+    # the public witnesses are the projected g blocks, in product order
+    tx, tz = (prepare_measure_tester(np.eye(2) / 2, mix_with_trivial(o, 0.6)) for o in (sharp_x, sharp_z))
+    pair = check_tester_pair(tx, tz)
+    blocks = np.stack([pair.solve.witness[f"g{i}"] for i in range(4)])
+    assert np.array_equal(pair.joint, la.psd_project(blocks).reshape(2, 2, 4, 4))
+    lhs = check_lhs(max_entangled_assemblage([mix_with_trivial(o, 0.6) for o in (sharp_x, sharp_z)]))
+    blocks = np.stack([lhs.solve.witness[f"g{i}"] for i in range(4)])
+    assert np.array_equal(lhs.model.states, la.psd_project(blocks))
 
 
 def test_joint_problem_derives_trace_cap(sharp_x, sharp_z):

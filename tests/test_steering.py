@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,10 @@ def test_deterministic_strategies():
     assert strat.shape == (9, 2)
     assert len({tuple(r) for r in strat}) == 9
     assert strat.min() == 0 and strat.max() == 2
+    # the rows are the product tuples, in order: the points of the outcome grid
+    for settings, outcomes in [(1, 4), (3, 2), (6, 3)]:
+        want = list(itertools.product(range(outcomes), repeat=settings))
+        assert q.deterministic_strategies(settings, outcomes).tolist() == [list(t) for t in want]
 
 
 def test_unsteerable_assemblage(sharp_x, sharp_z):
@@ -88,6 +94,26 @@ def test_unsteerable_assemblage(sharp_x, sharp_z):
     model = res.model
     assert model is not None
     assert model.reproduces(asm)
+
+
+def loop_deviation(model, asm):
+    # the per-(setting, outcome) selection the one-hot sum replaced, as a reference
+    return max(np.abs(model.states[model.strategies[:, j] == x].sum(axis=0) - asm.blocks[j, x]).max()
+               for j in range(asm.n_settings) for x in range(asm.n_outcomes))
+
+
+def test_reproduces_equals_selection_loop(sharp_x, sharp_y, sharp_z, rng):
+    asm = q.max_entangled_assemblage([noisy(o, 0.5) for o in (sharp_x, sharp_y, sharp_z)])
+    model = q.check_lhs(asm).model
+    # any strategy order; and every state bumped so that each selected sum is
+    # off by half or twice atol = 1e-7
+    order = rng.permutation(len(model.strategies))
+    shuffled = q.LhsModel(model.states[order], model.strategies[order])
+    assert shuffled.reproduces(asm) and loop_deviation(shuffled, asm) <= 1e-7
+    per_fibre = len(order) // asm.n_outcomes
+    for scale, want in ((0.5, True), (2.0, False)):
+        bumped = q.LhsModel(model.states + scale * 1e-7 / per_fibre * np.eye(2), model.strategies)
+        assert bumped.reproduces(asm) == want == (loop_deviation(bumped, asm) <= 1e-7)
 
 
 def test_lhs_states_are_projected_witness_blocks(sharp_x, sharp_y, sharp_z):
