@@ -20,8 +20,8 @@ from .devices import (Channel, Instrument, NaimarkDilation, Observable,
                       sharp_observable, tensor_channel, transpose_observable,
                       trivial_observable, unitary_channel, werner_cloner)
 from .sdpcore import (Certificate, Decision, SdpProblem, SolveResult,
-                      ThresholdResult, Verdict, bisect_threshold,
-                      solve_feasibility, verify_witness)
+                      ThresholdResult, UpperEnd, Verdict, bisect_threshold,
+                      solve_feasibility, threshold_search, verify_witness)
 from .obscompat import (CommutatorReport, JointObservable, JointResult,
                         JordanReport, MurReport, NoiseMode, NoiseSpec,
                         OrderReport, WeakCoexistenceReport, build_postprocess_joint,
@@ -65,8 +65,8 @@ __all__ = [
     "diag_channel", "conjugate_channel", "ctrl_unitary_selfconjugate",
     "werner_cloner", "cloner_marginal_coefficient", "random_state",
     "random_unitary", "random_povm", "random_channel",
-    "Verdict", "SdpProblem", "SolveResult", "Decision", "ThresholdResult", "Certificate",
-    "solve_feasibility", "verify_witness", "bisect_threshold",
+    "Verdict", "SdpProblem", "SolveResult", "Decision", "ThresholdResult", "UpperEnd",
+    "Certificate", "solve_feasibility", "verify_witness", "bisect_threshold", "threshold_search",
     "NoiseMode", "NoiseSpec", "JointResult", "check_joint", "build_toss_joint",
     "build_postprocess_joint", "region_membership", "degree_of_compatibility",
     "fourier_region_formula", "JordanReport", "jordan_criterion",

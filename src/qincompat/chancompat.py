@@ -29,8 +29,8 @@ from .sdpcore import (
     partial_trace_map,
     real_linear_map,
     solve_feasibility,
+    threshold_search,
     vec_of,
-    warm_bisect,
 )
 
 __all__ = [
@@ -170,7 +170,9 @@ def _channel_pair_problem(chan_a: Channel, chan_b: Channel,
                           mode: NoiseClass | None = None, lam: float = 1.0) -> SdpProblem:
     """Joint channel for lam-mixtures of two channels with a noise pair of class ``mode``.
 
-    With ``mode=None`` there is no noise: the plain compatibility problem.
+    The noise blocks hold (1 - lam) times the noise (see
+    :meth:`SdpProblem.add_margins`).  With ``mode=None`` there is no noise:
+    the plain compatibility problem.
     """
     din, da, db = chan_a.in_dim, chan_a.out_dim, chan_b.out_dim
     side = din * da * db
@@ -200,9 +202,7 @@ def _channel_pair_problem(chan_a: Channel, chan_b: Channel,
         noise_b["noise_joint"] = tr_a
         norms.append(({"noise_joint": partial_trace_map(dims, (0,))}, eye_in))
     prob.add_margins([({"joint": tr_b}, noise_a, vec_of(chan_a.choi())),
-                      ({"joint": tr_a}, noise_b, vec_of(chan_b.choi()))], lam)
-    for terms, rhs in norms:
-        prob.add_equality(terms, rhs)
+                      ({"joint": tr_a}, noise_b, vec_of(chan_b.choi()))], lam, norms)
     return prob
 
 
@@ -211,8 +211,9 @@ def _obs_channel_problem(obs: Observable, chan: Channel,
     """Instrument for lam-mixtures of an observable and a channel with noise of class ``mode``.
 
     Blocks ``op{x}`` are the instrument's Choi blocks: their sum is the
-    channel and ``tr_out op{x}`` is effect x transposed.  With ``mode=None``
-    there is no noise: the plain realizability problem.
+    channel and ``tr_out op{x}`` is effect x transposed.  The noise blocks
+    hold (1 - lam) times the noise.  With ``mode=None`` there is no noise:
+    the plain realizability problem.
     """
     din, dout = chan.in_dim, chan.out_dim
     m = obs.n_outcomes
@@ -251,9 +252,7 @@ def _obs_channel_problem(obs: Observable, chan: Channel,
         norms.append(({f"nop{x}": tr_out for x in range(m)}, eye_in))
     rows = [dict.fromkeys(ops, 1.0)] + [{op: tr_out} for op in ops]
     devices = [vec_of(chan.choi())] + [vec_of(e.T) for e in obs.effects]
-    prob.add_margins(zip(rows, noise, devices), lam)
-    for terms, rhs in norms:
-        prob.add_equality(terms, rhs)
+    prob.add_margins(zip(rows, noise, devices), lam, norms)
     return prob
 
 
@@ -263,9 +262,10 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
 
     Accepts a channel pair or an observable paired with a channel.  The weight
     multiplies both devices; (1 - weight) multiplies a noise pair of the
-    selected class, itself part of the feasibility search.  Bisection returns
-    the certified-feasible supremum; each probe is warm-started from the last
-    feasible one.
+    selected class, itself part of the feasibility search.  The family is
+    factorized once and searched by :func:`sdpcore.threshold_search`; the
+    returned weight is certified feasible and within the bisection tolerance
+    below the threshold.
     """
     tols = tols or DEFAULT_TOLS
     if isinstance(device_a, Channel) and isinstance(device_b, Channel):
@@ -281,10 +281,7 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
     if not isinstance(mode, NoiseClass):
         raise ValueError(f"unknown noise class {mode}")
 
-    def solve_at(lam, start):
-        return solve_feasibility(build(device_a, device_b, mode, lam), tols, start)
-
-    return warm_bisect(solve_at, tols.bisect_tol).value
+    return threshold_search(lambda lam: build(device_a, device_b, mode, lam), tols).value
 
 
 # === state marginal problem ==================================================

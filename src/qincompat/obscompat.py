@@ -38,8 +38,8 @@ from .sdpcore import (
     joint_problem,
     joint_witness,
     solve_feasibility,
+    threshold_search,
     vec_of,
-    warm_bisect,
 )
 
 __all__ = [
@@ -189,16 +189,18 @@ def _require_size(observables):
         )
 
 
-def check_joint(observables, tols: Tolerances | None = None,
-                start: np.ndarray | None = None) -> JointResult:
-    """Decide joint measurability; on success return the joint observable.
-
-    ``start`` is an optional solver start (see :func:`solve_feasibility`).
-    """
+def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
+    """Decide joint measurability; on success return the joint observable."""
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
     _require_size(observables)
-    res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols, start)
+    res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols)
+    return _joint_result(res, observables, tols)
+
+
+def _joint_result(res: SolveResult, observables, tols: Tolerances) -> JointResult:
+    """The joint observable of a solved joint problem; UNDECIDED when its
+    marginals miss the observables by more than ``marginal_atol``."""
     if not res.feasible:
         return JointResult(res)
     grid, _ = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
@@ -273,13 +275,14 @@ def _resolve_distributions(observables, noise: NoiseSpec):
     return list(dists)
 
 
-def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = None,
-                      start: np.ndarray | None = None) -> JointResult:
+def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = None) -> JointResult:
     """Joint measurability of the noisy family lam_k M_k + (1-lam_k) p_k(.) I.
 
     With optimized noise the distributions p_k are solver variables, so the
     answer quantifies over every choice of trivial noise at the given weights.
-    ``start`` is an optional solver start (see :func:`solve_feasibility`).
+    They are read back from the noise blocks, which hold (1 - lam_k) p_k, by
+    normalizing; at weight 1 the noise is absent and every distribution is
+    valid, and the uniform one is returned.
     """
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
@@ -292,17 +295,20 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
             mix_with_trivial(obs, w, probs=p)
             for obs, w, p in zip(observables, noise.weights, dists)
         ]
-        res = check_joint(mixed, tols, start)
+        res = check_joint(mixed, tols)
         return JointResult(res.solve, res.joint, tuple(dists))
 
     prob = joint_problem([obs.effects for obs in observables], noise.weights)
-    res = solve_feasibility(prob, tols, start)
+    res = solve_feasibility(prob, tols)
     if not res.feasible:
         return JointResult(res)
-    grid, noise = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
+    grid, blocks = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
     joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
-    dists = tuple(np.clip(nk[:, 0, 0].real, 0.0, None) for nk in noise)
-    return JointResult(res, joint, tuple(p / p.sum() for p in dists))
+    dists = []
+    for w, nk in zip(noise.weights, blocks):
+        p = np.clip(nk[:, 0, 0].real, 0.0, None)
+        dists.append(np.full(len(p), 1.0 / len(p)) if w == 1.0 else p / p.sum())
+    return JointResult(res, joint, tuple(dists))
 
 
 def degree_of_compatibility(
@@ -312,21 +318,29 @@ def degree_of_compatibility(
 ) -> float:
     """Largest symmetric weight at which trivial noise restores compatibility.
 
-    Bisection from the feasible side; the returned value is certified feasible
-    within the bisection tolerance, and each probe is warm-started from the
-    last feasible one.  A single observable has degree 1.
+    The family of :func:`region_membership` problems at equal weights is
+    factorized once and searched by :func:`sdpcore.threshold_search`; the
+    returned value is certified feasible and within the bisection tolerance
+    below the threshold.  Uniform-noise probes keep :func:`check_joint`'s
+    marginal test.  A single observable has degree 1.
     """
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
     if len(observables) == 1:
         return 1.0
     n = len(observables)
+    _require_size(observables)
+    if noise_mode is NoiseMode.OPTIMIZED_TRIVIAL:
+        effects = [obs.effects for obs in observables]
+        return threshold_search(lambda lam: joint_problem(effects, (lam,) * n), tols).value
+    dists = _resolve_distributions(observables, NoiseSpec((1.0,) * n, noise_mode))
 
-    def solve_at(lam: float, start) -> SolveResult:
-        spec = NoiseSpec((lam,) * n, noise_mode)
-        return region_membership(observables, spec, tols, start).solve
+    def mixed(lam: float) -> list[Observable]:
+        return [mix_with_trivial(obs, lam, probs=p) for obs, p in zip(observables, dists)]
 
-    return warm_bisect(solve_at, tols.bisect_tol).value
+    return threshold_search(
+        lambda lam: joint_problem([obs.effects for obs in mixed(lam)]), tols,
+        lambda lam, res: _joint_result(res, mixed(lam), tols).solve).value
 
 
 def fourier_region_formula(d: int, lam1: float, lam2: float) -> bool:

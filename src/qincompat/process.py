@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Observable, State
-from .sdpcore import (Decision, SolveResult, ThresholdResult, joint_problem,
-                      joint_witness, solve_feasibility, warm_bisect)
+from .sdpcore import (Decision, ThresholdResult, joint_problem, joint_witness,
+                      solve_feasibility, threshold_search)
 
 __all__ = [
     "Tester",
@@ -168,17 +168,14 @@ def tester_degree(t1: Tester, t2: Tester,
     sum_l G_jl = q F1_j + (1-q) A_j (x) I with A_j >= 0, sum_j tr A_j = 1,
     and likewise on the other side.  Always at least 1/2: tossing a fair
     coin between the two testers and faking the other outcome realizes
-    q = 1/2 for any pair.  Each bisection probe is warm-started from the last
-    feasible one.
+    q = 1/2 for any pair.  The family is factorized once and searched by
+    :func:`sdpcore.threshold_search`: ``value`` is certified feasible, and
+    ``upper`` holds the smallest certified upper end the search found.
     """
     tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-
-    def solve_at(q: float, start) -> SolveResult:
-        prob = joint_problem([t1.effects, t2.effects], (q, q), t1.in_dim)
-        return solve_feasibility(prob, tols, start)
-
-    return warm_bisect(solve_at, tols.bisect_tol)
+    effects = [t1.effects, t2.effects]
+    return threshold_search(lambda q: joint_problem(effects, (q, q), t1.in_dim), tols)
 
 
 @dataclass(frozen=True)

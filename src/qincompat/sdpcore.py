@@ -39,11 +39,20 @@ vs its infimum over the capped cones), never trusted from solver state alone,
 so early attempts are as safe as late ones.
 
 A solve starts from the affine particular solution unless it is given a
-``start`` iterate; the iteration converges from any start.  Threshold
-searches use this through :func:`warm_bisect`: each probe starts at the final
-iterate of the search's last feasible probe, because neighbouring weights
-have nearby solutions.  Infeasible probes never seed a start, since their
-iterates drift along the gap direction.
+``start`` iterate; the iteration converges from any start.
+
+A threshold search (:func:`threshold_search`) decides a family of problems
+whose weight lam enters only the right-hand side, affinely: the margin rows
+of :meth:`SdpProblem.add_margins` carry the noise as (1 - lam) N, so their
+coefficients do not depend on lam.  The search factorizes the family once,
+with the two right-hand sides b(0) and b(1) - b(0), and each probe solves
+its member from that factorization, warm-started at the final iterate of
+the last feasible probe (neighbouring weights have nearby solutions;
+infeasible iterates drift along the gap direction and never seed a start).
+A certified probe's functional h lies in the row space of the fixed A, so
+its gap <h, x_part(lam)> - inf_cones <h, .> is affine in lam: it excludes
+every weight above the root of gap = -feas, and :func:`bisect_threshold`
+drops the bracket's top to that root and approaches it from below.
 
 Joint measurability, local hidden state models and joint testers are one
 question, built once by :func:`joint_problem`: PSD blocks on a product index
@@ -57,6 +66,7 @@ package, the channel problems' included, is written by
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,8 +92,9 @@ __all__ = [
     "vec_of",
     "solve_feasibility",
     "verify_witness",
+    "UpperEnd",
     "bisect_threshold",
-    "warm_bisect",
+    "threshold_search",
 ]
 
 
@@ -191,6 +202,9 @@ class SdpProblem:
         self._rows: list[tuple[dict[str, float | np.ndarray], np.ndarray]] = []
         self._n = 0
         self._groups: tuple[tuple[list[_Block], np.ndarray], ...] | None = None
+        # set only on a threshold search's members (see _Projector.at), which
+        # no one adds to: their family's projector at their weight
+        self._projector: _Projector | None = None
 
     # --- variables ---------------------------------------------------------
 
@@ -254,11 +268,20 @@ class SdpProblem:
                 checked[name] = t
         self._rows.append((checked, rhs))
 
-    def add_margins(self, rows, lam: float) -> None:
-        """One row ``terms - (1 - lam) noise = lam device`` per (terms, noise, device)."""
+    def add_margins(self, rows, lam: float, norms=()) -> None:
+        """Margins of devices mixed at weight ``lam`` with noise.
+
+        One row ``terms - noise = lam device`` per (terms, noise, device), and
+        one row ``terms = (1 - lam) rhs`` per (terms, rhs) in ``norms``, the
+        noise's normalization.  The noise blocks hold (1 - lam) times the
+        noise, so no coefficient depends on ``lam`` and the right-hand side
+        depends on it affinely: a threshold search factorizes once.  Their
+        trace caps still bound them, as 1 - lam <= 1.
+        """
         for terms, noise, device in rows:
-            noisy = {name: -(1 - lam) * t for name, t in noise.items()}
-            self.add_equality({**terms, **noisy}, lam * device)
+            self.add_equality({**terms, **{name: -t for name, t in noise.items()}}, lam * device)
+        for terms, rhs in norms:
+            self.add_equality(terms, (1 - lam) * rhs)
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
         rows = sum(r.size for _, r in self._rows)
@@ -318,6 +341,25 @@ class SdpProblem:
             parts.update(zip((b.name for b in blks), vals))
         return {name: parts[name] for name in self._blocks}
 
+    def join(self, parts: dict[str, np.ndarray]) -> np.ndarray:
+        """Flat vector of named blocks, the inverse of :meth:`split`.
+
+        Blocks not in ``parts`` are zero; an unknown name raises ``KeyError``.
+        """
+        for name in parts:
+            self.block(name)  # an unknown name raises KeyError
+        x = np.zeros(self._n)
+        for blks, idx in self._stacks():
+            given = [i for i, b in enumerate(blks) if b.name in parts]
+            if not given:
+                continue
+            vals = [parts[blks[i].name] for i in given]
+            if blks[0].kind == "psd":
+                x[idx[given]] = la.hermitian_to_real_vec(np.asarray(vals, dtype=complex))
+            else:
+                x[idx[given]] = np.asarray(vals, dtype=float)
+        return x
+
 
 def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     """Joint device with the given margins: the one compatibility question.
@@ -330,9 +372,10 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     tr sum_x M_0(x), the trace of the joint device's total.
 
     With ``weights`` the kth margin is w_k M_k(x) + (1 - w_k) N_k(x) (x) I
-    instead, for noise blocks ``n{k}_{x}`` >= 0 of side ``noise_side`` with
-    sum_x tr N_k(x) = 1.  Side 1 is trivial noise p_k(x) I; the input side of
-    a tester is channel-blind noise.
+    instead, for noise N_k(x) >= 0 of side ``noise_side`` with
+    sum_x tr N_k(x) = 1; block ``n{k}_{x}`` holds (1 - w_k) N_k(x) (see
+    :meth:`SdpProblem.add_margins`).  Side 1 is trivial noise p_k(x) I; the
+    input side of a tester is channel-blind noise.
     """
     side = margins[0].shape[-1]
     cap = float(np.trace(margins[0].sum(axis=0)).real)
@@ -350,8 +393,8 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     tr_row = vec_of(np.eye(noise_side))[None, :]
     for k, (fibre, m) in enumerate(zip(fibres, margins)):
         noise = [prob.add_psd_block(f"n{k}_{x}", noise_side, 1.0) for x in range(len(m))]
-        prob.add_margins(zip(fibre, [{n: lift} for n in noise], vec_of(m)), weights[k])
-        prob.add_equality(dict.fromkeys(noise, tr_row), np.array([1.0]))
+        prob.add_margins(zip(fibre, [{n: lift} for n in noise], vec_of(m)), weights[k],
+                         [(dict.fromkeys(noise, tr_row), np.array([1.0]))])
     return prob
 
 
@@ -451,7 +494,10 @@ _PASS_RANGE = 1e-3
 
 
 def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the row space of ``a`` and the least-norm solution of a x = b.
+    """Orthonormal basis of the row space of ``a`` and the least-norm solutions of a x = b.
+
+    ``b`` holds one right-hand side per column, and column j of the second
+    result solves for column j of ``b``.
 
     The rank is the one a dense SVD reveals with the cut ``cut``: singular
     values above ``cut`` times the largest.  Each pass factorizes the Gram
@@ -468,7 +514,7 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
         q, rows = np.linalg.qr(a)
         rhs = q.T @ b
     vr = np.zeros((a.shape[1], 0))
-    coef = np.zeros(0)
+    coef = np.zeros((0, b.shape[1]))
     floor = None  # eigenvalue of the SVD rank cut, set by the first pass
     while rows.shape[0]:
         gram = rows @ rows.T
@@ -484,7 +530,7 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
             span = slice(at, at + idx.size)
             w[span] = wb.ravel()
             np.matmul(np.swapaxes(u, 1, 2), rows[idx], out=turned[span].reshape(idx.shape + (-1,)))
-            turned_rhs[span] = np.einsum("kij,ki->kj", u, rhs[idx]).ravel()
+            turned_rhs[span] = np.einsum("kij,kil->kjl", u, rhs[idx]).reshape(-1, rhs.shape[1])
             at += idx.size
         if floor is None:
             floor = cut**2 * w.max()
@@ -495,7 +541,7 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
         found = turned[keep]
         found /= s[:, None]
         vr = np.hstack([vr, found.T]) if vr.size else found.T
-        coef = np.concatenate([coef, turned_rhs[keep] / s])
+        coef = np.concatenate([coef, turned_rhs[keep] / s[:, None]])
         # the other rotated rows are orthogonal to vr, exactly so without
         # rounding.  Writing x = vr coef + y with y orthogonal to vr, they give
         # rows' y = rhs - (rows vr) coef, where rows' has vr projected out;
@@ -508,8 +554,16 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
     return vr, vr @ coef
 
 
+def _same_cones(p: SdpProblem, q: SdpProblem) -> bool:
+    """Same blocks, with caps equal up to the rounding of caps derived from data."""
+    pairs = list(zip(p._blocks.values(), q._blocks.values()))
+    return len(p._blocks) == len(q._blocks) and all(
+        (b.name, b.kind, b.dim) == (c.name, c.kind, c.dim) and np.allclose(b.cap, c.cap, rtol=1e-12, atol=0.0)
+        for b, c in pairs)
+
+
 class _Projector:
-    """Precomputed projections for one problem.
+    """Precomputed projections for one problem, or for an affine family.
 
     Only the touched columns of the constraint matrix A, those some row
     uses, enter the factorization: ``a`` holds them and ``cols`` their
@@ -517,16 +571,33 @@ class _Projector:
     row-space basis and the least-norm solution on those columns only; on
     every other coordinate the basis is zero, so the affine step leaves
     those coordinates as they are.
+
+    With ``at_one`` the projector factorizes the family lam -> problem(lam)
+    whose members at 0 and 1 are ``problem`` and ``at_one``.  Their A must
+    be equal and their cones too, up to caps that differ by rounding
+    (members take those of ``problem``), else ``ValueError``; then
+    b(lam) = b + lam db and x_part(lam) = x_part + lam dx, from one
+    factorization with the columns b and db.  :meth:`at` gives a member and :meth:`upper_end` the crossing
+    of a member's certificate.
     """
 
-    def __init__(self, problem: SdpProblem):
-        self.problem = problem
-        a, self.b = problem.assemble()
+    def __init__(self, problem: SdpProblem, at_one: SdpProblem | None = None):
+        a, b = problem.assemble()
+        rhs = b[:, None]
+        self.at_one = at_one
+        if at_one is not None:
+            a1, b1 = at_one.assemble()
+            if not (np.array_equal(a, a1) and _same_cones(problem, at_one)):
+                raise ValueError("the family's constraint matrix or cones depend on its weight")
+            self.db = b1 - b
+            rhs = np.column_stack([b, self.db])
         self.cols = np.flatnonzero(np.any(a != 0, axis=0))
         cut = max(a.shape) * np.finfo(float).eps
         self.a = a = np.take(a, self.cols, axis=1)  # the only copy kept, row-major
-        self.vr, self.x_part = _row_space(a, self.b, cut)
-        self.inconsistency = float(np.abs(a @ self.x_part - self.b).max(initial=0.0))
+        self.vr, x_parts = _row_space(a, rhs, cut)
+        if at_one is not None:
+            self.dx = x_parts[:, 1]
+        self._place(problem, b, x_parts[:, 0])
         # psd blocks of one side share a batched eigendecomposition; 1x1
         # blocks are clipped with the scalars, with no eigh group of their own
         self.psd_groups = []
@@ -543,6 +614,38 @@ class _Projector:
         order = np.argsort(np.concatenate(scalar_idx))
         self.scalar_idx = np.concatenate(scalar_idx)[order]
         self.scalar_caps = np.concatenate(scalar_caps)[order]
+
+    def _place(self, problem: SdpProblem, b: np.ndarray, x_part: np.ndarray) -> None:
+        self.problem, self.b, self.x_part = problem, b, x_part
+        self.inconsistency = float(np.abs(self.a @ x_part - b).max(initial=0.0))
+
+    def at(self, lam: float) -> SdpProblem:
+        """The family's problem at ``lam``, carrying its projector (no new factorization)."""
+        base = self.problem
+        member = copy.copy(base)
+        member._rows = [(terms, r0 + lam * (r1 - r0))
+                        for (terms, r0), (_, r1) in zip(base._rows, self.at_one._rows)]
+        proj = copy.copy(self)
+        proj.at_one = None
+        proj._place(member, self.b + lam * self.db, self.x_part + lam * self.dx)
+        member._projector = proj
+        return member
+
+    def upper_end(self, lam: float, cert: Certificate, feas: float) -> float | None:
+        """Weight above which ``cert``, certified at ``lam``, excludes every member.
+
+        The functional h is constant on each member's affine set, so its gap
+        g(mu) = <h, x_part(mu)> - inf_cones <h, .> is affine in mu, and every
+        mu with g(mu) < -feas is certified infeasible.  Returns the root of
+        g = -feas, with 2**-10 feas to spare for rounding, capped at ``lam``;
+        ``None`` when the gap does not fall with the weight.
+        """
+        h = self.problem.join(cert.functional)[self.cols]
+        slope = float(h @ self.dx)
+        gap0 = float(h @ self.x_part) - cert.cone_infimum
+        if not (slope < 0 and gap0 + lam * slope < -feas):  # a NaN gap never validates
+            return None
+        return min(lam, (-(1 + 2**-10) * feas - gap0) / slope)
 
     def affine(self, x: np.ndarray) -> np.ndarray:
         y = x.copy()
@@ -621,21 +724,13 @@ def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: To
     """
     tols = tols or DEFAULT_TOLS
     slack = tols.witness_atol
-    for name in witness:
-        problem.block(name)  # an unknown name raises KeyError
-    x = np.zeros(problem.n_vars)
+    x = problem.join(witness)
     worst_eig = 0.0
     worst_scalar = 0.0
     for blks, idx in problem._stacks():
-        given = [i for i, b in enumerate(blks) if b.name in witness]
-        if not given:
+        if not any(b.name in witness for b in blks):
             continue
-        vals = [witness[blks[i].name] for i in given]
         head = blks[0]
-        if head.kind == "psd":
-            x[idx[given]] = la.hermitian_to_real_vec(np.asarray(vals, dtype=complex))
-        else:
-            x[idx[given]] = np.asarray(vals, dtype=float)
         if head.interval:
             worst_scalar = min(worst_scalar, float(x[idx].min(initial=0.0)))
         else:
@@ -682,7 +777,7 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
             raise ValueError(f"start has shape {start.shape}, expected ({problem.n_vars},)")
         if not np.all(np.isfinite(start)):
             raise ValueError("start has non-finite entries")
-    proj = _Projector(problem)
+    proj = problem._projector if problem._projector is not None else _Projector(problem)
     if proj.inconsistency > 1e-9 * (1.0 + float(np.abs(proj.b).max(initial=0.0))):
         cert = Certificate({}, float("nan"), float("nan"))
         return SolveResult(
@@ -738,77 +833,133 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
 
 
 @dataclass(frozen=True)
+class UpperEnd:
+    """An infeasible probe's certified upper end, at most the probe's weight:
+    ``certificate`` excludes every weight above ``at``."""
+
+    at: float
+    certificate: Certificate
+
+
+@dataclass(frozen=True)
 class ThresholdResult:
-    """Largest certified-feasible parameter of a monotone family."""
+    """Largest certified-feasible parameter of a monotone family.
+
+    ``upper`` is the smallest certified upper end the search found, or
+    ``None`` when no probe returned one.
+    """
 
     value: float
     history: tuple[tuple[float, bool], ...] = field(default=())
+    upper: UpperEnd | None = None
 
 
 def bisect_threshold(
-    feasible_at: Callable[[float], bool],
+    feasible_at: Callable[[float], bool | UpperEnd],
     tol: float | None = None,
     lo: float = 0.0,
     hi: float = 1.0,
 ) -> ThresholdResult:
     """Bisection for the supremum of {lam : feasible_at(lam)} on [lo, hi].
 
-    ``feasible_at`` must be monotone (feasible below, infeasible above).  The
-    returned value brackets the true threshold from the feasible side, so it is
-    a certified-feasible underestimate within ``tol``.  The monotonicity
-    precondition is checked on the observed evaluations; a feasible evaluation
-    above an infeasible one raises ``ValueError``.
+    ``feasible_at`` must be monotone (feasible below, infeasible above).  It
+    returns a bool, or an :class:`UpperEnd` for an infeasible probe whose
+    certificate excludes every weight above ``UpperEnd.at``; the bracket's
+    top then drops to that end.  While the top is a certified end, the next
+    probe is top - max(tol / 2, (top - bottom) / 4), so the search nears the
+    threshold from below, where warm starts converge fast, and a feasible
+    probe tol / 2 under the end finishes it; otherwise it is the midpoint.
+    The returned value brackets the true threshold from the feasible side,
+    so it is a certified-feasible underestimate within ``tol``, which must be
+    finite and positive.  The search also stops when the next probe would
+    round to an end of the bracket.  The monotonicity precondition is
+    checked on the observed evaluations; a feasible evaluation above an
+    infeasible one or above a certified end raises ``ValueError``.
     """
     tol = DEFAULT_TOLS.bisect_tol if tol is None else tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"bisection tolerance {tol} must be finite and positive")
     if not (hi > lo):
         raise ValueError("need hi > lo")
     history: list[tuple[float, bool]] = []
+    upper: UpperEnd | None = None
 
-    def probe(lam: float) -> bool:
-        ok = bool(feasible_at(lam))
-        history.append((lam, ok))
+    def probe(lam: float) -> bool | UpperEnd:
+        nonlocal upper
+        got = feasible_at(lam)
+        if isinstance(got, UpperEnd):
+            if not got.at <= lam:
+                raise ValueError(f"upper end {got.at} lies above its probe {lam}")
+            history.append((lam, False))
+            upper = got  # at most lam < hi, so below every earlier end
+        else:
+            got = bool(got)
+            history.append((lam, got))
         feas = [l for l, v in history if v]
-        infeas = [l for l, v in history if not v]
+        infeas = [l for l, v in history if not v] + ([upper.at] if upper else [])
         if feas and infeas and max(feas) > min(infeas):
             raise ValueError(
                 f"non-monotone feasibility: feasible at {max(feas):.6g} "
                 f"but infeasible at {min(infeas):.6g}"
             )
-        return ok
+        return got
 
-    if probe(hi):
+    got = probe(hi)
+    if got is True:
         return ThresholdResult(hi, tuple(history))
-    if not probe(lo):
+    certified = isinstance(got, UpperEnd)  # the top of the bracket is a certified end
+    if certified:
+        hi = got.at
+    if probe(lo) is not True:
         raise ValueError(f"feasible_at({lo}) is false; bisection needs a feasible lower bracket")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
+        lam = hi - max(tol / 2, (hi - lo) / 4) if certified else 0.5 * (lo + hi)
+        if not lo < lam < hi:  # the bracket is below the float spacing
+            break
+        got = probe(lam)
+        if got is True:
+            lo = lam
         else:
-            hi = mid
-    return ThresholdResult(lo, tuple(history))
+            certified = isinstance(got, UpperEnd)
+            hi = got.at if certified else lam
+    return ThresholdResult(lo, tuple(history), upper)
 
 
-def warm_bisect(
-    solve_at: Callable[[float, np.ndarray | None], SolveResult],
-    tol: float | None = None,
+def threshold_search(
+    build: Callable[[float], SdpProblem],
+    tols: Tolerances | None = None,
+    recheck: Callable[[float, SolveResult], SolveResult] | None = None,
 ) -> ThresholdResult:
-    """:func:`bisect_threshold` over solves that reuse the last feasible iterate.
+    """Largest weight in [0, 1] at which the problem ``build(weight)`` is feasible.
 
-    ``solve_at(lam, start)`` decides the problem at ``lam``, starting the
-    solver at ``start`` (``None`` for a cold start), and returns the deciding
-    result; a probe is feasible exactly when that result is.  Each probe
-    starts at the final iterate of the last feasible probe.  Infeasible
-    probes are never used as starts: their iterates run off along the gap
-    direction.
+    ``build`` gives a monotone family whose weight enters only the
+    right-hand side, affinely (as :meth:`SdpProblem.add_margins` writes
+    it); a family whose constraint matrix or cones differ at weights 0 and
+    1 raises ``ValueError``.  The family is built at 0 and 1 and factorized
+    once; the factorization lives as long as the search.  Each probe is one
+    :func:`solve_feasibility` of its member, started at the final iterate
+    of the last feasible probe; a certified probe hands
+    :func:`bisect_threshold` its functional's crossing as an upper end.
+    ``recheck(weight, result)``, when given, rechecks a probe's result and
+    may replace it, for instance to downgrade a FEASIBLE witness a caller
+    cannot accept.
     """
+    tols = tols or DEFAULT_TOLS
+    family = _Projector(build(0.0), build(1.0))
     start = None
 
-    def feasible_at(lam: float) -> bool:
+    def probe(lam: float) -> bool | UpperEnd:
         nonlocal start
-        res = solve_at(lam, start)
+        res = solve_feasibility(family.at(lam), tols, start)
+        if recheck is not None:
+            res = recheck(lam, res)
         if res.feasible:
             start = res.iterate
-        return res.feasible
+            return True
+        if res.verdict is Verdict.INFEASIBLE_CERTIFIED:
+            at = family.upper_end(lam, res.certificate, tols.feas)
+            if at is not None:
+                return UpperEnd(at, res.certificate)
+        return False
 
-    return bisect_threshold(feasible_at, tol)
+    return bisect_threshold(probe, tols.bisect_tol)

@@ -4,7 +4,7 @@ import pytest
 import qincompat as q
 from qincompat import chancompat, sdpcore
 from qincompat import linalg as la
-from qincompat.config import Tolerances
+from qincompat.config import DEFAULT_TOLS, Tolerances
 from qincompat.sdpcore import Verdict
 
 
@@ -147,14 +147,21 @@ def test_selfconjugate_control_unitary():
 
 # --- robustness --------------------------------------------------------------
 
+def _robustness_search(device_a, device_b, mode, tols=None):
+    build = chancompat._channel_pair_problem if isinstance(device_a, q.Channel) else chancompat._obs_channel_problem
+    return sdpcore.threshold_search(lambda lam: build(device_a, device_b, mode, lam), tols)
+
+
 def test_robustness_mode_ordering(ident):
+    # each class's certified-feasible value lies below the certified upper
+    # end of the next larger class
     tols = q.Tolerances(bisect_tol=5e-3)
-    vals = {}
-    for mode in (q.NoiseClass.TRIVIAL_NOISE, q.NoiseClass.COMPATIBLE_NOISE,
-                 q.NoiseClass.ARBITRARY_NOISE):
-        vals[mode] = q.robustness(ident, ident, mode, tols=tols)
-    assert vals[q.NoiseClass.TRIVIAL_NOISE] <= vals[q.NoiseClass.COMPATIBLE_NOISE] + 1e-6
-    assert vals[q.NoiseClass.COMPATIBLE_NOISE] <= vals[q.NoiseClass.ARBITRARY_NOISE] + 1e-6
+    trivial, compatible, arbitrary = (
+        _robustness_search(ident, ident, mode, tols)
+        for mode in (q.NoiseClass.TRIVIAL_NOISE, q.NoiseClass.COMPATIBLE_NOISE, q.NoiseClass.ARBITRARY_NOISE))
+    assert trivial.value <= compatible.upper.at
+    assert compatible.value <= arbitrary.upper.at
+    assert compatible.value == q.robustness(ident, ident, q.NoiseClass.COMPATIBLE_NOISE, tols=tols)
 
 
 def test_robustness_identity_pair(ident):
@@ -163,10 +170,10 @@ def test_robustness_identity_pair(ident):
 
 
 def test_robustness_search_is_warm_started(monkeypatch, ident):
-    # a cold start spends about 21,000 iterations on the probe at 0.8535;
+    # a cold start spends about 21,000 iterations on a probe at 0.8535;
     # starting each probe from the last feasible iterate cuts the whole search
     counts = {"solves": 0, "iterations": 0}
-    solve = chancompat.solve_feasibility
+    solve = sdpcore.solve_feasibility
 
     def counted(*args, **kwargs):
         res = solve(*args, **kwargs)
@@ -174,11 +181,13 @@ def test_robustness_search_is_warm_started(monkeypatch, ident):
         counts["iterations"] += res.iterations
         return res
 
-    monkeypatch.setattr(chancompat, "solve_feasibility", counted)
+    monkeypatch.setattr(sdpcore, "solve_feasibility", counted)
     val = q.robustness(q.diag_channel(dim=2), ident, q.NoiseClass.ARBITRARY_NOISE)
-    assert val == 0.853515625
+    assert abs(val - 0.853515625) <= DEFAULT_TOLS.bisect_tol
     assert counts["solves"] > 0
     assert counts["iterations"] < 2000
+    search = _robustness_search(q.diag_channel(dim=2), ident, q.NoiseClass.ARBITRARY_NOISE)
+    assert search.value == val and 0.853515625 <= search.upper.at
 
 
 def test_channel_pair_maps_skip_partial_trace_probes(monkeypatch):
@@ -237,7 +246,11 @@ def test_robustness_compatible_pair_is_one():
     (q.NoiseClass.ARBITRARY_NOISE, 0.853515625),
 ], ids=["TRIVIAL_NOISE", "COMPATIBLE_NOISE", "ARBITRARY_NOISE"])
 def test_robustness_obs_channel(sharp_z, mode, value):
-    assert q.robustness(sharp_z, q.identity_channel(2), mode) == value
+    # ``value`` is the certified-feasible dyadic point of plain bisection
+    got = q.robustness(sharp_z, q.identity_channel(2), mode)
+    assert abs(got - value) <= DEFAULT_TOLS.bisect_tol
+    search = _robustness_search(sharp_z, q.identity_channel(2), mode)
+    assert search.value == got and value <= search.upper.at
 
 
 def test_robustness_dim_mismatch(ident):

@@ -200,8 +200,13 @@ def test_reproduce_process_q(tmp_path, capsys):
     capsys.readouterr()
     files = list(out.glob("*.csv"))
     assert files
-    text = files[0].read_text()
-    assert "0.5" in text
+    # the degree is certified feasible within the bisection tolerance of 1/2,
+    # and 1/2 (certified feasible) lies below the search's certified upper end
+    degree = float(files[0].read_text().splitlines()[-1].split(",")[-1])
+    assert abs(degree - 0.5) <= q.DEFAULT_TOLS.bisect_tol
+    basis = q.sharp_observable(np.eye(2))
+    testers = [q.prepare_measure_tester(np.diag(p).astype(complex), basis) for p in ([1.0, 0.0], [0.0, 1.0])]
+    assert 0.5 <= q.tester_degree(*testers).upper.at
 
 
 def test_reproduce_bc_bound(tmp_path, capsys):

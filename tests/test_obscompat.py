@@ -235,6 +235,20 @@ def test_region_optimized_noise_is_a_distribution(sharp_x, sharp_z, mub3):
             assert dev < q.DEFAULT_TOLS.witness_atol
 
 
+def test_region_optimized_noise_at_weight_one_is_uniform(sharp_x, sharp_z):
+    # at weight 1 the noise block holds no noise, so every distribution is
+    # valid and the uniform one is returned (not 0/0); the other factor's
+    # distribution is still read back from its block
+    res = q.region_membership([sharp_x, sharp_z], q.NoiseSpec.optimized((1.0, 0.0)))
+    assert res.feasible
+    first, second = res.noise_distributions
+    assert np.array_equal(first, np.full(2, 0.5))
+    assert second.min() >= 0.0 and second.sum() == pytest.approx(1.0, abs=1e-12)
+    for k, (obs, w) in enumerate(zip([sharp_x, sharp_z], (1.0, 0.0))):
+        mixed = q.mix_with_trivial(obs, w, probs=res.noise_distributions[k])
+        assert np.abs(res.joint.marginal(k).effects - mixed.effects).max() < q.DEFAULT_TOLS.witness_atol
+
+
 def test_region_optimized_contains_uniform(rng):
     pair = [q.random_povm(2, 2, rng) for _ in range(2)]
     for lam in (0.3, 0.7, 0.95):

@@ -13,10 +13,10 @@ from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
 from qincompat.obscompat import check_joint
 from qincompat.process import check_tester_pair, prepare_measure_tester
-from qincompat.sdpcore import (SdpProblem, SolveResult, Verdict, _block_eigh, _Projector,
-                               bisect_threshold, joint_problem, joint_witness, partial_trace_map,
-                               real_linear_map, solve_feasibility, vec_of, verify_witness,
-                               warm_bisect)
+from qincompat.sdpcore import (Certificate, SdpProblem, SolveResult, UpperEnd, Verdict, _block_eigh,
+                               _Projector, bisect_threshold, joint_problem, joint_witness,
+                               partial_trace_map, real_linear_map, solve_feasibility,
+                               threshold_search, vec_of, verify_witness)
 from qincompat.steering import check_lhs, max_entangled_assemblage
 
 
@@ -969,17 +969,31 @@ def test_problem_without_rows_is_feasible_from_any_start():
     assert res.verdict is Verdict.FEASIBLE
 
 
-def test_warm_bisect_starts_from_last_feasible_probe():
+def _weight_family(lam):
+    # one scalar x in [0, 1] with x = lam: the right-hand side is the weight
+    prob = SdpProblem()
+    prob.add_scalar_block("x", 1, cap=1.0)
+    prob.add_equality({"x": np.ones((1, 1))}, np.array([lam]))
+    return prob
+
+
+def test_search_starts_from_last_feasible_probe(monkeypatch):
+    # probes infeasible without a certificate: today's midpoints, each
+    # started at the final iterate of the last feasible probe
     starts = []
 
-    def solve_at(lam, start):
+    def solve_at(problem, tols=None, start=None):
+        lam = float(problem.assemble()[1][0])
         starts.append((lam, start))
-        verdict = Verdict.FEASIBLE if lam <= 0.3 else Verdict.INFEASIBLE_CERTIFIED
+        verdict = Verdict.FEASIBLE if lam <= 0.3 else Verdict.INFEASIBLE_HEURISTIC
         return SolveResult(verdict, None, 1, 0.0, iterate=np.array([lam]))
 
-    res = warm_bisect(solve_at, tol=1e-2)
+    monkeypatch.setattr(sdpcore, "solve_feasibility", solve_at)
+    res = threshold_search(_weight_family, q.Tolerances(bisect_tol=1e-2))
     assert res.value == pytest.approx(0.3, abs=1e-2)
     assert [lam for lam, _ in starts] == [lam for lam, _ in res.history]
+    assert [lam for lam, _ in res.history] == [1.0, 0.0, 0.5, 0.25, 0.375, 0.3125, 0.28125,
+                                               0.296875, 0.3046875]
     assert starts[0][1] is None and starts[1][1] is None  # hi, then lo: both cold
     last_feasible = None
     for (lam, start), (_, ok) in zip(starts, res.history):
@@ -989,6 +1003,7 @@ def test_warm_bisect_starts_from_last_feasible_probe():
             assert start[0] == last_feasible
         if ok:
             last_feasible = lam
+    assert res.upper is None
 
 
 # --- bisection ---------------------------------------------------------------
@@ -1007,3 +1022,83 @@ def test_bisect_threshold_endpoints():
         bisect_threshold(lambda lam: 0.4 < lam < 0.6, tol=1e-4)
     with pytest.raises(ValueError):
         bisect_threshold(lambda lam: True, tol=1e-4, lo=1.0, hi=0.0)
+
+
+def test_bisect_threshold_keeps_its_midpoints_for_bool_probes():
+    res = bisect_threshold(lambda lam: lam <= 0.63, tol=1e-4)
+    assert [lam for lam, _ in res.history] == [
+        1.0, 0.0, 0.5, 0.75, 0.625, 0.6875, 0.65625, 0.640625, 0.6328125, 0.62890625,
+        0.630859375, 0.6298828125, 0.63037109375, 0.630126953125, 0.6300048828125,
+        0.62994384765625]
+    assert res.value == 0.62994384765625 and res.upper is None
+
+
+_NO_FUNCTIONAL = Certificate({}, float("nan"), float("nan"))
+
+
+def _certified_probes(threshold, slack):
+    """Probes of a family with the given threshold whose infeasible answers
+    carry an upper end ``slack`` above the threshold (capped at the probe)."""
+    def probe(lam):
+        if lam <= threshold:
+            return True
+        return UpperEnd(min(lam, threshold + slack), _NO_FUNCTIONAL)
+    return probe
+
+
+def test_bisect_threshold_approaches_a_certified_end_from_below():
+    tol = 1e-3
+    res = bisect_threshold(_certified_probes(0.4, 0.05), tol=tol)
+    lams = [lam for lam, _ in res.history]
+    assert lams[:2] == [1.0, 0.0]
+    lo, hi = 0.0, 0.45  # the first probe's end
+    for lam, ok in res.history[2:]:
+        assert lam == hi - max(tol / 2, (hi - lo) / 4)
+        if ok:
+            lo = lam
+        else:
+            hi = min(lam, 0.45)
+    assert res.value == lo and hi - lo <= tol
+    assert res.value <= 0.4 <= res.upper.at
+    assert res.upper.certificate is _NO_FUNCTIONAL
+
+
+def test_bisect_threshold_takes_midpoints_below_an_uncertified_probe():
+    # a certified end, then an infeasible probe without one: back to midpoints
+    def probe(lam):
+        if lam <= 0.3:
+            return True
+        return UpperEnd(0.5, _NO_FUNCTIONAL) if lam == 1.0 else False
+
+    res = bisect_threshold(probe, tol=1e-2)
+    lams = [lam for lam, _ in res.history]
+    assert lams[:4] == [1.0, 0.0, 0.375, 0.1875]  # 0.5 - 0.5 / 4, then the midpoint
+    assert res.upper.at == 0.5
+    assert res.value <= 0.3 < res.value + 1e-2
+
+
+def test_bisect_threshold_rejects_an_end_below_a_feasible_probe():
+    with pytest.raises(ValueError, match="non-monotone"):
+        # 1 and 0.5 infeasible, 0.25 feasible, then an end below 0.25 at 0.375
+        bisect_threshold(lambda lam: lam <= 0.3 or (UpperEnd(0.1, _NO_FUNCTIONAL) if lam == 0.375 else False),
+                         tol=1e-2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bisect_threshold_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        bisect_threshold(lambda lam: lam <= 0.3, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        q.degree_of_compatibility(list(q.fourier_pair(2)), tols=q.Tolerances(bisect_tol=tol))
+
+
+def test_bisect_threshold_stops_at_the_float_spacing():
+    # a tolerance below the spacing of floats near the threshold: the search
+    # ends once the next probe rounds to an end of the bracket
+    res = bisect_threshold(lambda lam: lam <= 0.3, tol=1e-20)
+    assert res.value <= 0.3 < np.nextafter(res.value, 1.0) + 1e-16
+    assert len(res.history) < 70
+    res = bisect_threshold(_certified_probes(0.3, 0.0), tol=1e-20)
+    assert res.value <= 0.3 <= res.upper.at
+    assert res.upper.at - res.value <= 2 * np.spacing(0.3)
+    assert len(res.history) < 200

@@ -1,0 +1,203 @@
+"""Threshold searches over affine families: the noise rescaling that keeps the
+constraint matrix fixed, the certified upper ends, and the probe budget."""
+import copy
+import math
+
+import numpy as np
+import pytest
+
+import qincompat as q
+from qincompat import chancompat, obscompat, process, sdpcore
+from qincompat.config import DEFAULT_TOLS
+from qincompat.sdpcore import SdpProblem, Verdict, joint_problem, solve_feasibility, verify_witness
+
+SX = q.sharp_observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+SZ = q.sharp_observable(np.eye(2))
+IDENT = q.identity_channel(2)
+DEPH = q.diag_channel(dim=2)
+T0, T1 = (q.prepare_measure_tester(np.diag(p).astype(complex), SZ) for p in ([1.0, 0.0], [0.0, 1.0]))
+NOISE = q.NoiseClass
+
+
+def _optimized(observables):
+    effects = [o.effects for o in observables]
+    return lambda lam: joint_problem(effects, (lam,) * len(effects))
+
+
+def _uniform(observables):
+    return lambda lam: joint_problem([q.mix_with_trivial(o, lam).effects for o in observables])
+
+
+def _pair(a, b, mode):
+    return lambda lam: chancompat._channel_pair_problem(a, b, mode, lam)
+
+
+def _obs_channel(obs, chan, mode):
+    return lambda lam: chancompat._obs_channel_problem(obs, chan, mode, lam)
+
+
+# (name, reference threshold, public search, its family)
+SEARCHES = [
+    ("degree fourier d=2", 1 / math.sqrt(2),
+     lambda: q.degree_of_compatibility(list(q.fourier_pair(2))), _optimized(q.fourier_pair(2))),
+    ("degree fourier d=3", (1 + math.sqrt(3)) / 4,
+     lambda: q.degree_of_compatibility(list(q.fourier_pair(3))), _optimized(q.fourier_pair(3))),
+    ("degree X/Z uniform", 1 / math.sqrt(2),
+     lambda: q.degree_of_compatibility([SX, SZ], q.NoiseMode.UNIFORM_TRIVIAL), _uniform([SX, SZ])),
+    ("degree unbiased triple", 1 / math.sqrt(3),
+     lambda: q.degree_of_compatibility(list(q.mub_qubit()), q.NoiseMode.UNIFORM_TRIVIAL),
+     _uniform(q.mub_qubit())),
+    ("tester degree", 0.5, lambda: q.tester_degree(T0, T1).value,
+     lambda lam: joint_problem([T0.effects, T1.effects], (lam, lam), T0.in_dim)),
+    ("robustness id/id arbitrary", 0.75,
+     lambda: q.robustness(IDENT, IDENT, NOISE.ARBITRARY_NOISE), _pair(IDENT, IDENT, NOISE.ARBITRARY_NOISE)),
+    ("robustness id/id compatible", 0.75,
+     lambda: q.robustness(IDENT, IDENT, NOISE.COMPATIBLE_NOISE), _pair(IDENT, IDENT, NOISE.COMPATIBLE_NOISE)),
+    ("robustness id/id trivial", 2 / 3,
+     lambda: q.robustness(IDENT, IDENT, NOISE.TRIVIAL_NOISE), _pair(IDENT, IDENT, NOISE.TRIVIAL_NOISE)),
+    ("robustness dephasing/id arbitrary", (2 + math.sqrt(2)) / 4,
+     lambda: q.robustness(DEPH, IDENT, NOISE.ARBITRARY_NOISE), _pair(DEPH, IDENT, NOISE.ARBITRARY_NOISE)),
+]
+NAMES = [s[0] for s in SEARCHES]
+REF = {s[0]: s[1] for s in SEARCHES}
+FAMILY = {s[0]: s[3] for s in SEARCHES}
+
+# every problem constructor and noise class, for the fixed-matrix check
+CONSTRUCTORS = {
+    **FAMILY,
+    "robustness dephasing/id compatible": _pair(DEPH, IDENT, NOISE.COMPATIBLE_NOISE),
+    "robustness dephasing/id trivial": _pair(DEPH, IDENT, NOISE.TRIVIAL_NOISE),
+    "robustness Z/id arbitrary": _obs_channel(SZ, IDENT, NOISE.ARBITRARY_NOISE),
+    "robustness Z/id compatible": _obs_channel(SZ, IDENT, NOISE.COMPATIBLE_NOISE),
+    "robustness Z/id trivial": _obs_channel(SZ, IDENT, NOISE.TRIVIAL_NOISE),
+    "region X/Z/trivial": _optimized([SX, SZ, q.trivial_observable([0.2, 0.3, 0.5], 2)]),
+}
+
+
+@pytest.fixture(scope="module")
+def searches():
+    """Each public search run once: its value, the search's result and family,
+    and the probes and iterations counted at ``sdpcore.solve_feasibility``."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        count = {"probes": 0, "iterations": 0}
+        solve, search = sdpcore.solve_feasibility, sdpcore.threshold_search
+
+        def counted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            count["probes"] += 1
+            count["iterations"] += res.iterations
+            return res
+
+        def recorded(build, *args, **kwargs):
+            run["result"] = search(build, *args, **kwargs)
+            run["build"] = build
+            return run["result"]
+
+        mp.setattr(sdpcore, "solve_feasibility", counted)
+        for module in (obscompat, chancompat, process):
+            mp.setattr(module, "threshold_search", recorded)
+        for name, _, call, _ in SEARCHES:
+            count.update(probes=0, iterations=0)
+            run = {}
+            run["value"] = call()
+            runs[name] = {**run, **count}
+    return runs
+
+
+# --- the fixed constraint matrix ---------------------------------------------
+
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_family_matrix_is_fixed_and_rhs_affine(name):
+    build = CONSTRUCTORS[name]
+    (a0, b0), (a, b), (a1, b1) = (build(lam).assemble() for lam in (0.0, 0.37, 1.0))
+    assert np.array_equal(a0, a) and np.array_equal(a0, a1)
+    assert np.abs(b - (b0 + 0.37 * (b1 - b0))).max() <= 1e-15
+
+
+def test_family_with_weight_in_the_matrix_is_rejected():
+    def build(lam):
+        prob = SdpProblem()
+        prob.add_psd_block("x", 2, trace_cap=1.0)
+        prob.add_equality({"x": (1 + lam) * sdpcore.vec_of(np.eye(2))}, np.array([1.0]))
+        return prob
+
+    with pytest.raises(ValueError, match="weight"):
+        sdpcore.threshold_search(build)
+
+
+def _parent_form(prob: SdpProblem, lam: float) -> tuple[SdpProblem, set[str]]:
+    """``prob`` with the noise unscaled: noise terms -(1 - lam) T instead of
+    -T, and normalization rows (those on noise blocks only) with right-hand
+    side rhs instead of (1 - lam) rhs."""
+    noise = {name for name in prob._blocks if not name.startswith(("g", "joint", "op"))}
+    parent = copy.copy(prob)
+    parent._rows = []
+    for terms, rhs in prob._rows:
+        if set(terms) <= noise:
+            parent._rows.append((terms, rhs / (1 - lam)))
+        else:
+            parent._rows.append(({n: (1 - lam) * t if n in noise else t for n, t in terms.items()}, rhs))
+    return parent, noise
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rescaled_problems_decide_as_before(name):
+    # feasible 0.01 below the threshold, with a witness that is one of the
+    # unscaled problem once its noise is divided by (1 - lam); certified
+    # infeasible 0.01 above
+    lam = REF[name] - 0.01
+    prob = FAMILY[name](lam)
+    res = solve_feasibility(prob)
+    assert res.verdict is Verdict.FEASIBLE
+    parent, noise = _parent_form(prob, lam)
+    witness = {n: x / (1 - lam) if n in noise else x for n, x in res.witness.items()}
+    ok, report = verify_witness(parent, witness)
+    assert ok, report
+    assert solve_feasibility(FAMILY[name](REF[name] + 0.01)).verdict is Verdict.INFEASIBLE_CERTIFIED
+
+
+# --- certified upper ends ----------------------------------------------------
+
+def _gap(build, functional, lam):
+    """The functional's value on the affine set at ``lam`` minus its infimum
+    over the capped cones, both from the assembled problem."""
+    prob = build(lam)
+    a, b = prob.assemble()
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.abs(a @ x - b).max() < 1e-9
+    infimum = 0.0
+    for name, blk in prob._blocks.items():
+        part = functional[name]
+        if blk.kind == "psd":
+            infimum += float(blk.cap) * min(float(np.linalg.eigvalsh(part)[0]), 0.0)
+        else:
+            infimum += float(np.sum(blk.cap * np.minimum(part, 0.0)))
+    return float(prob.join(functional) @ x) - infimum
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_search_brackets_its_threshold_between_value_and_upper_end(searches, name):
+    run, ref, tol = searches[name], REF[name], DEFAULT_TOLS.bisect_tol
+    result = run["result"]
+    assert run["value"] == result.value
+    assert result.value <= ref <= result.upper.at <= result.value + tol
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_upper_end_revalidates_from_problem_data(searches, name):
+    run, tol = searches[name], DEFAULT_TOLS.bisect_tol
+    end = run["result"].upper
+    for lam in (end.at, 1.0):
+        assert _gap(run["build"], end.certificate.functional, lam) < -DEFAULT_TOLS.feas
+    assert solve_feasibility(run["build"](end.at + tol / 4)).verdict is Verdict.INFEASIBLE_CERTIFIED
+
+
+def test_probe_budget(searches):
+    # certified ends cut the probes; more than 10 in one search, or 600
+    # iterations in all nine, means a search fell back to bisection
+    probes = {name: run["probes"] for name, run in searches.items()}
+    assert max(probes.values()) <= 10, probes
+    assert sum(run["iterations"] for run in searches.values()) <= 600
+    for run in searches.values():
+        assert len(run["result"].history) == run["probes"]
