@@ -47,7 +47,7 @@ def _tols(args) -> Tolerances:
 
 
 def _code(solve: SolveResult) -> int:
-    """Exit code of a verdict; an infeasibility without a certificate is undecided."""
+    """Exit code of a verdict: a witness exits 0, a certificate 1, anything else is undecided."""
     if solve.verdict is Verdict.FEASIBLE:
         return EXIT_FEASIBLE
     if solve.verdict is Verdict.INFEASIBLE_CERTIFIED:

@@ -1,32 +1,27 @@
 """Central numerical configuration.
 
-Every tolerance used across the package lives in one frozen record so that a
-caller can tighten or loosen the whole stack coherently.  Functions take an
-optional ``tols`` argument defaulting to :data:`DEFAULT_TOLS`.
+The solver's settable values live in one frozen record: the residual below
+which a problem is feasible, the iteration cap and the bisection tolerance.
+Functions that solve take an optional ``tols`` argument defaulting to
+:data:`DEFAULT_TOLS`.  Device validation has fixed slacks, the module
+constants below; a device's own ``atol`` argument overrides them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
+
+HERM_ATOL = 1e-12    # max-norm Hermiticity slack accepted at input
+DEVICE_ATOL = 1e-10  # device invariants (normalization, PSD slack)
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    # construction-time validation
-    herm_atol: float = 1e-12      # max-norm Hermiticity slack accepted at input
-    device_atol: float = 1e-10    # device invariants (normalization, PSD slack)
-
-    # feasibility solver
     feas: float = 1e-7            # residual below which a problem is FEASIBLE
-    infeas: float = 1e-5          # best residual above which certificates are tried
-    plateau_window: int = 200     # largest spacing of certificate attempts (1, 2, 4, ... up to it)
     max_iter: int = 50_000
-    witness_factor: float = 10.0  # witness re-verification slack, in units of feas
+    bisect_tol: float = 5e-4      # threshold-search bracket width
 
-    # threshold search
-    bisect_tol: float = 5e-4
-
-    # domain checks
-    marginal_atol: float = 1e-8   # joint-observable marginal reproduction
+    witness_factor: ClassVar[float] = 10.0  # witness re-verification slack, in units of feas
 
     @property
     def witness_atol(self) -> float:

@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEVICE_ATOL
 from . import linalg as la
 
 __all__ = [
@@ -73,10 +73,7 @@ class State:
     atol: InitVar[float | None] = None
 
     def __post_init__(self, atol):
-        atol = DEFAULT_TOLS.device_atol if atol is None else atol
-        m = la.require_hermitian(self.matrix, max(atol, DEFAULT_TOLS.herm_atol))
-        if la.min_eig(m) < -atol:
-            raise ValueError(f"state is not positive semidefinite (min eig {la.min_eig(m):.3e})")
+        m, atol = la.require_positive(self.matrix, atol, "state is not positive semidefinite")
         if abs(np.trace(m).real - 1.0) > atol:
             raise ValueError(f"state trace {np.trace(m).real} != 1")
         object.__setattr__(self, "matrix", m)
@@ -95,16 +92,10 @@ class Observable:
     atol: InitVar[float | None] = None
 
     def __post_init__(self, atol):
-        atol = DEFAULT_TOLS.device_atol if atol is None else atol
         eff = np.asarray(self.effects, dtype=complex)
         if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
             raise ValueError(f"effects must have shape (m, d, d), got {eff.shape}")
-        eff = la.require_hermitian(eff, max(atol, DEFAULT_TOLS.herm_atol))
-        lo = la.min_eig(eff)
-        bad = np.flatnonzero(lo < -atol)
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"effect {k} not positive (min eig {lo[k]:.3e})")
+        eff, atol = la.require_positive(eff, atol, "effect {} not positive")
         total = eff.sum(axis=0)
         dev = np.abs(total - np.eye(eff.shape[1])).max()
         if dev > atol:
@@ -142,7 +133,7 @@ class TrivialObservable:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty vector")
-        if p.min() < -DEFAULT_TOLS.device_atol or abs(p.sum() - 1.0) > DEFAULT_TOLS.device_atol:
+        if p.min() < -DEVICE_ATOL or abs(p.sum() - 1.0) > DEVICE_ATOL:
             raise ValueError("probs must be nonnegative and sum to one")
         object.__setattr__(self, "probs", tuple(float(v) for v in p))
 
@@ -157,7 +148,7 @@ def trivial_observable(probs: Sequence[float], dim: int) -> Observable:
 
 def is_trivial(obs: Observable, atol: float | None = None) -> bool:
     """True when every effect is proportional to the identity."""
-    atol = DEFAULT_TOLS.device_atol if atol is None else atol
+    atol = DEVICE_ATOL if atol is None else atol
     eye = np.eye(obs.dim)
     return all(
         np.abs(e - (np.trace(e).real / obs.dim) * eye).max() <= atol for e in obs.effects
@@ -172,7 +163,7 @@ class StochasticMatrix:
     atol: InitVar[float | None] = None
 
     def __post_init__(self, atol):
-        atol = DEFAULT_TOLS.device_atol if atol is None else atol
+        atol = DEVICE_ATOL if atol is None else atol
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("stochastic matrix must be 2-d")
@@ -200,7 +191,7 @@ class Channel:
     atol: InitVar[float | None] = None
 
     def __post_init__(self, atol):
-        atol = DEFAULT_TOLS.device_atol if atol is None else atol
+        atol = DEVICE_ATOL if atol is None else atol
         k = np.asarray(self.kraus, dtype=complex)
         if k.ndim != 3 or k.shape[0] == 0:
             raise ValueError(f"kraus must have shape (r, out, in), got {k.shape}")
@@ -247,17 +238,11 @@ class Instrument:
     atol: InitVar[float | None] = None
 
     def __post_init__(self, atol):
-        atol = DEFAULT_TOLS.device_atol if atol is None else atol
         blocks = np.asarray(self.choi_blocks, dtype=complex)
         dio = self.in_dim * self.out_dim
         if blocks.ndim != 3 or blocks.shape[1:] != (dio, dio):
             raise ValueError(f"choi blocks must have shape (m, {dio}, {dio}), got {blocks.shape}")
-        blocks = la.require_hermitian(blocks, max(atol, DEFAULT_TOLS.herm_atol))
-        lo = la.min_eig(blocks)
-        bad = np.flatnonzero(lo < -atol)
-        if bad.size:
-            x = bad[0]
-            raise ValueError(f"operation {x} is not completely positive (min eig {lo[x]:.3e})")
+        blocks, atol = la.require_positive(blocks, atol, "operation {} is not completely positive")
         marg = la.partial_trace(blocks.sum(axis=0), [self.in_dim, self.out_dim], keep=[0])
         dev = np.abs(marg - np.eye(self.in_dim)).max()
         if dev > atol:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEVICE_ATOL, HERM_ATOL
 
 __all__ = [
     "EigenDecomposition",
@@ -24,6 +24,7 @@ __all__ = [
     "dagger",
     "hermitian_part",
     "require_hermitian",
+    "require_positive",
     "eig_hermitian",
     "psd_project",
     "min_eig",
@@ -63,12 +64,31 @@ def require_hermitian(a, atol: float | None = None) -> np.ndarray:
     A stack of matrices is checked as a whole, against its largest deviation.
     """
     if atol is None:
-        atol = DEFAULT_TOLS.herm_atol
+        atol = HERM_ATOL
     m = as_matrix(a)
     dev = np.abs(m - dagger(m)).max() if m.size else 0.0
     if dev > atol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {atol:.1e})")
     return hermitian_part(m)
+
+
+def require_positive(a, atol: float | None, label: str) -> tuple[np.ndarray, float]:
+    """Validate a device's operators: Hermitian, and positive to ``atol``.
+
+    ``atol`` defaults to ``DEVICE_ATOL``; Hermiticity is checked to the
+    larger of it and ``HERM_ATOL``.  The first operator (in C order of the
+    stack's leading axes) whose smallest eigenvalue is below -atol raises
+    ``ValueError`` with ``label.format(*index)`` and that eigenvalue.
+    Returns the symmetrized operators and the slack used.
+    """
+    atol = DEVICE_ATOL if atol is None else atol
+    m = require_hermitian(a, max(atol, HERM_ATOL))
+    lo = np.atleast_1d(np.linalg.eigvalsh(m)[..., 0])
+    bad = np.argwhere(lo < -atol)
+    if bad.size:
+        index = tuple(bad[0])
+        raise ValueError(f"{label.format(*index)} (min eig {lo[index]:.3e})")
+    return m, atol
 
 
 class EigenDecomposition(NamedTuple):

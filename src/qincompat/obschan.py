@@ -213,8 +213,7 @@ class NddrReport:
 
         A certified "not below" order is consistent with anything.  Below
         it, the division must be below and every transfer hold.  An
-        undecided or only heuristically infeasible order or division solve
-        decides nothing.
+        undecided order or division solve decides nothing.
         """
         if self.order.verdict is Verdict.INFEASIBLE_CERTIFIED:
             return True

@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 MAX_PRODUCT_OUTCOMES = 4096
+_MARGINAL_ATOL = 1e-8  # how far a joint witness's marginals may miss the observables
 
 
 # === noise specification =====================================================
@@ -200,14 +201,14 @@ def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
 
 def _joint_result(res: SolveResult, observables, tols: Tolerances) -> JointResult:
     """The joint observable of a solved joint problem; UNDECIDED when its
-    marginals miss the observables by more than ``marginal_atol``."""
+    marginals miss the observables by more than ``_MARGINAL_ATOL``."""
     if not res.feasible:
         return JointResult(res)
     grid, _ = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
     joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
     worst = max(float(np.abs(joint.marginal(k).effects - obs.effects).max())
                 for k, obs in enumerate(observables))
-    if worst > tols.marginal_atol:
+    if worst > _MARGINAL_ATOL:
         res = replace(
             res, verdict=Verdict.UNDECIDED,
             message=f"joint witness marginal deviation {worst:.2e} above tolerance",
@@ -322,8 +323,12 @@ def degree_of_compatibility(
     factorized once and searched by :func:`sdpcore.threshold_search`; the
     returned value is certified feasible and within the bisection tolerance
     below the threshold.  Uniform-noise probes keep :func:`check_joint`'s
-    marginal test.  A single observable has degree 1.
+    marginal test.  A single observable has degree 1.  Fixed noise raises
+    ``ValueError``: there is no parameter for its distributions.
     """
+    if noise_mode is NoiseMode.FIXED_TRIVIAL:
+        raise ValueError("degree_of_compatibility takes uniform or optimized noise, "
+                         "not fixed noise")
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
     if len(observables) == 1:

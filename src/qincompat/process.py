@@ -53,18 +53,11 @@ class Tester:
     atol: InitVar[float | None] = None
 
     def __post_init__(self, atol):
-        atol = DEFAULT_TOLS.device_atol if atol is None else atol
         eff = np.asarray(self.effects, dtype=complex)
         dio = self.in_dim * self.out_dim
         if eff.ndim != 3 or eff.shape[1:] != (dio, dio):
             raise ValueError(f"effects must have shape (m, {dio}, {dio}), got {eff.shape}")
-        herm_atol = max(atol, DEFAULT_TOLS.herm_atol)
-        eff = la.require_hermitian(eff, herm_atol)
-        lo = la.min_eig(eff)
-        bad = np.flatnonzero(lo < -atol)
-        if bad.size:
-            j = bad[0]
-            raise ValueError(f"effect {j} is not positive (min eig {lo[j]:.3e})")
+        eff, atol = la.require_positive(eff, atol, "effect {} is not positive")
         total = eff.sum(axis=0)
         xi = la.partial_trace(total, [self.in_dim, self.out_dim], keep=[0]) / self.out_dim
         dev = np.abs(total - la.kron(xi, np.eye(self.out_dim))).max()

@@ -51,16 +51,10 @@ class Assemblage:
     atol: InitVar[float | None] = None
 
     def __post_init__(self, atol):
-        atol = DEFAULT_TOLS.device_atol if atol is None else atol
         blocks = np.asarray(self.blocks, dtype=complex)
         if blocks.ndim != 4 or blocks.shape[2] != blocks.shape[3]:
             raise ValueError(f"blocks must have shape (settings, outcomes, d, d), got {blocks.shape}")
-        blocks = la.require_hermitian(blocks, max(atol, DEFAULT_TOLS.herm_atol))
-        lo = la.min_eig(blocks)
-        bad = np.argwhere(lo < -atol)
-        if bad.size:
-            j, x = bad[0]
-            raise ValueError(f"block ({x}|{j}) is not positive (min eig {lo[j, x]:.3e})")
+        blocks, atol = la.require_positive(blocks, atol, "block ({1}|{0}) is not positive")
         totals = blocks.sum(axis=1)
         spread = np.abs(totals - totals[0]).max() if len(totals) > 1 else 0.0
         if spread > max(atol, 1e-8):

@@ -38,7 +38,6 @@ def test_check_joint_exit_codes(xz_paths, noisy_xz_paths, capsys):
 @pytest.mark.parametrize("verdict,code", [
     (Verdict.FEASIBLE, EXIT_FEASIBLE),
     (Verdict.INFEASIBLE_CERTIFIED, EXIT_INFEASIBLE),
-    (Verdict.INFEASIBLE_HEURISTIC, EXIT_UNDECIDED),
     (Verdict.UNDECIDED, EXIT_UNDECIDED),
 ])
 def test_exit_code_needs_evidence(verdict, code):

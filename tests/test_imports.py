@@ -1,14 +1,18 @@
 """Lint as a test: every name a package module imports is read in that module,
 every module-level private function or class is read somewhere in the package,
-and only sdpcore spells the names of the joint device's blocks; and a guard on
-what solving imports."""
+every ``Tolerances`` field is read from a passed record, and only sdpcore
+spells the names of the joint device's blocks; and a guard on what solving
+imports."""
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from qincompat.config import Tolerances
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qincompat"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -72,6 +76,31 @@ def test_scan_finds_dead_privates():
 
 def test_package_reads_every_private_definition():
     assert dead_privates({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+def defaults_only_fields(fields, sources: dict[str, str]) -> list[str]:
+    """Fields never read as an attribute of anything but ``DEFAULT_TOLS``: a
+    field no caller's record reaches is a module constant, not a setting."""
+    read = set()
+    for source in sources.values():
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "DEFAULT_TOLS"))
+    return sorted(set(fields) - read)
+
+
+def test_scan_finds_defaults_only_fields():
+    sources = {
+        "a": "def f(tols):\n    return tols.feas + DEFAULT_TOLS.slack\n",
+        "b": "x = DEFAULT_TOLS.cap\ny = (tols or DEFAULT_TOLS).step\nself.gone = 1\n",
+    }
+    assert defaults_only_fields(["feas", "slack", "cap", "step", "gone"], sources) == [
+        "cap", "gone", "slack"]
+
+
+def test_every_tolerance_field_is_read_from_a_passed_record():
+    fields = [f.name for f in dataclasses.fields(Tolerances)]
+    assert defaults_only_fields(fields, {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []
 
 
 def joint_block_names(source: str) -> list[int]:

@@ -260,6 +260,12 @@ def test_degree_single_is_one(sharp_z):
     assert q.degree_of_compatibility([sharp_z]) == 1.0
 
 
+def test_degree_rejects_fixed_noise(sharp_x, sharp_z):
+    # fixed noise needs distributions, which the degree has no parameter for
+    with pytest.raises(ValueError, match="takes uniform or optimized noise, not fixed"):
+        q.degree_of_compatibility([sharp_x, sharp_z], q.NoiseMode.FIXED_TRIVIAL)
+
+
 def test_degree_mub_pair(sharp_x, sharp_z):
     val = q.degree_of_compatibility([sharp_x, sharp_z])
     assert val == pytest.approx(1 / np.sqrt(2), abs=5e-3)

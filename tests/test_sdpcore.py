@@ -839,17 +839,14 @@ def _lhs_xz(sharp_x, sharp_z):
     return check_lhs(asm), joint_problem(asm.blocks)
 
 
-@pytest.mark.parametrize("case", [_joint_xz, _tester_xz, _lhs_xz], ids=["joint", "tester", "lhs"])
-def test_incompatible_pair_certified_early(sharp_x, sharp_z, case):
-    res, prob = case(sharp_x, sharp_z)
-    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
-    assert res.solve.iterations < DEFAULT_TOLS.plateau_window
-    # re-check the certificate from the problem data alone, no solver state
+def _certificate_margin(prob, certificate):
+    """How far a certificate separates, re-checked from the problem data alone,
+    no solver state: positive when it is valid."""
     a, b = prob.assemble()
     h = np.zeros(prob.n_vars)
     caps = 0.0
     cone_inf = 0.0
-    for name, mat in res.solve.certificate.functional.items():
+    for name, mat in certificate.functional.items():
         blk = prob.block(name)
         h[blk.offset : blk.offset + blk.length] = la.hermitian_to_real_vec(mat)
         cone_inf += float(blk.cap) * min(float(np.linalg.eigvalsh(mat)[0]), 0.0)
@@ -861,11 +858,43 @@ def test_incompatible_pair_certified_early(sharp_x, sharp_z, case):
     assert h_null < 1e-9
     value = float(h @ np.linalg.lstsq(a, b, rcond=None)[0])
     assert value == pytest.approx(float(y @ b), abs=1e-9)
-    assert cone_inf - value - h_null * caps > DEFAULT_TOLS.feas
+    return cone_inf - value - h_null * caps
+
+
+@pytest.mark.parametrize("case", [_joint_xz, _tester_xz, _lhs_xz], ids=["joint", "tester", "lhs"])
+def test_incompatible_pair_certified_early(sharp_x, sharp_z, case):
+    res, prob = case(sharp_x, sharp_z)
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
+    assert res.solve.iterations < sdpcore._ATTEMPT_SPACING
+    assert _certificate_margin(prob, res.solve.certificate) > DEFAULT_TOLS.feas
+
+
+@pytest.mark.parametrize("offset", [1e-5, 1e-6])
+def test_small_gap_is_certified_without_a_residual_gate(sharp_x, sharp_z, offset):
+    # just above the X/Z threshold 1/sqrt(2) the gap distance is below 1e-5;
+    # the certificate is tried whatever the residual, and validates at once
+    mixed = [mix_with_trivial(obs, 2 ** -0.5 + offset) for obs in (sharp_x, sharp_z)]
+    res = check_joint(mixed, q.Tolerances(max_iter=400))
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
+    assert res.solve.iterations <= 4
+    assert res.solve.residual < 1e-5
+    prob = joint_problem([obs.effects for obs in mixed])
+    assert _certificate_margin(prob, res.solve.certificate) > 0.0
+
+
+def test_just_below_the_threshold_stays_feasible(sharp_x, sharp_z):
+    mixed = [mix_with_trivial(obs, 2 ** -0.5 - 1e-6) for obs in (sharp_x, sharp_z)]
+    assert check_joint(mixed, q.Tolerances(max_iter=400)).verdict is Verdict.FEASIBLE
+
+
+def test_three_verdicts_and_the_old_name_is_an_alias():
+    assert list(Verdict) == [Verdict.FEASIBLE, Verdict.INFEASIBLE_CERTIFIED, Verdict.UNDECIDED]
+    assert Verdict.INFEASIBLE_HEURISTIC is Verdict.UNDECIDED
 
 
 def test_certificate_attempt_at_the_cap_runs_once(monkeypatch, sharp_x, sharp_z):
-    # attempts at iterations 1, 2 and 4; the last is the cap, tried only once
+    # attempts at iterations 1, 2 and 4; the last is the cap, tried only once,
+    # and a cap without a witness or a certificate is undecided
     calls = []
 
     def failing(*args):
@@ -875,7 +904,8 @@ def test_certificate_attempt_at_the_cap_runs_once(monkeypatch, sharp_x, sharp_z)
     monkeypatch.setattr(sdpcore, "_certificate", failing)
     prob = joint_problem([sharp_x.effects, sharp_z.effects])
     res = solve_feasibility(prob, q.Tolerances(max_iter=4))
-    assert res.verdict is Verdict.INFEASIBLE_HEURISTIC
+    assert res.verdict is Verdict.UNDECIDED
+    assert res.message == "iteration cap without a witness or a validated certificate"
     assert res.iterations == 4
     assert len(calls) == 3
 
@@ -985,7 +1015,7 @@ def test_search_starts_from_last_feasible_probe(monkeypatch):
     def solve_at(problem, tols=None, start=None):
         lam = float(problem.assemble()[1][0])
         starts.append((lam, start))
-        verdict = Verdict.FEASIBLE if lam <= 0.3 else Verdict.INFEASIBLE_HEURISTIC
+        verdict = Verdict.FEASIBLE if lam <= 0.3 else Verdict.UNDECIDED
         return SolveResult(verdict, None, 1, 0.0, iterate=np.array([lam]))
 
     monkeypatch.setattr(sdpcore, "solve_feasibility", solve_at)
