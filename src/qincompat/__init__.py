@@ -43,7 +43,8 @@ from .obschan import (NddrReport, ObsChannelResult, SequentialResult,
                       sequential_recover)
 from .steering import (Assemblage, CrosscheckReport, LhsModel, LhsResult,
                        assemblage_from, check_lhs, deterministic_strategies,
-                       max_entangled_assemblage, steering_jm_crosscheck)
+                       max_entangled_assemblage, steering_degree,
+                       steering_jm_crosscheck)
 from .process import (CommutationCompatReport, Tester, TesterPairResult,
                       check_tester_pair, commutation_vs_compat_report,
                       prepare_measure_tester, tester_degree,
@@ -83,7 +84,7 @@ __all__ = [
     "rank1_channel_form_check", "NddrReport", "nddr_test",
     "LhsResult", "CrosscheckReport", "deterministic_strategies",
     "assemblage_from", "max_entangled_assemblage", "check_lhs",
-    "steering_jm_crosscheck",
+    "steering_degree", "steering_jm_crosscheck",
     "TesterPairResult", "CommutationCompatReport", "trivial_tester",
     "prepare_measure_tester", "tester_probability", "check_tester_pair",
     "tester_degree", "commutation_vs_compat_report",

@@ -10,10 +10,10 @@ reference tables as deterministic CSV files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,9 +26,9 @@ from . import process as pt
 from . import steering as st
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import (Observable, cloner_marginal_coefficient, diag_channel,
-                      fourier_pair, identity_channel, mix_with_trivial, mub_qubit,
-                      sharp_observable, werner_cloner)
-from .sdpcore import SolveResult, Verdict, bisect_threshold
+                      fourier_pair, identity_channel, mub_qubit, sharp_observable,
+                      werner_cloner)
+from .sdpcore import SolveResult, Verdict
 from .serialize import load_device, serialize
 
 EXIT_FEASIBLE = 0
@@ -44,6 +44,11 @@ def _tols(args) -> Tolerances:
     if args.max_iter is not None:
         tols = replace(tols, max_iter=args.max_iter)
     return tols
+
+
+def _noise_mode(args) -> oc.NoiseMode:
+    return (oc.NoiseMode.UNIFORM_TRIVIAL if args.noise_mode == "uniform"
+            else oc.NoiseMode.OPTIMIZED_TRIVIAL)
 
 
 def _code(solve: SolveResult) -> int:
@@ -93,13 +98,16 @@ def _write_witness(args, device) -> None:
             sys.stdout.write(text)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str, axes: int) -> np.ndarray:
+    """The axis of an ``axes``-dimensional grid, once its point count is known to fit."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {spec!r}")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
         raise ValueError("grid count must be positive")
+    if n ** axes > 10_000:
+        raise ValueError(f"{n ** axes} grid points exceed the supported 10000")
     return np.linspace(a, b, n)
 
 
@@ -117,40 +125,24 @@ def cmd_check_joint(args) -> int:
 
 def cmd_degree(args) -> int:
     observables = [_load(p, ("observable",)) for p in args.files]
-    mode = (oc.NoiseMode.UNIFORM_TRIVIAL if args.noise_mode == "uniform"
-            else oc.NoiseMode.OPTIMIZED_TRIVIAL)
-    value = oc.degree_of_compatibility(observables, mode, _tols(args))
+    value = oc.degree_of_compatibility(observables, _noise_mode(args), _tols(args))
     _emit(args, {"degree": value, "noise_mode": args.noise_mode}, f"degree {value:.6f}")
     return EXIT_FEASIBLE
 
 
-def _region_point(payload) -> tuple:
-    observables, weights, mode_name, tols = payload
-    spec = oc.NoiseSpec(weights, oc.NoiseMode[mode_name])
-    res = oc.region_membership(observables, spec, tols)
-    return weights, res.solve.verdict.name
-
-
-def _run_grid(payloads, parallel: int) -> list:
-    """Region points in order, over ``parallel`` worker processes when above 1."""
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(_region_point, payloads))
-    return [_region_point(p) for p in payloads]
+def _region_rows(observables, grid, mode: oc.NoiseMode, tols) -> list:
+    """``(weights, verdict name)`` at every point of the product grid, in C order."""
+    rows = []
+    for weights in itertools.product(map(float, grid), repeat=len(observables)):
+        res = oc.region_membership(observables, oc.NoiseSpec(weights, mode), tols)
+        rows.append((weights, res.solve.verdict.name))
+    return rows
 
 
 def cmd_region(args) -> int:
     observables = [_load(p, ("observable",)) for p in args.files]
-    grid = _parse_grid(args.grid)
-    mode_name = ("UNIFORM_TRIVIAL" if args.noise_mode == "uniform"
-                 else "OPTIMIZED_TRIVIAL")
-    axes = np.meshgrid(*([grid] * len(observables)), indexing="ij")
-    points = np.stack([a.ravel() for a in axes], axis=1)
-    if len(points) > 10_000:
-        raise ValueError(f"{len(points)} grid points exceed the supported 10000")
-    tols = _tols(args)
-    payloads = [(observables, tuple(map(float, w)), mode_name, tols) for w in points]
-    rows = _run_grid(payloads, args.parallel)
+    grid = _parse_grid(args.grid, len(observables))
+    rows = _region_rows(observables, grid, _noise_mode(args), _tols(args))
     lines = ["weights,verdict"]
     lines += [",".join(f"{w:.6f}" for w in ws) + f",{v}" for ws, v in rows]
     text = "\n".join(lines) + "\n"
@@ -279,7 +271,7 @@ def _boundary_lam2(d: int, lam1: float) -> float:
     return min(max(root, 0.0), 1.0)
 
 
-def _repro_fig4(outdir: Path, args, tols) -> list[Path]:
+def _repro_fig4(outdir: Path, tols) -> list[Path]:
     curves = ["# seed=0", "d,lam1,lam2"]
     for d in (3, 100):
         for lam1 in np.linspace(0.0, 1.0, 200):
@@ -287,11 +279,8 @@ def _repro_fig4(outdir: Path, args, tols) -> list[Path]:
     curves_path = outdir / "fig4_curves.csv"
     curves_path.write_text("\n".join(curves) + "\n", encoding="utf-8")
 
-    q3, p3 = fourier_pair(3)
     grid = np.linspace(0.0, 1.0, 6)
-    payloads = [((q3, p3), (float(l1), float(l2)), "UNIFORM_TRIVIAL", tols)
-                for l1 in grid for l2 in grid]
-    rows = _run_grid(payloads, args.parallel)
+    rows = _region_rows(fourier_pair(3), grid, oc.NoiseMode.UNIFORM_TRIVIAL, tols)
     lines = ["# seed=0", "lam1,lam2,verdict"]
     lines += [f"{w[0]:.6f},{w[1]:.6f},{v}" for w, v in rows]
     grid_path = outdir / "fig4_grid.csv"
@@ -299,7 +288,7 @@ def _repro_fig4(outdir: Path, args, tols) -> list[Path]:
     return [curves_path, grid_path]
 
 
-def _repro_pos_mom(outdir: Path, args, tols) -> list[Path]:
+def _repro_pos_mom(outdir: Path, tols) -> list[Path]:
     lines = ["# seed=0", "d,degree"]
     for d in (2, 3, 4, 5):
         pair = fourier_pair(d)
@@ -310,7 +299,7 @@ def _repro_pos_mom(outdir: Path, args, tols) -> list[Path]:
     return [path]
 
 
-def _repro_bc_bound(outdir: Path, args, tols) -> list[Path]:
+def _repro_bc_bound(outdir: Path, tols) -> list[Path]:
     lines = ["# seed=7", "n,d,measured,expected"]
     for n, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
         cloner = werner_cloner(d, n)
@@ -322,24 +311,19 @@ def _repro_bc_bound(outdir: Path, args, tols) -> list[Path]:
     return [path]
 
 
-def _repro_mub(outdir: Path, args, tols) -> list[Path]:
+def _repro_mub(outdir: Path, tols) -> list[Path]:
     bx, by, bz = mub_qubit()
-    families = {"xz": (bx, bz), "xyz": (bx, by, bz)}
     lines = ["# seed=0", "family,joint_threshold,steering_threshold"]
-    for name, obs in families.items():
-        def lhs_at(lam, obs=obs):
-            noisy = [mix_with_trivial(o, lam) for o in obs]
-            return st.check_lhs(st.max_entangled_assemblage(noisy), tols).solve.feasible
-
+    for name, obs in (("xz", (bx, bz)), ("xyz", (bx, by, bz))):
         tj = oc.degree_of_compatibility(obs, oc.NoiseMode.UNIFORM_TRIVIAL, tols)
-        ts = bisect_threshold(lhs_at, tols.bisect_tol).value
+        ts = st.steering_degree(obs, tols).value
         lines.append(f"{name},{tj:.6f},{ts:.6f}")
     path = outdir / "mub_thresholds.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [path]
 
 
-def _repro_process_q(outdir: Path, args, tols) -> list[Path]:
+def _repro_process_q(outdir: Path, tols) -> list[Path]:
     basis = sharp_observable(np.eye(2))
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
@@ -353,7 +337,7 @@ def _repro_process_q(outdir: Path, args, tols) -> list[Path]:
     return [path]
 
 
-def _repro_robustness(outdir: Path, args, tols) -> list[Path]:
+def _repro_robustness(outdir: Path, tols) -> list[Path]:
     ident = identity_channel(2)
     dz = diag_channel(dim=2)
     lines = ["# seed=0", "pair,noise_class,value"]
@@ -378,7 +362,7 @@ REPRO_TARGETS = {
 def cmd_reproduce(args) -> int:
     outdir = Path(args.out) if args.out else Path.cwd()
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = REPRO_TARGETS[args.target](outdir, args, _tols(args))
+    paths = REPRO_TARGETS[args.target](outdir, _tols(args))
     for p in paths:
         print(f"wrote {p}")
     return EXIT_FEASIBLE
@@ -393,7 +377,6 @@ _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--out": dict(default=None, help="output file or directory"),
     "--witness": dict(action="store_true", help="emit the feasibility witness"),
-    "--parallel": dict(type=int, default=1, metavar="K", help="worker processes for grid sweeps"),
 }
 
 
@@ -424,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--grid", required=True, metavar="A:B:N")
     p.add_argument("--noise-mode", choices=("uniform", "optimized"), default="uniform")
-    _add_flags(p, "--json", "--out", "--parallel")
+    _add_flags(p, "--json", "--out")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("criteria", help="analytic incompatibility criteria")
@@ -462,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate a reference table")
     p.add_argument("target", choices=sorted(REPRO_TARGETS))
-    _add_flags(p, "--out", "--parallel")
+    _add_flags(p, "--out")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -2,12 +2,15 @@
 
 The solver's settable values live in one frozen record: the residual below
 which a problem is feasible, the iteration cap and the bisection tolerance.
-Functions that solve take an optional ``tols`` argument defaulting to
-:data:`DEFAULT_TOLS`.  Device validation has fixed slacks, the module
-constants below; a device's own ``atol`` argument overrides them.
+Both tolerances must be finite and positive and the cap at least 1, else
+construction raises ``ValueError``.  Functions that solve take an optional
+``tols`` argument defaulting to :data:`DEFAULT_TOLS`.  Device validation has
+fixed slacks, the module constants below; a device's own ``atol`` argument
+overrides them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -22,6 +25,13 @@ class Tolerances:
     bisect_tol: float = 5e-4      # threshold-search bracket width
 
     witness_factor: ClassVar[float] = 10.0  # witness re-verification slack, in units of feas
+
+    def __post_init__(self):
+        for label, value in (("feasibility", self.feas), ("bisection", self.bisect_tol)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{label} tolerance {value} must be finite and positive")
+        if self.max_iter < 1:
+            raise ValueError(f"iteration cap {self.max_iter} must be at least 1")
 
     @property
     def witness_atol(self) -> float:

@@ -18,9 +18,10 @@ import numpy as np
 
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
-from .devices import State, transpose_observable
+from .devices import State, mix_with_trivial, transpose_observable
 from .obscompat import JointResult, check_joint
-from .sdpcore import Decision, joint_problem, joint_witness, solve_feasibility
+from .sdpcore import (Decision, ThresholdResult, joint_problem, joint_witness,
+                      solve_feasibility, threshold_search)
 
 __all__ = [
     "Assemblage",
@@ -31,6 +32,7 @@ __all__ = [
     "assemblage_from",
     "max_entangled_assemblage",
     "check_lhs",
+    "steering_degree",
     "steering_jm_crosscheck",
 ]
 
@@ -143,6 +145,12 @@ def max_entangled_assemblage(observables) -> Assemblage:
     return assemblage_from(np.outer(phi, phi.conj()), observables)
 
 
+def _require_strategies(assemblage: Assemblage) -> None:
+    count = assemblage.n_outcomes ** assemblage.n_settings
+    if count > MAX_STRATEGIES:
+        raise ValueError(f"{count} strategies exceed the supported {MAX_STRATEGIES}")
+
+
 def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResult:
     """Search for a local hidden state model of ``assemblage``.
 
@@ -151,9 +159,8 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
     conditional state.
     """
     tols = tols or DEFAULT_TOLS
+    _require_strategies(assemblage)
     strategies = deterministic_strategies(assemblage.n_settings, assemblage.n_outcomes)
-    if len(strategies) > MAX_STRATEGIES:
-        raise ValueError(f"{len(strategies)} strategies exceed the supported {MAX_STRATEGIES}")
 
     # strategy k is the kth outcome assignment in product order, the kth
     # point of the joint device's outcome grid
@@ -163,6 +170,30 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
         grid, _ = joint_witness(result.witness, (assemblage.n_outcomes,) * assemblage.n_settings)
         model = LhsModel(la.psd_project(grid.reshape((-1,) + grid.shape[-2:])), strategies)
     return LhsResult(result, model)
+
+
+def steering_degree(observables, tols: Tolerances | None = None) -> ThresholdResult:
+    """Largest weight lam at which the maximally entangled assemblage of the
+    family lam A_j + (1 - lam) I / m admits a local hidden state model.
+
+    The model's blocks sum to sigma_{x|j}(lam), which is affine in lam, and
+    their common trace cap is tr sigma = 1 at every weight, so the
+    :func:`check_lhs` problems form one family with a fixed constraint
+    matrix.  It is factorized once and searched by
+    :func:`sdpcore.threshold_search`: ``value`` is certified feasible, and
+    ``upper`` holds the smallest certified upper end the search found.
+    More than ``MAX_STRATEGIES`` strategies raise ``ValueError``, as in
+    :func:`check_lhs`.
+    """
+    tols = tols or DEFAULT_TOLS
+    observables = tuple(observables)
+    _require_strategies(max_entangled_assemblage(observables))
+
+    def build(lam: float):
+        noisy = [mix_with_trivial(o, lam) for o in observables]
+        return joint_problem(max_entangled_assemblage(noisy).blocks)
+
+    return threshold_search(build, tols)
 
 
 @dataclass(frozen=True)

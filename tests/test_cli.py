@@ -72,10 +72,18 @@ def test_usage_errors_exit_malformed(xz_paths, capsys):
     # registered only on the subcommands that read them
     assert main(["check-joint", *xz_paths, "--bogus"]) == 3
     assert main(["degree", *xz_paths, "--witness"]) == 3
-    assert main(["obs-channel", *xz_paths, "--parallel", "2"]) == 3
+    assert main(["obs-channel", *xz_paths, "--witness"]) == 3
     assert main(["reproduce", "process-q", "--json"]) == 3
     assert main([]) == 3
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
+                                   ["--max-iter", "0"]])
+def test_bad_tolerances_exit_malformed(xz_paths, flags, capsys):
+    # an infinite tolerance would accept the sharp pair's failed solve as a witness
+    assert main(["check-joint", *xz_paths, *flags]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -108,6 +116,20 @@ def test_region_command(xz_paths, tmp_path, capsys):
     rows = dict(tuple(line.rsplit(",", 1)) for line in lines[1:])
     assert rows["0.000000,0.000000"].startswith("FEASIBLE")
     assert rows["1.000000,1.000000"].startswith("INFEASIBLE")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the grid was allocated before its size was checked")
+
+
+@pytest.mark.parametrize("n_files,count", [(2, 10_000_000_000_000), (5, 200)])
+def test_region_checks_its_size_before_allocating(files, sharp_x, n_files, count, monkeypatch, capsys):
+    # 1e26 and 3.2e11 points: numpy would fail to allocate them, as an exit 1
+    monkeypatch.setattr(np, "linspace", _refuse)
+    monkeypatch.setattr(np, "meshgrid", _refuse)
+    paths = [files(f"o{k}.json", sharp_x) for k in range(n_files)]
+    assert main(["region", *paths, "--grid", f"0:1:{count}"]) == 3
+    assert "exceed the supported 10000" in capsys.readouterr().err
 
 
 def test_criteria_command(xz_paths, capsys):
@@ -206,6 +228,32 @@ def test_reproduce_process_q(tmp_path, capsys):
     basis = q.sharp_observable(np.eye(2))
     testers = [q.prepare_measure_tester(np.diag(p).astype(complex), basis) for p in ([1.0, 0.0], [0.0, 1.0])]
     assert 0.5 <= q.tester_degree(*testers).upper.at
+
+
+def test_reproduce_fig4_grid_matches_the_closed_form(tmp_path, capsys):
+    assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "fig4_grid.csv").read_text().splitlines()
+    assert lines[:2] == ["# seed=0", "lam1,lam2,verdict"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 36
+    for lam1, lam2, verdict in rows:
+        inside = q.fourier_region_formula(3, float(lam1), float(lam2))
+        assert verdict == ("FEASIBLE" if inside else "INFEASIBLE_CERTIFIED"), (lam1, lam2)
+
+
+def test_reproduce_mub_thresholds(tmp_path, capsys):
+    assert main(["reproduce", "mub-thresholds", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "mub_thresholds.csv").read_text().splitlines()
+    assert lines[:2] == ["# seed=0", "family,joint_threshold,steering_threshold"]
+    ref = {"xz": 1 / np.sqrt(2), "xyz": 1 / np.sqrt(3)}
+    rows = [line.split(",") for line in lines[2:]]
+    assert [r[0] for r in rows] == ["xz", "xyz"]
+    for name, joint, steer in rows:
+        for value in (float(joint), float(steer)):
+            # printed to 6 places, so allow its rounding above the reference
+            assert ref[name] - q.DEFAULT_TOLS.bisect_tol <= value <= ref[name] + 5e-7
 
 
 def test_reproduce_bc_bound(tmp_path, capsys):

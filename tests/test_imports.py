@@ -1,8 +1,8 @@
 """Lint as a test: every name a package module imports is read in that module,
 every module-level private function or class is read somewhere in the package,
-every ``Tolerances`` field is read from a passed record, and only sdpcore
-spells the names of the joint device's blocks; and a guard on what solving
-imports."""
+every ``Tolerances`` field is read from a passed record, only sdpcore
+spells the names of the joint device's blocks and only sdpcore drives a
+bisection; and a guard on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -123,6 +123,27 @@ def test_only_sdpcore_names_joint_blocks():
     # other modules read it through sdpcore.joint_witness
     spelled = {p.name for p in SOURCES if joint_block_names(p.read_text(encoding="utf-8"))}
     assert spelled == {"sdpcore.py"}
+
+
+def bisection_calls(source: str) -> list[int]:
+    """Lines that call ``bisect_threshold``, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "bisect_threshold")
+
+
+def test_scan_finds_bisection_calls():
+    source = ("from .sdpcore import bisect_threshold\nr = bisect_threshold(f, tol)\n"
+              "s = sdpcore.bisect_threshold(f)\nt = threshold_search(build)\n"
+              "u = bisect_threshold\nv = q.bisect_threshold_x(f)\n")
+    assert bisection_calls(source) == [2, 3]
+
+
+def test_only_sdpcore_drives_a_bisection():
+    # every other threshold goes through sdpcore.threshold_search, which
+    # factorizes its family once and hands the bisection certified upper ends
+    calling = {p.name for p in SOURCES if bisection_calls(p.read_text(encoding="utf-8"))}
+    assert calling == {"sdpcore.py"}
 
 
 def test_solving_leaves_numpy_ma_unimported():

@@ -1122,6 +1122,22 @@ def test_bisect_threshold_rejects_a_bad_tolerance(tol):
         q.degree_of_compatibility(list(q.fourier_pair(2)), tols=q.Tolerances(bisect_tol=tol))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("feas", float("inf")), ("feas", float("nan")), ("feas", 0.0), ("feas", -1e-7),
+    ("bisect_tol", float("inf")), ("bisect_tol", 0.0),
+    ("max_iter", 0), ("max_iter", -5),
+])
+def test_tolerances_reject_bad_values(field, value):
+    # an infinite feas would pass any witness (its slack is 10 feas), a NaN
+    # one would end every solve undecided, and a cap below 1 runs no iteration
+    with pytest.raises(ValueError):
+        q.Tolerances(**{field: value})
+
+
+def test_tolerances_keep_tiny_positive_values():
+    assert q.Tolerances(feas=1e-18, max_iter=1, bisect_tol=1e-20).max_iter == 1
+
+
 def test_bisect_threshold_stops_at_the_float_spacing():
     # a tolerance below the spacing of floats near the threshold: the search
     # ends once the next probe rounds to an end of the bracket

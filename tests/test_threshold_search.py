@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
-from qincompat import chancompat, obscompat, process, sdpcore
+from qincompat import chancompat, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.sdpcore import SdpProblem, Verdict, joint_problem, solve_feasibility, verify_witness
 
@@ -26,6 +26,11 @@ def _optimized(observables):
 
 def _uniform(observables):
     return lambda lam: joint_problem([q.mix_with_trivial(o, lam).effects for o in observables])
+
+
+def _steering(observables):
+    return lambda lam: joint_problem(
+        q.max_entangled_assemblage([q.mix_with_trivial(o, lam) for o in observables]).blocks)
 
 
 def _pair(a, b, mode):
@@ -47,6 +52,9 @@ SEARCHES = [
     ("degree unbiased triple", 1 / math.sqrt(3),
      lambda: q.degree_of_compatibility(list(q.mub_qubit()), q.NoiseMode.UNIFORM_TRIVIAL),
      _uniform(q.mub_qubit())),
+    ("steering X/Z", 1 / math.sqrt(2), lambda: q.steering_degree([SX, SZ]).value, _steering([SX, SZ])),
+    ("steering unbiased triple", 1 / math.sqrt(3),
+     lambda: q.steering_degree(q.mub_qubit()).value, _steering(q.mub_qubit())),
     ("tester degree", 0.5, lambda: q.tester_degree(T0, T1).value,
      lambda lam: joint_problem([T0.effects, T1.effects], (lam, lam), T0.in_dim)),
     ("robustness id/id arbitrary", 0.75,
@@ -95,7 +103,7 @@ def searches():
             return run["result"]
 
         mp.setattr(sdpcore, "solve_feasibility", counted)
-        for module in (obscompat, chancompat, process):
+        for module in (obscompat, chancompat, process, steering):
             mp.setattr(module, "threshold_search", recorded)
         for name, _, call, _ in SEARCHES:
             count.update(probes=0, iterations=0)
@@ -195,9 +203,23 @@ def test_upper_end_revalidates_from_problem_data(searches, name):
 
 def test_probe_budget(searches):
     # certified ends cut the probes; more than 10 in one search, or 600
-    # iterations in all nine, means a search fell back to bisection
+    # iterations in all eleven, means a search fell back to bisection
     probes = {name: run["probes"] for name, run in searches.items()}
     assert max(probes.values()) <= 10, probes
     assert sum(run["iterations"] for run in searches.values()) <= 600
     for run in searches.values():
         assert len(run["result"].history) == run["probes"]
+
+
+def test_steering_search_takes_fewer_probes_than_bisection(searches):
+    # a bool bisection to the default tolerance takes 13 probes; each
+    # certified upper end lets the search approach its threshold from below
+    for name in ("steering X/Z", "steering unbiased triple"):
+        run = searches[name]
+        assert run["probes"] <= 8, (name, run["probes"])
+        assert run["result"].value <= REF[name] <= run["result"].upper.at
+
+
+def test_steering_degree_rejects_too_many_strategies():
+    with pytest.raises(ValueError, match="strategies"):
+        q.steering_degree([SX] * 13)
