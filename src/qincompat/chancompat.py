@@ -296,7 +296,8 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
     """Does a tripartite state have the two given overlapping marginals?
 
     ``dims`` = (dA, dB, dC).  Shared B marginals that disagree make the
-    constraints inconsistent, which the solver certifies before iterating.
+    constraints inconsistent, which the solver certifies before iterating
+    when the disagreement exceeds ``feas``; a smaller one is solved as usual.
     Restricting to pure global states is a nonconvex constraint and is
     rejected.
     """

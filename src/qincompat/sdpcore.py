@@ -30,15 +30,16 @@ a witness's blocks and the cone step each make one stacked call per group.
 
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
-distance.  A separating-functional certificate built from the gap direction
-is tried at iterations 1, 2, 4, ..., doubling until the spacing reaches
-``_ATTEMPT_SPACING``, then every ``_ATTEMPT_SPACING`` iterations, and at the
-iteration cap, whatever the residual: infeasibility shows in the iterates at
-any residual.  Each certificate is validated exactly from problem data (the
-functional's value on the affine set vs its infimum over the capped cones),
-never trusted from solver state alone, so early attempts are as safe as late
-ones.  A solve that reaches the cap with neither a witness nor a certificate
-is ``UNDECIDED``.
+distance.  A certificate is row multipliers y, checked by one function from
+the assembled data alone: g = A^T y has the value y.b on the whole affine
+set, and y is accepted when that lies below g's infimum over the capped
+cones by more than feas plus a bound on the rounding.  The gap direction's
+row-space part gives y, tried at iterations 1, 2, 4, ..., doubling until the
+spacing reaches ``_ATTEMPT_SPACING``, then every ``_ATTEMPT_SPACING``
+iterations, and at the cap, whatever the residual: no solver state enters
+the check.  Before iterating, a residual A x_part - b above its rounding is
+tried too (an empty affine set).  A solve that reaches the cap with neither
+a witness nor a certificate is ``UNDECIDED``.
 
 A solve starts from the affine particular solution unless it is given a
 ``start`` iterate; the iteration converges from any start.
@@ -51,9 +52,9 @@ with the two right-hand sides b(0) and b(1) - b(0), and each probe solves
 its member from that factorization, warm-started at the final iterate of
 the last feasible probe (neighbouring weights have nearby solutions;
 infeasible iterates drift along the gap direction and never seed a start).
-A certified probe's functional h lies in the row space of the fixed A, so
-its gap <h, x_part(lam)> - inf_cones <h, .> is affine in lam: it excludes
-every weight above the root of gap = -feas, and :func:`bisect_threshold`
+A certified probe's multipliers y hold for every member, as A is fixed, so
+its bounded gap y.b(lam) - inf_cones <A^T y, .> + bound is affine in lam: it
+excludes every weight above the root of gap = -feas, :func:`bisect_threshold`
 drops the bracket's top to that root and approaches it from below.
 
 Joint measurability, local hidden state models and joint testers are one
@@ -418,11 +419,15 @@ def joint_witness(witness: dict[str, np.ndarray], counts) -> tuple[np.ndarray, t
 
 @dataclass(frozen=True)
 class Certificate:
-    """Separating functional: constant on the affine set, below it on the cones."""
+    """Row multipliers y: g = A^T y (block by block in ``functional``) takes the value
+    y.b (``affine_value``) on the affine set, below its infimum over the capped cones
+    by more than feas plus ``bound``, which bounds the rounding of both."""
 
     functional: dict[str, np.ndarray]
     affine_value: float
     cone_infimum: float
+    multipliers: np.ndarray
+    bound: float
 
     @property
     def gap(self) -> float:
@@ -500,11 +505,13 @@ def _block_eigh(gram: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
 _PASS_RANGE = 1e-3
 
 
-def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the row space of ``a`` and the least-norm solutions of a x = b.
+def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-space basis ``vr`` of ``a``, coefficients ``coef`` of least-norm
+    solutions and multipliers ``mult`` of the basis, ``vr = a.T @ mult``.
 
-    ``b`` holds one right-hand side per column, and column j of the second
-    result solves for column j of ``b``.
+    ``b`` holds one right-hand side per column, and ``vr @ coef[:, j]`` solves
+    a x = b[:, j].  The multipliers are the coefficients of further columns,
+    the identity on the rows factorized (mapped back by Q for a tall ``a``).
 
     The rank is the one a dense SVD reveals with the cut ``cut``: singular
     values above ``cut`` times the largest.  Each pass factorizes the Gram
@@ -516,12 +523,11 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
     A tall ``a`` is first replaced by the triangle of its QR factorization,
     so no Gram matrix exceeds min(a.shape)^2.
     """
-    rows, rhs = a, b
-    if a.shape[0] > a.shape[1]:
-        q, rows = np.linalg.qr(a)
-        rhs = q.T @ b
-    vr = np.zeros((a.shape[1], 0))
-    coef = np.zeros((0, b.shape[1]))
+    q, rows = np.linalg.qr(a) if a.shape[0] > a.shape[1] else (None, a)
+    nb = b.shape[1]
+    rhs = np.eye(len(rows), len(rows) + nb, nb)
+    rhs[:, :nb] = b if q is None else q.T @ b
+    vr, coef = np.zeros((a.shape[1], 0)), np.zeros((0, rhs.shape[1]))
     floor = None  # eigenvalue of the SVD rank cut, set by the first pass
     while rows.shape[0]:
         gram = rows @ rows.T
@@ -537,18 +543,19 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
             span = slice(at, at + idx.size)
             w[span] = wb.ravel()
             np.matmul(np.swapaxes(u, 1, 2), rows[idx], out=turned[span].reshape(idx.shape + (-1,)))
-            turned_rhs[span] = np.einsum("kij,kil->kjl", u, rhs[idx]).reshape(-1, rhs.shape[1])
+            np.matmul(np.swapaxes(u, 1, 2), rhs[idx], out=turned_rhs[span].reshape(idx.shape + (-1,)))
             at += idx.size
         if floor is None:
             floor = cut**2 * w.max()
         keep = w > max(_PASS_RANGE * w.max(), floor)
         if not keep.any():
             break
-        s = np.sqrt(w[keep])
-        found = turned[keep]
-        found /= s[:, None]
+        s = np.sqrt(w[keep])[:, None]
+        found, found_rhs = turned[keep], turned_rhs[keep]
+        found /= s
+        found_rhs /= s
         vr = np.hstack([vr, found.T]) if vr.size else found.T
-        coef = np.concatenate([coef, turned_rhs[keep] / s[:, None]])
+        coef = np.concatenate([coef, found_rhs]) if coef.size else found_rhs
         # the other rotated rows are orthogonal to vr, exactly so without
         # rounding.  Writing x = vr coef + y with y orthogonal to vr, they give
         # rows' y = rhs - (rows vr) coef, where rows' has vr projected out;
@@ -558,7 +565,8 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
         cross = rows @ vr
         rows = rows - cross @ vr.T
         rhs = rhs - cross @ coef
-    return vr, vr @ coef
+    mult = coef[:, nb:].T
+    return vr, coef[:, :nb], mult if q is None else q @ mult
 
 
 def _same_cones(p: SdpProblem, q: SdpProblem) -> bool:
@@ -584,27 +592,25 @@ class _Projector:
     be equal and their cones too, up to caps that differ by rounding
     (members take those of ``problem``), else ``ValueError``; then
     b(lam) = b + lam db and x_part(lam) = x_part + lam dx, from one
-    factorization with the columns b and db.  :meth:`at` gives a member and :meth:`upper_end` the crossing
-    of a member's certificate.
+    factorization with the columns b and db (zero for one problem).  :meth:`at`
+    gives a member and :meth:`upper_end` the crossing of a member's certificate.
+    ``mult`` holds the basis's multipliers, ``vr = a.T @ mult``, so a
+    functional vr c is a.T (mult c); ``rounding`` scales a certificate's bound,
+    with k eps for Higham's gamma_k and the caps' sum for |x| on the cones.
     """
 
     def __init__(self, problem: SdpProblem, at_one: SdpProblem | None = None):
         a, b = problem.assemble()
-        rhs = b[:, None]
-        self.at_one = at_one
-        if at_one is not None:
-            a1, b1 = at_one.assemble()
-            if not (np.array_equal(a, a1) and _same_cones(problem, at_one)):
-                raise ValueError("the family's constraint matrix or cones depend on its weight")
-            self.db = b1 - b
-            rhs = np.column_stack([b, self.db])
+        a1, b1 = (a, b) if at_one is None else at_one.assemble()
+        if at_one is not None and not (np.array_equal(a, a1) and _same_cones(problem, at_one)):
+            raise ValueError("the family's constraint matrix or cones depend on its weight")
+        self.at_one, self.db, a1 = at_one, b1 - b, None  # drops a second dense A
         self.cols = np.flatnonzero(np.any(a != 0, axis=0))
         cut = max(a.shape) * np.finfo(float).eps
         self.a = a = np.take(a, self.cols, axis=1)  # the only copy kept, row-major
-        self.vr, x_parts = _row_space(a, rhs, cut)
-        if at_one is not None:
-            self.dx = x_parts[:, 1]
-        self._place(problem, b, x_parts[:, 0])
+        self.vr, coef, self.mult = _row_space(a, np.column_stack([b, self.db]), cut)
+        x_part, self.dx = (self.vr @ coef).T
+        self._place(problem, b, x_part)
         # psd blocks of one side share a batched eigendecomposition; 1x1
         # blocks are clipped with the scalars, with no eigh group of their own
         self.psd_groups = []
@@ -621,10 +627,15 @@ class _Projector:
         order = np.argsort(np.concatenate(scalar_idx))
         self.scalar_idx = np.concatenate(scalar_idx)[order]
         self.scalar_caps = np.concatenate(scalar_caps)[order]
+        caps = sum(float(c.sum()) for _, _, c, _ in self.psd_groups) + float(self.scalar_caps.sum())
+        terms = sum(len(c) + 4 * d for d, _, c, _ in self.psd_groups) + self.scalar_caps.size
+        eps, self.norm_a = np.finfo(float).eps, float(np.linalg.norm(a))
+        self.rounding = ((len(b) + 2) * eps * (self.norm_a * caps + np.linalg.norm(b) + np.linalg.norm(self.db)),
+                         terms * eps * caps)
 
     def _place(self, problem: SdpProblem, b: np.ndarray, x_part: np.ndarray) -> None:
         self.problem, self.b, self.x_part = problem, b, x_part
-        self.inconsistency = float(np.abs(self.a @ x_part - b).max(initial=0.0))
+        self.residual = self.a @ x_part - b
 
     def at(self, lam: float) -> SdpProblem:
         """The family's problem at ``lam``, carrying its projector (no new factorization)."""
@@ -641,15 +652,14 @@ class _Projector:
     def upper_end(self, lam: float, cert: Certificate, feas: float) -> float | None:
         """Weight above which ``cert``, certified at ``lam``, excludes every member.
 
-        The functional h is constant on each member's affine set, so its gap
-        g(mu) = <h, x_part(mu)> - inf_cones <h, .> is affine in mu, and every
-        mu with g(mu) < -feas is certified infeasible.  Returns the root of
-        g = -feas, with 2**-10 feas to spare for rounding, capped at ``lam``;
-        ``None`` when the gap does not fall with the weight.
+        The members share A, so y holds for each, and the bounded gap
+        gap(mu) = y.b(0) + mu y.db - inf_cones + bound is affine in mu (the bound
+        covers every mu in [0, 1]); every mu with gap(mu) < -feas is certified
+        infeasible.  Returns the root of gap = -feas, with 2**-10 feas to spare
+        for rounding, capped at ``lam``; ``None`` when the gap does not fall.
         """
-        h = self.problem.join(cert.functional)[self.cols]
-        slope = float(h @ self.dx)
-        gap0 = float(h @ self.x_part) - cert.cone_infimum
+        slope = float(cert.multipliers @ self.db)
+        gap0 = float(cert.multipliers @ self.b) - cert.cone_infimum + cert.bound
         if not (slope < 0 and gap0 + lam * slope < -feas):  # a NaN gap never validates
             return None
         return min(lam, (-(1 + 2**-10) * feas - gap0) / slope)
@@ -699,22 +709,22 @@ class _Projector:
         return total
 
 
-def _certificate(proj: _Projector, z: np.ndarray, a_pt: np.ndarray, tols: Tolerances):
-    """Validate a separating functional from the gap direction z - P_affine(z)."""
-    # in the row space of A, h = A^T y, so <h, x> = y.b at every affine point;
-    # h is zero off the touched columns
-    gap = (z - a_pt)[proj.cols]
-    h = np.zeros_like(z)
-    h[proj.cols] = proj.vr @ (proj.vr.T @ gap)
-    nh = float(np.linalg.norm(h))
-    if nh < 1e-15:
+def _certificate(proj: _Projector, y: np.ndarray, tols: Tolerances) -> Certificate | None:
+    """The one certificate check: row multipliers y, validated from the assembled data.
+
+    Every x with A x = b has <g, x> = y.b for g = A^T y, so y.b below the infimum of
+    <g, .> over the capped cones excludes every x in them.  y is accepted only when
+    y.b - inf + bound < -feas, with g and y.b recomputed from A and b and the bound
+    covering their rounding and the eigenvalues'.  The caller normalizes y.
+    """
+    g = np.zeros(proj.problem.n_vars)
+    g[proj.cols] = y @ proj.a  # zero off the touched columns
+    affine_value = float(y @ proj.b)
+    cone_inf = proj.cone_infimum(g)
+    bound = float(proj.rounding[0] * math.sqrt(y @ y) + proj.rounding[1] * math.sqrt(g @ g))
+    if not affine_value - cone_inf + bound < -tols.feas:  # a NaN gap never validates
         return None
-    h = h / nh
-    affine_value = float(h @ a_pt)
-    cone_inf = proj.cone_infimum(h)
-    if not affine_value - cone_inf < -tols.feas:  # a NaN gap never validates
-        return None
-    return Certificate(proj.problem.split(h), affine_value, cone_inf)
+    return Certificate(proj.problem.split(g), affine_value, cone_inf, y, bound)
 
 
 def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: Tolerances | None = None,
@@ -785,16 +795,14 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
         if not np.all(np.isfinite(start)):
             raise ValueError("start has non-finite entries")
     proj = problem._projector if problem._projector is not None else _Projector(problem)
-    if proj.inconsistency > 1e-9 * (1.0 + float(np.abs(proj.b).max(initial=0.0))):
-        cert = Certificate({}, float("nan"), float("nan"))
-        return SolveResult(
-            Verdict.INFEASIBLE_CERTIFIED,
-            None,
-            0,
-            proj.inconsistency,
-            cert,
-            "affine constraints are inconsistent (empty affine set)",
-        )
+    # an empty affine set: r = A x_part - b has A^T r = 0 and r.b = -|r|^2, so r / |r|,
+    # of gap -|r|, is tried as multipliers once |r| exceeds its rounding
+    r, eps = math.sqrt(proj.residual @ proj.residual), np.finfo(float).eps
+    if r > len(proj.b) * eps * (proj.norm_a * math.sqrt(proj.x_part @ proj.x_part) + math.sqrt(proj.b @ proj.b)):
+        cert = _certificate(proj, proj.residual / r, tols)
+        if cert is not None:
+            return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, 0, r, cert,
+                               "affine constraints are inconsistent (empty affine set)")
     if start is None:
         x = np.zeros(problem.n_vars)
         x[proj.cols] = proj.x_part
@@ -814,21 +822,18 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
             ok, _ = verify_witness(problem, witness, tols, (proj.a, proj.cols, proj.b))
             if ok:
                 return SolveResult(Verdict.FEASIBLE, witness, it, res, iterate=x)
-        # certificates are validated exactly, so an early attempt is safe: try
-        # at iterations 1, 2, 4, ... and then every _ATTEMPT_SPACING
-        # iterations, and at the cap; a failed attempt never ends the run
+        # certificates are validated from the data, so an early attempt is safe: try at
+        # iterations 1, 2, 4, ... and then every _ATTEMPT_SPACING iterations, and at the
+        # cap, with the multipliers of the gap's row-space part scaled to a unit functional
         if it == next_attempt or it == tols.max_iter:
             next_attempt += min(it, _ATTEMPT_SPACING)
-            cert = _certificate(proj, pk, pl, tols)
+            c = proj.vr.T @ (pk - pl)[proj.cols]
+            cert = _certificate(proj, proj.mult @ (c / math.sqrt(c @ c)), tols) if c.any() else None
             if cert is not None:
-                return SolveResult(
-                    Verdict.INFEASIBLE_CERTIFIED, None, it, res, cert,
-                    "validated separating functional", x,
-                )
-    return SolveResult(
-        Verdict.UNDECIDED, None, tols.max_iter, res, None,
-        "iteration cap without a witness or a validated certificate", x,
-    )
+                return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, it, res, cert,
+                                   "validated separating functional", x)
+    return SolveResult(Verdict.UNDECIDED, None, tols.max_iter, res, None,
+                       "iteration cap without a witness or a validated certificate", x)
 
 
 @dataclass(frozen=True)
@@ -853,13 +858,8 @@ class ThresholdResult:
     upper: UpperEnd | None = None
 
 
-def bisect_threshold(
-    feasible_at: Callable[[float], bool | UpperEnd],
-    tol: float | None = None,
-    lo: float = 0.0,
-    hi: float = 1.0,
-) -> ThresholdResult:
-    """Bisection for the supremum of {lam : feasible_at(lam)} on [lo, hi].
+def bisect_threshold(feasible_at: Callable[[float], bool | UpperEnd], tol: float | None = None) -> ThresholdResult:
+    """Bisection for the supremum of {lam : feasible_at(lam)} on [0, 1].
 
     ``feasible_at`` must be monotone (feasible below, infeasible above).  It
     returns a bool, or an :class:`UpperEnd` for an infeasible probe whose
@@ -878,8 +878,7 @@ def bisect_threshold(
     tol = DEFAULT_TOLS.bisect_tol if tol is None else tol
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"bisection tolerance {tol} must be finite and positive")
-    if not (hi > lo):
-        raise ValueError("need hi > lo")
+    lo, hi = 0.0, 1.0
     history: list[tuple[float, bool]] = []
     upper: UpperEnd | None = None
 

@@ -29,6 +29,24 @@ def rand_herm(rng, d):
     return (a + a.conj().T) / 2
 
 
+def recheck_functional(prob, certificate):
+    """Assemble ``prob`` and check that A^T y, for the certificate's multipliers
+    y, reproduces its functional up to the rounding of both products.  Returns
+    b and the functional's infimum over the capped cones, block by block."""
+    a, b = prob.assemble()
+    y, eps = certificate.multipliers, np.finfo(float).eps
+    g = prob.join(certificate.functional)
+    assert np.all(np.abs(a.T @ y - g) <= 4 * len(b) * eps * (np.abs(a).T @ np.abs(y) + np.abs(g)))
+    infimum = 0.0
+    for name, blk in prob._blocks.items():
+        part = certificate.functional[name]
+        if blk.kind == "psd":
+            infimum += float(blk.cap) * min(float(np.linalg.eigvalsh(part)[0]), 0.0)
+        else:
+            infimum += float(np.sum(blk.cap * np.minimum(part, 0.0)))
+    return b, infimum
+
+
 def near_parallel_povm(theta):
     """Qubit POVM whose first two effects are halves of pure states theta apart,
     so that their vectorizations are nearly parallel."""

@@ -1,8 +1,9 @@
 """Lint as a test: every name a package module imports is read in that module,
 every module-level private function or class is read somewhere in the package,
 every ``Tolerances`` field is read from a passed record, only sdpcore
-spells the names of the joint device's blocks and only sdpcore drives a
-bisection; and a guard on what solving imports."""
+spells the names of the joint device's blocks, only sdpcore drives a
+bisection and only ``sdpcore._certificate`` makes a certificate; and a guard
+on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -144,6 +145,40 @@ def test_only_sdpcore_drives_a_bisection():
     # factorizes its family once and hands the bisection certified upper ends
     calling = {p.name for p in SOURCES if bisection_calls(p.read_text(encoding="utf-8"))}
     assert calling == {"sdpcore.py"}
+
+
+def certificate_makers(source: str) -> list[str]:
+    """Sorted names of the innermost function around each call of
+    ``Certificate``, by name or as an attribute; ``<module>`` for a call
+    outside any function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == "Certificate":
+                found.append(where)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_certificate_makers():
+    source = ("from .sdpcore import Certificate\nc = Certificate({}, 0.0, 0.0, y, 0.0)\n"
+              "def _certificate(p):\n    return Certificate(p)\n"
+              "class K:\n    def f(self):\n        def g():\n            return sdpcore.Certificate(1)\n"
+              "        return g, Certificate\n"
+              "def h():\n    return CertificateX(1), x.Certificate_(2)\n")
+    assert certificate_makers(source) == ["<module>", "_certificate", "g"]
+
+
+def test_only_one_function_makes_a_certificate():
+    # every INFEASIBLE_CERTIFIED verdict carries multipliers that one check
+    # validated from the assembled data; no other path may build one
+    makers = [f"{p.stem}.{where}" for p in SOURCES for where in certificate_makers(p.read_text(encoding="utf-8"))]
+    assert makers == ["sdpcore._certificate"]
 
 
 def test_solving_leaves_numpy_ma_unimported():

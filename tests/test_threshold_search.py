@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
+from conftest import recheck_functional
 from qincompat import chancompat, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.sdpcore import SdpProblem, Verdict, joint_problem, solve_feasibility, verify_witness
@@ -167,21 +168,12 @@ def test_rescaled_problems_decide_as_before(name):
 
 # --- certified upper ends ----------------------------------------------------
 
-def _gap(build, functional, lam):
-    """The functional's value on the affine set at ``lam`` minus its infimum
-    over the capped cones, both from the assembled problem."""
-    prob = build(lam)
-    a, b = prob.assemble()
-    x = np.linalg.lstsq(a, b, rcond=None)[0]
-    assert np.abs(a @ x - b).max() < 1e-9
-    infimum = 0.0
-    for name, blk in prob._blocks.items():
-        part = functional[name]
-        if blk.kind == "psd":
-            infimum += float(blk.cap) * min(float(np.linalg.eigvalsh(part)[0]), 0.0)
-        else:
-            infimum += float(np.sum(blk.cap * np.minimum(part, 0.0)))
-    return float(prob.join(functional) @ x) - infimum
+def _gap(build, certificate, lam):
+    """The certificate's gap at ``lam`` from the assembled problem alone: its
+    multipliers y reproduce its functional A^T y, whose value on the affine
+    set is y.b, less the functional's infimum over the capped cones."""
+    b, infimum = recheck_functional(build(lam), certificate)
+    return float(certificate.multipliers @ b) - infimum
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -196,8 +188,12 @@ def test_search_brackets_its_threshold_between_value_and_upper_end(searches, nam
 def test_upper_end_revalidates_from_problem_data(searches, name):
     run, tol = searches[name], DEFAULT_TOLS.bisect_tol
     end = run["result"].upper
+    cert = end.certificate
     for lam in (end.at, 1.0):
-        assert _gap(run["build"], end.certificate.functional, lam) < -DEFAULT_TOLS.feas
+        assert _gap(run["build"], cert, lam) + cert.bound < -DEFAULT_TOLS.feas
+    # its affine value is y.b at the probe that found it
+    values = [cert.multipliers @ run["build"](lam).assemble()[1] for lam, ok in run["result"].history if not ok]
+    assert min(abs(v - cert.affine_value) for v in values) <= 1e-12
     assert solve_feasibility(run["build"](end.at + tol / 4)).verdict is Verdict.INFEASIBLE_CERTIFIED
 
 
