@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,7 +33,6 @@ from .devices import (
 from .sdpcore import (
     Decision,
     SdpProblem,
-    SolveResult,
     Verdict,
     joint_problem,
     joint_witness,
@@ -74,7 +73,6 @@ __all__ = [
 ]
 
 MAX_PRODUCT_OUTCOMES = 4096
-_MARGINAL_ATOL = 1e-8  # how far a joint witness's marginals may miss the observables
 
 
 # === noise specification =====================================================
@@ -196,25 +194,10 @@ def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
     _check_family_dim(observables)
     _require_size(observables)
     res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols)
-    return _joint_result(res, observables, tols)
-
-
-def _joint_result(res: SolveResult, observables, tols: Tolerances) -> JointResult:
-    """The joint observable of a solved joint problem; UNDECIDED when its
-    marginals miss the observables by more than ``_MARGINAL_ATOL``."""
     if not res.feasible:
         return JointResult(res)
     grid, _ = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
-    joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
-    worst = max(float(np.abs(joint.marginal(k).effects - obs.effects).max())
-                for k, obs in enumerate(observables))
-    if worst > _MARGINAL_ATOL:
-        res = replace(
-            res, verdict=Verdict.UNDECIDED,
-            message=f"joint witness marginal deviation {worst:.2e} above tolerance",
-        )
-        return JointResult(res)
-    return JointResult(res, joint)
+    return JointResult(res, _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol))
 
 
 # === explicit joint constructions ============================================
@@ -322,8 +305,7 @@ def degree_of_compatibility(
     The family of :func:`region_membership` problems at equal weights is
     factorized once and searched by :func:`sdpcore.threshold_search`; the
     returned value is certified feasible and within the bisection tolerance
-    below the threshold.  Uniform-noise probes keep :func:`check_joint`'s
-    marginal test.  A single observable has degree 1.  Fixed noise raises
+    below the threshold.  A single observable has degree 1.  Fixed noise raises
     ``ValueError``: there is no parameter for its distributions.
     """
     if noise_mode is NoiseMode.FIXED_TRIVIAL:
@@ -339,13 +321,8 @@ def degree_of_compatibility(
         effects = [obs.effects for obs in observables]
         return threshold_search(lambda lam: joint_problem(effects, (lam,) * n), tols).value
     dists = _resolve_distributions(observables, NoiseSpec((1.0,) * n, noise_mode))
-
-    def mixed(lam: float) -> list[Observable]:
-        return [mix_with_trivial(obs, lam, probs=p) for obs, p in zip(observables, dists)]
-
-    return threshold_search(
-        lambda lam: joint_problem([obs.effects for obs in mixed(lam)]), tols,
-        lambda lam, res: _joint_result(res, mixed(lam), tols).solve).value
+    return threshold_search(lambda lam: joint_problem(
+        [mix_with_trivial(obs, lam, probs=p).effects for obs, p in zip(observables, dists)]), tols).value
 
 
 def fourier_region_formula(d: int, lam1: float, lam2: float) -> bool:

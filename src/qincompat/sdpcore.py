@@ -6,24 +6,21 @@ trace cap, or vectors of nonnegative scalars with entry caps) plus affine
 equality constraints expressed on the real vectorization of the blocks.  The
 solver alternates exact projections:
 
-* onto the affine set, via eigendecompositions of Gram matrices R R^T of the
-  constraint rows, in passes: each pass keeps the eigenvalues within
-  ``_PASS_RANGE`` of its largest and hands the remaining rows to the next,
-  until the singular values left fall below max(A.shape) * eps times the
-  largest (the rank a dense SVD reveals, so redundant or dependent rows are
-  harmless); a tall A is first reduced to the triangle of its QR factorization;
+* onto the affine set, via the SVD of the constraint matrix A, cut at
+  max(A.shape) * eps times the largest singular value (so redundant or
+  dependent rows are harmless);
 * onto the cone product, block by block (eigenvalue clipping, scalar clamping,
   trace rescaling when a cap is exceeded).
 
 The one-off work of a solve runs block by block.  The factorization sees only
 the touched columns of A, those some row uses (the d=4 channel pair touches
-1,792 of its 4,096), and decomposes each Gram matrix by its diagonal blocks,
-the connected components of its nonzero pattern, with one stacked ``eigh``
-per block size.  The row-space basis and the particular solution are kept on
-the touched columns only, and the affine step gathers those coordinates,
-projects them and scatters them back: every other coordinate is left as it
-is.  A problem is assembled once per solve, its c I terms written with one
-index add per row count; the touched-column matrix also gives the
+1,792 of its 4,096), and splits them into the connected components of their
+nonzero pattern (the d=4 pair has 400, of 8 x 16 or 1 x 4), with one stacked
+SVD per component shape.  The row-space basis and the particular solution
+are kept on the touched columns only, and the affine step gathers those
+coordinates, projects them and scatters them back: every other coordinate is
+left as it is.  A problem is assembled once per solve, its c I terms written
+with one index add per row count; the touched-column matrix also gives the
 inconsistency test and the residual of every witness check.  The blocks are
 grouped by kind and size once per problem, and unpacking an iterate, checking
 a witness's blocks and the cone step each make one stacked call per group.
@@ -469,40 +466,44 @@ class Decision:
         return self.solve.feasible
 
 
-def _block_eigh(gram: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``eigh`` of a symmetric matrix by the diagonal blocks of its nonzero pattern.
+def _components(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of ``a``'s nonzero pattern, grouped by shape.
 
-    The blocks are the connected components of the pattern: every row takes
-    the smallest row index it reaches along nonzero entries.  Returns one
-    ``(idx, w, u)`` per block size, from one stacked ``eigh``: ``idx[k]``
-    lists the rows of the kth block of that size in ascending order, and
-    ``w[k]``, ``u[k]`` are the eigenvalues and eigenvectors of
-    ``gram[idx[k]][:, idx[k]]``.  A matrix that is one block takes a single
-    ``eigh`` of the whole.
+    Two rows are linked when they share a column; every row takes the smallest
+    row index it reaches, by min-propagation through the columns with pointer
+    jumping, and every column the label of its rows.  Returns one
+    ``(rows, cols)`` per shape (r, c), in ascending order of shape:
+    ``rows[k]`` and ``cols[k]`` list the rows and columns of the kth
+    component of that shape in ascending order.  A row with no nonzero entry
+    is a component of shape (1, 0), and a column with none one of shape (0, 1).
     """
-    n = len(gram)
-    linked = gram != 0
-    label = np.arange(n)
+    m, n = a.shape
+    r, c = divmod(np.flatnonzero(a != 0), n)  # faster than a 2-d nonzero
+    label = np.arange(m)
     while True:
-        low = np.minimum(label, np.where(linked, label, n).min(axis=1))
-        low = low[low]  # the label of a label is in the same block and no larger
+        col = np.full(n, m)
+        np.minimum.at(col, c, label[r])
+        low = label.copy()
+        np.minimum.at(low, r, col[c])
+        low = low[low]  # the label of a label is in the same component and no larger
         if np.array_equal(low, label):
             break
         label = low
-    size = np.bincount(label, minlength=n)[label]
-    order = np.lexsort((label, size))  # by block size, then block; rows stay ascending
+    # rows and columns as nodes 0..m+n-1, each in the component of its label;
+    # an untouched column is its own component
+    node = np.concatenate([label, np.where(col < m, col, m + np.arange(n))])
+    rows_of = np.bincount(label, minlength=m + n)[node]
+    cols_of = np.bincount(node[m:], minlength=m + n)[node]
+    # by shape, then component; within one, its rows and then its columns ascending
+    order = np.lexsort((node, cols_of, rows_of))
+    shape = rows_of[order] * (n + 1) + cols_of[order]
     out = []
-    for rows in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
-        idx = rows.reshape(-1, size[rows[0]])
-        w, u = np.linalg.eigh(gram[idx[:, :, None], idx[:, None, :]])
-        out.append((idx, w, u))
+    bounds = np.flatnonzero(np.diff(shape, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        k = rows_of[order[lo]]
+        idx = order[lo:hi].reshape(-1, k + cols_of[order[lo]])
+        out.append((idx[:, :k], idx[:, k:] - m))
     return out
-
-
-# One pass of the affine factorization keeps the Gram eigenvalues within this
-# factor of its largest: their singular vectors come out orthonormal to about
-# eps / _PASS_RANGE, and the remaining rows go to the next pass.
-_PASS_RANGE = 1e-3
 
 
 def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -510,63 +511,28 @@ def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np
     solutions and multipliers ``mult`` of the basis, ``vr = a.T @ mult``.
 
     ``b`` holds one right-hand side per column, and ``vr @ coef[:, j]`` solves
-    a x = b[:, j].  The multipliers are the coefficients of further columns,
-    the identity on the rows factorized (mapped back by Q for a tall ``a``).
-
+    a x = b[:, j].  ``a`` is block diagonal up to permutations, with one block
+    per connected component of its nonzero pattern (:func:`_components`), so
+    its SVD is theirs: one stacked ``np.linalg.svd`` per component shape.
     The rank is the one a dense SVD reveals with the cut ``cut``: singular
-    values above ``cut`` times the largest.  Each pass factorizes the Gram
-    matrix R R^T = U W U^T of the rows R not yet resolved, block by block
-    (:func:`_block_eigh`), and rotates R into the rows U^T R, whose squared
-    norms are W.  Rows with W within ``_PASS_RANGE`` of the largest,
-    scaled by W^-1/2, are basis vectors; the other rows hold the remaining
-    directions, and the next pass resolves those relative to their own size.
-    A tall ``a`` is first replaced by the triangle of its QR factorization,
-    so no Gram matrix exceeds min(a.shape)^2.
+    values above ``cut`` times the largest of all components.  A kept triple
+    (u, s, v) gives the basis vector v and its multipliers u / s, as
+    a^T u = s v.  A row with no nonzero entry gives no basis vector; a
+    nonzero right-hand side there shows in the residual a x - b.
     """
-    q, rows = np.linalg.qr(a) if a.shape[0] > a.shape[1] else (None, a)
-    nb = b.shape[1]
-    rhs = np.eye(len(rows), len(rows) + nb, nb)
-    rhs[:, :nb] = b if q is None else q.T @ b
-    vr, coef = np.zeros((a.shape[1], 0)), np.zeros((0, rhs.shape[1]))
-    floor = None  # eigenvalue of the SVD rank cut, set by the first pass
-    while rows.shape[0]:
-        gram = rows @ rows.T
-        if floor is not None and np.trace(gram) <= floor:
-            break
-        # U^T R and U^T rhs, one stacked eigh and product per block size: a
-        # block's eigenvectors combine only its own rows
-        w = np.empty(len(rows))
-        turned = np.empty_like(rows)
-        turned_rhs = np.empty_like(rhs)
-        at = 0
-        for idx, wb, u in _block_eigh(gram):
-            span = slice(at, at + idx.size)
-            w[span] = wb.ravel()
-            np.matmul(np.swapaxes(u, 1, 2), rows[idx], out=turned[span].reshape(idx.shape + (-1,)))
-            np.matmul(np.swapaxes(u, 1, 2), rhs[idx], out=turned_rhs[span].reshape(idx.shape + (-1,)))
-            at += idx.size
-        if floor is None:
-            floor = cut**2 * w.max()
-        keep = w > max(_PASS_RANGE * w.max(), floor)
-        if not keep.any():
-            break
-        s = np.sqrt(w[keep])[:, None]
-        found, found_rhs = turned[keep], turned_rhs[keep]
-        found /= s
-        found_rhs /= s
-        vr = np.hstack([vr, found.T]) if vr.size else found.T
-        coef = np.concatenate([coef, found_rhs]) if coef.size else found_rhs
-        # the other rotated rows are orthogonal to vr, exactly so without
-        # rounding.  Writing x = vr coef + y with y orthogonal to vr, they give
-        # rows' y = rhs - (rows vr) coef, where rows' has vr projected out;
-        # that keeps the next pass's vectors orthogonal to vr, and the
-        # right-hand side carries the rounding of the rotation
-        rows, rhs = turned[~keep], turned_rhs[~keep]
-        cross = rows @ vr
-        rows = rows - cross @ vr.T
-        rhs = rhs - cross @ coef
-    mult = coef[:, nb:].T
-    return vr, coef[:, :nb], mult if q is None else q @ mult
+    parts = [(rows, cols, *np.linalg.svd(a[rows[:, :, None], cols[:, None, :]], full_matrices=False))
+             for rows, cols in _components(a)]
+    floor = cut * max((s.max(initial=0.0) for *_, s, _ in parts), default=0.0)
+    kept = [np.nonzero(s > floor) for *_, s, _ in parts]
+    rank = sum(i.size for i, _ in kept)
+    vr, mult = np.zeros((a.shape[1], rank)), np.zeros((a.shape[0], rank))
+    at = 0
+    for (rows, cols, u, s, vt), (i, j) in zip(parts, kept):
+        basis = np.arange(at, at + i.size)[:, None]
+        vr[cols[i], basis] = vt[i, j]
+        mult[rows[i], basis] = u[i, :, j] / s[i, j, None]
+        at += i.size
+    return vr, mult.T @ b, mult
 
 
 def _same_cones(p: SdpProblem, q: SdpProblem) -> bool:
@@ -594,7 +560,8 @@ class _Projector:
     b(lam) = b + lam db and x_part(lam) = x_part + lam dx, from one
     factorization with the columns b and db (zero for one problem).  :meth:`at`
     gives a member and :meth:`upper_end` the crossing of a member's certificate.
-    ``mult`` holds the basis's multipliers, ``vr = a.T @ mult``, so a
+    ``mult`` holds the basis's multipliers, ``vr = a.T @ mult`` (the left
+    singular vectors over their singular values, see :func:`_row_space`), so a
     functional vr c is a.T (mult c); ``rounding`` scales a certificate's bound,
     with k eps for Higham's gamma_k and the caps' sum for |x| on the cones.
     """
@@ -923,11 +890,7 @@ def bisect_threshold(feasible_at: Callable[[float], bool | UpperEnd], tol: float
     return ThresholdResult(lo, tuple(history), upper)
 
 
-def threshold_search(
-    build: Callable[[float], SdpProblem],
-    tols: Tolerances | None = None,
-    recheck: Callable[[float, SolveResult], SolveResult] | None = None,
-) -> ThresholdResult:
+def threshold_search(build: Callable[[float], SdpProblem], tols: Tolerances | None = None) -> ThresholdResult:
     """Largest weight in [0, 1] at which the problem ``build(weight)`` is feasible.
 
     ``build`` gives a monotone family whose weight enters only the
@@ -938,9 +901,6 @@ def threshold_search(
     :func:`solve_feasibility` of its member, started at the final iterate
     of the last feasible probe; a certified probe hands
     :func:`bisect_threshold` its functional's crossing as an upper end.
-    ``recheck(weight, result)``, when given, rechecks a probe's result and
-    may replace it, for instance to downgrade a FEASIBLE witness a caller
-    cannot accept.
     """
     tols = tols or DEFAULT_TOLS
     family = _Projector(build(0.0), build(1.0))
@@ -949,8 +909,6 @@ def threshold_search(
     def probe(lam: float) -> bool | UpperEnd:
         nonlocal start
         res = solve_feasibility(family.at(lam), tols, start)
-        if recheck is not None:
-            res = recheck(lam, res)
         if res.feasible:
             start = res.iterate
             return True

@@ -13,7 +13,7 @@ from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
 from qincompat.obscompat import check_joint
 from qincompat.process import check_tester_pair, prepare_measure_tester
-from qincompat.sdpcore import (Certificate, SdpProblem, SolveResult, UpperEnd, Verdict, _block_eigh,
+from qincompat.sdpcore import (Certificate, SdpProblem, SolveResult, UpperEnd, Verdict, _components,
                                _Projector, bisect_threshold, joint_problem, joint_witness,
                                partial_trace_map, real_linear_map, solve_feasibility,
                                threshold_search, vec_of, verify_witness)
@@ -544,6 +544,12 @@ def _projector_cases():
     povm16 = random_povm(16, 2, rng)
     cases["order_tall"] = lambda: built_problem(obscompat, lambda: obscompat.postprocessing_order(
         povm16, povm16))
+    # the shapes at the size caps: 400 components of the d=4 pair, and ten
+    # noisy qubit POVMs on 1,024 joint blocks
+    cases["channel_pair_d4"] = lambda: chancompat._channel_pair_problem(
+        q.identity_channel(4), q.identity_channel(4))
+    povms10 = [mix_with_trivial(random_povm(2, 2, rng), 0.07) for _ in range(10)]
+    cases["joint_10"] = lambda: built_problem(obscompat, lambda: check_joint(povms10))
     return cases
 
 
@@ -594,67 +600,107 @@ def test_gram_rank_of_dependent_channel_rows(d):
     assert np.abs(proj.residual).max() < 1e-12
 
 
-def _block_diagonal(rng, blocks):
-    """Symmetric PSD matrix with the given diagonal blocks, rows permuted at random."""
-    n = sum(len(b) for b in blocks)
-    g = np.zeros((n, n))
-    at = 0
+def _block_structured(rng, blocks):
+    """The matrix with the given diagonal blocks, rows and columns permuted at
+    random, and the components the blocks make: ``(rows, cols)`` sets, with
+    every row and column of an all-zero block its own component."""
+    m, n = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    a = np.zeros((m, n))
+    rperm, cperm = rng.permutation(m), rng.permutation(n)
+    want = set()
+    r0 = c0 = 0
     for b in blocks:
-        g[at : at + len(b), at : at + len(b)] = b
-        at += len(b)
-    perm = rng.permutation(n)
-    return g[np.ix_(perm, perm)]
+        rows, cols = range(r0, r0 + b.shape[0]), range(c0, c0 + b.shape[1])
+        a[np.ix_(rows, cols)] = b
+        rs, cs = frozenset(rperm[rows].tolist()), frozenset(cperm[cols].tolist())
+        if b.any():
+            want.add((rs, cs))
+        else:
+            want |= {(frozenset([r]), frozenset()) for r in rs} | {(frozenset(), frozenset([c])) for c in cs}
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    out = np.empty_like(a)
+    out[np.ix_(rperm, cperm)] = a
+    return out, want
 
 
-def _gram_block(rng, size):
-    m = rng.normal(size=(size, size + 2))
-    return m @ m.T
+def _path_block(rng, rows):
+    # bidiagonal: one component, although most of its entries are exact zeros
+    return np.diag(rng.uniform(3.0, 4.0, rows)) + np.diag(rng.uniform(0.5, 1.0, rows - 1), 1)
 
 
-def _path_block(rng, size):
-    # tridiagonal: one block although most of its entries are exact zeros
-    off = rng.uniform(0.5, 1.0, size - 1)
-    return np.diag(rng.uniform(3.0, 4.0, size)) + np.diag(off, 1) + np.diag(off, -1)
-
-
-@pytest.mark.parametrize("case", ["one_block", "singletons", "equal_blocks", "mixed", "zeros_inside"])
-def test_block_eigh_matches_dense_eigh(rng, case):
+@pytest.mark.parametrize("case", ["one_block", "singletons", "equal_blocks", "mixed", "zeros_inside",
+                                  "below_the_cut"])
+def test_components_match_dense_svd(rng, case, monkeypatch):
     blocks = {
-        "one_block": lambda: [_gram_block(rng, 9)],
-        "singletons": lambda: [_gram_block(rng, 1) for _ in range(6)] + [np.zeros((1, 1))],
-        "equal_blocks": lambda: [_gram_block(rng, 3) for _ in range(5)],
-        "mixed": lambda: [_gram_block(rng, s) for s in (1, 4, 2, 4, 1, 2, 8)],
-        "zeros_inside": lambda: [_path_block(rng, 6), _path_block(rng, 6), _gram_block(rng, 2)],
+        "one_block": lambda: [rng.normal(size=(9, 11))],
+        "singletons": lambda: [rng.normal(size=(1, 1)) for _ in range(6)] + [np.zeros((1, 1))],
+        "equal_blocks": lambda: [rng.normal(size=(3, 5)) for _ in range(5)],
+        "mixed": lambda: [rng.normal(size=s) for s in ((1, 3), (4, 2), (2, 2), (4, 2), (1, 3), (2, 6), (8, 8))],
+        "zeros_inside": lambda: [_path_block(rng, 6), _path_block(rng, 6), rng.normal(size=(2, 3))],
+        # the cut is relative to the largest singular value of all components
+        "below_the_cut": lambda: [rng.normal(size=(3, 4)), 1e-16 * rng.normal(size=(2, 2))],
     }[case]()
-    g = _block_diagonal(rng, blocks)
-    scale = np.linalg.norm(g)
-    found = _block_eigh(g)
-    # every row in exactly one block, and the blocks are the components
-    rows = np.concatenate([idx.ravel() for idx, _, _ in found])
-    assert np.array_equal(np.sort(rows), np.arange(len(g)))
-    assert sorted(s for idx, _, _ in found for s in [idx.shape[1]] * idx.shape[0]) == sorted(
-        len(b) for b in blocks)
-    assert len({idx.shape[1] for idx, _, _ in found}) == len(found)  # one eigh per size
-    spectrum = np.sort(np.concatenate([w.ravel() for _, w, _ in found]))
-    assert np.abs(spectrum - np.linalg.eigh(g)[0]).max() < 1e-12 * scale
-    rebuilt = np.zeros_like(g)
-    for idx, w, u in found:
-        assert np.all(np.diff(idx, axis=1) > 0)
-        assert np.abs(np.swapaxes(u, 1, 2) @ u - np.eye(idx.shape[1])).max() < 1e-12
-        rebuilt[idx[:, :, None], idx[:, None, :]] = (u * w[:, None, :]) @ np.swapaxes(u, 1, 2)
-    assert np.abs(rebuilt - g).max() < 1e-12 * scale
+    a, want = _block_structured(rng, blocks)
+    found = _components(a)
+    # every row and column in exactly one component, and the components are the blocks
+    assert np.array_equal(np.sort(np.concatenate([r.ravel() for r, _ in found])), np.arange(a.shape[0]))
+    assert np.array_equal(np.sort(np.concatenate([c.ravel() for _, c in found])), np.arange(a.shape[1]))
+    got = {(frozenset(r.tolist()), frozenset(c.tolist())) for rows, cols in found for r, c in zip(rows, cols)}
+    assert got == want
+    for rows, cols in found:
+        assert np.all(np.diff(rows, axis=1) > 0) and np.all(np.diff(cols, axis=1) > 0)
+    # one SVD per shape, and together they hold the dense SVD's singular values
+    spectra = []
+    svd = np.linalg.svd
+
+    def spy(mat, *args, **kwargs):
+        out = svd(mat, *args, **kwargs)
+        spectra.append(out[1].ravel())
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    vr, _, mult = sdpcore._row_space(a, np.zeros((a.shape[0], 1)), max(a.shape) * np.finfo(float).eps)
+    assert len(spectra) == len(found) == len({(r.shape[1], c.shape[1]) for r, c in found})
+    dense = svd(a, compute_uv=False)
+    spectrum = np.sort(np.concatenate(spectra))[::-1]
+    assert spectrum.size <= dense.size
+    assert np.abs(np.pad(spectrum, (0, dense.size - spectrum.size)) - dense).max() < 1e-12 * dense[0]
+    assert vr.shape[1] == np.sum(dense > max(a.shape) * np.finfo(float).eps * dense[0])
+    assert np.abs(a.T @ mult - vr).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 3), (0, 0)])
+def test_row_space_of_zero_matrices_is_empty(shape):
+    vr, coef, mult = sdpcore._row_space(np.zeros(shape), np.ones((shape[0], 2)), 1e-12)
+    assert vr.shape == (shape[1], 0) and coef.shape == (0, 2) and mult.shape == (shape[0], 0)
+
+
+@pytest.mark.parametrize("rhs,verdict", [(1.0, Verdict.INFEASIBLE_CERTIFIED), (0.0, Verdict.FEASIBLE)])
+def test_zero_row_is_decided_by_its_right_hand_side(rhs, verdict):
+    # a row with no nonzero entry gives no basis vector, and its right-hand
+    # side shows in the residual: 0 = 1 is an empty affine set
+    prob = SdpProblem()
+    prob.add_psd_block("x", 2, trace_cap=2.0)
+    prob.add_equality({"x": vec_of(np.eye(2))}, np.array([1.0]))
+    prob.add_equality({"x": np.zeros((1, 4))}, np.array([rhs]))
+    proj = _Projector(prob)
+    assert proj.vr.shape[1] == 1
+    assert np.abs(proj.residual - [0.0, -rhs]).max() < 1e-15
+    res = solve_feasibility(prob)
+    assert res.verdict is verdict
+    assert res.iterations == (0 if rhs else 1)
 
 
 def test_channel_pair_factorization_is_blockwise(monkeypatch):
-    # the d=4 channel-pair Gram matrix splits into blocks of at most 8 rows,
-    # so the factorization never decomposes a larger matrix
-    sizes, inside = [], []
-    eigh, row_space = np.linalg.eigh, sdpcore._row_space
+    # the d=4 channel pair splits into 400 components of 8 x 16 or 1 x 4, so
+    # the factorization never decomposes a matrix of more than 8 rows
+    shapes, inside = [], []
+    svd, row_space = np.linalg.svd, sdpcore._row_space
 
-    def spy_eigh(mat, *args, **kwargs):
+    def spy_svd(mat, *args, **kwargs):
         if inside:
-            sizes.append(mat.shape[-1])
-        return eigh(mat, *args, **kwargs)
+            shapes.append(mat.shape)
+        return svd(mat, *args, **kwargs)
 
     def spy_row_space(*args):
         inside.append(True)
@@ -663,27 +709,24 @@ def test_channel_pair_factorization_is_blockwise(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
     monkeypatch.setattr(sdpcore, "_row_space", spy_row_space)
     res = q.check_channel_pair(q.identity_channel(4), q.identity_channel(4))
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
-    assert sizes and max(sizes) <= 8
+    assert sorted(shapes) == [(16, 8, 16), (384, 1, 4)]
 
 
 @pytest.mark.parametrize("name", ["order_tall", "channel_pair_d3", "division_nearly_constant_3e-08"])
 def test_gram_matrix_takes_the_smaller_side(name, monkeypatch):
+    # no Gram matrix and no QR: the projector factorizes with the SVD alone
     prob = PROJECTOR_CASES[name]()
-    a, _ = prob.assemble()
-    sizes = []
-    eigh = np.linalg.eigh
 
-    def spy(mat, *args, **kwargs):
-        sizes.append(mat.shape[-1])
-        return eigh(mat, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the projector factorizes with np.linalg.svd only")
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    _Projector(prob)
-    assert sizes and max(sizes) <= min(a.shape)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    assert _Projector(prob).vr.shape[1] > 0
 
 
 @pytest.mark.parametrize("eps,verdict", [
