@@ -12,23 +12,23 @@ solver alternates exact projections:
 * onto the cone product, block by block (eigenvalue clipping, scalar clamping,
   trace rescaling when a cap is exceeded).
 
-The one-off work of a solve runs block by block.  The factorization sees only
-the touched columns of A, those some row uses (the d=4 channel pair touches
-1,792 of its 4,096), and splits them into the connected components of their
-nonzero pattern (the d=4 pair has 400, of 8 x 16 or 1 x 4), with one stacked
-SVD per component shape.  The row-space basis and the particular solution
-are kept on the touched columns only, and the affine step gathers those
-coordinates, projects them and scatters them back: every other coordinate is
-left as it is.  A problem is assembled once per solve, its c I terms written
-with one index add per row count; the touched-column matrix also gives the
-inconsistency test and the residual of every witness check.  The blocks are
-grouped by kind and size once per problem, and unpacking an iterate, checking
-a witness's blocks and the cone step each make one stacked call per group.
+The one-off work of a solve costs what the data costs.  A problem keeps A as
+the triplets (row, column, value) of its nonzero entries, each term converted
+once as it is added, and the solve path never makes A dense: A x, A^T y and
+|A|_F are sums over the triplets.  The factorization sees only the touched
+columns of A, those some row uses (the d=4 channel pair touches 1,792 of its
+4,096), split into the connected components of their pattern (the d=4 pair
+has 400, of 8 x 16 or 1 x 4), scattered into one stack per component shape
+and factorized by one stacked SVD on the stack's tall side.  The row-space
+basis and the particular solution live on the touched columns, so the affine
+step leaves every other coordinate as it is.  The blocks are grouped by kind
+and size once per problem, and unpacking an iterate, checking a witness's
+blocks and the cone step each make one stacked call per group.
 
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
 distance.  A certificate is row multipliers y, checked by one function from
-the assembled data alone: g = A^T y has the value y.b on the whole affine
+the problem data alone: g = A^T y has the value y.b on the whole affine
 set, and y is accepted when that lies below g's infimum over the capped
 cones by more than feas plus a bound on the rounding.  The gap direction's
 row-space part gives y, tried at iterations 1, 2, 4, ..., doubling until the
@@ -59,10 +59,10 @@ question, built once by :func:`joint_problem`: PSD blocks on a product index
 set whose fibre sums equal the given devices' outcome operators, optionally
 mixed with noise.  The trace cap of every joint block is derived from the
 margins, the trace of the joint device's total.  Every margin row in the
-package, the channel problems' included, is written by
-:meth:`SdpProblem.add_margins`.  A 1x1 PSD block is the scalar interval
-[0, cap]: it is clipped with the scalar blocks and checked as a scalar, and
-``split`` still returns it as a 1x1 matrix.
+package has the form of :meth:`SdpProblem.add_margins`, fibres included (one
+row group per margin).  A 1x1 PSD block is the scalar interval [0, cap]: it is
+clipped with the scalar blocks and checked as a scalar, and ``split`` still
+returns it as a 1x1 matrix.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -110,8 +110,7 @@ class Verdict(Enum):
 _ATTEMPT_SPACING = 200  # largest spacing of certificate attempts (1, 2, 4, ... up to it)
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):  # a tuple: a joint problem makes a thousand of them at once
     name: str
     kind: str          # "psd" | "scalar"
     dim: int           # matrix side (psd) or vector length (scalar)
@@ -130,6 +129,30 @@ def vec_of(matrix) -> np.ndarray:
     return la.hermitian_to_real_vec(np.asarray(matrix, dtype=complex))
 
 
+_NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))  # shared, never written
+
+
+def _identity(k: int, offsets, c: float):
+    """Triplets (rows, columns, values) of c I on each block of length k at ``offsets[g]``, in
+    rows g k to (g + 1) k; none for c = 0."""
+    i, offsets = np.arange(k if c else 0), np.asarray(offsets)[:, :, None]
+    cols = offsets + i
+    rows = k * np.arange(len(offsets))[:, None, None] + (cols - offsets)  # g k + i, in the shape of cols
+    return rows.ravel(), cols.ravel(), np.full(cols.size, c)
+
+
+def _nonzeros(t: np.ndarray, offset: int):
+    """Triplets of the nonzero entries of the term ``t`` on the block at ``offset``."""
+    r, c = divmod((t != 0).ravel().nonzero()[0], t.shape[1])  # faster than a 2-d nonzero
+    return r, offset + c, t[r, c]
+
+
+def _apply(coo, x: np.ndarray, size: int) -> np.ndarray:
+    """A x, for A of ``size`` rows with the triplets ``coo``; A^T y is ``_apply`` of (columns, rows, values)."""
+    r, c, v = coo
+    return np.bincount(r, weights=v * x[c], minlength=size)
+
+
 def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim: int) -> np.ndarray:
     """Matrix of a Hermitian-to-Hermitian real-linear map in vectorized coordinates.
 
@@ -142,9 +165,7 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
     transpose: when the output side is smaller and the adjoint is known,
     build the adjoint and transpose (as :func:`partial_trace_map` does).
 
-    The images are written as contiguous rows of the transposed matrix, and
-    the result is the transposed view of those rows (column-major), so the
-    transpose of a result is row-major and needs no copy.
+    The images are written as rows, and the result is their transposed view.
     """
     n = in_dim * in_dim
     rows = np.empty((n, out_dim * out_dim))
@@ -166,10 +187,9 @@ def partial_trace_map(dims, keep) -> np.ndarray:
     total.  The transpose of the result is the matrix of that lift.  ``keep``
     is read as ``la.partial_trace`` reads it (sorted, repeats dropped); an
     index out of range raises ``ValueError``.
-    The result is row-major (C-contiguous), the rows the lift's matrix is
-    written in, so equality rows copy it with contiguous reads.  The maps
-    depend only on the shape, so the last ``PARTIAL_TRACE_MAPS_CACHED`` of
-    them are cached and shared, hence read-only.
+    The result is row-major (C-contiguous).  The maps depend only on the
+    shape, so the last ``PARTIAL_TRACE_MAPS_CACHED`` of them are cached and
+    shared, hence read-only.
     """
     dims = tuple(int(d) for d in dims)
     keep = tuple(sorted(set(int(k) for k in keep)))
@@ -204,7 +224,11 @@ class SdpProblem:
 
     def __init__(self):
         self._blocks: dict[str, _Block] = {}
-        self._rows: list[tuple[dict[str, float | np.ndarray], np.ndarray]] = []
+        # A as triplets (rows, columns, values), one chunk per term, and b in
+        # row groups; empty ones first, so that they always concatenate
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [_NO_ENTRIES]
+        self._rhs: list[np.ndarray] = [_NO_ENTRIES[2]]
+        self._m = 0
         self._n = 0
         self._groups: tuple[tuple[list[_Block], np.ndarray], ...] | None = None
         # set only on a threshold search's members (see _Projector.at), which
@@ -214,29 +238,35 @@ class SdpProblem:
     # --- variables ---------------------------------------------------------
 
     def add_psd_block(self, name: str, dim: int, trace_cap: float) -> str:
-        if name in self._blocks:
-            raise ValueError(f"duplicate block name {name!r}")
-        if dim < 1:
-            raise ValueError("block dimension must be positive")
-        if not (trace_cap > 0 and math.isfinite(trace_cap)):
-            raise ValueError(f"trace cap for {name!r} must be finite and positive")
-        blk = _Block(name, "psd", dim, dim * dim, self._n, np.asarray(float(trace_cap)))
-        self._blocks[name] = blk
-        self._n += blk.length
-        self._groups = None
+        self._add("psd", [name], dim, trace_cap)
         return name
 
     def add_scalar_block(self, name: str, length: int, cap: float | np.ndarray = 1.0) -> str:
-        if name in self._blocks:
-            raise ValueError(f"duplicate block name {name!r}")
-        caps = np.broadcast_to(np.asarray(cap, dtype=float), (length,)).copy()
-        if not np.all((caps > 0) & np.isfinite(caps)):
-            raise ValueError(f"caps for {name!r} must be finite and positive")
-        blk = _Block(name, "scalar", length, length, self._n, caps)
-        self._blocks[name] = blk
-        self._n += length
-        self._groups = None
+        self._add("scalar", [name], length, cap)
         return name
+
+    def _add(self, kind: str, names: list[str], dim: int, cap) -> np.ndarray:
+        """Blocks ``names`` of one kind, size and cap, laid out in order; returns their offsets."""
+        for name in names:
+            if name in self._blocks:
+                raise ValueError(f"duplicate block name {name!r}")
+        if kind == "scalar":
+            cap = np.broadcast_to(np.asarray(cap, dtype=float), (dim,)).copy()
+            if not np.all((cap > 0) & np.isfinite(cap)):
+                raise ValueError(f"caps for {names[0]!r} must be finite and positive")
+        elif dim < 1:
+            raise ValueError("block dimension must be positive")
+        elif not (cap > 0 and math.isfinite(cap)):
+            raise ValueError(f"trace cap for {names[0]!r} must be finite and positive")
+        else:
+            cap = np.asarray(float(cap))
+        length = dim if kind == "scalar" else dim * dim
+        offsets = self._n + length * np.arange(len(names))
+        self._blocks.update((name, _Block(name, kind, dim, length, at, cap))
+                            for name, at in zip(names, offsets.tolist()))
+        self._n += length * len(names)
+        self._groups = None
+        return offsets
 
     def block(self, name: str) -> _Block:
         return self._blocks[name]
@@ -251,27 +281,31 @@ class SdpProblem:
         """Rows sum_b T_b vec(X_b) = rhs, with T_b of shape (k, len(b)).
 
         A scalar T_b = c means c times the identity, for a block of length k.
+        Each term is kept as the triplets of its nonzero entries.
         """
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        checked = {}
+        chunks = []
         for name, t in terms.items():
             blk = self._blocks[name]
             if isinstance(t, (int, float)) or np.isscalar(t):
                 if blk.length != rhs.size:
-                    raise ValueError(
-                        f"scalar coefficient needs block {name!r} of length {rhs.size}, not {blk.length}"
-                    )
-                checked[name] = float(t)
+                    raise ValueError(f"scalar coefficient needs block {name!r} of length {rhs.size}, "
+                                     f"not {blk.length}")
+                chunks.append(_identity(rhs.size, [[blk.offset]], float(t)))
             else:
-                t = np.asarray(t, dtype=float)
-                if t.ndim == 1:
-                    t = t[None, :]
+                t = np.atleast_2d(np.asarray(t, dtype=float))
                 if t.shape != (rhs.size, blk.length):
-                    raise ValueError(
-                        f"coefficient block for {name!r} has shape {t.shape}, expected {(rhs.size, blk.length)}"
-                    )
-                checked[name] = t
-        self._rows.append((checked, rhs))
+                    raise ValueError(f"coefficient block for {name!r} has shape {t.shape}, "
+                                     f"expected {(rhs.size, blk.length)}")
+                chunks.append(_nonzeros(t, blk.offset))
+        self._add_rows(chunks, rhs)
+
+    def _add_rows(self, chunks, rhs: np.ndarray) -> None:
+        """Rows = ``rhs`` with the entries ``chunks``, triplets counting rows from the first new
+        one; the terms of a row group hold distinct blocks, so no two entries are at one place."""
+        self._chunks += [(r + self._m, c, v) for r, c, v in chunks]
+        self._rhs.append(rhs)
+        self._m += rhs.size
 
     def add_margins(self, rows, lam: float, norms=()) -> None:
         """Margins of devices mixed at weight ``lam`` with noise.
@@ -288,31 +322,15 @@ class SdpProblem:
         for terms, rhs in norms:
             self.add_equality(terms, (1 - lam) * rhs)
 
+    def _triplets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """``((rows, columns, values), b)``: the nonzero entries of A, no two at one place, and b."""
+        return tuple(np.concatenate(part) for part in zip(*self._chunks)), np.concatenate(self._rhs)
+
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
-        rows = sum(r.size for _, r in self._rows)
-        n = self._n
-        a = np.zeros((rows, n))
-        b = np.zeros(rows)
-        # c I terms by row count k: (flat index of the block's corner, c)
-        diagonals: dict[int, tuple[list[int], list[float]]] = {}
-        at = 0
-        for terms, rhs in self._rows:
-            k = rhs.size
-            for name, t in terms.items():
-                blk = self._blocks[name]
-                if isinstance(t, float):
-                    starts, coefs = diagonals.setdefault(k, ([], []))
-                    starts.append(at * n + blk.offset)
-                    coefs.append(t)
-                else:
-                    a[at : at + k, blk.offset : blk.offset + blk.length] += t
-            b[at : at + k] = rhs
-            at += k
-        # c on the diagonal of each (k x k) block, one index add per k: the
-        # terms of an equality hold distinct blocks, so no entry is hit twice
-        flat = a.reshape(-1)
-        for k, (starts, coefs) in diagonals.items():
-            flat[np.array(starts)[:, None] + np.arange(k) * (n + 1)] += np.array(coefs)[:, None]
+        """The dense ``(A, b)``, the reference for checks and tests; solving reads the triplets."""
+        (r, c, v), b = self._triplets()
+        a = np.zeros((b.size, self._n))
+        a[r, c] = v
         return a, b
 
     # --- views -------------------------------------------------------------
@@ -386,20 +404,23 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     cap = float(np.trace(margins[0].sum(axis=0)).real)
     counts = tuple(len(m) for m in margins)
     prob = SdpProblem()
-    grid = np.array([prob.add_psd_block(f"g{i}", side, cap) for i in range(math.prod(counts))]).reshape(counts)
-    # fibre (k, x): the grid's slice at index x of axis k, in block order
-    fibres = [[dict.fromkeys(np.take(grid, x, axis=k).ravel().tolist(), 1.0) for x in range(c)]
-              for k, c in enumerate(counts)]
-    if weights is None:
-        for fibre, m in zip(fibres, margins):
-            prob.add_margins(zip(fibre, [{}] * len(m), vec_of(m)), 1.0)
-        return prob
-    lift = partial_trace_map((noise_side, side // noise_side), (0,)).T
-    tr_row = vec_of(np.eye(noise_side))[None, :]
-    for k, (fibre, m) in enumerate(zip(fibres, margins)):
-        noise = [prob.add_psd_block(f"n{k}_{x}", noise_side, 1.0) for x in range(len(m))]
-        prob.add_margins(zip(fibre, [{n: lift} for n in noise], vec_of(m)), weights[k],
-                         [(dict.fromkeys(noise, tr_row), np.array([1.0]))])
+    grid = prob._add("psd", [f"g{i}" for i in range(math.prod(counts))], side, cap).reshape(counts)
+    if weights is not None:  # add_margins' rows: fibre - noise (x) I = w device, sum_x tr noise = 1 - w
+        lr, lc, lv = _nonzeros(partial_trace_map((noise_side, side // noise_side), (0,)).T, 0)
+        tr_row = _nonzeros(vec_of(np.eye(noise_side))[None, :], 0)
+    for k, m in enumerate(margins):
+        # one row group per margin: fibre x, the grid's slice at index x of axis k, is I on
+        # each of its blocks in the rows of M_k(x)
+        chunks = [_identity(side * side, np.moveaxis(grid, k, 0).reshape(len(m), -1), 1.0)]
+        if weights is None:
+            prob._add_rows(chunks, vec_of(m).ravel())
+            continue
+        noise = prob._add("psd", [f"n{k}_{x}" for x in range(len(m))], noise_side, 1.0)
+        rows = side * side * np.arange(len(m))[:, None] + lr
+        chunks.append((rows.ravel(), (noise[:, None] + lc).ravel(), np.tile(-lv, len(m))))
+        prob._add_rows(chunks, weights[k] * vec_of(m).ravel())
+        prob._add_rows([(tr_row[0], at + tr_row[1], tr_row[2]) for at in noise],
+                       (1 - weights[k]) * np.array([1.0]))
     return prob
 
 
@@ -466,19 +487,19 @@ class Decision:
         return self.solve.feasible
 
 
-def _components(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The connected components of ``a``'s nonzero pattern, grouped by shape.
+def _components(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of a nonzero pattern, grouped by shape.
 
-    Two rows are linked when they share a column; every row takes the smallest
+    The matrix has ``shape`` and its nonzero entries at (r[i], c[i]).  Two
+    rows are linked when they share a column; every row takes the smallest
     row index it reaches, by min-propagation through the columns with pointer
     jumping, and every column the label of its rows.  Returns one
-    ``(rows, cols)`` per shape (r, c), in ascending order of shape:
+    ``(rows, cols)`` per shape (p, q), in ascending order of shape:
     ``rows[k]`` and ``cols[k]`` list the rows and columns of the kth
     component of that shape in ascending order.  A row with no nonzero entry
     is a component of shape (1, 0), and a column with none one of shape (0, 1).
     """
-    m, n = a.shape
-    r, c = divmod(np.flatnonzero(a != 0), n)  # faster than a 2-d nonzero
+    m, n = shape
     label = np.arange(m)
     while True:
         col = np.full(n, m)
@@ -496,9 +517,9 @@ def _components(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     cols_of = np.bincount(node[m:], minlength=m + n)[node]
     # by shape, then component; within one, its rows and then its columns ascending
     order = np.lexsort((node, cols_of, rows_of))
-    shape = rows_of[order] * (n + 1) + cols_of[order]
+    key = rows_of[order] * (n + 1) + cols_of[order]
     out = []
-    bounds = np.flatnonzero(np.diff(shape, prepend=-1, append=-1))
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         k = rows_of[order[lo]]
         idx = order[lo:hi].reshape(-1, k + cols_of[order[lo]])
@@ -506,26 +527,43 @@ def _components(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _row_space(a: np.ndarray, b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-space basis ``vr`` of ``a``, coefficients ``coef`` of least-norm
-    solutions and multipliers ``mult`` of the basis, ``vr = a.T @ mult``.
+def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-space basis ``vr`` of the matrix a of ``shape`` with the triplets ``coo``,
+    coefficients ``coef`` of least-norm solutions and multipliers ``mult`` of the
+    basis, ``vr = a.T @ mult``.
 
     ``b`` holds one right-hand side per column, and ``vr @ coef[:, j]`` solves
     a x = b[:, j].  ``a`` is block diagonal up to permutations, with one block
     per connected component of its nonzero pattern (:func:`_components`), so
-    its SVD is theirs: one stacked ``np.linalg.svd`` per component shape.
-    The rank is the one a dense SVD reveals with the cut ``cut``: singular
-    values above ``cut`` times the largest of all components.  A kept triple
-    (u, s, v) gives the basis vector v and its multipliers u / s, as
-    a^T u = s v.  A row with no nonzero entry gives no basis vector; a
-    nonzero right-hand side there shows in the residual a x - b.
+    its SVD is theirs: one stacked ``np.linalg.svd`` per component shape, on
+    the stack's tall side.  The rank is the one a dense SVD reveals with the
+    cut ``cut``: singular values above ``cut`` times the largest of all
+    components.  A kept triple (u, s, v) gives the basis vector v and its
+    multipliers u / s, as a^T u = s v.  A row with no nonzero entry gives no
+    basis vector; a nonzero right-hand side there shows in the residual a x - b.
     """
-    parts = [(rows, cols, *np.linalg.svd(a[rows[:, :, None], cols[:, None, :]], full_matrices=False))
-             for rows, cols in _components(a)]
+    r, c, v = coo
+    groups = _components(r, c, shape)
+    # every stack (k, p, q) in one buffer: an entry's place is its row's start plus its column
+    row_at, col_at, ends = np.zeros(shape[0], dtype=np.intp), np.zeros(shape[1], dtype=np.intp), [0]
+    for rows, cols in groups:
+        row_at[rows] = ends[-1] + cols.shape[1] * np.arange(rows.size).reshape(rows.shape)
+        col_at[cols] = np.arange(cols.shape[1])
+        ends.append(ends[-1] + rows.size * cols.shape[1])
+    buf = np.zeros(ends[-1])
+    buf[row_at[r] + col_at[c]] = v
+    parts = []
+    for (rows, cols), at in zip(groups, ends):
+        stack = buf[at : at + rows.size * cols.shape[1]].reshape(rows.shape + cols.shape[1:])
+        if rows.shape[1] >= cols.shape[1]:
+            parts.append((rows, cols, *np.linalg.svd(stack, full_matrices=False)))
+        else:  # a wide stack is factorized transposed, on its tall side: a = vt^T s u^T
+            vt, s, u = np.linalg.svd(stack.swapaxes(1, 2), full_matrices=False)
+            parts.append((rows, cols, u.swapaxes(1, 2), s, vt.swapaxes(1, 2)))
     floor = cut * max((s.max(initial=0.0) for *_, s, _ in parts), default=0.0)
     kept = [np.nonzero(s > floor) for *_, s, _ in parts]
     rank = sum(i.size for i, _ in kept)
-    vr, mult = np.zeros((a.shape[1], rank)), np.zeros((a.shape[0], rank))
+    vr, mult = np.zeros((shape[1], rank)), np.zeros((shape[0], rank))
     at = 0
     for (rows, cols, u, s, vt), (i, j) in zip(parts, kept):
         basis = np.arange(at, at + i.size)[:, None]
@@ -546,36 +584,38 @@ def _same_cones(p: SdpProblem, q: SdpProblem) -> bool:
 class _Projector:
     """Precomputed projections for one problem, or for an affine family.
 
-    Only the touched columns of the constraint matrix A, those some row
-    uses, enter the factorization: ``a`` holds them and ``cols`` their
-    indices, and A x = a x[cols] for every x.  ``vr`` and ``x_part`` hold the
-    row-space basis and the least-norm solution on those columns only; on
-    every other coordinate the basis is zero, so the affine step leaves
-    those coordinates as they are.
+    ``coo`` holds A's triplets (rows, columns, values); A x and A^T y are
+    :func:`_apply` of them.  Only the touched columns of A, those some row
+    uses, enter the factorization: ``cols`` lists them, and ``vr`` and
+    ``x_part`` hold the row-space basis and the least-norm solution on them
+    only; on every other coordinate the basis is zero, so the affine step
+    leaves those coordinates as they are.
 
     With ``at_one`` the projector factorizes the family lam -> problem(lam)
-    whose members at 0 and 1 are ``problem`` and ``at_one``.  Their A must
-    be equal and their cones too, up to caps that differ by rounding
+    whose members at 0 and 1 are ``problem`` and ``at_one``.  Their triplets
+    must be equal and their cones too, up to caps that differ by rounding
     (members take those of ``problem``), else ``ValueError``; then
     b(lam) = b + lam db and x_part(lam) = x_part + lam dx, from one
     factorization with the columns b and db (zero for one problem).  :meth:`at`
     gives a member and :meth:`upper_end` the crossing of a member's certificate.
-    ``mult`` holds the basis's multipliers, ``vr = a.T @ mult`` (the left
+    ``mult`` holds the basis's multipliers, ``vr = A[:, cols].T @ mult`` (the left
     singular vectors over their singular values, see :func:`_row_space`), so a
-    functional vr c is a.T (mult c); ``rounding`` scales a certificate's bound,
+    functional vr c is A^T (mult c); ``rounding`` scales a certificate's bound,
     with k eps for Higham's gamma_k and the caps' sum for |x| on the cones.
     """
 
     def __init__(self, problem: SdpProblem, at_one: SdpProblem | None = None):
-        a, b = problem.assemble()
-        a1, b1 = (a, b) if at_one is None else at_one.assemble()
-        if at_one is not None and not (np.array_equal(a, a1) and _same_cones(problem, at_one)):
+        self.coo, b = problem._triplets()
+        coo1, b1 = (self.coo, b) if at_one is None else at_one._triplets()
+        if at_one is not None and not (all(map(np.array_equal, self.coo, coo1)) and _same_cones(problem, at_one)):
             raise ValueError("the family's constraint matrix or cones depend on its weight")
-        self.at_one, self.db, a1 = at_one, b1 - b, None  # drops a second dense A
-        self.cols = np.flatnonzero(np.any(a != 0, axis=0))
-        cut = max(a.shape) * np.finfo(float).eps
-        self.a = a = np.take(a, self.cols, axis=1)  # the only copy kept, row-major
-        self.vr, coef, self.mult = _row_space(a, np.column_stack([b, self.db]), cut)
+        r, c, v = self.coo
+        self.db, n = b1 - b, problem.n_vars
+        touched = np.bincount(c, minlength=n) > 0
+        self.cols = np.flatnonzero(touched)
+        local = (np.cumsum(touched) - 1)[c]  # each entry's column among the touched ones
+        self.vr, coef, self.mult = _row_space((r, local, v), (b.size, self.cols.size),
+                                              np.column_stack([b, self.db]), max(b.size, n) * np.finfo(float).eps)
         x_part, self.dx = (self.vr @ coef).T
         self._place(problem, b, x_part)
         # psd blocks of one side share a batched eigendecomposition; 1x1
@@ -596,23 +636,22 @@ class _Projector:
         self.scalar_caps = np.concatenate(scalar_caps)[order]
         caps = sum(float(c.sum()) for _, _, c, _ in self.psd_groups) + float(self.scalar_caps.sum())
         terms = sum(len(c) + 4 * d for d, _, c, _ in self.psd_groups) + self.scalar_caps.size
-        eps, self.norm_a = np.finfo(float).eps, float(np.linalg.norm(a))
+        eps, self.norm_a = np.finfo(float).eps, math.sqrt(v @ v)
         self.rounding = ((len(b) + 2) * eps * (self.norm_a * caps + np.linalg.norm(b) + np.linalg.norm(self.db)),
                          terms * eps * caps)
 
     def _place(self, problem: SdpProblem, b: np.ndarray, x_part: np.ndarray) -> None:
         self.problem, self.b, self.x_part = problem, b, x_part
-        self.residual = self.a @ x_part - b
+        self.start = np.zeros(problem.n_vars)  # x_part on every coordinate, a solve's default start
+        self.start[self.cols] = x_part
+        self.residual = _apply(self.coo, self.start, b.size) - b
 
     def at(self, lam: float) -> SdpProblem:
         """The family's problem at ``lam``, carrying its projector (no new factorization)."""
-        base = self.problem
-        member = copy.copy(base)
-        member._rows = [(terms, r0 + lam * (r1 - r0))
-                        for (terms, r0), (_, r1) in zip(base._rows, self.at_one._rows)]
+        member, b = copy.copy(self.problem), self.b + lam * self.db
+        member._rhs = [b]
         proj = copy.copy(self)
-        proj.at_one = None
-        proj._place(member, self.b + lam * self.db, self.x_part + lam * self.dx)
+        proj._place(member, b, self.x_part + lam * self.dx)
         member._projector = proj
         return member
 
@@ -677,15 +716,16 @@ class _Projector:
 
 
 def _certificate(proj: _Projector, y: np.ndarray, tols: Tolerances) -> Certificate | None:
-    """The one certificate check: row multipliers y, validated from the assembled data.
+    """The one certificate check: row multipliers y, validated from the problem data.
 
     Every x with A x = b has <g, x> = y.b for g = A^T y, so y.b below the infimum of
     <g, .> over the capped cones excludes every x in them.  y is accepted only when
-    y.b - inf + bound < -feas, with g and y.b recomputed from A and b and the bound
-    covering their rounding and the eigenvalues'.  The caller normalizes y.
+    y.b - inf + bound < -feas, with g and y.b recomputed from A's triplets and b, the
+    bound covering their rounding (in any summation order) and the eigenvalues'.
+    The caller normalizes y.
     """
-    g = np.zeros(proj.problem.n_vars)
-    g[proj.cols] = y @ proj.a  # zero off the touched columns
+    r, c, v = proj.coo
+    g = _apply((c, r, v), y, proj.problem.n_vars)  # zero off the touched columns
     affine_value = float(y @ proj.b)
     cone_inf = proj.cone_infimum(g)
     bound = float(proj.rounding[0] * math.sqrt(y @ y) + proj.rounding[1] * math.sqrt(g @ g))
@@ -695,16 +735,16 @@ def _certificate(proj: _Projector, y: np.ndarray, tols: Tolerances) -> Certifica
 
 
 def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: Tolerances | None = None,
-                   constraints: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+                   constraints: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None):
     """Independent witness check: constraint residuals and cone memberships.
 
     Returns (ok, report) with the worst residuals; thresholds are
     ``witness_factor * feas`` per the solver contract.  The witness is
     vectorized and its blocks checked with one stacked call per block size.
-    ``constraints`` is ``(a, cols, b)``, the assembled constraints with A
-    restricted to the columns ``cols`` that some row uses, when the caller
-    already holds them (the solver passes its projector's); otherwise the
-    problem is assembled here.
+    ``constraints`` is ``(coo, b)``, A as the triplets (rows, columns,
+    values) of its nonzero entries and b, when the caller already holds them
+    (the solver passes its projector's); otherwise the problem is assembled
+    here, the dense reference.
     """
     tols = tols or DEFAULT_TOLS
     slack = tols.witness_atol
@@ -722,10 +762,11 @@ def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: To
             worst_eig = min(worst_eig, float(lo.min()))
     if constraints is None:
         a, b = problem.assemble()
-        cols = slice(None)
+        ax = a @ x
     else:
-        a, cols, b = constraints
-    constraint_residual = float(np.abs(a @ x[cols] - b).max()) if a.shape[0] else 0.0
+        coo, b = constraints
+        ax = _apply(coo, x, b.size)
+    constraint_residual = float(np.abs(ax - b).max()) if b.size else 0.0
     ok = constraint_residual < slack and worst_eig > -slack and worst_scalar > -slack
     report = {
         "constraint_residual": constraint_residual,
@@ -770,11 +811,7 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
         if cert is not None:
             return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, 0, r, cert,
                                "affine constraints are inconsistent (empty affine set)")
-    if start is None:
-        x = np.zeros(problem.n_vars)
-        x[proj.cols] = proj.x_part
-    else:
-        x = start.copy()
+    x = (proj.start if start is None else start).copy()
     res = float("inf")
     pl = pk = x
     next_attempt = 1
@@ -786,7 +823,7 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
         if res < tols.feas:
             a_pt = proj.affine(pk)
             witness = problem.split(a_pt)
-            ok, _ = verify_witness(problem, witness, tols, (proj.a, proj.cols, proj.b))
+            ok, _ = verify_witness(problem, witness, tols, (proj.coo, proj.b))
             if ok:
                 return SolveResult(Verdict.FEASIBLE, witness, it, res, iterate=x)
         # certificates are validated from the data, so an early attempt is safe: try at

@@ -2,8 +2,8 @@
 every module-level private function or class is read somewhere in the package,
 every ``Tolerances`` field is read from a passed record, only sdpcore
 spells the names of the joint device's blocks, only sdpcore drives a
-bisection and only ``sdpcore._certificate`` makes a certificate; and a guard
-on what solving imports."""
+bisection, only ``sdpcore._certificate`` makes a certificate and only the
+dense witness check assembles A; and a guard on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -179,6 +179,53 @@ def test_only_one_function_makes_a_certificate():
     # validated from the assembled data; no other path may build one
     makers = [f"{p.stem}.{where}" for p in SOURCES for where in certificate_makers(p.read_text(encoding="utf-8"))]
     assert makers == ["sdpcore._certificate"]
+
+
+def assemble_calls(source: str) -> list[str]:
+    """Sorted places of each ``.assemble(`` call: the innermost function
+    around it (``<module>`` outside any), then, after a colon, the test of
+    the innermost ``if`` around it, as ``not (test)`` in its else branch."""
+    found = []
+
+    def visit(node, where, branch):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "assemble":
+            found.append(f"{where}:{branch}" if branch else where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, branch = node.name, None
+        if isinstance(node, ast.If):
+            test = ast.unparse(node.test)
+            visit(node.test, where, branch)
+            for child in node.body:
+                visit(child, where, test)
+            for child in node.orelse:
+                visit(child, where, f"not ({test})")
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, where, branch)
+
+    visit(ast.parse(source), "<module>", None)
+    return sorted(found)
+
+
+def test_scan_finds_assemble_calls():
+    source = ("x = p.assemble()\n"
+              "def verify_witness(p, constraints=None):\n"
+              "    if constraints is None:\n        a, b = p.assemble()\n"
+              "    else:\n        a = p.assemble()\n"
+              "    if constraints is None and p:\n        q = p.assemble\n"
+              "    return p.assemble_x(), assemble(p)\n"
+              "def f(p):\n    def g():\n        if constraints is None:\n            return p.assemble()\n"
+              "    return sdpcore.SdpProblem.assemble(p)\n")
+    assert assemble_calls(source) == ["<module>", "f", "g:constraints is None",
+                                      "verify_witness:constraints is None",
+                                      "verify_witness:not (constraints is None)"]
+
+
+def test_only_the_dense_witness_check_assembles():
+    # the solve path reads A's triplets; the dense A is the reference of
+    # verify_witness when no constraints are passed, and of nothing else
+    places = [f"{p.stem}.{where}" for p in SOURCES for where in assemble_calls(p.read_text(encoding="utf-8"))]
+    assert places == ["sdpcore.verify_witness:constraints is None"]
 
 
 def test_solving_leaves_numpy_ma_unimported():

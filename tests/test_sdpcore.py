@@ -236,27 +236,66 @@ def test_scalar_term_needs_matching_block_length():
     assert prob.assemble()[0].shape == (4, 7)  # only the first equality was added
 
 
-def assemble_by_term(prob):
-    """(A, b) written one term at a time, a c I term as a strided slice of the
-    flat matrix: the reference for :meth:`SdpProblem.assemble`."""
-    rows = sum(rhs.size for _, rhs in prob._rows)
-    n = prob.n_vars
+def assemble_by_term(prob, equalities):
+    """(A, b) written one term at a time from the inputs of
+    :meth:`SdpProblem.add_equality`, a c I term as a strided slice of the flat
+    matrix: the reference for :meth:`SdpProblem.assemble`."""
+    rhss = [np.atleast_1d(np.asarray(rhs, dtype=float)) for _, rhs in equalities]
+    rows, n = sum(rhs.size for rhs in rhss), prob.n_vars
     a = np.zeros((rows, n))
     flat = a.reshape(-1)
     b = np.zeros(rows)
     at = 0
-    for terms, rhs in prob._rows:
+    for (terms, _), rhs in zip(equalities, rhss):
         k = rhs.size
         for name, t in terms.items():
             blk = prob.block(name)
-            if isinstance(t, float):
+            if np.isscalar(t):
                 start = at * n + blk.offset
-                flat[start : start + k * (n + 1) : n + 1] += t
+                flat[start : start + k * (n + 1) : n + 1] += float(t)
             else:
-                a[at : at + k, blk.offset : blk.offset + blk.length] += t
+                a[at : at + k, blk.offset : blk.offset + blk.length] += np.reshape(t, (k, blk.length))
         b[at : at + k] = rhs
         at += k
     return a, b
+
+
+def recorded(build):
+    """The problem ``build()`` makes, and the ``(terms, rhs)`` of every
+    :meth:`SdpProblem.add_equality` call on it, in order."""
+    calls, add = [], SdpProblem.add_equality
+
+    def spy(self, terms, rhs):
+        calls.append((self, terms, rhs))
+        return add(self, terms, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SdpProblem, "add_equality", spy)
+        prob = build()
+    return prob, [(terms, rhs) for owner, terms, rhs in calls if owner is prob]
+
+
+def joint_by_definition(margins, weights=None, noise_side=1):
+    """:func:`joint_problem` and its ``(terms, rhs)`` from the definition: per
+    (k, x), the g blocks of the tuples t with t[k] = x, less the noise block
+    n{k}_{x} lifted by (x) I when weighted, equal w_k M_k(x); per weighted k,
+    the noise blocks' traces sum to 1 - w_k."""
+    side = margins[0].shape[-1]
+    lift = np.stack([vec_of(np.kron(la.real_vec_to_hermitian(e, noise_side), np.eye(side // noise_side)))
+                     for e in np.eye(noise_side * noise_side)], axis=1)
+    combos = list(itertools.product(*(range(len(m)) for m in margins)))
+    equalities = []
+    for k, m in enumerate(margins):
+        w = 1.0 if weights is None else weights[k]
+        for x in range(len(m)):
+            terms = {f"g{i}": 1.0 for i, t in enumerate(combos) if t[k] == x}
+            if weights is not None:
+                terms[f"n{k}_{x}"] = -lift
+            equalities.append((terms, w * vec_of(m[x])))
+        if weights is not None:
+            equalities.append(({f"n{k}_{x}": vec_of(np.eye(noise_side))[None, :] for x in range(len(m))},
+                               (1 - w) * np.array([1.0])))
+    return joint_problem(margins, weights, noise_side), equalities
 
 
 def _coefficient_problem():
@@ -284,25 +323,27 @@ def _assembly_cases():
     testers = [prepare_measure_tester(random_state(2, rng), random_povm(2, 2, rng)) for _ in range(2)]
     obs, chan = random_povm(2, 3, rng), q.random_channel(2, 3, rng)
     cases = {
-        "joint": lambda: joint_problem([p.effects for p in povms]),
+        "joint": lambda: joint_by_definition([p.effects for p in povms]),
         # weight 1 mixes in its noise with coefficient -0.0
-        "joint_weighted": lambda: joint_problem([p.effects for p in povms], (0.6, 1.0, 0.8)),
-        "lhs": lambda: built_problem(steering, lambda: check_lhs(max_entangled_assemblage([x, z]))),
-        "tester": lambda: built_problem(process, lambda: check_tester_pair(*testers)),
-        "division": lambda: built_problem(chancompat, lambda: chancompat.channel_division(
-            chan, q.conjugate_channel(chan))),
-        "sequential": lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z)),
-        "coefficients": _coefficient_problem,
+        "joint_weighted": lambda: joint_by_definition([p.effects for p in povms], (0.6, 1.0, 0.8)),
+        # the margins of check_lhs and check_tester_pair
+        "lhs": lambda: joint_by_definition(max_entangled_assemblage([x, z]).blocks),
+        "tester": lambda: joint_by_definition([t.effects for t in testers]),
+        "tester_weighted": lambda: joint_by_definition([t.effects for t in testers], (0.6, 1.0), 2),
+        "division": lambda: recorded(lambda: built_problem(chancompat, lambda: chancompat.channel_division(
+            chan, q.conjugate_channel(chan)))),
+        "sequential": lambda: recorded(lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z))),
+        "coefficients": lambda: recorded(_coefficient_problem),
     }
     for mode in (None, *chancompat.NoiseClass):
         tag = mode.value if mode else "plain"
         for lam in (0.7, 1.0):
             for d in (2, 3, 4):
-                cases[f"channel_pair_d{d}_{tag}_{lam}"] = lambda d=d, mode=mode, lam=lam: (
-                    chancompat._channel_pair_problem(q.identity_channel(d), q.depolarizing_channel(d),
-                                                     mode, lam))
-            cases[f"obs_channel_{tag}_{lam}"] = lambda mode=mode, lam=lam: (
-                chancompat._obs_channel_problem(obs, chan, mode, lam))
+                cases[f"channel_pair_d{d}_{tag}_{lam}"] = lambda d=d, mode=mode, lam=lam: recorded(
+                    lambda: chancompat._channel_pair_problem(q.identity_channel(d), q.depolarizing_channel(d),
+                                                             mode, lam))
+            cases[f"obs_channel_{tag}_{lam}"] = lambda mode=mode, lam=lam: recorded(
+                lambda: chancompat._obs_channel_problem(obs, chan, mode, lam))
     return cases
 
 
@@ -311,11 +352,11 @@ ASSEMBLY_CASES = _assembly_cases()
 
 @pytest.mark.parametrize("name", ASSEMBLY_CASES)
 def test_assemble_equals_per_term_writer(name):
-    # batched c I writes give the per-term loop's (A, b), bit for bit, signed
-    # zeros included
-    prob = ASSEMBLY_CASES[name]()
+    # the triplet store gives the (A, b) that the terms passed in write one
+    # at a time, bit for bit, signed zeros included
+    prob, equalities = ASSEMBLY_CASES[name]()
     a, b = prob.assemble()
-    ref_a, ref_b = assemble_by_term(prob)
+    ref_a, ref_b = assemble_by_term(prob, equalities)
     assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
     assert np.array_equal(b, ref_b) and np.array_equal(np.signbit(b), np.signbit(ref_b))
 
@@ -572,7 +613,7 @@ def test_gram_projector_matches_svd(name):
     r = vr.shape[1]
     assert np.abs(proj.vr.T @ proj.vr - np.eye(r)).max() < 1e-12
     # the basis's multipliers, up to rounding relative to their size
-    assert np.abs(proj.a.T @ proj.mult - proj.vr).max() < 1e-13 * (1 + np.abs(proj.mult).max())
+    assert np.abs(a[:, proj.cols].T @ proj.mult - proj.vr).max() < 1e-13 * (1 + np.abs(proj.mult).max())
     # the row space and the least-norm solution are fixed by the data only to
     # about eps * kappa, for the SVD as for the Gram factorization
     tol = 1e-12 + 1e-15 * kappa
@@ -587,6 +628,42 @@ def test_gram_projector_matches_svd(name):
         once = proj.affine(col)
         assert np.array_equal(once[untouched], col[untouched])
         assert np.abs(proj.affine(once) - once).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", PROJECTOR_CASES)
+def test_projector_products_equal_the_dense_matrix(name):
+    # A x, A^T y and |A|_F from the triplets, against the assembled A; the
+    # touched columns are the dense matrix's nonzero columns
+    prob = PROJECTOR_CASES[name]()
+    proj = _Projector(prob)
+    a, b = prob.assemble()
+    assert np.array_equal(proj.cols, np.flatnonzero(np.any(a != 0, axis=0)))
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=prob.n_vars), rng.normal(size=b.size)
+    r, c, v = proj.coo
+    ax, aty = sdpcore._apply(proj.coo, x, b.size), sdpcore._apply((c, r, v), y, prob.n_vars)
+    assert ax.shape == b.shape and aty.shape == x.shape
+    assert np.all(np.abs(ax - a @ x) <= 1e-13 * (np.abs(a) @ np.abs(x)))
+    assert np.all(np.abs(aty - a.T @ y) <= 1e-13 * (np.abs(a).T @ np.abs(y)))
+    assert abs(proj.norm_a - np.linalg.norm(a)) <= 1e-13 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("name", PROJECTOR_CASES)
+def test_solve_path_never_assembles(name, monkeypatch):
+    # solving and searching read A's triplets; the dense A is only the
+    # reference of verify_witness(problem, witness)
+    prob = PROJECTOR_CASES[name]()
+
+    def refuse(self):
+        raise AssertionError("the solve path assembled a dense A")
+
+    monkeypatch.setattr(SdpProblem, "assemble", refuse)
+    tols = q.Tolerances(max_iter=50)
+    if solve_feasibility(prob, tols).feasible:
+        assert threshold_search(lambda lam: prob, tols).value == 1.0
+    else:  # a constant family is infeasible at both ends
+        with pytest.raises(ValueError, match="feasible lower bracket"):
+            threshold_search(lambda lam: prob, tols)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -623,6 +700,12 @@ def _block_structured(rng, blocks):
     return out, want
 
 
+def _triplets_of(a):
+    """The triplets (rows, columns, values) of a dense matrix's nonzero entries."""
+    r, c = np.nonzero(a)
+    return r, c, a[r, c]
+
+
 def _path_block(rng, rows):
     # bidiagonal: one component, although most of its entries are exact zeros
     return np.diag(rng.uniform(3.0, 4.0, rows)) + np.diag(rng.uniform(0.5, 1.0, rows - 1), 1)
@@ -641,7 +724,7 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
         "below_the_cut": lambda: [rng.normal(size=(3, 4)), 1e-16 * rng.normal(size=(2, 2))],
     }[case]()
     a, want = _block_structured(rng, blocks)
-    found = _components(a)
+    found = _components(*_triplets_of(a)[:2], a.shape)
     # every row and column in exactly one component, and the components are the blocks
     assert np.array_equal(np.sort(np.concatenate([r.ravel() for r, _ in found])), np.arange(a.shape[0]))
     assert np.array_equal(np.sort(np.concatenate([c.ravel() for _, c in found])), np.arange(a.shape[1]))
@@ -659,7 +742,8 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
         return out
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    vr, _, mult = sdpcore._row_space(a, np.zeros((a.shape[0], 1)), max(a.shape) * np.finfo(float).eps)
+    vr, _, mult = sdpcore._row_space(_triplets_of(a), a.shape, np.zeros((a.shape[0], 1)),
+                                     max(a.shape) * np.finfo(float).eps)
     assert len(spectra) == len(found) == len({(r.shape[1], c.shape[1]) for r, c in found})
     dense = svd(a, compute_uv=False)
     spectrum = np.sort(np.concatenate(spectra))[::-1]
@@ -671,7 +755,7 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(0, 3), (2, 3), (0, 0)])
 def test_row_space_of_zero_matrices_is_empty(shape):
-    vr, coef, mult = sdpcore._row_space(np.zeros(shape), np.ones((shape[0], 2)), 1e-12)
+    vr, coef, mult = sdpcore._row_space(_triplets_of(np.zeros(shape)), shape, np.ones((shape[0], 2)), 1e-12)
     assert vr.shape == (shape[1], 0) and coef.shape == (0, 2) and mult.shape == (shape[0], 0)
 
 
@@ -693,7 +777,8 @@ def test_zero_row_is_decided_by_its_right_hand_side(rhs, verdict):
 
 def test_channel_pair_factorization_is_blockwise(monkeypatch):
     # the d=4 channel pair splits into 400 components of 8 x 16 or 1 x 4, so
-    # the factorization never decomposes a matrix of more than 8 rows
+    # the factorization never decomposes a matrix of more than 8 rows; both
+    # shapes are wide, so their stacks are factorized transposed
     shapes, inside = [], []
     svd, row_space = np.linalg.svd, sdpcore._row_space
 
@@ -713,7 +798,7 @@ def test_channel_pair_factorization_is_blockwise(monkeypatch):
     monkeypatch.setattr(sdpcore, "_row_space", spy_row_space)
     res = q.check_channel_pair(q.identity_channel(4), q.identity_channel(4))
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
-    assert sorted(shapes) == [(16, 8, 16), (384, 1, 4)]
+    assert sorted(shapes) == [(16, 16, 8), (384, 4, 1)]
 
 
 @pytest.mark.parametrize("name", ["order_tall", "channel_pair_d3", "division_nearly_constant_3e-08"])

@@ -1,6 +1,5 @@
 """Threshold searches over affine families: the noise rescaling that keeps the
 constraint matrix fixed, the certified upper ends, and the probe budget."""
-import copy
 import math
 
 import numpy as np
@@ -138,15 +137,24 @@ def test_family_with_weight_in_the_matrix_is_rejected():
 def _parent_form(prob: SdpProblem, lam: float) -> tuple[SdpProblem, set[str]]:
     """``prob`` with the noise unscaled: noise terms -(1 - lam) T instead of
     -T, and normalization rows (those on noise blocks only) with right-hand
-    side rhs instead of (1 - lam) rhs."""
+    side rhs instead of (1 - lam) rhs; rebuilt from the assembled rows, one
+    dense term per block."""
     noise = {name for name in prob._blocks if not name.startswith(("g", "joint", "op"))}
-    parent = copy.copy(prob)
-    parent._rows = []
-    for terms, rhs in prob._rows:
-        if set(terms) <= noise:
-            parent._rows.append((terms, rhs / (1 - lam)))
+    a, b = prob.assemble()
+    on_noise = np.zeros(prob.n_vars, dtype=bool)
+    for name in noise:
+        blk = prob.block(name)
+        on_noise[blk.offset : blk.offset + blk.length] = True
+    norm_rows = ~np.any(a[:, ~on_noise] != 0, axis=1)
+    a[np.ix_(~norm_rows, on_noise)] *= 1 - lam
+    b[norm_rows] /= 1 - lam
+    parent = SdpProblem()
+    for name, blk in prob._blocks.items():
+        if blk.kind == "psd":
+            parent.add_psd_block(name, blk.dim, float(blk.cap))
         else:
-            parent._rows.append(({n: (1 - lam) * t if n in noise else t for n, t in terms.items()}, rhs))
+            parent.add_scalar_block(name, blk.dim, blk.cap)
+    parent.add_equality({name: a[:, blk.offset : blk.offset + blk.length] for name, blk in prob._blocks.items()}, b)
     return parent, noise
 
 
