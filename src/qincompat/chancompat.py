@@ -188,7 +188,8 @@ def _channel_pair_problem(chan_a: Channel, chan_b: Channel,
         # constant-channel noise: Choi = I_in (x) xi
         for noise, name, d in ((noise_a, "xi_a", da), (noise_b, "xi_b", db)):
             prob.add_psd_block(name, d, trace_cap=1.0)
-            noise[name] = partial_trace_map((din, d), (1,)).T
+            cols, rows, ones = partial_trace_map((din, d), (1,))
+            noise[name] = (rows, cols, ones)  # the lift, the partial trace's adjoint
             norms.append(({name: vec_of(np.eye(d))[None, :]}, np.array([1.0])))
     elif mode is NoiseClass.ARBITRARY_NOISE:
         for noise, name, d in ((noise_a, "noise_a", da), (noise_b, "noise_b", db)):
@@ -230,7 +231,8 @@ def _obs_channel_problem(obs: Observable, chan: Channel,
     if mode is NoiseClass.TRIVIAL_NOISE:
         prob.add_scalar_block("p", m, cap=1.0)
         prob.add_psd_block("xi", dout, trace_cap=1.0)
-        noise[0]["xi"] = partial_trace_map((din, dout), (1,)).T
+        cols, rows, ones = partial_trace_map((din, dout), (1,))
+        noise[0]["xi"] = (rows, cols, ones)  # the lift, the partial trace's adjoint
         for x in range(m):
             coeff = np.zeros((din * din, m))
             coeff[:, x] = eye_in

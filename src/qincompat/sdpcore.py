@@ -70,7 +70,6 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -141,10 +140,24 @@ def _identity(k: int, offsets, c: float):
     return rows.ravel(), cols.ravel(), np.full(cols.size, c)
 
 
-def _nonzeros(t: np.ndarray, offset: int):
-    """Triplets of the nonzero entries of the term ``t`` on the block at ``offset``."""
-    r, c = divmod((t != 0).ravel().nonzero()[0], t.shape[1])  # faster than a 2-d nonzero
-    return r, offset + c, t[r, c]
+def _entries(name: str, t, k: int, length: int):
+    """Triplets (rows, columns, values) of the term ``t`` of block ``name`` in k rows on
+    the block's ``length`` coordinates: c I for a scalar c, the nonzero entries of a
+    (k, length) matrix, or the given triplets, checked to lie in those bounds."""
+    if isinstance(t, tuple):
+        r, c, v = t
+        if not (r.shape == c.shape == v.shape and np.all((0 <= r) & (r < k)) and np.all((0 <= c) & (c < length))):
+            raise ValueError(f"coefficient triplets for {name!r} must lie in {k} rows and {length} columns")
+        return r, c, v
+    if isinstance(t, (int, float)) or np.isscalar(t):
+        if length != k:
+            raise ValueError(f"scalar coefficient needs block {name!r} of length {k}, not {length}")
+        return _identity(k, [[0]], float(t))
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    if t.shape != (k, length):
+        raise ValueError(f"coefficient block for {name!r} has shape {t.shape}, expected {(k, length)}")
+    r, c = divmod((t != 0).ravel().nonzero()[0], length)  # faster than a 2-d nonzero
+    return r, c, t[r, c]
 
 
 def _apply(coo, x: np.ndarray, size: int) -> np.ndarray:
@@ -163,7 +176,7 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
     a slice holds in_dim**3 entries instead of in_dim**4.  The real
     vectorization is orthonormal, so the matrix of the adjoint map is the
     transpose: when the output side is smaller and the adjoint is known,
-    build the adjoint and transpose (as :func:`partial_trace_map` does).
+    build the adjoint and transpose.
 
     The images are written as rows, and the result is their transposed view.
     """
@@ -175,48 +188,32 @@ def real_linear_map(fn: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim
     return rows.T
 
 
-PARTIAL_TRACE_MAPS_CACHED = 32
+def partial_trace_map(dims, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets (rows, columns, values) of ``la.partial_trace(., dims, keep)`` in real
+    vectorized coordinates, in row-major order.
 
-
-def partial_trace_map(dims, keep) -> np.ndarray:
-    """Matrix of ``la.partial_trace(., dims, keep)`` in real vectorized coordinates.
-
-    Built as the transpose of its adjoint, the lift X -> X (x) I on the traced
-    factors permuted back into factor order, which :func:`real_linear_map`
-    applies to kept slices of kept basis matrices instead of total slices of
-    total.  The transpose of the result is the matrix of that lift.  ``keep``
-    is read as ``la.partial_trace`` reads it (sorted, repeats dropped); an
-    index out of range raises ``ValueError``.
-    The result is row-major (C-contiguous).  The maps depend only on the
-    shape, so the last ``PARTIAL_TRACE_MAPS_CACHED`` of them are cached and
-    shared, hence read-only.
+    The map is an index sum: kept entry (a, a') collects the total entries
+    (a t, a' t) over the traced indices t, and as a t < a' t whenever a < a',
+    each kept coordinate (diagonal, real or imaginary part) is the sum of the
+    total coordinates of its kind at those entries, each with coefficient 1.0.
+    The same triplets with rows and columns swapped are the adjoint, the lift
+    X -> X (x) I on the traced factors.  ``keep`` is read as
+    ``la.partial_trace`` reads it (sorted, repeats dropped); an index out of
+    range raises ``ValueError``.
     """
-    dims = tuple(int(d) for d in dims)
-    keep = tuple(sorted(set(int(k) for k in keep)))
+    dims = [int(d) for d in dims]
+    keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {list(keep)} out of range for {len(dims)} factors")
-    return _partial_trace_map(dims, keep)
-
-
-@lru_cache(maxsize=PARTIAL_TRACE_MAPS_CACHED)
-def _partial_trace_map(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    n = len(dims)
-    traced = tuple(i for i in range(n) if i not in keep)
-    order = keep + traced
-    kept = math.prod(dims[k] for k in keep)
+        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
     total = math.prod(dims)
-    eye = np.eye(total // kept)
-    shape = [dims[i] for i in order] * 2
-    inverse = np.argsort(order)
-    axes = [0] + [1 + i for i in inverse] + [1 + n + i for i in inverse]
-
-    def lift(x):
-        t = np.kron(x, eye).reshape([-1] + shape).transpose(axes)
-        return t.reshape(x.shape[:-2] + (total, total))
-
-    m = real_linear_map(lift, kept, total).T
-    m.setflags(write=False)
-    return m
+    # at[a, t]: the total index of kept index a and traced index t, ascending in t
+    at = np.arange(total).reshape(dims).transpose(keep + [i for i in range(len(dims)) if i not in keep])
+    at = at.reshape(math.prod(dims[k] for k in keep), -1)
+    iu, ju = la.real_vec_basis_indices(len(at))[1:]
+    i, j = at[iu], at[ju]
+    re = total + i * total - i * (i + 1) // 2 + j - i - 1  # the real part of total entry (i, j), i < j
+    cols = np.concatenate([at, re, re + total * (total - 1) // 2]).ravel()
+    return np.repeat(np.arange(len(at) ** 2), at.shape[1]), cols, np.ones(cols.size)
 
 
 class SdpProblem:
@@ -277,27 +274,20 @@ class SdpProblem:
 
     # --- constraints -------------------------------------------------------
 
-    def add_equality(self, terms: dict[str, float | np.ndarray], rhs: np.ndarray) -> None:
+    def add_equality(self, terms: dict[str, float | np.ndarray | tuple], rhs: np.ndarray) -> None:
         """Rows sum_b T_b vec(X_b) = rhs, with T_b of shape (k, len(b)).
 
-        A scalar T_b = c means c times the identity, for a block of length k.
-        Each term is kept as the triplets of its nonzero entries.
+        A scalar T_b = c means c times the identity, for a block of length k,
+        and a tuple ``(rows, columns, values)`` the triplets of T_b's entries,
+        no two at one place (as :func:`partial_trace_map` gives them).  Each
+        term is kept as the triplets of its nonzero entries.
         """
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         chunks = []
         for name, t in terms.items():
             blk = self._blocks[name]
-            if isinstance(t, (int, float)) or np.isscalar(t):
-                if blk.length != rhs.size:
-                    raise ValueError(f"scalar coefficient needs block {name!r} of length {rhs.size}, "
-                                     f"not {blk.length}")
-                chunks.append(_identity(rhs.size, [[blk.offset]], float(t)))
-            else:
-                t = np.atleast_2d(np.asarray(t, dtype=float))
-                if t.shape != (rhs.size, blk.length):
-                    raise ValueError(f"coefficient block for {name!r} has shape {t.shape}, "
-                                     f"expected {(rhs.size, blk.length)}")
-                chunks.append(_nonzeros(t, blk.offset))
+            r, c, v = _entries(name, t, rhs.size, blk.length)
+            chunks.append((r, blk.offset + c, v))
         self._add_rows(chunks, rhs)
 
     def _add_rows(self, chunks, rhs: np.ndarray) -> None:
@@ -318,7 +308,11 @@ class SdpProblem:
         trace caps still bound them, as 1 - lam <= 1.
         """
         for terms, noise, device in rows:
-            self.add_equality({**terms, **{name: -t for name, t in noise.items()}}, lam * device)
+            negated = {}
+            for name, t in noise.items():
+                r, c, v = _entries(name, t, np.size(device), self._blocks[name].length)
+                negated[name] = (r, c, -v)
+            self.add_equality({**terms, **negated}, lam * device)
         for terms, rhs in norms:
             self.add_equality(terms, (1 - lam) * rhs)
 
@@ -406,8 +400,8 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     prob = SdpProblem()
     grid = prob._add("psd", [f"g{i}" for i in range(math.prod(counts))], side, cap).reshape(counts)
     if weights is not None:  # add_margins' rows: fibre - noise (x) I = w device, sum_x tr noise = 1 - w
-        lr, lc, lv = _nonzeros(partial_trace_map((noise_side, side // noise_side), (0,)).T, 0)
-        tr_row = _nonzeros(vec_of(np.eye(noise_side))[None, :], 0)
+        lc, lr, lv = partial_trace_map((noise_side, side // noise_side), (0,))  # the lift: rows and columns swapped
+        tr_row = partial_trace_map((noise_side,), ())
     for k, m in enumerate(margins):
         # one row group per margin: fibre x, the grid's slice at index x of axis k, is I on
         # each of its blocks in the rows of M_k(x)

@@ -191,8 +191,8 @@ def test_robustness_search_is_warm_started(monkeypatch, ident):
 
 
 def test_channel_pair_maps_skip_partial_trace_probes(monkeypatch):
-    # no-cloning at d=4: the two (256 x 4096) margin maps are built from the
-    # adjoint lift, not by probing la.partial_trace on 2 x 4096 basis matrices
+    # no-cloning at d=4: the two (256 x 4096) margin maps are index sums, not
+    # probes of la.partial_trace on 2 x 4096 basis matrices
     calls = {"n": 0}
     ptrace = la.partial_trace
 
@@ -201,7 +201,6 @@ def test_channel_pair_maps_skip_partial_trace_probes(monkeypatch):
         return ptrace(*args, **kwargs)
 
     monkeypatch.setattr(la, "partial_trace", counted)
-    sdpcore._partial_trace_map.cache_clear()
     ident4 = q.identity_channel(4)
     res = q.check_channel_pair(ident4, ident4)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
@@ -220,7 +219,7 @@ def test_compose_map_equals_probed_map(rng, din, dmid, dout):
 
 
 def test_channel_pair_maps_are_cached_by_shape(monkeypatch, ident):
-    # a second pair of the same dimensions reuses the margin maps
+    # a second pair of the same dimensions probes no map either: its margins are index sums
     q.check_channel_pair(ident, ident)
     calls = {"n": 0}
     probe = sdpcore.real_linear_map

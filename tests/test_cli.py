@@ -118,6 +118,14 @@ def test_region_command(xz_paths, tmp_path, capsys):
     assert rows["1.000000,1.000000"].startswith("INFEASIBLE")
 
 
+def test_region_json_has_one_object_per_point(xz_paths, capsys):
+    assert main(["region", *xz_paths, "--grid", "0:1:3", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["weights"] for r in rows] == [[a, b] for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)]
+    assert all(set(r) == {"weights", "verdict"} for r in rows)
+    assert rows[0]["verdict"] == "FEASIBLE" and rows[-1]["verdict"] == "INFEASIBLE_CERTIFIED"
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the grid was allocated before its size was checked")
 
@@ -167,6 +175,13 @@ def test_obs_channel_command(files, capsys):
     capsys.readouterr()
     assert main(["obs-channel", sharp, ident]) == 1
     capsys.readouterr()
+
+
+def test_obs_channel_over_the_outcome_cap_exits_malformed(files, rng, capsys):
+    obs = files("m65.json", q.random_povm(2, 65, rng))
+    ident = files("id.json", q.identity_channel(2))
+    assert main(["obs-channel", obs, ident]) == 3
+    assert "65 outcomes" in capsys.readouterr().err
 
 
 def test_steering_command(files, xz_paths, capsys):
@@ -264,6 +279,33 @@ def test_reproduce_bc_bound(tmp_path, capsys):
     assert "0.666666667" in text
     assert "0.625000000" in text
     assert "0.555555556" in text
+
+
+def _csv_values(path):
+    """The last column of a reproduced table's data rows, as floats."""
+    return [float(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[2:]]
+
+
+def _certified_below(value, ref):
+    # within the bisection tolerance below the reference, allowing the CSV's rounding to 6 places
+    return ref - q.DEFAULT_TOLS.bisect_tol - 5e-7 <= value <= ref + 5e-7
+
+
+def test_reproduce_robustness(tmp_path, capsys):
+    assert main(["reproduce", "robustness", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # id,id: 3/4; dephasing,id: (2 + sqrt 2) / 4
+    values = _csv_values(tmp_path / "robustness.csv")
+    assert len(values) == 2
+    assert all(map(_certified_below, values, (0.75, (2 + np.sqrt(2)) / 4)))
+
+
+def test_reproduce_pos_mom_table(tmp_path, capsys):
+    assert main(["reproduce", "pos-mom-table", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    values = _csv_values(tmp_path / "pos_mom_table.csv")
+    refs = [(d - 2 + np.sqrt(d)) / (2 * (d - 1)) for d in (2, 3, 4, 5)]
+    assert len(values) == 4 and all(map(_certified_below, values, refs))
 
 
 @pytest.mark.parametrize("d", [3, 100])

@@ -118,6 +118,9 @@ def test_rank1_channel_form(sharp_z, rng):
     chan = q.luders_instrument(sharp_z).total_channel()
     assert q.rank1_channel_form_check(sharp_z, chan)
     assert not q.rank1_channel_form_check(sharp_z, q.identity_channel(2))
+    # a zero effect is skipped: it prepares no state, so it needs no unit trace
+    with_zero = q.Observable(np.concatenate([sharp_z.effects, np.zeros((1, 2, 2))]))
+    assert q.rank1_channel_form_check(with_zero, chan)
     fat = noisy(sharp_z, 0.5)
     with pytest.raises(ValueError):
         q.rank1_channel_form_check(fat, chan)

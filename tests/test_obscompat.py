@@ -212,6 +212,10 @@ def test_region_membership_modes(sharp_x, sharp_z):
     # optimized noise can only enlarge the region
     opt = q.region_membership(pair, q.NoiseSpec((0.6, 0.6)))
     assert opt.solve.feasible
+    # and beyond it the sharp pair stays incompatible: a certificate, no joint and no noise
+    opt_out = q.region_membership(pair, q.NoiseSpec((0.9, 0.9)))
+    assert opt_out.verdict is q.Verdict.INFEASIBLE_CERTIFIED
+    assert opt_out.joint is None and opt_out.noise_distributions is None
     # fixed distributions need explicit probabilities
     with pytest.raises(ValueError):
         q.NoiseSpec((0.5, 0.5), q.NoiseMode.FIXED_TRIVIAL)

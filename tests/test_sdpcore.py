@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -72,11 +73,6 @@ def compose_case(din, dmid, dout):
     return case
 
 
-def lift_case(rng, monkeypatch):
-    return captured_map(monkeypatch, sdpcore,
-                        lambda: sdpcore._partial_trace_map.__wrapped__((2, 3, 2), (0, 2)))
-
-
 def heisenberg_case(rng, monkeypatch):
     x, _, z = q.mub_qubit()
     return captured_map(monkeypatch, obschan, lambda: obschan.sequential_recover(x, z))
@@ -89,9 +85,9 @@ def kron_case(rng, monkeypatch):
 
 @pytest.mark.parametrize("case", [
     compose_case(2, 2, 2), compose_case(2, 4, 2), compose_case(3, 3, 3), compose_case(3, 2, 3),
-    lift_case, heisenberg_case, kron_case,
+    heisenberg_case, kron_case,
 ], ids=["compose-2-2-2", "compose-2-4-2", "compose-3-3-3", "compose-3-2-3",
-        "lift", "heisenberg", "kron"])
+        "heisenberg", "kron"])
 def test_real_linear_map_equals_basis_loop(rng, monkeypatch, case):
     # in_dim calls on stacks of in_dim basis matrices give the per-basis-matrix
     # loop's matrix, bit for bit
@@ -110,14 +106,18 @@ def test_real_linear_map_equals_basis_loop(rng, monkeypatch, case):
 @pytest.mark.parametrize("dims,keep", [
     ((2, 3), (0,)), ((2, 3), (1,)), ((3, 2, 2), (1,)), ((2, 2, 3), (0, 2)),
     ((4, 4, 4), (0, 1)), ((4, 4, 4), (0, 2)), ((4, 4, 4), (1, 2)), ((4, 4, 4), (0,)),
-    ((2, 3, 2), (2, 0, 0)), ((2, 3, 2), (0, 1, 2)),
+    ((2, 3, 2), (2, 0, 0)), ((2, 3, 2), (0, 1, 2)), ((3,), ()), ((2, 3), ()),
 ])
 def test_partial_trace_map_equals_probed_map(dims, keep):
-    # the adjoint-built matrix is the probed partial trace, bit for bit
+    # the index-sum triplets, densified, are the probed partial trace, bit for bit
     total = int(np.prod(dims))
     kept = int(np.prod([dims[k] for k in set(keep)]))
     want = real_linear_map(lambda h: la.partial_trace(h, dims, keep), total, kept)
-    assert np.array_equal(partial_trace_map(dims, keep), want)
+    r, c, v = partial_trace_map(dims, keep)
+    got = np.zeros(want.shape)
+    got[r, c] = v
+    assert np.array_equal(got, want) and np.all(v == 1.0)
+    assert np.unique(r * want.shape[1] + c).size == r.size  # no two entries at one place
 
 
 @pytest.mark.parametrize("keep", [(2,), (-1,), (0, 3)])
@@ -128,19 +128,18 @@ def test_partial_trace_map_rejects_bad_keep(keep):
         partial_trace_map((2, 3), keep)
 
 
-def test_partial_trace_map_is_cached_read_only():
-    # equal keys, however written, share one read-only matrix
-    m = partial_trace_map((2, 3, 2), (1, 0, 0))
-    assert partial_trace_map([2, 3, 2], [0, 1]) is m
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
+def test_partial_trace_map_equal_keys_give_equal_triplets():
+    # equal keys, however written, give equal triplets
+    want = partial_trace_map((2, 3, 2), (1, 0, 0))
+    for got in (partial_trace_map([2, 3, 2], [0, 1]), partial_trace_map(np.array([2, 3, 2]), (np.int64(0), 1))):
+        assert all(map(np.array_equal, got, want))
 
 
 @pytest.mark.parametrize("dims,keep", [((2, 3), (1,)), ((2, 2, 3), (0, 2)), ((4, 4, 4), (0, 1))])
 def test_partial_trace_map_is_row_major(dims, keep):
-    # the cached map is the row-major transpose of the lift's matrix, no copy
-    m = partial_trace_map(dims, keep)
-    assert m.flags.c_contiguous and not m.flags.writeable
+    # the triplets come sorted by row, and within a row by column
+    r, c, _ = partial_trace_map(dims, keep)
+    assert np.all(np.diff(r) >= 0) and np.all((np.diff(r) > 0) | (np.diff(c) > 0))
 
 
 def test_cone_cap_projection_matches_sorted_reference(rng):
@@ -233,6 +232,13 @@ def test_scalar_term_needs_matching_block_length():
         prob.add_equality({"p": np.zeros((2, 2))}, np.zeros(2))
     with pytest.raises(ValueError, match=r"has shape \(1, 4\), expected \(1, 3\)"):
         prob.add_equality({"p": np.zeros(4)}, np.zeros(1))
+    # triplets must lie in the rows and on the block's coordinates
+    one = np.ones(1)
+    for r, c in ((4, 0), (-1, 0), (0, 3), (0, -1)):
+        with pytest.raises(ValueError, match=r"coefficient triplets for 'p' must lie in 4 rows and 3 columns"):
+            prob.add_equality({"p": (np.array([r]), np.array([c]), one)}, np.zeros(4))
+    with pytest.raises(ValueError, match="coefficient triplets"):
+        prob.add_equality({"p": (np.array([0, 1]), np.array([0]), one)}, np.zeros(4))
     assert prob.assemble()[0].shape == (4, 7)  # only the first equality was added
 
 
@@ -253,6 +259,9 @@ def assemble_by_term(prob, equalities):
             if np.isscalar(t):
                 start = at * n + blk.offset
                 flat[start : start + k * (n + 1) : n + 1] += float(t)
+            elif isinstance(t, tuple):
+                r, c, v = t
+                a[at + r, blk.offset + c] += v
             else:
                 a[at : at + k, blk.offset : blk.offset + blk.length] += np.reshape(t, (k, blk.length))
         b[at : at + k] = rhs
@@ -664,6 +673,69 @@ def test_solve_path_never_assembles(name, monkeypatch):
     else:  # a constant family is infeasible at both ends
         with pytest.raises(ValueError, match="feasible lower bracket"):
             threshold_search(lambda lam: prob, tols)
+
+
+def _partial_trace_builds():
+    """Builds whose only maps are partial traces and their lifts, by name."""
+    rng = np.random.default_rng(8)
+    chan_a, chan_b = q.random_channel(2, 3, rng), q.random_channel(2, 2, rng)
+    obs, chan = random_povm(2, 3, rng), q.random_channel(2, 3, rng)
+    testers = [prepare_measure_tester(random_state(2, rng), random_povm(2, 2, rng)) for _ in range(2)]
+    prod = np.eye(4) / 4
+    builds = {
+        "state_marginal": lambda: built_problem(chancompat, lambda: chancompat.state_marginal_feasible(
+            prod, prod, (2, 2, 2))),
+        "tester_weighted": lambda: joint_problem([t.effects for t in testers], (0.6, 0.8), 2),
+    }
+    for mode in (None, *chancompat.NoiseClass):
+        tag = mode.value if mode else "plain"
+        builds[f"channel_pair_{tag}"] = lambda mode=mode: chancompat._channel_pair_problem(chan_a, chan_b, mode, 0.7)
+        builds[f"obs_channel_{tag}"] = lambda mode=mode: chancompat._obs_channel_problem(obs, chan, mode, 0.7)
+    return builds
+
+
+PARTIAL_TRACE_BUILDS = _partial_trace_builds()
+
+
+@pytest.mark.parametrize("name", PARTIAL_TRACE_BUILDS)
+def test_partial_trace_builds_probe_no_map(name, monkeypatch):
+    # partial traces and their lifts are index sums, so these builds never
+    # probe a map through real_linear_map, in any module that binds it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build probed a map through real_linear_map")
+
+    patched = set()
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qincompat" and hasattr(module, "real_linear_map"):
+            monkeypatch.setattr(module, "real_linear_map", refuse)
+            patched.add(module)
+    assert {sdpcore, chancompat, obschan} <= patched
+    prob = PARTIAL_TRACE_BUILDS[name]()
+    assert prob._m > 0
+
+
+@pytest.mark.parametrize("case,message", [
+    ("joint", "product outcome count 4225 exceeds the cap 4096"),
+    ("channel_pair", "joint block side 72 exceeds the cap 64"),
+    ("obs_channel", "block side 4, 65 outcomes"),
+    ("sequential", "block side 66, 2 outcomes"),
+])
+def test_size_caps_raise_before_building(case, message, monkeypatch):
+    # each cap is reached once, and its ValueError comes before any problem is built
+    rng = np.random.default_rng(3)
+    calls = {
+        "joint": lambda: check_joint(q.fourier_pair(65)),
+        "channel_pair": lambda: q.check_channel_pair(q.random_channel(2, 6, rng), q.random_channel(2, 6, rng)),
+        "obs_channel": lambda: q.check_obs_channel(random_povm(2, 65, rng), q.identity_channel(2)),
+        "sequential": lambda: q.sequential_recover(random_povm(2, 33, rng), random_povm(2, 2, rng)),
+    }
+
+    def refuse(self):
+        raise AssertionError("a problem was built before its size was checked")
+
+    monkeypatch.setattr(SdpProblem, "__init__", refuse)
+    with pytest.raises(ValueError, match=message):
+        calls[case]()
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -1320,6 +1392,11 @@ def test_bisect_threshold_takes_midpoints_below_an_uncertified_probe():
     assert lams[:4] == [1.0, 0.0, 0.375, 0.1875]  # 0.5 - 0.5 / 4, then the midpoint
     assert res.upper.at == 0.5
     assert res.value <= 0.3 < res.value + 1e-2
+
+
+def test_bisect_threshold_rejects_an_end_above_its_probe():
+    with pytest.raises(ValueError, match="upper end 1.25 lies above its probe 1.0"):
+        bisect_threshold(lambda lam: lam <= 0.3 or UpperEnd(lam + 0.25, _NO_FUNCTIONAL), tol=1e-2)
 
 
 def test_bisect_threshold_rejects_an_end_below_a_feasible_probe():
