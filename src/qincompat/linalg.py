@@ -5,7 +5,9 @@ to a small max-norm slack and symmetrized on entry, so downstream code can rely
 on exact Hermiticity.  The real vectorization maps a d x d Hermitian matrix to
 d^2 real coordinates (diagonal first, then sqrt(2)-scaled real and imaginary
 parts of the strict upper triangle); it is an isometry for the Hilbert-Schmidt
-inner product, which is what the feasibility solver builds on.  Its index
+inner product, which is what the feasibility solver builds on.  Stacks of
+2 x 2 matrices are decomposed in closed form on these coordinates
+(:func:`spectrum2`, :func:`project2`), with no LAPACK call.  Its index
 layout is computed once per dimension and cached; the cached index arrays,
 including those returned by ``real_vec_basis_indices``, are read-only.
 """
@@ -28,6 +30,8 @@ __all__ = [
     "eig_hermitian",
     "psd_project",
     "min_eig",
+    "spectrum2",
+    "project2",
     "partial_trace",
     "kron",
     "op_norm",
@@ -83,7 +87,7 @@ def require_positive(a, atol: float | None, label: str) -> tuple[np.ndarray, flo
     """
     atol = DEVICE_ATOL if atol is None else atol
     m = require_hermitian(a, max(atol, HERM_ATOL))
-    lo = np.atleast_1d(np.linalg.eigvalsh(m)[..., 0])
+    lo = np.atleast_1d(_lowest(m))
     bad = np.argwhere(lo < -atol)
     if bad.size:
         index = tuple(bad[0])
@@ -107,16 +111,68 @@ def eig_hermitian(a, atol: float | None = None) -> EigenDecomposition:
 
 def psd_project(a, atol: float | None = None) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix, of each matrix in a
-    stack: clip negative eigenvalues."""
-    vals, vecs = eig_hermitian(a, atol)
+    stack: clip negative eigenvalues (2 x 2 in closed form, :func:`project2`)."""
+    m = require_hermitian(a, atol)
+    if m.shape[-1] == 2:
+        return real_vec_to_hermitian(project2(hermitian_to_real_vec(m)), 2)
+    vals, vecs = np.linalg.eigh(m)
     clipped = np.clip(vals, 0.0, None)
     return (vecs * clipped[..., None, :]) @ dagger(vecs)
 
 
+def _lowest(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in a stack; 2 x 2 in closed form."""
+    if m.shape[-1] == 2:
+        mid, r = spectrum2(hermitian_to_real_vec(m))
+        return mid - r
+    return np.linalg.eigvalsh(m)[..., 0]
+
+
 def min_eig(a, atol: float | None = None) -> float | np.ndarray:
     """Smallest eigenvalue of a Hermitian matrix; an array of them for a stack."""
-    lo = np.linalg.eigvalsh(require_hermitian(a, atol))[..., 0]
+    lo = _lowest(require_hermitian(a, atol))
     return float(lo) if lo.ndim == 0 else lo
+
+
+def spectrum2(v) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, r)`` with m - r <= m + r the eigenvalues of each 2 x 2 Hermitian matrix
+    of a stack of real vectorizations ``v`` (..., 4), (a, d, sqrt(2) Re b, sqrt(2) Im b).
+
+    m is the half trace and r = |H - m I|_2 = hypot((a - d) / 2, |b|).  Each
+    eigenvalue is within about 5 u (|m| + r) <= 2.5 eps |v|_2 of the exact one
+    (u = eps / 2: one rounding in m, at most four in r, one in m - r), inside
+    the 4 d eps per block that a certificate's bound allows for eigenvalues.
+    """
+    v = np.asarray(v, dtype=float)
+    m = 0.5 * (v[..., 0] + v[..., 1])
+    r = np.hypot(0.5 * (v[..., 0] - v[..., 1]), np.hypot(v[..., 2], v[..., 3]) * _SQRT_HALF)
+    return m, r
+
+
+def project2(v, cap=np.inf) -> np.ndarray:
+    """Real vectorization of the projection of each 2 x 2 Hermitian matrix of a stack
+    of real vectorizations ``v`` (..., 4) onto {X >= 0, tr X <= cap}, in closed form.
+
+    With eigenvalues m -+ r (:func:`spectrum2`) the projection keeps the
+    eigenvectors and maps the eigenvalues to s -+ t: s -+ t are the clipped
+    values max(m -+ r, 0) when their sum 2 s is at most ``cap``, and otherwise
+    the spectrum is shifted down until its clipped sum is ``cap``, which
+    gives s = cap / 2 and t = min(r, cap / 2).  The result is
+    s I + (t / r) (H - m I), and s I for r = 0.
+    """
+    v = np.asarray(v, dtype=float)
+    m, r = spectrum2(v)
+    positive, half_top = m - r > 0, 0.5 * np.maximum(m + r, 0.0)
+    s, t = np.where(positive, m, half_top), np.where(positive, r, half_top)
+    half_cap = 0.5 * np.asarray(cap, dtype=float)
+    over = s > half_cap
+    s, t = np.where(over, half_cap, s), np.where(over, np.minimum(r, half_cap), t)
+    scale = np.divide(t, r, out=np.zeros_like(r), where=r > 0)
+    out = v * scale[..., None]
+    shift = 0.5 * (v[..., 0] - v[..., 1]) * scale
+    out[..., 0] = s + shift
+    out[..., 1] = s - shift
+    return out
 
 
 def partial_trace(a, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -162,6 +218,7 @@ def op_norm(a) -> float:
 # === real vectorization ======================================================
 
 _SQRT2 = np.sqrt(2.0)
+_SQRT_HALF = np.sqrt(0.5)
 
 
 def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

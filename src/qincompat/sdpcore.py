@@ -10,7 +10,7 @@ solver alternates exact projections:
   max(A.shape) * eps times the largest singular value (so redundant or
   dependent rows are harmless);
 * onto the cone product, block by block (eigenvalue clipping, scalar clamping,
-  trace rescaling when a cap is exceeded).
+  trace rescaling when a cap is exceeded); blocks of side 2 in closed form.
 
 The one-off work of a solve costs what the data costs.  A problem keeps A as
 the triplets (row, column, value) of its nonzero entries, each term converted
@@ -19,11 +19,16 @@ once as it is added, and the solve path never makes A dense: A x, A^T y and
 columns of A, those some row uses (the d=4 channel pair touches 1,792 of its
 4,096), split into the connected components of their pattern (the d=4 pair
 has 400, of 8 x 16 or 1 x 4), scattered into one stack per component shape
-and factorized by one stacked SVD on the stack's tall side.  The row-space
-basis and the particular solution live on the touched columns, so the affine
-step leaves every other coordinate as it is.  The blocks are grouped by kind
-and size once per problem, and unpacking an iterate, checking a witness's
-blocks and the cone step each make one stacked call per group.
+and factorized on the stack's tall side by one SVD of its distinct matrices
+(each of the d=4 pair's two stacks holds a single one).  The row-space basis
+stays in those stacks, so the affine step and the certificate attempt make a
+few products per component shape and never read a touched x rank matrix;
+below a crossover (``_DENSE_BASIS``) the basis is one dense matrix instead,
+for which one product is faster than the loop over shapes.  Coordinates
+outside the basis pass the affine step unchanged.  The blocks are grouped by
+kind and size once per problem, and unpacking an iterate, checking a
+witness's blocks and the cone step each make one stacked call per group, with
+no LAPACK call for blocks of side 2 (``la.project2``, ``la.spectrum2``).
 
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
@@ -521,20 +526,46 @@ def _components(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]) -> list[tu
     return out
 
 
-def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-space basis ``vr`` of the matrix a of ``shape`` with the triplets ``coo``,
-    coefficients ``coef`` of least-norm solutions and multipliers ``mult`` of the
-    basis, ``vr = a.T @ mult``.
+# Up to this many touched x rank entries (256 KiB) the basis is one dense matrix.  Below it
+# an affine step with one matrix product took 9-16 us against 9-34 us for the loop over
+# shape stacks, and at 405 x 153 (the d=3 channel pair) 37 us against 22 us.  The largest
+# basis of the benchmark's small problems (80 x 53) lies below it and the smallest at the
+# size caps (2,916 x 52, the 729-strategy LHS) above it.
+_DENSE_BASIS = 2**15
 
-    ``b`` holds one right-hand side per column, and ``vr @ coef[:, j]`` solves
-    a x = b[:, j].  ``a`` is block diagonal up to permutations, with one block
-    per connected component of its nonzero pattern (:func:`_components`), so
-    its SVD is theirs: one stacked ``np.linalg.svd`` per component shape, on
-    the stack's tall side.  The rank is the one a dense SVD reveals with the
-    cut ``cut``: singular values above ``cut`` times the largest of all
+
+def _rmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x_k m_k for each row x_k of x (k, p): one product with m (p, q) shared by every
+    k, or with each matrix m_k of a stack m (k, p, q)."""
+    return x @ m if m.ndim == 2 else np.matmul(x[:, None, :], m)[:, 0]
+
+
+def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[list, np.ndarray]:
+    """Row-space basis of the matrix a of ``shape`` with the triplets ``coo``, as stacks,
+    and least-norm solutions: ``(stacks, sol)`` with ``a @ sol[:, j]`` = ``b[:, j]``
+    on the row space, for the columns of ``b``.
+
+    ``a`` is block diagonal up to permutations, with one block per connected
+    component of its nonzero pattern (:func:`_components`), so its SVD is
+    theirs, one stacked ``np.linalg.svd`` per component shape, on the stack's
+    tall side.  Equal components (the 1,024-block joint has four equal ones of
+    20 x 1,024) are factorized once: the distinct matrices of a stack, keyed by
+    their bytes, go to the SVD, and their factors are indexed back, so equal
+    inputs have equal factors.  The rank is the one a dense SVD reveals with
+    the cut ``cut``: singular values above ``cut`` times the largest of all
     components.  A kept triple (u, s, v) gives the basis vector v and its
     multipliers u / s, as a^T u = s v.  A row with no nonzero entry gives no
     basis vector; a nonzero right-hand side there shows in the residual a x - b.
+
+    Each stack is ``(rows, cols, v, w)``: component k has the rows ``rows[k]``
+    and the columns ``cols[k]`` of a, its basis vectors are the columns of v_k
+    on those columns and their multipliers the columns of w_k on those rows,
+    with ``v_k = a[rows[k]][:, cols[k]].T @ w_k``.  v and w are the stacks
+    (k, q, r) and (k, p, r), or one (q, r) and (p, r) matrix that every
+    component shares when all are equal; singular vectors below the cut are
+    zero columns.  Up to ``_DENSE_BASIS`` touched x rank entries the basis is
+    one stack of one component, a dense matrix on every row and column, with
+    no zero column.
     """
     r, c, v = coo
     groups = _components(r, c, shape)
@@ -549,22 +580,38 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
     parts = []
     for (rows, cols), at in zip(groups, ends):
         stack = buf[at : at + rows.size * cols.shape[1]].reshape(rows.shape + cols.shape[1:])
+        first = {}  # the first component of each distinct matrix, by its bytes
+        seen = [first.setdefault(mat.tobytes(), k) for k, mat in enumerate(stack)]
+        distinct = list(first.values())
         if rows.shape[1] >= cols.shape[1]:
-            parts.append((rows, cols, *np.linalg.svd(stack, full_matrices=False)))
+            u, s, vt = np.linalg.svd(stack[distinct], full_matrices=False)
         else:  # a wide stack is factorized transposed, on its tall side: a = vt^T s u^T
-            vt, s, u = np.linalg.svd(stack.swapaxes(1, 2), full_matrices=False)
-            parts.append((rows, cols, u.swapaxes(1, 2), s, vt.swapaxes(1, 2)))
+            vt, s, u = np.linalg.svd(stack[distinct].swapaxes(1, 2), full_matrices=False)
+            u, vt = u.swapaxes(1, 2), vt.swapaxes(1, 2)
+        parts.append((rows, cols, np.searchsorted(distinct, seen), u, s, vt))
     floor = cut * max((s.max(initial=0.0) for *_, s, _ in parts), default=0.0)
-    kept = [np.nonzero(s > floor) for *_, s, _ in parts]
-    rank = sum(i.size for i, _ in kept)
-    vr, mult = np.zeros((shape[1], rank)), np.zeros((shape[0], rank))
-    at = 0
-    for (rows, cols, u, s, vt), (i, j) in zip(parts, kept):
+    stacks, kept_in, sol = [], [], np.zeros((shape[1], b.shape[1]))
+    for rows, cols, of, u, s, vt in parts:
+        kept = s > floor
+        if not kept.any():
+            continue
+        # below the cut, v is zeroed and u / s is u / inf = 0
+        vs, ws = vt.swapaxes(1, 2) * kept[:, None], u / np.where(kept, s, np.inf)[:, None]
+        vs, ws = (vs[0], ws[0]) if len(vs) == 1 else (vs[of], ws[of])
+        sol[cols] = np.matmul(vs, np.matmul(ws.swapaxes(-1, -2), b[rows]))
+        stacks.append((rows, cols, vs, ws))
+        kept_in.append(kept[of])
+    rank = sum(int(kept.sum()) for kept in kept_in)
+    if shape[1] * rank > _DENSE_BASIS:
+        return stacks, sol
+    vr, mult, at = np.zeros((shape[1], rank)), np.zeros((shape[0], rank)), 0
+    for (rows, cols, vs, ws), kept in zip(stacks, kept_in):
+        i, j = np.nonzero(kept)
         basis = np.arange(at, at + i.size)[:, None]
-        vr[cols[i], basis] = vt[i, j]
-        mult[rows[i], basis] = u[i, :, j] / s[i, j, None]
+        vr[cols[i], basis] = vs[:, j].T if vs.ndim == 2 else vs[i, :, j]
+        mult[rows[i], basis] = ws[:, j].T if ws.ndim == 2 else ws[i, :, j]
         at += i.size
-    return vr, mult.T @ b, mult
+    return [(np.arange(shape[0])[None], np.arange(shape[1])[None], vr, mult)], sol
 
 
 def _same_cones(p: SdpProblem, q: SdpProblem) -> bool:
@@ -580,10 +627,15 @@ class _Projector:
 
     ``coo`` holds A's triplets (rows, columns, values); A x and A^T y are
     :func:`_apply` of them.  Only the touched columns of A, those some row
-    uses, enter the factorization: ``cols`` lists them, and ``vr`` and
-    ``x_part`` hold the row-space basis and the least-norm solution on them
-    only; on every other coordinate the basis is zero, so the affine step
-    leaves those coordinates as they are.
+    uses, enter the factorization, and ``stacks`` holds the row-space basis
+    as :func:`_row_space` gives it, on the problem's coordinates: per
+    component shape, the rows, the columns, the kept right singular vectors
+    and their multipliers (the left ones over their singular values), or one
+    dense matrix of each for a small problem.  ``x_part`` is the least-norm
+    solution, zero off the touched columns.  The affine step, the
+    certificate attempt and the least-norm solution act stack by stack, so
+    no touched x rank or rows x rank matrix exists above ``_DENSE_BASIS``,
+    and every coordinate outside the stacks passes the affine step unchanged.
 
     With ``at_one`` the projector factorizes the family lam -> problem(lam)
     whose members at 0 and 1 are ``problem`` and ``at_one``.  Their triplets
@@ -592,10 +644,11 @@ class _Projector:
     b(lam) = b + lam db and x_part(lam) = x_part + lam dx, from one
     factorization with the columns b and db (zero for one problem).  :meth:`at`
     gives a member and :meth:`upper_end` the crossing of a member's certificate.
-    ``mult`` holds the basis's multipliers, ``vr = A[:, cols].T @ mult`` (the left
-    singular vectors over their singular values, see :func:`_row_space`), so a
-    functional vr c is A^T (mult c); ``rounding`` scales a certificate's bound,
-    with k eps for Higham's gamma_k and the caps' sum for |x| on the cones.
+    A basis vector v of a component has multipliers w with v = A^T w, so a
+    functional sum v c is A^T (sum w c); ``rounding`` scales a certificate's
+    bound, with k eps for Higham's gamma_k and the caps' sum for |x| on the
+    cones.  PSD blocks of side 2 are projected and their eigenvalues found in
+    closed form (``la.project2``, ``la.spectrum2``).
     """
 
     def __init__(self, problem: SdpProblem, at_one: SdpProblem | None = None):
@@ -606,11 +659,13 @@ class _Projector:
         r, c, v = self.coo
         self.db, n = b1 - b, problem.n_vars
         touched = np.bincount(c, minlength=n) > 0
-        self.cols = np.flatnonzero(touched)
+        cols = np.flatnonzero(touched)
         local = (np.cumsum(touched) - 1)[c]  # each entry's column among the touched ones
-        self.vr, coef, self.mult = _row_space((r, local, v), (b.size, self.cols.size),
-                                              np.column_stack([b, self.db]), max(b.size, n) * np.finfo(float).eps)
-        x_part, self.dx = (self.vr @ coef).T
+        stacks, sol = _row_space((r, local, v), (b.size, cols.size), np.column_stack([b, self.db]),
+                                 max(b.size, n) * np.finfo(float).eps)
+        self.stacks = [(rows, cols[at], vs, ws) for rows, at, vs, ws in stacks]
+        x_part, self.dx = np.zeros((2, n))
+        x_part[cols], self.dx[cols] = sol.T
         self._place(problem, b, x_part)
         # psd blocks of one side share a batched eigendecomposition; 1x1
         # blocks are clipped with the scalars, with no eigh group of their own
@@ -636,9 +691,8 @@ class _Projector:
 
     def _place(self, problem: SdpProblem, b: np.ndarray, x_part: np.ndarray) -> None:
         self.problem, self.b, self.x_part = problem, b, x_part
-        self.start = np.zeros(problem.n_vars)  # x_part on every coordinate, a solve's default start
-        self.start[self.cols] = x_part
-        self.residual = _apply(self.coo, self.start, b.size) - b
+        self.x_parts = [x_part[cols] for _, cols, _, _ in self.stacks]  # x_part on each stack's columns
+        self.residual = _apply(self.coo, x_part, b.size) - b
 
     def at(self, lam: float) -> SdpProblem:
         """The family's problem at ``lam``, carrying its projector (no new factorization)."""
@@ -666,15 +720,29 @@ class _Projector:
 
     def affine(self, x: np.ndarray) -> np.ndarray:
         y = x.copy()
-        xc = y[self.cols]
-        xc -= self.vr @ (self.vr.T @ xc)
-        xc += self.x_part
-        y[self.cols] = xc
+        for (_, cols, vs, _), part in zip(self.stacks, self.x_parts):
+            xs = x[cols]
+            y[cols] = xs - _rmul(_rmul(xs, vs), vs.swapaxes(-1, -2)) + part
+        return y
+
+    def multipliers(self, d: np.ndarray) -> np.ndarray | None:
+        """Row multipliers y of the row-space part of ``d``, scaled so that A^T y is that
+        part over its norm; ``None`` when it is zero."""
+        coefs = [_rmul(d[cols], vs) for _, cols, vs, _ in self.stacks]
+        norm = math.sqrt(sum(float(np.vdot(c, c)) for c in coefs))
+        if not norm > 0:
+            return None
+        y = np.zeros(self.b.size)
+        for (rows, _, _, ws), c in zip(self.stacks, coefs):
+            y[rows] = _rmul(c / norm, ws.swapaxes(-1, -2))
         return y
 
     def cone(self, x: np.ndarray) -> np.ndarray:
         z = x.copy()
         for dim, idx, caps, counts in self.psd_groups:
+            if dim == 2:
+                z[idx] = la.project2(z[idx], caps)
+                continue
             mats = la.real_vec_to_hermitian(z[idx], dim)
             vals, vecs = np.linalg.eigh(mats)
             w = np.clip(vals, 0.0, None)
@@ -701,12 +769,18 @@ class _Projector:
         """Exact infimum of <h, x> over the capped cone product."""
         total = 0.0
         for dim, idx, caps, _ in self.psd_groups:
-            mats = la.real_vec_to_hermitian(h[idx], dim)
-            vals = np.linalg.eigvalsh(mats)
-            total += float(np.sum(caps * np.minimum(vals[:, 0], 0.0)))
+            total += float(np.sum(caps * np.minimum(_min_eigs(h[idx], dim), 0.0)))
         if self.scalar_idx.size:
             total += float(np.sum(self.scalar_caps * np.minimum(h[self.scalar_idx], 0.0)))
         return total
+
+
+def _min_eigs(vecs: np.ndarray, dim: int) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of side ``dim`` with real vectorization ``vecs[i]``."""
+    if dim == 2:
+        m, r = la.spectrum2(vecs)
+        return m - r
+    return np.linalg.eigvalsh(la.real_vec_to_hermitian(vecs, dim))[:, 0]
 
 
 def _certificate(proj: _Projector, y: np.ndarray, tols: Tolerances) -> Certificate | None:
@@ -734,33 +808,33 @@ def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: To
 
     Returns (ok, report) with the worst residuals; thresholds are
     ``witness_factor * feas`` per the solver contract.  The witness is
-    vectorized and its blocks checked with one stacked call per block size.
+    vectorized and its blocks checked with one stacked call per block size
+    (:func:`_check_point`; blocks missing from ``witness`` are zero).
     ``constraints`` is ``(coo, b)``, A as the triplets (rows, columns,
-    values) of its nonzero entries and b, when the caller already holds them
-    (the solver passes its projector's); otherwise the problem is assembled
-    here, the dense reference.
+    values) of its nonzero entries and b, when the caller already holds them;
+    otherwise the problem is assembled here, the dense reference.
     """
-    tols = tols or DEFAULT_TOLS
-    slack = tols.witness_atol
     x = problem.join(witness)
-    worst_eig = 0.0
-    worst_scalar = 0.0
-    for blks, idx in problem._stacks():
-        if not any(b.name in witness for b in blks):
-            continue
-        head = blks[0]
-        if head.interval:
-            worst_scalar = min(worst_scalar, float(x[idx].min(initial=0.0)))
-        else:
-            lo = np.linalg.eigvalsh(la.real_vec_to_hermitian(x[idx], head.dim))[:, 0]
-            worst_eig = min(worst_eig, float(lo.min()))
     if constraints is None:
         a, b = problem.assemble()
         ax = a @ x
     else:
         coo, b = constraints
         ax = _apply(coo, x, b.size)
-    constraint_residual = float(np.abs(ax - b).max()) if b.size else 0.0
+    return _check_point(problem, x, ax - b, tols or DEFAULT_TOLS)
+
+
+def _check_point(problem: SdpProblem, x: np.ndarray, residual: np.ndarray, tols: Tolerances):
+    """:func:`verify_witness`'s check of the flat point ``x`` with A x - b = ``residual``."""
+    slack = tols.witness_atol
+    worst_eig = 0.0
+    worst_scalar = 0.0
+    for blks, idx in problem._stacks():
+        if blks[0].interval:
+            worst_scalar = min(worst_scalar, float(x[idx].min(initial=0.0)))
+        else:
+            worst_eig = min(worst_eig, float(_min_eigs(x[idx], blks[0].dim).min()))
+    constraint_residual = float(np.abs(residual).max()) if residual.size else 0.0
     ok = constraint_residual < slack and worst_eig > -slack and worst_scalar > -slack
     report = {
         "constraint_residual": constraint_residual,
@@ -805,7 +879,7 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
         if cert is not None:
             return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, 0, r, cert,
                                "affine constraints are inconsistent (empty affine set)")
-    x = (proj.start if start is None else start).copy()
+    x = (proj.x_part if start is None else start).copy()
     res = float("inf")
     pl = pk = x
     next_attempt = 1
@@ -816,17 +890,16 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
         res = float(np.linalg.norm(pk - pl))
         if res < tols.feas:
             a_pt = proj.affine(pk)
-            witness = problem.split(a_pt)
-            ok, _ = verify_witness(problem, witness, tols, (proj.coo, proj.b))
+            ok, _ = _check_point(problem, a_pt, _apply(proj.coo, a_pt, proj.b.size) - proj.b, tols)
             if ok:
-                return SolveResult(Verdict.FEASIBLE, witness, it, res, iterate=x)
+                return SolveResult(Verdict.FEASIBLE, problem.split(a_pt), it, res, iterate=x)
         # certificates are validated from the data, so an early attempt is safe: try at
         # iterations 1, 2, 4, ... and then every _ATTEMPT_SPACING iterations, and at the
         # cap, with the multipliers of the gap's row-space part scaled to a unit functional
         if it == next_attempt or it == tols.max_iter:
             next_attempt += min(it, _ATTEMPT_SPACING)
-            c = proj.vr.T @ (pk - pl)[proj.cols]
-            cert = _certificate(proj, proj.mult @ (c / math.sqrt(c @ c)), tols) if c.any() else None
+            y = proj.multipliers(pk - pl)
+            cert = None if y is None else _certificate(proj, y, tols)
             if cert is not None:
                 return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, it, res, cert,
                                    "validated separating functional", x)

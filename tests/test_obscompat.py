@@ -275,6 +275,15 @@ def test_degree_mub_pair(sharp_x, sharp_z):
     assert val == pytest.approx(1 / np.sqrt(2), abs=5e-3)
 
 
+def test_fourier_degree_at_d10_meets_the_closed_form():
+    # the uniform-noise Fourier threshold (d - 2 + sqrt d) / (2 (d - 1)), at a
+    # size where the basis is blockwise (a dense one held 175 MiB)
+    d = 10
+    value = q.degree_of_compatibility(list(q.fourier_pair(d)))
+    threshold = (d - 2 + np.sqrt(d)) / (2 * (d - 1))
+    assert threshold - q.DEFAULT_TOLS.bisect_tol <= value <= threshold
+
+
 def test_fourier_region_formula():
     for d in (2, 3, 5):
         lam = (d - 2 + np.sqrt(d)) / (2 * (d - 1))

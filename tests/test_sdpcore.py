@@ -142,18 +142,19 @@ def test_partial_trace_map_is_row_major(dims, keep):
     assert np.all(np.diff(r) >= 0) and np.all((np.diff(r) > 0) | (np.diff(c) > 0))
 
 
-def test_cone_cap_projection_matches_sorted_reference(rng):
-    # the trace-cap projection of the spectrum, written with an explicit sort
-    def ref_cone(vec, dim, cap):
-        vals, vecs = np.linalg.eigh(la.real_vec_to_hermitian(vec, dim))
-        w = np.clip(vals, 0.0, None)
-        if w.sum() > cap:
-            srt = np.sort(vals)[::-1]
-            theta_j = (np.cumsum(srt) - cap) / np.arange(1, dim + 1)
-            theta = theta_j[np.sum(srt > theta_j) - 1]
-            w = np.clip(vals - theta, 0.0, None)
-        return la.hermitian_to_real_vec((vecs * w) @ vecs.conj().T)
+def ref_cone(vec, dim, cap):
+    """The trace-cap projection of the spectrum, written with an explicit sort."""
+    vals, vecs = np.linalg.eigh(la.real_vec_to_hermitian(vec, dim))
+    w = np.clip(vals, 0.0, None)
+    if w.sum() > cap:
+        srt = np.sort(vals)[::-1]
+        theta_j = (np.cumsum(srt) - cap) / np.arange(1, dim + 1)
+        theta = theta_j[np.sum(srt > theta_j) - 1]
+        w = np.clip(vals - theta, 0.0, None)
+    return la.hermitian_to_real_vec((vecs * w) @ vecs.conj().T)
 
+
+def test_cone_cap_projection_matches_sorted_reference(rng):
     prob = SdpProblem()
     blocks = [("a", 3, 1.0), ("b", 3, 50.0), ("c", 3, 0.5), ("d", 2, 1.0), ("e", 4, 2.0)]
     for name, dim, cap in blocks:
@@ -174,6 +175,76 @@ def test_cone_cap_projection_matches_sorted_reference(rng):
         herm = la.real_vec_to_hermitian(got, dim)
         assert np.trace(herm).real <= cap + 1e-12
         assert np.linalg.eigvalsh(herm)[0] >= -1e-12
+
+
+# The eigenvalue rounding a certificate's bound allows per block of side d is
+# 4 d eps |h| (see _Projector.rounding).  The 2 x 2 closed form meets 2.5 eps |h|
+# (la.spectrum2), and LAPACK is taken to meet 4 d eps |h|, so the two paths lie
+# within twice the allowance of each other.
+EPS = np.finfo(float).eps
+BLOCK2_TOL = 2 * 4 * 2 * EPS
+
+
+def _blocks2(rng, n=40):
+    """2 x 2 Hermitian blocks of each kind the closed form treats apart, and trace caps
+    from a tenth to twice their norm, so that many are over their cap."""
+    kinds = [
+        [rand_herm(rng, 2) for _ in range(n)],
+        [c * np.eye(2) for c in rng.normal(size=n)],  # r = 0
+        [np.zeros((2, 2))] * 3,
+        [np.outer(p, p.conj()) for p in rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))],  # rank one
+        [-rand_psd(rng, 2) for _ in range(n)],  # negative definite
+        [1e8 * rand_herm(rng, 2) for _ in range(n)],
+        [1e-8 * rand_herm(rng, 2) for _ in range(n)],
+    ]
+    mats = np.array([m for kind in kinds for m in kind])
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    return mats, rng.uniform(0.1, 2.0, len(mats)) * np.where(norms > 0, norms, 1.0)
+
+
+def test_closed_form_2x2_kernels_match_eigh(rng):
+    mats, caps = _blocks2(rng)
+    vecs = la.hermitian_to_real_vec(mats)
+    norms = np.linalg.norm(vecs, axis=1)
+    tol = BLOCK2_TOL * norms
+    vals = np.linalg.eigvalsh(mats)
+    assert np.all(np.abs(la.min_eig(mats) - vals[:, 0]) <= tol)
+    assert np.all(np.abs(la.hermitian_to_real_vec(la.psd_project(mats)) - [ref_cone(v, 2, np.inf) for v in vecs])
+                  <= tol[:, None])
+    prob = SdpProblem()
+    for i, cap in enumerate(caps):
+        prob.add_psd_block(f"b{i}", 2, trace_cap=cap)
+    proj = _Projector(prob)
+    assert sum(np.clip(vals, 0.0, None).sum(axis=1) > caps) > len(caps) // 4  # the cap is often active
+    got = proj.cone(vecs.ravel()).reshape(-1, 4)
+    assert np.all(np.abs(got - [ref_cone(v, 2, c) for v, c in zip(vecs, caps)]) <= tol[:, None])
+    # the infimum adds one term per block, each within cap * tol, as the
+    # certificate's (len(caps) + 4 d) eps bound has it
+    want = float(np.sum(caps * np.minimum(vals[:, 0], 0.0)))
+    assert abs(proj.cone_infimum(vecs.ravel()) - want) <= (len(caps) + 2 * 4 * 2) * EPS * np.sum(caps * norms)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+                    reason="needs a long double wider than a double")
+def test_closed_form_2x2_error_bound(rng):
+    # against the same formulas in long double: within 2.5 eps |v| of the exact
+    # eigenvalues and projection, as la.spectrum2 states
+    mats, caps = _blocks2(rng)
+    vecs = la.hermitian_to_real_vec(mats)
+    v, c = vecs.astype(np.longdouble), caps.astype(np.longdouble)
+    m, h = (v[:, 0] + v[:, 1]) / 2, (v[:, 0] - v[:, 1]) / 2
+    r = np.sqrt(h * h + (v[:, 2] ** 2 + v[:, 3] ** 2) / 2)
+    lo, hi = np.maximum(m - r, 0), np.maximum(m + r, 0)
+    over = lo + hi > c
+    s = np.where(over, c / 2, (lo + hi) / 2)
+    t = np.where(over, np.minimum(r, c / 2), (hi - lo) / 2)
+    scale = np.where(r > 0, t / np.where(r > 0, r, 1), 0)
+    exact = v * scale[:, None]
+    exact[:, 0], exact[:, 1] = s + h * scale, s - h * scale
+    bound = 2.5 * EPS * np.linalg.norm(vecs, axis=1)
+    mid, rad = la.spectrum2(vecs)
+    assert np.all(np.abs((mid - rad).astype(np.longdouble) - (m - r)) <= bound)
+    assert np.all(np.abs(la.project2(vecs, caps).astype(np.longdouble) - exact) <= bound[:, None])
 
 
 def test_assemble_split(rng):
@@ -544,6 +615,26 @@ def svd_reference(a, b):
     return vr, vr @ ((u[:, :r].T @ b) / s[:r]), s[0] / s[r - 1]
 
 
+def densified(stacks, shape):
+    """``(vr, mult)``: the basis of :func:`sdpcore._row_space`'s stacks on every column of
+    a matrix of ``shape``, one column per kept vector (zero columns, below the cut,
+    dropped), and its multipliers on every row, in the stacks' order."""
+    vr, mult = [np.zeros((shape[1], 0))], [np.zeros((shape[0], 0))]
+    for rows, cols, vs, ws in stacks:
+        vs, ws = (np.broadcast_to(m, (len(cols),) + m.shape[-2:]) for m in (vs, ws))
+        i, j = np.nonzero(np.any(vs != 0, axis=1))
+        for m, at, size, out in ((vs, cols, shape[1], vr), (ws, rows, shape[0], mult)):
+            dense = np.zeros((size, i.size))
+            dense[at[i], np.arange(i.size)[:, None]] = m[i, :, j]
+            out.append(dense)
+    return np.hstack(vr), np.hstack(mult)
+
+
+def projector_basis(proj):
+    """:func:`densified` of a projector's stacks."""
+    return densified(proj.stacks, (proj.b.size, proj.problem.n_vars))
+
+
 def _nearly_constant_pair(g, rng):
     """A qubit-to-qutrit channel with weight g on an isometry, the rest constant,
     and that channel followed by a random qutrit-to-qubit channel."""
@@ -612,17 +703,15 @@ def test_gram_projector_matches_svd(name):
     proj = _Projector(prob)
     a, b = prob.assemble()
     vr, x_part, kappa = svd_reference(a, b)
-    # the projector keeps its basis and solution on the touched columns only;
-    # scattered back, they are compared on every coordinate
-    full_vr = np.zeros((prob.n_vars, proj.vr.shape[1]))
-    full_vr[proj.cols] = proj.vr
-    full_x_part = np.zeros(prob.n_vars)
-    full_x_part[proj.cols] = proj.x_part
+    # the projector keeps its basis in stacks on the touched columns; densified,
+    # it is compared on every coordinate
+    full_vr, mult = projector_basis(proj)
+    full_x_part = proj.x_part
     assert full_vr.shape == vr.shape  # equal rank
     r = vr.shape[1]
-    assert np.abs(proj.vr.T @ proj.vr - np.eye(r)).max() < 1e-12
+    assert np.abs(full_vr.T @ full_vr - np.eye(r)).max() < 1e-12
     # the basis's multipliers, up to rounding relative to their size
-    assert np.abs(a[:, proj.cols].T @ proj.mult - proj.vr).max() < 1e-13 * (1 + np.abs(proj.mult).max())
+    assert np.abs(a.T @ mult - full_vr).max() < 1e-13 * (1 + np.abs(mult).max())
     # the row space and the least-norm solution are fixed by the data only to
     # about eps * kappa, for the SVD as for the Gram factorization
     tol = 1e-12 + 1e-15 * kappa
@@ -632,7 +721,7 @@ def test_gram_projector_matches_svd(name):
     assert np.abs(full_vr @ (full_vr.T @ xs) - vr @ (vr.T @ xs)).max() < tol
     assert np.abs(full_x_part - x_part).max() < tol
     assert abs(np.abs(proj.residual).max() - np.abs(a @ x_part - b).max()) < 1e-12 * (1 + np.abs(b).max())
-    untouched = np.setdiff1d(np.arange(prob.n_vars), proj.cols)
+    untouched = np.flatnonzero(~np.any(a != 0, axis=0))
     for col in xs.T:
         once = proj.affine(col)
         assert np.array_equal(once[untouched], col[untouched])
@@ -642,11 +731,12 @@ def test_gram_projector_matches_svd(name):
 @pytest.mark.parametrize("name", PROJECTOR_CASES)
 def test_projector_products_equal_the_dense_matrix(name):
     # A x, A^T y and |A|_F from the triplets, against the assembled A; the
-    # touched columns are the dense matrix's nonzero columns
+    # stacks' columns are distinct nonzero columns of the dense matrix
     prob = PROJECTOR_CASES[name]()
     proj = _Projector(prob)
     a, b = prob.assemble()
-    assert np.array_equal(proj.cols, np.flatnonzero(np.any(a != 0, axis=0)))
+    cols = np.concatenate([c.ravel() for _, c, _, _ in proj.stacks])
+    assert np.unique(cols).size == cols.size and np.all(np.any(a[:, cols] != 0, axis=0))
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=prob.n_vars), rng.normal(size=b.size)
     r, c, v = proj.coo
@@ -738,6 +828,47 @@ def test_size_caps_raise_before_building(case, message, monkeypatch):
         calls[case]()
 
 
+@pytest.mark.parametrize("name", PROJECTOR_CASES)
+def test_dense_and_stacked_bases_agree(name, monkeypatch):
+    # either side of the _DENSE_BASIS crossover gives the same affine step and
+    # the same multipliers
+    prob = PROJECTOR_CASES[name]()
+    monkeypatch.setattr(sdpcore, "_DENSE_BASIS", np.inf)
+    dense = _Projector(prob)
+    monkeypatch.setattr(sdpcore, "_DENSE_BASIS", -1)
+    stacked = _Projector(prob)
+    assert len(dense.stacks) == 1 and dense.stacks[0][2].ndim == 2
+    assert np.array_equal(projector_basis(dense)[0] != 0, projector_basis(stacked)[0] != 0)
+    rng = np.random.default_rng(5)
+    for x in rng.normal(size=(3, prob.n_vars)):
+        want, got = dense.affine(x), stacked.affine(x)
+        assert np.abs(got - want).max() <= 1e-13 * (1 + np.abs(want).max())
+        want, got = dense.multipliers(x), stacked.multipliers(x)
+        assert np.abs(got - want).max() <= 1e-13 * (1 + np.abs(want).max())
+
+
+def array_bytes(proj) -> int:
+    """Bytes of the distinct arrays a projector holds, its problem's aside (from nbytes)."""
+    total, seen, todo = 0, set(), [v for k, v in vars(proj).items() if k != "problem"]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray) and id(item) not in seen:
+            seen.add(id(item))
+            total += item.nbytes
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return total
+
+
+def test_projector_memory_is_blockwise():
+    # no touched x rank basis: with one, these projectors held 8.9 MiB (the
+    # d=4 channel pair) and 175 MiB (the Fourier d=10 joint)
+    pair = chancompat._channel_pair_problem(q.identity_channel(4), q.identity_channel(4))
+    assert array_bytes(_Projector(pair)) < 2**20
+    fourier = joint_problem([o.effects for o in q.fourier_pair(10)], (0.6, 0.6))
+    assert array_bytes(_Projector(fourier)) < 16 * 2**20
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_gram_rank_of_dependent_channel_rows(d):
     # both margins fix the trace of J over both outputs, so d**2 of their
@@ -745,7 +876,7 @@ def test_gram_rank_of_dependent_channel_rows(d):
     prob = chancompat._channel_pair_problem(q.identity_channel(d), q.identity_channel(d))
     proj = _Projector(prob)
     assert prob.assemble()[0].shape[0] == 2 * d**4
-    assert proj.vr.shape[1] == 2 * d**4 - d**2
+    assert projector_basis(proj)[0].shape[1] == 2 * d**4 - d**2
     assert np.abs(proj.residual).max() < 1e-12
 
 
@@ -814,8 +945,9 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
         return out
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    vr, _, mult = sdpcore._row_space(_triplets_of(a), a.shape, np.zeros((a.shape[0], 1)),
-                                     max(a.shape) * np.finfo(float).eps)
+    stacks, _ = sdpcore._row_space(_triplets_of(a), a.shape, np.zeros((a.shape[0], 1)),
+                                   max(a.shape) * np.finfo(float).eps)
+    vr, mult = densified(stacks, a.shape)
     assert len(spectra) == len(found) == len({(r.shape[1], c.shape[1]) for r, c in found})
     dense = svd(a, compute_uv=False)
     spectrum = np.sort(np.concatenate(spectra))[::-1]
@@ -825,10 +957,39 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
     assert np.abs(a.T @ mult - vr).max() < 1e-12
 
 
+def test_equal_components_are_factorized_once(rng, monkeypatch):
+    # one stack of six 3 x 5 components, three of them equal and one differing
+    # from those in a single entry: the SVD sees each distinct matrix once, and
+    # the basis is still the dense SVD's
+    one, two = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    near = one.copy()
+    near[1, 2] = np.nextafter(near[1, 2], np.inf)
+    blocks = [one, two, one, near, one, two]
+    a = np.zeros((18, 30))
+    for k, blk in enumerate(blocks):
+        a[3 * k : 3 * k + 3, 5 * k : 5 * k + 5] = blk
+    shapes, svd = [], np.linalg.svd
+
+    def spy(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    stacks, _ = sdpcore._row_space(_triplets_of(a), a.shape, np.zeros((18, 1)), 30 * np.finfo(float).eps)
+    assert shapes == [(3, 5, 3)]  # wide, so factorized transposed
+    vr, mult = densified(stacks, a.shape)
+    want = svd_reference(a, np.zeros(18))[0]
+    assert vr.shape == want.shape
+    assert np.abs(vr @ vr.T - want @ want.T).max() < 1e-12
+    assert np.abs(a.T @ mult - vr).max() < 1e-12
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (2, 3), (0, 0)])
 def test_row_space_of_zero_matrices_is_empty(shape):
-    vr, coef, mult = sdpcore._row_space(_triplets_of(np.zeros(shape)), shape, np.ones((shape[0], 2)), 1e-12)
-    assert vr.shape == (shape[1], 0) and coef.shape == (0, 2) and mult.shape == (shape[0], 0)
+    stacks, sol = sdpcore._row_space(_triplets_of(np.zeros(shape)), shape, np.ones((shape[0], 2)), 1e-12)
+    vr, mult = densified(stacks, shape)
+    assert vr.shape == (shape[1], 0) and mult.shape == (shape[0], 0)
+    assert sol.shape == (shape[1], 2) and not sol.any()
 
 
 @pytest.mark.parametrize("rhs,verdict", [(1.0, Verdict.INFEASIBLE_CERTIFIED), (0.0, Verdict.FEASIBLE)])
@@ -840,7 +1001,7 @@ def test_zero_row_is_decided_by_its_right_hand_side(rhs, verdict):
     prob.add_equality({"x": vec_of(np.eye(2))}, np.array([1.0]))
     prob.add_equality({"x": np.zeros((1, 4))}, np.array([rhs]))
     proj = _Projector(prob)
-    assert proj.vr.shape[1] == 1
+    assert projector_basis(proj)[0].shape[1] == 1
     assert np.abs(proj.residual - [0.0, -rhs]).max() < 1e-15
     res = solve_feasibility(prob)
     assert res.verdict is verdict
@@ -850,7 +1011,8 @@ def test_zero_row_is_decided_by_its_right_hand_side(rhs, verdict):
 def test_channel_pair_factorization_is_blockwise(monkeypatch):
     # the d=4 channel pair splits into 400 components of 8 x 16 or 1 x 4, so
     # the factorization never decomposes a matrix of more than 8 rows; both
-    # shapes are wide, so their stacks are factorized transposed
+    # shapes are wide, so their stacks are factorized transposed, and each
+    # holds one distinct matrix, factorized once
     shapes, inside = [], []
     svd, row_space = np.linalg.svd, sdpcore._row_space
 
@@ -870,7 +1032,7 @@ def test_channel_pair_factorization_is_blockwise(monkeypatch):
     monkeypatch.setattr(sdpcore, "_row_space", spy_row_space)
     res = q.check_channel_pair(q.identity_channel(4), q.identity_channel(4))
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
-    assert sorted(shapes) == [(16, 16, 8), (384, 4, 1)]
+    assert sorted(shapes) == [(1, 4, 1), (1, 16, 8)]
 
 
 @pytest.mark.parametrize("name", ["order_tall", "channel_pair_d3", "division_nearly_constant_3e-08"])
@@ -883,7 +1045,7 @@ def test_gram_matrix_takes_the_smaller_side(name, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
-    assert _Projector(prob).vr.shape[1] > 0
+    assert projector_basis(_Projector(prob))[0].shape[1] > 0
 
 
 @pytest.mark.parametrize("eps,verdict", [
@@ -1025,10 +1187,11 @@ def test_verify_witness_stacked_matches_block_loop(rng):
     total = sum(witness.values())
     prob.add_equality(dict.fromkeys(witness, 1.0), vec_of(total))
     ok, report = verify_witness(prob, witness)
-    want = min(np.linalg.eigvalsh(la.real_vec_to_hermitian(la.hermitian_to_real_vec(w), 2))[0]
-               for w in witness.values())
+    want = min(la.min_eig(w) for w in witness.values())
     assert not ok
     assert report["min_eigenvalue"] == want
+    # the closed form of 2 x 2 blocks, against LAPACK (the blocks have |w| <= 1)
+    assert abs(want - min(np.linalg.eigvalsh(w)[0] for w in witness.values())) < 16 * np.finfo(float).eps
     assert want == pytest.approx(-1.5 * slack, rel=1e-6)
     assert report["constraint_residual"] < 1e-12
 
