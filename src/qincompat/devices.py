@@ -372,14 +372,8 @@ class NaimarkDilation:
 
 def naimark_dilate(obs: Observable) -> NaimarkDilation:
     d, m = obs.dim, obs.n_outcomes
-    roots = []
-    for e in obs.effects:
-        vals, vecs = la.eig_hermitian(e)
-        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
-    v = np.zeros((d * m, d), dtype=complex)
-    for x, r in enumerate(roots):
-        # row block (i, x) -> i * m + x
-        v[x::m, :] = r
+    # row i of sqrt(M(x)) is row i * m + x
+    v = la.psd_sqrt(obs.effects).transpose(1, 0, 2).reshape(d * m, d)
     projs = np.stack([la.kron(np.eye(d), np.outer(np.eye(m)[x], np.eye(m)[x])) for x in range(m)])
     if np.abs(v.conj().T @ v - np.eye(d)).max() > 1e-9:
         raise ValueError("dilation is not isometric; effects may be invalid")

@@ -29,6 +29,7 @@ __all__ = [
     "require_positive",
     "eig_hermitian",
     "psd_project",
+    "psd_sqrt",
     "min_eig",
     "spectrum2",
     "project2",
@@ -118,6 +119,13 @@ def psd_project(a, atol: float | None = None) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     clipped = np.clip(vals, 0.0, None)
     return (vecs * clipped[..., None, :]) @ dagger(vecs)
+
+
+def psd_sqrt(a, atol: float | None = None) -> np.ndarray:
+    """Square root of the positive part of a Hermitian matrix, of each matrix in a
+    stack: negative eigenvalues clipped to zero."""
+    vals, vecs = eig_hermitian(a, atol)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ dagger(vecs)
 
 
 def _lowest(m: np.ndarray) -> np.ndarray:

@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 
-def _effect_root(effect: np.ndarray) -> np.ndarray:
-    vals, vecs = la.eig_hermitian(effect)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-
-
 @dataclass(frozen=True)
 class ObsChannelResult(Decision):
     """Outcome of an observable/channel realizability check."""
@@ -75,7 +70,7 @@ def luders_instrument(obs: Observable) -> Instrument:
     observable is ``obs`` itself.  A sharp effect leaves its eigenspace
     intact, so sharp observables suffer full decoherence and nothing more.
     """
-    families = [_effect_root(e)[None, :, :] for e in obs.effects]
+    families = [root[None] for root in la.psd_sqrt(obs.effects)]
     return Instrument.from_kraus_ops(families)
 
 
@@ -239,9 +234,9 @@ def nddr_test(coarse: Observable, fine: Observable, rng=None, samples: int = 5,
     division = channel_division(least_disturbing_channel(fine),
                                 least_disturbing_channel(coarse), tols)
     d = fine.dim
-    transfer = []
+    transfer, roots = [], la.psd_sqrt(fine.effects)
     for _ in range(samples):
-        kraus = [random_unitary(d, rng) @ _effect_root(e) for e in fine.effects]
+        kraus = [random_unitary(d, rng) @ root for root in roots]
         total = Channel(np.stack(kraus))
         transfer.append(check_obs_channel(coarse, total, tols).feasible)
     return NddrReport(order, division, tuple(transfer))

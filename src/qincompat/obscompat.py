@@ -196,7 +196,7 @@ def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
     res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols)
     if not res.feasible:
         return JointResult(res)
-    grid, _ = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
+    grid, _ = joint_witness(res.witness)
     return JointResult(res, _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol))
 
 
@@ -266,7 +266,8 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     answer quantifies over every choice of trivial noise at the given weights.
     They are read back from the noise blocks, which hold (1 - lam_k) p_k, by
     normalizing; at weight 1 the noise is absent and every distribution is
-    valid, and the uniform one is returned.
+    valid, and the uniform one is returned, as it is where the blocks' clipped
+    mass is not positive (a weight within rounding of 1).
     """
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
@@ -286,12 +287,12 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return JointResult(res)
-    grid, blocks = joint_witness(res.witness, [obs.n_outcomes for obs in observables])
+    grid, blocks = joint_witness(res.witness)
     joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
     dists = []
     for w, nk in zip(noise.weights, blocks):
         p = np.clip(nk[:, 0, 0].real, 0.0, None)
-        dists.append(np.full(len(p), 1.0 / len(p)) if w == 1.0 else p / p.sum())
+        dists.append(p / p.sum() if w != 1.0 and p.sum() > 0 else np.full(len(p), 1.0 / len(p)))
     return JointResult(res, joint, tuple(dists))
 
 

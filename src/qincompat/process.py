@@ -148,7 +148,7 @@ def check_tester_pair(t1: Tester, t2: Tester,
     result = solve_feasibility(joint_problem([t1.effects, t2.effects]), tols)
     joint = None
     if result.feasible:
-        grid, _ = joint_witness(result.witness, (t1.n_outcomes, t2.n_outcomes))
+        grid, _ = joint_witness(result.witness)
         joint = la.psd_project(grid)
     return TesterPairResult(result, joint)
 

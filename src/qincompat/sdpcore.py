@@ -1,10 +1,11 @@
 """Feasibility core: alternating projections onto an affine subspace and a
 product of cones.
 
-A problem is a list of variable blocks (positive semidefinite matrices with a
-trace cap, or vectors of nonnegative scalars with entry caps) plus affine
-equality constraints expressed on the real vectorization of the blocks.  The
-solver alternates exact projections:
+A problem is a list of named records of variable blocks (positive
+semidefinite matrices with a trace cap, or vectors of nonnegative scalars with
+entry caps), each one block or a stack of equal blocks, plus affine equality
+constraints expressed on the real vectorization of the blocks.  The solver
+alternates exact projections:
 
 * onto the affine set, via the SVD of the constraint matrix A, cut at
   max(A.shape) * eps times the largest singular value (so redundant or
@@ -25,10 +26,11 @@ stays in those stacks, so the affine step and the certificate attempt make a
 few products per component shape and never read a touched x rank matrix;
 below a crossover (``_DENSE_BASIS``) the basis is one dense matrix instead,
 for which one product is faster than the loop over shapes.  Coordinates
-outside the basis pass the affine step unchanged.  The blocks are grouped by
-kind and size once per problem, and unpacking an iterate, checking a
-witness's blocks and the cone step each make one stacked call per group, with
-no LAPACK call for blocks of side 2 (``la.project2``, ``la.spectrum2``).
+outside the basis pass the affine step unchanged.  The records are grouped by
+kind and size once per problem, and checking a witness's blocks and the cone
+step each make one stacked call per group, with no LAPACK call for blocks of
+side 2 (``la.project2``, ``la.spectrum2``); unpacking an iterate makes one
+per record.
 
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
@@ -60,14 +62,16 @@ excludes every weight above the root of gap = -feas, :func:`bisect_threshold`
 drops the bracket's top to that root and approaches it from below.
 
 Joint measurability, local hidden state models and joint testers are one
-question, built once by :func:`joint_problem`: PSD blocks on a product index
-set whose fibre sums equal the given devices' outcome operators, optionally
-mixed with noise.  The trace cap of every joint block is derived from the
-margins, the trace of the joint device's total.  Every margin row in the
-package has the form of :meth:`SdpProblem.add_margins`, fibres included (one
-row group per margin).  A 1x1 PSD block is the scalar interval [0, cap]: it is
-clipped with the scalar blocks and checked as a scalar, and ``split`` still
-returns it as a 1x1 matrix.
+question, built once by :func:`joint_problem`: one record ``g`` of PSD blocks
+on the product outcome grid whose fibre sums equal the given devices' outcome
+operators, optionally mixed with noise, one record ``n{k}`` per margin; a
+solve's witness and a certificate's functional hold those stacks.  The trace
+cap of every joint block is derived from the margins, the trace of the joint
+device's total.  Every margin row in the package has the form of
+:meth:`SdpProblem.add_margins`, fibres included (one row group per margin).
+A 1x1 PSD block is the scalar interval [0, cap]: it is clipped with the
+scalar blocks and checked as a scalar, and ``split`` still returns it as a
+1x1 matrix.
 """
 from __future__ import annotations
 
@@ -114,13 +118,25 @@ class Verdict(Enum):
 _ATTEMPT_SPACING = 200  # largest spacing of certificate attempts (1, 2, 4, ... up to it)
 
 
-class _Block(NamedTuple):  # a tuple: a joint problem makes a thousand of them at once
+class _Block(NamedTuple):
+    """One record: a stack of equal blocks on the grid ``lead`` (``()`` for a single
+    block), laid out in C order from ``offset``."""
+
     name: str
     kind: str          # "psd" | "scalar"
-    dim: int           # matrix side (psd) or vector length (scalar)
-    length: int        # real coordinates occupied
+    dim: int           # matrix side (psd) or vector length (scalar) of each block
     offset: int
-    cap: np.ndarray    # trace cap (psd, scalar shape ()) or entry caps (scalar, shape (dim,))
+    cap: np.ndarray    # each block's trace cap (psd, shape ()) or entry caps (scalar, shape (dim,))
+    lead: tuple[int, ...] = ()
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The record's real coordinates: ``lead`` and then one block's."""
+        return self.lead + (self.dim if self.kind == "scalar" else self.dim * self.dim,)
+
+    @property
+    def length(self) -> int:
+        return math.prod(self.shape)
 
     @property
     def interval(self) -> bool:
@@ -232,7 +248,7 @@ class SdpProblem:
         self._rhs: list[np.ndarray] = [_NO_ENTRIES[2]]
         self._m = 0
         self._n = 0
-        self._groups: tuple[tuple[list[_Block], np.ndarray], ...] | None = None
+        self._groups: tuple[tuple[list[_Block], np.ndarray, np.ndarray], ...] | None = None
         # set only on a threshold search's members (see _Projector.at), which
         # no one adds to: their family's projector at their weight
         self._projector: _Projector | None = None
@@ -240,35 +256,32 @@ class SdpProblem:
     # --- variables ---------------------------------------------------------
 
     def add_psd_block(self, name: str, dim: int, trace_cap: float) -> str:
-        self._add("psd", [name], dim, trace_cap)
+        self._add("psd", name, dim, trace_cap)
         return name
 
     def add_scalar_block(self, name: str, length: int, cap: float | np.ndarray = 1.0) -> str:
-        self._add("scalar", [name], length, cap)
+        self._add("scalar", name, length, cap)
         return name
 
-    def _add(self, kind: str, names: list[str], dim: int, cap) -> np.ndarray:
-        """Blocks ``names`` of one kind, size and cap, laid out in order; returns their offsets."""
-        for name in names:
-            if name in self._blocks:
-                raise ValueError(f"duplicate block name {name!r}")
+    def _add(self, kind: str, name: str, dim: int, cap, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """Record ``name``: blocks of one kind, size and cap on the grid ``lead``, laid out
+        in C order; returns their offsets, of shape ``lead``."""
+        if name in self._blocks:
+            raise ValueError(f"duplicate block name {name!r}")
         if kind == "scalar":
             cap = np.broadcast_to(np.asarray(cap, dtype=float), (dim,)).copy()
             if not np.all((cap > 0) & np.isfinite(cap)):
-                raise ValueError(f"caps for {names[0]!r} must be finite and positive")
+                raise ValueError(f"caps for {name!r} must be finite and positive")
         elif dim < 1:
             raise ValueError("block dimension must be positive")
         elif not (cap > 0 and math.isfinite(cap)):
-            raise ValueError(f"trace cap for {names[0]!r} must be finite and positive")
+            raise ValueError(f"trace cap for {name!r} must be finite and positive")
         else:
             cap = np.asarray(float(cap))
-        length = dim if kind == "scalar" else dim * dim
-        offsets = self._n + length * np.arange(len(names))
-        self._blocks.update((name, _Block(name, kind, dim, length, at, cap))
-                            for name, at in zip(names, offsets.tolist()))
-        self._n += length * len(names)
+        rec = self._blocks[name] = _Block(name, kind, dim, self._n, cap, tuple(lead))
+        self._n += rec.length
         self._groups = None
-        return offsets
+        return np.arange(rec.offset, self._n, rec.shape[-1]).reshape(rec.lead)
 
     def block(self, name: str) -> _Block:
         return self._blocks[name]
@@ -334,52 +347,51 @@ class SdpProblem:
 
     # --- views -------------------------------------------------------------
 
-    def _stacks(self) -> tuple[tuple[list[_Block], np.ndarray], ...]:
-        """Blocks grouped by kind and size, for one stacked call per group.
+    def _stacks(self) -> tuple[tuple[list[_Block], np.ndarray, np.ndarray], ...]:
+        """Records grouped by kind and size, for one stacked call per group.
 
-        Each group is ``(blocks, idx)`` with ``idx[i]`` the coordinates of
-        ``blocks[i]``; groups come in the order of their first block.  The
-        groups are built once and shared until a block is added, so ``idx``
-        is read-only.
+        Each group is ``(records, idx, caps)``: row i of ``idx`` holds the
+        coordinates of the group's ith block, the records' blocks in layout
+        order, and ``caps[i]`` that block's cap (a trace cap, or a scalar
+        block's entry caps).  Groups come in the order of their first record.
+        They are built once and shared until a record is added, so ``idx`` and
+        ``caps`` are read-only.
         """
         if self._groups is None:
             groups: dict[tuple[str, int], list[_Block]] = {}
-            for blk in self._blocks.values():
-                groups.setdefault((blk.kind, blk.dim), []).append(blk)
-            self._groups = tuple(
-                (blks, np.array([b.offset for b in blks])[:, None] + np.arange(blks[0].length))
-                for blks in groups.values())
-            for _, idx in self._groups:
+            for rec in self._blocks.values():
+                groups.setdefault((rec.kind, rec.dim), []).append(rec)
+            stacks = []
+            for recs in groups.values():
+                idx = np.concatenate([np.arange(r.offset, r.offset + r.length) for r in recs])
+                idx = idx.reshape(-1, recs[0].shape[-1])
+                caps = np.concatenate([np.broadcast_to(r.cap, (math.prod(r.lead),) + r.cap.shape) for r in recs])
                 idx.setflags(write=False)
+                caps.setflags(write=False)
+                stacks.append((recs, idx, caps))
+            self._groups = tuple(stacks)
         return self._groups
 
     def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Unpack a flat iterate into named Hermitian matrices / scalar vectors."""
+        """Unpack a flat iterate into its named records, each one array of shape
+        ``lead`` + (d, d) (Hermitian) or ``lead`` + (d,) (scalars); copies, never
+        views of ``x``."""
         parts = {}
-        for blks, idx in self._stacks():
-            vals = x[idx]
-            if blks[0].kind == "psd":
-                vals = la.real_vec_to_hermitian(vals, blks[0].dim)
-            parts.update(zip((b.name for b in blks), vals))
-        return {name: parts[name] for name in self._blocks}
+        for rec in self._blocks.values():
+            vals = x[rec.offset : rec.offset + rec.length].reshape(rec.shape)
+            parts[rec.name] = la.real_vec_to_hermitian(vals, rec.dim) if rec.kind == "psd" else vals.copy()
+        return parts
 
     def join(self, parts: dict[str, np.ndarray]) -> np.ndarray:
-        """Flat vector of named blocks, the inverse of :meth:`split`.
+        """Flat vector of named records, the inverse of :meth:`split`.
 
-        Blocks not in ``parts`` are zero; an unknown name raises ``KeyError``.
+        Records not in ``parts`` are zero; an unknown name raises ``KeyError``.
         """
-        for name in parts:
-            self.block(name)  # an unknown name raises KeyError
         x = np.zeros(self._n)
-        for blks, idx in self._stacks():
-            given = [i for i, b in enumerate(blks) if b.name in parts]
-            if not given:
-                continue
-            vals = [parts[blks[i].name] for i in given]
-            if blks[0].kind == "psd":
-                x[idx[given]] = la.hermitian_to_real_vec(np.asarray(vals, dtype=complex))
-            else:
-                x[idx[given]] = np.asarray(vals, dtype=float)
+        for name, vals in parts.items():
+            rec = self.block(name)
+            vals = la.hermitian_to_real_vec(vals) if rec.kind == "psd" else np.asarray(vals, dtype=float)
+            x[rec.offset : rec.offset + rec.length] = np.broadcast_to(vals, rec.shape).ravel()
         return x
 
 
@@ -387,23 +399,23 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     """Joint device with the given margins: the one compatibility question.
 
     ``margins[k]`` stacks the kth device's outcome operators M_k(x), all of
-    one side.  The joint device lies on the outcome grid of shape
-    ``counts = (len(M_0), len(M_1), ...)`` in C order: block ``g{i}`` is the
-    ith tuple of ``itertools.product``, and for every (k, x) the blocks whose
-    kth index is x sum to M_k(x).  Every g block has the trace cap
-    tr sum_x M_0(x), the trace of the joint device's total.
+    one side.  The joint device is the record ``g``, a stack of PSD blocks on
+    the outcome grid ``counts = (len(M_0), len(M_1), ...)``: ``g[t]`` is the
+    block of outcome tuple t, laid out in C order, and for every (k, x) the
+    blocks whose kth index is x sum to M_k(x).  Every g block has the trace
+    cap tr sum_x M_0(x), the trace of the joint device's total.
 
     With ``weights`` the kth margin is w_k M_k(x) + (1 - w_k) N_k(x) (x) I
     instead, for noise N_k(x) >= 0 of side ``noise_side`` with
-    sum_x tr N_k(x) = 1; block ``n{k}_{x}`` holds (1 - w_k) N_k(x) (see
-    :meth:`SdpProblem.add_margins`).  Side 1 is trivial noise p_k(x) I; the
-    input side of a tester is channel-blind noise.
+    sum_x tr N_k(x) = 1; the record ``n{k}``, a stack of ``counts[k]`` blocks,
+    holds (1 - w_k) N_k (see :meth:`SdpProblem.add_margins`).  Side 1 is
+    trivial noise p_k(x) I; the input side of a tester is channel-blind noise.
     """
     side = margins[0].shape[-1]
     cap = float(np.trace(margins[0].sum(axis=0)).real)
     counts = tuple(len(m) for m in margins)
     prob = SdpProblem()
-    grid = prob._add("psd", [f"g{i}" for i in range(math.prod(counts))], side, cap).reshape(counts)
+    grid = prob._add("psd", "g", side, cap, counts)
     if weights is not None:  # add_margins' rows: fibre - noise (x) I = w device, sum_x tr noise = 1 - w
         lc, lr, lv = partial_trace_map((noise_side, side // noise_side), (0,))  # the lift: rows and columns swapped
         tr_row = partial_trace_map((noise_side,), ())
@@ -414,7 +426,7 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
         if weights is None:
             prob._add_rows(chunks, vec_of(m).ravel())
             continue
-        noise = prob._add("psd", [f"n{k}_{x}" for x in range(len(m))], noise_side, 1.0)
+        noise = prob._add("psd", f"n{k}", noise_side, 1.0, (len(m),))
         rows = side * side * np.arange(len(m))[:, None] + lr
         chunks.append((rows.ravel(), (noise[:, None] + lc).ravel(), np.tile(-lv, len(m))))
         prob._add_rows(chunks, weights[k] * vec_of(m).ravel())
@@ -423,20 +435,17 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     return prob
 
 
-def joint_witness(witness: dict[str, np.ndarray], counts) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
-    """``(grid, noise)`` of a solved :func:`joint_problem`: ``grid[t]``, of shape
-    ``(*counts, side, side)``, is the block of outcome tuple t, and ``noise``
-    holds one ``(counts[k], s, s)`` stack per margin, or is ``None``."""
-    blocks = np.stack([witness[f"g{i}"] for i in range(math.prod(counts))])
-    grid = blocks.reshape(tuple(counts) + blocks.shape[1:])
-    if "n0_0" not in witness:
-        return grid, None
-    return grid, tuple(np.stack([witness[f"n{k}_{x}"] for x in range(c)]) for k, c in enumerate(counts))
+def joint_witness(witness: dict[str, np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    """``(grid, noise)`` of a solved :func:`joint_problem`: ``grid``, of shape
+    ``(*counts, side, side)``, is the record ``g``, and ``noise`` holds the
+    records ``n{k}``, one ``(counts[k], s, s)`` stack per margin, or is ``None``."""
+    grid = witness["g"]
+    return grid, tuple(witness[f"n{k}"] for k in range(grid.ndim - 2)) if "n0" in witness else None
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Row multipliers y: g = A^T y (block by block in ``functional``) takes the value
+    """Row multipliers y: g = A^T y (record by record in ``functional``) takes the value
     y.b (``affine_value``) on the affine set, below its infimum over the capped cones
     by more than feas plus ``bound``, which bounds the rounding of both."""
 
@@ -615,11 +624,11 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
 
 
 def _same_cones(p: SdpProblem, q: SdpProblem) -> bool:
-    """Same blocks, with caps equal up to the rounding of caps derived from data."""
-    pairs = list(zip(p._blocks.values(), q._blocks.values()))
+    """Same records, with caps equal up to the rounding of caps derived from data."""
     return len(p._blocks) == len(q._blocks) and all(
-        (b.name, b.kind, b.dim) == (c.name, c.kind, c.dim) and np.allclose(b.cap, c.cap, rtol=1e-12, atol=0.0)
-        for b, c in pairs)
+        (b.name, b.kind, b.dim, b.lead) == (c.name, c.kind, c.dim, c.lead)
+        and np.allclose(b.cap, c.cap, rtol=1e-12, atol=0.0)
+        for b, c in zip(p._blocks.values(), q._blocks.values()))
 
 
 class _Projector:
@@ -671,14 +680,12 @@ class _Projector:
         # blocks are clipped with the scalars, with no eigh group of their own
         self.psd_groups = []
         scalar_idx, scalar_caps = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for blks, idx in problem._stacks():
-            if blks[0].interval:
+        for recs, idx, caps in problem._stacks():
+            if recs[0].interval:
                 scalar_idx.append(idx.ravel())
-                scalar_caps += [np.broadcast_to(b.cap, (b.length,)) for b in blks]
+                scalar_caps.append(caps.ravel())
             else:
-                dim = blks[0].dim
-                caps = np.array([float(b.cap) for b in blks])
-                self.psd_groups.append((dim, idx, caps, np.arange(1, dim + 1)))
+                self.psd_groups.append((recs[0].dim, idx, caps, np.arange(1, recs[0].dim + 1)))
         # interval coordinates in layout order
         order = np.argsort(np.concatenate(scalar_idx))
         self.scalar_idx = np.concatenate(scalar_idx)[order]
@@ -802,26 +809,18 @@ def _certificate(proj: _Projector, y: np.ndarray, tols: Tolerances) -> Certifica
     return Certificate(proj.problem.split(g), affine_value, cone_inf, y, bound)
 
 
-def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: Tolerances | None = None,
-                   constraints: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None):
+def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: Tolerances | None = None):
     """Independent witness check: constraint residuals and cone memberships.
 
     Returns (ok, report) with the worst residuals; thresholds are
     ``witness_factor * feas`` per the solver contract.  The witness is
-    vectorized and its blocks checked with one stacked call per block size
-    (:func:`_check_point`; blocks missing from ``witness`` are zero).
-    ``constraints`` is ``(coo, b)``, A as the triplets (rows, columns,
-    values) of its nonzero entries and b, when the caller already holds them;
-    otherwise the problem is assembled here, the dense reference.
+    vectorized (records missing from ``witness`` are zero), its residual taken
+    against the assembled problem, the dense reference, and its blocks checked
+    with one stacked call per block size (:func:`_check_point`).
     """
     x = problem.join(witness)
-    if constraints is None:
-        a, b = problem.assemble()
-        ax = a @ x
-    else:
-        coo, b = constraints
-        ax = _apply(coo, x, b.size)
-    return _check_point(problem, x, ax - b, tols or DEFAULT_TOLS)
+    a, b = problem.assemble()
+    return _check_point(problem, x, a @ x - b, tols or DEFAULT_TOLS)
 
 
 def _check_point(problem: SdpProblem, x: np.ndarray, residual: np.ndarray, tols: Tolerances):
@@ -829,11 +828,11 @@ def _check_point(problem: SdpProblem, x: np.ndarray, residual: np.ndarray, tols:
     slack = tols.witness_atol
     worst_eig = 0.0
     worst_scalar = 0.0
-    for blks, idx in problem._stacks():
-        if blks[0].interval:
+    for recs, idx, _ in problem._stacks():
+        if recs[0].interval:
             worst_scalar = min(worst_scalar, float(x[idx].min(initial=0.0)))
         else:
-            worst_eig = min(worst_eig, float(_min_eigs(x[idx], blks[0].dim).min()))
+            worst_eig = min(worst_eig, float(_min_eigs(x[idx], recs[0].dim).min()))
     constraint_residual = float(np.abs(residual).max()) if residual.size else 0.0
     ok = constraint_residual < slack and worst_eig > -slack and worst_scalar > -slack
     report = {

@@ -167,7 +167,7 @@ def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResu
     result = solve_feasibility(joint_problem(assemblage.blocks), tols)
     model = None
     if result.feasible:
-        grid, _ = joint_witness(result.witness, (assemblage.n_outcomes,) * assemblage.n_settings)
+        grid, _ = joint_witness(result.witness)
         model = LhsModel(la.psd_project(grid.reshape((-1,) + grid.shape[-2:])), strategies)
     return LhsResult(result, model)
 

@@ -32,18 +32,20 @@ def rand_herm(rng, d):
 def recheck_functional(prob, certificate):
     """Assemble ``prob`` and check that A^T y, for the certificate's multipliers
     y, reproduces its functional up to the rounding of both products.  Returns
-    b and the functional's infimum over the capped cones, block by block."""
+    b and the functional's infimum over the capped cones, block by block of
+    each record's stack."""
     a, b = prob.assemble()
     y, eps = certificate.multipliers, np.finfo(float).eps
     g = prob.join(certificate.functional)
     assert np.all(np.abs(a.T @ y - g) <= 4 * len(b) * eps * (np.abs(a).T @ np.abs(y) + np.abs(g)))
     infimum = 0.0
     for name, blk in prob._blocks.items():
-        part = certificate.functional[name]
-        if blk.kind == "psd":
-            infimum += float(blk.cap) * min(float(np.linalg.eigvalsh(part)[0]), 0.0)
-        else:
-            infimum += float(np.sum(blk.cap * np.minimum(part, 0.0)))
+        psd = blk.kind == "psd"
+        for part in certificate.functional[name].reshape((-1,) + (blk.dim,) * (1 + psd)):
+            if psd:
+                infimum += float(blk.cap) * min(float(np.linalg.eigvalsh(part)[0]), 0.0)
+            else:
+                infimum += float(np.sum(blk.cap * np.minimum(part, 0.0)))
     return b, infimum
 
 

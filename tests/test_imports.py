@@ -223,9 +223,9 @@ def test_scan_finds_assemble_calls():
 
 def test_only_the_dense_witness_check_assembles():
     # the solve path reads A's triplets; the dense A is the reference of
-    # verify_witness when no constraints are passed, and of nothing else
+    # verify_witness, and of nothing else
     places = [f"{p.stem}.{where}" for p in SOURCES for where in assemble_calls(p.read_text(encoding="utf-8"))]
-    assert places == ["sdpcore.verify_witness:constraints is None"]
+    assert places == ["sdpcore.verify_witness"]
 
 
 def test_solving_leaves_numpy_ma_unimported():

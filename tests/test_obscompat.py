@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ def test_region_optimized_noise_at_weight_one_is_uniform(sharp_x, sharp_z):
     for k, (obs, w) in enumerate(zip([sharp_x, sharp_z], (1.0, 0.0))):
         mixed = q.mix_with_trivial(obs, w, probs=res.noise_distributions[k])
         assert np.abs(res.joint.marginal(k).effects - mixed.effects).max() < q.DEFAULT_TOLS.witness_atol
+
+
+def test_region_optimized_noise_without_mass_is_uniform(sharp_z):
+    # a weight within rounding of 1 leaves a noise block no mass once clipped:
+    # that distribution is the uniform one, not 0/0
+    w = 1 - 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = q.region_membership([sharp_z, sharp_z], q.NoiseSpec.optimized((w, w)))
+    assert res.feasible
+    for k, p in enumerate(res.noise_distributions):
+        assert np.all(np.isfinite(p)) and p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+        mixed = q.mix_with_trivial(sharp_z, w, probs=p)
+        assert np.abs(res.joint.marginal(k).effects - mixed.effects).max() < q.DEFAULT_TOLS.witness_atol
+    assert np.array_equal(res.noise_distributions[1], np.full(2, 0.5))
 
 
 def test_region_optimized_contains_uniform(rng):

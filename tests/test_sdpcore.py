@@ -254,9 +254,12 @@ def test_assemble_split(rng):
     prob.add_equality({"x": 1.0}, vec_of(np.eye(3) / 3))
     a, b = prob.assemble()
     assert a.shape[1] == prob.n_vars == 9 + 2
-    parts = prob.split(np.arange(prob.n_vars, dtype=float))
+    x = np.arange(prob.n_vars, dtype=float)
+    parts = prob.split(x)
     assert parts["x"].shape == (3, 3)
     assert parts["p"].shape == (2,)
+    parts["p"][:] = -1.0  # a copy, not a view of x
+    assert np.array_equal(x, np.arange(prob.n_vars))
     with pytest.raises(ValueError):
         prob.add_psd_block("x", 2, 1.0)  # duplicate name
 
@@ -313,10 +316,21 @@ def test_scalar_term_needs_matching_block_length():
     assert prob.assemble()[0].shape == (4, 7)  # only the first equality was added
 
 
+def block_at(prob, key):
+    """``(offset, length)`` of the coordinates of ``key``: a record's name, or
+    ``(name, t)`` for the block at index t of the record's stack, in C order."""
+    name, t = key if isinstance(key, tuple) else (key, None)
+    blk = prob.block(name)
+    if t is None:
+        return blk.offset, blk.length
+    return blk.offset + blk.shape[-1] * int(np.ravel_multi_index(t, blk.lead)), blk.shape[-1]
+
+
 def assemble_by_term(prob, equalities):
     """(A, b) written one term at a time from the inputs of
     :meth:`SdpProblem.add_equality`, a c I term as a strided slice of the flat
-    matrix: the reference for :meth:`SdpProblem.assemble`."""
+    matrix: the reference for :meth:`SdpProblem.assemble`.  A term's key is a
+    record's name or a block of its stack (:func:`block_at`)."""
     rhss = [np.atleast_1d(np.asarray(rhs, dtype=float)) for _, rhs in equalities]
     rows, n = sum(rhs.size for rhs in rhss), prob.n_vars
     a = np.zeros((rows, n))
@@ -325,16 +339,16 @@ def assemble_by_term(prob, equalities):
     at = 0
     for (terms, _), rhs in zip(equalities, rhss):
         k = rhs.size
-        for name, t in terms.items():
-            blk = prob.block(name)
+        for key, t in terms.items():
+            offset, length = block_at(prob, key)
             if np.isscalar(t):
-                start = at * n + blk.offset
+                start = at * n + offset
                 flat[start : start + k * (n + 1) : n + 1] += float(t)
             elif isinstance(t, tuple):
                 r, c, v = t
-                a[at + r, blk.offset + c] += v
+                a[at + r, offset + c] += v
             else:
-                a[at : at + k, blk.offset : blk.offset + blk.length] += np.reshape(t, (k, blk.length))
+                a[at : at + k, offset : offset + length] += np.reshape(t, (k, length))
         b[at : at + k] = rhs
         at += k
     return a, b
@@ -357,9 +371,10 @@ def recorded(build):
 
 def joint_by_definition(margins, weights=None, noise_side=1):
     """:func:`joint_problem` and its ``(terms, rhs)`` from the definition: per
-    (k, x), the g blocks of the tuples t with t[k] = x, less the noise block
-    n{k}_{x} lifted by (x) I when weighted, equal w_k M_k(x); per weighted k,
-    the noise blocks' traces sum to 1 - w_k."""
+    (k, x), the blocks g[t] of the tuples t with t[k] = x, less the noise block
+    n{k}[x] lifted by (x) I when weighted, equal w_k M_k(x); per weighted k,
+    the noise blocks' traces sum to 1 - w_k.  Terms are keyed by block
+    (:func:`block_at`)."""
     side = margins[0].shape[-1]
     lift = np.stack([vec_of(np.kron(la.real_vec_to_hermitian(e, noise_side), np.eye(side // noise_side)))
                      for e in np.eye(noise_side * noise_side)], axis=1)
@@ -368,12 +383,12 @@ def joint_by_definition(margins, weights=None, noise_side=1):
     for k, m in enumerate(margins):
         w = 1.0 if weights is None else weights[k]
         for x in range(len(m)):
-            terms = {f"g{i}": 1.0 for i, t in enumerate(combos) if t[k] == x}
+            terms = {("g", t): 1.0 for t in combos if t[k] == x}
             if weights is not None:
-                terms[f"n{k}_{x}"] = -lift
+                terms[(f"n{k}", (x,))] = -lift
             equalities.append((terms, w * vec_of(m[x])))
         if weights is not None:
-            equalities.append(({f"n{k}_{x}": vec_of(np.eye(noise_side))[None, :] for x in range(len(m))},
+            equalities.append(({(f"n{k}", (x,)): vec_of(np.eye(noise_side))[None, :] for x in range(len(m))},
                                (1 - w) * np.array([1.0])))
     return joint_problem(margins, weights, noise_side), equalities
 
@@ -449,10 +464,12 @@ def test_block_groups_are_rebuilt_when_a_block_is_added():
     prob.add_equality({"p": 1.0}, np.array([0.25, 0.5]))
     assert solve_feasibility(prob).feasible
     groups = prob._stacks()
-    assert prob._stacks() is groups  # shared by the split, the projector and the check
-    for _, idx in groups:
+    assert prob._stacks() is groups  # shared by the projector and the check
+    for _, idx, caps in groups:
         with pytest.raises(ValueError):
             idx[0, 0] = 0
+        with pytest.raises(ValueError):
+            caps[0] = 0
     # a block of an existing group's size, added after a split and a solve
     prob.split(np.zeros(prob.n_vars))
     prob.add_psd_block("y", 2, trace_cap=1.0)
@@ -473,10 +490,12 @@ def test_joint_problem_fibres(rng):
     margins = [np.stack([rand_psd(rng, 2) for _ in range(size)]) for size in shape]
     prob = joint_problem(margins)
     combos = list(itertools.product(*(range(size) for size in shape)))
-    names = [f"g{i}" for i in range(len(combos))]
-    # block i is the ith product tuple, laid out in that order
-    assert [prob.block(name).offset for name in names] == list(range(0, 4 * len(names), 4))
-    assert prob.n_vars == 4 * len(names)
+    # one record g on the grid; block i is the ith product tuple, laid out in that order
+    assert list(prob._blocks) == ["g"] and prob.block("g").lead == shape
+    grid = prob.split(np.arange(prob.n_vars, dtype=float))["g"]
+    for i, t in enumerate(combos):
+        assert np.array_equal(grid[t], la.real_vec_to_hermitian(np.arange(4 * i, 4 * i + 4, dtype=float), 2))
+    assert prob.n_vars == 4 * len(combos)
     # one row group per (k, x): the blocks of fibre (k, x) sum to M_k(x)
     a, b = prob.assemble()
     rows = [(k, x) for k, size in enumerate(shape) for x in range(size)]
@@ -486,6 +505,28 @@ def test_joint_problem_fibres(rng):
             want = np.eye(4) if t[k] == x else np.zeros((4, 4))
             assert np.array_equal(a[4 * r : 4 * r + 4, 4 * i : 4 * i + 4], want)
         assert np.array_equal(b[4 * r : 4 * r + 4], vec_of(margins[k][x]))
+
+
+@pytest.mark.parametrize("weights", [None, (0.6,) * 10], ids=["plain", "weighted"])
+def test_joint_problem_records_one_stack_per_device(sharp_x, sharp_z, weights):
+    # the 1,024-block joint is one record g, plus one record n{k} per margin
+    # when weighted; split reshapes the flat coordinates to the grid, as a copy
+    prob = joint_problem([o.effects for o in (sharp_x, sharp_z) * 5], weights)
+    noise = [] if weights is None else [f"n{k}" for k in range(10)]
+    assert list(prob._blocks) == ["g", *noise]
+    g = prob.block("g")
+    assert (g.offset, g.lead, g.length) == (0, (2,) * 10, 4 * 1024)
+    x = np.arange(prob.n_vars, dtype=float)
+    parts = prob.split(x)
+    assert list(parts) == ["g", *noise]
+    assert np.array_equal(parts["g"], la.real_vec_to_hermitian(x[: g.length].reshape((2,) * 10 + (4,)), 2))
+    for name in noise:
+        blk = prob.block(name)
+        assert blk.lead == (2,) and np.array_equal(parts[name], x[blk.offset : blk.offset + 2].reshape(2, 1, 1))
+    for part in parts.values():
+        part[...] = -1.0
+    assert np.array_equal(x, np.arange(prob.n_vars))
+    assert np.allclose(prob.join(prob.split(x)), x, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def _solved_lhs(sharp_x, sharp_z):
@@ -512,31 +553,42 @@ def _solved_noisy_family(sharp_x, sharp_z):
                                   _solved_noisy_family],
                          ids=["lhs", "tester", "noisy-tester", "noisy-family"])
 def test_joint_witness_reads_the_blocks_on_the_grid(sharp_x, sharp_z, case):
-    # the grid is the g blocks stacked in product order, the noise the n
-    # blocks stacked per margin
+    # the grid is the record g, its blocks in product order, the noise the
+    # records n{k}, one stack per margin
     prob, counts = case(sharp_x, sharp_z)
     res = solve_feasibility(prob)
     assert res.feasible
-    grid, noise = joint_witness(res.witness, counts)
-    assert grid.shape[:-2] == counts
-    for i, t in enumerate(itertools.product(*map(range, counts))):
-        assert np.array_equal(grid[t], res.witness[f"g{i}"])
-    if "n0_0" not in res.witness:
+    grid, noise = joint_witness(res.witness)
+    assert grid is res.witness["g"] and grid.shape[:-2] == counts
+    weighted = "n0" in res.witness
+    assert set(res.witness) == {"g", *(f"n{k}" for k in range(len(counts)) if weighted)}
+    if not weighted:
         assert noise is None
     else:
         assert len(noise) == len(counts)
         for k, stack in enumerate(noise):
-            assert np.array_equal(stack, np.stack([res.witness[f"n{k}_{x}"] for x in range(counts[k])]))
+            assert stack is res.witness[f"n{k}"] and len(stack) == counts[k]
+    # on a known iterate: grid[t] holds the coordinates of the tth block in product
+    # order, noise[k][x] those of the xth block of n{k}
+    x = np.arange(prob.n_vars, dtype=float)
+    grid, noise = joint_witness(prob.split(x))
+    side = grid.shape[-1]
+    for i, t in enumerate(itertools.product(*map(range, counts))):
+        assert np.array_equal(grid[t], la.real_vec_to_hermitian(x[side * side * i : side * side * (i + 1)], side))
+    for k, stack in enumerate(noise or ()):
+        s, at = stack.shape[-1], prob.block(f"n{k}").offset
+        for j, block in enumerate(stack):
+            assert np.array_equal(block, la.real_vec_to_hermitian(x[at + s * s * j : at + s * s * (j + 1)], s))
 
 
 def test_checks_read_their_devices_from_the_grid(sharp_x, sharp_z):
     # the public witnesses are the projected g blocks, in product order
     tx, tz = (prepare_measure_tester(np.eye(2) / 2, mix_with_trivial(o, 0.6)) for o in (sharp_x, sharp_z))
     pair = check_tester_pair(tx, tz)
-    blocks = np.stack([pair.solve.witness[f"g{i}"] for i in range(4)])
+    blocks = pair.solve.witness["g"].reshape(4, 4, 4)
     assert np.array_equal(pair.joint, la.psd_project(blocks).reshape(2, 2, 4, 4))
     lhs = check_lhs(max_entangled_assemblage([mix_with_trivial(o, 0.6) for o in (sharp_x, sharp_z)]))
-    blocks = np.stack([lhs.solve.witness[f"g{i}"] for i in range(4)])
+    blocks = lhs.solve.witness["g"].reshape(4, 2, 2)
     assert np.array_equal(lhs.model.states, la.psd_project(blocks))
 
 
@@ -544,9 +596,9 @@ def test_joint_problem_derives_trace_cap(sharp_x, sharp_z):
     # the cap of every g block is the trace of the joint device's total, up
     # to the rounding of that trace
     def cap(prob):
-        caps = {float(blk.cap) for name, blk in prob._blocks.items() if name.startswith("g")}
-        assert len(caps) == 1
-        return caps.pop()
+        recs, _, caps = next(group for group in prob._stacks() if group[0][0].name == "g")
+        assert [r.name for r in recs] == ["g"] and len(set(caps.tolist())) == 1
+        return float(caps[0])
 
     assert cap(joint_problem([sharp_x.effects, sharp_z.effects])) == pytest.approx(2.0, abs=1e-14)
     asm = max_entangled_assemblage([sharp_x, sharp_z])
@@ -556,7 +608,7 @@ def test_joint_problem_derives_trace_cap(sharp_x, sharp_z):
     assert cap(joint_problem([tester.effects, tester.effects])) == pytest.approx(3.0, abs=1e-14)
     noisy = joint_problem([tester.effects, tester.effects], (0.5, 0.5), 2)
     assert cap(noisy) == pytest.approx(3.0, abs=1e-14)
-    assert {float(noisy.block(f"n{k}_{x}").cap) for k in range(2) for x in range(3)} == {1.0}
+    assert [(noisy.block(f"n{k}").lead, float(noisy.block(f"n{k}").cap)) for k in range(2)] == [((3,), 1.0)] * 2
 
 
 def test_unit_psd_block_is_a_scalar_interval(rng):

@@ -120,7 +120,10 @@ def test_lhs_states_are_projected_witness_blocks(sharp_x, sharp_y, sharp_z):
     # one stacked projection gives each strategy's state as projected alone
     res = q.check_lhs(q.max_entangled_assemblage([noisy(o, 0.5) for o in (sharp_x, sharp_y, sharp_z)]))
     assert res.unsteerable
-    want = np.stack([la.psd_project(res.solve.witness[f"g{k}"]) for k in range(len(res.model.strategies))])
+    grid = res.solve.witness["g"]  # strategy k is the kth point of the (2, 2, 2) outcome grid
+    assert grid.shape == (2, 2, 2, 2, 2)
+    want = np.stack([la.psd_project(block) for block in grid.reshape(-1, 2, 2)])
+    assert len(want) == len(res.model.strategies)
     assert np.abs(res.model.states - want).max() < 1e-12
 
 

@@ -138,7 +138,7 @@ def _parent_form(prob: SdpProblem, lam: float) -> tuple[SdpProblem, set[str]]:
     """``prob`` with the noise unscaled: noise terms -(1 - lam) T instead of
     -T, and normalization rows (those on noise blocks only) with right-hand
     side rhs instead of (1 - lam) rhs; rebuilt from the assembled rows, one
-    dense term per block."""
+    dense term per record."""
     noise = {name for name in prob._blocks if not name.startswith(("g", "joint", "op"))}
     a, b = prob.assemble()
     on_noise = np.zeros(prob.n_vars, dtype=bool)
@@ -150,10 +150,7 @@ def _parent_form(prob: SdpProblem, lam: float) -> tuple[SdpProblem, set[str]]:
     b[norm_rows] /= 1 - lam
     parent = SdpProblem()
     for name, blk in prob._blocks.items():
-        if blk.kind == "psd":
-            parent.add_psd_block(name, blk.dim, float(blk.cap))
-        else:
-            parent.add_scalar_block(name, blk.dim, blk.cap)
+        parent._add(blk.kind, name, blk.dim, blk.cap, blk.lead)
     parent.add_equality({name: a[:, blk.offset : blk.offset + blk.length] for name, blk in prob._blocks.items()}, b)
     return parent, noise
 
