@@ -121,10 +121,10 @@ def psd_project(a, atol: float | None = None) -> np.ndarray:
     return (vecs * clipped[..., None, :]) @ dagger(vecs)
 
 
-def psd_sqrt(a, atol: float | None = None) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Square root of the positive part of a Hermitian matrix, of each matrix in a
     stack: negative eigenvalues clipped to zero."""
-    vals, vecs = eig_hermitian(a, atol)
+    vals, vecs = eig_hermitian(a)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ dagger(vecs)
 
 

@@ -385,11 +385,14 @@ class SdpProblem:
     def join(self, parts: dict[str, np.ndarray]) -> np.ndarray:
         """Flat vector of named records, the inverse of :meth:`split`.
 
-        Records not in ``parts`` are zero; an unknown name raises ``KeyError``.
+        Records not in ``parts`` are zero; an unknown name raises ``KeyError`` and a
+        PSD record of another shape than :meth:`split` gives ``ValueError``.
         """
         x = np.zeros(self._n)
         for name, vals in parts.items():
             rec = self.block(name)
+            if rec.kind == "psd" and np.shape(vals) != rec.lead + (rec.dim, rec.dim):
+                raise ValueError(f"{name!r} needs shape {rec.lead + (rec.dim, rec.dim)}, not {np.shape(vals)}")
             vals = la.hermitian_to_real_vec(vals) if rec.kind == "psd" else np.asarray(vals, dtype=float)
             x[rec.offset : rec.offset + rec.length] = np.broadcast_to(vals, rec.shape).ravel()
         return x

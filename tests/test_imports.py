@@ -105,18 +105,20 @@ def test_every_tolerance_field_is_read_from_a_passed_record():
 
 
 def joint_block_names(source: str) -> list[int]:
-    """Lines of the f-strings that start ``g{`` or ``n{``, the way
-    ``sdpcore.joint_problem`` names the joint device's blocks."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.JoinedStr) and len(node.values) > 1
-                  and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("g", "n")
-                  and isinstance(node.values[1], ast.FormattedValue))
+    """Lines that spell the names ``sdpcore.joint_problem`` gives the joint
+    device's records: the string ``"g"``, or an f-string that starts ``g{`` or ``n{``."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and node.value == "g"
+                   or isinstance(node, ast.JoinedStr) and len(node.values) > 1
+                   and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("g", "n")
+                   and isinstance(node.values[1], ast.FormattedValue)})
 
 
 def test_scan_finds_joint_block_names():
     source = ('a = f"g{i}"\nb = f"n{k}_{x}"\nc = "g{i}"\nd = f"gap{i}"\n'
-              'e = f"{g}"\nf = f"ng{i}"\ng = w[f"g{i}"] + f"{x:n}"\n')
-    assert joint_block_names(source) == [1, 2, 7]
+              'e = f"{g}"\nf = f"ng{i}"\ng = w[f"g{i}"] + f"{x:n}"\n'
+              'h = witness["g"]\ni = "g" in w\nj = w["gg"] + w[g] + w.g\n')
+    assert joint_block_names(source) == [1, 2, 7, 8, 9]
 
 
 def test_only_sdpcore_names_joint_blocks():

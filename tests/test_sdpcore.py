@@ -529,6 +529,24 @@ def test_joint_problem_records_one_stack_per_device(sharp_x, sharp_z, weights):
     assert np.allclose(prob.join(prob.split(x)), x, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
+def test_join_rejects_a_stack_of_another_shape(sharp_x, sharp_z):
+    # a PSD record is written whole: one block, or a grid of another shape,
+    # does not fill a stack; the entries of a scalar block still broadcast
+    prob = joint_problem([sharp_x.effects, sharp_z.effects], (0.5, 0.5))
+    grid = np.broadcast_to(np.eye(2) / 4, (2, 2, 2, 2))
+    assert np.array_equal(prob.split(prob.join({"g": grid}))["g"], grid)
+    for bad in (np.eye(2) / 4, grid[:1], grid.reshape(4, 2, 2), np.eye(3)):
+        with pytest.raises(ValueError):
+            prob.join({"g": bad})
+        with pytest.raises(ValueError):
+            verify_witness(prob, {"g": bad})
+    with pytest.raises(ValueError):
+        prob.join({"n0": np.ones((1, 1))})
+    scalar = SdpProblem()
+    scalar.add_scalar_block("p", 3, cap=1.0)
+    assert np.array_equal(scalar.join({"p": 0.25}), np.full(3, 0.25))
+
+
 def _solved_lhs(sharp_x, sharp_z):
     asm = max_entangled_assemblage([mix_with_trivial(o, 0.6) for o in (sharp_x, sharp_z)])
     return joint_problem(asm.blocks), (2, 2)
