@@ -211,50 +211,41 @@ def _obs_channel_problem(obs: Observable, chan: Channel,
                          mode: NoiseClass | None = None, lam: float = 1.0) -> SdpProblem:
     """Instrument for lam-mixtures of an observable and a channel with noise of class ``mode``.
 
-    Blocks ``op{x}`` are the instrument's Choi blocks: their sum is the
-    channel and ``tr_out op{x}`` is effect x transposed.  The noise blocks
-    hold (1 - lam) times the noise.  With ``mode=None`` there is no noise:
-    the plain realizability problem.
+    The record ``op``, a stack of m blocks, holds the instrument's Choi
+    blocks: their sum is the channel and ``tr_out op[x]`` is effect x
+    transposed.  The noise records (the stacks ``eff`` and ``nop``, one
+    block per outcome, or ``p`` and ``xi``) hold (1 - lam) times the noise.
+    With ``mode=None`` there is no noise: the plain realizability problem.
     """
-    din, dout = chan.in_dim, chan.out_dim
-    m = obs.n_outcomes
+    din, dout, m = chan.in_dim, chan.out_dim, obs.n_outcomes
     side = din * dout
     if side > MAX_BLOCK_SIDE or m > MAX_BLOCK_SIDE:
         raise ValueError(f"problem too large: block side {side}, {m} outcomes")
     tr_out = partial_trace_map((din, dout), (0,))
     eye_in = vec_of(np.eye(din))
+    every, each = np.arange(m)[None], np.arange(m)[:, None]  # all blocks in one row group, one in each
     prob = SdpProblem()
-    ops = [prob.add_psd_block(f"op{x}", side, trace_cap=float(din)) for x in range(m)]
-    # noise[0] joins the channel row, noise[1 + x] the row of effect x
-    noise = [{} for _ in range(m + 1)]
-    norms = []
+    prob.add_psd_block("op", side, trace_cap=float(din), lead=(m,))
+    chan_noise, eff_noise, norms = {}, {}, []  # the noise in the channel rows and in the effect rows
     if mode is NoiseClass.TRIVIAL_NOISE:
-        prob.add_scalar_block("p", m, cap=1.0)
-        prob.add_psd_block("xi", dout, trace_cap=1.0)
+        # p(x) I in the rows of effect x, and xi lifted by the partial trace's adjoint
+        eff_noise[prob.add_scalar_block("p", m, cap=1.0)] = np.kron(np.eye(m), eye_in[:, None])
         cols, rows, ones = partial_trace_map((din, dout), (1,))
-        noise[0]["xi"] = (rows, cols, ones)  # the lift, the partial trace's adjoint
-        for x in range(m):
-            coeff = np.zeros((din * din, m))
-            coeff[:, x] = eye_in
-            noise[1 + x]["p"] = coeff
+        chan_noise[prob.add_psd_block("xi", dout, trace_cap=1.0)] = (rows, cols, ones)
         norms.append(({"p": np.ones((1, m))}, np.array([1.0])))
     elif mode is NoiseClass.ARBITRARY_NOISE:
-        for x in range(m):
-            noise[1 + x][prob.add_psd_block(f"eff{x}", din, trace_cap=float(din))] = 1.0
-        prob.add_psd_block("noise_chan", side, trace_cap=float(din))
-        noise[0]["noise_chan"] = 1.0
-        norms.append(({f"eff{x}": 1.0 for x in range(m)}, eye_in))
+        eff_noise[prob.add_psd_block("eff", din, trace_cap=float(din), lead=(m,))] = 1.0
+        chan_noise[prob.add_psd_block("noise_chan", side, trace_cap=float(din))] = 1.0
+        norms.append(({"eff": (1.0, every)}, eye_in))
         norms.append(({"noise_chan": tr_out}, eye_in))
     elif mode is NoiseClass.COMPATIBLE_NOISE:
         # noise devices are the marginals of one noise instrument
-        for x in range(m):
-            name = prob.add_psd_block(f"nop{x}", side, trace_cap=float(din))
-            noise[0][name] = 1.0
-            noise[1 + x][name] = tr_out
-        norms.append(({f"nop{x}": tr_out for x in range(m)}, eye_in))
-    rows = [dict.fromkeys(ops, 1.0)] + [{op: tr_out} for op in ops]
-    devices = [vec_of(chan.choi())] + [vec_of(e.T) for e in obs.effects]
-    prob.add_margins(zip(rows, noise, devices), lam, norms)
+        prob.add_psd_block("nop", side, trace_cap=float(din), lead=(m,))
+        chan_noise["nop"], eff_noise["nop"] = (1.0, every), (tr_out, each)
+        norms.append(({"nop": (tr_out, every)}, eye_in))
+    prob.add_margins([({"op": (1.0, every)}, chan_noise, vec_of(chan.choi())),
+                      ({"op": (tr_out, each)}, eff_noise, vec_of(obs.effects.swapaxes(1, 2)).ravel())],
+                     lam, norms)
     return prob
 
 
@@ -309,15 +300,17 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
     da, db, dc = dims
     rho_ab = np.asarray(rho_ab, dtype=complex)
     rho_bc = np.asarray(rho_bc, dtype=complex)
+    for label, rho, d in (("rho_ab", rho_ab, da * db), ("rho_bc", rho_bc, db * dc)):
+        if rho.shape != (d, d):
+            raise ValueError(f"{label} has shape {rho.shape}, expected {(d, d)}")
     if abs(np.trace(rho_ab) - 1.0) > 1e-8 or abs(np.trace(rho_bc) - 1.0) > 1e-8:
         raise ValueError("marginals must have unit trace")
     side = da * db * dc
     _require_side(side)
     prob = SdpProblem()
     prob.add_psd_block("omega", side, trace_cap=1.0)
-    tdims = (da, db, dc)
-    prob.add_equality({"omega": partial_trace_map(tdims, (0, 1))}, vec_of(rho_ab))
-    prob.add_equality({"omega": partial_trace_map(tdims, (1, 2))}, vec_of(rho_bc))
+    prob.add_equality({"omega": partial_trace_map(dims, (0, 1))}, vec_of(rho_ab))
+    prob.add_equality({"omega": partial_trace_map(dims, (1, 2))}, vec_of(rho_bc))
     prob.add_equality({"omega": vec_of(np.eye(side))[None, :]}, np.array([1.0]))
     res = solve_feasibility(prob, tols)
     if not res.feasible:

@@ -55,12 +55,10 @@ def check_obs_channel(obs: Observable, chan: Channel,
     if obs.dim != chan.in_dim:
         raise ValueError("observable and channel must share the input dimension")
     result = solve_feasibility(_obs_channel_problem(obs, chan), tols)
-    instrument = None
-    if result.feasible:
-        blocks = np.stack([result.witness[f"op{x}"] for x in range(obs.n_outcomes)])
-        instrument = Instrument(blocks, chan.in_dim, chan.out_dim, outcomes=obs.outcomes,
-                                atol=tols.witness_atol)
-    return ObsChannelResult(result, instrument)
+    if not result.feasible:
+        return ObsChannelResult(result)
+    return ObsChannelResult(result, Instrument(result.witness["op"], chan.in_dim, chan.out_dim,
+                                               outcomes=obs.outcomes, atol=tols.witness_atol))
 
 
 def luders_instrument(obs: Observable) -> Instrument:
@@ -108,39 +106,24 @@ def sequential_recover(first: Observable, second: Observable,
     tols = tols or DEFAULT_TOLS
     if first.dim != second.dim:
         raise ValueError("observables must share one dimension")
-    d = first.dim
-    m = first.n_outcomes
-    n = second.n_outcomes
-    side = d * m
+    d, n = first.dim, second.n_outcomes
+    side = d * first.n_outcomes
     if side > MAX_BLOCK_SIDE or n > MAX_BLOCK_SIDE:
         raise ValueError(f"problem too large: block side {side}, {n} outcomes")
 
     dil = naimark_dilate(first)
-    v = dil.isometry
-    projs = dil.projections
-
-    def back(b):
-        acc = np.zeros(b.shape[:-2] + (d, d), dtype=complex)
-        for p in projs:
-            pb = p @ b @ p
-            acc += v.conj().T @ pb @ v
-        return acc
-
-    heis = real_linear_map(back, side, d)
+    v, projs = dil.isometry, dil.projections
+    heis = real_linear_map(lambda b: sum(v.conj().T @ (p @ b @ p) @ v for p in projs), side, d)
 
     prob = SdpProblem()
-    for y in range(n):
-        prob.add_psd_block(f"rec{y}", side, trace_cap=float(side))
-    prob.add_equality({f"rec{y}": 1.0 for y in range(n)}, vec_of(np.eye(side, dtype=complex)))
-    for y in range(n):
-        prob.add_equality({f"rec{y}": heis}, vec_of(second.effects[y]))
+    prob.add_psd_block("rec", side, trace_cap=float(side), lead=(n,))
+    prob.add_equality({"rec": (1.0, np.arange(n)[None])}, vec_of(np.eye(side, dtype=complex)))
+    prob.add_equality({"rec": (heis, np.arange(n)[:, None])}, vec_of(second.effects).ravel())
 
     result = solve_feasibility(prob, tols)
-    observable = None
-    if result.feasible:
-        effects = np.stack([result.witness[f"rec{y}"] for y in range(n)])
-        observable = Observable(effects, second.outcomes, atol=tols.witness_atol)
-    return SequentialResult(result, observable)
+    if not result.feasible:
+        return SequentialResult(result)
+    return SequentialResult(result, Observable(result.witness["rec"], second.outcomes, atol=tols.witness_atol))
 
 
 def rank1_channel_form_check(obs: Observable, chan: Channel,

@@ -67,7 +67,12 @@ on the product outcome grid whose fibre sums equal the given devices' outcome
 operators, optionally mixed with noise, one record ``n{k}`` per margin; a
 solve's witness and a certificate's functional hold those stacks.  The trace
 cap of every joint block is derived from the margins, the trace of the joint
-device's total.  Every margin row in the package has the form of
+device's total.  Every outcome-indexed device is one stack record like ``g``:
+an instrument's Choi blocks (``op``), a sequential follow-up observable
+(``rec``) and their noise.  A term on some blocks of a stack is a pair
+``(term, groups)`` of :meth:`SdpProblem.add_equality`, placed by the helper
+that writes :func:`joint_problem`'s fibre, noise lift and noise trace rows.
+Every margin row in the package has the form of
 :meth:`SdpProblem.add_margins`, fibres included (one row group per margin).
 A 1x1 PSD block is the scalar interval [0, cap]: it is clipped with the
 scalar blocks and checked as a scalar, and ``split`` still returns it as a
@@ -152,19 +157,29 @@ def vec_of(matrix) -> np.ndarray:
 _NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))  # shared, never written
 
 
-def _identity(k: int, offsets, c: float):
-    """Triplets (rows, columns, values) of c I on each block of length k at ``offsets[g]``, in
-    rows g k to (g + 1) k; none for c = 0."""
-    i, offsets = np.arange(k if c else 0), np.asarray(offsets)[:, :, None]
-    cols = offsets + i
-    rows = k * np.arange(len(offsets))[:, None, None] + (cols - offsets)  # g k + i, in the shape of cols
-    return rows.ravel(), cols.ravel(), np.full(cols.size, c)
+def _per_block(coo, offsets, k: int):
+    """Triplets (rows, columns, values) of the per-block term ``coo``, of k rows, on each
+    block at ``offsets[g, j]``, summed into rows g k to (g + 1) k; in the order g, j, entry."""
+    (r, c, v), offsets = coo, np.asarray(offsets)
+    rows = np.repeat(k * np.arange(len(offsets))[:, None] + r, offsets.shape[1], axis=0)  # faster than broadcasting
+    return rows.ravel(), (offsets[:, :, None] + c).ravel(), np.repeat(v[None], offsets.size, axis=0).ravel()
 
 
-def _entries(name: str, t, k: int, length: int):
-    """Triplets (rows, columns, values) of the term ``t`` of block ``name`` in k rows on
-    the block's ``length`` coordinates: c I for a scalar c, the nonzero entries of a
-    (k, length) matrix, or the given triplets, checked to lie in those bounds."""
+def _entries(name: str, t, k: int, shape: tuple[int, ...]):
+    """Triplets (rows, columns, values) of the term ``t`` of record ``name`` in k rows on
+    the record's coordinates, of ``shape`` (its ``lead`` and one block's length): c I for
+    a scalar c, the nonzero entries of a (k, length) matrix, the given triplets, checked to
+    lie in those bounds, or a pair ``(term, groups)``, the per-block term on the blocks
+    ``groups[g]`` (a (G, J) array, distinct flat indices on ``lead``) summed into row group g."""
+    length = math.prod(shape)
+    if isinstance(t, tuple) and len(t) == 2:
+        term, groups, count = t[0], np.asarray(t[1]), math.prod(shape[:-1])
+        if not (groups.ndim == 2 and len(groups) and k % len(groups) == 0 and groups.dtype.kind in "iu"
+                and np.all((0 <= groups) & (groups < count)) and np.all(np.diff(np.sort(groups), axis=1))):
+            raise ValueError(f"block groups for {name!r} must be a (G, J) array of indices below {count}, "
+                             f"distinct in each row, G dividing {k} rows; not {groups.dtype} of shape {groups.shape}")
+        rows = k // len(groups)
+        return _per_block(_entries(name, term, rows, shape[-1:]), shape[-1] * groups, rows)
     if isinstance(t, tuple):
         r, c, v = t
         if not (r.shape == c.shape == v.shape and np.all((0 <= r) & (r < k)) and np.all((0 <= c) & (c < length))):
@@ -173,7 +188,8 @@ def _entries(name: str, t, k: int, length: int):
     if isinstance(t, (int, float)) or np.isscalar(t):
         if length != k:
             raise ValueError(f"scalar coefficient needs block {name!r} of length {k}, not {length}")
-        return _identity(k, [[0]], float(t))
+        i = np.arange(k if t else 0)
+        return i, i, np.full(i.size, float(t))
     t = np.atleast_2d(np.asarray(t, dtype=float))
     if t.shape != (k, length):
         raise ValueError(f"coefficient block for {name!r} has shape {t.shape}, expected {(k, length)}")
@@ -255,8 +271,8 @@ class SdpProblem:
 
     # --- variables ---------------------------------------------------------
 
-    def add_psd_block(self, name: str, dim: int, trace_cap: float) -> str:
-        self._add("psd", name, dim, trace_cap)
+    def add_psd_block(self, name: str, dim: int, trace_cap: float, lead: tuple[int, ...] = ()) -> str:
+        self._add("psd", name, dim, trace_cap, lead)
         return name
 
     def add_scalar_block(self, name: str, length: int, cap: float | np.ndarray = 1.0) -> str:
@@ -264,10 +280,13 @@ class SdpProblem:
         return name
 
     def _add(self, kind: str, name: str, dim: int, cap, lead: tuple[int, ...] = ()) -> np.ndarray:
-        """Record ``name``: blocks of one kind, size and cap on the grid ``lead``, laid out
-        in C order; returns their offsets, of shape ``lead``."""
+        """Record ``name``: blocks of one kind, size and cap on the grid ``lead`` (positive
+        integers), laid out in C order; returns their offsets, of shape ``lead``."""
         if name in self._blocks:
             raise ValueError(f"duplicate block name {name!r}")
+        lead = tuple(lead)
+        if not all(isinstance(n, (int, np.integer)) and n > 0 for n in lead):
+            raise ValueError(f"stack shape {lead} of {name!r} must hold positive integers")
         if kind == "scalar":
             cap = np.broadcast_to(np.asarray(cap, dtype=float), (dim,)).copy()
             if not np.all((cap > 0) & np.isfinite(cap)):
@@ -278,7 +297,7 @@ class SdpProblem:
             raise ValueError(f"trace cap for {name!r} must be finite and positive")
         else:
             cap = np.asarray(float(cap))
-        rec = self._blocks[name] = _Block(name, kind, dim, self._n, cap, tuple(lead))
+        rec = self._blocks[name] = _Block(name, kind, dim, self._n, cap, lead)
         self._n += rec.length
         self._groups = None
         return np.arange(rec.offset, self._n, rec.shape[-1]).reshape(rec.lead)
@@ -297,15 +316,23 @@ class SdpProblem:
 
         A scalar T_b = c means c times the identity, for a block of length k,
         and a tuple ``(rows, columns, values)`` the triplets of T_b's entries,
-        no two at one place (as :func:`partial_trace_map` gives them).  Each
-        term is kept as the triplets of its nonzero entries.
+        no two at one place (as :func:`partial_trace_map` gives them).  A pair
+        ``(term, groups)`` puts the per-block ``term`` (of any form) on the blocks
+        ``groups[g]`` of a stack, distinct flat indices on its ``lead``, summed
+        into the gth of G row groups.  Each term is kept as the triplets
+        of its nonzero entries.
         """
+        self._add_terms(terms, {}, rhs)
+
+    def _add_terms(self, terms, negated, rhs) -> None:
+        """Rows ``terms - negated = rhs`` (see :meth:`add_equality`), each term converted once."""
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         chunks = []
-        for name, t in terms.items():
-            blk = self._blocks[name]
-            r, c, v = _entries(name, t, rhs.size, blk.length)
-            chunks.append((r, blk.offset + c, v))
+        for negate, group in ((False, terms), (True, negated)):
+            for name, t in group.items():
+                blk = self._blocks[name]
+                r, c, v = _entries(name, t, rhs.size, blk.shape)
+                chunks.append((r, blk.offset + c, -v if negate else v))
         self._add_rows(chunks, rhs)
 
     def _add_rows(self, chunks, rhs: np.ndarray) -> None:
@@ -318,21 +345,18 @@ class SdpProblem:
     def add_margins(self, rows, lam: float, norms=()) -> None:
         """Margins of devices mixed at weight ``lam`` with noise.
 
-        One row ``terms - noise = lam device`` per (terms, noise, device), and
-        one row ``terms = (1 - lam) rhs`` per (terms, rhs) in ``norms``, the
-        noise's normalization.  The noise blocks hold (1 - lam) times the
-        noise, so no coefficient depends on ``lam`` and the right-hand side
-        depends on it affinely: a threshold search factorizes once.  Their
-        trace caps still bound them, as 1 - lam <= 1.
+        One row group ``terms - noise = lam device`` per (terms, noise, device),
+        and one ``terms = (1 - lam) rhs`` per (terms, rhs) in ``norms``, the
+        noise's normalization; terms take every form of :meth:`add_equality`.
+        The noise blocks hold (1 - lam) times the noise, so no coefficient
+        depends on ``lam`` and the right-hand side depends on it affinely: a
+        threshold search factorizes once.  Their trace caps still bound them,
+        as 1 - lam <= 1.
         """
         for terms, noise, device in rows:
-            negated = {}
-            for name, t in noise.items():
-                r, c, v = _entries(name, t, np.size(device), self._blocks[name].length)
-                negated[name] = (r, c, -v)
-            self.add_equality({**terms, **negated}, lam * device)
+            self._add_terms(terms, noise, lam * device)
         for terms, rhs in norms:
-            self.add_equality(terms, (1 - lam) * rhs)
+            self._add_terms(terms, {}, (1 - lam) * rhs)
 
     def _triplets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
         """``((rows, columns, values), b)``: the nonzero entries of A, no two at one place, and b."""
@@ -419,22 +443,22 @@ def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
     counts = tuple(len(m) for m in margins)
     prob = SdpProblem()
     grid = prob._add("psd", "g", side, cap, counts)
+    eye = _entries("g", 1.0, side * side, (side * side,))
     if weights is not None:  # add_margins' rows: fibre - noise (x) I = w device, sum_x tr noise = 1 - w
-        lc, lr, lv = partial_trace_map((noise_side, side // noise_side), (0,))  # the lift: rows and columns swapped
+        lc, lr, lv = partial_trace_map((noise_side, side // noise_side), (0,))
+        lift = (lr, lc, -lv)  # the negated lift: the partial trace's rows and columns swapped
         tr_row = partial_trace_map((noise_side,), ())
     for k, m in enumerate(margins):
         # one row group per margin: fibre x, the grid's slice at index x of axis k, is I on
         # each of its blocks in the rows of M_k(x)
-        chunks = [_identity(side * side, np.moveaxis(grid, k, 0).reshape(len(m), -1), 1.0)]
+        chunks = [_per_block(eye, np.moveaxis(grid, k, 0).reshape(len(m), -1), side * side)]
         if weights is None:
             prob._add_rows(chunks, vec_of(m).ravel())
             continue
         noise = prob._add("psd", f"n{k}", noise_side, 1.0, (len(m),))
-        rows = side * side * np.arange(len(m))[:, None] + lr
-        chunks.append((rows.ravel(), (noise[:, None] + lc).ravel(), np.tile(-lv, len(m))))
+        chunks.append(_per_block(lift, noise[:, None], side * side))
         prob._add_rows(chunks, weights[k] * vec_of(m).ravel())
-        prob._add_rows([(tr_row[0], at + tr_row[1], tr_row[2]) for at in noise],
-                       (1 - weights[k]) * np.array([1.0]))
+        prob._add_rows([_per_block(tr_row, noise[None], 1)], (1 - weights[k]) * np.array([1.0]))
     return prob
 
 

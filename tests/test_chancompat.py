@@ -282,6 +282,17 @@ def test_state_marginal_product():
     assert np.abs(red_ab - prod).max() < 1e-6
 
 
+@pytest.mark.parametrize("rho_ab,rho_bc,dims,message", [
+    (np.eye(4) / 4, np.eye(2) / 2, (2, 2, 2), r"rho_bc has shape \(2, 2\), expected \(4, 4\)"),
+    (np.eye(2) / 2, np.eye(4) / 4, (2, 2, 2), r"rho_ab has shape \(2, 2\), expected \(4, 4\)"),
+    (np.eye(6) / 6, np.eye(4) / 4, (2, 3, 2), r"rho_bc has shape \(4, 4\), expected \(6, 6\)"),
+    (np.eye(4) / 4, np.full(4, 0.25), (2, 2, 2), r"rho_bc has shape \(4,\), expected \(4, 4\)"),
+])
+def test_state_marginal_shapes_are_checked(rho_ab, rho_bc, dims, message):
+    with pytest.raises(ValueError, match=message):
+        q.state_marginal_feasible(rho_ab, rho_bc, dims)
+
+
 def test_state_marginal_shared_mismatch():
     # B marginals disagree, so infeasibility is certified without iterating
     z0 = np.diag([1.0, 0.0])

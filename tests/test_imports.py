@@ -1,7 +1,8 @@
 """Lint as a test: every name a package module imports is read in that module,
 every module-level private function or class is read somewhere in the package,
 every ``Tolerances`` field is read from a passed record, only sdpcore
-spells the names of the joint device's blocks, only sdpcore drives a
+spells the names of the joint device's blocks, no other module names a
+block or a witness key by an f-string, only sdpcore drives a
 bisection, only ``sdpcore._certificate`` makes a certificate and only the
 dense witness check assembles A; and a guard on what solving imports."""
 import ast
@@ -126,6 +127,37 @@ def test_only_sdpcore_names_joint_blocks():
     # other modules read it through sdpcore.joint_witness
     spelled = {p.name for p in SOURCES if joint_block_names(p.read_text(encoding="utf-8"))}
     assert spelled == {"sdpcore.py"}
+
+
+def fstring_block_names(source: str) -> list[int]:
+    """Lines that name a record by an f-string: the first argument of
+    ``add_psd_block`` or ``add_scalar_block``, or a key of a ``witness``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) in ("add_psd_block", "add_scalar_block"):
+            names = node.args[:1] + [k.value for k in node.keywords if k.arg == "name"]
+            found.update(n.lineno for n in names if isinstance(n, ast.JoinedStr))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.JoinedStr)
+              and getattr(node.value, "id", getattr(node.value, "attr", None)) == "witness"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_scan_finds_fstring_block_names():
+    source = ('p.add_psd_block(f"op{x}", 4, 1.0)\nadd_scalar_block(name=f"p{x}", length=2)\n'
+              'r.witness[f"rec{y}"]\nwitness[f"n{k}"]\np.add_psd_block("op", 4, 1.0, lead=(3,))\n'
+              'terms[f"op{x}"] = 1.0\nw[f"op{x}"]\nwitness["op"][x]\np.add_equality({f"e{x}": 1.0}, b)\n'
+              'q.add_scalar_block(n, f"{m}")\n')
+    assert fstring_block_names(source) == [1, 2, 3, 4]
+
+
+def test_only_sdpcore_names_blocks_by_fstring():
+    # an outcome-indexed device is one stack record, whose blocks are indexed,
+    # not named one per outcome; sdpcore names the joint device's noise records
+    spelled = [f"{p.name}:{line}" for p in SOURCES if p.name != "sdpcore.py"
+               for line in fstring_block_names(p.read_text(encoding="utf-8"))]
+    assert spelled == []
 
 
 def bisection_calls(source: str) -> list[int]:

@@ -316,6 +316,38 @@ def test_scalar_term_needs_matching_block_length():
     assert prob.assemble()[0].shape == (4, 7)  # only the first equality was added
 
 
+def test_block_groups_must_index_the_stack_and_divide_the_rows():
+    prob = SdpProblem()
+    prob.add_psd_block("s", 2, trace_cap=1.0, lead=(3,))
+    prob.add_equality({"s": (1.0, np.arange(3)[:, None])}, np.zeros(12))
+    bad = [([[3]], 4), ([[-1]], 4), ([[0.0]], 4),  # outside the stack, or not indices
+           ([[0, 2, 0]], 4), ([[1, 2], [1, 1]], 8),  # a block twice in one group
+           (np.arange(3)[:, None], 8),  # three groups do not divide 8 rows
+           (np.arange(3), 4), (np.zeros((1, 1, 1), dtype=int), 4), (np.zeros((0, 1), dtype=int), 4)]  # not 2-d
+    for groups, k in bad:
+        with pytest.raises(ValueError, match=r"block groups for 's' must be a \(G, J\) array of indices below 3, "
+                                             rf"distinct in each row, G dividing {k} rows; not \w+ of shape"):
+            prob.add_equality({"s": (1.0, groups)}, np.zeros(k))
+    prob.add_equality({"s": (1.0, [[2, 0], [0, 2]])}, np.zeros(8))  # a block in several groups
+    # the per-block term is checked on one block's coordinates
+    with pytest.raises(ValueError, match=r"coefficient block for 's' has shape \(4, 3\), expected \(4, 4\)"):
+        prob.add_equality({"s": (np.zeros((4, 3)), [[0]])}, np.zeros(4))
+    assert prob.assemble()[0].shape == (20, 12)  # only the valid equalities were added
+
+
+@pytest.mark.parametrize("lead", [(-1,), (0,), (2, 0), (1.5,), ("2",), (np.float64(2.0),)])
+def test_stack_shape_needs_positive_integers(lead):
+    # refused before anything is recorded
+    prob = SdpProblem()
+    with pytest.raises(ValueError, match=r"stack shape .* of 'x' must hold positive integers"):
+        prob.add_psd_block("x", 2, 1.0, lead)
+    with pytest.raises(ValueError, match="must hold positive integers"):
+        prob._add("psd", "x", 2, 1.0, lead)
+    assert prob.n_vars == 0 and not prob._blocks
+    prob.add_psd_block("x", 2, 1.0, (np.int64(2), 3))
+    assert prob.block("x").lead == (2, 3) and prob.n_vars == 24
+
+
 def block_at(prob, key):
     """``(offset, length)`` of the coordinates of ``key``: a record's name, or
     ``(name, t)`` for the block at index t of the record's stack, in C order."""
@@ -330,41 +362,70 @@ def assemble_by_term(prob, equalities):
     """(A, b) written one term at a time from the inputs of
     :meth:`SdpProblem.add_equality`, a c I term as a strided slice of the flat
     matrix: the reference for :meth:`SdpProblem.assemble`.  A term's key is a
-    record's name or a block of its stack (:func:`block_at`)."""
+    record's name or a block of its stack (:func:`block_at`); a pair
+    ``(term, groups)`` writes ``term`` on each block ``groups[g, j]`` of the
+    record's stack, in the gth group of the rows."""
     rhss = [np.atleast_1d(np.asarray(rhs, dtype=float)) for _, rhs in equalities]
     rows, n = sum(rhs.size for rhs in rhss), prob.n_vars
     a = np.zeros((rows, n))
     flat = a.reshape(-1)
     b = np.zeros(rows)
+
+    def write(t, at, k, offset, length):
+        if np.isscalar(t):
+            start = at * n + offset
+            flat[start : start + k * (n + 1) : n + 1] += float(t)
+        elif isinstance(t, tuple):
+            r, c, v = t
+            a[at + r, offset + c] += v
+        else:
+            a[at : at + k, offset : offset + length] += np.reshape(t, (k, length))
+
     at = 0
     for (terms, _), rhs in zip(equalities, rhss):
         k = rhs.size
         for key, t in terms.items():
-            offset, length = block_at(prob, key)
-            if np.isscalar(t):
-                start = at * n + offset
-                flat[start : start + k * (n + 1) : n + 1] += float(t)
-            elif isinstance(t, tuple):
-                r, c, v = t
-                a[at + r, offset + c] += v
+            if isinstance(t, tuple) and len(t) == 2:
+                term, groups = t
+                per = k // len(groups)
+                for g, blocks in enumerate(groups):
+                    for j in blocks:
+                        t_j = np.unravel_index(j, prob.block(key).lead)
+                        write(term, at + g * per, per, *block_at(prob, (key, t_j)))
             else:
-                a[at : at + k, offset : offset + length] += np.reshape(t, (k, length))
+                write(t, at, k, *block_at(prob, key))
         b[at : at + k] = rhs
         at += k
     return a, b
 
 
+def negated(t):
+    """The term -t, in the form of ``t``."""
+    if isinstance(t, tuple):
+        return (negated(t[0]), t[1]) if len(t) == 2 else (t[0], t[1], -t[2])
+    return -t
+
+
 def recorded(build):
     """The problem ``build()`` makes, and the ``(terms, rhs)`` of every
-    :meth:`SdpProblem.add_equality` call on it, in order."""
-    calls, add = [], SdpProblem.add_equality
+    :meth:`SdpProblem.add_equality` call on it and of every row group its
+    :meth:`SdpProblem.add_margins` calls write (noise terms negated), in order."""
+    calls, add, margins = [], SdpProblem.add_equality, SdpProblem.add_margins
 
     def spy(self, terms, rhs):
         calls.append((self, terms, rhs))
         return add(self, terms, rhs)
 
+    def spy_margins(self, rows, lam, norms=()):
+        rows, norms = list(rows), list(norms)
+        calls.extend((self, {**terms, **{name: negated(t) for name, t in noise.items()}}, lam * device)
+                     for terms, noise, device in rows)
+        calls.extend((self, terms, (1 - lam) * rhs) for terms, rhs in norms)
+        return margins(self, rows, lam, norms)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SdpProblem, "add_equality", spy)
+        mp.setattr(SdpProblem, "add_margins", spy_margins)
         prob = build()
     return prob, [(terms, rhs) for owner, terms, rhs in calls if owner is prob]
 
@@ -417,6 +478,7 @@ def _assembly_cases():
     povms = [mix_with_trivial(random_povm(2, 3, rng), 0.7) for _ in range(3)]
     testers = [prepare_measure_tester(random_state(2, rng), random_povm(2, 2, rng)) for _ in range(2)]
     obs, chan = random_povm(2, 3, rng), q.random_channel(2, 3, rng)
+    obs4, first3, second3 = random_povm(2, 4, rng), random_povm(2, 3, rng), random_povm(2, 3, rng)
     cases = {
         "joint": lambda: joint_by_definition([p.effects for p in povms]),
         # weight 1 mixes in its noise with coefficient -0.0
@@ -428,6 +490,9 @@ def _assembly_cases():
         "division": lambda: recorded(lambda: built_problem(chancompat, lambda: chancompat.channel_division(
             chan, q.conjugate_channel(chan)))),
         "sequential": lambda: recorded(lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z))),
+        # groups of three blocks and of one, on a stack of three
+        "sequential_3": lambda: recorded(lambda: built_problem(obschan, lambda: obschan.sequential_recover(
+            first3, second3))),
         "coefficients": lambda: recorded(_coefficient_problem),
     }
     for mode in (None, *chancompat.NoiseClass):
@@ -439,6 +504,8 @@ def _assembly_cases():
                                                              mode, lam))
             cases[f"obs_channel_{tag}_{lam}"] = lambda mode=mode, lam=lam: recorded(
                 lambda: chancompat._obs_channel_problem(obs, chan, mode, lam))
+        cases[f"obs_channel_4_outcomes_{tag}"] = lambda mode=mode: recorded(
+            lambda: chancompat._obs_channel_problem(obs4, chan, mode, 0.7))
     return cases
 
 
