@@ -3,8 +3,10 @@ every module-level private function or class is read somewhere in the package,
 every ``Tolerances`` field is read from a passed record, only sdpcore
 spells the names of the joint device's blocks, no other module names a
 block or a witness key by an f-string, only sdpcore drives a
-bisection, only ``sdpcore._certificate`` makes a certificate and only the
-dense witness check assembles A; and a guard on what solving imports."""
+bisection, only ``sdpcore._certificate`` makes a certificate, only the
+dense witness check assembles A, ``real_linear_map`` gains no caller and
+only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore; and a
+guard on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -260,6 +262,40 @@ def test_only_the_dense_witness_check_assembles():
     # verify_witness, and of nothing else
     places = [f"{p.stem}.{where}" for p in SOURCES for where in assemble_calls(p.read_text(encoding="utf-8"))]
     assert places == ["sdpcore.verify_witness"]
+
+
+def calls_by_function(source: str, name: str) -> list[str]:
+    """Sorted names of the module-level function or class around each call of
+    ``name``, by name or as an attribute; ``<module>`` for a call outside any."""
+    found = []
+    for node in ast.parse(source).body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        found += [where for call in ast.walk(node) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+    return sorted(found)
+
+
+def test_scan_finds_calls_by_function():
+    source = ("from .sdpcore import solve\nr = solve(p)\n"
+              "def search(f):\n    def probe(lam):\n        return solve(f(lam))\n    return probe\n"
+              "class K:\n    def m(self):\n        return sdpcore.solve(self.p), solve\n"
+              "def other():\n    return solver(1), x.solve_it(2)\n")
+    assert calls_by_function(source, "solve") == ["<module>", "K", "search"]
+
+
+def test_real_linear_map_gains_no_caller():
+    # the probed map costs in_dim calls of a dense basis slice; triplets written
+    # from indices replace it, and the three callers left are to go the same way
+    callers = [f"{p.stem}.{where}" for p in SOURCES
+               for where in calls_by_function(p.read_text(encoding="utf-8"), "real_linear_map")]
+    assert callers == ["chancompat._compose_map", "obschan.rank1_channel_form_check", "obschan.sequential_recover"]
+
+
+def test_only_threshold_search_solves_inside_sdpcore():
+    # a face's problem runs through the solve loop itself, so one question is
+    # one solve_feasibility call; only a threshold search makes one per probe
+    source = (PACKAGE / "sdpcore.py").read_text(encoding="utf-8")
+    assert calls_by_function(source, "solve_feasibility") == ["threshold_search"]
 
 
 def test_solving_leaves_numpy_ma_unimported():

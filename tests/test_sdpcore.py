@@ -902,6 +902,13 @@ def test_solve_path_never_assembles(name, monkeypatch):
             threshold_search(lambda lam: prob, tols)
 
 
+@pytest.mark.parametrize("name", PROJECTOR_CASES)
+def test_unreduced_solve_path_never_assembles(name, monkeypatch):
+    # with no face step, as for a threshold family's member, the solve reads A's triplets too
+    without_faces(monkeypatch)
+    test_solve_path_never_assembles(name, monkeypatch)
+
+
 def _partial_trace_builds():
     """Builds whose only maps are partial traces and their lifts, by name."""
     rng = np.random.default_rng(8)
@@ -1017,6 +1024,23 @@ def test_gram_rank_of_dependent_channel_rows(d):
     assert np.abs(proj.residual).max() < 1e-12
 
 
+def test_duplicate_triplets_add_up():
+    # two entries at one place mean their sum, in A x, in the dense A and in the
+    # factorization alike: 2 s_0 = 1 is decided, and both point checks agree
+    prob = SdpProblem()
+    prob.add_scalar_block("s", 2)
+    prob.add_equality({"s": (np.array([0, 0]), np.array([0, 0]), np.array([1.0, 1.0]))}, np.array([1.0]))
+    a, b = prob.assemble()
+    assert a.tolist() == [[2.0, 0.0]]
+    res = solve_feasibility(prob)
+    assert res.feasible and abs(res.witness["s"][0] - 0.5) < 1e-6
+    coo = prob._triplets()[0]
+    for point, ok in (([0.5, 0.0], True), ([1.0, 0.0], False)):
+        x = np.array(point)
+        assert verify_witness(prob, {"s": x})[0] is ok
+        assert sdpcore._check_point(prob, x, sdpcore._apply(coo, x, 1) - b, DEFAULT_TOLS)[0] is ok
+
+
 def _block_structured(rng, blocks):
     """The matrix with the given diagonal blocks, rows and columns permuted at
     random, and the components the blocks make: ``(rows, cols)`` sets, with
@@ -1072,7 +1096,7 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
     assert got == want
     for rows, cols in found:
         assert np.all(np.diff(rows, axis=1) > 0) and np.all(np.diff(cols, axis=1) > 0)
-    # one SVD per shape, and together they hold the dense SVD's singular values
+    # one SVD per shape with rows and columns, and together they hold the dense SVD's singular values
     spectra = []
     svd = np.linalg.svd
 
@@ -1085,7 +1109,8 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
     stacks, _ = sdpcore._row_space(_triplets_of(a), a.shape, np.zeros((a.shape[0], 1)),
                                    max(a.shape) * np.finfo(float).eps)
     vr, mult = densified(stacks, a.shape)
-    assert len(spectra) == len(found) == len({(r.shape[1], c.shape[1]) for r, c in found})
+    assert len(found) == len({(r.shape[1], c.shape[1]) for r, c in found})
+    assert len(spectra) == len({(r.shape[1], c.shape[1]) for r, c in found if r.size and c.size})
     dense = svd(a, compute_uv=False)
     spectrum = np.sort(np.concatenate(spectra))[::-1]
     assert spectrum.size <= dense.size
@@ -1149,7 +1174,8 @@ def test_channel_pair_factorization_is_blockwise(monkeypatch):
     # the d=4 channel pair splits into 400 components of 8 x 16 or 1 x 4, so
     # the factorization never decomposes a matrix of more than 8 rows; both
     # shapes are wide, so their stacks are factorized transposed, and each
-    # holds one distinct matrix, factorized once
+    # holds one distinct matrix, factorized once.  The channels have full-rank
+    # Choi matrices, so the data expose no face and the whole pair is factorized
     shapes, inside = [], []
     svd, row_space = np.linalg.svd, sdpcore._row_space
 
@@ -1167,8 +1193,10 @@ def test_channel_pair_factorization_is_blockwise(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy_svd)
     monkeypatch.setattr(sdpcore, "_row_space", spy_row_space)
-    res = q.check_channel_pair(q.identity_channel(4), q.identity_channel(4))
+    chan = _nearly_depolarizing(0.99, 4)
+    res = q.check_channel_pair(chan, chan)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
+    assert "face" not in res.solve.message
     assert sorted(shapes) == [(1, 4, 1), (1, 16, 8)]
 
 
@@ -1186,14 +1214,15 @@ def test_gram_matrix_takes_the_smaller_side(name, monkeypatch):
 
 
 @pytest.mark.parametrize("eps,verdict", [
-    (0.5, Verdict.INFEASIBLE_CERTIFIED), (1e-6, Verdict.INFEASIBLE_CERTIFIED),
+    (0.5, Verdict.INFEASIBLE_CERTIFIED), (0.4, Verdict.INFEASIBLE_CERTIFIED), (1e-6, Verdict.INFEASIBLE_CERTIFIED),
     (1e-8, Verdict.FEASIBLE), (5e-9, Verdict.FEASIBLE), (1e-10, Verdict.FEASIBLE),
 ])
 def test_marginal_mismatch_sweep(eps, verdict):
     # B marginals diag(1/2 + eps, 1/2 - eps) and I/2: the empty affine set is
     # certified before iterating, by the least-squares residual as
     # multipliers, while its gap -|r| is below -feas; a smaller mismatch is
-    # within feas, and the solve finds a witness at once, within its slack
+    # within feas, and the solve finds a witness at once, within its slack.
+    # At eps = 1/2 the marginal diag(1, 0) has a kernel: the check runs on its face
     rho_ab = np.kron(np.eye(2) / 2, np.diag([0.5 + eps, 0.5 - eps]))
     solve = lambda: chancompat.state_marginal_feasible(rho_ab, np.eye(4) / 4, (2, 2, 2))
     res = solve()
@@ -1334,17 +1363,21 @@ def test_verify_witness_stacked_matches_block_loop(rng):
 
 # --- certificate schedule ----------------------------------------------------
 
+# the pairs at weight 0.9, above the X/Z threshold 1/sqrt(2): their margins have full
+# rank, so the data expose no face and the iteration finds the certificate
+
 def _joint_xz(sharp_x, sharp_z):
-    return check_joint([sharp_x, sharp_z]), joint_problem([sharp_x.effects, sharp_z.effects])
+    x, z = (mix_with_trivial(obs, 0.9) for obs in (sharp_x, sharp_z))
+    return check_joint([x, z]), joint_problem([x.effects, z.effects])
 
 
 def _tester_xz(sharp_x, sharp_z):
-    tx, tz = (prepare_measure_tester(np.eye(2) / 2, obs) for obs in (sharp_x, sharp_z))
+    tx, tz = (prepare_measure_tester(np.eye(2) / 2, mix_with_trivial(obs, 0.9)) for obs in (sharp_x, sharp_z))
     return check_tester_pair(tx, tz), joint_problem([tx.effects, tz.effects])
 
 
 def _lhs_xz(sharp_x, sharp_z):
-    asm = max_entangled_assemblage([sharp_x, sharp_z])
+    asm = max_entangled_assemblage([mix_with_trivial(obs, 0.9) for obs in (sharp_x, sharp_z)])
     return check_lhs(asm), joint_problem(asm.blocks)
 
 
@@ -1364,7 +1397,7 @@ def _certificate_margin(prob, certificate, feas=DEFAULT_TOLS.feas):
 def test_incompatible_pair_certified_early(sharp_x, sharp_z, case):
     res, prob = case(sharp_x, sharp_z)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
-    assert res.solve.iterations < sdpcore._ATTEMPT_SPACING
+    assert 0 < res.solve.iterations < sdpcore._ATTEMPT_SPACING and "face" not in res.solve.message
     assert _certificate_margin(prob, res.solve.certificate) > DEFAULT_TOLS.feas
 
 
@@ -1393,7 +1426,8 @@ def test_three_verdicts_and_the_old_name_is_an_alias():
 
 def test_certificate_attempt_at_the_cap_runs_once(monkeypatch, sharp_x, sharp_z):
     # attempts at iterations 1, 2 and 4; the last is the cap, tried only once,
-    # and a cap without a witness or a certificate is undecided
+    # and a cap without a witness or a certificate is undecided.  The noisy
+    # margins have full rank, so the data expose no face
     calls = []
 
     def failing(*args):
@@ -1401,7 +1435,7 @@ def test_certificate_attempt_at_the_cap_runs_once(monkeypatch, sharp_x, sharp_z)
         return None
 
     monkeypatch.setattr(sdpcore, "_certificate", failing)
-    prob = joint_problem([sharp_x.effects, sharp_z.effects])
+    prob = joint_problem([mix_with_trivial(obs, 0.9).effects for obs in (sharp_x, sharp_z)])
     res = solve_feasibility(prob, q.Tolerances(max_iter=4))
     assert res.verdict is Verdict.UNDECIDED
     assert res.message == "iteration cap without a witness or a validated certificate"
@@ -1409,12 +1443,156 @@ def test_certificate_attempt_at_the_cap_runs_once(monkeypatch, sharp_x, sharp_z)
     assert len(calls) == 3
 
 
+# --- faces the data expose ------------------------------------------------------
+
+def without_faces(monkeypatch):
+    """Solve every problem unreduced, as with no face step."""
+    monkeypatch.setattr(sdpcore._Face, "of", staticmethod(lambda problem: None))
+
+
+def _checked_evidence(prob, res):
+    """A verdict's evidence, re-checked on the unreduced problem."""
+    if res.verdict is Verdict.FEASIBLE:
+        assert verify_witness(prob, res.witness)[0]
+    elif res.verdict is Verdict.INFEASIBLE_CERTIFIED:
+        assert sdpcore._certificate(sdpcore._Data(prob), res.certificate.multipliers, DEFAULT_TOLS) is not None
+        assert _certificate_margin(prob, res.certificate) > 0.0
+
+
+def _no_flip(a, b):
+    return {a.verdict, b.verdict} != {Verdict.FEASIBLE, Verdict.INFEASIBLE_CERTIFIED}
+
+
+@pytest.mark.parametrize("case", ["id/id d=2", "id/id d=4", "sharp X/Z"])
+def test_no_cloning_is_certified_on_its_face_at_iteration_0(case, sharp_x, sharp_z):
+    # the identity's Choi matrix has rank 1 and a sharp effect is a projector:
+    # every joint device lies on a face with no room, an empty face, and the
+    # data certify the impossibility before any iteration
+    if case == "sharp X/Z":
+        prob = joint_problem([sharp_x.effects, sharp_z.effects])
+    else:
+        ident = q.identity_channel(2 if case == "id/id d=2" else 4)
+        prob = chancompat._channel_pair_problem(ident, ident)
+    res = solve_feasibility(prob)
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED and res.iterations == 0
+    assert res.message.endswith(f"on a face: {prob.n_vars} -> 0 coordinates")
+    _checked_evidence(prob, res)
+
+
+def test_identity_and_depolarizing_meet_on_a_face_of_side_4():
+    # the joint channel lies in range(J_id) (x) C^4, a 4-dimensional face of the side-64 block
+    ident, depol = q.identity_channel(4), q.depolarizing_channel(4)
+    res = q.check_channel_pair(ident, depol)
+    assert res.feasible and res.solve.message == "witness on a face: 4096 -> 16 coordinates"
+    prob = chancompat._channel_pair_problem(ident, depol)
+    _checked_evidence(prob, res.solve)
+    # the iterate is in the original coordinates, where a start is solved unreduced
+    again = solve_feasibility(prob, start=res.solve.iterate)
+    assert again.feasible and "face" not in again.message and again.iterate.shape == (4096,)
+
+
+def test_a_face_block_past_the_budget_stays_whole(monkeypatch):
+    # a congruence T_b above _FACE_BLOCK entries is not built: its block stays whole (a
+    # relaxation of the face), and with no block left reduced the solve is unreduced; an
+    # empty face builds no T_b
+    ident, depol = q.identity_channel(2), q.depolarizing_channel(2)
+    prob = chancompat._channel_pair_problem(ident, depol)
+    assert solve_feasibility(prob).message == "witness on a face: 64 -> 4 coordinates"
+    monkeypatch.setattr(sdpcore, "_FACE_BLOCK", 63)  # T_b is 4^2 x 2^2 = 64 entries
+    res = solve_feasibility(prob)
+    assert res.feasible and "face" not in res.message
+    res = solve_feasibility(chancompat._channel_pair_problem(ident, ident))
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED and res.message.endswith("on a face: 64 -> 0 coordinates")
+
+
+def _criterion_10(count):
+    """Problems of acceptance criterion 10's generator: realizability and division."""
+    rng = np.random.default_rng(10)
+    for i in range(count):
+        m = mix_with_trivial(random_povm(2, 2, rng), rng.uniform(0.4, 1.0))
+        if i % 2 == 0:
+            chan = q.random_channel(2, 2, rng)
+        else:
+            other = mix_with_trivial(random_povm(2, 2, rng), rng.uniform(0.4, 1.0))
+            chan = q.luders_instrument(other).total_channel()
+        yield chancompat._obs_channel_problem(m, chan)
+        yield built_problem(chancompat, lambda: q.channel_division(chan, q.least_disturbing_channel(m)))
+
+
+def test_criterion_10_evidence_holds_unreduced(monkeypatch):
+    # every reduced witness and certificate re-checks on the unreduced problem,
+    # and no verdict flips against the same solves with the face step off
+    probs = list(_criterion_10(40))
+    on = [solve_feasibility(prob) for prob in probs]
+    assert sum("on a face" in res.message for res in on) == len(probs)
+    without_faces(monkeypatch)
+    off = [solve_feasibility(prob, q.Tolerances(max_iter=2000)) for prob in probs]
+    for prob, a, b in zip(probs, on, off):
+        assert a.verdict is not Verdict.UNDECIDED and _no_flip(a, b)
+        _checked_evidence(prob, a)
+
+
+def test_an_over_restricted_face_falls_back(monkeypatch):
+    # a rank cut this wide drops directions that feasible points use: evidence
+    # found on such a face fails on the original, and the unreduced solve decides
+    probs = [*_criterion_10(6), chancompat._channel_pair_problem(q.identity_channel(2), q.depolarizing_channel(2))]
+    tols = q.Tolerances(max_iter=2000)
+    without = pytest.MonkeyPatch()
+    without_faces(without)
+    unreduced = [solve_feasibility(prob, tols) for prob in probs]
+    without.undo()
+    fallbacks, lifted = [], sdpcore._Face.lifted
+
+    def spy(face, res, tols):
+        out = lifted(face, res, tols)
+        fallbacks.append(out is None)
+        return out
+
+    monkeypatch.setattr(sdpcore._Face, "lifted", spy)
+    monkeypatch.setattr(sdpcore, "_FACE_CUT", 0.3)
+    for prob, before in zip(probs, unreduced):
+        res = solve_feasibility(prob, tols)
+        assert _no_flip(res, before)
+        _checked_evidence(prob, res)
+    assert sum(fallbacks) >= 3
+
+
+# two observable/channel inputs of the seed-7 random-checks stream (rounds 10 and 68) that the
+# unreduced solve leaves undecided at 50,000 iterations: effects and Kraus operators, as floats
+UNDECIDED_ROUNDS = {
+    10: ([0.6997235625065199, 0.0, 0.09663882317265238, -0.01912378008529468, 0.09663882317265238,
+          0.01912378008529468, 0.6979382943684522, 0.0, 0.3002764374934799, 0.0, -0.09663882317265231,
+          0.019123780085294542, -0.09663882317265231, -0.019123780085294542, 0.30206170563154816, 0.0],
+         [-0.04110732993340371, -0.05009569395615918, -0.30813825050125293, -0.448783218291442,
+          -0.4131711926175329, -0.47553688458800836, 0.1450119178995702, 0.09387101965209016,
+          0.705565285528415, 0.008733807364330395, 0.009430646064454401, -0.36475471021969463,
+          0.2653384065496468, -0.17507633859536015, 0.5616411124256945, 0.47458249231840655]),
+    68: ([0.3870009554251991, 0.0, 0.15047784376994902, 0.02930121032848303, 0.15047784376994902,
+          -0.02930121032848303, 0.627298585924044, 0.0, 0.6129990445748013, 0.0, -0.1504778437699491,
+          -0.02930121032848281, -0.1504778437699491, 0.02930121032848281, 0.3727014140759567, 0.0],
+         [-0.35462719198636594, -0.6108518220664747, 0.11886571563613661, -0.38059165594345634,
+          0.01224114895434375, -0.43219000255668694, -0.14576125021817873, 0.015529906788923091,
+          -0.036862864536691305, -0.17851394987185631, -0.30323607450374207, 0.841678565600524,
+          -0.43950213068862864, 0.29626565474876576, 0.12976446242036374, 0.04816297980240275]),
+}
+
+
+@pytest.mark.parametrize("round_", UNDECIDED_ROUNDS)
+def test_random_checks_tails_are_certified_on_their_face(round_):
+    effects, kraus = (np.array(v).view(complex).reshape(2, 2, 2) for v in UNDECIDED_ROUNDS[round_])
+    obs, chan = q.Observable(effects), q.Channel(kraus)
+    res = q.check_obs_channel(obs, chan)
+    assert res.verdict is Verdict.INFEASIBLE_CERTIFIED and res.solve.iterations <= 1
+    assert "on a face: 32 -> 8 coordinates" in res.solve.message
+    _checked_evidence(chancompat._obs_channel_problem(obs, chan), res.solve)
+
+
 # --- certificates checked from the data -----------------------------------------
 
-def _nearly_depolarizing(weight):
-    """Qubit channel with identity weight ``weight`` on top of full depolarization."""
-    choi = weight * q.identity_channel(2).choi() + (1 - weight) * q.depolarizing_channel(2).choi()
-    return q.Channel.from_choi(choi, 2, 2)
+def _nearly_depolarizing(weight, d=2):
+    """Channel on dimension d with identity weight ``weight`` on top of full depolarization."""
+    choi = weight * q.identity_channel(d).choi() + (1 - weight) * q.depolarizing_channel(d).choi()
+    return q.Channel.from_choi(choi, d, d)
 
 
 REFLEXIVE = {
