@@ -40,8 +40,8 @@ z = vec(P_ker D), and when g = A^T z lies in the dual cone every feasible
 block is X = V Y V^H, V a basis of the kernel of g's block.  Nothing rests on
 the rank cut: a witness on the face is lifted and checked on the original
 problem, a certificate's multipliers y become y + t z for the certificate test
-on the original data, and when neither holds the unreduced problem is solved.
-The identity's Choi matrix has rank 1, so no-cloning is certified at once.
+on the original data, and when neither holds the unreduced problem is solved
+with what the face's iterations left of the cap.  The identity's Choi matrix has rank 1, so no-cloning is certified at once.
 
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
@@ -600,8 +600,7 @@ def _rmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x @ m if m.ndim == 2 else np.matmul(x[:, None, :], m)[:, 0]
 
 
-def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float,
-               whole: bool = False) -> tuple[list, np.ndarray]:
+def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[list, np.ndarray]:
     """Row-space basis of the matrix a of ``shape`` with the triplets ``coo``, as stacks,
     and least-norm solutions: ``(stacks, sol)`` with ``a @ sol[:, j]`` = ``b[:, j]``
     on the row space, for the columns of ``b``.
@@ -617,7 +616,7 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float,
     components.  A kept triple (u, s, v) gives the basis vector v and its
     multipliers u / s, as a^T u = s v.  A row with no nonzero entry gives no
     basis vector, and no SVD; a nonzero right-hand side there shows in the
-    residual a x - b.  With ``whole``, a is one component, found by no search.
+    residual a x - b.
 
     Each stack is ``(rows, cols, v, w)``: component k has the rows ``rows[k]``
     and the columns ``cols[k]`` of a, its basis vectors are the columns of v_k
@@ -630,8 +629,7 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float,
     no zero column.
     """
     r, c, v = coo
-    groups = [(np.arange(shape[0])[None], np.arange(shape[1])[None])] if whole else [
-        (rows, cols) for rows, cols in _components(r, c, shape) if rows.shape[1] and cols.shape[1]]
+    groups = [(rows, cols) for rows, cols in _components(r, c, shape) if rows.shape[1] and cols.shape[1]]
     # every stack (k, p, q) in one buffer: an entry's place is its row's start plus its column
     row_at, col_at, ends = np.zeros(shape[0], dtype=np.intp), np.zeros(shape[1], dtype=np.intp), [0]
     for rows, cols in groups:
@@ -750,7 +748,7 @@ class _Projector(_Data):
     certificate attempt and the least-norm solution act stack by stack, so
     no touched x rank or rows x rank matrix exists above ``_DENSE_BASIS``,
     and every coordinate outside the stacks passes the affine step unchanged.
-    With ``whole`` the matrix is one component, as for a face's small problem.
+    Given a :class:`_Data`, it factorizes those data, not read again.
 
     A family is factorized once, with the columns b and db, so
     x_part(lam) = x_part + lam dx; :meth:`at` gives a member and
@@ -761,18 +759,21 @@ class _Projector(_Data):
     ``la.spectrum2``).
     """
 
-    def __init__(self, problem: SdpProblem, at_one: SdpProblem | None = None, whole: bool = False):
-        super().__init__(problem, at_one)
-        (r, c, v), b, n = self.coo, self.b, problem.n_vars
+    def __init__(self, problem: SdpProblem | _Data, at_one: SdpProblem | None = None):
+        if isinstance(problem, _Data):
+            vars(self).update(vars(problem))
+        else:
+            super().__init__(problem, at_one)
+        (r, c, v), b, n = self.coo, self.b, self.problem.n_vars
         touched = np.bincount(c, minlength=n) > 0
         cols = np.flatnonzero(touched)
         local = (np.cumsum(touched) - 1)[c]  # each entry's column among the touched ones
         stacks, sol = _row_space((r, local, v), (b.size, cols.size), np.column_stack([b, self.db]),
-                                 max(b.size, n) * np.finfo(float).eps, whole)
+                                 max(b.size, n) * np.finfo(float).eps)
         self.stacks = [(rows, cols[at], vs, ws) for rows, at, vs, ws in stacks]
         x_part, self.dx = np.zeros((2, n))
         x_part[cols], self.dx[cols] = sol.T
-        self._place(problem, b, x_part)
+        self._place(self.problem, b, x_part)
 
     def _place(self, problem: SdpProblem, b: np.ndarray, x_part: np.ndarray) -> None:
         self.problem, self.b, self.x_part = problem, b, x_part
@@ -923,12 +924,6 @@ _FACE_CUT = 1e-10
 _FACE_BLOCK = 2**18
 
 
-def _kernels(w: np.ndarray) -> np.ndarray:
-    """Which ascending eigenvalues ``w[i]`` of each matrix lie in the kernel of a PSD one."""
-    cut = _FACE_CUT * w[:, -1:]
-    return (w <= cut) & (w[:, :1] >= -cut)
-
-
 def _kernel_multipliers(problem: SdpProblem) -> list[np.ndarray]:
     """Row multipliers, one vector per row group with a right-hand side piece (see
     ``_add_rows``) that is a PSD matrix D with a kernel: vec(P_ker D) on each such
@@ -952,7 +947,9 @@ def _kernel_multipliers(problem: SdpProblem) -> list[np.ndarray]:
         if not some.size:
             continue
         w, u = np.linalg.eigh(la.real_vec_to_hermitian(vecs[some], side))
-        for i, p in zip(some, la.hermitian_to_real_vec((u * _kernels(w)[:, None, :]) @ la.dagger(u))):
+        cut = _FACE_CUT * w[:, -1:]  # the kernel of a PSD matrix; none for an indefinite one
+        ker = (w <= cut) & (w[:, :1] >= -cut)
+        for i, p in zip(some, la.hermitian_to_real_vec((u * ker[:, None, :]) @ la.dagger(u))):
             if p.any():
                 found.setdefault(starts[i][0], np.zeros(b.size))[starts[i][1] :][: p.size] = p
     return list(found.values())
@@ -1065,20 +1062,19 @@ class _Face:
         on = (np.bincount(r, minlength=data.b.size) > 0) | (data.b != 0)  # a row 0 = 0 says nothing
         self.rows = np.flatnonzero(on)
         red._add_rows([((np.cumsum(on) - 1)[r], c, v)], data.b[self.rows])
-        self.proj = _Projector(red, whole=self.rows.size * red.n_vars <= _DENSE_BASIS)
+        self.proj = _Projector(red)
 
     @classmethod
-    def of(cls, problem: SdpProblem) -> _Face | None:
+    def of(cls, data: _Data) -> _Face | None:
         """The face that the kernels of the right-hand sides expose, or ``None``: every
         candidate of :func:`_kernel_multipliers` together, or else those that pass alone."""
-        found = _kernel_multipliers(problem)
+        found = _kernel_multipliers(data.problem)
         if not found:
             return None
-        data = _Data(problem)
         z = sum(found)
         got = _dual_spectra(data, z)
         if got is None and len(found) > 1:
-            z = sum((y for y in found if _dual_spectra(data, y) is not None), np.zeros(problem._m))
+            z = sum((y for y in found if _dual_spectra(data, y) is not None), np.zeros(data.b.size))
             got = _dual_spectra(data, z) if z.any() else None
         face = None if got is None else cls(data, z, *got)
         return None if face is None or face.proj is None else face
@@ -1091,22 +1087,27 @@ class _Face:
         return x
 
     def lifted(self, res: SolveResult, tols: Tolerances) -> SolveResult | None:
-        """The face's result in the original's coordinates and records when its witness
-        passes :func:`_check_point` there, or its multipliers y, lifted to y + t z,
-        :func:`_certificate`; else ``None``.
+        """The face's result in the original's coordinates and records: an undecided one
+        as it is, a witness when it passes :func:`_check_point` there, multipliers y
+        when :func:`_certificate` accepts them lifted to y + t z; else ``None``.
 
         y separates on the face with room m = -(feas + gap + bound).  On a
         block, with B the face's part of h = A^T y and mu g's least eigenvalue
         off it, a Schur complement gives lambda_min(h + t g) >= lambda_min(B)
         - delta once t mu >= 2 |h| + delta + |h|^2 / delta; an interval
         coordinate off the face needs h + t g >= 0.  With delta = m / (4 caps)
-        the infimum falls by at most m / 4, and y.b moves by t z.b, about 0.
+        the infimum falls by at most m / 4.  This leaves out the terms t cut caps
+        (g's face eigenvalues are only within the cut of 0) and t z.b (only about
+        0), and t can far exceed 1 / cut: the bound proposes t, and
+        :func:`_certificate` on the original data decides.
         """
         d, witness, cert = self.data, None, None
         if res.verdict is Verdict.FEASIBLE:
             x = self.lift(self.proj.problem.join(res.witness))
             if _check_point(d.problem, x, _apply(d.coo, x, d.b.size) - d.b, tols)[0]:
                 witness = d.problem.split(x)
+            else:
+                return None
         elif res.verdict is Verdict.INFEASIBLE_CERTIFIED:
             y, (r, c, v) = np.zeros(d.b.size), d.coo
             y[self.rows] = res.certificate.multipliers
@@ -1117,28 +1118,29 @@ class _Face:
                 norm = np.linalg.norm(h[idx], axis=1)
                 t = max(t, float(((2 * norm + delta + norm**2 / delta) / mu).max()))
             cert = _certificate(d, y + t * self.z, tols)
-        if witness is None and cert is None:
-            return None
+            if cert is None:
+                return None
         face = f" on a face: {d.problem.n_vars} -> {self.proj.problem.n_vars} coordinates"
         return SolveResult(res.verdict, witness, res.iterations, res.residual, cert,
                            (res.message or "witness") + face, None if res.iterate is None else self.lift(res.iterate))
 
 
-def _run(proj: _Projector, tols: Tolerances, start: np.ndarray | None) -> SolveResult:
-    """The iteration of :func:`solve_feasibility` on ``proj``'s problem from ``start``."""
+def _run(proj: _Projector, tols: Tolerances, start: np.ndarray | None, spent: int = 0) -> SolveResult:
+    """The iteration of :func:`solve_feasibility` on ``proj``'s problem from ``start``, with
+    what ``spent`` earlier iterations leave of the budget; its count includes them."""
     # an empty affine set: r = A x_part - b has A^T r = 0 and r.b = -|r|^2, so r / |r|,
     # of gap -|r|, is tried as multipliers once |r| exceeds its rounding
     r, eps = math.sqrt(proj.residual @ proj.residual), np.finfo(float).eps
     if r > len(proj.b) * eps * (proj.norm_a * math.sqrt(proj.x_part @ proj.x_part) + math.sqrt(proj.b @ proj.b)):
         cert = _certificate(proj, proj.residual / r, tols)
         if cert is not None:
-            return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, 0, r, cert,
+            return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, spent, r, cert,
                                "affine constraints are inconsistent (empty affine set)")
     x = (proj.x_part if start is None else start).copy()
     res = float("inf")
     pl = pk = x
-    next_attempt = 1
-    for it in range(1, tols.max_iter + 1):
+    next_attempt, cap = 1, tols.max_iter - spent
+    for it in range(1, cap + 1):
         pl = proj.affine(x)
         pk = proj.cone(2.0 * pl - x)
         x = x + pk - pl
@@ -1147,16 +1149,16 @@ def _run(proj: _Projector, tols: Tolerances, start: np.ndarray | None) -> SolveR
             a_pt = proj.affine(pk)
             ok, _ = _check_point(proj.problem, a_pt, _apply(proj.coo, a_pt, proj.b.size) - proj.b, tols)
             if ok:
-                return SolveResult(Verdict.FEASIBLE, proj.problem.split(a_pt), it, res, iterate=x)
+                return SolveResult(Verdict.FEASIBLE, proj.problem.split(a_pt), spent + it, res, iterate=x)
         # certificates are validated from the data, so an early attempt is safe: try at
         # iterations 1, 2, 4, ... and then every _ATTEMPT_SPACING iterations, and at the
         # cap, with the multipliers of the gap's row-space part scaled to a unit functional
-        if it == next_attempt or it == tols.max_iter:
+        if it == next_attempt or it == cap:
             next_attempt += min(it, _ATTEMPT_SPACING)
             y = proj.multipliers(pk - pl)
             cert = None if y is None else _certificate(proj, y, tols)
             if cert is not None:
-                return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, it, res, cert,
+                return SolveResult(Verdict.INFEASIBLE_CERTIFIED, None, spent + it, res, cert,
                                    "validated separating functional", x)
     return SolveResult(Verdict.UNDECIDED, None, tols.max_iter, res, None,
                        "iteration cap without a witness or a validated certificate", x)
@@ -1177,7 +1179,9 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
 
     With no start, it runs first on the face of the cones that the data
     expose, if any (:class:`_Face`); a threshold family's member is solved
-    unreduced.
+    unreduced.  When the face's evidence fails on the original problem, the
+    unreduced solve gets what the face's iterations left of ``max_iter``, and
+    the result counts both.
 
     ``start`` is the initial x, a flat vector of length ``problem.n_vars``
     (for instance ``iterate`` of an earlier result); ``None`` starts at the
@@ -1193,9 +1197,15 @@ def solve_feasibility(problem: SdpProblem, tols: Tolerances | None = None,
             raise ValueError("start has non-finite entries")
     if problem._projector is not None:  # a face would depend on the member's weight
         return _run(problem._projector, tols, start)
-    face = None if start is not None else _Face.of(problem)  # a start is in the original coordinates
-    res = None if face is None else face.lifted(_run(face.proj, tols, None), tols)
-    return res or _run(_Projector(problem), tols, start)
+    data, spent = _Data(problem), 0
+    face = None if start is not None else _Face.of(data)  # a start is in the original coordinates
+    if face is not None:
+        res = _run(face.proj, tols, None)
+        lifted = face.lifted(res, tols)
+        if lifted is not None:
+            return lifted
+        spent = res.iterations
+    return _run(_Projector(data), tols, start, spent)
 
 
 @dataclass(frozen=True)

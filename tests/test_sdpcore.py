@@ -1463,13 +1463,18 @@ def _no_flip(a, b):
     return {a.verdict, b.verdict} != {Verdict.FEASIBLE, Verdict.INFEASIBLE_CERTIFIED}
 
 
-@pytest.mark.parametrize("case", ["id/id d=2", "id/id d=4", "sharp X/Z"])
+@pytest.mark.parametrize("case", ["id/id d=2", "id/id d=4", "sharp X/Z", "sharp tester", "sharp LHS"])
 def test_no_cloning_is_certified_on_its_face_at_iteration_0(case, sharp_x, sharp_z):
     # the identity's Choi matrix has rank 1 and a sharp effect is a projector:
     # every joint device lies on a face with no room, an empty face, and the
     # data certify the impossibility before any iteration
     if case == "sharp X/Z":
         prob = joint_problem([sharp_x.effects, sharp_z.effects])
+    elif case == "sharp tester":
+        tx, tz = (prepare_measure_tester(np.eye(2) / 2, obs) for obs in (sharp_x, sharp_z))
+        prob = joint_problem([tx.effects, tz.effects])
+    elif case == "sharp LHS":
+        prob = joint_problem(max_entangled_assemblage([sharp_x, sharp_z]).blocks)
     else:
         ident = q.identity_channel(2 if case == "id/id d=2" else 4)
         prob = chancompat._channel_pair_problem(ident, ident)
@@ -1503,6 +1508,24 @@ def test_a_face_block_past_the_budget_stays_whole(monkeypatch):
     assert res.feasible and "face" not in res.message
     res = solve_feasibility(chancompat._channel_pair_problem(ident, ident))
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED and res.message.endswith("on a face: 64 -> 0 coordinates")
+
+
+def test_a_fallback_counts_the_face_iterations_in_its_budget(monkeypatch):
+    # evidence that fails on the original sends the solve unreduced, with what the
+    # face's iterations left of max_iter, and the result counts both runs
+    prob = chancompat._channel_pair_problem(q.identity_channel(2), q.depolarizing_channel(2))
+    on_face = solve_feasibility(prob)
+    assert on_face.message == "witness on a face: 64 -> 4 coordinates" and on_face.iterations == 1
+    without = pytest.MonkeyPatch()
+    without_faces(without)
+    unreduced = solve_feasibility(prob)
+    without.undo()
+    monkeypatch.setattr(sdpcore._Face, "lifted", lambda face, res, tols: None)
+    res = solve_feasibility(prob)
+    assert res.feasible and "face" not in res.message
+    assert res.iterations == on_face.iterations + unreduced.iterations
+    res = solve_feasibility(prob, q.Tolerances(max_iter=on_face.iterations))  # none left
+    assert res.verdict is Verdict.UNDECIDED and res.iterations == on_face.iterations
 
 
 def _criterion_10(count):
