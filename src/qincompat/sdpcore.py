@@ -41,7 +41,8 @@ block is X = V Y V^H, V a basis of the kernel of g's block.  Nothing rests on
 the rank cut: a witness on the face is lifted and checked on the original
 problem, a certificate's multipliers y become y + t z for the certificate test
 on the original data, and when neither holds the unreduced problem is solved
-with what the face's iterations left of the cap.  The identity's Choi matrix has rank 1, so no-cloning is certified at once.
+with what the face's iterations left of the cap.  The identity's Choi matrix
+has rank 1, so no-cloning is certified at once.
 
 The caps make the cone product compact, so on infeasible instances the iterates
 approach the minimum-distance gap pair and the residual tends to the gap
