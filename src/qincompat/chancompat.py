@@ -10,7 +10,6 @@ question here is again an affine-plus-PSD feasibility problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,8 +23,12 @@ from .devices import (
     conjugate_channel,
 )
 from .sdpcore import (
+    MAX_BLOCK_SIDE,
     Decision,
+    NoiseClass,
     SdpProblem,
+    joint_problem,
+    joint_witness,
     partial_trace_map,
     real_linear_map,
     solve_feasibility,
@@ -47,12 +50,28 @@ __all__ = [
     "state_marginal_feasible",
 ]
 
-MAX_BLOCK_SIDE = 64
 
+def _margins(device_a, device_b):
+    """``(margins, factors)`` of :func:`sdpcore.joint_problem` for a channel pair or
+    an observable with a channel on its input.
 
-def _require_side(side: int):
-    if side > MAX_BLOCK_SIDE:
-        raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
+    Two channels meet in a channel on in x out_a x out_b whose margin k keeps
+    (in, out_k); trivial noise is a constant channel I_in (x) xi.  An
+    observable and a channel meet in an instrument, Choi blocks on in x out,
+    one per outcome, whose total is the channel and whose blocks traced over
+    out are the effects transposed; trivial noise is p(x) I on the effects.
+    """
+    if isinstance(device_a, Channel) and isinstance(device_b, Channel):
+        if device_a.in_dim != device_b.in_dim:
+            raise ValueError("channels must share the input dimension")
+        return ([(device_a.choi(), (), (0, 1), (1,)), (device_b.choi(), (), (0, 2), (2,))],
+                (device_a.in_dim, device_a.out_dim, device_b.out_dim))
+    if isinstance(device_a, Observable) and isinstance(device_b, Channel):
+        if device_a.dim != device_b.in_dim:
+            raise ValueError("observable and channel must share the input dimension")
+        return ([(device_b.choi(), (), (0, 1), (1,)), (device_a.effects.swapaxes(1, 2), (0,), (0,), ())],
+                (device_b.in_dim, device_b.out_dim))
+    raise TypeError("expected (Channel, Channel) or (Observable, Channel)")
 
 
 # === channel pairs ===========================================================
@@ -71,12 +90,11 @@ def check_channel_pair(chan_a: Channel, chan_b: Channel,
     Choi matrix of the joint channel, which is returned.
     """
     tols = tols or DEFAULT_TOLS
-    if chan_a.in_dim != chan_b.in_dim:
-        raise ValueError("channels must share the input dimension")
-    res = solve_feasibility(_channel_pair_problem(chan_a, chan_b), tols)
+    margins, factors = _margins(chan_a, chan_b)
+    res = solve_feasibility(joint_problem(margins, factors=factors), tols)
     if not res.feasible:
         return ChannelPairResult(res)
-    joint = Channel.from_choi(res.witness["joint"], chan_a.in_dim,
+    joint = Channel.from_choi(joint_witness(res.witness)[0], chan_a.in_dim,
                               chan_a.out_dim * chan_b.out_dim, atol=tols.witness_atol)
     return ChannelPairResult(res, joint)
 
@@ -135,7 +153,8 @@ def channel_division(chan: Channel, through: Channel,
     dmid = through.out_dim
     dout = chan.out_dim
     side = dmid * dout
-    _require_side(side)
+    if side > MAX_BLOCK_SIDE:
+        raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
     j_through = through.choi()
     prob = SdpProblem()
     prob.add_psd_block("factor", side, trace_cap=float(dmid))
@@ -160,95 +179,6 @@ def conjugate_compat_check(chan_a: Channel, chan_b: Channel,
 
 # === robustness ==============================================================
 
-class NoiseClass(Enum):
-    TRIVIAL_NOISE = "trivial"
-    COMPATIBLE_NOISE = "compatible"
-    ARBITRARY_NOISE = "arbitrary"
-
-
-def _channel_pair_problem(chan_a: Channel, chan_b: Channel,
-                          mode: NoiseClass | None = None, lam: float = 1.0) -> SdpProblem:
-    """Joint channel for lam-mixtures of two channels with a noise pair of class ``mode``.
-
-    The noise blocks hold (1 - lam) times the noise (see
-    :meth:`SdpProblem.add_margins`).  With ``mode=None`` there is no noise:
-    the plain compatibility problem.
-    """
-    din, da, db = chan_a.in_dim, chan_a.out_dim, chan_b.out_dim
-    side = din * da * db
-    _require_side(side)
-    dims = (din, da, db)
-    tr_b = partial_trace_map(dims, (0, 1))
-    tr_a = partial_trace_map(dims, (0, 2))
-    eye_in = vec_of(np.eye(din))
-    prob = SdpProblem()
-    prob.add_psd_block("joint", side, trace_cap=float(din))
-    noise_a, noise_b, norms = {}, {}, []
-    if mode is NoiseClass.TRIVIAL_NOISE:
-        # constant-channel noise: Choi = I_in (x) xi
-        for noise, name, d in ((noise_a, "xi_a", da), (noise_b, "xi_b", db)):
-            prob.add_psd_block(name, d, trace_cap=1.0)
-            cols, rows, ones = partial_trace_map((din, d), (1,))
-            noise[name] = (rows, cols, ones)  # the lift, the partial trace's adjoint
-            norms.append(({name: vec_of(np.eye(d))[None, :]}, np.array([1.0])))
-    elif mode is NoiseClass.ARBITRARY_NOISE:
-        for noise, name, d in ((noise_a, "noise_a", da), (noise_b, "noise_b", db)):
-            prob.add_psd_block(name, din * d, trace_cap=float(din))
-            noise[name] = 1.0
-            norms.append(({name: partial_trace_map((din, d), (0,))}, eye_in))
-    elif mode is NoiseClass.COMPATIBLE_NOISE:
-        # noise pair given as marginals of one joint noise channel
-        prob.add_psd_block("noise_joint", side, trace_cap=float(din))
-        noise_a["noise_joint"] = tr_b
-        noise_b["noise_joint"] = tr_a
-        norms.append(({"noise_joint": partial_trace_map(dims, (0,))}, eye_in))
-    prob.add_margins([({"joint": tr_b}, noise_a, vec_of(chan_a.choi())),
-                      ({"joint": tr_a}, noise_b, vec_of(chan_b.choi()))], lam, norms)
-    return prob
-
-
-def _obs_channel_problem(obs: Observable, chan: Channel,
-                         mode: NoiseClass | None = None, lam: float = 1.0) -> SdpProblem:
-    """Instrument for lam-mixtures of an observable and a channel with noise of class ``mode``.
-
-    The record ``op``, a stack of m blocks, holds the instrument's Choi
-    blocks: their sum is the channel and ``tr_out op[x]`` is effect x
-    transposed.  The noise records (the stacks ``eff`` and ``nop``, one
-    block per outcome, or ``p`` and ``xi``) hold (1 - lam) times the noise.
-    With ``mode=None`` there is no noise: the plain realizability problem.
-    """
-    din, dout, m = chan.in_dim, chan.out_dim, obs.n_outcomes
-    side = din * dout
-    if side > MAX_BLOCK_SIDE or m > MAX_BLOCK_SIDE:
-        raise ValueError(f"problem too large: block side {side}, {m} outcomes")
-    tr_out = partial_trace_map((din, dout), (0,))
-    eye_in = vec_of(np.eye(din))
-    every, each = np.arange(m)[None], np.arange(m)[:, None]  # all blocks in one row group, one in each
-    prob = SdpProblem()
-    prob.add_psd_block("op", side, trace_cap=float(din), lead=(m,))
-    chan_noise, eff_noise, norms = {}, {}, []  # the noise in the channel rows and in the effect rows
-    if mode is NoiseClass.TRIVIAL_NOISE:
-        # p(x) I in the rows of effect x, and xi lifted by the partial trace's adjoint
-        eff_noise[prob.add_scalar_block("p", m, cap=1.0)] = np.kron(np.eye(m), eye_in[:, None])
-        cols, rows, ones = partial_trace_map((din, dout), (1,))
-        chan_noise[prob.add_psd_block("xi", dout, trace_cap=1.0)] = (rows, cols, ones)
-        norms.append(({"p": np.ones((1, m))}, np.array([1.0])))
-    elif mode is NoiseClass.ARBITRARY_NOISE:
-        eff_noise[prob.add_psd_block("eff", din, trace_cap=float(din), lead=(m,))] = 1.0
-        chan_noise[prob.add_psd_block("noise_chan", side, trace_cap=float(din))] = 1.0
-        norms.append(({"eff": (1.0, every)}, eye_in))
-        norms.append(({"noise_chan": tr_out}, eye_in))
-    elif mode is NoiseClass.COMPATIBLE_NOISE:
-        # noise devices are the marginals of one noise instrument
-        prob.add_psd_block("nop", side, trace_cap=float(din), lead=(m,))
-        chan_noise["nop"], eff_noise["nop"] = (1.0, every), (tr_out, each)
-        norms.append(({"nop": (tr_out, every)}, eye_in))
-    prob.add_margins([({"op": (1.0, every)}, chan_noise, vec_of(chan.choi())),
-                      ({"op": (tr_out, each)}, eff_noise, vec_of(obs.effects.swapaxes(1, 2)).ravel())],
-                     lam, norms)
-    return prob
-
-
 def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE,
                tols: Tolerances | None = None) -> float:
     """Largest mixing weight at which admissible noise restores compatibility.
@@ -261,20 +191,10 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
     below the threshold.
     """
     tols = tols or DEFAULT_TOLS
-    if isinstance(device_a, Channel) and isinstance(device_b, Channel):
-        if device_a.in_dim != device_b.in_dim:
-            raise ValueError("channels must share the input dimension")
-        build = _channel_pair_problem
-    elif isinstance(device_a, Observable) and isinstance(device_b, Channel):
-        if device_a.dim != device_b.in_dim:
-            raise ValueError("observable and channel must share the input dimension")
-        build = _obs_channel_problem
-    else:
-        raise TypeError("expected (Channel, Channel) or (Observable, Channel)")
+    margins, factors = _margins(device_a, device_b)
     if not isinstance(mode, NoiseClass):
         raise ValueError(f"unknown noise class {mode}")
-
-    return threshold_search(lambda lam: build(device_a, device_b, mode, lam), tols).value
+    return threshold_search(lambda lam: joint_problem(margins, (lam, lam), factors=factors, noise=mode), tols).value
 
 
 # === state marginal problem ==================================================
@@ -305,15 +225,9 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
             raise ValueError(f"{label} has shape {rho.shape}, expected {(d, d)}")
     if abs(np.trace(rho_ab) - 1.0) > 1e-8 or abs(np.trace(rho_bc) - 1.0) > 1e-8:
         raise ValueError("marginals must have unit trace")
-    side = da * db * dc
-    _require_side(side)
-    prob = SdpProblem()
-    prob.add_psd_block("omega", side, trace_cap=1.0)
-    prob.add_equality({"omega": partial_trace_map(dims, (0, 1))}, vec_of(rho_ab))
-    prob.add_equality({"omega": partial_trace_map(dims, (1, 2))}, vec_of(rho_bc))
-    prob.add_equality({"omega": vec_of(np.eye(side))[None, :]}, np.array([1.0]))
+    prob = joint_problem([(rho_ab, (), (0, 1), ()), (rho_bc, (), (1, 2), ())], factors=tuple(dims))
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return MarginalResult(res)
-    omega = State(la.psd_project(res.witness["omega"]), atol=tols.witness_atol)
+    omega = State(la.psd_project(joint_witness(res.witness)[0]), atol=tols.witness_atol)
     return MarginalResult(res, omega)

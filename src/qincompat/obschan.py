@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .chancompat import MAX_BLOCK_SIDE, DivisionReport, _obs_channel_problem, channel_division
+from .chancompat import MAX_BLOCK_SIDE, DivisionReport, _margins, channel_division
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import OrderReport, postprocessing_order
-from .sdpcore import Decision, SdpProblem, Verdict, real_linear_map, solve_feasibility, vec_of
+from .sdpcore import (Decision, SdpProblem, Verdict, joint_problem, joint_witness, real_linear_map,
+                      solve_feasibility, vec_of)
 
 __all__ = [
     "ObsChannelResult",
@@ -52,12 +53,11 @@ def check_obs_channel(obs: Observable, chan: Channel,
     whose total channel is ``chan``.
     """
     tols = tols or DEFAULT_TOLS
-    if obs.dim != chan.in_dim:
-        raise ValueError("observable and channel must share the input dimension")
-    result = solve_feasibility(_obs_channel_problem(obs, chan), tols)
+    margins, factors = _margins(obs, chan)
+    result = solve_feasibility(joint_problem(margins, factors=factors), tols)
     if not result.feasible:
         return ObsChannelResult(result)
-    return ObsChannelResult(result, Instrument(result.witness["op"], chan.in_dim, chan.out_dim,
+    return ObsChannelResult(result, Instrument(joint_witness(result.witness)[0], chan.in_dim, chan.out_dim,
                                                outcomes=obs.outcomes, atol=tols.witness_atol))
 
 

@@ -267,7 +267,9 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     They are read back from the noise blocks, which hold (1 - lam_k) p_k, by
     normalizing; at weight 1 the noise is absent and every distribution is
     valid, and the uniform one is returned, as it is where the blocks' clipped
-    mass is not positive (a weight within rounding of 1).
+    mass lies below ``feas``: the witness fixes such a mass only to within its
+    rounding, and any distribution at that mass moves the margins by less
+    than ``feas``.
     """
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
@@ -292,7 +294,7 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     dists = []
     for w, nk in zip(noise.weights, blocks):
         p = np.clip(nk[:, 0, 0].real, 0.0, None)
-        dists.append(p / p.sum() if w != 1.0 and p.sum() > 0 else np.full(len(p), 1.0 / len(p)))
+        dists.append(p / p.sum() if w != 1.0 and p.sum() > tols.feas else np.full(len(p), 1.0 / len(p)))
     return JointResult(res, joint, tuple(dists))
 
 

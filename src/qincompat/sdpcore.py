@@ -61,8 +61,8 @@ A solve starts from the affine particular solution unless it is given a
 ``start`` iterate; the iteration converges from any start.
 
 A threshold search (:func:`threshold_search`) decides a family of problems
-whose weight lam enters only the right-hand side, affinely: the margin rows
-of :meth:`SdpProblem.add_margins` carry the noise as (1 - lam) N, so their
+whose weight lam enters only the right-hand side, affinely: the weighted margin
+rows of :func:`joint_problem` carry the noise as (1 - lam) N, so their
 coefficients do not depend on lam.  The search factorizes the family once,
 with the two right-hand sides b(0) and b(1) - b(0), and each probe solves
 its member from that factorization, warm-started at the final iterate of
@@ -73,19 +73,26 @@ its bounded gap y.b(lam) - inf_cones <A^T y, .> + bound is affine in lam: it
 excludes every weight above the root of gap = -feas, :func:`bisect_threshold`
 drops the bracket's top to that root and approaches it from below.
 
-Joint measurability, local hidden state models and joint testers are one
-question, built once by :func:`joint_problem`: one record ``g`` of PSD blocks
-on the product outcome grid whose fibre sums equal the given devices' outcome
-operators, optionally mixed with noise, one record ``n{k}`` per margin; a
-solve's witness and a certificate's functional hold those stacks.  The trace
-cap of every joint block is derived from the margins, the trace of the joint
-device's total.  Every outcome-indexed device is one stack record like ``g``:
-an instrument's Choi blocks (``op``), a sequential follow-up observable
-(``rec``) and their noise.  A term on some blocks of a stack is a pair
-``(term, groups)`` of :meth:`SdpProblem.add_equality`, placed by the helper
-that writes :func:`joint_problem`'s fibre, noise lift and noise trace rows.
-Every margin row in the package has the form of
-:meth:`SdpProblem.add_margins`, fibres included (one row group per margin).
+Every compatibility question asks whether one device has the given devices
+as its parts, and :func:`joint_problem` writes it once.  The joint device is
+the record ``g``: a stack of PSD blocks on a classical outcome grid, each
+block on a product of quantum factors.  Each margin keeps some axes of the
+grid and some factors, sums over the other axes and traces out the other
+factors, and equals its device, optionally mixed with noise (a record
+``n{k}`` per margin, or ``ng``, a second joint record).  Observables,
+assemblages and testers keep one axis each and the one factor.  A channel
+pair is a channel on in x out_A x out_B, and channel k keeps (in, out_k).
+An instrument is a stack on (m,) of blocks on in x out: the channel keeps
+no axis and both factors, the observable the axis and the input factor.  A
+state marginal problem keeps (A, B) and (B, C) of a state on A x B x C.  A
+solve's witness and a certificate's functional hold those stacks.  The
+trace cap of every joint block is derived from the margins, the trace of
+the joint device's total.  A margin's rows are the pair ``(term, groups)``
+of :meth:`SdpProblem.add_equality`, the partial trace onto the kept factors
+(:func:`partial_trace_map`) on each fibre of the grid, in one row group per
+margin whose pieces are the devices' blocks: the face step reads their
+kernels there.  Only the order questions (division, post-processing,
+sequential recovery) write their rows by hand.
 A 1x1 PSD block is the scalar interval [0, cap]: it is clipped with the
 scalar blocks and checked as a scalar, and ``split`` still returns it as a
 1x1 matrix.
@@ -132,6 +139,13 @@ class Verdict(Enum):
     INFEASIBLE_HEURISTIC = "undecided"
 
 
+class NoiseClass(Enum):
+    TRIVIAL_NOISE = "trivial"
+    COMPATIBLE_NOISE = "compatible"
+    ARBITRARY_NOISE = "arbitrary"
+
+
+MAX_BLOCK_SIDE = 64  # the largest joint block side, and the most outcomes on one axis of its grid
 _ATTEMPT_SPACING = 200  # largest spacing of certificate attempts (1, 2, 4, ... up to it)
 
 
@@ -341,21 +355,14 @@ class SdpProblem:
         groups.  Each term is kept as the triplets of its nonzero entries, no
         two at one place.
         """
-        self._add_terms(terms, {}, rhs)
-
-    def _add_terms(self, terms, negated, rhs) -> None:
-        """Rows ``terms - negated = rhs`` (see :meth:`add_equality`), each term converted once."""
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if terms.keys() & negated.keys():
-            raise ValueError(f"blocks {sorted(terms.keys() & negated.keys())} are both terms and noise")
         chunks, pieces = [], 1
-        for negate, group in ((False, terms), (True, negated)):
-            for name, t in group.items():
-                blk = self._blocks[name]
-                r, c, v = _entries(name, t, rhs.size, blk.shape)
-                chunks.append((r, blk.offset + c, -v if negate else v))
-                if isinstance(t, tuple) and len(t) == 2:
-                    pieces = max(pieces, len(t[1]))
+        for name, t in terms.items():
+            blk = self._blocks[name]
+            r, c, v = _entries(name, t, rhs.size, blk.shape)
+            chunks.append((r, blk.offset + c, v))
+            if isinstance(t, tuple) and len(t) == 2:
+                pieces = max(pieces, len(t[1]))
         self._add_rows(chunks, rhs, pieces)
 
     def _add_rows(self, chunks, rhs: np.ndarray, pieces: int = 1) -> None:
@@ -366,22 +373,6 @@ class SdpProblem:
         self._rhs.append(rhs)
         self._pieces.append(pieces)
         self._m += rhs.size
-
-    def add_margins(self, rows, lam: float, norms=()) -> None:
-        """Margins of devices mixed at weight ``lam`` with noise.
-
-        One row group ``terms - noise = lam device`` per (terms, noise, device),
-        and one ``terms = (1 - lam) rhs`` per (terms, rhs) in ``norms``, the
-        noise's normalization; terms take every form of :meth:`add_equality`.
-        The noise blocks hold (1 - lam) times the noise, so no coefficient
-        depends on ``lam`` and the right-hand side depends on it affinely: a
-        threshold search factorizes once.  Their trace caps still bound them,
-        as 1 - lam <= 1.
-        """
-        for terms, noise, device in rows:
-            self._add_terms(terms, noise, lam * device)
-        for terms, rhs in norms:
-            self._add_terms(terms, {}, (1 - lam) * rhs)
 
     def _triplets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
         """``((rows, columns, values), b)``: the nonzero entries of A, no two at one place, and b."""
@@ -447,52 +438,103 @@ class SdpProblem:
         return x
 
 
-def joint_problem(margins, weights=None, noise_side: int = 1) -> SdpProblem:
+def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
+                  noise: NoiseClass = NoiseClass.TRIVIAL_NOISE) -> SdpProblem:
     """Joint device with the given margins: the one compatibility question.
 
-    ``margins[k]`` stacks the kth device's outcome operators M_k(x), all of
-    one side.  The joint device is the record ``g``, a stack of PSD blocks on
-    the outcome grid ``counts = (len(M_0), len(M_1), ...)``: ``g[t]`` is the
-    block of outcome tuple t, laid out in C order, and for every (k, x) the
-    blocks whose kth index is x sum to M_k(x).  Every g block has the trace
-    cap tr sum_x M_0(x), the trace of the joint device's total.
+    The joint device is the record ``g``, a stack of PSD blocks on a grid of
+    outcome tuples, laid out in C order, each block on the product of
+    quantum ``factors`` (their dimensions).  ``margins[k]`` is
+    ``(device, axes, keep, on)``: the kth device stacks its blocks on the
+    grid axes ``axes`` (its leading shape, which gives the grid) and acts on
+    the factors ``keep``, both ascending, and for each of its outcome tuples
+    the g blocks that agree with it on ``axes``, traced over the factors not
+    in ``keep``, sum to its block.  Every g block has the trace cap of the
+    joint device's total, the trace of margin 0's total.  Without
+    ``factors``, ``margins[k]`` is a stack M_k of outcome operators on an
+    axis of its own, as for observables, assemblages and testers: the
+    margin ``(M_k, (k,), (0, 1), (0,))`` on the factors
+    ``(noise_side, side // noise_side)``.
 
-    With ``weights`` the kth margin is w_k M_k(x) + (1 - w_k) N_k(x) (x) I
-    instead, for noise N_k(x) >= 0 of side ``noise_side`` with
-    sum_x tr N_k(x) = 1; the record ``n{k}``, a stack of ``counts[k]`` blocks,
-    holds (1 - w_k) N_k (see :meth:`SdpProblem.add_margins`).  Side 1 is
-    trivial noise p_k(x) I; the input side of a tester is channel-blind noise.
+    With ``weights`` the kth margin is w_k D_k + (1 - w_k) N_k instead, for
+    noise N_k of the class ``noise``, held as (1 - w_k) N_k so that no
+    coefficient depends on the weights and the right-hand side depends on
+    them affinely: a threshold search factorizes the family once.
+
+    * Trivial: the record ``n{k}``, a stack on the margin's axes of PSD
+      blocks on its factors ``on``, lifted by (x) I on its other factors,
+      whose traces sum to 1: p_k(x) I for ``on = ()``, a constant channel
+      I_in (x) xi on a channel's output, channel-blind noise on a tester's
+      input.  Its blocks have trace cap 1.
+    * Arbitrary: the record ``n{k}`` of the margin's own shape, a device:
+      summed over its axes and traced onto its first factor (the input) it
+      is the identity.
+    * Compatible: the record ``ng``, a second joint device like ``g`` whose
+      margins are the noise, normalized as arbitrary noise on the first of
+      ``factors``, at the weight of margin 0.
+
+    A grid axis or a block side above ``MAX_BLOCK_SIDE`` raises ``ValueError``
+    before anything is built, as does a device of another shape.
     """
-    side = margins[0].shape[-1]
-    cap = float(np.trace(margins[0].sum(axis=0)).real)
-    counts = tuple(len(m) for m in margins)
-    prob = SdpProblem()
-    grid = prob._add("psd", "g", side, cap, counts)
-    eye = _entries("g", 1.0, side * side, (side * side,))
-    if weights is not None:  # add_margins' rows: fibre - noise (x) I = w device, sum_x tr noise = 1 - w
-        lc, lr, lv = partial_trace_map((noise_side, side // noise_side), (0,))
-        lift = (lr, lc, -lv)  # the negated lift: the partial trace's rows and columns swapped
-        tr_row = partial_trace_map((noise_side,), ())
-    for k, m in enumerate(margins):
-        # one row group per margin: fibre x, the grid's slice at index x of axis k, is I on
-        # each of its blocks in the rows of M_k(x)
-        chunks = [_per_block(eye, np.moveaxis(grid, k, 0).reshape(len(m), -1), side * side)]
-        if weights is None:
-            prob._add_rows(chunks, vec_of(m).ravel(), len(m))
-            continue
-        noise = prob._add("psd", f"n{k}", noise_side, 1.0, (len(m),))
-        chunks.append(_per_block(lift, noise[:, None], side * side))
-        prob._add_rows(chunks, weights[k] * vec_of(m).ravel(), len(m))
-        prob._add_rows([_per_block(tr_row, noise[None], 1)], (1 - weights[k]) * np.array([1.0]))
+    if factors is None:  # each stack M_k on an axis of its own
+        side = margins[0].shape[-1]
+        factors, margins = (noise_side, side // noise_side), [(m, (k,), (0, 1), (0,)) for k, m in enumerate(margins)]
+    margins = [(np.asarray(device), tuple(axes), tuple(keep), tuple(on)) for device, axes, keep, on in margins]
+    grid = {a: n for device, axes, _, _ in margins for a, n in zip(axes, device.shape)}
+    counts, side = tuple(grid[a] for a in range(len(grid))), math.prod(factors)
+    if side > MAX_BLOCK_SIDE:
+        raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
+    if max(counts, default=0) > MAX_BLOCK_SIDE:
+        raise ValueError(f"problem too large: block side {side}, {max(counts)} outcomes")
+    for device, axes, keep, _ in margins:
+        shape = tuple(counts[a] for a in axes) + (math.prod(factors[f] for f in keep),) * 2
+        if device.shape != shape:
+            raise ValueError(f"a device on axes {axes} and factors {keep} of {factors} needs shape {shape}, "
+                             f"not {device.shape}")
+    total = margins[0][0].reshape((-1,) + margins[0][0].shape[-2:]).sum(axis=0)
+    prob, cap = SdpProblem(), float(np.trace(total).real)
+    g = prob._add("psd", "g", side, cap, counts)
+    trivial = noise is NoiseClass.TRIVIAL_NOISE
+    compatible = weights is not None and noise is NoiseClass.COMPATIBLE_NOISE
+    if compatible:
+        ng = prob._add("psd", "ng", side, cap, counts)
+
+    def normalize(rec, dims, to, w):
+        """Rows: the blocks of ``rec``, on factors ``dims``, summed and traced onto ``to`` are (1 - w) I."""
+        eye = vec_of(np.eye(math.prod(dims[i] for i in to)))
+        prob._add_rows([_per_block(partial_trace_map(dims, to), rec.reshape(1, -1), eye.size)], (1 - w) * eye)
+
+    for k, (device, axes, keep, on) in enumerate(margins):
+        dims, pieces = [factors[f] for f in keep], math.prod(device.shape[:-2])
+        rows, (r, c, v) = math.prod(dims) ** 2, partial_trace_map(factors, keep)
+
+        def fibres(rec):
+            """The blocks of the stack ``rec`` on g's grid, one row per outcome tuple of the margin."""
+            return np.moveaxis(rec, axes, range(len(axes))).reshape(pieces, -1)
+
+        chunks = [_per_block((r, c, v), fibres(g), rows)]  # one row group per margin: fibre - noise = w device
+        if compatible:
+            chunks.append(_per_block((r, c, -v), fibres(ng), rows))
+        elif weights is not None:
+            own = on if trivial else keep
+            n = prob._add("psd", f"n{k}", math.prod(factors[f] for f in own), 1.0 if trivial else cap,
+                          device.shape[:-2])
+            lc, lr, lv = partial_trace_map(dims, [keep.index(f) for f in own])
+            chunks.append(_per_block((lr, lc, -lv), n.reshape(-1, 1), rows))  # the lift: rows and columns swapped
+        prob._add_rows(chunks, (1.0 if weights is None else weights[k]) * vec_of(device).ravel(), pieces)
+        if weights is not None and not compatible:  # total trace 1 - w, or (1 - w) I on the input
+            normalize(n, [factors[f] for f in own], () if trivial else (0,), weights[k])
+    if compatible:
+        normalize(ng, factors, (0,), weights[0])
     return prob
 
 
 def joint_witness(witness: dict[str, np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
     """``(grid, noise)`` of a solved :func:`joint_problem`: ``grid``, of shape
     ``(*counts, side, side)``, is the record ``g``, and ``noise`` holds the
-    records ``n{k}``, one ``(counts[k], s, s)`` stack per margin, or is ``None``."""
-    grid = witness["g"]
-    return grid, tuple(witness[f"n{k}"] for k in range(grid.ndim - 2)) if "n0" in witness else None
+    records ``n{k}``, one stack per margin, or is ``None`` (no weights, or
+    compatible noise)."""
+    return witness["g"], tuple(witness[f"n{k}"] for k in range(len(witness)) if f"n{k}" in witness) or None
 
 
 @dataclass(frozen=True)
@@ -1300,8 +1342,8 @@ def threshold_search(build: Callable[[float], SdpProblem], tols: Tolerances | No
     """Largest weight in [0, 1] at which the problem ``build(weight)`` is feasible.
 
     ``build`` gives a monotone family whose weight enters only the
-    right-hand side, affinely (as :meth:`SdpProblem.add_margins` writes
-    it); a family whose constraint matrix or cones differ at weights 0 and
+    right-hand side, affinely (as :func:`joint_problem` writes it at
+    ``weights`` (w, w, ...)); a family whose constraint matrix or cones differ at weights 0 and
     1 raises ``ValueError``.  The family is built at 0 and 1 and factorized
     once; the factorization lives as long as the search.  Each probe is one
     :func:`solve_feasibility` of its member, started at the final iterate

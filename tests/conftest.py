@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qincompat import Observable, mub_qubit, sharp_observable
+from qincompat import Observable, chancompat, mub_qubit, sharp_observable
+from qincompat.sdpcore import joint_problem
 
 
 @pytest.fixture
@@ -55,3 +56,13 @@ def near_parallel_povm(theta):
     kets = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
     halves = 0.5 * np.einsum("ki,kj->kij", kets, kets)
     return Observable(np.concatenate([halves, [np.eye(2) - halves.sum(axis=0)]]))
+
+
+def pair_problem(device_a, device_b, mode=None, lam=1.0):
+    """The joint problem of a channel pair, or of an observable with a channel, as
+    ``check_channel_pair`` and ``check_obs_channel`` build it (``mode=None``) or as
+    ``robustness`` builds its member at weight ``lam`` with noise of class ``mode``."""
+    margins, factors = chancompat._margins(device_a, device_b)
+    if mode is None:
+        return joint_problem(margins, factors=factors)
+    return joint_problem(margins, (lam, lam), factors=factors, noise=mode)

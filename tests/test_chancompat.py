@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
+from conftest import pair_problem
 from qincompat import chancompat, sdpcore
 from qincompat import linalg as la
 from qincompat.config import DEFAULT_TOLS, Tolerances
@@ -148,8 +149,7 @@ def test_selfconjugate_control_unitary():
 # --- robustness --------------------------------------------------------------
 
 def _robustness_search(device_a, device_b, mode, tols=None):
-    build = chancompat._channel_pair_problem if isinstance(device_a, q.Channel) else chancompat._obs_channel_problem
-    return sdpcore.threshold_search(lambda lam: build(device_a, device_b, mode, lam), tols)
+    return sdpcore.threshold_search(lambda lam: pair_problem(device_a, device_b, mode, lam), tols)
 
 
 def test_robustness_mode_ordering(ident):

@@ -291,6 +291,14 @@ def test_real_linear_map_gains_no_caller():
     assert callers == ["chancompat._compose_map", "obschan.rank1_channel_form_check", "obschan.sequential_recover"]
 
 
+def test_only_the_order_questions_write_a_problem():
+    # every compatibility question builds through sdpcore.joint_problem; the
+    # order questions, whose maps compose a device, write their rows by hand
+    writers = [f"{p.stem}.{where}" for p in SOURCES if p.name != "sdpcore.py"
+               for where in calls_by_function(p.read_text(encoding="utf-8"), "SdpProblem")]
+    assert writers == ["chancompat.channel_division", "obschan.sequential_recover", "obscompat.postprocessing_order"]
+
+
 def test_only_threshold_search_solves_inside_sdpcore():
     # a face's problem runs through the solve loop itself, so one question is
     # one solve_feasibility call; only a threshold search makes one per probe

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -7,6 +8,7 @@ import pytest
 
 import qincompat as q
 from conftest import near_parallel_povm
+from qincompat import obscompat
 from qincompat.sdpcore import Verdict
 
 
@@ -266,7 +268,26 @@ def test_region_optimized_noise_without_mass_is_uniform(sharp_z):
         assert np.all(np.isfinite(p)) and p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
         mixed = q.mix_with_trivial(sharp_z, w, probs=p)
         assert np.abs(res.joint.marginal(k).effects - mixed.effects).max() < q.DEFAULT_TOLS.witness_atol
-    assert np.array_equal(res.noise_distributions[1], np.full(2, 0.5))
+        assert np.array_equal(p, np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_region_noise_of_rounding_mass_is_uniform_whatever_its_signs(sharp_z, monkeypatch, sign):
+    # at weight 1 - 1e-15 the noise blocks hold rounding of about 1e-15, of either
+    # sign; read back as solved or with the signs flipped, both are massless
+    solve = obscompat.solve_feasibility
+
+    def signed(prob, tols=None, start=None):
+        res = solve(prob, tols, start)
+        return dataclasses.replace(res, witness={name: sign * v if name.startswith("n") else v
+                                                 for name, v in res.witness.items()})
+
+    monkeypatch.setattr(obscompat, "solve_feasibility", signed)
+    w = 1 - 1e-15
+    res = q.region_membership([sharp_z, sharp_z], q.NoiseSpec.optimized((w, w)))
+    assert res.feasible
+    for p in res.noise_distributions:
+        assert np.array_equal(p, np.full(2, 0.5))
 
 
 def test_region_optimized_contains_uniform(rng):

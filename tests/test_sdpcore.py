@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import qincompat as q
 import qincompat.linalg as la
-from conftest import near_parallel_povm, rand_herm, recheck_functional
+from conftest import near_parallel_povm, pair_problem, rand_herm, recheck_functional
 from qincompat import chancompat, obschan, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
@@ -399,33 +400,17 @@ def assemble_by_term(prob, equalities):
     return a, b
 
 
-def negated(t):
-    """The term -t, in the form of ``t``."""
-    if isinstance(t, tuple):
-        return (negated(t[0]), t[1]) if len(t) == 2 else (t[0], t[1], -t[2])
-    return -t
-
-
 def recorded(build):
     """The problem ``build()`` makes, and the ``(terms, rhs)`` of every
-    :meth:`SdpProblem.add_equality` call on it and of every row group its
-    :meth:`SdpProblem.add_margins` calls write (noise terms negated), in order."""
-    calls, add, margins = [], SdpProblem.add_equality, SdpProblem.add_margins
+    :meth:`SdpProblem.add_equality` call on it, in order."""
+    calls, add = [], SdpProblem.add_equality
 
     def spy(self, terms, rhs):
         calls.append((self, terms, rhs))
         return add(self, terms, rhs)
 
-    def spy_margins(self, rows, lam, norms=()):
-        rows, norms = list(rows), list(norms)
-        calls.extend((self, {**terms, **{name: negated(t) for name, t in noise.items()}}, lam * device)
-                     for terms, noise, device in rows)
-        calls.extend((self, terms, (1 - lam) * rhs) for terms, rhs in norms)
-        return margins(self, rows, lam, norms)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SdpProblem, "add_equality", spy)
-        mp.setattr(SdpProblem, "add_margins", spy_margins)
         prob = build()
     return prob, [(terms, rhs) for owner, terms, rhs in calls if owner is prob]
 
@@ -452,6 +437,56 @@ def joint_by_definition(margins, weights=None, noise_side=1):
             equalities.append(({(f"n{k}", (x,)): vec_of(np.eye(noise_side))[None, :] for x in range(len(m))},
                                (1 - w) * np.array([1.0])))
     return joint_problem(margins, weights, noise_side), equalities
+
+
+_TRACE_MAPS = {}
+
+
+def trace_map(dims, keep):
+    """Dense matrix of X -> ``la.partial_trace(X, dims, keep)`` in real vectorized
+    coordinates: column i is the image of the ith basis matrix."""
+    key = (tuple(dims), tuple(keep))
+    if key not in _TRACE_MAPS:
+        n = math.prod(dims)
+        cols = [vec_of(la.partial_trace(la.real_vec_to_hermitian(np.eye(n * n)[i : i + n], n), dims, keep))
+                for i in range(0, n * n, n)]
+        _TRACE_MAPS[key] = np.concatenate(cols).T
+    return _TRACE_MAPS[key]
+
+
+def joint_by_partial_trace(margins, factors, weights=None, noise=q.NoiseClass.TRIVIAL_NOISE):
+    """:func:`joint_problem` on quantum ``factors`` and its ``(terms, rhs)`` from the
+    definition: per margin ``(device, axes, keep, on)`` and outcome tuple x on its axes,
+    the blocks g[t] with t on ``axes`` equal to x, traced onto ``keep``, less the noise,
+    equal w D(x).  The noise is n{k}[x] on ``on`` lifted by (x) I (trivial), n{k}[x]
+    itself (arbitrary), or the blocks of ``ng`` traced like g's (compatible), and its
+    normalization is total trace 1 - w (trivial) or 1 - w times the identity on the first
+    factor.  Every map is :func:`trace_map` or its transpose; terms are keyed by block."""
+    prob = joint_problem(margins, weights, factors=factors, noise=noise)
+    counts = prob.block("g").lead
+    combos = list(itertools.product(*(range(n) for n in counts)))
+    trivial, compatible = noise is q.NoiseClass.TRIVIAL_NOISE, noise is q.NoiseClass.COMPATIBLE_NOISE
+    equalities = []
+    for k, (device, axes, keep, on) in enumerate(margins):
+        w = 1.0 if weights is None else weights[k]
+        dims, own = [factors[f] for f in keep], on if trivial else keep
+        trace, outcomes = trace_map(factors, keep), list(itertools.product(*(range(counts[a]) for a in axes)))
+        for x in outcomes:
+            fibre = [t for t in combos if tuple(t[a] for a in axes) == x]
+            terms = {("g", t): trace for t in fibre}
+            if weights is not None and compatible:
+                terms.update({("ng", t): -trace for t in fibre})
+            elif weights is not None:
+                terms[(f"n{k}", x)] = -trace_map(dims, [keep.index(f) for f in own]).T
+            equalities.append((terms, w * vec_of(device[x])))
+        if weights is not None and not compatible:
+            own_dims, to = [factors[f] for f in own], () if trivial else (0,)
+            eye = vec_of(np.eye(math.prod(own_dims[i] for i in to)))
+            equalities.append(({(f"n{k}", x): trace_map(own_dims, to) for x in outcomes}, (1 - w) * eye))
+    if weights is not None and compatible:
+        equalities.append(({("ng", t): trace_map(factors, (0,)) for t in combos},
+                           (1 - weights[0]) * vec_of(np.eye(factors[0]))))
+    return prob, equalities
 
 
 def _coefficient_problem():
@@ -495,17 +530,22 @@ def _assembly_cases():
             first3, second3))),
         "coefficients": lambda: recorded(_coefficient_problem),
     }
-    for mode in (None, *chancompat.NoiseClass):
+    for mode in (None, *q.NoiseClass):
         tag = mode.value if mode else "plain"
         for lam in (0.7, 1.0):
+            weights = None if mode is None else (lam, lam)
             for d in (2, 3, 4):
-                cases[f"channel_pair_d{d}_{tag}_{lam}"] = lambda d=d, mode=mode, lam=lam: recorded(
-                    lambda: chancompat._channel_pair_problem(q.identity_channel(d), q.depolarizing_channel(d),
-                                                             mode, lam))
-            cases[f"obs_channel_{tag}_{lam}"] = lambda mode=mode, lam=lam: recorded(
-                lambda: chancompat._obs_channel_problem(obs, chan, mode, lam))
-        cases[f"obs_channel_4_outcomes_{tag}"] = lambda mode=mode: recorded(
-            lambda: chancompat._obs_channel_problem(obs4, chan, mode, 0.7))
+                pair = chancompat._margins(q.identity_channel(d), q.depolarizing_channel(d))
+                cases[f"channel_pair_d{d}_{tag}_{lam}"] = lambda pair=pair, weights=weights, mode=mode: (
+                    joint_by_partial_trace(*pair, weights, mode or q.NoiseClass.TRIVIAL_NOISE))
+            for name, o in ((f"obs_channel_{tag}_{lam}", obs),
+                            (f"obs_channel_4_outcomes_{tag}" + ("" if lam == 0.7 else f"_{lam}"), obs4)):
+                cases[name] = lambda pair=chancompat._margins(o, chan), weights=weights, mode=mode: (
+                    joint_by_partial_trace(*pair, weights, mode or q.NoiseClass.TRIVIAL_NOISE))
+    # a state on A x B x C with its AB and BC marginals
+    rho = rand_psd(rng, 12, trace=1.0)
+    marginals = [(la.partial_trace(rho, (2, 3, 2), keep), (), keep, ()) for keep in ((0, 1), (1, 2))]
+    cases["state_marginal"] = lambda: joint_by_partial_trace(marginals, (2, 3, 2))
     return cases
 
 
@@ -795,8 +835,8 @@ def _projector_cases():
         "lhs": lambda: built_problem(steering, lambda: steering.check_lhs(
             steering.max_entangled_assemblage([x, z]))),
         "tester": lambda: built_problem(process, lambda: check_tester_pair(*testers)),
-        "channel_pair_d2": lambda: chancompat._channel_pair_problem(chan, chan3),
-        "channel_pair_d3": lambda: chancompat._channel_pair_problem(
+        "channel_pair_d2": lambda: pair_problem(chan, chan3),
+        "channel_pair_d3": lambda: pair_problem(
             q.identity_channel(3), q.identity_channel(3)),
         "division": lambda: built_problem(chancompat, lambda: chancompat.channel_division(
             chan, q.conjugate_channel(chan3))),
@@ -808,7 +848,7 @@ def _projector_cases():
     }
     for mode in (None, *chancompat.NoiseClass):
         name = "obs_channel_" + (mode.value if mode else "plain")
-        cases[name] = lambda mode=mode: chancompat._obs_channel_problem(fine, chan3, mode, 0.7)
+        cases[name] = lambda mode=mode: pair_problem(fine, chan3, mode, 0.7)
     # ill-conditioned: singular values down to about 1e-8 of the largest, which
     # an SVD keeps and a single Gram pass cannot resolve; the division problem
     # is wide with dependent rows, the order problem tall
@@ -824,7 +864,7 @@ def _projector_cases():
         povm16, povm16))
     # the shapes at the size caps: 400 components of the d=4 pair, and ten
     # noisy qubit POVMs on 1,024 joint blocks
-    cases["channel_pair_d4"] = lambda: chancompat._channel_pair_problem(
+    cases["channel_pair_d4"] = lambda: pair_problem(
         q.identity_channel(4), q.identity_channel(4))
     povms10 = [mix_with_trivial(random_povm(2, 2, rng), 0.07) for _ in range(10)]
     cases["joint_10"] = lambda: built_problem(obscompat, lambda: check_joint(povms10))
@@ -923,8 +963,8 @@ def _partial_trace_builds():
     }
     for mode in (None, *chancompat.NoiseClass):
         tag = mode.value if mode else "plain"
-        builds[f"channel_pair_{tag}"] = lambda mode=mode: chancompat._channel_pair_problem(chan_a, chan_b, mode, 0.7)
-        builds[f"obs_channel_{tag}"] = lambda mode=mode: chancompat._obs_channel_problem(obs, chan, mode, 0.7)
+        builds[f"channel_pair_{tag}"] = lambda mode=mode: pair_problem(chan_a, chan_b, mode, 0.7)
+        builds[f"obs_channel_{tag}"] = lambda mode=mode: pair_problem(obs, chan, mode, 0.7)
     return builds
 
 
@@ -1007,7 +1047,7 @@ def array_bytes(proj) -> int:
 def test_projector_memory_is_blockwise():
     # no touched x rank basis: with one, these projectors held 8.9 MiB (the
     # d=4 channel pair) and 175 MiB (the Fourier d=10 joint)
-    pair = chancompat._channel_pair_problem(q.identity_channel(4), q.identity_channel(4))
+    pair = pair_problem(q.identity_channel(4), q.identity_channel(4))
     assert array_bytes(_Projector(pair)) < 2**20
     fourier = joint_problem([o.effects for o in q.fourier_pair(10)], (0.6, 0.6))
     assert array_bytes(_Projector(fourier)) < 16 * 2**20
@@ -1017,7 +1057,7 @@ def test_projector_memory_is_blockwise():
 def test_gram_rank_of_dependent_channel_rows(d):
     # both margins fix the trace of J over both outputs, so d**2 of their
     # 2 d**4 rows are dependent; the rank must come out exact
-    prob = chancompat._channel_pair_problem(q.identity_channel(d), q.identity_channel(d))
+    prob = pair_problem(q.identity_channel(d), q.identity_channel(d))
     proj = _Projector(prob)
     assert prob.assemble()[0].shape[0] == 2 * d**4
     assert projector_basis(proj)[0].shape[1] == 2 * d**4 - d**2
@@ -1477,7 +1517,7 @@ def test_no_cloning_is_certified_on_its_face_at_iteration_0(case, sharp_x, sharp
         prob = joint_problem(max_entangled_assemblage([sharp_x, sharp_z]).blocks)
     else:
         ident = q.identity_channel(2 if case == "id/id d=2" else 4)
-        prob = chancompat._channel_pair_problem(ident, ident)
+        prob = pair_problem(ident, ident)
     res = solve_feasibility(prob)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED and res.iterations == 0
     assert res.message.endswith(f"on a face: {prob.n_vars} -> 0 coordinates")
@@ -1489,7 +1529,7 @@ def test_identity_and_depolarizing_meet_on_a_face_of_side_4():
     ident, depol = q.identity_channel(4), q.depolarizing_channel(4)
     res = q.check_channel_pair(ident, depol)
     assert res.feasible and res.solve.message == "witness on a face: 4096 -> 16 coordinates"
-    prob = chancompat._channel_pair_problem(ident, depol)
+    prob = pair_problem(ident, depol)
     _checked_evidence(prob, res.solve)
     # the iterate is in the original coordinates, where a start is solved unreduced
     again = solve_feasibility(prob, start=res.solve.iterate)
@@ -1501,19 +1541,19 @@ def test_a_face_block_past_the_budget_stays_whole(monkeypatch):
     # relaxation of the face), and with no block left reduced the solve is unreduced; an
     # empty face builds no T_b
     ident, depol = q.identity_channel(2), q.depolarizing_channel(2)
-    prob = chancompat._channel_pair_problem(ident, depol)
+    prob = pair_problem(ident, depol)
     assert solve_feasibility(prob).message == "witness on a face: 64 -> 4 coordinates"
     monkeypatch.setattr(sdpcore, "_FACE_BLOCK", 63)  # T_b is 4^2 x 2^2 = 64 entries
     res = solve_feasibility(prob)
     assert res.feasible and "face" not in res.message
-    res = solve_feasibility(chancompat._channel_pair_problem(ident, ident))
+    res = solve_feasibility(pair_problem(ident, ident))
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED and res.message.endswith("on a face: 64 -> 0 coordinates")
 
 
 def test_a_fallback_counts_the_face_iterations_in_its_budget(monkeypatch):
     # evidence that fails on the original sends the solve unreduced, with what the
     # face's iterations left of max_iter, and the result counts both runs
-    prob = chancompat._channel_pair_problem(q.identity_channel(2), q.depolarizing_channel(2))
+    prob = pair_problem(q.identity_channel(2), q.depolarizing_channel(2))
     on_face = solve_feasibility(prob)
     assert on_face.message == "witness on a face: 64 -> 4 coordinates" and on_face.iterations == 1
     without = pytest.MonkeyPatch()
@@ -1538,7 +1578,7 @@ def _criterion_10(count):
         else:
             other = mix_with_trivial(random_povm(2, 2, rng), rng.uniform(0.4, 1.0))
             chan = q.luders_instrument(other).total_channel()
-        yield chancompat._obs_channel_problem(m, chan)
+        yield pair_problem(m, chan)
         yield built_problem(chancompat, lambda: q.channel_division(chan, q.least_disturbing_channel(m)))
 
 
@@ -1558,7 +1598,7 @@ def test_criterion_10_evidence_holds_unreduced(monkeypatch):
 def test_an_over_restricted_face_falls_back(monkeypatch):
     # a rank cut this wide drops directions that feasible points use: evidence
     # found on such a face fails on the original, and the unreduced solve decides
-    probs = [*_criterion_10(6), chancompat._channel_pair_problem(q.identity_channel(2), q.depolarizing_channel(2))]
+    probs = [*_criterion_10(6), pair_problem(q.identity_channel(2), q.depolarizing_channel(2))]
     tols = q.Tolerances(max_iter=2000)
     without = pytest.MonkeyPatch()
     without_faces(without)
@@ -1607,7 +1647,7 @@ def test_random_checks_tails_are_certified_on_their_face(round_):
     res = q.check_obs_channel(obs, chan)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED and res.solve.iterations <= 1
     assert "on a face: 32 -> 8 coordinates" in res.solve.message
-    _checked_evidence(chancompat._obs_channel_problem(obs, chan), res.solve)
+    _checked_evidence(pair_problem(obs, chan), res.solve)
 
 
 # --- certificates checked from the data -----------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
-from conftest import recheck_functional
+from conftest import pair_problem, recheck_functional
 from qincompat import chancompat, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.sdpcore import SdpProblem, Verdict, joint_problem, solve_feasibility, verify_witness
@@ -34,11 +34,11 @@ def _steering(observables):
 
 
 def _pair(a, b, mode):
-    return lambda lam: chancompat._channel_pair_problem(a, b, mode, lam)
+    return lambda lam: pair_problem(a, b, mode, lam)
 
 
 def _obs_channel(obs, chan, mode):
-    return lambda lam: chancompat._obs_channel_problem(obs, chan, mode, lam)
+    return lambda lam: pair_problem(obs, chan, mode, lam)
 
 
 # (name, reference threshold, public search, its family)
@@ -224,3 +224,15 @@ def test_steering_search_takes_fewer_probes_than_bisection(searches):
 def test_steering_degree_rejects_too_many_strategies():
     with pytest.raises(ValueError, match="strategies"):
         q.steering_degree([SX] * 13)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_no_cloning_bound_of_depolarizing_copies(d, n):
+    # n copies of lam id + (1 - lam) I/d, as the margins of one channel into n outputs,
+    # are compatible exactly up to Werner's optimal cloning bound (n + d) / (n (d + 1))
+    ident, depol = q.identity_channel(d).choi(), q.depolarizing_channel(d).choi()
+    bound = (n + d) / (n * (d + 1))
+    res = sdpcore.threshold_search(lambda lam: joint_problem(
+        [(lam * ident + (1 - lam) * depol, (), (0, k), ()) for k in range(1, n + 1)], factors=(d,) * (n + 1)))
+    assert bound - DEFAULT_TOLS.bisect_tol <= res.value <= bound
+    assert res.upper is not None and res.upper.at > bound
