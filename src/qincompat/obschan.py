@@ -178,12 +178,12 @@ class NddrReport:
     ``division`` compares their least disturbing channels by channel
     division; ``transfer`` records, for sampled channels compatible with
     the finer observable, whether each is also compatible with the
-    coarser one.
+    coarser one, ``None`` where its solve is undecided.
     """
 
     order: OrderReport
     division: DivisionReport
-    transfer: tuple[bool, ...]
+    transfer: tuple[bool | None, ...]
 
     @property
     def consistent(self) -> bool | None:
@@ -191,14 +191,17 @@ class NddrReport:
 
         A certified "not below" order is consistent with anything.  Below
         it, the division must be below and every transfer hold.  An
-        undecided order or division solve decides nothing.
+        undecided order or division solve decides nothing; an undecided
+        transfer leaves it open unless the division or another transfer fails.
         """
         if self.order.verdict is Verdict.INFEASIBLE_CERTIFIED:
             return True
         decided = (Verdict.FEASIBLE, Verdict.INFEASIBLE_CERTIFIED)
         if not self.order.below or self.division.verdict not in decided:
             return None
-        return self.division.below and all(self.transfer)
+        if not self.division.below or False in self.transfer:
+            return False
+        return None if None in self.transfer else True
 
 
 def nddr_test(coarse: Observable, fine: Observable, rng=None, samples: int = 5,
@@ -221,5 +224,6 @@ def nddr_test(coarse: Observable, fine: Observable, rng=None, samples: int = 5,
     for _ in range(samples):
         kraus = [random_unitary(d, rng) @ root for root in roots]
         total = Channel(np.stack(kraus))
-        transfer.append(check_obs_channel(coarse, total, tols).feasible)
+        res = check_obs_channel(coarse, total, tols)
+        transfer.append(None if res.verdict is Verdict.UNDECIDED else res.feasible)
     return NddrReport(order, division, tuple(transfer))

@@ -27,9 +27,9 @@ stays in those stacks, so the affine step and the certificate attempt make a
 few products per component shape and never read a touched x rank matrix;
 below a crossover (``_DENSE_BASIS``) the basis is one dense matrix instead,
 for which one product is faster than the loop over shapes.  Coordinates
-outside the basis pass the affine step unchanged.  The records are grouped by
-kind and size once per problem, and checking a witness's blocks and the cone
-step each make one stacked call per group, with no LAPACK call for blocks of
+outside the basis pass the affine step unchanged.  The blocks are grouped by
+side once per solve (``_Data``), and checking a witness's blocks and the cone
+step each make one stacked call per side, with no LAPACK call for blocks of
 side 2 (``la.project2``, ``la.spectrum2``); unpacking an iterate makes one
 per record.
 
@@ -103,6 +103,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -297,7 +298,6 @@ class SdpProblem:
         self._pieces: list[int] = [1]
         self._m = 0
         self._n = 0
-        self._groups: tuple[tuple[list[_Block], np.ndarray, np.ndarray], ...] | None = None
         # set only on a threshold search's members (see _Projector.at), which
         # no one adds to: their family's projector at their weight
         self._projector: _Projector | None = None
@@ -332,7 +332,6 @@ class SdpProblem:
             cap = np.asarray(float(cap))
         rec = self._blocks[name] = _Block(name, kind, dim, self._n, cap, lead)
         self._n += rec.length
-        self._groups = None
         return np.arange(rec.offset, self._n, rec.shape[-1]).reshape(rec.lead)
 
     def block(self, name: str) -> _Block:
@@ -387,31 +386,6 @@ class SdpProblem:
 
     # --- views -------------------------------------------------------------
 
-    def _stacks(self) -> tuple[tuple[list[_Block], np.ndarray, np.ndarray], ...]:
-        """Records grouped by kind and size, for one stacked call per group.
-
-        Each group is ``(records, idx, caps)``: row i of ``idx`` holds the
-        coordinates of the group's ith block, the records' blocks in layout
-        order, and ``caps[i]`` that block's cap (a trace cap, or a scalar
-        block's entry caps).  Groups come in the order of their first record.
-        They are built once and shared until a record is added, so ``idx`` and
-        ``caps`` are read-only.
-        """
-        if self._groups is None:
-            groups: dict[tuple[str, int], list[_Block]] = {}
-            for rec in self._blocks.values():
-                groups.setdefault((rec.kind, rec.dim), []).append(rec)
-            stacks = []
-            for recs in groups.values():
-                idx = np.concatenate([np.arange(r.offset, r.offset + r.length) for r in recs])
-                idx = idx.reshape(-1, recs[0].shape[-1])
-                caps = np.concatenate([np.broadcast_to(r.cap, (math.prod(r.lead),) + r.cap.shape) for r in recs])
-                idx.setflags(write=False)
-                caps.setflags(write=False)
-                stacks.append((recs, idx, caps))
-            self._groups = tuple(stacks)
-        return self._groups
-
     def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """Unpack a flat iterate into its named records, each one array of shape
         ``lead`` + (d, d) (Hermitian) or ``lead`` + (d,) (scalars); copies, never
@@ -454,7 +428,8 @@ def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
     ``factors``, ``margins[k]`` is a stack M_k of outcome operators on an
     axis of its own, as for observables, assemblages and testers: the
     margin ``(M_k, (k,), (0, 1), (0,))`` on the factors
-    ``(noise_side, side // noise_side)``.
+    ``(noise_side, side // noise_side)``, with trivial noise only: the
+    other classes normalize on the first factor, here not the input.
 
     With ``weights`` the kth margin is w_k D_k + (1 - w_k) N_k instead, for
     noise N_k of the class ``noise``, held as (1 - w_k) N_k so that no
@@ -477,6 +452,8 @@ def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
     before anything is built, as does a device of another shape.
     """
     if factors is None:  # each stack M_k on an axis of its own
+        if noise is not NoiseClass.TRIVIAL_NOISE:
+            raise ValueError(f"the stack form takes trivial noise only, not {noise}; pass factors")
         side = margins[0].shape[-1]
         factors, margins = (noise_side, side // noise_side), [(m, (k,), (0, 1), (0,)) for k, m in enumerate(margins)]
     margins = [(np.asarray(device), tuple(axes), tuple(keep), tuple(on)) for device, axes, keep, on in margins]
@@ -685,7 +662,7 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
     for (rows, cols), at in zip(groups, ends):
         stack = buf[at : at + rows.size * cols.shape[1]].reshape(rows.shape + cols.shape[1:])
         distinct, seen = [0], [0]
-        if len(stack) > 1:
+        if len(stack) > 1:  # a lone component is not copied: the d = 24 optimized-noise joint's is 128 MB
             first = {}  # the first component of each distinct matrix, by its bytes
             seen = [first.setdefault(mat.tobytes(), k) for k, mat in enumerate(stack)]
             distinct = list(first.values())
@@ -701,11 +678,8 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
         kept = s > floor
         if not kept.any():
             continue
-        vs = vt.swapaxes(1, 2)
-        if kept.all():
-            ws = u / s[:, None]
-        else:  # below the cut, v is zeroed and u / s is u / inf = 0
-            vs, ws = vs * kept[:, None], u / np.where(kept, s, np.inf)[:, None]
+        # below the cut, v is zeroed and u / s is u / inf = 0
+        vs, ws = vt.swapaxes(1, 2) * kept[:, None], u / np.where(kept, s, np.inf)[:, None]
         vs, ws = (vs[0], ws[0]) if len(vs) == 1 else (vs[of], ws[of])
         sol[cols] = np.matmul(vs, np.matmul(ws.swapaxes(-1, -2), b[rows]))
         stacks.append((rows, cols, vs, ws))
@@ -723,50 +697,56 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
     return [(np.arange(shape[0])[None], np.arange(shape[1])[None], vr, mult)], sol
 
 
-def _same_cones(p: SdpProblem, q: SdpProblem) -> bool:
-    """Same records, with caps equal up to the rounding of caps derived from data."""
-    return len(p._blocks) == len(q._blocks) and all(
-        (b.name, b.kind, b.dim, b.lead) == (c.name, c.kind, c.dim, c.lead)
-        and np.allclose(b.cap, c.cap, rtol=1e-12, atol=0.0)
-        for b, c in zip(p._blocks.values(), q._blocks.values()))
-
-
 class _Data:
-    """A problem's data as the evidence checks read them, with no factorization.
+    """A problem's data as the evidence checks read them, with no factorization; the
+    only reader of a problem's layout outside :class:`SdpProblem`.
 
     ``coo`` holds A's triplets; A x and A^T y are :func:`_apply` of them.
-    PSD records of one side share a batched eigendecomposition, and 1x1
-    blocks are intervals with the scalars.  ``rounding`` scales a
-    certificate's bound, with k eps for Higham's gamma_k and the caps' sum
-    for |x| on the cones.  With ``at_one`` the data are the family's whose
-    members at 0 and 1 are ``problem`` and ``at_one``, b(lam) = b + lam db;
-    their triplets and cones must be equal, up to caps that differ by
-    rounding (members take those of ``problem``), else ``ValueError``.
+    ``psd_groups`` holds ``(d, idx, caps, 1..d)`` per side d of PSD blocks, in the
+    order of their first records: row i of ``idx`` holds the ith block's coordinates
+    and ``caps[i]`` its trace cap, in layout order.  1x1 blocks are intervals with the
+    scalars, whose coordinates and caps are ``scalar_idx`` and ``scalar_caps``, in order.
+    ``row_groups`` holds each row group's first row, size and pieces (see ``_add_rows``).
+    ``rounding`` scales a certificate's bound, with k eps for Higham's gamma_k and
+    the caps' sum for |x| on the cones.  With ``at_one`` the data are the family's
+    whose members at 0 and 1 are ``problem`` and ``at_one``, b(lam) = b + lam db;
+    their triplets and cones must be equal, up to caps that differ by rounding
+    (members take those of ``problem``), else ``ValueError``.
     """
 
     def __init__(self, problem: SdpProblem, at_one: SdpProblem | None = None):
         self.problem = problem
         self.coo, self.b = problem._triplets()
-        coo1, b1 = (self.coo, self.b) if at_one is None else at_one._triplets()
-        if at_one is not None and not (all(map(np.array_equal, self.coo, coo1)) and _same_cones(problem, at_one)):
-            raise ValueError("the family's constraint matrix or cones depend on its weight")
-        self.db = b1 - self.b
-        self.psd_groups = []
-        scalar_idx, scalar_caps = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for recs, idx, caps in problem._stacks():
-            if recs[0].interval:
-                scalar_idx.append(idx.ravel())
-                scalar_caps.append(caps.ravel())
+        sides, intervals = {}, [(np.zeros(0, dtype=np.intp), np.zeros(0))]
+        for rec in problem._blocks.values():
+            idx = np.arange(rec.offset, rec.offset + rec.length).reshape(-1, rec.shape[-1])
+            caps = np.repeat(rec.cap[None], len(idx), axis=0)
+            if rec.interval:
+                intervals.append((idx.ravel(), caps.ravel()))
             else:
-                self.psd_groups.append((recs[0].dim, idx, caps, np.arange(1, recs[0].dim + 1)))
-        order = np.argsort(np.concatenate(scalar_idx))  # interval coordinates in layout order
-        self.scalar_idx = np.concatenate(scalar_idx)[order]
-        self.scalar_caps = np.concatenate(scalar_caps)[order]
+                sides.setdefault(rec.dim, []).append((idx, caps))
+        self.psd_groups = [(d, *map(np.concatenate, zip(*blocks)), np.arange(1, d + 1)) for d, blocks in sides.items()]
+        self.scalar_idx, self.scalar_caps = map(np.concatenate, zip(*intervals))
+        sizes = [rhs.size for rhs in problem._rhs]
+        self.row_groups = list(zip(accumulate(sizes[:-1], initial=0), sizes, problem._pieces))
+        one = self if at_one is None else _Data(at_one)
+        if one is not self and not (all(map(np.array_equal, self.coo, one.coo)) and self.same_cones(one)):
+            raise ValueError("the family's constraint matrix or cones depend on its weight")
+        self.db = one.b - self.b
         self.caps = sum(float(c.sum()) for _, _, c, _ in self.psd_groups) + float(self.scalar_caps.sum())
         terms = sum(len(c) + 4 * d for d, _, c, _ in self.psd_groups) + self.scalar_caps.size
         eps, self.norm_a = np.finfo(float).eps, math.sqrt(self.coo[2] @ self.coo[2])
         self.rounding = ((len(self.b) + 2) * eps * (self.norm_a * self.caps + np.linalg.norm(self.b)
                                                    + np.linalg.norm(self.db)), terms * eps * self.caps)
+
+    def same_cones(self, other: _Data) -> bool:
+        """The same cones on the same coordinates, with caps equal up to the rounding of
+        caps derived from data."""
+        ours, theirs = ([g[:3] for g in data.psd_groups] + [(1, data.scalar_idx, data.scalar_caps)]
+                        for data in (self, other))
+        return len(ours) == len(theirs) and all(
+            d == e and np.array_equal(i, j) and np.allclose(c, k, rtol=1e-12, atol=0.0)
+            for (d, i, c), (e, j, k) in zip(ours, theirs))
 
     def cone_infimum(self, h: np.ndarray) -> float:
         """Exact infimum of <h, x> over the capped cone product."""
@@ -929,23 +909,18 @@ def verify_witness(problem: SdpProblem, witness: dict[str, np.ndarray], tols: To
     ``witness_factor * feas`` per the solver contract.  The witness is
     vectorized (records missing from ``witness`` are zero), its residual taken
     against the assembled problem, the dense reference, and its blocks checked
-    with one stacked call per block size (:func:`_check_point`).
+    with one stacked call per block side (:func:`_check_point`).
     """
     x = problem.join(witness)
     a, b = problem.assemble()
-    return _check_point(problem, x, a @ x - b, tols or DEFAULT_TOLS)
+    return _check_point(_Data(problem), x, a @ x - b, tols or DEFAULT_TOLS)
 
 
-def _check_point(problem: SdpProblem, x: np.ndarray, residual: np.ndarray, tols: Tolerances):
-    """:func:`verify_witness`'s check of the flat point ``x`` with A x - b = ``residual``."""
+def _check_point(data: _Data, x: np.ndarray, residual: np.ndarray, tols: Tolerances):
+    """:func:`verify_witness`'s check of the flat point ``x`` of ``data`` with A x - b = ``residual``."""
     slack = tols.witness_atol
-    worst_eig = 0.0
-    worst_scalar = 0.0
-    for recs, idx, _ in problem._stacks():
-        if recs[0].interval:
-            worst_scalar = min(worst_scalar, float(x[idx].min(initial=0.0)))
-        else:
-            worst_eig = min(worst_eig, float(_min_eigs(x[idx], recs[0].dim).min()))
+    worst_eig = min([0.0] + [float(_min_eigs(x[idx], dim).min()) for dim, idx, _, _ in data.psd_groups])
+    worst_scalar = float(x[data.scalar_idx].min(initial=0.0))
     constraint_residual = float(np.abs(residual).max()) if residual.size else 0.0
     ok = constraint_residual < slack and worst_eig > -slack and worst_scalar > -slack
     report = {
@@ -967,20 +942,19 @@ _FACE_CUT = 1e-10
 _FACE_BLOCK = 2**18
 
 
-def _kernel_multipliers(problem: SdpProblem) -> list[np.ndarray]:
-    """Row multipliers, one vector per row group with a right-hand side piece (see
-    ``_add_rows``) that is a PSD matrix D with a kernel: vec(P_ker D) on each such
-    piece's rows; one eigendecomposition per side, of the pieces whose eigenvalues (in
+def _kernel_multipliers(data: _Data) -> np.ndarray | None:
+    """Row multipliers z: vec(P_ker D) on the rows of each right-hand side piece (see
+    ``_add_rows``) that is a PSD matrix D with a kernel, zero elsewhere, or ``None`` when
+    no piece has one; one eigendecomposition per side, of the pieces whose eigenvalues (in
     closed form at side 2) or determinant allow a kernel."""
-    pieces, at = {}, 0  # per side, the row group and the first row of each piece
-    for k, (rhs, count) in enumerate(zip(problem._rhs, problem._pieces)):
-        side = math.isqrt(rhs.size // count)
-        if rhs.size and side * side * count == rhs.size:
-            pieces.setdefault(side, []).extend((k, at + i * side * side) for i in range(count))
-        at += rhs.size
-    b, found = np.concatenate(problem._rhs), {}
+    pieces = {}  # per side, the first row of each piece
+    for at, size, count in data.row_groups:
+        side = math.isqrt(size // count)
+        if size and side * side * count == size:
+            pieces.setdefault(side, []).extend(at + i * side * side for i in range(count))
+    b, z = data.b, np.zeros(data.b.size)
     for side, starts in pieces.items():
-        vecs = b[np.array([at for _, at in starts])[:, None] + np.arange(side * side)]
+        vecs = b[np.array(starts)[:, None] + np.arange(side * side)]
         if side == 2:
             mid, rad = la.spectrum2(vecs)
             some = np.flatnonzero(np.abs(mid - rad) <= _FACE_CUT * (mid + rad))
@@ -993,9 +967,8 @@ def _kernel_multipliers(problem: SdpProblem) -> list[np.ndarray]:
         cut = _FACE_CUT * w[:, -1:]  # the kernel of a PSD matrix; none for an indefinite one
         ker = (w <= cut) & (w[:, :1] >= -cut)
         for i, p in zip(some, la.hermitian_to_real_vec((u * ker[:, None, :]) @ la.dagger(u))):
-            if p.any():
-                found.setdefault(starts[i][0], np.zeros(b.size))[starts[i][1] :][: p.size] = p
-    return list(found.values())
+            z[starts[i] : starts[i] + p.size] = p
+    return z if z.any() else None
 
 
 def _dual_spectra(data: _Data, z: np.ndarray):
@@ -1023,61 +996,50 @@ class _Face:
     g = A^T z lies in the dual cone and z.b is about 0, so every feasible x
     has <g, x> about 0: X_b = V_b Y_b V_b^H, V_b an orthonormal basis of the
     kernel of g's block, and an interval coordinate where g > 0 is 0.
-    ``proj`` factorizes the problem on the face, whose records hold each
-    record's blocks by face dimension r as ``name/r`` (r = 0 drops a block)
-    and its interval coordinates on the face as ``name``.  Its columns are
-    A's triplets times T_b, the real matrix of Y -> V_b Y V_b^H, whose
-    columns are orthonormal, so T_b^T compresses; its rows are the
+    ``proj`` factorizes the problem on the face, with one record of the
+    blocks of each side d, face dimension r and cap c, ``d/r/c`` (r = 0
+    drops a block), and one of the interval coordinates on the face.  Its
+    columns are A's triplets times T_b, the real matrix of Y -> V_b Y V_b^H,
+    whose columns are orthonormal, so T_b^T compresses; its rows are the
     original's ``rows``, those left with an entry or a nonzero b.  ``proj``
     is ``None`` when no block leaves a direction.
     """
 
     def __init__(self, data: _Data, z: np.ndarray, g: np.ndarray, cut: float, parts):
         self.data, self.z, self.g = data, z, g
-        n, red, spectra = data.problem.n_vars, SdpProblem(), iter(parts)
+        n, red = data.problem.n_vars, SdpProblem()
         (keep, at), self.maps, self.off = ([np.zeros(0, dtype=np.intp)] for _ in range(2)), [], []
-        self.zeroed = data.scalar_idx[g[data.scalar_idx] > cut]  # interval coordinates off the face
-        for recs, idx, caps in data.problem._stacks():
-            lo = 0
-            if recs[0].interval:
-                for rec in recs:
-                    hi = lo + math.prod(rec.lead)
-                    coords, cap, lo = idx[lo:hi].ravel(), caps[lo:hi].ravel(), hi
-                    on = g[coords] <= cut
-                    if on.any():
-                        keep.append(coords[on])
-                        at.append(red._add("scalar", rec.name, int(on.sum()), cap[on]) + np.arange(on.sum()))
-                continue
-            (blocks, w, u), d = next(spectra), recs[0].dim
+        for (d, idx, caps, _), (blocks, w, u) in zip(data.psd_groups, parts):
             rank, where = np.full(len(idx), d), np.zeros(len(idx), dtype=np.intp)
             rank[blocks], where[blocks] = (w <= cut).sum(axis=1), np.arange(len(blocks))
-            for rec in recs:
-                hi = lo + math.prod(rec.lead)
-                for face in sorted(set(rank[lo:hi].tolist()), reverse=True):
-                    sel, r = lo + np.flatnonzero(rank[lo:hi] == face), face
-                    if 0 < r < d:  # V_b on the rows its kernel uses; T_b within _FACE_BLOCK, or whole
-                        v = u[where[sel], :, :r]
-                        rows = np.flatnonzero(np.abs(v).max(axis=(0, 2)) > d * np.finfo(float).eps)
-                        r = d if len(sel) * (len(rows) * r) ** 2 > _FACE_BLOCK else r
-                    if r < d:  # with mu, g's least eigenvalue off the face
-                        self.off.append((idx[sel], w[where[sel], r]))
-                    if r == 0:
-                        continue
-                    red_idx = red._add("psd", f"{rec.name}/{face}", r, float(rec.cap), (len(sel),))[:, None]
-                    red_idx = red_idx + np.arange(r * r)
-                    if r == d:
-                        keep.append(idx[sel].ravel())
-                        at.append(red_idx.ravel())
-                        continue
-                    # the block's coordinates of the submatrix on those rows
-                    i, j = (rows[k] for k in la.real_vec_basis_indices(len(rows))[1:])
-                    pair = d + i * d - i * (i + 1) // 2 + j - i - 1
-                    v = v[:, rows]
-                    basis = la.real_vec_to_hermitian(np.eye(r * r), r)  # T_b's columns: vec(V E_k V^H)
-                    t = la.hermitian_to_real_vec(v[:, None] @ basis @ la.dagger(v)[:, None])
-                    self.maps.append((idx[sel][:, np.concatenate([rows, pair, pair + d * (d - 1) // 2])], red_idx,
-                                      np.ascontiguousarray(t.swapaxes(1, 2))))
-                lo = hi
+            for face, cap in sorted(set(zip(rank.tolist(), caps.tolist())), reverse=True):
+                sel, r = np.flatnonzero((rank == face) & (caps == cap)), face
+                if 0 < r < d:  # V_b on the rows its kernel uses; T_b within _FACE_BLOCK, or whole
+                    v = u[where[sel], :, :r]
+                    rows = np.flatnonzero(np.abs(v).max(axis=(0, 2)) > d * np.finfo(float).eps)
+                    r = d if len(sel) * (len(rows) * r) ** 2 > _FACE_BLOCK else r
+                if r < d:  # with mu, g's least eigenvalue off the face
+                    self.off.append((idx[sel], w[where[sel], r]))
+                if r == 0:
+                    continue
+                red_idx = red._add("psd", f"{d}/{face}/{cap!r}", r, cap, (len(sel),))[:, None] + np.arange(r * r)
+                if r == d:
+                    keep.append(idx[sel].ravel())
+                    at.append(red_idx.ravel())
+                    continue
+                # the block's coordinates of the submatrix on those rows
+                i, j = (rows[k] for k in la.real_vec_basis_indices(len(rows))[1:])
+                pair = d + i * d - i * (i + 1) // 2 + j - i - 1
+                v = v[:, rows]
+                basis = la.real_vec_to_hermitian(np.eye(r * r), r)  # T_b's columns: vec(V E_k V^H)
+                t = la.hermitian_to_real_vec(v[:, None] @ basis @ la.dagger(v)[:, None])
+                self.maps.append((idx[sel][:, np.concatenate([rows, pair, pair + d * (d - 1) // 2])], red_idx,
+                                  np.ascontiguousarray(t.swapaxes(1, 2))))
+        on = g[data.scalar_idx] <= cut  # interval coordinates on the face; the others are zeroed
+        self.zeroed = data.scalar_idx[~on]
+        if on.any():
+            keep.append(data.scalar_idx[on])
+            at.append(red._add("scalar", "intervals", int(on.sum()), data.scalar_caps[on]) + np.arange(on.sum()))
         self.keep, self.at = np.concatenate(keep), np.concatenate(at)
         if not (self.off or self.zeroed.size):  # no block leaves any direction
             self.proj = None
@@ -1109,16 +1071,9 @@ class _Face:
 
     @classmethod
     def of(cls, data: _Data) -> _Face | None:
-        """The face that the kernels of the right-hand sides expose, or ``None``: every
-        candidate of :func:`_kernel_multipliers` together, or else those that pass alone."""
-        found = _kernel_multipliers(data.problem)
-        if not found:
-            return None
-        z = sum(found)
-        got = _dual_spectra(data, z)
-        if got is None and len(found) > 1:
-            z = sum((y for y in found if _dual_spectra(data, y) is not None), np.zeros(data.b.size))
-            got = _dual_spectra(data, z) if z.any() else None
+        """The face that the multipliers of :func:`_kernel_multipliers` expose, or ``None``."""
+        z = _kernel_multipliers(data)
+        got = None if z is None else _dual_spectra(data, z)
         face = None if got is None else cls(data, z, *got)
         return None if face is None or face.proj is None else face
 
@@ -1147,7 +1102,7 @@ class _Face:
         d, witness, cert = self.data, None, None
         if res.verdict is Verdict.FEASIBLE:
             x = self.lift(self.proj.problem.join(res.witness))
-            if _check_point(d.problem, x, _apply(d.coo, x, d.b.size) - d.b, tols)[0]:
+            if _check_point(d, x, _apply(d.coo, x, d.b.size) - d.b, tols)[0]:
                 witness = d.problem.split(x)
             else:
                 return None
@@ -1190,7 +1145,7 @@ def _run(proj: _Projector, tols: Tolerances, start: np.ndarray | None, spent: in
         res = float(np.linalg.norm(pk - pl))
         if res < tols.feas:
             a_pt = proj.affine(pk)
-            ok, _ = _check_point(proj.problem, a_pt, _apply(proj.coo, a_pt, proj.b.size) - proj.b, tols)
+            ok, _ = _check_point(proj, a_pt, _apply(proj.coo, a_pt, proj.b.size) - proj.b, tols)
             if ok:
                 return SolveResult(Verdict.FEASIBLE, proj.problem.split(a_pt), spent + it, res, iterate=x)
         # certificates are validated from the data, so an early attempt is safe: try at

@@ -4,9 +4,10 @@ every ``Tolerances`` field is read from a passed record, only sdpcore
 spells the names of the joint device's blocks, no other module names a
 block or a witness key by an f-string, only sdpcore drives a
 bisection, only ``sdpcore._certificate`` makes a certificate, only the
-dense witness check assembles A, ``real_linear_map`` gains no caller and
-only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore; and a
-guard on what solving imports."""
+dense witness check assembles A, ``real_linear_map`` gains no caller,
+only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore and
+only ``SdpProblem`` and ``_Data`` read a problem's layout; and a guard on
+what solving imports."""
 import ast
 import dataclasses
 import os
@@ -304,6 +305,36 @@ def test_only_threshold_search_solves_inside_sdpcore():
     # one solve_feasibility call; only a threshold search makes one per probe
     source = (PACKAGE / "sdpcore.py").read_text(encoding="utf-8")
     assert calls_by_function(source, "solve_feasibility") == ["threshold_search"]
+
+
+LAYOUT = ("_blocks", "_chunks", "_rhs", "_pieces")
+
+
+def layout_reads(source: str) -> list[str]:
+    """Sorted ``where.field`` of each read of a problem's layout fields ``LAYOUT`` as an
+    attribute, ``where`` the module-level function or class around it; a write is no read."""
+    found = []
+    for node in ast.parse(source).body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        found += [f"{where}.{n.attr}" for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute) and n.attr in LAYOUT and isinstance(n.ctx, ast.Load)]
+    return sorted(found)
+
+
+def test_scan_finds_layout_reads():
+    source = ("class SdpProblem:\n    def f(self):\n        self._rhs.append(1)\n        return self._blocks\n"
+              "def g(p):\n    p._rhs = [1]\n    return p._pieces[0], p.blocks, p._rhs_x\n"
+              "class _Projector:\n    def at(self, m):\n        m._rhs = []\n        return len(m._chunks)\n"
+              "n = len(q._blocks)\n")
+    assert layout_reads(source) == ["<module>._blocks", "SdpProblem._blocks", "SdpProblem._rhs",
+                                    "_Projector._chunks", "g._pieces"]
+
+
+def test_only_the_problem_and_its_data_read_the_layout():
+    # _Data groups the cones and row groups once; every check, step and the face read
+    # it, so a change of the record layout is made in two places only
+    source = (PACKAGE / "sdpcore.py").read_text(encoding="utf-8")
+    assert [read for read in layout_reads(source) if read.split(".")[0] not in ("SdpProblem", "_Data")] == []
 
 
 def test_solving_leaves_numpy_ma_unimported():

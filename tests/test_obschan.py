@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import qincompat as q
+from qincompat import obschan
 from qincompat.linalg import partial_trace
 from qincompat.config import Tolerances
 from qincompat.sdpcore import Verdict
@@ -136,6 +139,16 @@ def test_nddr_consistency(sharp_z, rng):
     assert rep.division.below
     assert all(rep.transfer)
     assert rep.consistent
+
+
+def test_nddr_undecided_transfer_is_not_consistent(sharp_z, rng, monkeypatch):
+    # a transfer solve cut short is no evidence that the transfer fails
+    monkeypatch.setattr(obschan, "check_obs_channel",
+                        lambda *args: SimpleNamespace(verdict=Verdict.UNDECIDED, feasible=False))
+    coarse = q.post_process(sharp_z, q.StochasticMatrix(np.array([[0.8, 0.1], [0.2, 0.9]])))
+    rep = q.nddr_test(coarse, sharp_z, rng=rng, samples=2)
+    assert rep.order.verdict is Verdict.FEASIBLE and rep.division.verdict is Verdict.FEASIBLE
+    assert rep.transfer == (None, None) and rep.consistent is None
 
 
 def test_nddr_unrelated_pair(sharp_x, sharp_z, rng):

@@ -570,13 +570,6 @@ def test_block_groups_are_rebuilt_when_a_block_is_added():
     prob.add_equality({"x": 1.0}, vec_of(np.eye(2) / 2))
     prob.add_equality({"p": 1.0}, np.array([0.25, 0.5]))
     assert solve_feasibility(prob).feasible
-    groups = prob._stacks()
-    assert prob._stacks() is groups  # shared by the projector and the check
-    for _, idx, caps in groups:
-        with pytest.raises(ValueError):
-            idx[0, 0] = 0
-        with pytest.raises(ValueError):
-            caps[0] = 0
     # a block of an existing group's size, added after a split and a solve
     prob.split(np.zeros(prob.n_vars))
     prob.add_psd_block("y", 2, trace_cap=1.0)
@@ -721,8 +714,9 @@ def test_joint_problem_derives_trace_cap(sharp_x, sharp_z):
     # the cap of every g block is the trace of the joint device's total, up
     # to the rounding of that trace
     def cap(prob):
-        recs, _, caps = next(group for group in prob._stacks() if group[0][0].name == "g")
-        assert [r.name for r in recs] == ["g"] and len(set(caps.tolist())) == 1
+        g = prob.block("g")
+        _, idx, caps, _ = next(group for group in sdpcore._Data(prob).psd_groups if group[0] == g.dim)
+        assert idx[0, 0] == g.offset and len(idx) == math.prod(g.lead) and len(set(caps.tolist())) == 1
         return float(caps[0])
 
     assert cap(joint_problem([sharp_x.effects, sharp_z.effects])) == pytest.approx(2.0, abs=1e-14)
@@ -1078,7 +1072,7 @@ def test_duplicate_triplets_add_up():
     for point, ok in (([0.5, 0.0], True), ([1.0, 0.0], False)):
         x = np.array(point)
         assert verify_witness(prob, {"s": x})[0] is ok
-        assert sdpcore._check_point(prob, x, sdpcore._apply(coo, x, 1) - b, DEFAULT_TOLS)[0] is ok
+        assert sdpcore._check_point(sdpcore._Data(prob), x, sdpcore._apply(coo, x, 1) - b, DEFAULT_TOLS)[0] is ok
 
 
 def _block_structured(rng, blocks):

@@ -130,8 +130,15 @@ def test_family_with_weight_in_the_matrix_is_rejected():
         prob.add_equality({"x": (1 + lam) * sdpcore.vec_of(np.eye(2))}, np.array([1.0]))
         return prob
 
-    with pytest.raises(ValueError, match="weight"):
-        sdpcore.threshold_search(build)
+    def capped(lam):  # the cones, too, must not depend on the weight
+        prob = SdpProblem()
+        prob.add_psd_block("x", 2, trace_cap=1.0 + lam)
+        prob.add_equality({"x": sdpcore.vec_of(np.eye(2))}, np.array([1.0]))
+        return prob
+
+    for family in (build, capped):
+        with pytest.raises(ValueError, match="weight"):
+            sdpcore.threshold_search(family)
 
 
 def _parent_form(prob: SdpProblem, lam: float) -> tuple[SdpProblem, set[str]]:
@@ -236,3 +243,24 @@ def test_no_cloning_bound_of_depolarizing_copies(d, n):
         [(lam * ident + (1 - lam) * depol, (), (0, k), ()) for k in range(1, n + 1)], factors=(d,) * (n + 1)))
     assert bound - DEFAULT_TOLS.bisect_tol <= res.value <= bound
     assert res.upper is not None and res.upper.at > bound
+
+
+@pytest.mark.parametrize("noise", [NOISE.COMPATIBLE_NOISE, NOISE.ARBITRARY_NOISE])
+def test_stack_form_takes_trivial_noise_only(noise):
+    # without factors an observable's first factor has dimension 1, so noise normalized
+    # there would have trace 1 - w instead of being (1 - w) I
+    with pytest.raises(ValueError, match="trivial noise"):
+        joint_problem([SX.effects, SZ.effects], (0.5, 0.5), noise=noise)
+
+
+def test_xz_noise_classes_through_the_factor_form():
+    # X and Z resist trivial, compatible and arbitrary noise up to 1/sqrt(2), 2 (sqrt(2) - 1)
+    # and (2 + sqrt(2)) / 4 (Designolle, Farkas & Kaniewski, NJP 2019), in that order
+    margins = [(o.effects, (k,), (0,), ()) for k, o in enumerate((SX, SZ))]
+    values = []
+    for noise, formula in ((NOISE.TRIVIAL_NOISE, 1 / math.sqrt(2)), (NOISE.COMPATIBLE_NOISE, 2 * (math.sqrt(2) - 1)),
+                           (NOISE.ARBITRARY_NOISE, (2 + math.sqrt(2)) / 4)):
+        res = sdpcore.threshold_search(lambda lam: joint_problem(margins, (lam, lam), factors=(2,), noise=noise))
+        assert res.value <= formula <= res.upper.at
+        values.append(res.value)
+    assert values[0] < values[1] < values[2]
