@@ -188,12 +188,11 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
     selected class, itself part of the feasibility search.  The family is
     factorized once and searched by :func:`sdpcore.threshold_search`; the
     returned weight is certified feasible and within the bisection tolerance
-    below the threshold.
+    below the threshold.  Uniform noise raises ``ValueError``: a channel's
+    margin has no outcomes to spread it over.
     """
     tols = tols or DEFAULT_TOLS
     margins, factors = _margins(device_a, device_b)
-    if not isinstance(mode, NoiseClass):
-        raise ValueError(f"unknown noise class {mode}")
     return threshold_search(lambda lam: joint_problem(margins, (lam, lam), factors=factors, noise=mode), tols).value
 
 

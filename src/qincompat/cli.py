@@ -28,7 +28,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .devices import (Observable, cloner_marginal_coefficient, diag_channel,
                       fourier_pair, identity_channel, mub_qubit, sharp_observable,
                       werner_cloner)
-from .sdpcore import SolveResult, Verdict
+from .sdpcore import NoiseClass, SolveResult, Verdict
 from .serialize import load_device, serialize
 
 EXIT_FEASIBLE = 0
@@ -46,9 +46,9 @@ def _tols(args) -> Tolerances:
     return tols
 
 
-def _noise_mode(args) -> oc.NoiseMode:
-    return (oc.NoiseMode.UNIFORM_TRIVIAL if args.noise_mode == "uniform"
-            else oc.NoiseMode.OPTIMIZED_TRIVIAL)
+def _noise(args) -> NoiseClass:
+    """The noise class ``--noise-mode`` names; "optimized" is trivial noise, optimized over."""
+    return NoiseClass({"optimized": "trivial"}.get(args.noise_mode, args.noise_mode))
 
 
 def _code(solve: SolveResult) -> int:
@@ -125,12 +125,12 @@ def cmd_check_joint(args) -> int:
 
 def cmd_degree(args) -> int:
     observables = [_load(p, ("observable",)) for p in args.files]
-    value = oc.degree_of_compatibility(observables, _noise_mode(args), _tols(args))
+    value = oc.degree_of_compatibility(observables, _noise(args), _tols(args))
     _emit(args, {"degree": value, "noise_mode": args.noise_mode}, f"degree {value:.6f}")
     return EXIT_FEASIBLE
 
 
-def _region_rows(observables, grid, mode: oc.NoiseMode, tols) -> list:
+def _region_rows(observables, grid, mode: NoiseClass, tols) -> list:
     """``(weights, verdict name)`` at every point of the product grid, in C order."""
     rows = []
     for weights in itertools.product(map(float, grid), repeat=len(observables)):
@@ -142,7 +142,7 @@ def _region_rows(observables, grid, mode: oc.NoiseMode, tols) -> list:
 def cmd_region(args) -> int:
     observables = [_load(p, ("observable",)) for p in args.files]
     grid = _parse_grid(args.grid, len(observables))
-    rows = _region_rows(observables, grid, _noise_mode(args), _tols(args))
+    rows = _region_rows(observables, grid, _noise(args), _tols(args))
     lines = ["weights,verdict"]
     lines += [",".join(f"{w:.6f}" for w in ws) + f",{v}" for ws, v in rows]
     text = "\n".join(lines) + "\n"
@@ -197,8 +197,7 @@ def cmd_channel_compat(args) -> int:
     chan_b = _load(args.files[1], ("channel",))
     tols = _tols(args)
     if args.noise_mode:
-        mode = cc.NoiseClass[f"{args.noise_mode.upper()}_NOISE"]
-        value = cc.robustness(chan_a, chan_b, mode, tols)
+        value = cc.robustness(chan_a, chan_b, _noise(args), tols)
         _emit(args, {"robustness": value, "noise_mode": args.noise_mode},
               f"robustness {value:.6f}")
         return EXIT_FEASIBLE
@@ -280,7 +279,7 @@ def _repro_fig4(outdir: Path, tols) -> list[Path]:
     curves_path.write_text("\n".join(curves) + "\n", encoding="utf-8")
 
     grid = np.linspace(0.0, 1.0, 6)
-    rows = _region_rows(fourier_pair(3), grid, oc.NoiseMode.UNIFORM_TRIVIAL, tols)
+    rows = _region_rows(fourier_pair(3), grid, NoiseClass.UNIFORM_NOISE, tols)
     lines = ["# seed=0", "lam1,lam2,verdict"]
     lines += [f"{w[0]:.6f},{w[1]:.6f},{v}" for w, v in rows]
     grid_path = outdir / "fig4_grid.csv"
@@ -292,7 +291,7 @@ def _repro_pos_mom(outdir: Path, tols) -> list[Path]:
     lines = ["# seed=0", "d,degree"]
     for d in (2, 3, 4, 5):
         pair = fourier_pair(d)
-        value = oc.degree_of_compatibility(pair, oc.NoiseMode.OPTIMIZED_TRIVIAL, tols)
+        value = oc.degree_of_compatibility(pair, NoiseClass.TRIVIAL_NOISE, tols)
         lines.append(f"{d},{value:.6f}")
     path = outdir / "pos_mom_table.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -315,7 +314,7 @@ def _repro_mub(outdir: Path, tols) -> list[Path]:
     bx, by, bz = mub_qubit()
     lines = ["# seed=0", "family,joint_threshold,steering_threshold"]
     for name, obs in (("xz", (bx, bz)), ("xyz", (bx, by, bz))):
-        tj = oc.degree_of_compatibility(obs, oc.NoiseMode.UNIFORM_TRIVIAL, tols)
+        tj = oc.degree_of_compatibility(obs, NoiseClass.UNIFORM_NOISE, tols)
         ts = st.steering_degree(obs, tols).value
         lines.append(f"{name},{tj:.6f},{ts:.6f}")
     path = outdir / "mub_thresholds.csv"

@@ -18,20 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
-from .devices import (
-    Observable,
-    StochasticMatrix,
-    binarize,
-    mix_with_trivial,
-)
+from .devices import Observable, StochasticMatrix, binarize
 from .sdpcore import (
     Decision,
+    NoiseClass,
     SdpProblem,
     Verdict,
     joint_problem,
@@ -77,44 +72,32 @@ MAX_PRODUCT_OUTCOMES = 4096
 
 # === noise specification =====================================================
 
-class NoiseMode(Enum):
-    UNIFORM_TRIVIAL = "uniform_trivial"
-    OPTIMIZED_TRIVIAL = "optimized_trivial"
-    FIXED_TRIVIAL = "fixed_trivial"
+NoiseMode = NoiseClass  # the older name, read by the benchmark; it goes with the benchmark change
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Mixing weights and the class of trivial noise allowed per factor."""
+    """Mixing weights, one per observable, and the :class:`NoiseClass` of the noise they
+    admit (trivial noise p_k(.) I with p_k optimized by default; compatible noise at equal weights)."""
 
     weights: tuple[float, ...]
-    mode: NoiseMode = NoiseMode.OPTIMIZED_TRIVIAL
-    distributions: tuple[np.ndarray, ...] | None = None
+    mode: NoiseClass = NoiseClass.TRIVIAL_NOISE
 
     def __post_init__(self):
         ws = tuple(float(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "mode", NoiseClass(self.mode))
         for w in ws:
             if not (0.0 <= w <= 1.0):
                 raise ValueError(f"noise weight {w} outside [0, 1]")
-        if self.mode is NoiseMode.FIXED_TRIVIAL:
-            if self.distributions is None:
-                raise ValueError("fixed-noise mode needs explicit distributions")
-            dists = tuple(np.asarray(p, dtype=float) for p in self.distributions)
-            if len(dists) != len(ws):
-                raise ValueError("one distribution per weight required")
-            for p in dists:
-                if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
-                    raise ValueError("distributions must be probability vectors")
-            object.__setattr__(self, "distributions", dists)
 
     @staticmethod
     def uniform(weights) -> "NoiseSpec":
-        return NoiseSpec(tuple(weights), NoiseMode.UNIFORM_TRIVIAL)
+        return NoiseSpec(tuple(weights), NoiseClass.UNIFORM_NOISE)
 
     @staticmethod
     def optimized(weights) -> "NoiseSpec":
-        return NoiseSpec(tuple(weights), NoiseMode.OPTIMIZED_TRIVIAL)
+        return NoiseSpec(tuple(weights), NoiseClass.TRIVIAL_NOISE)
 
 
 # === joint observables =======================================================
@@ -249,48 +232,35 @@ def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
 
 # === compatibility region and degree =========================================
 
-def _resolve_distributions(observables, noise: NoiseSpec):
-    if noise.mode is NoiseMode.UNIFORM_TRIVIAL:
-        return [np.full(o.n_outcomes, 1.0 / o.n_outcomes) for o in observables]
-    dists = noise.distributions
-    for obs, p in zip(observables, dists):
-        if len(p) != obs.n_outcomes:
-            raise ValueError("noise distribution length must match the outcomes")
-    return list(dists)
-
-
 def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = None) -> JointResult:
-    """Joint measurability of the noisy family lam_k M_k + (1-lam_k) p_k(.) I.
+    """Joint measurability of the noisy family lam_k M_k + (1-lam_k) N_k, for noise
+    N_k of the class ``noise.mode``: one :func:`sdpcore.joint_problem`.
 
-    With optimized noise the distributions p_k are solver variables, so the
-    answer quantifies over every choice of trivial noise at the given weights.
-    They are read back from the noise blocks, which hold (1 - lam_k) p_k, by
-    normalizing; at weight 1 the noise is absent and every distribution is
-    valid, and the uniform one is returned, as it is where the blocks' clipped
-    mass lies below ``feas``: the witness fixes such a mass only to within its
-    rounding, and any distribution at that mass moves the margins by less
-    than ``feas``.
+    Except for uniform noise the noise is a solver variable, so the answer
+    quantifies over all noise of its class at the given weights.  On success
+    ``noise_distributions`` holds the p_k of uniform and of trivial noise, and
+    is ``None`` for the other classes.  Trivial noise is read back from its
+    blocks, which hold (1 - lam_k) p_k, by normalizing; at weight 1 the noise
+    is absent and every distribution is valid, and the uniform one is
+    returned, as it is where the blocks' clipped mass lies below ``feas``: the
+    witness fixes such a mass only to within its rounding, and any
+    distribution at that mass moves the margins by less than ``feas``.
     """
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
     if len(noise.weights) != len(observables):
         raise ValueError("one noise weight per observable required")
     _require_size(observables)
-    if noise.mode is not NoiseMode.OPTIMIZED_TRIVIAL:
-        dists = _resolve_distributions(observables, noise)
-        mixed = [
-            mix_with_trivial(obs, w, probs=p)
-            for obs, w, p in zip(observables, noise.weights, dists)
-        ]
-        res = check_joint(mixed, tols)
-        return JointResult(res.solve, res.joint, tuple(dists))
-
-    prob = joint_problem([obs.effects for obs in observables], noise.weights)
+    prob = joint_problem([obs.effects for obs in observables], noise.weights, noise=noise.mode)
     res = solve_feasibility(prob, tols)
     if not res.feasible:
         return JointResult(res)
     grid, blocks = joint_witness(res.witness)
     joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
+    if noise.mode is NoiseClass.UNIFORM_NOISE:
+        return JointResult(res, joint, tuple(np.full(o.n_outcomes, 1.0 / o.n_outcomes) for o in observables))
+    if noise.mode is not NoiseClass.TRIVIAL_NOISE:
+        return JointResult(res, joint)
     dists = []
     for w, nk in zip(noise.weights, blocks):
         p = np.clip(nk[:, 0, 0].real, 0.0, None)
@@ -298,34 +268,23 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     return JointResult(res, joint, tuple(dists))
 
 
-def degree_of_compatibility(
-    observables,
-    noise_mode: NoiseMode = NoiseMode.OPTIMIZED_TRIVIAL,
-    tols: Tolerances | None = None,
-) -> float:
-    """Largest symmetric weight at which trivial noise restores compatibility.
+def degree_of_compatibility(observables, noise_mode: NoiseClass = NoiseClass.TRIVIAL_NOISE,
+                            tols: Tolerances | None = None) -> float:
+    """Largest symmetric weight at which noise of the class ``noise_mode``
+    restores compatibility.
 
     The family of :func:`region_membership` problems at equal weights is
     factorized once and searched by :func:`sdpcore.threshold_search`; the
     returned value is certified feasible and within the bisection tolerance
-    below the threshold.  A single observable has degree 1.  Fixed noise raises
-    ``ValueError``: there is no parameter for its distributions.
+    below the threshold.  A single observable has degree 1.
     """
-    if noise_mode is NoiseMode.FIXED_TRIVIAL:
-        raise ValueError("degree_of_compatibility takes uniform or optimized noise, "
-                         "not fixed noise")
     tols = tols or DEFAULT_TOLS
     _check_family_dim(observables)
     if len(observables) == 1:
         return 1.0
-    n = len(observables)
     _require_size(observables)
-    if noise_mode is NoiseMode.OPTIMIZED_TRIVIAL:
-        effects = [obs.effects for obs in observables]
-        return threshold_search(lambda lam: joint_problem(effects, (lam,) * n), tols).value
-    dists = _resolve_distributions(observables, NoiseSpec((1.0,) * n, noise_mode))
-    return threshold_search(lambda lam: joint_problem(
-        [mix_with_trivial(obs, lam, probs=p).effects for obs, p in zip(observables, dists)]), tols).value
+    effects, n = [obs.effects for obs in observables], len(observables)
+    return threshold_search(lambda lam: joint_problem(effects, (lam,) * n, noise=noise_mode), tols).value
 
 
 def fourier_region_formula(d: int, lam1: float, lam2: float) -> bool:
@@ -512,7 +471,10 @@ def check_coexistent(observables, tols: Tolerances | None = None) -> JointResult
 
 @dataclass(frozen=True)
 class WeakCoexistenceReport:
-    feasible: bool
+    """``feasible`` is False for a certified incompatible choice (``failing_choice``),
+    ``None`` when none is certified but some is undecided (the first such), else True."""
+
+    feasible: bool | None
     n_checked: int
     failing_choice: tuple | None = None
     verdict: Verdict = Verdict.FEASIBLE
@@ -525,13 +487,15 @@ def check_weakly_coexistent(observables, tols: Tolerances | None = None) -> Weak
         if obs.n_outcomes > 5:
             raise ValueError("weak coexistence capped at 5 outcomes per observable")
     choices = itertools.product(*(list(_proper_subsets(o.n_outcomes)) for o in observables))
-    n = 0
-    for choice in choices:
-        n += 1
-        bins = [binarize(obs, subset) for obs, subset in zip(observables, choice)]
-        res = check_joint(bins, tols)
-        if not res.feasible:
+    n, undecided = 0, None
+    for n, choice in enumerate(choices, 1):
+        res = check_joint([binarize(obs, subset) for obs, subset in zip(observables, choice)], tols)
+        if res.verdict is Verdict.INFEASIBLE_CERTIFIED:
             return WeakCoexistenceReport(False, n, choice, res.verdict)
+        if not res.feasible and undecided is None:
+            undecided = choice
+    if undecided is not None:  # an undecided choice decides nothing, either way
+        return WeakCoexistenceReport(None, n, undecided, Verdict.UNDECIDED)
     return WeakCoexistenceReport(True, n)
 
 

@@ -134,6 +134,13 @@ def _require_pair(t1: Tester, t2: Tester) -> None:
                          f"exceeds the supported {MAX_JOINT_OUTCOMES}")
 
 
+def _margins(t1: Tester, t2: Tester):
+    """``(margins, factors)`` of :func:`sdpcore.joint_problem` for a tester pair: blocks on
+    input x output, each tester on an axis of its own; trivial noise is channel-blind,
+    A_j (x) I with A_j on the input."""
+    return [(t.effects, (k,), (0, 1), (0,)) for k, t in enumerate((t1, t2))], (t1.in_dim, t1.out_dim)
+
+
 def check_tester_pair(t1: Tester, t2: Tester,
                       tols: Tolerances | None = None) -> TesterPairResult:
     """Can one joint tester produce both testers as margins?
@@ -145,7 +152,8 @@ def check_tester_pair(t1: Tester, t2: Tester,
     """
     tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-    result = solve_feasibility(joint_problem([t1.effects, t2.effects]), tols)
+    margins, factors = _margins(t1, t2)
+    result = solve_feasibility(joint_problem(margins, factors=factors), tols)
     joint = None
     if result.feasible:
         grid, _ = joint_witness(result.witness)
@@ -167,8 +175,8 @@ def tester_degree(t1: Tester, t2: Tester,
     """
     tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-    effects = [t1.effects, t2.effects]
-    return threshold_search(lambda q: joint_problem(effects, (q, q), t1.in_dim), tols)
+    margins, factors = _margins(t1, t2)
+    return threshold_search(lambda q: joint_problem(margins, (q, q), factors=factors), tols)
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,11 @@ as its parts, and :func:`joint_problem` writes it once.  The joint device is
 the record ``g``: a stack of PSD blocks on a classical outcome grid, each
 block on a product of quantum factors.  Each margin keeps some axes of the
 grid and some factors, sums over the other axes and traces out the other
-factors, and equals its device, optionally mixed with noise (a record
-``n{k}`` per margin, or ``ng``, a second joint record).  Observables,
-assemblages and testers keep one axis each and the one factor.  A channel
+factors, and equals its device, optionally mixed with noise of a
+:class:`NoiseClass` (uniform noise on the right-hand side alone, a record
+``n{k}`` per margin, or ``ng``, a second joint record).  Observables and
+assemblages keep one axis each and the one factor; testers keep one axis
+each and both factors, input x output.  A channel
 pair is a channel on in x out_A x out_B, and channel k keeps (in, out_k).
 An instrument is a stack on (m,) of blocks on in x out: the channel keeps
 no axis and both factors, the observable the axis and the input factor.  A
@@ -141,9 +143,16 @@ class Verdict(Enum):
 
 
 class NoiseClass(Enum):
+    """The noise a weighted :func:`joint_problem` mixes into its margins, from the least
+    to the most admitted (Designolle, Farkas & Kaniewski, NJP 2019)."""
+
+    UNIFORM_NOISE = "uniform"
     TRIVIAL_NOISE = "trivial"
     COMPATIBLE_NOISE = "compatible"
     ARBITRARY_NOISE = "arbitrary"
+    # an alias of UNIFORM_NOISE, kept because the benchmark reads the old name;
+    # it goes with the benchmark change that retires that read
+    UNIFORM_TRIVIAL = "uniform"
 
 
 MAX_BLOCK_SIDE = 64  # the largest joint block side, and the most outcomes on one axis of its grid
@@ -412,8 +421,7 @@ class SdpProblem:
         return x
 
 
-def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
-                  noise: NoiseClass = NoiseClass.TRIVIAL_NOISE) -> SdpProblem:
+def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = NoiseClass.TRIVIAL_NOISE) -> SdpProblem:
     """Joint device with the given margins: the one compatibility question.
 
     The joint device is the record ``g``, a stack of PSD blocks on a grid of
@@ -426,16 +434,17 @@ def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
     in ``keep``, sum to its block.  Every g block has the trace cap of the
     joint device's total, the trace of margin 0's total.  Without
     ``factors``, ``margins[k]`` is a stack M_k of outcome operators on an
-    axis of its own, as for observables, assemblages and testers: the
-    margin ``(M_k, (k,), (0, 1), (0,))`` on the factors
-    ``(noise_side, side // noise_side)``, with trivial noise only: the
-    other classes normalize on the first factor, here not the input.
+    axis of its own, as for observables and assemblages: the margin
+    ``(M_k, (k,), (0,), ())`` on the one factor ``(side,)``.
 
     With ``weights`` the kth margin is w_k D_k + (1 - w_k) N_k instead, for
     noise N_k of the class ``noise``, held as (1 - w_k) N_k so that no
     coefficient depends on the weights and the right-hand side depends on
     them affinely: a threshold search factorizes the family once.
 
+    * Uniform: no record; N_k is the margin's total over its axes spread
+      evenly over its outcome tuples (I / m for an observable), so only the
+      right-hand side changes.  A margin without an axis raises ``ValueError``.
     * Trivial: the record ``n{k}``, a stack on the margin's axes of PSD
       blocks on its factors ``on``, lifted by (x) I on its other factors,
       whose traces sum to 1: p_k(x) I for ``on = ()``, a constant channel
@@ -446,16 +455,14 @@ def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
       is the identity.
     * Compatible: the record ``ng``, a second joint device like ``g`` whose
       margins are the noise, normalized as arbitrary noise on the first of
-      ``factors``, at the weight of margin 0.
+      ``factors``; every weight must be equal (else ``ValueError``).
 
     A grid axis or a block side above ``MAX_BLOCK_SIDE`` raises ``ValueError``
     before anything is built, as does a device of another shape.
     """
-    if factors is None:  # each stack M_k on an axis of its own
-        if noise is not NoiseClass.TRIVIAL_NOISE:
-            raise ValueError(f"the stack form takes trivial noise only, not {noise}; pass factors")
-        side = margins[0].shape[-1]
-        factors, margins = (noise_side, side // noise_side), [(m, (k,), (0, 1), (0,)) for k, m in enumerate(margins)]
+    noise = NoiseClass(noise)
+    if factors is None:  # each stack M_k on an axis of its own, on one factor
+        factors, margins = margins[0].shape[-1:], [(m, (k,), (0,), ()) for k, m in enumerate(margins)]
     margins = [(np.asarray(device), tuple(axes), tuple(keep), tuple(on)) for device, axes, keep, on in margins]
     grid = {a: n for device, axes, _, _ in margins for a, n in zip(axes, device.shape)}
     counts, side = tuple(grid[a] for a in range(len(grid))), math.prod(factors)
@@ -463,16 +470,21 @@ def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
         raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
     if max(counts, default=0) > MAX_BLOCK_SIDE:
         raise ValueError(f"problem too large: block side {side}, {max(counts)} outcomes")
+    uniform = weights is not None and noise is NoiseClass.UNIFORM_NOISE
+    compatible = weights is not None and noise is NoiseClass.COMPATIBLE_NOISE
+    if compatible and len(set(weights)) > 1:
+        raise ValueError(f"compatible noise mixes every margin at one weight, not {tuple(weights)}")
     for device, axes, keep, _ in margins:
         shape = tuple(counts[a] for a in axes) + (math.prod(factors[f] for f in keep),) * 2
         if device.shape != shape:
             raise ValueError(f"a device on axes {axes} and factors {keep} of {factors} needs shape {shape}, "
                              f"not {device.shape}")
+        if uniform and not axes:
+            raise ValueError("uniform noise spreads a margin over its outcomes; a margin without an axis has none")
     total = margins[0][0].reshape((-1,) + margins[0][0].shape[-2:]).sum(axis=0)
     prob, cap = SdpProblem(), float(np.trace(total).real)
     g = prob._add("psd", "g", side, cap, counts)
-    trivial = noise is NoiseClass.TRIVIAL_NOISE
-    compatible = weights is not None and noise is NoiseClass.COMPATIBLE_NOISE
+    trivial, own_record = noise is NoiseClass.TRIVIAL_NOISE, weights is not None and not (uniform or compatible)
     if compatible:
         ng = prob._add("psd", "ng", side, cap, counts)
 
@@ -490,16 +502,20 @@ def joint_problem(margins, weights=None, noise_side: int = 1, factors=None,
             return np.moveaxis(rec, axes, range(len(axes))).reshape(pieces, -1)
 
         chunks = [_per_block((r, c, v), fibres(g), rows)]  # one row group per margin: fibre - noise = w device
-        if compatible:
+        rhs = (1.0 if weights is None else weights[k]) * vec_of(device).ravel()
+        if uniform:
+            spread = vec_of(device.reshape((pieces,) + device.shape[-2:]).sum(axis=0) / pieces)
+            rhs = rhs + (1 - weights[k]) * np.tile(spread, pieces)
+        elif compatible:
             chunks.append(_per_block((r, c, -v), fibres(ng), rows))
-        elif weights is not None:
+        elif own_record:
             own = on if trivial else keep
             n = prob._add("psd", f"n{k}", math.prod(factors[f] for f in own), 1.0 if trivial else cap,
                           device.shape[:-2])
             lc, lr, lv = partial_trace_map(dims, [keep.index(f) for f in own])
             chunks.append(_per_block((lr, lc, -lv), n.reshape(-1, 1), rows))  # the lift: rows and columns swapped
-        prob._add_rows(chunks, (1.0 if weights is None else weights[k]) * vec_of(device).ravel(), pieces)
-        if weights is not None and not compatible:  # total trace 1 - w, or (1 - w) I on the input
+        prob._add_rows(chunks, rhs, pieces)
+        if own_record:  # total trace 1 - w, or (1 - w) I on the input
             normalize(n, [factors[f] for f in own], () if trivial else (0,), weights[k])
     if compatible:
         normalize(ng, factors, (0,), weights[0])
@@ -730,7 +746,7 @@ class _Data:
         sizes = [rhs.size for rhs in problem._rhs]
         self.row_groups = list(zip(accumulate(sizes[:-1], initial=0), sizes, problem._pieces))
         one = self if at_one is None else _Data(at_one)
-        if one is not self and not (all(map(np.array_equal, self.coo, one.coo)) and self.same_cones(one)):
+        if one is not self and not self.same_matrix_and_cones(one):
             raise ValueError("the family's constraint matrix or cones depend on its weight")
         self.db = one.b - self.b
         self.caps = sum(float(c.sum()) for _, _, c, _ in self.psd_groups) + float(self.scalar_caps.sum())
@@ -739,12 +755,12 @@ class _Data:
         self.rounding = ((len(self.b) + 2) * eps * (self.norm_a * self.caps + np.linalg.norm(self.b)
                                                    + np.linalg.norm(self.db)), terms * eps * self.caps)
 
-    def same_cones(self, other: _Data) -> bool:
-        """The same cones on the same coordinates, with caps equal up to the rounding of
-        caps derived from data."""
+    def same_matrix_and_cones(self, other: _Data) -> bool:
+        """The same triplets of A, and the same cones on the same coordinates, with caps
+        equal up to the rounding of caps derived from data."""
         ours, theirs = ([g[:3] for g in data.psd_groups] + [(1, data.scalar_idx, data.scalar_caps)]
                         for data in (self, other))
-        return len(ours) == len(theirs) and all(
+        return all(map(np.array_equal, self.coo, other.coo)) and len(ours) == len(theirs) and all(
             d == e and np.array_equal(i, j) and np.allclose(c, k, rtol=1e-12, atol=0.0)
             for (d, i, c), (e, j, k) in zip(ours, theirs))
 
@@ -1298,15 +1314,22 @@ def threshold_search(build: Callable[[float], SdpProblem], tols: Tolerances | No
 
     ``build`` gives a monotone family whose weight enters only the
     right-hand side, affinely (as :func:`joint_problem` writes it at
-    ``weights`` (w, w, ...)); a family whose constraint matrix or cones differ at weights 0 and
-    1 raises ``ValueError``.  The family is built at 0 and 1 and factorized
-    once; the factorization lives as long as the search.  Each probe is one
+    ``weights`` (w, w, ...)).  The family is built at 0 and 1 and factorized
+    once; the factorization lives as long as the search.  Its member at 1/2
+    is built too, and a family whose constraint matrix or cones differ at 0,
+    1/2 and 1, or whose b(1/2) lies off b(0) + db / 2 by more than rounding,
+    raises ``ValueError``: a family affine only in its matrix and cones would
+    certify the threshold of another one.  Each probe is one
     :func:`solve_feasibility` of its member, started at the final iterate
     of the last feasible probe; a certified probe hands
     :func:`bisect_threshold` its functional's crossing as an upper end.
     """
     tols = tols or DEFAULT_TOLS
-    family = _Projector(build(0.0), build(1.0))
+    family, half = _Projector(build(0.0), build(1.0)), _Data(build(0.5))
+    drift = np.abs(half.b - (family.b + 0.5 * family.db)).max(initial=0.0)
+    if not (family.same_matrix_and_cones(half)
+            and drift <= 8 * np.finfo(float).eps * max(1.0, np.abs(half.b).max(initial=0.0))):
+        raise ValueError("the family is not affine in its weight: its member at 1/2 is off the line")
     start = None
 
     def probe(lam: float) -> bool | UpperEnd:

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
-from .devices import State, mix_with_trivial, transpose_observable
+from .devices import State, transpose_observable
 from .obscompat import JointResult, check_joint
-from .sdpcore import (Decision, ThresholdResult, joint_problem, joint_witness,
+from .sdpcore import (Decision, NoiseClass, ThresholdResult, joint_problem, joint_witness,
                       solve_feasibility, threshold_search)
 
 __all__ = [
@@ -176,24 +176,20 @@ def steering_degree(observables, tols: Tolerances | None = None) -> ThresholdRes
     """Largest weight lam at which the maximally entangled assemblage of the
     family lam A_j + (1 - lam) I / m admits a local hidden state model.
 
-    The model's blocks sum to sigma_{x|j}(lam), which is affine in lam, and
-    their common trace cap is tr sigma = 1 at every weight, so the
-    :func:`check_lhs` problems form one family with a fixed constraint
-    matrix.  It is factorized once and searched by
+    That assemblage is lam sigma_{x|j} + (1 - lam) sigma / m, the
+    assemblage's own mixed with uniform noise, so the :func:`check_lhs`
+    problems at every weight are one :func:`sdpcore.joint_problem` family
+    with a fixed constraint matrix.  It is factorized once and searched by
     :func:`sdpcore.threshold_search`: ``value`` is certified feasible, and
     ``upper`` holds the smallest certified upper end the search found.
     More than ``MAX_STRATEGIES`` strategies raise ``ValueError``, as in
     :func:`check_lhs`.
     """
     tols = tols or DEFAULT_TOLS
-    observables = tuple(observables)
-    _require_strategies(max_entangled_assemblage(observables))
-
-    def build(lam: float):
-        noisy = [mix_with_trivial(o, lam) for o in observables]
-        return joint_problem(max_entangled_assemblage(noisy).blocks)
-
-    return threshold_search(build, tols)
+    assemblage = max_entangled_assemblage(observables)
+    _require_strategies(assemblage)
+    blocks, n = assemblage.blocks, assemblage.n_settings
+    return threshold_search(lambda lam: joint_problem(blocks, (lam,) * n, noise=NoiseClass.UNIFORM_NOISE), tols)
 
 
 @dataclass(frozen=True)

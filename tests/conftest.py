@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qincompat import Observable, chancompat, mub_qubit, sharp_observable
+from qincompat import Observable, chancompat, mub_qubit, process, sharp_observable
 from qincompat.sdpcore import joint_problem
 
 
@@ -66,3 +66,10 @@ def pair_problem(device_a, device_b, mode=None, lam=1.0):
     if mode is None:
         return joint_problem(margins, factors=factors)
     return joint_problem(margins, (lam, lam), factors=factors, noise=mode)
+
+
+def joint_tester_problem(t1, t2, weights=None):
+    """The joint problem of a tester pair as ``check_tester_pair`` builds it, or as
+    ``tester_degree`` builds its member at ``weights``."""
+    margins, factors = process._margins(t1, t2)
+    return joint_problem(margins, weights, factors=factors)

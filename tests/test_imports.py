@@ -5,9 +5,9 @@ spells the names of the joint device's blocks, no other module names a
 block or a witness key by an f-string, only sdpcore drives a
 bisection, only ``sdpcore._certificate`` makes a certificate, only the
 dense witness check assembles A, ``real_linear_map`` gains no caller,
-only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore and
-only ``SdpProblem`` and ``_Data`` read a problem's layout; and a guard on
-what solving imports."""
+only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore,
+only ``SdpProblem`` and ``_Data`` read a problem's layout and only
+``devices`` mixes a device with noise; and a guard on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -290,6 +290,26 @@ def test_real_linear_map_gains_no_caller():
     callers = [f"{p.stem}.{where}" for p in SOURCES
                for where in calls_by_function(p.read_text(encoding="utf-8"), "real_linear_map")]
     assert callers == ["chancompat._compose_map", "obschan.rank1_channel_form_check", "obschan.sequential_recover"]
+
+
+def noise_mixers(sources: dict[str, str]) -> list[str]:
+    """Sorted modules that call ``mix_with_trivial``, by name or as an attribute."""
+    return sorted(module for module, source in sources.items() if calls_by_function(source, "mix_with_trivial"))
+
+
+def test_scan_finds_noise_mixers():
+    sources = {"a": "from .devices import mix_with_trivial\nx = [mix_with_trivial(o, w) for o in f]\n",
+               "b": "def f(o):\n    return lambda w: devices.mix_with_trivial(o, w)\n",
+               "c": "from .devices import mix_with_trivial\n__all__ = ['mix_with_trivial']\ny = mix_with_trivial\n",
+               "d": "z = q.mix_with_trivial_x(o)\n"}
+    assert noise_mixers(sources) == ["a", "b"]
+
+
+def test_only_devices_mixes_noise():
+    # every noisy question is one joint_problem call, which writes its noise; a module
+    # that mixed devices first would answer in a second noise vocabulary
+    mixers = noise_mixers({p.stem: p.read_text(encoding="utf-8") for p in SOURCES})
+    assert set(mixers) <= {"devices"}
 
 
 def test_only_the_order_questions_write_a_problem():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,12 +220,19 @@ def test_region_membership_modes(sharp_x, sharp_z):
     opt_out = q.region_membership(pair, q.NoiseSpec((0.9, 0.9)))
     assert opt_out.verdict is q.Verdict.INFEASIBLE_CERTIFIED
     assert opt_out.joint is None and opt_out.noise_distributions is None
-    # fixed distributions need explicit probabilities
-    with pytest.raises(ValueError):
-        q.NoiseSpec((0.5, 0.5), q.NoiseMode.FIXED_TRIVIAL)
-    fixed = q.NoiseSpec((0.6, 0.6), q.NoiseMode.FIXED_TRIVIAL,
-                        distributions=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
-    assert q.region_membership(pair, fixed).solve.feasible
+    # fixed noise is a mixture of the devices, decided by check_joint: at the uniform
+    # distributions it decides as uniform noise
+    for lam in (0.6, 0.9):
+        fixed = q.check_joint([q.mix_with_trivial(o, lam, probs=[0.5, 0.5]) for o in pair])
+        assert fixed.verdict is q.region_membership(pair, q.NoiseSpec.uniform((lam, lam))).verdict
+    # at 0.8 only noise past the trivial kind restores compatibility; it is no distribution
+    for mode, feasible in zip(q.NoiseClass, (False, False, True, True)):
+        res = q.region_membership(pair, q.NoiseSpec((0.8, 0.8), mode))
+        assert res.verdict is (q.Verdict.FEASIBLE if feasible else q.Verdict.INFEASIBLE_CERTIFIED), mode
+        assert (res.joint is not None) is feasible and res.noise_distributions is None
+    # compatible noise is one joint device, mixed in at one weight
+    with pytest.raises(ValueError, match="one weight"):
+        q.region_membership(pair, q.NoiseSpec((0.8, 0.7), q.NoiseClass.COMPATIBLE_NOISE))
 
 
 def test_region_optimized_noise_is_a_distribution(sharp_x, sharp_z, mub3):
@@ -299,12 +307,6 @@ def test_region_optimized_contains_uniform(rng):
 
 def test_degree_single_is_one(sharp_z):
     assert q.degree_of_compatibility([sharp_z]) == 1.0
-
-
-def test_degree_rejects_fixed_noise(sharp_x, sharp_z):
-    # fixed noise needs distributions, which the degree has no parameter for
-    with pytest.raises(ValueError, match="takes uniform or optimized noise, not fixed"):
-        q.degree_of_compatibility([sharp_x, sharp_z], q.NoiseMode.FIXED_TRIVIAL)
 
 
 def test_degree_mub_pair(sharp_x, sharp_z):
@@ -401,6 +403,35 @@ def test_weak_coexistence(sharp_x, sharp_z):
     rep = q.check_weakly_coexistent([noisy(sharp_x, 0.5), noisy(sharp_z, 0.5)])
     assert rep.feasible
     assert rep.n_checked > 0
+
+
+def test_weak_coexistence_undecided_choices_decide_nothing(monkeypatch):
+    # a choice whose solve is cut short is no evidence of incompatibility: with
+    # every choice undecided the report is undecided, after all 36 choices
+    monkeypatch.setattr(obscompat, "check_joint",
+                        lambda *args: SimpleNamespace(verdict=Verdict.UNDECIDED, feasible=False))
+    rng = np.random.default_rng(0)
+    family = [noisy(q.random_povm(2, 3, rng), 0.5) for _ in range(2)]
+    rep = q.check_weakly_coexistent(family)
+    assert rep.feasible is None and rep.verdict is Verdict.UNDECIDED
+    assert rep.n_checked == 36 and rep.failing_choice == ((0,), (0,))
+
+
+def test_weak_coexistence_certified_choice_decides_past_undecided_ones(sharp_x, sharp_z, monkeypatch):
+    # the first choice undecided, the second certified incompatible: not weakly coexistent
+    check = obscompat.check_joint
+    calls = []
+
+    def first_undecided(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return SimpleNamespace(verdict=Verdict.UNDECIDED, feasible=False)
+        return check(*args)
+
+    monkeypatch.setattr(obscompat, "check_joint", first_undecided)
+    rep = q.check_weakly_coexistent([sharp_x, sharp_z])
+    assert rep.feasible is False and rep.verdict is Verdict.INFEASIBLE_CERTIFIED
+    assert rep.n_checked == 2 and rep.failing_choice == ((0,), (1,))
 
 
 # --- post-processing order ---------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qincompat as q
 import qincompat.linalg as la
-from conftest import near_parallel_povm, pair_problem, rand_herm, recheck_functional
+from conftest import near_parallel_povm, pair_problem, rand_herm, recheck_functional, joint_tester_problem
 from qincompat import chancompat, obschan, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
@@ -20,6 +20,10 @@ from qincompat.sdpcore import (Certificate, SdpProblem, SolveResult, UpperEnd, V
                                partial_trace_map, real_linear_map, solve_feasibility,
                                threshold_search, vec_of, verify_witness)
 from qincompat.steering import check_lhs, max_entangled_assemblage
+
+
+# uniform noise has no outcomes to spread over on a channel's margin
+CHANNEL_NOISE = (None, *(c for c in q.NoiseClass if c is not q.NoiseClass.UNIFORM_NOISE))
 
 
 def rand_psd(rng, d, trace=None):
@@ -415,15 +419,13 @@ def recorded(build):
     return prob, [(terms, rhs) for owner, terms, rhs in calls if owner is prob]
 
 
-def joint_by_definition(margins, weights=None, noise_side=1):
+def joint_by_definition(margins, weights=None):
     """:func:`joint_problem` and its ``(terms, rhs)`` from the definition: per
     (k, x), the blocks g[t] of the tuples t with t[k] = x, less the noise block
     n{k}[x] lifted by (x) I when weighted, equal w_k M_k(x); per weighted k,
     the noise blocks' traces sum to 1 - w_k.  Terms are keyed by block
     (:func:`block_at`)."""
-    side = margins[0].shape[-1]
-    lift = np.stack([vec_of(np.kron(la.real_vec_to_hermitian(e, noise_side), np.eye(side // noise_side)))
-                     for e in np.eye(noise_side * noise_side)], axis=1)
+    lift = vec_of(np.eye(margins[0].shape[-1]))[:, None]
     combos = list(itertools.product(*(range(len(m)) for m in margins)))
     equalities = []
     for k, m in enumerate(margins):
@@ -434,9 +436,8 @@ def joint_by_definition(margins, weights=None, noise_side=1):
                 terms[(f"n{k}", (x,))] = -lift
             equalities.append((terms, w * vec_of(m[x])))
         if weights is not None:
-            equalities.append(({(f"n{k}", (x,)): vec_of(np.eye(noise_side))[None, :] for x in range(len(m))},
-                               (1 - w) * np.array([1.0])))
-    return joint_problem(margins, weights, noise_side), equalities
+            equalities.append(({(f"n{k}", (x,)): np.ones((1, 1)) for x in range(len(m))}, (1 - w) * np.array([1.0])))
+    return joint_problem(margins, weights), equalities
 
 
 _TRACE_MAPS = {}
@@ -458,7 +459,8 @@ def joint_by_partial_trace(margins, factors, weights=None, noise=q.NoiseClass.TR
     """:func:`joint_problem` on quantum ``factors`` and its ``(terms, rhs)`` from the
     definition: per margin ``(device, axes, keep, on)`` and outcome tuple x on its axes,
     the blocks g[t] with t on ``axes`` equal to x, traced onto ``keep``, less the noise,
-    equal w D(x).  The noise is n{k}[x] on ``on`` lifted by (x) I (trivial), n{k}[x]
+    equal w D(x), plus (1 - w) times D's total over its outcomes spread evenly (uniform).
+    The noise is n{k}[x] on ``on`` lifted by (x) I (trivial), n{k}[x]
     itself (arbitrary), or the blocks of ``ng`` traced like g's (compatible), and its
     normalization is total trace 1 - w (trivial) or 1 - w times the identity on the first
     factor.  Every map is :func:`trace_map` or its transpose; terms are keyed by block."""
@@ -466,6 +468,7 @@ def joint_by_partial_trace(margins, factors, weights=None, noise=q.NoiseClass.TR
     counts = prob.block("g").lead
     combos = list(itertools.product(*(range(n) for n in counts)))
     trivial, compatible = noise is q.NoiseClass.TRIVIAL_NOISE, noise is q.NoiseClass.COMPATIBLE_NOISE
+    uniform = noise is q.NoiseClass.UNIFORM_NOISE
     equalities = []
     for k, (device, axes, keep, on) in enumerate(margins):
         w = 1.0 if weights is None else weights[k]
@@ -476,10 +479,13 @@ def joint_by_partial_trace(margins, factors, weights=None, noise=q.NoiseClass.TR
             terms = {("g", t): trace for t in fibre}
             if weights is not None and compatible:
                 terms.update({("ng", t): -trace for t in fibre})
-            elif weights is not None:
+            elif weights is not None and not uniform:
                 terms[(f"n{k}", x)] = -trace_map(dims, [keep.index(f) for f in own]).T
-            equalities.append((terms, w * vec_of(device[x])))
-        if weights is not None and not compatible:
+            rhs = w * vec_of(device[x])
+            if uniform:
+                rhs = rhs + (1 - w) * vec_of(device.reshape((-1,) + device.shape[-2:]).sum(axis=0) / len(outcomes))
+            equalities.append((terms, rhs))
+        if weights is not None and not (compatible or uniform):
             own_dims, to = [factors[f] for f in own], () if trivial else (0,)
             eye = vec_of(np.eye(math.prod(own_dims[i] for i in to)))
             equalities.append(({(f"n{k}", x): trace_map(own_dims, to) for x in outcomes}, (1 - w) * eye))
@@ -518,10 +524,12 @@ def _assembly_cases():
         "joint": lambda: joint_by_definition([p.effects for p in povms]),
         # weight 1 mixes in its noise with coefficient -0.0
         "joint_weighted": lambda: joint_by_definition([p.effects for p in povms], (0.6, 1.0, 0.8)),
+        "joint_uniform": lambda: joint_by_partial_trace([(p.effects, (k,), (0,), ()) for k, p in enumerate(povms)],
+                                                        (2,), (0.6, 1.0, 0.8), q.NoiseClass.UNIFORM_NOISE),
         # the margins of check_lhs and check_tester_pair
         "lhs": lambda: joint_by_definition(max_entangled_assemblage([x, z]).blocks),
-        "tester": lambda: joint_by_definition([t.effects for t in testers]),
-        "tester_weighted": lambda: joint_by_definition([t.effects for t in testers], (0.6, 1.0), 2),
+        "tester": lambda: joint_by_partial_trace(*process._margins(*testers)),
+        "tester_weighted": lambda: joint_by_partial_trace(*process._margins(*testers), (0.6, 1.0)),
         "division": lambda: recorded(lambda: built_problem(chancompat, lambda: chancompat.channel_division(
             chan, q.conjugate_channel(chan)))),
         "sequential": lambda: recorded(lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z))),
@@ -530,7 +538,7 @@ def _assembly_cases():
             first3, second3))),
         "coefficients": lambda: recorded(_coefficient_problem),
     }
-    for mode in (None, *q.NoiseClass):
+    for mode in CHANNEL_NOISE:
         tag = mode.value if mode else "plain"
         for lam in (0.7, 1.0):
             weights = None if mode is None else (lam, lam)
@@ -659,7 +667,7 @@ def _solved_tester_pair(sharp_x, sharp_z):
 
 def _solved_noisy_testers(sharp_x, sharp_z):
     tx, tz = (prepare_measure_tester(np.eye(2) / 2, o) for o in (sharp_x, sharp_z))
-    return joint_problem([tx.effects, tz.effects], (0.6, 0.6), 2), (2, 2)
+    return joint_tester_problem(tx, tz, (0.6, 0.6)), (2, 2)
 
 
 def _solved_noisy_family(sharp_x, sharp_z):
@@ -724,8 +732,8 @@ def test_joint_problem_derives_trace_cap(sharp_x, sharp_z):
     assert cap(joint_problem(asm.blocks)) == pytest.approx(1.0, abs=1e-14)
     # a tester on input 2, output 3: the cap is d_out, not d_in * d_out
     tester = prepare_measure_tester(np.eye(2) / 2, sharp_observable(np.eye(3)))
-    assert cap(joint_problem([tester.effects, tester.effects])) == pytest.approx(3.0, abs=1e-14)
-    noisy = joint_problem([tester.effects, tester.effects], (0.5, 0.5), 2)
+    assert cap(joint_tester_problem(tester, tester)) == pytest.approx(3.0, abs=1e-14)
+    noisy = joint_tester_problem(tester, tester, (0.5, 0.5))
     assert cap(noisy) == pytest.approx(3.0, abs=1e-14)
     assert [(noisy.block(f"n{k}").lead, float(noisy.block(f"n{k}").cap)) for k in range(2)] == [((3,), 1.0)] * 2
 
@@ -840,7 +848,7 @@ def _projector_cases():
             q.binarize(fine, [0, 1]), fine)),
         "sequential": lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z)),
     }
-    for mode in (None, *chancompat.NoiseClass):
+    for mode in CHANNEL_NOISE:
         name = "obs_channel_" + (mode.value if mode else "plain")
         cases[name] = lambda mode=mode: pair_problem(fine, chan3, mode, 0.7)
     # ill-conditioned: singular values down to about 1e-8 of the largest, which
@@ -953,9 +961,9 @@ def _partial_trace_builds():
     builds = {
         "state_marginal": lambda: built_problem(chancompat, lambda: chancompat.state_marginal_feasible(
             prod, prod, (2, 2, 2))),
-        "tester_weighted": lambda: joint_problem([t.effects for t in testers], (0.6, 0.8), 2),
+        "tester_weighted": lambda: joint_tester_problem(*testers, (0.6, 0.8)),
     }
-    for mode in (None, *chancompat.NoiseClass):
+    for mode in CHANNEL_NOISE:
         tag = mode.value if mode else "plain"
         builds[f"channel_pair_{tag}"] = lambda mode=mode: pair_problem(chan_a, chan_b, mode, 0.7)
         builds[f"obs_channel_{tag}"] = lambda mode=mode: pair_problem(obs, chan, mode, 0.7)
@@ -1787,7 +1795,7 @@ def test_testers_at_degree_floor_never_certified(seed, outcomes, same_probe, fra
     t2 = prepare_measure_tester(probe if same_probe else random_state(2, rng),
                                 random_povm(2, outcomes, rng))
     q = frac / 2
-    prob = joint_problem([t1.effects, t2.effects], (q, q), t1.in_dim)
+    prob = joint_tester_problem(t1, t2, (q, q))
     res = solve_feasibility(prob)
     assert res.verdict is not Verdict.INFEASIBLE_CERTIFIED
     if res.verdict is Verdict.FEASIBLE:

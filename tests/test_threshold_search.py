@@ -1,12 +1,13 @@
 """Threshold searches over affine families: the noise rescaling that keeps the
 constraint matrix fixed, the certified upper ends, and the probe budget."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import qincompat as q
-from conftest import pair_problem, recheck_functional
+from conftest import joint_tester_problem, pair_problem, recheck_functional
 from qincompat import chancompat, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.sdpcore import SdpProblem, Verdict, joint_problem, solve_feasibility, verify_witness
@@ -25,12 +26,13 @@ def _optimized(observables):
 
 
 def _uniform(observables):
-    return lambda lam: joint_problem([q.mix_with_trivial(o, lam).effects for o in observables])
+    effects = [o.effects for o in observables]
+    return lambda lam: joint_problem(effects, (lam,) * len(effects), noise=NOISE.UNIFORM_NOISE)
 
 
 def _steering(observables):
-    return lambda lam: joint_problem(
-        q.max_entangled_assemblage([q.mix_with_trivial(o, lam) for o in observables]).blocks)
+    blocks = q.max_entangled_assemblage(observables).blocks
+    return lambda lam: joint_problem(blocks, (lam,) * len(blocks), noise=NOISE.UNIFORM_NOISE)
 
 
 def _pair(a, b, mode):
@@ -56,7 +58,7 @@ SEARCHES = [
     ("steering unbiased triple", 1 / math.sqrt(3),
      lambda: q.steering_degree(q.mub_qubit()).value, _steering(q.mub_qubit())),
     ("tester degree", 0.5, lambda: q.tester_degree(T0, T1).value,
-     lambda lam: joint_problem([T0.effects, T1.effects], (lam, lam), T0.in_dim)),
+     lambda lam: joint_tester_problem(T0, T1, (lam, lam))),
     ("robustness id/id arbitrary", 0.75,
      lambda: q.robustness(IDENT, IDENT, NOISE.ARBITRARY_NOISE), _pair(IDENT, IDENT, NOISE.ARBITRARY_NOISE)),
     ("robustness id/id compatible", 0.75,
@@ -139,6 +141,19 @@ def test_family_with_weight_in_the_matrix_is_rejected():
     for family in (build, capped):
         with pytest.raises(ValueError, match="weight"):
             sdpcore.threshold_search(family)
+
+
+def test_family_whose_rhs_bends_is_rejected():
+    # x = 2 lam^2 in [0, 1] has its threshold at 1/sqrt(2); read as the line through its
+    # members at 0 and 1, x = 2 lam, it would certify 1/2.  The member at 1/2 is off that line
+    def bent(lam):
+        prob = SdpProblem()
+        prob.add_psd_block("x", 1, trace_cap=1.0)
+        prob.add_equality({"x": 1.0}, np.array([2 * lam * lam]))
+        return prob
+
+    with pytest.raises(ValueError, match="not affine"):
+        sdpcore.threshold_search(bent)
 
 
 def _parent_form(prob: SdpProblem, lam: float) -> tuple[SdpProblem, set[str]]:
@@ -245,12 +260,25 @@ def test_no_cloning_bound_of_depolarizing_copies(d, n):
     assert res.upper is not None and res.upper.at > bound
 
 
-@pytest.mark.parametrize("noise", [NOISE.COMPATIBLE_NOISE, NOISE.ARBITRARY_NOISE])
-def test_stack_form_takes_trivial_noise_only(noise):
-    # without factors an observable's first factor has dimension 1, so noise normalized
-    # there would have trace 1 - w instead of being (1 - w) I
-    with pytest.raises(ValueError, match="trivial noise"):
-        joint_problem([SX.effects, SZ.effects], (0.5, 0.5), noise=noise)
+def _class_search(observables, noise, factors=None):
+    effects = [o.effects for o in observables]
+    margins = effects if factors is None else [(e, (k,), (0,), ()) for k, e in enumerate(effects)]
+    return sdpcore.threshold_search(lambda lam: joint_problem(margins, (lam,) * len(effects), factors, noise))
+
+
+@pytest.mark.parametrize("noise", list(NOISE))
+def test_stack_form_takes_every_noise_class(noise):
+    # the stack form is the factor form on the one factor (side,): the same brackets
+    stack, factor = _class_search((SX, SZ), noise), _class_search((SX, SZ), noise, (2,))
+    assert (stack.value, stack.upper.at) == (factor.value, factor.upper.at)
+
+
+def test_uniform_noise_needs_an_outcome_axis():
+    # uniform noise spreads a margin's total over its outcomes; a channel has none
+    with pytest.raises(ValueError, match="uniform noise"):
+        q.robustness(IDENT, IDENT, NOISE.UNIFORM_NOISE)
+    with pytest.raises(ValueError, match="uniform noise"):
+        q.robustness(SZ, IDENT, NOISE.UNIFORM_NOISE)
 
 
 def test_xz_noise_classes_through_the_factor_form():
@@ -264,3 +292,35 @@ def test_xz_noise_classes_through_the_factor_form():
         assert res.value <= formula <= res.upper.at
         values.append(res.value)
     assert values[0] < values[1] < values[2]
+
+
+# the X/Z pair and the unbiased qubit triple under each class; the closed forms pinned
+# are those cited above and the uniform references of SEARCHES
+CLASS_FAMILIES = {"X/Z": (SX, SZ), "unbiased triple": tuple(q.mub_qubit())}
+CLASS_FORMS = {
+    ("X/Z", NOISE.UNIFORM_NOISE): 1 / math.sqrt(2), ("X/Z", NOISE.TRIVIAL_NOISE): 1 / math.sqrt(2),
+    ("X/Z", NOISE.COMPATIBLE_NOISE): 2 * (math.sqrt(2) - 1), ("X/Z", NOISE.ARBITRARY_NOISE): (2 + math.sqrt(2)) / 4,
+    ("unbiased triple", NOISE.UNIFORM_NOISE): 1 / math.sqrt(3),
+}
+
+
+@pytest.fixture(scope="module")
+def class_searches():
+    return {(name, noise): _class_search(family, noise) for name, family in CLASS_FAMILIES.items() for noise in NOISE}
+
+
+@pytest.mark.parametrize("noise", list(NOISE))
+@pytest.mark.parametrize("name", list(CLASS_FAMILIES))
+def test_noise_class_brackets(class_searches, name, noise):
+    res, tol = class_searches[name, noise], DEFAULT_TOLS.bisect_tol
+    assert res.value <= CLASS_FORMS.get((name, noise), res.value) <= res.upper.at <= res.value + tol
+    assert q.degree_of_compatibility(list(CLASS_FAMILIES[name]), noise) == res.value
+
+
+@pytest.mark.parametrize("name", list(CLASS_FAMILIES))
+def test_noise_classes_order_bracket_by_bracket(class_searches, name):
+    # more admitted noise restores compatibility no later: uniform <= trivial <= compatible
+    # <= arbitrary.  Values alone may invert within the bisection tolerance, so each lower
+    # class's value is compared with each higher class's certified upper end
+    for lower, higher in itertools.combinations(NOISE, 2):
+        assert class_searches[name, lower].value <= class_searches[name, higher].upper.at, (lower, higher)
