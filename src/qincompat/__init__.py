@@ -23,7 +23,7 @@ from .sdpcore import (Certificate, Decision, SdpProblem, SolveResult,
                       ThresholdResult, UpperEnd, Verdict, bisect_threshold,
                       solve_feasibility, threshold_search, verify_witness)
 from .obscompat import (CommutatorReport, JointObservable, JointResult,
-                        JordanReport, MurReport, NoiseMode, NoiseSpec,
+                        JordanReport, MurReport, NoiseMode,
                         OrderReport, WeakCoexistenceReport, build_postprocess_joint,
                         build_toss_joint, check_coexistent, check_joint,
                         check_weakly_coexistent, commutator_bound,
@@ -68,7 +68,7 @@ __all__ = [
     "random_unitary", "random_povm", "random_channel",
     "Verdict", "SdpProblem", "SolveResult", "Decision", "ThresholdResult", "UpperEnd",
     "Certificate", "solve_feasibility", "verify_witness", "bisect_threshold", "threshold_search",
-    "NoiseMode", "NoiseSpec", "JointResult", "check_joint", "build_toss_joint",
+    "NoiseMode", "JointResult", "check_joint", "build_toss_joint",
     "build_postprocess_joint", "region_membership", "degree_of_compatibility",
     "fourier_region_formula", "JordanReport", "jordan_criterion",
     "CommutatorReport", "commutator_criterion", "unsharpness", "discrepancy",

@@ -37,7 +37,6 @@ from .sdpcore import (
 )
 
 __all__ = [
-    "MAX_BLOCK_SIDE",
     "ChannelPairResult",
     "check_channel_pair",
     "broadcastable_states",
@@ -62,13 +61,9 @@ def _margins(device_a, device_b):
     out are the effects transposed; trivial noise is p(x) I on the effects.
     """
     if isinstance(device_a, Channel) and isinstance(device_b, Channel):
-        if device_a.in_dim != device_b.in_dim:
-            raise ValueError("channels must share the input dimension")
         return ([(device_a.choi(), (), (0, 1), (1,)), (device_b.choi(), (), (0, 2), (2,))],
                 (device_a.in_dim, device_a.out_dim, device_b.out_dim))
     if isinstance(device_a, Observable) and isinstance(device_b, Channel):
-        if device_a.dim != device_b.in_dim:
-            raise ValueError("observable and channel must share the input dimension")
         return ([(device_b.choi(), (), (0, 1), (1,)), (device_a.effects.swapaxes(1, 2), (0,), (0,), ())],
                 (device_b.in_dim, device_b.out_dim))
     raise TypeError("expected (Channel, Channel) or (Observable, Channel)")
@@ -188,7 +183,8 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
     selected class, itself part of the feasibility search.  The family is
     factorized once and searched by :func:`sdpcore.threshold_search`; the
     returned weight is certified feasible and within the bisection tolerance
-    below the threshold.  Uniform noise raises ``ValueError``: a channel's
+    below the threshold.  These devices admit trivial, compatible and
+    arbitrary noise; uniform noise raises ``ValueError``, as a channel's
     margin has no outcomes to spread it over.
     """
     tols = tols or DEFAULT_TOLS

@@ -134,7 +134,7 @@ def _region_rows(observables, grid, mode: NoiseClass, tols) -> list:
     """``(weights, verdict name)`` at every point of the product grid, in C order."""
     rows = []
     for weights in itertools.product(map(float, grid), repeat=len(observables)):
-        res = oc.region_membership(observables, oc.NoiseSpec(weights, mode), tols)
+        res = oc.region_membership(observables, weights, mode, tols)
         rows.append((weights, res.solve.verdict.name))
     return rows
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .chancompat import MAX_BLOCK_SIDE, DivisionReport, _margins, channel_division
+from .chancompat import DivisionReport, _margins, channel_division
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import OrderReport, postprocessing_order
-from .sdpcore import (Decision, SdpProblem, Verdict, joint_problem, joint_witness, real_linear_map,
+from .sdpcore import (MAX_BLOCK_SIDE, Decision, SdpProblem, Verdict, joint_problem, joint_witness, real_linear_map,
                       solve_feasibility, vec_of)
 
 __all__ = [

@@ -25,6 +25,7 @@ from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Observable, StochasticMatrix, binarize
 from .sdpcore import (
+    MAX_GRID_POINTS,
     Decision,
     NoiseClass,
     SdpProblem,
@@ -37,9 +38,7 @@ from .sdpcore import (
 )
 
 __all__ = [
-    "MAX_PRODUCT_OUTCOMES",
     "NoiseMode",
-    "NoiseSpec",
     "JointObservable",
     "JointResult",
     "check_joint",
@@ -67,37 +66,7 @@ __all__ = [
     "OrderReport",
 ]
 
-MAX_PRODUCT_OUTCOMES = 4096
-
-
-# === noise specification =====================================================
-
 NoiseMode = NoiseClass  # the older name, read by the benchmark; it goes with the benchmark change
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Mixing weights, one per observable, and the :class:`NoiseClass` of the noise they
-    admit (trivial noise p_k(.) I with p_k optimized by default; compatible noise at equal weights)."""
-
-    weights: tuple[float, ...]
-    mode: NoiseClass = NoiseClass.TRIVIAL_NOISE
-
-    def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "mode", NoiseClass(self.mode))
-        for w in ws:
-            if not (0.0 <= w <= 1.0):
-                raise ValueError(f"noise weight {w} outside [0, 1]")
-
-    @staticmethod
-    def uniform(weights) -> "NoiseSpec":
-        return NoiseSpec(tuple(weights), NoiseClass.UNIFORM_NOISE)
-
-    @staticmethod
-    def optimized(weights) -> "NoiseSpec":
-        return NoiseSpec(tuple(weights), NoiseClass.TRIVIAL_NOISE)
 
 
 # === joint observables =======================================================
@@ -163,19 +132,10 @@ def _check_family_dim(observables) -> int:
     return dim
 
 
-def _require_size(observables):
-    total = math.prod(obs.n_outcomes for obs in observables)
-    if total > MAX_PRODUCT_OUTCOMES:
-        raise ValueError(
-            f"product outcome count {total} exceeds the cap {MAX_PRODUCT_OUTCOMES}"
-        )
-
-
 def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
-    """Decide joint measurability; on success return the joint observable."""
+    """Decide joint measurability; on success return the joint observable.  The
+    family is refused as :func:`sdpcore.joint_problem` refuses its margins."""
     tols = tols or DEFAULT_TOLS
-    _check_family_dim(observables)
-    _require_size(observables)
     res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols)
     if not res.feasible:
         return JointResult(res)
@@ -232,9 +192,12 @@ def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
 
 # === compatibility region and degree =========================================
 
-def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = None) -> JointResult:
-    """Joint measurability of the noisy family lam_k M_k + (1-lam_k) N_k, for noise
-    N_k of the class ``noise.mode``: one :func:`sdpcore.joint_problem`.
+def region_membership(observables, weights, noise: NoiseClass = NoiseClass.TRIVIAL_NOISE,
+                      tols: Tolerances | None = None) -> JointResult:
+    """Joint measurability of the noisy family lam_k M_k + (1-lam_k) N_k, for the
+    ``weights`` lam_k and noise N_k of the class ``noise``: one
+    :func:`sdpcore.joint_problem`, which refuses weights that are not one per
+    observable in [0, 1].
 
     Except for uniform noise the noise is a solver variable, so the answer
     quantifies over all noise of its class at the given weights.  On success
@@ -247,22 +210,18 @@ def region_membership(observables, noise: NoiseSpec, tols: Tolerances | None = N
     distribution at that mass moves the margins by less than ``feas``.
     """
     tols = tols or DEFAULT_TOLS
-    _check_family_dim(observables)
-    if len(noise.weights) != len(observables):
-        raise ValueError("one noise weight per observable required")
-    _require_size(observables)
-    prob = joint_problem([obs.effects for obs in observables], noise.weights, noise=noise.mode)
-    res = solve_feasibility(prob, tols)
+    noise = NoiseClass(noise)
+    res = solve_feasibility(joint_problem([obs.effects for obs in observables], weights, noise=noise), tols)
     if not res.feasible:
         return JointResult(res)
     grid, blocks = joint_witness(res.witness)
     joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
-    if noise.mode is NoiseClass.UNIFORM_NOISE:
+    if noise is NoiseClass.UNIFORM_NOISE:
         return JointResult(res, joint, tuple(np.full(o.n_outcomes, 1.0 / o.n_outcomes) for o in observables))
-    if noise.mode is not NoiseClass.TRIVIAL_NOISE:
+    if noise is not NoiseClass.TRIVIAL_NOISE:
         return JointResult(res, joint)
     dists = []
-    for w, nk in zip(noise.weights, blocks):
+    for w, nk in zip(weights, blocks):
         p = np.clip(nk[:, 0, 0].real, 0.0, None)
         dists.append(p / p.sum() if w != 1.0 and p.sum() > tols.feas else np.full(len(p), 1.0 / len(p)))
     return JointResult(res, joint, tuple(dists))
@@ -279,10 +238,8 @@ def degree_of_compatibility(observables, noise_mode: NoiseClass = NoiseClass.TRI
     below the threshold.  A single observable has degree 1.
     """
     tols = tols or DEFAULT_TOLS
-    _check_family_dim(observables)
     if len(observables) == 1:
         return 1.0
-    _require_size(observables)
     effects, n = [obs.effects for obs in observables], len(observables)
     return threshold_search(lambda lam: joint_problem(effects, (lam,) * n, noise=noise_mode), tols).value
 
@@ -315,7 +272,9 @@ def jordan_criterion(observables, atol: float = 1e-10) -> JordanReport:
     n = len(observables)
     if n > 4:
         raise ValueError("symmetrized products limited to at most 4 factors")
-    _require_size(observables)
+    total = math.prod(obs.n_outcomes for obs in observables)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"product outcome count {total} exceeds the cap {MAX_GRID_POINTS}")
     grids = [_on_axis(obs.effects, k, n) for k, obs in enumerate(observables)]
     acc = 0.0
     for perm in itertools.permutations(range(n)):

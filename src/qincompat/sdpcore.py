@@ -156,6 +156,7 @@ class NoiseClass(Enum):
 
 
 MAX_BLOCK_SIDE = 64  # the largest joint block side, and the most outcomes on one axis of its grid
+MAX_GRID_POINTS = 4096  # the most outcome tuples on a joint device's grid
 _ATTEMPT_SPACING = 200  # largest spacing of certificate attempts (1, 2, 4, ... up to it)
 
 
@@ -457,15 +458,30 @@ def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = Noise
       margins are the noise, normalized as arbitrary noise on the first of
       ``factors``; every weight must be equal (else ``ValueError``).
 
-    A grid axis or a block side above ``MAX_BLOCK_SIDE`` raises ``ValueError``
-    before anything is built, as does a device of another shape.
+    This is the one gate of every joint question: before anything is built,
+    ``ValueError`` refuses no margin, weights that are not one per margin in
+    [0, 1], a grid of more than ``MAX_GRID_POINTS`` outcome tuples, a block
+    side or a grid axis above ``MAX_BLOCK_SIDE``, a device of another shape,
+    and a device not normalized as its noise is (to within 1e-6).  With T
+    the device's total over its axes, trivial noise needs tr T to be the
+    product of the dimensions of ``keep`` not in ``on``; arbitrary and
+    compatible noise need the margin on factor 0 (the input) and T traced
+    onto it to be I.  So observables take every class, channel pairs all but
+    uniform, testers uniform and trivial noise (compatible and arbitrary only
+    when out xi = I), and assemblages, of total trace 1, uniform noise only.
     """
     noise = NoiseClass(noise)
+    if len(margins) == 0:
+        raise ValueError("a joint question needs at least one margin")
+    if weights is not None and (len(weights) != len(margins) or not all(0.0 <= w <= 1.0 for w in weights)):
+        raise ValueError(f"need one weight in [0, 1] per margin, not {tuple(weights)} for {len(margins)} margins")
     if factors is None:  # each stack M_k on an axis of its own, on one factor
         factors, margins = margins[0].shape[-1:], [(m, (k,), (0,), ()) for k, m in enumerate(margins)]
     margins = [(np.asarray(device), tuple(axes), tuple(keep), tuple(on)) for device, axes, keep, on in margins]
     grid = {a: n for device, axes, _, _ in margins for a, n in zip(axes, device.shape)}
     counts, side = tuple(grid[a] for a in range(len(grid))), math.prod(factors)
+    if math.prod(counts) > MAX_GRID_POINTS:
+        raise ValueError(f"joint grid of {math.prod(counts)} outcome tuples exceeds the cap {MAX_GRID_POINTS}")
     if side > MAX_BLOCK_SIDE:
         raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
     if max(counts, default=0) > MAX_BLOCK_SIDE:
@@ -474,17 +490,30 @@ def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = Noise
     compatible = weights is not None and noise is NoiseClass.COMPATIBLE_NOISE
     if compatible and len(set(weights)) > 1:
         raise ValueError(f"compatible noise mixes every margin at one weight, not {tuple(weights)}")
-    for device, axes, keep, _ in margins:
+    trivial, own_record = noise is NoiseClass.TRIVIAL_NOISE, weights is not None and not (uniform or compatible)
+    for k, (device, axes, keep, on) in enumerate(margins):
         shape = tuple(counts[a] for a in axes) + (math.prod(factors[f] for f in keep),) * 2
         if device.shape != shape:
             raise ValueError(f"a device on axes {axes} and factors {keep} of {factors} needs shape {shape}, "
                              f"not {device.shape}")
         if uniform and not axes:
             raise ValueError("uniform noise spreads a margin over its outcomes; a margin without an axis has none")
+        if own_record or compatible:  # the noise is normalized as a device is, so the device must be
+            t = device.reshape((-1,) + shape[-2:]).sum(axis=0)
+            if trivial:
+                want = math.prod(factors[f] for f in keep if f not in on)
+                off, rule = abs(np.trace(t).real - want), f"its total's trace must be {want}"
+            elif keep[:1] != (0,):
+                raise ValueError(f"{noise.value} noise sums to the identity on factor 0, which margin {k} "
+                                 f"does not act on")
+            else:
+                t = np.trace(t.reshape(factors[0], -1, factors[0], len(t) // factors[0]), axis1=1, axis2=3)
+                off, rule = np.abs(t - np.eye(factors[0])).max(), "its total traced onto factor 0 must be I"
+            if off > 1e-6:
+                raise ValueError(f"margin {k} is not normalized as {noise.value} noise is ({rule}; off by {off:.3g})")
     total = margins[0][0].reshape((-1,) + margins[0][0].shape[-2:]).sum(axis=0)
     prob, cap = SdpProblem(), float(np.trace(total).real)
     g = prob._add("psd", "g", side, cap, counts)
-    trivial, own_record = noise is NoiseClass.TRIVIAL_NOISE, weights is not None and not (uniform or compatible)
     if compatible:
         ng = prob._add("psd", "ng", side, cap, counts)
 

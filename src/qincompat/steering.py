@@ -36,8 +36,6 @@ __all__ = [
     "steering_jm_crosscheck",
 ]
 
-MAX_STRATEGIES = 4096
-
 
 @dataclass(frozen=True)
 class Assemblage:
@@ -145,29 +143,23 @@ def max_entangled_assemblage(observables) -> Assemblage:
     return assemblage_from(np.outer(phi, phi.conj()), observables)
 
 
-def _require_strategies(assemblage: Assemblage) -> None:
-    count = assemblage.n_outcomes ** assemblage.n_settings
-    if count > MAX_STRATEGIES:
-        raise ValueError(f"{count} strategies exceed the supported {MAX_STRATEGIES}")
-
-
 def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResult:
     """Search for a local hidden state model of ``assemblage``.
 
     One positive block per deterministic strategy; for every setting and
     outcome the blocks whose strategy picks that outcome must sum to the
-    conditional state.
+    conditional state.  The strategies are the joint device's outcome grid,
+    so more than ``sdpcore.MAX_GRID_POINTS`` of them are refused by
+    :func:`sdpcore.joint_problem` before any is listed.
     """
     tols = tols or DEFAULT_TOLS
-    _require_strategies(assemblage)
-    strategies = deterministic_strategies(assemblage.n_settings, assemblage.n_outcomes)
-
-    # strategy k is the kth outcome assignment in product order, the kth
-    # point of the joint device's outcome grid
     result = solve_feasibility(joint_problem(assemblage.blocks), tols)
     model = None
     if result.feasible:
+        # strategy k is the kth outcome assignment in product order, the kth
+        # point of the joint device's outcome grid
         grid, _ = joint_witness(result.witness)
+        strategies = deterministic_strategies(assemblage.n_settings, assemblage.n_outcomes)
         model = LhsModel(la.psd_project(grid.reshape((-1,) + grid.shape[-2:])), strategies)
     return LhsResult(result, model)
 
@@ -182,12 +174,12 @@ def steering_degree(observables, tols: Tolerances | None = None) -> ThresholdRes
     with a fixed constraint matrix.  It is factorized once and searched by
     :func:`sdpcore.threshold_search`: ``value`` is certified feasible, and
     ``upper`` holds the smallest certified upper end the search found.
-    More than ``MAX_STRATEGIES`` strategies raise ``ValueError``, as in
-    :func:`check_lhs`.
+    Uniform noise is the only class an assemblage admits (its total has
+    trace 1), and more than ``sdpcore.MAX_GRID_POINTS`` strategies raise
+    ``ValueError``, as in :func:`check_lhs`.
     """
     tols = tols or DEFAULT_TOLS
     assemblage = max_entangled_assemblage(observables)
-    _require_strategies(assemblage)
     blocks, n = assemblage.blocks, assemblage.n_settings
     return threshold_search(lambda lam: joint_problem(blocks, (lam,) * n, noise=NoiseClass.UNIFORM_NOISE), tols)
 

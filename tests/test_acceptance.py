@@ -77,8 +77,7 @@ def test_03_region_grid_matches_formula(capsys):
                 if lo != hi:
                     continue  # too close to the boundary to compare robustly
                 checked += 1
-                spec = q.NoiseSpec.uniform((l1, l2))
-                got = q.region_membership(pair, spec).feasible
+                got = q.region_membership(pair, (l1, l2), q.NoiseClass.UNIFORM_NOISE).feasible
                 if got != lo:
                     failures.append(f"d={d} ({l1:.2f},{l2:.2f}) solver {got} formula {lo}")
     announce(capsys, 3, "noise-region grid vs closed form", failures,
@@ -326,7 +325,7 @@ def test_15_structural_properties(capsys, sharp_x, sharp_z, rng):
         if abs(l1 * l1 + l2 * l2 - 1.0) < 2e-2:
             continue
         certified = q.squared_weight_criterion((l1, l2))
-        feasible = q.region_membership(pair, q.NoiseSpec.uniform((l1, l2))).feasible
+        feasible = q.region_membership(pair, (l1, l2), q.NoiseClass.UNIFORM_NOISE).feasible
         if certified == feasible:
             failures.append(f"weights ({l1:.3f},{l2:.3f}) criterion {certified} solver {feasible}")
     # overlapping shares of a maximally entangled state are monogamous

@@ -6,8 +6,9 @@ block or a witness key by an f-string, only sdpcore drives a
 bisection, only ``sdpcore._certificate`` makes a certificate, only the
 dense witness check assembles A, ``real_linear_map`` gains no caller,
 only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore,
-only ``SdpProblem`` and ``_Data`` read a problem's layout and only
-``devices`` mixes a device with noise; and a guard on what solving imports."""
+only ``SdpProblem`` and ``_Data`` read a problem's layout, only
+``devices`` mixes a device with noise and only sdpcore sets a ``MAX_*`` cap;
+and a guard on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -355,6 +356,37 @@ def test_only_the_problem_and_its_data_read_the_layout():
     # it, so a change of the record layout is made in two places only
     source = (PACKAGE / "sdpcore.py").read_text(encoding="utf-8")
     assert [read for read in layout_reads(source) if read.split(".")[0] not in ("SdpProblem", "_Data")] == []
+
+
+def cap_constants(source: str) -> list[str]:
+    """Sorted ``MAX_*`` names that a source assigns at module level, outside any
+    function or class body."""
+    names, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            names += [n.id for t in getattr(node, "targets", [getattr(node, "target", None)]) for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and n.id.startswith("MAX_")]
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(names)
+
+
+def test_scan_finds_cap_constants():
+    source = ("MAX_STRATEGIES = 4096\nMAX_A: int = 1\nMAX_B, x = 2, 3\nMAX_C += 1\n"
+              "from .sdpcore import MAX_BLOCK_SIDE\nfrom .a import MAX_D as MAX_E\n"
+              "def f():\n    MAX_LOCAL = 3\nclass K:\n    MAX_K = 1\ny = MAX_BLOCK_SIDE\n_MAX_Z = 2\n"
+              "if y:\n    MAX_F = 1\n")
+    assert cap_constants(source) == ["MAX_A", "MAX_B", "MAX_C", "MAX_F", "MAX_STRATEGIES"]
+
+
+def test_only_sdpcore_sets_a_cap():
+    # joint_problem is the one gate of every joint question: a module that kept a cap
+    # of its own would refuse, or admit, what the gate does not
+    caps = [f"{p.stem}.{name}" for p in SOURCES if p.name != "sdpcore.py"
+            for name in cap_constants(p.read_text(encoding="utf-8"))]
+    assert caps == []
 
 
 def test_solving_leaves_numpy_ma_unimported():

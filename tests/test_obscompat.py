@@ -209,37 +209,37 @@ def test_joint_observable_needs_product_order(rng):
 
 def test_region_membership_modes(sharp_x, sharp_z):
     pair = [sharp_x, sharp_z]
-    uni = q.region_membership(pair, q.NoiseSpec.uniform((0.6, 0.6)))
+    uni = q.region_membership(pair, (0.6, 0.6), q.NoiseClass.UNIFORM_NOISE)
     assert uni.solve.feasible
-    uni_out = q.region_membership(pair, q.NoiseSpec.uniform((0.9, 0.9)))
+    uni_out = q.region_membership(pair, (0.9, 0.9), q.NoiseClass.UNIFORM_NOISE)
     assert not uni_out.solve.feasible
     # optimized noise can only enlarge the region
-    opt = q.region_membership(pair, q.NoiseSpec((0.6, 0.6)))
+    opt = q.region_membership(pair, (0.6, 0.6))
     assert opt.solve.feasible
     # and beyond it the sharp pair stays incompatible: a certificate, no joint and no noise
-    opt_out = q.region_membership(pair, q.NoiseSpec((0.9, 0.9)))
+    opt_out = q.region_membership(pair, (0.9, 0.9))
     assert opt_out.verdict is q.Verdict.INFEASIBLE_CERTIFIED
     assert opt_out.joint is None and opt_out.noise_distributions is None
     # fixed noise is a mixture of the devices, decided by check_joint: at the uniform
     # distributions it decides as uniform noise
     for lam in (0.6, 0.9):
         fixed = q.check_joint([q.mix_with_trivial(o, lam, probs=[0.5, 0.5]) for o in pair])
-        assert fixed.verdict is q.region_membership(pair, q.NoiseSpec.uniform((lam, lam))).verdict
+        assert fixed.verdict is q.region_membership(pair, (lam, lam), q.NoiseClass.UNIFORM_NOISE).verdict
     # at 0.8 only noise past the trivial kind restores compatibility; it is no distribution
     for mode, feasible in zip(q.NoiseClass, (False, False, True, True)):
-        res = q.region_membership(pair, q.NoiseSpec((0.8, 0.8), mode))
+        res = q.region_membership(pair, (0.8, 0.8), mode)
         assert res.verdict is (q.Verdict.FEASIBLE if feasible else q.Verdict.INFEASIBLE_CERTIFIED), mode
         assert (res.joint is not None) is feasible and res.noise_distributions is None
     # compatible noise is one joint device, mixed in at one weight
     with pytest.raises(ValueError, match="one weight"):
-        q.region_membership(pair, q.NoiseSpec((0.8, 0.7), q.NoiseClass.COMPATIBLE_NOISE))
+        q.region_membership(pair, (0.8, 0.7), q.NoiseClass.COMPATIBLE_NOISE)
 
 
 def test_region_optimized_noise_is_a_distribution(sharp_x, sharp_z, mub3):
     # the returned distributions are probability vectors, and the family mixed
     # with them has the returned joint as its joint
     for family, weights in (([sharp_x, sharp_z], (0.6, 0.65)), (list(mub3), (0.55, 0.5, 0.55))):
-        res = q.region_membership(family, q.NoiseSpec.optimized(weights))
+        res = q.region_membership(family, weights)
         assert res.feasible
         assert len(res.noise_distributions) == len(family)
         for k, (obs, w, p) in enumerate(zip(family, weights, res.noise_distributions)):
@@ -254,7 +254,7 @@ def test_region_optimized_noise_at_weight_one_is_uniform(sharp_x, sharp_z):
     # at weight 1 the noise block holds no noise, so every distribution is
     # valid and the uniform one is returned (not 0/0); the other factor's
     # distribution is still read back from its block
-    res = q.region_membership([sharp_x, sharp_z], q.NoiseSpec.optimized((1.0, 0.0)))
+    res = q.region_membership([sharp_x, sharp_z], (1.0, 0.0))
     assert res.feasible
     first, second = res.noise_distributions
     assert np.array_equal(first, np.full(2, 0.5))
@@ -270,7 +270,7 @@ def test_region_optimized_noise_without_mass_is_uniform(sharp_z):
     w = 1 - 1e-15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = q.region_membership([sharp_z, sharp_z], q.NoiseSpec.optimized((w, w)))
+        res = q.region_membership([sharp_z, sharp_z], (w, w))
     assert res.feasible
     for k, p in enumerate(res.noise_distributions):
         assert np.all(np.isfinite(p)) and p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -292,7 +292,7 @@ def test_region_noise_of_rounding_mass_is_uniform_whatever_its_signs(sharp_z, mo
 
     monkeypatch.setattr(obscompat, "solve_feasibility", signed)
     w = 1 - 1e-15
-    res = q.region_membership([sharp_z, sharp_z], q.NoiseSpec.optimized((w, w)))
+    res = q.region_membership([sharp_z, sharp_z], (w, w))
     assert res.feasible
     for p in res.noise_distributions:
         assert np.array_equal(p, np.full(2, 0.5))
@@ -301,8 +301,8 @@ def test_region_noise_of_rounding_mass_is_uniform_whatever_its_signs(sharp_z, mo
 def test_region_optimized_contains_uniform(rng):
     pair = [q.random_povm(2, 2, rng) for _ in range(2)]
     for lam in (0.3, 0.7, 0.95):
-        if q.region_membership(pair, q.NoiseSpec.uniform((lam, lam))).solve.feasible:
-            assert q.region_membership(pair, q.NoiseSpec.optimized((lam, lam))).solve.feasible
+        if q.region_membership(pair, (lam, lam), q.NoiseClass.UNIFORM_NOISE).solve.feasible:
+            assert q.region_membership(pair, (lam, lam)).solve.feasible
 
 
 def test_degree_single_is_one(sharp_z):

@@ -90,6 +90,10 @@ def test_degree_floor(rng, prep0_z):
 
 
 def test_outcome_cap():
-    t = q.trivial_tester(np.full(17, 1 / 17), 2, 2)
-    with pytest.raises(ValueError):
-        q.check_tester_pair(t, t)
+    # a tester pair is refused by the joint builder's grid cap: 64 x 65 = 4,160 joint
+    # outcomes, past the 4,096 every joint device may have; 17 x 17 = 289 is admitted
+    t64, t65 = (q.trivial_tester(np.full(m, 1 / m), 2, 2) for m in (64, 65))
+    with pytest.raises(ValueError, match="joint grid of 4160 outcome tuples exceeds the cap 4096"):
+        q.check_tester_pair(t64, t65)
+    t17 = q.trivial_tester(np.full(17, 1 / 17), 2, 2)
+    assert q.check_tester_pair(t17, t17).feasible

@@ -991,25 +991,39 @@ def test_partial_trace_builds_probe_no_map(name, monkeypatch):
 
 
 @pytest.mark.parametrize("case,message", [
-    ("joint", "product outcome count 4225 exceeds the cap 4096"),
+    ("joint", "joint grid of 4225 outcome tuples exceeds the cap 4096"),
     ("channel_pair", "joint block side 72 exceeds the cap 64"),
     ("obs_channel", "block side 4, 65 outcomes"),
     ("sequential", "block side 66, 2 outcomes"),
+    ("lhs", "joint grid of 8192 outcome tuples exceeds the cap 4096"),
+    ("steering_degree", "joint grid of 8192 outcome tuples exceeds the cap 4096"),
+    ("tester_pair", "joint grid of 4160 outcome tuples exceeds the cap 4096"),
+    ("tester_degree", "joint grid of 4160 outcome tuples exceeds the cap 4096"),
+    ("joint_problem", "joint grid of 4097 outcome tuples exceeds the cap 4096"),
 ])
 def test_size_caps_raise_before_building(case, message, monkeypatch):
     # each cap is reached once, and its ValueError comes before any problem is built
+    # (and, for an LHS model, before its strategies are listed)
     rng = np.random.default_rng(3)
+    sx = sharp_observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    testers = [q.trivial_tester(np.full(m, 1 / m), 2, 2) for m in (65, 64)]
     calls = {
         "joint": lambda: check_joint(q.fourier_pair(65)),
         "channel_pair": lambda: q.check_channel_pair(q.random_channel(2, 6, rng), q.random_channel(2, 6, rng)),
         "obs_channel": lambda: q.check_obs_channel(random_povm(2, 65, rng), q.identity_channel(2)),
         "sequential": lambda: q.sequential_recover(random_povm(2, 33, rng), random_povm(2, 2, rng)),
+        "lhs": lambda: check_lhs(max_entangled_assemblage([sx] * 13)),
+        "steering_degree": lambda: q.steering_degree([sx] * 13),
+        "tester_pair": lambda: check_tester_pair(*testers),
+        "tester_degree": lambda: q.tester_degree(*testers),
+        "joint_problem": lambda: sdpcore.joint_problem([np.zeros((17, 2, 2)), np.zeros((241, 2, 2))]),
     }
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("a problem was built before its size was checked")
 
     monkeypatch.setattr(SdpProblem, "__init__", refuse)
+    monkeypatch.setattr(steering, "deterministic_strategies", refuse)
     with pytest.raises(ValueError, match=message):
         calls[case]()
 

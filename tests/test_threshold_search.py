@@ -244,7 +244,7 @@ def test_steering_search_takes_fewer_probes_than_bisection(searches):
 
 
 def test_steering_degree_rejects_too_many_strategies():
-    with pytest.raises(ValueError, match="strategies"):
+    with pytest.raises(ValueError, match="joint grid of 8192 outcome tuples"):
         q.steering_degree([SX] * 13)
 
 
@@ -324,3 +324,57 @@ def test_noise_classes_order_bracket_by_bracket(class_searches, name):
     # class's value is compared with each higher class's certified upper end
     for lower, higher in itertools.combinations(NOISE, 2):
         assert class_searches[name, lower].value <= class_searches[name, higher].upper.at, (lower, higher)
+
+
+# --- the gate: what joint_problem refuses before it builds --------------------
+
+def test_gate_refuses_no_margin():
+    # no margin 0 to read the factor and the trace cap from
+    for margins, factors in (([], None), (np.zeros((0, 2, 2, 2)), None), ([], (2,))):
+        with pytest.raises(ValueError, match="at least one margin"):
+            joint_problem(margins, factors=factors)
+
+
+@pytest.mark.parametrize("weights", [(0.5,), (0.5, 0.5, 0.5), (1.5, 1.5), (-0.2, -0.2)])
+def test_gate_refuses_weights_not_one_per_margin_in_the_unit_interval(weights):
+    # a third weight would be dropped and a lone one read past its end; outside [0, 1]
+    # a weight makes no mixture, yet (-0.2, -0.2) would solve FEASIBLE
+    for noise in NOISE:
+        with pytest.raises(ValueError, match=r"one weight in \[0, 1\] per margin"):
+            joint_problem([SX.effects, SZ.effects], weights, noise=noise)
+    with pytest.raises(ValueError, match="one weight in"):
+        q.region_membership([SX, SZ], weights)
+
+
+@pytest.mark.parametrize("noise", [NOISE.TRIVIAL_NOISE, NOISE.COMPATIBLE_NOISE, NOISE.ARBITRARY_NOISE])
+def test_gate_refuses_an_assemblage_under_noise_normalized_as_an_observable(noise):
+    # an assemblage's total is a state, of trace 1, not I: noise normalized as an observable's
+    # would read 0.8282 / 0.9059 / 0.9208 here under trivial / compatible / arbitrary noise,
+    # against 0.7069 / 0.8281 / 0.8534 for X and Z themselves
+    blocks = q.max_entangled_assemblage([SX, SZ]).blocks
+    with pytest.raises(ValueError, match=f"not normalized as {noise.value} noise"):
+        sdpcore.threshold_search(lambda lam: joint_problem(blocks, (lam, lam), noise=noise))
+
+
+@pytest.mark.parametrize("noise", [NOISE.COMPATIBLE_NOISE, NOISE.ARBITRARY_NOISE])
+def test_gate_refuses_testers_whose_output_times_probe_is_not_the_identity(noise):
+    # probes |0> and |1>: out xi is 2 |0><0| or 2 |1><1|, not I, and such noise would read 0.0
+    # with a certified upper end at 0.0, below trivial noise's 0.4995
+    margins, factors = process._margins(T0, T1)
+    with pytest.raises(ValueError, match=f"not normalized as {noise.value} noise"):
+        sdpcore.threshold_search(lambda lam: joint_problem(margins, (lam, lam), factors=factors, noise=noise))
+
+
+TESTER_BRACKETS = {NOISE.UNIFORM_NOISE: (0.706857, 0.707107), NOISE.TRIVIAL_NOISE: (0.706857, 0.707107),
+                   NOISE.COMPATIBLE_NOISE: (0.828080, 0.828562), NOISE.ARBITRARY_NOISE: (0.853397, 0.853647)}
+
+
+@pytest.mark.parametrize("noise", list(NOISE))
+def test_maximally_mixed_probe_testers_take_every_class(class_searches, noise):
+    # with probe I/2, out xi = I: the X/Z testers take all four classes and reach the
+    # brackets of the observables X and Z
+    half = np.eye(2, dtype=complex) / 2
+    margins, factors = process._margins(*(q.prepare_measure_tester(half, o) for o in (SX, SZ)))
+    res = sdpcore.threshold_search(lambda lam: joint_problem(margins, (lam, lam), factors=factors, noise=noise))
+    for got in (res, class_searches["X/Z", noise]):
+        assert np.abs(np.array([got.value, got.upper.at]) - TESTER_BRACKETS[noise]).max() < 1e-6
