@@ -22,30 +22,29 @@ from .devices import (Channel, Instrument, NaimarkDilation, Observable,
 from .sdpcore import (Certificate, Decision, SdpProblem, SolveResult,
                       ThresholdResult, UpperEnd, Verdict, bisect_threshold,
                       solve_feasibility, threshold_search, verify_witness)
-from .obscompat import (CommutatorReport, JointObservable, JointResult,
+from .obscompat import (CommutatorReport, Compatibility, JointObservable,
                         JordanReport, MurReport, NoiseMode,
                         OrderReport, WeakCoexistenceReport, build_postprocess_joint,
-                        build_toss_joint, check_coexistent, check_joint,
+                        build_toss_joint, check, check_coexistent, check_joint,
                         check_weakly_coexistent, commutator_bound,
                         commutator_criterion, degree_of_compatibility,
                         discrepancy, fourier_region_formula,
                         has_projection_in_range, is_informationally_complete,
-                        jordan_criterion, mur_test, postprocessing_order,
+                        jordan_criterion, margins_of, mur_test, postprocessing_order,
                         region_membership, squared_weight_criterion,
                         unsharpness)
-from .chancompat import (ChannelPairResult, DivisionReport, MarginalResult,
-                         NoiseClass, broadcastable_states, channel_division,
+from .chancompat import (DivisionReport, NoiseClass, broadcastable_states, channel_division,
                          check_channel_pair, conjugate_compat_check,
                          robustness, state_marginal_feasible)
-from .obschan import (NddrReport, ObsChannelResult, SequentialResult,
+from .obschan import (NddrReport, SequentialResult,
                       check_obs_channel, least_disturbing_channel,
                       luders_instrument, nddr_test, rank1_channel_form_check,
                       sequential_recover)
-from .steering import (Assemblage, CrosscheckReport, LhsModel, LhsResult,
+from .steering import (Assemblage, CrosscheckReport, LhsModel,
                        assemblage_from, check_lhs, deterministic_strategies,
                        max_entangled_assemblage, steering_degree,
                        steering_jm_crosscheck)
-from .process import (CommutationCompatReport, Tester, TesterPairResult,
+from .process import (CommutationCompatReport, Tester,
                       check_tester_pair, commutation_vs_compat_report,
                       prepare_measure_tester, tester_degree,
                       tester_probability, trivial_tester)
@@ -68,7 +67,7 @@ __all__ = [
     "random_unitary", "random_povm", "random_channel",
     "Verdict", "SdpProblem", "SolveResult", "Decision", "ThresholdResult", "UpperEnd",
     "Certificate", "solve_feasibility", "verify_witness", "bisect_threshold", "threshold_search",
-    "NoiseMode", "JointResult", "check_joint", "build_toss_joint",
+    "NoiseMode", "Compatibility", "margins_of", "check", "check_joint", "build_toss_joint",
     "build_postprocess_joint", "region_membership", "degree_of_compatibility",
     "fourier_region_formula", "JordanReport", "jordan_criterion",
     "CommutatorReport", "commutator_criterion", "unsharpness", "discrepancy",
@@ -76,16 +75,16 @@ __all__ = [
     "is_informationally_complete", "has_projection_in_range",
     "check_coexistent", "WeakCoexistenceReport", "check_weakly_coexistent",
     "OrderReport", "postprocessing_order",
-    "ChannelPairResult", "check_channel_pair", "broadcastable_states",
+    "check_channel_pair", "broadcastable_states",
     "DivisionReport", "channel_division", "conjugate_compat_check",
-    "NoiseClass", "robustness", "MarginalResult", "state_marginal_feasible",
-    "ObsChannelResult", "check_obs_channel", "luders_instrument",
+    "NoiseClass", "robustness", "state_marginal_feasible",
+    "check_obs_channel", "luders_instrument",
     "least_disturbing_channel", "SequentialResult", "sequential_recover",
     "rank1_channel_form_check", "NddrReport", "nddr_test",
-    "LhsResult", "CrosscheckReport", "deterministic_strategies",
+    "CrosscheckReport", "deterministic_strategies",
     "assemblage_from", "max_entangled_assemblage", "check_lhs",
     "steering_degree", "steering_jm_crosscheck",
-    "TesterPairResult", "CommutationCompatReport", "trivial_tester",
+    "CommutationCompatReport", "trivial_tester",
     "prepare_measure_tester", "tester_probability", "check_tester_pair",
     "tester_degree", "commutation_vs_compat_report",
     "serialize", "parse", "save_device", "load_device",

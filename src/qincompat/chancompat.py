@@ -22,22 +22,19 @@ from .devices import (
     choi_compose,
     conjugate_channel,
 )
+from .obscompat import Compatibility, _decide, _search, check, margins_of
 from .sdpcore import (
     MAX_BLOCK_SIDE,
     Decision,
     NoiseClass,
     SdpProblem,
-    joint_problem,
-    joint_witness,
     partial_trace_map,
     real_linear_map,
     solve_feasibility,
-    threshold_search,
     vec_of,
 )
 
 __all__ = [
-    "ChannelPairResult",
     "check_channel_pair",
     "broadcastable_states",
     "DivisionReport",
@@ -45,53 +42,21 @@ __all__ = [
     "conjugate_compat_check",
     "NoiseClass",
     "robustness",
-    "MarginalResult",
     "state_marginal_feasible",
 ]
 
 
-def _margins(device_a, device_b):
-    """``(margins, factors)`` of :func:`sdpcore.joint_problem` for a channel pair or
-    an observable with a channel on its input.
-
-    Two channels meet in a channel on in x out_a x out_b whose margin k keeps
-    (in, out_k); trivial noise is a constant channel I_in (x) xi.  An
-    observable and a channel meet in an instrument, Choi blocks on in x out,
-    one per outcome, whose total is the channel and whose blocks traced over
-    out are the effects transposed; trivial noise is p(x) I on the effects.
-    """
-    if isinstance(device_a, Channel) and isinstance(device_b, Channel):
-        return ([(device_a.choi(), (), (0, 1), (1,)), (device_b.choi(), (), (0, 2), (2,))],
-                (device_a.in_dim, device_a.out_dim, device_b.out_dim))
-    if isinstance(device_a, Observable) and isinstance(device_b, Channel):
-        return ([(device_b.choi(), (), (0, 1), (1,)), (device_a.effects.swapaxes(1, 2), (0,), (0,), ())],
-                (device_b.in_dim, device_b.out_dim))
-    raise TypeError("expected (Channel, Channel) or (Observable, Channel)")
-
-
 # === channel pairs ===========================================================
 
-@dataclass(frozen=True)
-class ChannelPairResult(Decision):
-    joint: Channel | None = None
-
-
 def check_channel_pair(chan_a: Channel, chan_b: Channel,
-                       tols: Tolerances | None = None) -> ChannelPairResult:
+                       tols: Tolerances | None = None) -> Compatibility:
     """Decide whether two channels with a common input are compatible.
 
     Feasibility of a PSD matrix J on in x outA x outB whose partial traces
     over either output reproduce the two Choi matrices; a feasible J is the
     Choi matrix of the joint channel, which is returned.
     """
-    tols = tols or DEFAULT_TOLS
-    margins, factors = _margins(chan_a, chan_b)
-    res = solve_feasibility(joint_problem(margins, factors=factors), tols)
-    if not res.feasible:
-        return ChannelPairResult(res)
-    joint = Channel.from_choi(joint_witness(res.witness)[0], chan_a.in_dim,
-                              chan_a.out_dim * chan_b.out_dim, atol=tols.witness_atol)
-    return ChannelPairResult(res, joint)
+    return check((chan_a, chan_b), tols=tols)
 
 
 def broadcastable_states(states, atol: float = 1e-10) -> bool:
@@ -178,7 +143,8 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
                tols: Tolerances | None = None) -> float:
     """Largest mixing weight at which admissible noise restores compatibility.
 
-    Accepts a channel pair or an observable paired with a channel.  The weight
+    Accepts a channel pair or an observable and a channel, in either order,
+    each written by :func:`obscompat.margins_of`.  The weight
     multiplies both devices; (1 - weight) multiplies a noise pair of the
     selected class, itself part of the feasibility search.  The family is
     factorized once and searched by :func:`sdpcore.threshold_search`; the
@@ -187,20 +153,15 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
     arbitrary noise; uniform noise raises ``ValueError``, as a channel's
     margin has no outcomes to spread it over.
     """
-    tols = tols or DEFAULT_TOLS
-    margins, factors = _margins(device_a, device_b)
-    return threshold_search(lambda lam: joint_problem(margins, (lam, lam), factors=factors, noise=mode), tols).value
+    # the channel's margin first, as check_obs_channel writes the pair
+    devices = sorted((device_a, device_b), key=lambda d: isinstance(d, Observable))
+    return _search(*margins_of(devices), mode, tols).value
 
 
 # === state marginal problem ==================================================
 
-@dataclass(frozen=True)
-class MarginalResult(Decision):
-    omega: State | None = None
-
-
 def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
-                            tols: Tolerances | None = None) -> MarginalResult:
+                            tols: Tolerances | None = None) -> Compatibility:
     """Does a tripartite state have the two given overlapping marginals?
 
     ``dims`` = (dA, dB, dC).  Shared B marginals that disagree make the
@@ -209,7 +170,6 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
     Restricting to pure global states is a nonconvex constraint and is
     rejected.
     """
-    tols = tols or DEFAULT_TOLS
     if pure_required:
         raise ValueError("pure-state marginal problems are nonconvex and unsupported")
     da, db, dc = dims
@@ -220,9 +180,5 @@ def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
             raise ValueError(f"{label} has shape {rho.shape}, expected {(d, d)}")
     if abs(np.trace(rho_ab) - 1.0) > 1e-8 or abs(np.trace(rho_bc) - 1.0) > 1e-8:
         raise ValueError("marginals must have unit trace")
-    prob = joint_problem([(rho_ab, (), (0, 1), ()), (rho_bc, (), (1, 2), ())], factors=tuple(dims))
-    res = solve_feasibility(prob, tols)
-    if not res.feasible:
-        return MarginalResult(res)
-    omega = State(la.psd_project(joint_witness(res.witness)[0]), atol=tols.witness_atol)
-    return MarginalResult(res, omega)
+    margins = [(rho_ab, (), (0, 1), ()), (rho_bc, (), (1, 2), ())]
+    return _decide(margins, tuple(dims), lambda grid, atol: State(la.psd_project(grid), atol=atol), tols)

@@ -2,15 +2,16 @@
 
 The solver's settable values live in one frozen record: the residual below
 which a problem is feasible, the iteration cap and the bisection tolerance.
-Both tolerances must be finite and positive and the cap at least 1, else
-construction raises ``ValueError``.  Functions that solve take an optional
-``tols`` argument defaulting to :data:`DEFAULT_TOLS`.  Device validation has
-fixed slacks, the module constants below; a device's own ``atol`` argument
-overrides them.
+Both tolerances must be finite and positive and the cap an integer (not a
+bool) of at least 1, else construction raises ``ValueError``.  Functions
+that solve take an optional ``tols`` argument defaulting to
+:data:`DEFAULT_TOLS`.  Device validation has fixed slacks, the module
+constants below; a device's own ``atol`` argument overrides them.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,8 +31,8 @@ class Tolerances:
         for label, value in (("feasibility", self.feas), ("bisection", self.bisect_tol)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{label} tolerance {value} must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError(f"iteration cap {self.max_iter} must be at least 1")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"iteration cap {self.max_iter!r} must be an integer of at least 1")
 
     @property
     def witness_atol(self) -> float:

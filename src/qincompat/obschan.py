@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .chancompat import DivisionReport, _margins, channel_division
+from .chancompat import DivisionReport, channel_division
 from .config import DEFAULT_TOLS, Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
-from .obscompat import OrderReport, postprocessing_order
-from .sdpcore import (MAX_BLOCK_SIDE, Decision, SdpProblem, Verdict, joint_problem, joint_witness, real_linear_map,
-                      solve_feasibility, vec_of)
+from .obscompat import Compatibility, OrderReport, check, postprocessing_order
+from .sdpcore import MAX_BLOCK_SIDE, Decision, SdpProblem, Verdict, real_linear_map, solve_feasibility, vec_of
 
 __all__ = [
-    "ObsChannelResult",
     "SequentialResult",
     "NddrReport",
     "check_obs_channel",
@@ -36,15 +34,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObsChannelResult(Decision):
-    """Outcome of an observable/channel realizability check."""
-
-    instrument: Instrument | None = None
-
-
 def check_obs_channel(obs: Observable, chan: Channel,
-                      tols: Tolerances | None = None) -> ObsChannelResult:
+                      tols: Tolerances | None = None) -> Compatibility:
     """Can ``obs`` and ``chan`` act jointly on the same input?
 
     Searches for Choi blocks J_x >= 0 with sum_x J_x equal to the Choi
@@ -52,13 +43,7 @@ def check_obs_channel(obs: Observable, chan: Channel,
     returned as an instrument whose induced observable is ``obs`` and
     whose total channel is ``chan``.
     """
-    tols = tols or DEFAULT_TOLS
-    margins, factors = _margins(obs, chan)
-    result = solve_feasibility(joint_problem(margins, factors=factors), tols)
-    if not result.feasible:
-        return ObsChannelResult(result)
-    return ObsChannelResult(result, Instrument(joint_witness(result.witness)[0], chan.in_dim, chan.out_dim,
-                                               outcomes=obs.outcomes, atol=tols.witness_atol))
+    return check((chan, obs), tols=tols)
 
 
 def luders_instrument(obs: Observable) -> Instrument:
@@ -214,7 +199,6 @@ def nddr_test(coarse: Observable, fine: Observable, rng=None, samples: int = 5,
     The sampled transfers draw random instruments of ``fine`` and check
     their total channels against ``coarse``.
     """
-    tols = tols or DEFAULT_TOLS
     rng = np.random.default_rng(rng)
     order = postprocessing_order(coarse, fine, tols)
     division = channel_division(least_disturbing_channel(fine),

@@ -5,7 +5,10 @@ A family of observables is compatible (jointly measurable) when a single
 observable on the product outcome set returns each family member as a
 marginal.  Every quantitative question in this module reduces to that
 feasibility statement for a suitably noised family, solved by the projection
-engine in sdpcore.
+engine in sdpcore.  :func:`check` asks the same question of any family of
+observables, channels and instruments on one input, whose margins
+:func:`margins_of` writes; the joint questions of every check module run
+through its solve path and one search path.
 
 A joint observable is an array of effects on the product outcome grid, of
 shape ``(*counts, d, d)`` in C order (the order of ``itertools.product``,
@@ -17,18 +20,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
-from .devices import Observable, StochasticMatrix, binarize
+from .devices import Channel, Instrument, Observable, StochasticMatrix, binarize
 from .sdpcore import (
     MAX_GRID_POINTS,
     Decision,
     NoiseClass,
     SdpProblem,
+    ThresholdResult,
     Verdict,
     joint_problem,
     joint_witness,
@@ -40,7 +44,9 @@ from .sdpcore import (
 __all__ = [
     "NoiseMode",
     "JointObservable",
-    "JointResult",
+    "Compatibility",
+    "margins_of",
+    "check",
     "check_joint",
     "build_toss_joint",
     "build_postprocess_joint",
@@ -114,14 +120,6 @@ def _on_axis(stack, k: int, n: int) -> np.ndarray:
     return stack.reshape((1,) * k + stack.shape[:1] + (1,) * (n - k - 1) + stack.shape[1:])
 
 
-@dataclass(frozen=True)
-class JointResult(Decision):
-    """Feasibility verdict for a joint-observable question, with witnesses."""
-
-    joint: JointObservable | None = None
-    noise_distributions: tuple[np.ndarray, ...] | None = None
-
-
 def _check_family_dim(observables) -> int:
     if not observables:
         raise ValueError("need at least one observable")
@@ -132,15 +130,116 @@ def _check_family_dim(observables) -> int:
     return dim
 
 
-def check_joint(observables, tols: Tolerances | None = None) -> JointResult:
+# === one check over any family ===============================================
+
+@dataclass(frozen=True)
+class Compatibility(Decision):
+    """The answer to one joint question: the deciding solve and, when feasible, the
+    ``joint`` device with the given devices as its parts (a :class:`JointObservable`,
+    :class:`Channel` or :class:`Instrument` from :func:`check`, a tester pair's
+    grid, an ``LhsModel`` or a ``State``); ``region_membership`` sets ``noise_distributions``."""
+
+    joint: object | None = None
+    noise_distributions: tuple[np.ndarray, ...] | None = None
+
+    # the older names, read by the benchmark; they go with the benchmark change (ROADMAP item 1)
+    instrument = property(lambda self: self.joint)
+    model = property(lambda self: self.joint)
+    unsteerable = property(lambda self: self.feasible)
+
+
+def margins_of(devices):
+    """``(margins, factors)`` of :func:`sdpcore.joint_problem` for observables,
+    channels and instruments on one input.
+
+    Factor 0 is the input.  Each channel or instrument gets an output factor
+    of its own and each observable or instrument a grid axis of its own, in
+    order; margin k is device k.  A channel keeps no axis and the factors
+    (in, out_k), its trivial noise a constant channel I_in (x) xi; an
+    instrument, a stack of Choi blocks, keeps its axis and (in, out_k), its
+    trivial noise p(x) I_in (x) xi_x.  Next to a channel or an instrument
+    the joint device is a stack of Choi blocks, whose blocks traced over the
+    outputs are effects transposed, so an observable keeps its axis and the
+    input with its effects transposed; observables alone are the stack form
+    of :func:`sdpcore.joint_problem`, one axis each on the one factor.  An
+    observable's trivial noise is p(x) I.  The other layouts are written
+    where their devices live: assemblages are the stack form too, testers
+    keep one axis each and both factors, input x output, and a state
+    marginal problem keeps (A, B) and (B, C) of a state on A x B x C.  Any
+    other device raises ``TypeError``.
+    """
+    devices = tuple(devices)
+    quantum = not all(isinstance(d, Observable) for d in devices)
+    factors, margins, axis = [], [], 0
+    for dev in devices:
+        if not isinstance(dev, (Observable, Channel, Instrument)):
+            raise TypeError(f"margins_of takes observables, channels and instruments, not {type(dev).__name__}")
+        if not factors:  # factor 0, the input
+            factors.append(dev.dim if isinstance(dev, Observable) else dev.in_dim)
+        if isinstance(dev, Observable):
+            margins.append((dev.effects.swapaxes(1, 2) if quantum else dev.effects, (axis,), (0,), ()))
+        else:
+            factors.append(dev.out_dim)
+            keep = (0, len(factors) - 1)
+            margins.append((dev.choi() if isinstance(dev, Channel) else dev.choi_blocks,
+                            () if isinstance(dev, Channel) else (axis,), keep, keep[1:]))
+        axis += not isinstance(dev, Channel)
+    return margins, tuple(factors)
+
+
+def _decide(margins, factors, joint_of, tols: Tolerances | None = None, weights=None,
+            noise: NoiseClass = NoiseClass.TRIVIAL_NOISE) -> Compatibility:
+    """The shared solve path: one :func:`sdpcore.joint_problem`, one solve, and on
+    success ``joint_of(grid, atol)`` of the joint device's grid and the witness slack."""
+    tols = tols or DEFAULT_TOLS
+    res = solve_feasibility(joint_problem(margins, weights, factors, noise), tols)
+    if not res.feasible:
+        return Compatibility(res)
+    return Compatibility(res, joint_of(joint_witness(res.witness)[0], tols.witness_atol))
+
+
+def _search(margins, factors=None, noise: NoiseClass = NoiseClass.TRIVIAL_NOISE,
+            tols: Tolerances | None = None) -> ThresholdResult:
+    """The shared search path: the largest weight at which every margin, mixed at
+    that weight with noise of the class ``noise``, is compatible, one family
+    factorized once by :func:`sdpcore.threshold_search`."""
+    n = len(margins)
+    return threshold_search(lambda lam: joint_problem(margins, (lam,) * n, factors, noise), tols)
+
+
+def check(devices, weights=None, noise: NoiseClass = NoiseClass.TRIVIAL_NOISE,
+          tols: Tolerances | None = None) -> Compatibility:
+    """Is there one device that has all of ``devices``, observables, channels and
+    instruments on one input, as its parts?
+
+    One :func:`sdpcore.joint_problem` on :func:`margins_of` the family, at the
+    ``weights`` with noise of the class ``noise`` when given, and one solve.
+    On success ``joint`` is built and validated: a :class:`JointObservable`
+    when the family has no channel or instrument, a :class:`Channel` into the
+    product of the outputs when it has no observable or instrument, and
+    otherwise an :class:`Instrument` into that product, whose outcomes are
+    those of the one device on a grid axis, or their product tuples.
+    """
+    devices = tuple(devices)
+    margins, factors = margins_of(devices)
+
+    def joint_of(grid, atol):
+        outcomes = [d.outcomes for d in devices if not isinstance(d, Channel)]
+        if len(factors) == 1:
+            return _joint_from_grid(grid, outcomes, atol)
+        din, dout = factors[0], math.prod(factors[1:])
+        if not outcomes:
+            return Channel.from_choi(grid, din, dout, atol=atol)
+        outcomes = outcomes[0] if len(outcomes) == 1 else itertools.product(*outcomes)
+        return Instrument(grid.reshape((-1,) + grid.shape[-2:]), din, dout, outcomes=outcomes, atol=atol)
+
+    return _decide(margins, factors, joint_of, tols, weights, noise)
+
+
+def check_joint(observables, tols: Tolerances | None = None) -> Compatibility:
     """Decide joint measurability; on success return the joint observable.  The
     family is refused as :func:`sdpcore.joint_problem` refuses its margins."""
-    tols = tols or DEFAULT_TOLS
-    res = solve_feasibility(joint_problem([obs.effects for obs in observables]), tols)
-    if not res.feasible:
-        return JointResult(res)
-    grid, _ = joint_witness(res.witness)
-    return JointResult(res, _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol))
+    return check(observables, tols=tols)
 
 
 # === explicit joint constructions ============================================
@@ -193,7 +292,7 @@ def build_postprocess_joint(obs: Observable, processings) -> JointObservable:
 # === compatibility region and degree =========================================
 
 def region_membership(observables, weights, noise: NoiseClass = NoiseClass.TRIVIAL_NOISE,
-                      tols: Tolerances | None = None) -> JointResult:
+                      tols: Tolerances | None = None) -> Compatibility:
     """Joint measurability of the noisy family lam_k M_k + (1-lam_k) N_k, for the
     ``weights`` lam_k and noise N_k of the class ``noise``: one
     :func:`sdpcore.joint_problem`, which refuses weights that are not one per
@@ -209,22 +308,18 @@ def region_membership(observables, weights, noise: NoiseClass = NoiseClass.TRIVI
     witness fixes such a mass only to within its rounding, and any
     distribution at that mass moves the margins by less than ``feas``.
     """
-    tols = tols or DEFAULT_TOLS
-    noise = NoiseClass(noise)
-    res = solve_feasibility(joint_problem([obs.effects for obs in observables], weights, noise=noise), tols)
-    if not res.feasible:
-        return JointResult(res)
-    grid, blocks = joint_witness(res.witness)
-    joint = _joint_from_grid(grid, [obs.outcomes for obs in observables], tols.witness_atol)
+    tols, noise = tols or DEFAULT_TOLS, NoiseClass(noise)
+    res = check(observables, weights, noise, tols)
+    if not res.feasible or noise in (NoiseClass.COMPATIBLE_NOISE, NoiseClass.ARBITRARY_NOISE):
+        return res
     if noise is NoiseClass.UNIFORM_NOISE:
-        return JointResult(res, joint, tuple(np.full(o.n_outcomes, 1.0 / o.n_outcomes) for o in observables))
-    if noise is not NoiseClass.TRIVIAL_NOISE:
-        return JointResult(res, joint)
+        return replace(res, noise_distributions=tuple(np.full(o.n_outcomes, 1.0 / o.n_outcomes)
+                                                      for o in observables))
     dists = []
-    for w, nk in zip(weights, blocks):
+    for w, nk in zip(weights, joint_witness(res.solve.witness)[1]):
         p = np.clip(nk[:, 0, 0].real, 0.0, None)
         dists.append(p / p.sum() if w != 1.0 and p.sum() > tols.feas else np.full(len(p), 1.0 / len(p)))
-    return JointResult(res, joint, tuple(dists))
+    return replace(res, noise_distributions=tuple(dists))
 
 
 def degree_of_compatibility(observables, noise_mode: NoiseClass = NoiseClass.TRIVIAL_NOISE,
@@ -237,11 +332,9 @@ def degree_of_compatibility(observables, noise_mode: NoiseClass = NoiseClass.TRI
     returned value is certified feasible and within the bisection tolerance
     below the threshold.  A single observable has degree 1.
     """
-    tols = tols or DEFAULT_TOLS
     if len(observables) == 1:
         return 1.0
-    effects, n = [obs.effects for obs in observables], len(observables)
-    return threshold_search(lambda lam: joint_problem(effects, (lam,) * n, noise=noise_mode), tols).value
+    return _search(*margins_of(observables), noise_mode, tols).value
 
 
 def fourier_region_formula(d: int, lam1: float, lam2: float) -> bool:
@@ -413,7 +506,7 @@ def _proper_subsets(m: int):
         yield from itertools.combinations(range(m), r)
 
 
-def check_coexistent(observables, tols: Tolerances | None = None) -> JointResult:
+def check_coexistent(observables, tols: Tolerances | None = None) -> Compatibility:
     """Joint measurability of all two-outcome coarse-grainings at once."""
     _check_family_dim(observables)
     count = sum(2 ** obs.n_outcomes - 2 for obs in observables)

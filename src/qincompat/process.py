@@ -17,14 +17,13 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import linalg as la
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .devices import Channel, Observable, State
-from .sdpcore import (Decision, ThresholdResult, joint_problem, joint_witness,
-                      solve_feasibility, threshold_search)
+from .obscompat import Compatibility, _decide, _search
+from .sdpcore import ThresholdResult
 
 __all__ = [
     "Tester",
-    "TesterPairResult",
     "CommutationCompatReport",
     "trivial_tester",
     "prepare_measure_tester",
@@ -117,13 +116,6 @@ def tester_probability(tester: Tester, chan: Channel) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class TesterPairResult(Decision):
-    """Outcome of a joint tester search."""
-
-    joint: np.ndarray | None = None  # (m, n, side, side)
-
-
 def _require_pair(t1: Tester, t2: Tester) -> None:
     # a 2 x 4 and a 4 x 2 tester have one shape, so the builder's shape check misses this
     if (t1.in_dim, t1.out_dim) != (t2.in_dim, t2.out_dim):
@@ -138,24 +130,18 @@ def _margins(t1: Tester, t2: Tester):
 
 
 def check_tester_pair(t1: Tester, t2: Tester,
-                      tols: Tolerances | None = None) -> TesterPairResult:
+                      tols: Tolerances | None = None) -> Compatibility:
     """Can one joint tester produce both testers as margins?
 
     Searches for positive blocks G_jl with sum_l G_jl = F1_j and
     sum_j G_jl = F2_l.  Summing both margins forces the normalization
     states to coincide, so testers with different probe states are
     incompatible regardless of their effects.  :func:`sdpcore.joint_problem`
-    admits up to 64 outcomes per tester and 4,096 joint outcomes.
+    admits up to 64 outcomes per tester and 4,096 joint outcomes.  On success
+    ``joint`` is the joint tester's grid of blocks, of shape (m, n, side, side).
     """
-    tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-    margins, factors = _margins(t1, t2)
-    result = solve_feasibility(joint_problem(margins, factors=factors), tols)
-    joint = None
-    if result.feasible:
-        grid, _ = joint_witness(result.witness)
-        joint = la.psd_project(grid)
-    return TesterPairResult(result, joint)
+    return _decide(*_margins(t1, t2), lambda grid, atol: la.psd_project(grid), tols)
 
 
 def tester_degree(t1: Tester, t2: Tester,
@@ -172,10 +158,8 @@ def tester_degree(t1: Tester, t2: Tester,
     :func:`sdpcore.threshold_search`: ``value`` is certified feasible, and
     ``upper`` holds the smallest certified upper end the search found.
     """
-    tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
-    margins, factors = _margins(t1, t2)
-    return threshold_search(lambda q: joint_problem(margins, (q, q), factors=factors), tols)
+    return _search(*_margins(t1, t2), tols=tols)
 
 
 @dataclass(frozen=True)
@@ -183,7 +167,7 @@ class CommutationCompatReport:
     """Commutation of tester effects next to their joint feasibility."""
 
     max_commutator: float
-    pair: TesterPairResult
+    pair: Compatibility
     degree: ThresholdResult
 
     @property
@@ -200,7 +184,6 @@ def commutation_vs_compat_report(t1: Tester, t2: Tester,
     across all effect pairs, the joint feasibility verdict, and the
     compatibility degree, so commuting-but-incompatible pairs stand out.
     """
-    tols = tols or DEFAULT_TOLS
     _require_pair(t1, t2)
     comm = max(la.op_norm(f1 @ f2 - f2 @ f1)
                for f1 in t1.effects for f2 in t2.effects)

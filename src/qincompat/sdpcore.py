@@ -80,17 +80,13 @@ block on a product of quantum factors.  Each margin keeps some axes of the
 grid and some factors, sums over the other axes and traces out the other
 factors, and equals its device, optionally mixed with noise of a
 :class:`NoiseClass` (uniform noise on the right-hand side alone, a record
-``n{k}`` per margin, or ``ng``, a second joint record).  Observables and
-assemblages keep one axis each and the one factor; testers keep one axis
-each and both factors, input x output.  A channel
-pair is a channel on in x out_A x out_B, and channel k keeps (in, out_k).
-An instrument is a stack on (m,) of blocks on in x out: the channel keeps
-no axis and both factors, the observable the axis and the input factor.  A
-state marginal problem keeps (A, B) and (B, C) of a state on A x B x C.  A
-solve's witness and a certificate's functional hold those stacks.  The
-trace cap of every joint block is derived from the margins, the trace of
-the joint device's total.  A margin's rows are the pair ``(term, groups)``
-of :meth:`SdpProblem.add_equality`, the partial trace onto the kept factors
+``n{k}`` per margin, or ``ng``, a second joint record).  Which axes and
+factors each device kind keeps is written once, in
+:func:`obscompat.margins_of`.  A solve's witness and a certificate's
+functional hold those stacks.  The trace cap of every joint block is
+derived from the margins, the trace of the joint device's total.  A
+margin's rows are the pair ``(term, groups)`` of
+:meth:`SdpProblem.add_equality`, the partial trace onto the kept factors
 (:func:`partial_trace_map`) on each fibre of the grid, in one row group per
 margin whose pieces are the devices' blocks: the face step reads their
 kernels there.  Only the order questions (division, post-processing,

@@ -49,6 +49,8 @@ def _dec(obj, depth: int) -> np.ndarray:
 def _dec_outcomes(obj):
     if obj is None:
         return None
+    if not isinstance(obj, list):
+        raise ValueError(f"outcomes must be a list, not {obj!r}")
     return tuple(tuple(o) if isinstance(o, list) else o for o in obj)
 
 
@@ -75,6 +77,9 @@ def from_json_obj(obj: dict) -> Device:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("device file must be an object with a 'kind' field")
     kind = obj["kind"]
+    for name in ("dim", "in_dim", "out_dim"):
+        if name in obj and (isinstance(obj[name], bool) or not isinstance(obj[name], int)):
+            raise ValueError(f"{name} must be an integer, not {obj[name]!r}")
     try:
         if kind == "state":
             mat = _dec(obj["matrix"], 0)

@@ -17,16 +17,14 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import linalg as la
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .devices import State, transpose_observable
-from .obscompat import JointResult, check_joint
-from .sdpcore import (Decision, NoiseClass, ThresholdResult, joint_problem, joint_witness,
-                      solve_feasibility, threshold_search)
+from .obscompat import Compatibility, _decide, _search, check_joint
+from .sdpcore import NoiseClass, ThresholdResult
 
 __all__ = [
     "Assemblage",
     "LhsModel",
-    "LhsResult",
     "CrosscheckReport",
     "deterministic_strategies",
     "assemblage_from",
@@ -102,17 +100,6 @@ class LhsModel:
         return np.abs(selected - assemblage.blocks).max() <= atol
 
 
-@dataclass(frozen=True)
-class LhsResult(Decision):
-    """Outcome of a local hidden state search."""
-
-    model: LhsModel | None = None
-
-    @property
-    def unsteerable(self) -> bool:
-        return self.solve.feasible
-
-
 def assemblage_from(state: State | np.ndarray, observables) -> Assemblage:
     """Conditional states from measuring the first factor of ``state``.
 
@@ -143,25 +130,23 @@ def max_entangled_assemblage(observables) -> Assemblage:
     return assemblage_from(np.outer(phi, phi.conj()), observables)
 
 
-def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> LhsResult:
+def check_lhs(assemblage: Assemblage, tols: Tolerances | None = None) -> Compatibility:
     """Search for a local hidden state model of ``assemblage``.
 
     One positive block per deterministic strategy; for every setting and
     outcome the blocks whose strategy picks that outcome must sum to the
     conditional state.  The strategies are the joint device's outcome grid,
     so more than ``sdpcore.MAX_GRID_POINTS`` of them are refused by
-    :func:`sdpcore.joint_problem` before any is listed.
+    :func:`sdpcore.joint_problem` before any is listed.  On success ``joint``
+    is the :class:`LhsModel`.
     """
-    tols = tols or DEFAULT_TOLS
-    result = solve_feasibility(joint_problem(assemblage.blocks), tols)
-    model = None
-    if result.feasible:
+    def model(grid, atol):
         # strategy k is the kth outcome assignment in product order, the kth
         # point of the joint device's outcome grid
-        grid, _ = joint_witness(result.witness)
         strategies = deterministic_strategies(assemblage.n_settings, assemblage.n_outcomes)
-        model = LhsModel(la.psd_project(grid.reshape((-1,) + grid.shape[-2:])), strategies)
-    return LhsResult(result, model)
+        return LhsModel(la.psd_project(grid.reshape((-1,) + grid.shape[-2:])), strategies)
+
+    return _decide(assemblage.blocks, None, model, tols)
 
 
 def steering_degree(observables, tols: Tolerances | None = None) -> ThresholdResult:
@@ -178,18 +163,15 @@ def steering_degree(observables, tols: Tolerances | None = None) -> ThresholdRes
     trace 1), and more than ``sdpcore.MAX_GRID_POINTS`` strategies raise
     ``ValueError``, as in :func:`check_lhs`.
     """
-    tols = tols or DEFAULT_TOLS
-    assemblage = max_entangled_assemblage(observables)
-    blocks, n = assemblage.blocks, assemblage.n_settings
-    return threshold_search(lambda lam: joint_problem(blocks, (lam,) * n, noise=NoiseClass.UNIFORM_NOISE), tols)
+    return _search(max_entangled_assemblage(observables).blocks, None, NoiseClass.UNIFORM_NOISE, tols)
 
 
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Steering of the maximally entangled assemblage vs joint measurability."""
 
-    lhs: LhsResult
-    joint: JointResult
+    lhs: Compatibility
+    joint: Compatibility
     agree: bool
 
 
@@ -201,7 +183,6 @@ def steering_jm_crosscheck(observables, tols: Tolerances | None = None) -> Cross
     are jointly measurable.  Both checks run independently and the report
     records whether the verdicts agree.
     """
-    tols = tols or DEFAULT_TOLS
     observables = tuple(observables)
     lhs = check_lhs(max_entangled_assemblage(observables), tols)
     joint = check_joint(tuple(transpose_observable(o) for o in observables), tols)

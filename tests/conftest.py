@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qincompat import Observable, chancompat, mub_qubit, process, sharp_observable
+from qincompat import Observable, margins_of, mub_qubit, process, sharp_observable
 from qincompat.sdpcore import joint_problem
 
 
@@ -61,8 +61,9 @@ def near_parallel_povm(theta):
 def pair_problem(device_a, device_b, mode=None, lam=1.0):
     """The joint problem of a channel pair, or of an observable with a channel, as
     ``check_channel_pair`` and ``check_obs_channel`` build it (``mode=None``) or as
-    ``robustness`` builds its member at weight ``lam`` with noise of class ``mode``."""
-    margins, factors = chancompat._margins(device_a, device_b)
+    ``robustness`` builds its member at weight ``lam`` with noise of class ``mode``: the
+    channel's margin first."""
+    margins, factors = margins_of(sorted((device_a, device_b), key=lambda d: isinstance(d, Observable)))
     if mode is None:
         return joint_problem(margins, factors=factors)
     return joint_problem(margins, (lam, lam), factors=factors, noise=mode)

@@ -219,7 +219,7 @@ def test_11_steering_thresholds(capsys, sharp_x, sharp_z, rng):
 
     def lhs_at(lam):
         asm = q.max_entangled_assemblage([noisy(o, lam) for o in pair])
-        return q.check_lhs(asm).unsteerable
+        return q.check_lhs(asm).feasible
 
     steer = bisect_threshold(lhs_at, 5e-4).value
     if abs(steer - 0.7071) > 1e-2:

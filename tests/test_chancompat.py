@@ -276,7 +276,7 @@ def test_state_marginal_product():
     prod = np.kron(half, half)
     rep = q.state_marginal_feasible(prod, prod, (2, 2, 2))
     assert rep.feasible
-    omega = rep.omega
+    omega = rep.joint
     assert omega is not None
     red_ab = la.partial_trace(omega.matrix, [2, 2, 2], keep=[0, 1])
     assert np.abs(red_ab - prod).max() < 1e-6

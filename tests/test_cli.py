@@ -65,6 +65,16 @@ def test_malformed_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["check-joint", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
+    # a dimension that is not an integer, and outcomes that are not a list, are
+    # malformed (3), not a certified infeasible verdict (1) from a TypeError
+    tester = json.loads(q.serialize(q.prepare_measure_tester(np.eye(2) / 2, q.sharp_observable(np.eye(2)))))
+    obs = json.loads(q.serialize(q.sharp_observable(np.eye(2))))
+    for name, command, edit in (("tester.json", "process", {"in_dim": 2.0}),
+                                ("outcomes.json", "check-joint", {"outcomes": 5})):
+        path = tmp_path / name
+        path.write_text(json.dumps({**(tester if command == "process" else obs), **edit}))
+        assert main([command, str(path), str(path)]) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_malformed(xz_paths, capsys):

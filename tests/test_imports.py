@@ -7,8 +7,9 @@ bisection, only ``sdpcore._certificate`` makes a certificate, only the
 dense witness check assembles A, ``real_linear_map`` gains no caller,
 only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore,
 only ``SdpProblem`` and ``_Data`` read a problem's layout, only
-``devices`` mixes a device with noise and only sdpcore sets a ``MAX_*`` cap;
-and a guard on what solving imports."""
+``devices`` mixes a device with noise, only sdpcore sets a ``MAX_*`` cap
+and only the shared solve and search paths ask ``joint_problem``; and a
+guard on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -311,6 +312,29 @@ def test_only_devices_mixes_noise():
     # that mixed devices first would answer in a second noise vocabulary
     mixers = noise_mixers({p.stem: p.read_text(encoding="utf-8") for p in SOURCES})
     assert set(mixers) <= {"devices"}
+
+
+def joint_question_askers(sources: dict[str, str]) -> list[str]:
+    """Sorted ``module.where`` of each call of ``joint_problem`` outside sdpcore,
+    ``where`` the module-level function or class around it."""
+    return sorted(f"{module}.{where}" for module, source in sources.items() if module != "sdpcore"
+                  for where in calls_by_function(source, "joint_problem"))
+
+
+def test_scan_finds_joint_question_askers():
+    sources = {"sdpcore": "def threshold_search(build):\n    return joint_problem(m)\n",
+               "a": "from .sdpcore import joint_problem\ndef _decide(m):\n    return solve(joint_problem(m))\n"
+                    "def _search(m):\n    return lambda lam: sdpcore.joint_problem(m, (lam,))\nask = joint_problem\n",
+               "b": "x = joint_problem_x(1)\ndef f():\n    return q.joint_problems\n"}
+    assert joint_question_askers(sources) == ["a._decide", "a._search"]
+
+
+def test_device_margins_are_written_in_one_place():
+    # obscompat.margins_of writes the margins of observables, channels and
+    # instruments, the tester, assemblage and state layouts keep their own, and
+    # every check and search hands them to one solve path and one search path
+    askers = joint_question_askers({p.stem: p.read_text(encoding="utf-8") for p in SOURCES})
+    assert askers == ["obscompat._decide", "obscompat._search"]
 
 
 def test_only_the_order_questions_write_a_problem():

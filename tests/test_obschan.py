@@ -32,7 +32,7 @@ def test_anything_with_constant(rng):
     sink = q.constant_channel(q.State(np.eye(2) / 2), 2)
     res = q.check_obs_channel(obs, sink)
     assert res.feasible
-    inst = res.instrument
+    inst = res.joint
     assert inst is not None
     induced = inst.induced_observable()
     assert np.abs(induced.effects - obs.effects).max() < 1e-6

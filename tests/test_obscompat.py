@@ -9,7 +9,7 @@ import pytest
 
 import qincompat as q
 from conftest import near_parallel_povm
-from qincompat import obscompat
+from qincompat import obscompat, sdpcore
 from qincompat.sdpcore import Verdict
 
 
@@ -54,6 +54,65 @@ def test_transpose_invariance(rng):
         direct = q.check_joint(pair).solve.feasible
         transposed = q.check_joint([q.transpose_observable(o) for o in pair]).solve.feasible
         assert direct == transposed
+
+
+# --- one check over any family of devices -----------------------------------
+
+@pytest.mark.parametrize("gamma,value,upper", [
+    (0.3, 0.9054054667096472, 0.9058946358106361),
+    (0.5, 0.7067951445419276, 0.7071115200181822),
+    (0.6, 0.5289119770771391, 0.5291619770771391),
+])
+def test_mixed_family_threshold(sharp_x, sharp_z, gamma, value, upper):
+    # Z and X mixed at gamma with an identity channel whose trivial noise weight
+    # is searched: the values of the margins written by hand, channel last
+    margins, factors = q.margins_of([noisy(sharp_z, gamma), noisy(sharp_x, gamma), q.identity_channel(2)])
+    res = q.threshold_search(lambda mu: sdpcore.joint_problem(margins, (1.0, 1.0, mu), factors))
+    assert abs(res.value - value) <= 1e-9 and abs(res.upper.at - upper) <= 1e-9
+
+
+def test_werner_one_to_three_bound():
+    # three identity channels mixed with trivial noise: the optimal 1 -> 3
+    # qubit cloner's shrinking factor 5/9 lies between value and upper end
+    margins, factors = q.margins_of([q.identity_channel(2)] * 3)
+    assert factors == (2, 2, 2, 2)
+    res = q.threshold_search(lambda mu: sdpcore.joint_problem(margins, (mu,) * 3, factors))
+    assert res.value <= 5 / 9 < res.upper.at
+
+
+@pytest.mark.parametrize("channel,verdict", [
+    (q.depolarizing_channel(2), Verdict.FEASIBLE),
+    (q.identity_channel(2), Verdict.INFEASIBLE_CERTIFIED),
+])
+def test_check_takes_an_observable_and_a_channel_in_either_order(sharp_z, channel, verdict):
+    obs = noisy(sharp_z, 0.5)
+    first, second = q.check([obs, channel]), q.check([channel, obs])
+    assert first.verdict is second.verdict is verdict
+    if first.feasible:
+        for res in (first, second):
+            assert isinstance(res.joint, q.Instrument) and res.joint.outcomes == obs.outcomes
+            assert np.abs(res.joint.induced_observable().effects - obs.effects).max() < 1e-6
+            assert np.abs(res.joint.total_choi() - channel.choi()).max() < 1e-6
+
+
+def test_check_builds_the_joint_device_of_each_family(sharp_x, sharp_z):
+    x, z, depol = noisy(sharp_x, 0.5), noisy(sharp_z, 0.5), q.depolarizing_channel(2)
+    assert isinstance(q.check([x, z]).joint, q.JointObservable)
+    assert isinstance(q.check([depol, depol]).joint, q.Channel)
+    joint = q.check([z, x, depol]).joint
+    assert isinstance(joint, q.Instrument) and joint.outcomes == tuple(itertools.product(z.outcomes, x.outcomes))
+    assert joint.out_dim == 2 and joint.choi_blocks.shape == (4, 4, 4)
+    inst = q.check([q.luders_instrument(z), depol])
+    assert inst.feasible and inst.joint.out_dim == 4
+    with pytest.raises(TypeError, match="not State"):
+        q.check([z, q.State(np.eye(2) / 2)])
+
+
+def test_compatibility_keeps_the_older_names(sharp_x, sharp_z):
+    # instrument, model and unsteerable are aliases of joint and feasible
+    res = q.check_lhs(q.max_entangled_assemblage([noisy(sharp_x, 0.6), noisy(sharp_z, 0.6)]))
+    assert res.model is res.instrument is res.joint is not None
+    assert res.unsteerable is res.feasible is True
 
 
 # --- explicit joints ---------------------------------------------------------

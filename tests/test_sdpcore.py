@@ -543,12 +543,12 @@ def _assembly_cases():
         for lam in (0.7, 1.0):
             weights = None if mode is None else (lam, lam)
             for d in (2, 3, 4):
-                pair = chancompat._margins(q.identity_channel(d), q.depolarizing_channel(d))
+                pair = q.margins_of((q.identity_channel(d), q.depolarizing_channel(d)))
                 cases[f"channel_pair_d{d}_{tag}_{lam}"] = lambda pair=pair, weights=weights, mode=mode: (
                     joint_by_partial_trace(*pair, weights, mode or q.NoiseClass.TRIVIAL_NOISE))
             for name, o in ((f"obs_channel_{tag}_{lam}", obs),
                             (f"obs_channel_4_outcomes_{tag}" + ("" if lam == 0.7 else f"_{lam}"), obs4)):
-                cases[name] = lambda pair=chancompat._margins(o, chan), weights=weights, mode=mode: (
+                cases[name] = lambda pair=q.margins_of((chan, o)), weights=weights, mode=mode: (
                     joint_by_partial_trace(*pair, weights, mode or q.NoiseClass.TRIVIAL_NOISE))
     # a state on A x B x C with its AB and BC marginals
     rho = rand_psd(rng, 12, trace=1.0)
@@ -715,7 +715,7 @@ def test_checks_read_their_devices_from_the_grid(sharp_x, sharp_z):
     assert np.array_equal(pair.joint, la.psd_project(blocks).reshape(2, 2, 4, 4))
     lhs = check_lhs(max_entangled_assemblage([mix_with_trivial(o, 0.6) for o in (sharp_x, sharp_z)]))
     blocks = lhs.solve.witness["g"].reshape(4, 2, 2)
-    assert np.array_equal(lhs.model.states, la.psd_project(blocks))
+    assert np.array_equal(lhs.joint.states, la.psd_project(blocks))
 
 
 def test_joint_problem_derives_trace_cap(sharp_x, sharp_z):
@@ -834,15 +834,15 @@ def _projector_cases():
     prod = np.eye(4) / 4
     cases = {
         "joint": lambda: built_problem(obscompat, lambda: check_joint(povms)),
-        "lhs": lambda: built_problem(steering, lambda: steering.check_lhs(
+        "lhs": lambda: built_problem(obscompat, lambda: steering.check_lhs(
             steering.max_entangled_assemblage([x, z]))),
-        "tester": lambda: built_problem(process, lambda: check_tester_pair(*testers)),
+        "tester": lambda: built_problem(obscompat, lambda: check_tester_pair(*testers)),
         "channel_pair_d2": lambda: pair_problem(chan, chan3),
         "channel_pair_d3": lambda: pair_problem(
             q.identity_channel(3), q.identity_channel(3)),
         "division": lambda: built_problem(chancompat, lambda: chancompat.channel_division(
             chan, q.conjugate_channel(chan3))),
-        "state_marginal": lambda: built_problem(chancompat, lambda: chancompat.state_marginal_feasible(
+        "state_marginal": lambda: built_problem(obscompat, lambda: chancompat.state_marginal_feasible(
             prod, prod, (2, 2, 2))),
         "order": lambda: built_problem(obscompat, lambda: obscompat.postprocessing_order(
             q.binarize(fine, [0, 1]), fine)),
@@ -959,7 +959,7 @@ def _partial_trace_builds():
     testers = [prepare_measure_tester(random_state(2, rng), random_povm(2, 2, rng)) for _ in range(2)]
     prod = np.eye(4) / 4
     builds = {
-        "state_marginal": lambda: built_problem(chancompat, lambda: chancompat.state_marginal_feasible(
+        "state_marginal": lambda: built_problem(obscompat, lambda: chancompat.state_marginal_feasible(
             prod, prod, (2, 2, 2))),
         "tester_weighted": lambda: joint_tester_problem(*testers, (0.6, 0.8)),
     }
@@ -1284,7 +1284,7 @@ def test_marginal_mismatch_sweep(eps, verdict):
     res = solve()
     assert res.verdict is verdict
     assert res.solve.iterations == (0 if verdict is Verdict.INFEASIBLE_CERTIFIED else 1)
-    prob = built_problem(chancompat, solve)
+    prob = built_problem(obscompat, solve)
     if res.feasible:
         assert verify_witness(prob, res.solve.witness)[0]
     else:
@@ -1974,17 +1974,19 @@ def test_bisect_threshold_rejects_a_bad_tolerance(tol):
 @pytest.mark.parametrize("field,value", [
     ("feas", float("inf")), ("feas", float("nan")), ("feas", 0.0), ("feas", -1e-7),
     ("bisect_tol", float("inf")), ("bisect_tol", 0.0),
-    ("max_iter", 0), ("max_iter", -5),
+    ("max_iter", 0), ("max_iter", -5), ("max_iter", 2.5), ("max_iter", True),
 ])
 def test_tolerances_reject_bad_values(field, value):
     # an infinite feas would pass any witness (its slack is 10 feas), a NaN
-    # one would end every solve undecided, and a cap below 1 runs no iteration
+    # one would end every solve undecided, a cap below 1 runs no iteration, and
+    # one that is not an integer fails in the solve's loop or reports a bool
     with pytest.raises(ValueError):
         q.Tolerances(**{field: value})
 
 
 def test_tolerances_keep_tiny_positive_values():
     assert q.Tolerances(feas=1e-18, max_iter=1, bisect_tol=1e-20).max_iter == 1
+    assert q.Tolerances(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_bisect_threshold_stops_at_the_float_spacing():

@@ -90,8 +90,8 @@ def test_deterministic_strategies():
 def test_unsteerable_assemblage(sharp_x, sharp_z):
     asm = q.max_entangled_assemblage([noisy(sharp_x, 0.6), noisy(sharp_z, 0.6)])
     res = q.check_lhs(asm)
-    assert res.unsteerable
-    model = res.model
+    assert res.feasible
+    model = res.joint
     assert model is not None
     assert model.reproduces(asm)
 
@@ -104,7 +104,7 @@ def loop_deviation(model, asm):
 
 def test_reproduces_equals_selection_loop(sharp_x, sharp_y, sharp_z, rng):
     asm = q.max_entangled_assemblage([noisy(o, 0.5) for o in (sharp_x, sharp_y, sharp_z)])
-    model = q.check_lhs(asm).model
+    model = q.check_lhs(asm).joint
     # any strategy order; and every state bumped so that each selected sum is
     # off by half or twice atol = 1e-7
     order = rng.permutation(len(model.strategies))
@@ -119,26 +119,26 @@ def test_reproduces_equals_selection_loop(sharp_x, sharp_y, sharp_z, rng):
 def test_lhs_states_are_projected_witness_blocks(sharp_x, sharp_y, sharp_z):
     # one stacked projection gives each strategy's state as projected alone
     res = q.check_lhs(q.max_entangled_assemblage([noisy(o, 0.5) for o in (sharp_x, sharp_y, sharp_z)]))
-    assert res.unsteerable
+    assert res.feasible
     grid = res.solve.witness["g"]  # strategy k is the kth point of the (2, 2, 2) outcome grid
     assert grid.shape == (2, 2, 2, 2, 2)
     want = np.stack([la.psd_project(block) for block in grid.reshape(-1, 2, 2)])
-    assert len(want) == len(res.model.strategies)
-    assert np.abs(res.model.states - want).max() < 1e-12
+    assert len(want) == len(res.joint.strategies)
+    assert np.abs(res.joint.states - want).max() < 1e-12
 
 
 def test_steerable_assemblage(sharp_x, sharp_z):
     asm = q.max_entangled_assemblage([noisy(sharp_x, 0.8), noisy(sharp_z, 0.8)])
     res = q.check_lhs(asm)
-    assert not res.unsteerable
+    assert not res.feasible
 
 
 def test_three_setting_threshold(sharp_x, sharp_y, sharp_z):
     trip = [sharp_x, sharp_y, sharp_z]
     below = [noisy(o, 0.55) for o in trip]
     above = [noisy(o, 0.62) for o in trip]
-    assert q.check_lhs(q.max_entangled_assemblage(below)).unsteerable
-    assert not q.check_lhs(q.max_entangled_assemblage(above)).unsteerable
+    assert q.check_lhs(q.max_entangled_assemblage(below)).feasible
+    assert not q.check_lhs(q.max_entangled_assemblage(above)).feasible
 
 
 def test_strategy_cap():
@@ -156,7 +156,7 @@ def test_crosscheck_agrees(sharp_x, sharp_z, rng):
     for lam in (0.5, 0.9):
         rep = q.steering_jm_crosscheck([noisy(sharp_x, lam), noisy(sharp_z, lam)])
         assert rep.agree
-        assert rep.lhs.unsteerable == rep.joint.feasible
+        assert rep.lhs.feasible == rep.joint.feasible
     for _ in range(3):
         pair = [noisy(q.random_povm(2, 2, rng), rng.uniform(0.5, 1.0))
                 for _ in range(2)]
