@@ -247,9 +247,11 @@ class Instrument:
         dev = np.abs(marg - np.eye(self.in_dim)).max()
         if dev > atol:
             raise ValueError(f"total operation is not trace preserving (max deviation {dev:.3e})")
-        outcomes = self.outcomes if self.outcomes is not None else tuple(range(blocks.shape[0]))
+        outcomes = tuple(self.outcomes if self.outcomes is not None else range(blocks.shape[0]))
+        if len(outcomes) != blocks.shape[0]:
+            raise ValueError("outcome labels do not match the number of operations")
         object.__setattr__(self, "choi_blocks", blocks)
-        object.__setattr__(self, "outcomes", tuple(outcomes))
+        object.__setattr__(self, "outcomes", outcomes)
 
     @classmethod
     def from_kraus_ops(cls, families: Sequence[np.ndarray], atol: float | None = None) -> "Instrument":

@@ -63,9 +63,11 @@ class Tester:
         tr = np.trace(xi).real
         if abs(tr - 1.0) > max(atol, 1e-8):
             raise ValueError(f"normalization state has trace {tr:.6f}, expected 1")
-        outcomes = self.outcomes if self.outcomes is not None else tuple(range(eff.shape[0]))
+        outcomes = tuple(self.outcomes if self.outcomes is not None else range(eff.shape[0]))
+        if len(outcomes) != eff.shape[0]:
+            raise ValueError("outcome labels do not match the number of effects")
         object.__setattr__(self, "effects", eff)
-        object.__setattr__(self, "outcomes", tuple(outcomes))
+        object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def n_outcomes(self) -> int:

@@ -28,10 +28,21 @@ few products per component shape and never read a touched x rank matrix;
 below a crossover (``_DENSE_BASIS``) the basis is one dense matrix instead,
 for which one product is faster than the loop over shapes.  Coordinates
 outside the basis pass the affine step unchanged.  The blocks are grouped by
-side once per solve (``_Data``), and checking a witness's blocks and the cone
+side once per layout (see below) and their caps once per solve (``_Data``), and
+checking a witness's blocks and the cone
 step each make one stacked call per side, with no LAPACK call for blocks of
 side 2 (``la.project2``, ``la.spectrum2``); unpacking an iterate makes one
 per record.
+
+A problem's layout (:class:`_Layout`: its records without caps, A's triplets
+and its row groups, every array read-only) holds the factorization, made at
+the first unreduced solve on it.  :func:`joint_problem` keeps the layouts it
+builds in a least-recently-used memo of ``_JOINT_LAYOUTS`` (16; the
+benchmark's workloads ask 3 to 9), keyed on ``factors``, each margin's
+``(axes, keep, on, device shape)`` and the noise class (``None`` without
+weights).  Its gate runs first on every call; a question of a known shape
+then builds only its caps and b, with no triplet copied and no SVD.
+Hand-built problems, the order questions' and the faces', own their layouts.
 
 A single solve first iterates on the face of the cones that its own data
 expose (Borwein & Wolkowicz 1981; Permenter & Parrilo 2018): right-hand side
@@ -101,6 +112,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -164,7 +176,8 @@ class _Block(NamedTuple):
     kind: str          # "psd" | "scalar"
     dim: int           # matrix side (psd) or vector length (scalar) of each block
     offset: int
-    cap: np.ndarray    # each block's trace cap (psd, shape ()) or entry caps (scalar, shape (dim,))
+    cap: np.ndarray | None  # each block's trace cap (psd, shape ()) or entry caps (scalar, shape
+                            # (dim,)); None in a layout, whose problems each have their own
     lead: tuple[int, ...] = ()
 
     @property
@@ -187,7 +200,29 @@ def vec_of(matrix) -> np.ndarray:
     return la.hermitian_to_real_vec(np.asarray(matrix, dtype=complex))
 
 
-_NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))  # shared, never written
+def _read_only(*arrays: np.ndarray) -> None:
+    """Mark arrays that problems share as read-only: writing to one raises ``ValueError``."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+_NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+_read_only(*_NO_ENTRIES)
+
+
+def _cap(kind: str, name: str, dim: int, cap) -> np.ndarray:
+    """A record's caps, checked: a PSD block's trace cap, or the entry caps of a scalar
+    block of length ``dim``, each finite and positive."""
+    if kind == "scalar":
+        cap = np.broadcast_to(np.asarray(cap, dtype=float), (dim,)).copy()
+        if not np.all((cap > 0) & np.isfinite(cap)):
+            raise ValueError(f"caps for {name!r} must be finite and positive")
+        return cap
+    if dim < 1:
+        raise ValueError("block dimension must be positive")
+    if not (cap > 0 and math.isfinite(cap)):
+        raise ValueError(f"trace cap for {name!r} must be finite and positive")
+    return np.asarray(float(cap))
 
 
 def _per_block(coo, offsets, k: int):
@@ -291,6 +326,61 @@ def partial_trace_map(dims, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(at) ** 2), at.shape[1]), cols, np.ones(cols.size)
 
 
+class _Layout:
+    """A problem's shape, which the problems on it share and never write: the records
+    without caps, A's triplets (read-only), and each row group's first row, size and
+    pieces (see ``SdpProblem._add_rows``).  On first use it also holds the cone
+    coordinates (:attr:`cones`) and the row-space factorization of A's touched columns
+    (:attr:`factorization`), so that every problem on one layout differs only in its
+    caps and b and is factorized once."""
+
+    def __init__(self, records: tuple[_Block, ...], coo, sizes: list[int], pieces: list[int], n: int):
+        _read_only(*coo)
+        self.records, self.coo, self.n, self.m = records, coo, n, sum(sizes)
+        self.row_groups = tuple(zip(accumulate(sizes[:-1], initial=0), sizes, pieces))
+
+    @cached_property
+    def cones(self):
+        """``(psd, intervals)``: per side d of PSD blocks, in the order of their first
+        records, ``(d, idx, members, 1..d)``, row i of ``idx`` the ith block's coordinates
+        in layout order and ``members`` the pairs (record number, blocks); and ``(idx,
+        members)`` of the interval coordinates (scalars and 1x1 blocks), in order."""
+        sides, intervals = {}, [(np.zeros(0, dtype=np.intp), None)]
+        for i, rec in enumerate(self.records):
+            idx = np.arange(rec.offset, rec.offset + rec.length).reshape(-1, rec.shape[-1])
+            if rec.interval:
+                intervals.append((idx.ravel(), (i, len(idx))))
+            else:
+                sides.setdefault(rec.dim, []).append((idx, (i, len(idx))))
+        psd = []
+        for d, blocks in sides.items():
+            idx, members = zip(*blocks)
+            psd.append((d, np.concatenate(idx), members, np.arange(1, d + 1)))
+        idx, members = zip(*intervals)
+        intervals = (np.concatenate(idx), members[1:])
+        _read_only(*(a for _, idx, _, counts in psd for a in (idx, counts)), intervals[0])
+        return tuple(psd), intervals
+
+    @cached_property
+    def norm_a(self) -> float:
+        v = self.coo[2]
+        return math.sqrt(v @ v)
+
+    @cached_property
+    def factorization(self):
+        """``(stacks, parts)`` of :func:`_row_space` on A's touched columns (those some
+        row uses), in the problem's coordinates: the basis that the affine step and the
+        certificate attempt read, and the components that give least-norm solutions."""
+        (r, c, v), n = self.coo, self.n
+        touched = np.bincount(c, minlength=n) > 0
+        cols = np.flatnonzero(touched)
+        local = (np.cumsum(touched) - 1)[c]  # each entry's column among the touched ones
+        stacks, parts = _row_space((r, local, v), (self.m, cols.size), max(self.m, n) * np.finfo(float).eps)
+        stacks, parts = (tuple((rows, cols[at], vs, ws) for rows, at, vs, ws in got) for got in (stacks, parts))
+        _read_only(*(a for got in (stacks, parts) for stack in got for a in stack))
+        return stacks, parts
+
+
 class SdpProblem:
     """Block-structured feasibility problem over PSD and nonnegative variables."""
 
@@ -304,9 +394,31 @@ class SdpProblem:
         self._pieces: list[int] = [1]
         self._m = 0
         self._n = 0
+        # the problem's shape as written so far (see _frozen), or None after a write
+        self._layout: _Layout | None = None
         # set only on a threshold search's members (see _Projector.at), which
         # no one adds to: their family's projector at their weight
         self._projector: _Projector | None = None
+
+    @classmethod
+    def _on(cls, layout: _Layout, caps: dict[str, np.ndarray], rhs: list[np.ndarray]) -> SdpProblem:
+        """The problem on a shared ``layout`` with the checked caps ``caps`` of its
+        records, by name, and b in ``rhs``, one array per row group after the first."""
+        prob = cls()
+        prob._blocks = {rec.name: rec._replace(cap=caps[rec.name]) for rec in layout.records}
+        prob._chunks, prob._rhs = [layout.coo], [_NO_ENTRIES[2], *rhs]
+        prob._pieces = [pieces for _, _, pieces in layout.row_groups]
+        prob._m, prob._n, prob._layout = layout.m, layout.n, layout
+        return prob
+
+    def _frozen(self) -> _Layout:
+        """The problem's layout, made from the records and rows written so far."""
+        if self._layout is None:
+            coo = tuple(np.concatenate(part) for part in zip(*self._chunks))
+            self._chunks = [coo]
+            self._layout = _Layout(tuple(rec._replace(cap=None) for rec in self._blocks.values()), coo,
+                                   [rhs.size for rhs in self._rhs], list(self._pieces), self._n)
+        return self._layout
 
     # --- variables ---------------------------------------------------------
 
@@ -326,18 +438,9 @@ class SdpProblem:
         lead = tuple(lead)
         if not all(isinstance(n, (int, np.integer)) and n > 0 for n in lead):
             raise ValueError(f"stack shape {lead} of {name!r} must hold positive integers")
-        if kind == "scalar":
-            cap = np.broadcast_to(np.asarray(cap, dtype=float), (dim,)).copy()
-            if not np.all((cap > 0) & np.isfinite(cap)):
-                raise ValueError(f"caps for {name!r} must be finite and positive")
-        elif dim < 1:
-            raise ValueError("block dimension must be positive")
-        elif not (cap > 0 and math.isfinite(cap)):
-            raise ValueError(f"trace cap for {name!r} must be finite and positive")
-        else:
-            cap = np.asarray(float(cap))
-        rec = self._blocks[name] = _Block(name, kind, dim, self._n, cap, lead)
+        rec = self._blocks[name] = _Block(name, kind, dim, self._n, _cap(kind, name, dim, cap), lead)
         self._n += rec.length
+        self._layout = None
         return np.arange(rec.offset, self._n, rec.shape[-1]).reshape(rec.lead)
 
     def block(self, name: str) -> _Block:
@@ -378,10 +481,12 @@ class SdpProblem:
         self._rhs.append(rhs)
         self._pieces.append(pieces)
         self._m += rhs.size
+        self._layout = None
 
     def _triplets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-        """``((rows, columns, values), b)``: the nonzero entries of A, no two at one place, and b."""
-        return tuple(np.concatenate(part) for part in zip(*self._chunks)), np.concatenate(self._rhs)
+        """``((rows, columns, values), b)``: the nonzero entries of A, no two at one place
+        (the layout's, read-only), and b."""
+        return self._frozen().coo, np.concatenate(self._rhs)
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
         """The dense ``(A, b)``, the reference for checks and tests; solving reads the triplets."""
@@ -465,6 +570,9 @@ def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = Noise
     onto it to be I.  So observables take every class, channel pairs all but
     uniform, testers uniform and trivial noise (compatible and arbitrary only
     when out xi = I), and assemblages, of total trace 1, uniform noise only.
+    After the gate, only the caps and b are built: the rest of the problem is
+    the layout of its shape (:func:`_joint_layout`), shared with every
+    problem of that shape and factorized once.
     """
     noise = NoiseClass(noise)
     if len(margins) == 0:
@@ -508,18 +616,58 @@ def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = Noise
             if off > 1e-6:
                 raise ValueError(f"margin {k} is not normalized as {noise.value} noise is ({rule}; off by {off:.3g})")
     total = margins[0][0].reshape((-1,) + margins[0][0].shape[-2:]).sum(axis=0)
-    prob, cap = SdpProblem(), float(np.trace(total).real)
-    g = prob._add("psd", "g", side, cap, counts)
+    cap = float(np.trace(total).real)
+    caps = {"g": _cap("psd", "g", side, cap)}
     if compatible:
-        ng = prob._add("psd", "ng", side, cap, counts)
-
-    def normalize(rec, dims, to, w):
-        """Rows: the blocks of ``rec``, on factors ``dims``, summed and traced onto ``to`` are (1 - w) I."""
-        eye = vec_of(np.eye(math.prod(dims[i] for i in to)))
-        prob._add_rows([_per_block(partial_trace_map(dims, to), rec.reshape(1, -1), eye.size)], (1 - w) * eye)
-
+        caps["ng"] = _cap("psd", "ng", side, cap)
+    rhs = []  # b by row group, in the layout's order
     for k, (device, axes, keep, on) in enumerate(margins):
-        dims, pieces = [factors[f] for f in keep], math.prod(device.shape[:-2])
+        pieces = math.prod(device.shape[:-2])
+        b = (1.0 if weights is None else weights[k]) * vec_of(device).ravel()
+        if uniform:
+            spread = vec_of(device.reshape((pieces,) + device.shape[-2:]).sum(axis=0) / pieces)
+            b = b + (1 - weights[k]) * np.tile(spread, pieces)
+        rhs.append(b)
+        if own_record:  # total trace 1 - w, or (1 - w) I on the input
+            caps[f"n{k}"] = _cap("psd", f"n{k}", math.prod(factors[f] for f in (on if trivial else keep)),
+                                 1.0 if trivial else cap)
+            rhs.append((1 - weights[k]) * vec_of(np.eye(1 if trivial else factors[0])))
+    if compatible:
+        rhs.append((1 - weights[0]) * vec_of(np.eye(factors[0])))
+    shapes = tuple((axes, keep, on, device.shape) for device, axes, keep, on in margins)
+    layout = _joint_layout(tuple(map(int, factors)), shapes, None if weights is None else noise)
+    return SdpProblem._on(layout, caps, rhs)
+
+
+# The most joint layouts kept.  The benchmark's workloads ask 3 (scale), 5 (random-checks)
+# and 9 (threshold-search) distinct ones in a pass.
+_JOINT_LAYOUTS = 16
+
+
+@lru_cache(maxsize=_JOINT_LAYOUTS)
+def _joint_layout(factors: tuple[int, ...], margins: tuple, noise: NoiseClass | None) -> _Layout:
+    """The layout of :func:`joint_problem`'s question: its records, A and row groups,
+    which depend only on ``factors``, each margin's ``(axes, keep, on, device shape)``
+    and the class of the noise (``None`` without weights), not on the devices,
+    weights or caps.  Built once per question shape and shared, with its
+    factorization, by every problem of that shape; ``_joint_layout.cache_clear()``
+    forgets them."""
+    grid = {a: n for axes, _, _, shape in margins for a, n in zip(axes, shape)}
+    counts, side = tuple(grid[a] for a in range(len(grid))), math.prod(factors)
+    uniform, compatible = noise is NoiseClass.UNIFORM_NOISE, noise is NoiseClass.COMPATIBLE_NOISE
+    trivial, own_record = noise is NoiseClass.TRIVIAL_NOISE, noise is not None and not (uniform or compatible)
+    prob = SdpProblem()  # its caps and b are placeholders: each problem on the layout has its own
+    g = prob._add("psd", "g", side, 1.0, counts)
+    if compatible:
+        ng = prob._add("psd", "ng", side, 1.0, counts)
+
+    def normalize(rec, dims, to):
+        """Rows: the blocks of ``rec``, on factors ``dims``, summed and traced onto ``to`` are (1 - w) I."""
+        size = math.prod(dims[i] for i in to) ** 2
+        prob._add_rows([_per_block(partial_trace_map(dims, to), rec.reshape(1, -1), size)], np.zeros(size))
+
+    for k, (axes, keep, on, shape) in enumerate(margins):
+        dims, pieces = [factors[f] for f in keep], math.prod(shape[:-2])
         rows, (r, c, v) = math.prod(dims) ** 2, partial_trace_map(factors, keep)
 
         def fibres(rec):
@@ -527,24 +675,19 @@ def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = Noise
             return np.moveaxis(rec, axes, range(len(axes))).reshape(pieces, -1)
 
         chunks = [_per_block((r, c, v), fibres(g), rows)]  # one row group per margin: fibre - noise = w device
-        rhs = (1.0 if weights is None else weights[k]) * vec_of(device).ravel()
-        if uniform:
-            spread = vec_of(device.reshape((pieces,) + device.shape[-2:]).sum(axis=0) / pieces)
-            rhs = rhs + (1 - weights[k]) * np.tile(spread, pieces)
-        elif compatible:
+        if compatible:
             chunks.append(_per_block((r, c, -v), fibres(ng), rows))
         elif own_record:
             own = on if trivial else keep
-            n = prob._add("psd", f"n{k}", math.prod(factors[f] for f in own), 1.0 if trivial else cap,
-                          device.shape[:-2])
+            n = prob._add("psd", f"n{k}", math.prod(factors[f] for f in own), 1.0, shape[:-2])
             lc, lr, lv = partial_trace_map(dims, [keep.index(f) for f in own])
             chunks.append(_per_block((lr, lc, -lv), n.reshape(-1, 1), rows))  # the lift: rows and columns swapped
-        prob._add_rows(chunks, rhs, pieces)
-        if own_record:  # total trace 1 - w, or (1 - w) I on the input
-            normalize(n, [factors[f] for f in own], () if trivial else (0,), weights[k])
+        prob._add_rows(chunks, np.zeros(rows * pieces), pieces)
+        if own_record:
+            normalize(n, [factors[f] for f in own], () if trivial else (0,))
     if compatible:
-        normalize(ng, factors, (0,), weights[0])
-    return prob
+        normalize(ng, factors, (0,))
+    return prob._frozen()
 
 
 def joint_witness(witness: dict[str, np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
@@ -661,10 +804,11 @@ def _rmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x @ m if m.ndim == 2 else np.matmul(x[:, None, :], m)[:, 0]
 
 
-def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[list, np.ndarray]:
-    """Row-space basis of the matrix a of ``shape`` with the triplets ``coo``, as stacks,
-    and least-norm solutions: ``(stacks, sol)`` with ``a @ sol[:, j]`` = ``b[:, j]``
-    on the row space, for the columns of ``b``.
+def _row_space(coo, shape: tuple[int, int], cut: float) -> tuple[list, list]:
+    """Row-space basis of the matrix a of ``shape`` with the triplets ``coo``, as stacks:
+    ``(stacks, parts)``, ``parts`` the stacks of its components, from which
+    :func:`_least_norm` solves, and ``stacks`` the basis that projections read,
+    ``parts`` itself or one dense matrix.
 
     ``a`` is block diagonal up to permutations, with one block per connected
     component of its nonzero pattern (:func:`_components`), so its SVD is
@@ -677,7 +821,8 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
     components.  A kept triple (u, s, v) gives the basis vector v and its
     multipliers u / s, as a^T u = s v.  A row with no nonzero entry gives no
     basis vector, and no SVD; a nonzero right-hand side there shows in the
-    residual a x - b.
+    residual a x - b.  Nothing here reads a right-hand side, so a layout is
+    factorized once for every b.
 
     Each stack is ``(rows, cols, v, w)``: component k has the rows ``rows[k]``
     and the columns ``cols[k]`` of a, its basis vectors are the columns of v_k
@@ -714,7 +859,7 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
             u, vt = u.swapaxes(1, 2), vt.swapaxes(1, 2)
         parts.append((rows, cols, np.searchsorted(distinct, seen), u, s, vt))
     floor = cut * max((s.max(initial=0.0) for *_, s, _ in parts), default=0.0)
-    stacks, kept_in, sol = [], [], np.zeros((shape[1], b.shape[1]))
+    stacks, kept_in = [], []
     for rows, cols, of, u, s, vt in parts:
         kept = s > floor
         if not kept.any():
@@ -722,12 +867,11 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
         # below the cut, v is zeroed and u / s is u / inf = 0
         vs, ws = vt.swapaxes(1, 2) * kept[:, None], u / np.where(kept, s, np.inf)[:, None]
         vs, ws = (vs[0], ws[0]) if len(vs) == 1 else (vs[of], ws[of])
-        sol[cols] = np.matmul(vs, np.matmul(ws.swapaxes(-1, -2), b[rows]))
         stacks.append((rows, cols, vs, ws))
         kept_in.append(kept[of])
     rank = sum(int(kept.sum()) for kept in kept_in)
     if shape[1] * rank > _DENSE_BASIS:
-        return stacks, sol
+        return stacks, stacks
     vr, mult, at = np.zeros((shape[1], rank)), np.zeros((shape[0], rank)), 0
     for (rows, cols, vs, ws), kept in zip(stacks, kept_in):
         i, j = np.nonzero(kept)
@@ -735,12 +879,24 @@ def _row_space(coo, shape: tuple[int, int], b: np.ndarray, cut: float) -> tuple[
         vr[cols[i], basis] = vs[:, j].T if vs.ndim == 2 else vs[i, :, j]
         mult[rows[i], basis] = ws[:, j].T if ws.ndim == 2 else ws[i, :, j]
         at += i.size
-    return [(np.arange(shape[0])[None], np.arange(shape[1])[None], vr, mult)], sol
+    return [(np.arange(shape[0])[None], np.arange(shape[1])[None], vr, mult)], stacks
+
+
+def _least_norm(parts, b: np.ndarray, size: int) -> np.ndarray:
+    """Least-norm solutions of a x = b on the row space, for the columns of ``b``, from
+    the component stacks ``parts`` of :func:`_row_space`: ``(size, b.shape[1])``, zero
+    off their columns."""
+    sol = np.zeros((size, b.shape[1]))
+    for rows, cols, vs, ws in parts:
+        sol[cols] = np.matmul(vs, np.matmul(ws.swapaxes(-1, -2), b[rows]))
+    return sol
 
 
 class _Data:
-    """A problem's data as the evidence checks read them, with no factorization; the
-    only reader of a problem's layout outside :class:`SdpProblem`.
+    """A problem's data as the evidence checks read them; the only reader of a
+    problem's layout outside :class:`SdpProblem`, whose factorization
+    (:meth:`factorization`) it hands on.  The layout's arrays are shared, so
+    it builds only the caps and b.
 
     ``coo`` holds A's triplets; A x and A^T y are :func:`_apply` of them.
     ``psd_groups`` holds ``(d, idx, caps, 1..d)`` per side d of PSD blocks, in the
@@ -756,35 +912,37 @@ class _Data:
     """
 
     def __init__(self, problem: SdpProblem, at_one: SdpProblem | None = None):
-        self.problem = problem
-        self.coo, self.b = problem._triplets()
-        sides, intervals = {}, [(np.zeros(0, dtype=np.intp), np.zeros(0))]
-        for rec in problem._blocks.values():
-            idx = np.arange(rec.offset, rec.offset + rec.length).reshape(-1, rec.shape[-1])
-            caps = np.repeat(rec.cap[None], len(idx), axis=0)
-            if rec.interval:
-                intervals.append((idx.ravel(), caps.ravel()))
-            else:
-                sides.setdefault(rec.dim, []).append((idx, caps))
-        self.psd_groups = [(d, *map(np.concatenate, zip(*blocks)), np.arange(1, d + 1)) for d, blocks in sides.items()]
-        self.scalar_idx, self.scalar_caps = map(np.concatenate, zip(*intervals))
-        sizes = [rhs.size for rhs in problem._rhs]
-        self.row_groups = list(zip(accumulate(sizes[:-1], initial=0), sizes, problem._pieces))
+        self.problem, self._layout = problem, problem._frozen()
+        self.coo, self.b, self.row_groups = self._layout.coo, np.concatenate(problem._rhs), self._layout.row_groups
+        recs, (psd, (self.scalar_idx, intervals)) = list(problem._blocks.values()), self._layout.cones
+
+        def caps(members):
+            return [np.repeat(recs[i].cap[None], count, axis=0) for i, count in members]
+
+        self.psd_groups = [(d, idx, np.concatenate(caps(members)), counts) for d, idx, members, counts in psd]
+        self.scalar_caps = np.concatenate([np.zeros(0)] + [c.ravel() for c in caps(intervals)])
         one = self if at_one is None else _Data(at_one)
         if one is not self and not self.same_matrix_and_cones(one):
             raise ValueError("the family's constraint matrix or cones depend on its weight")
         self.db = one.b - self.b
         self.caps = sum(float(c.sum()) for _, _, c, _ in self.psd_groups) + float(self.scalar_caps.sum())
         terms = sum(len(c) + 4 * d for d, _, c, _ in self.psd_groups) + self.scalar_caps.size
-        eps, self.norm_a = np.finfo(float).eps, math.sqrt(self.coo[2] @ self.coo[2])
+        eps, self.norm_a = np.finfo(float).eps, self._layout.norm_a
         self.rounding = ((len(self.b) + 2) * eps * (self.norm_a * self.caps + np.linalg.norm(self.b)
                                                    + np.linalg.norm(self.db)), terms * eps * self.caps)
 
+    def factorization(self):
+        """The layout's :attr:`_Layout.factorization`, made on the first call for it."""
+        return self._layout.factorization
+
     def same_matrix_and_cones(self, other: _Data) -> bool:
         """The same triplets of A, and the same cones on the same coordinates, with caps
-        equal up to the rounding of caps derived from data."""
+        equal up to the rounding of caps derived from data; on one layout, only the
+        caps are compared."""
         ours, theirs = ([g[:3] for g in data.psd_groups] + [(1, data.scalar_idx, data.scalar_caps)]
                         for data in (self, other))
+        if self._layout is other._layout:
+            return all(np.allclose(c, k, rtol=1e-12, atol=0.0) for (_, _, c), (_, _, k) in zip(ours, theirs))
         return all(map(np.array_equal, self.coo, other.coo)) and len(ours) == len(theirs) and all(
             d == e and np.array_equal(i, j) and np.allclose(c, k, rtol=1e-12, atol=0.0)
             for (d, i, c), (e, j, k) in zip(ours, theirs))
@@ -812,7 +970,9 @@ class _Projector(_Data):
     certificate attempt and the least-norm solution act stack by stack, so
     no touched x rank or rows x rank matrix exists above ``_DENSE_BASIS``,
     and every coordinate outside the stacks passes the affine step unchanged.
-    Given a :class:`_Data`, it factorizes those data, not read again.
+    The factorization is the layout's (:meth:`_Data.factorization`), made by
+    the first projector on it; each projector solves only its x_part and dx.
+    Given a :class:`_Data`, it projects those data, not read again.
 
     A family is factorized once, with the columns b and db, so
     x_part(lam) = x_part + lam dx; :meth:`at` gives a member and
@@ -828,16 +988,10 @@ class _Projector(_Data):
             vars(self).update(vars(problem))
         else:
             super().__init__(problem, at_one)
-        (r, c, v), b, n = self.coo, self.b, self.problem.n_vars
-        touched = np.bincount(c, minlength=n) > 0
-        cols = np.flatnonzero(touched)
-        local = (np.cumsum(touched) - 1)[c]  # each entry's column among the touched ones
-        stacks, sol = _row_space((r, local, v), (b.size, cols.size), np.column_stack([b, self.db]),
-                                 max(b.size, n) * np.finfo(float).eps)
-        self.stacks = [(rows, cols[at], vs, ws) for rows, at, vs, ws in stacks]
-        x_part, self.dx = np.zeros((2, n))
-        x_part[cols], self.dx[cols] = sol.T
-        self._place(self.problem, b, x_part)
+        self.stacks, parts = self.factorization()
+        sol = _least_norm(parts, np.column_stack([self.b, self.db]), self.problem.n_vars)
+        x_part, self.dx = np.ascontiguousarray(sol.T)
+        self._place(self.problem, self.b, x_part)
 
     def _place(self, problem: SdpProblem, b: np.ndarray, x_part: np.ndarray) -> None:
         self.problem, self.b, self.x_part = problem, b, x_part
@@ -1340,11 +1494,12 @@ def threshold_search(build: Callable[[float], SdpProblem], tols: Tolerances | No
     ``build`` gives a monotone family whose weight enters only the
     right-hand side, affinely (as :func:`joint_problem` writes it at
     ``weights`` (w, w, ...)).  The family is built at 0 and 1 and factorized
-    once; the factorization lives as long as the search.  Its member at 1/2
-    is built too, and a family whose constraint matrix or cones differ at 0,
-    1/2 and 1, or whose b(1/2) lies off b(0) + db / 2 by more than rounding,
-    raises ``ValueError``: a family affine only in its matrix and cones would
-    certify the threshold of another one.  Each probe is one
+    once; the factorization lives as long as its layout.  Its member at 1/2
+    is built too (a :func:`joint_problem` family builds only b and the caps
+    at 1/2 and 1, on the layout of 0), and a family whose constraint matrix
+    or cones differ at 0, 1/2 and 1, or whose b(1/2) lies off b(0) + db / 2
+    by more than rounding, raises ``ValueError``: a family affine only in its
+    matrix and cones would certify the threshold of another one.  Each probe is one
     :func:`solve_feasibility` of its member, started at the final iterate
     of the last feasible probe; a certified probe hands
     :func:`bisect_threshold` its functional's crossing as an upper end.

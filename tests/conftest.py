@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from qincompat import Observable, margins_of, mub_qubit, process, sharp_observable
+from qincompat import Observable, margins_of, mub_qubit, process, sdpcore, sharp_observable
 from qincompat.sdpcore import joint_problem
+
+
+@pytest.fixture(autouse=True)
+def fresh_layouts():
+    # each test starts with no joint layout kept, so that a factorization made under
+    # another test's patches is never read
+    sdpcore._joint_layout.cache_clear()
 
 
 @pytest.fixture
@@ -74,3 +81,23 @@ def joint_tester_problem(t1, t2, weights=None):
     ``tester_degree`` builds its member at ``weights``."""
     margins, factors = process._margins(t1, t2)
     return joint_problem(margins, weights, factors=factors)
+
+
+def count_row_spaces(monkeypatch) -> dict[str, int]:
+    """Counts of :func:`sdpcore._row_space` calls from now on, inside a face's build and outside one."""
+    counts, inside, row_space, face = {"face": 0, "problem": 0}, [], sdpcore._row_space, sdpcore._Face.__init__
+
+    def spy_row_space(*args):
+        counts["face" if inside else "problem"] += 1
+        return row_space(*args)
+
+    def spy_face(self, *args):
+        inside.append(True)
+        try:
+            face(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sdpcore, "_row_space", spy_row_space)
+    monkeypatch.setattr(sdpcore._Face, "__init__", spy_face)
+    return counts

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import qincompat as q
-from qincompat.cli import EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, _boundary_lam2, _code, main
+from conftest import count_row_spaces
+from qincompat import sdpcore
+from qincompat.cli import EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, _boundary_lam2, _code, _region_rows, main
 from qincompat.sdpcore import SolveResult, Verdict, bisect_threshold
 
 
@@ -65,12 +67,14 @@ def test_malformed_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["check-joint", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
-    # a dimension that is not an integer, and outcomes that are not a list, are
-    # malformed (3), not a certified infeasible verdict (1) from a TypeError
+    # a dimension that is not an integer, outcomes that are not a list, and fewer
+    # outcome labels than effects are malformed (3), not a certified infeasible
+    # verdict (1) from a TypeError
     tester = json.loads(q.serialize(q.prepare_measure_tester(np.eye(2) / 2, q.sharp_observable(np.eye(2)))))
     obs = json.loads(q.serialize(q.sharp_observable(np.eye(2))))
     for name, command, edit in (("tester.json", "process", {"in_dim": 2.0}),
-                                ("outcomes.json", "check-joint", {"outcomes": 5})):
+                                ("outcomes.json", "check-joint", {"outcomes": 5}),
+                                ("labels.json", "process", {"outcomes": [0]})):
         path = tmp_path / name
         path.write_text(json.dumps({**(tester if command == "process" else obs), **edit}))
         assert main([command, str(path), str(path)]) == 3
@@ -126,6 +130,21 @@ def test_region_command(xz_paths, tmp_path, capsys):
     rows = dict(tuple(line.rsplit(",", 1)) for line in lines[1:])
     assert rows["0.000000,0.000000"].startswith("FEASIBLE")
     assert rows["1.000000,1.000000"].startswith("INFEASIBLE")
+
+
+def test_region_grid_is_factorized_once(mub3, monkeypatch):
+    # every point of a region grid has one layout, so its problem is factorized once for
+    # the 441 points; the 41 points with a weight 1 have sharp margins, whose kernels
+    # expose a face, a problem of its own.  Feasible up to the disc, as at the parent:
+    # row i (the first weight) holds FEASIBLE[i] feasible points, then certified ones
+    counts = count_row_spaces(monkeypatch)
+    x, _, z = mub3
+    rows = _region_rows([x, z], np.linspace(0, 1, 21), q.NoiseClass.UNIFORM_NOISE, q.DEFAULT_TOLS)
+    assert counts == {"face": 41, "problem": 1}
+    assert sdpcore._joint_layout.cache_info().misses == 1
+    feasible = [21, 20, 20, 20, 20, 20, 20, 19, 19, 18, 18, 17, 17, 16, 15, 14, 13, 11, 9, 7, 1]
+    want = [v for k in feasible for v in ["FEASIBLE"] * k + ["INFEASIBLE_CERTIFIED"] * (21 - k)]
+    assert [verdict for _, verdict in rows] == want
 
 
 def test_region_json_has_one_object_per_point(xz_paths, capsys):

@@ -240,6 +240,14 @@ def test_instrument(rng):
     assert np.trace(total.apply(rho)).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_instrument_refuses_mismatched_outcome_labels(rng):
+    # as Observable does: two operations with one label raise at construction
+    blocks = q.Instrument.from_kraus_ops([_root(e)[None] for e in q.random_povm(2, 2, rng).effects]).choi_blocks
+    with pytest.raises(ValueError, match="outcome labels"):
+        q.Instrument(blocks, 2, 2, outcomes=("a",))
+    assert q.Instrument(blocks, 2, 2, outcomes=("a", "b")).outcomes == ("a", "b")
+
+
 def test_induced_observable_traces_each_block(rng):
     # one stacked partial trace gives the per-block loop's effects, bit for bit
     weights = (0.25, 0.75)

@@ -352,7 +352,7 @@ def test_only_threshold_search_solves_inside_sdpcore():
     assert calls_by_function(source, "solve_feasibility") == ["threshold_search"]
 
 
-LAYOUT = ("_blocks", "_chunks", "_rhs", "_pieces")
+LAYOUT = ("_blocks", "_chunks", "_rhs", "_pieces", "_layout")
 
 
 def layout_reads(source: str) -> list[str]:
@@ -370,14 +370,17 @@ def test_scan_finds_layout_reads():
     source = ("class SdpProblem:\n    def f(self):\n        self._rhs.append(1)\n        return self._blocks\n"
               "def g(p):\n    p._rhs = [1]\n    return p._pieces[0], p.blocks, p._rhs_x\n"
               "class _Projector:\n    def at(self, m):\n        m._rhs = []\n        return len(m._chunks)\n"
-              "n = len(q._blocks)\n")
+              "n = len(q._blocks)\n"
+              "class _Data:\n    def f(self, p):\n        self._layout = p._frozen()\n        return self._layout.coo\n"
+              "def h(data):\n    return data._layout.factorization, data.layout\n")
     assert layout_reads(source) == ["<module>._blocks", "SdpProblem._blocks", "SdpProblem._rhs",
-                                    "_Projector._chunks", "g._pieces"]
+                                    "_Data._layout", "_Projector._chunks", "g._pieces", "h._layout"]
 
 
 def test_only_the_problem_and_its_data_read_the_layout():
     # _Data groups the cones and row groups once; every check, step and the face read
-    # it, so a change of the record layout is made in two places only
+    # it, so a change of the record layout is made in two places only.  The shared
+    # layout (_layout), with its read-only arrays and factorization, stays there too
     source = (PACKAGE / "sdpcore.py").read_text(encoding="utf-8")
     assert [read for read in layout_reads(source) if read.split(".")[0] not in ("SdpProblem", "_Data")] == []
 

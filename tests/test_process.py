@@ -81,6 +81,13 @@ def test_mismatched_xi_instantly_infeasible(prep0_z):
     assert q.check_tester_pair(prep0_z, matching).solve.feasible
 
 
+def test_tester_refuses_mismatched_outcome_labels(prep0_z):
+    # as Observable does: two effects with one label raise at construction
+    with pytest.raises(ValueError, match="outcome labels"):
+        q.Tester(prep0_z.effects, 2, 2, outcomes=(0,))
+    assert q.Tester(prep0_z.effects, 2, 2, outcomes=("u", "v")).outcomes == ("u", "v")
+
+
 def test_degree_floor(rng, prep0_z):
     assert q.tester_degree(prep0_z, prep0_z).value == pytest.approx(1.0, abs=1e-9)
     for _ in range(3):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import qincompat as q
 import qincompat.linalg as la
-from conftest import near_parallel_povm, pair_problem, rand_herm, recheck_functional, joint_tester_problem
+from conftest import (count_row_spaces, near_parallel_povm, pair_problem, rand_herm, recheck_functional,
+                      joint_tester_problem)
 from qincompat import chancompat, obschan, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
@@ -1031,11 +1032,15 @@ def test_size_caps_raise_before_building(case, message, monkeypatch):
 @pytest.mark.parametrize("name", PROJECTOR_CASES)
 def test_dense_and_stacked_bases_agree(name, monkeypatch):
     # either side of the _DENSE_BASIS crossover gives the same affine step and
-    # the same multipliers
-    prob = PROJECTOR_CASES[name]()
+    # the same multipliers; a layout is factorized once, so each side builds its own
+    def fresh():
+        sdpcore._joint_layout.cache_clear()
+        return PROJECTOR_CASES[name]()
+
     monkeypatch.setattr(sdpcore, "_DENSE_BASIS", np.inf)
-    dense = _Projector(prob)
+    dense = _Projector(fresh())
     monkeypatch.setattr(sdpcore, "_DENSE_BASIS", -1)
+    prob = fresh()
     stacked = _Projector(prob)
     assert len(dense.stacks) == 1 and dense.stacks[0][2].ndim == 2
     assert np.array_equal(projector_basis(dense)[0] != 0, projector_basis(stacked)[0] != 0)
@@ -1045,6 +1050,115 @@ def test_dense_and_stacked_bases_agree(name, monkeypatch):
         assert np.abs(got - want).max() <= 1e-13 * (1 + np.abs(want).max())
         want, got = dense.multipliers(x), stacked.multipliers(x)
         assert np.abs(got - want).max() <= 1e-13 * (1 + np.abs(want).max())
+
+
+# --- layout memo ---------------------------------------------------------------
+
+def _memo_cases():
+    """Every ASSEMBLY_CASES and PROJECTOR_CASES build, as a problem."""
+    cases = {f"assembly_{name}": (lambda build=build: build()[0]) for name, build in ASSEMBLY_CASES.items()}
+    cases.update({f"projector_{name}": build for name, build in PROJECTOR_CASES.items()})
+    return cases
+
+
+MEMO_CASES = _memo_cases()
+
+
+def records_equal(one: SdpProblem, two: SdpProblem) -> bool:
+    """The same records, caps bitwise equal."""
+    return list(one._blocks) == list(two._blocks) and all(
+        a._replace(cap=None) == b._replace(cap=None) and np.array_equal(a.cap, b.cap)
+        and a.cap.dtype == b.cap.dtype for a, b in zip(one._blocks.values(), two._blocks.values()))
+
+
+@pytest.mark.parametrize("name", MEMO_CASES)
+def test_a_memo_hit_is_the_same_problem(name):
+    # a joint problem built again shares its layout, factorized by the first solve; built
+    # after the memo is cleared, it is made afresh.  Both have the same triplets, b,
+    # caps and records, bit for bit, and solve alike.  A hand-built problem owns its layout
+    build, tols = MEMO_CASES[name], q.Tolerances(max_iter=50)
+    first = build()
+    solve_feasibility(first, tols)
+    misses = sdpcore._joint_layout.cache_info().misses
+    hit = build()
+    assert sdpcore._joint_layout.cache_info().misses == misses
+    assert (hit._frozen() is first._frozen()) == (misses > 0)
+    sdpcore._joint_layout.cache_clear()
+    fresh = build()
+    assert fresh._frozen() is not hit._frozen()
+    (coo, b), (ref_coo, ref_b) = hit._triplets(), fresh._triplets()
+    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(coo, ref_coo))
+    assert np.array_equal(b, ref_b) and np.array_equal(np.signbit(b), np.signbit(ref_b))
+    assert records_equal(hit, fresh) and hit._frozen().row_groups == fresh._frozen().row_groups
+    got, want = solve_feasibility(hit, tols), solve_feasibility(fresh, tols)
+    assert (got.verdict, got.iterations, got.message) == (want.verdict, want.iterations, want.message)
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        assert list(got.witness) == list(want.witness)
+        assert all(np.array_equal(got.witness[k], want.witness[k]) for k in got.witness)
+    assert (got.certificate is None) == (want.certificate is None)
+    if got.certificate is not None:
+        assert np.array_equal(got.certificate.multipliers, want.certificate.multipliers)
+
+
+def test_every_key_element_builds_a_new_layout(rng):
+    # the layout is keyed on the factors, each margin's (axes, keep, on, device shape)
+    # and the noise class; the devices, weights and caps change only the caps and b
+    rho = rand_psd(rng, 4, trace=1.0)
+    obs2, obs3 = random_povm(2, 2, rng).effects, random_povm(2, 3, rng).effects
+    questions = {
+        "base": lambda: joint_problem([(rho, (), (0, 1), ())], factors=(2, 2, 2)),
+        "factors": lambda: joint_problem([(rho, (), (0, 1), ())], factors=(2, 2, 3)),
+        "keep": lambda: joint_problem([(rho, (), (1, 2), ())], factors=(2, 2, 2)),
+        "on": lambda: joint_problem([(rho, (), (0, 1), (1,))], factors=(2, 2, 2)),
+        "axes": lambda: joint_problem([(obs2, (0,), (0,), ()), (obs3, (1,), (0,), ())], factors=(2,)),
+        "swapped_axes": lambda: joint_problem([(obs2, (1,), (0,), ()), (obs3, (0,), (0,), ())], factors=(2,)),
+        "shape": lambda: joint_problem([obs2, obs2]),
+        **{f"noise_{c.value}": lambda c=c: joint_problem([obs2, obs2], (0.5, 0.5), noise=c) for c in q.NoiseClass},
+    }
+    layouts = {name: build()._frozen() for name, build in questions.items()}
+    assert len({id(layout) for layout in layouts.values()}) == len(questions)
+    assert sdpcore._joint_layout.cache_info().misses == len(questions)
+    # other devices, weights and caps on one key share its layout
+    assert joint_problem([(2 * rho, (), (0, 1), ())], factors=[2, 2, 2])._frozen() is layouts["base"]
+    other = random_povm(2, 2, rng).effects
+    assert joint_problem([other, obs2], (0.7, 0.2), noise=q.NoiseClass.ARBITRARY_NOISE)._frozen() is (
+        layouts["noise_arbitrary"])
+
+
+def test_shared_layout_arrays_are_read_only(sharp_x, sharp_z):
+    prob = joint_problem([sharp_x.effects, sharp_z.effects], (0.6, 0.6))
+    proj = _Projector(prob)
+    layout = prob._frozen()
+    psd, (interval_idx, _) = layout.cones
+    shared = [*layout.coo, interval_idx, *(a for _, idx, _, counts in psd for a in (idx, counts)),
+              *(a for stacks in layout.factorization for stack in stacks for a in stack)]
+    assert proj.coo is layout.coo and len(shared) > 10
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_the_layout_memo_evicts_the_least_recently_used():
+    bound = sdpcore._JOINT_LAYOUTS
+    povms = [random_povm(2, m, np.random.default_rng(m)).effects for m in range(2, bound + 3)]
+    first = joint_problem(povms[:1])._frozen()
+    for effects in povms[1:]:
+        joint_problem([effects])
+    info = sdpcore._joint_layout.cache_info()
+    assert (info.currsize, info.misses) == (bound, bound + 1)
+    assert joint_problem(povms[:1])._frozen() is not first  # evicted, built again
+    assert joint_problem(povms[-1:])._frozen() is joint_problem(povms[-1:])._frozen()
+
+
+def test_one_layout_is_factorized_once(rng, monkeypatch):
+    # two families of noisy POVMs of one shape: full-rank effects expose no face, so
+    # both checks solve the joint problem itself, on the first check's factorization
+    counts = count_row_spaces(monkeypatch)
+    first, second = ([mix_with_trivial(random_povm(2, 3, rng), 0.7) for _ in range(2)] for _ in range(2))
+    results = [check_joint(first), check_joint(second)]
+    assert counts == {"face": 0, "problem": 1}
+    assert all(r.verdict in (Verdict.FEASIBLE, Verdict.INFEASIBLE_CERTIFIED) for r in results)
 
 
 def array_bytes(proj) -> int:
@@ -1162,8 +1276,7 @@ def test_components_match_dense_svd(rng, case, monkeypatch):
         return out
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    stacks, _ = sdpcore._row_space(_triplets_of(a), a.shape, np.zeros((a.shape[0], 1)),
-                                   max(a.shape) * np.finfo(float).eps)
+    stacks, _ = sdpcore._row_space(_triplets_of(a), a.shape, max(a.shape) * np.finfo(float).eps)
     vr, mult = densified(stacks, a.shape)
     assert len(found) == len({(r.shape[1], c.shape[1]) for r, c in found})
     assert len(spectra) == len({(r.shape[1], c.shape[1]) for r, c in found if r.size and c.size})
@@ -1193,7 +1306,7 @@ def test_equal_components_are_factorized_once(rng, monkeypatch):
         return svd(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    stacks, _ = sdpcore._row_space(_triplets_of(a), a.shape, np.zeros((18, 1)), 30 * np.finfo(float).eps)
+    stacks, _ = sdpcore._row_space(_triplets_of(a), a.shape, 30 * np.finfo(float).eps)
     assert shapes == [(3, 5, 3)]  # wide, so factorized transposed
     vr, mult = densified(stacks, a.shape)
     want = svd_reference(a, np.zeros(18))[0]
@@ -1204,7 +1317,8 @@ def test_equal_components_are_factorized_once(rng, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(0, 3), (2, 3), (0, 0)])
 def test_row_space_of_zero_matrices_is_empty(shape):
-    stacks, sol = sdpcore._row_space(_triplets_of(np.zeros(shape)), shape, np.ones((shape[0], 2)), 1e-12)
+    stacks, parts = sdpcore._row_space(_triplets_of(np.zeros(shape)), shape, 1e-12)
+    sol = sdpcore._least_norm(parts, np.ones((shape[0], 2)), shape[1])
     vr, mult = densified(stacks, shape)
     assert vr.shape == (shape[1], 0) and mult.shape == (shape[0], 0)
     assert sol.shape == (shape[1], 2) and not sol.any()
@@ -1232,6 +1346,7 @@ def test_channel_pair_factorization_is_blockwise(monkeypatch):
     # shapes are wide, so their stacks are factorized transposed, and each
     # holds one distinct matrix, factorized once.  The channels have full-rank
     # Choi matrices, so the data expose no face and the whole pair is factorized
+    sdpcore._joint_layout.cache_clear()  # a layout kept from an earlier build is factorized already
     shapes, inside = [], []
     svd, row_space = np.linalg.svd, sdpcore._row_space
 
