@@ -33,10 +33,10 @@ from .obscompat import (CommutatorReport, Compatibility, JointObservable,
                         jordan_criterion, margins_of, mur_test, postprocessing_order,
                         region_membership, squared_weight_criterion,
                         unsharpness)
-from .chancompat import (DivisionReport, NoiseClass, broadcastable_states, channel_division,
+from .chancompat import (NoiseClass, broadcastable_states, channel_division,
                          check_channel_pair, conjugate_compat_check,
                          robustness, state_marginal_feasible)
-from .obschan import (NddrReport, SequentialResult,
+from .obschan import (NddrReport,
                       check_obs_channel, least_disturbing_channel,
                       luders_instrument, nddr_test, rank1_channel_form_check,
                       sequential_recover)
@@ -76,10 +76,10 @@ __all__ = [
     "check_coexistent", "WeakCoexistenceReport", "check_weakly_coexistent",
     "OrderReport", "postprocessing_order",
     "check_channel_pair", "broadcastable_states",
-    "DivisionReport", "channel_division", "conjugate_compat_check",
+    "channel_division", "conjugate_compat_check",
     "NoiseClass", "robustness", "state_marginal_feasible",
     "check_obs_channel", "luders_instrument",
-    "least_disturbing_channel", "SequentialResult", "sequential_recover",
+    "least_disturbing_channel", "sequential_recover",
     "rank1_channel_form_check", "NddrReport", "nddr_test",
     "CrosscheckReport", "deterministic_strategies",
     "assemblage_from", "max_entangled_assemblage", "check_lhs",

@@ -9,35 +9,17 @@ question here is again an affine-plus-PSD feasibility problem.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg as la
-from .config import DEFAULT_TOLS, Tolerances
-from .devices import (
-    Channel,
-    Observable,
-    State,
-    choi_compose,
-    conjugate_channel,
-)
-from .obscompat import Compatibility, _decide, _search, check, margins_of
-from .sdpcore import (
-    MAX_BLOCK_SIDE,
-    Decision,
-    NoiseClass,
-    SdpProblem,
-    partial_trace_map,
-    real_linear_map,
-    solve_feasibility,
-    vec_of,
-)
+from .config import Tolerances
+from .devices import Channel, Observable, State, conjugate_channel
+from .obscompat import Compatibility, OrderReport, _decide, _search, check, margins_of, postprocessing_order
+from .sdpcore import NoiseClass
 
 __all__ = [
     "check_channel_pair",
     "broadcastable_states",
-    "DivisionReport",
     "channel_division",
     "conjugate_compat_check",
     "NoiseClass",
@@ -71,64 +53,13 @@ def broadcastable_states(states, atol: float = 1e-10) -> bool:
 
 # === division preorder =======================================================
 
-@dataclass(frozen=True)
-class DivisionReport(Decision):
-    """Outcome of a channel division: the deciding solve, and the factor when below."""
-
-    factor: Channel | None = None
-    residual: float = 0.0
-
-    @property
-    def below(self) -> bool:
-        """True exactly when the deciding solve found a factor."""
-        return self.feasible
-
-
-def _compose_map(j_first: np.ndarray, din: int, dmid: int, dout: int) -> np.ndarray:
-    """Row-major matrix of Choi(E) -> Choi(E o first), built as the transpose of
-    its adjoint Y -> sum_ij J[j, n, i, m] Y[i, o, j, p], J = Choi(first) on
-    (din, dmid, din, dmid): one BLAS product per slice of basis matrices."""
-    a = j_first.reshape(din, dmid, din, dmid)
-
-    def adjoint(y):
-        y = y.reshape(-1, din, dout, din, dout)
-        out = np.tensordot(y, a, axes=([1, 3], [2, 0]))  # (., o, p, n, m)
-        return out.transpose(0, 4, 1, 3, 2).reshape(-1, dmid * dout, dmid * dout)
-
-    return real_linear_map(adjoint, din * dout, dmid * dout).T
-
-
 def channel_division(chan: Channel, through: Channel,
-                     tols: Tolerances | None = None) -> DivisionReport:
-    """Is ``chan`` a post-processing of ``through``?
+                     tols: Tolerances | None = None) -> OrderReport:
+    """Is ``chan`` a post-processing of ``through``: chan = E o through for a channel E?
 
-    Feasibility of a channel E with chan = E o through; the report carries
-    the deciding solve, and the factor E when it exists.  Composition against
-    a fixed first channel is linear in the Choi matrix of E.
+    :func:`obscompat.postprocessing_order` of the pair; its ``factor`` is E.
     """
-    tols = tols or DEFAULT_TOLS
-    if chan.in_dim != through.in_dim:
-        raise ValueError("channels must share the input dimension")
-    din = chan.in_dim
-    dmid = through.out_dim
-    dout = chan.out_dim
-    side = dmid * dout
-    if side > MAX_BLOCK_SIDE:
-        raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
-    j_through = through.choi()
-    prob = SdpProblem()
-    prob.add_psd_block("factor", side, trace_cap=float(dmid))
-    prob.add_equality({"factor": _compose_map(j_through, din, dmid, dout)}, vec_of(chan.choi()))
-    prob.add_equality(
-        {"factor": partial_trace_map((dmid, dout), (0,))}, vec_of(np.eye(dmid))
-    )
-    res = solve_feasibility(prob, tols)
-    if not res.feasible:
-        return DivisionReport(res)
-    factor = Channel.from_choi(res.witness["factor"], dmid, dout, atol=tols.witness_atol)
-    recon = choi_compose(j_through, factor.choi(), din, dmid, dout)
-    residual = float(np.abs(recon - chan.choi()).max())
-    return DivisionReport(res, factor, residual)
+    return postprocessing_order(chan, through, tols)
 
 
 def conjugate_compat_check(chan_a: Channel, chan_b: Channel,
@@ -160,18 +91,15 @@ def robustness(device_a, device_b, mode: NoiseClass = NoiseClass.ARBITRARY_NOISE
 
 # === state marginal problem ==================================================
 
-def state_marginal_feasible(rho_ab, rho_bc, dims, pure_required: bool = False,
-                            tols: Tolerances | None = None) -> Compatibility:
+def state_marginal_feasible(rho_ab, rho_bc, dims, tols: Tolerances | None = None) -> Compatibility:
     """Does a tripartite state have the two given overlapping marginals?
 
     ``dims`` = (dA, dB, dC).  Shared B marginals that disagree make the
     constraints inconsistent, which the solver certifies before iterating
     when the disagreement exceeds ``feas``; a smaller one is solved as usual.
-    Restricting to pure global states is a nonconvex constraint and is
-    rejected.
+    Restricting to pure global states is a nonconvex constraint, which this
+    convex problem does not ask.
     """
-    if pure_required:
-        raise ValueError("pure-state marginal problems are nonconvex and unsupported")
     da, db, dc = dims
     rho_ab = np.asarray(rho_ab, dtype=complex)
     rho_bc = np.asarray(rho_bc, dtype=complex)

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .chancompat import DivisionReport, channel_division
-from .config import DEFAULT_TOLS, Tolerances
+from .chancompat import channel_division
+from .config import Tolerances
 from .devices import Channel, Instrument, Observable, naimark_dilate, random_unitary
 from .obscompat import Compatibility, OrderReport, check, postprocessing_order
-from .sdpcore import MAX_BLOCK_SIDE, Decision, SdpProblem, Verdict, real_linear_map, solve_feasibility, vec_of
+from .sdpcore import Verdict, real_linear_map
 
 __all__ = [
-    "SequentialResult",
     "NddrReport",
     "check_obs_channel",
     "luders_instrument",
@@ -70,45 +69,18 @@ def least_disturbing_channel(obs: Observable) -> Channel:
     return Channel(kraus)
 
 
-@dataclass(frozen=True)
-class SequentialResult(Decision):
-    """Outcome of a sequential measurement recovery search."""
-
-    observable: Observable | None = None
-
-
 def sequential_recover(first: Observable, second: Observable,
-                       tols: Tolerances | None = None) -> SequentialResult:
+                       tols: Tolerances | None = None) -> OrderReport:
     """Find a follow-up observable reproducing ``second`` after ``first``.
 
-    Searches for an observable B on the output of the least disturbing
-    channel of ``first`` with tr[Lambda(rho) B(y)] = tr[rho second(y)] for
-    all states.  In the Heisenberg picture that is the linear constraint
-    sum_x V^dag P_x B(y) P_x V = second(y).  Feasible exactly when the two
-    observables are jointly measurable, which is the operational content
-    of the least disturbing property.
+    :func:`obscompat.postprocessing_order` of ``second`` after the least
+    disturbing channel of ``first``: its ``factor`` is an observable B on
+    that channel's output with tr[Lambda(rho) B(y)] = tr[rho second(y)] for
+    all states.  Feasible exactly when the two observables are jointly
+    measurable, which is the operational content of the least disturbing
+    property.
     """
-    tols = tols or DEFAULT_TOLS
-    if first.dim != second.dim:
-        raise ValueError("observables must share one dimension")
-    d, n = first.dim, second.n_outcomes
-    side = d * first.n_outcomes
-    if side > MAX_BLOCK_SIDE or n > MAX_BLOCK_SIDE:
-        raise ValueError(f"problem too large: block side {side}, {n} outcomes")
-
-    dil = naimark_dilate(first)
-    v, projs = dil.isometry, dil.projections
-    heis = real_linear_map(lambda b: sum(v.conj().T @ (p @ b @ p) @ v for p in projs), side, d)
-
-    prob = SdpProblem()
-    prob.add_psd_block("rec", side, trace_cap=float(side), lead=(n,))
-    prob.add_equality({"rec": (1.0, np.arange(n)[None])}, vec_of(np.eye(side, dtype=complex)))
-    prob.add_equality({"rec": (heis, np.arange(n)[:, None])}, vec_of(second.effects).ravel())
-
-    result = solve_feasibility(prob, tols)
-    if not result.feasible:
-        return SequentialResult(result)
-    return SequentialResult(result, Observable(result.witness["rec"], second.outcomes, atol=tols.witness_atol))
+    return postprocessing_order(second, least_disturbing_channel(first), tols)
 
 
 def rank1_channel_form_check(obs: Observable, chan: Channel,
@@ -167,7 +139,7 @@ class NddrReport:
     """
 
     order: OrderReport
-    division: DivisionReport
+    division: OrderReport
     transfer: tuple[bool | None, ...]
 
     @property

@@ -8,7 +8,9 @@ feasibility statement for a suitably noised family, solved by the projection
 engine in sdpcore.  :func:`check` asks the same question of any family of
 observables, channels and instruments on one input, whose margins
 :func:`margins_of` writes; the joint questions of every check module run
-through its solve path and one search path.
+through its solve path and one search path.  :func:`postprocessing_order`
+asks the other question, whether an observable or a channel is a component of
+another one, for every check module, through :func:`sdpcore.order_problem`.
 
 A joint observable is an array of effects on the product outcome grid, of
 shape ``(*counts, d, d)`` in C order (the order of ``itertools.product``,
@@ -26,19 +28,19 @@ import numpy as np
 
 from . import linalg as la
 from .config import DEFAULT_TOLS, Tolerances
-from .devices import Channel, Instrument, Observable, StochasticMatrix, binarize
+from .devices import Channel, Instrument, Observable, State, StochasticMatrix, binarize, choi_compose
 from .sdpcore import (
     MAX_GRID_POINTS,
     Decision,
     NoiseClass,
-    SdpProblem,
     ThresholdResult,
     Verdict,
     joint_problem,
     joint_witness,
+    order_factor,
+    order_problem,
     solve_feasibility,
     threshold_search,
-    vec_of,
 )
 
 __all__ = [
@@ -555,37 +557,56 @@ def check_weakly_coexistent(observables, tols: Tolerances | None = None) -> Weak
 
 @dataclass(frozen=True)
 class OrderReport(Decision):
-    witness: StochasticMatrix | None = None
+    """The answer to one order question: the deciding solve and, when below, the
+    ``factor`` F with target = F o source, typed by the pair (see
+    :func:`postprocessing_order`), and the ``residual`` of that factor."""
+
+    factor: StochasticMatrix | Channel | Observable | tuple[State, ...] | None = None
     residual: float = 0.0
 
     @property
     def below(self) -> bool:
-        """True exactly when the deciding solve found a witness."""
+        """True exactly when the deciding solve found a factor."""
         return self.feasible
 
 
-def postprocessing_order(obs1: Observable, obs2: Observable,
-                         tols: Tolerances | None = None) -> OrderReport:
-    """Is obs1 a classical post-processing of obs2?
+def postprocessing_order(target, source, tols: Tolerances | None = None) -> OrderReport:
+    """Is ``target`` a component (a post-processing) of ``source``: target = F o source
+    for some device F?
 
-    Feasibility of p(y|x) >= 0 with unit column sums and
-    obs1(y) = sum_x p(y|x) obs2(x); the witness matrix is returned.
+    Both are observables or channels on one input (else ``TypeError``), laid out
+    by :func:`margins_of` and asked by one :func:`sdpcore.order_problem`.  When
+    below, ``factor`` is F: for two observables p(y|x) as a
+    :class:`StochasticMatrix`, clipped and column-normalized; for two channels a
+    :class:`Channel`; for an observable after a channel an :class:`Observable`
+    B on the channel's output, B(y) = F(y)^T; and for a channel after an
+    observable (measure and prepare) one :class:`State` per source outcome.
+    ``residual`` is the largest entry of sum_x Choi(F o source_x) - target.
     """
     tols = tols or DEFAULT_TOLS
-    if obs1.dim != obs2.dim:
-        raise ValueError("observables must share one dimension")
-    m_out = obs1.n_outcomes
-    m_in = obs2.n_outcomes
-    prob = SdpProblem()
-    prob.add_scalar_block("p", m_out * m_in, cap=1.0)  # p[y * m_in + x] = p(y|x)
-    # row block y: sum_x p(y|x) vec obs2(x) = vec obs1(y); then one row per column sum
-    prob.add_equality({"p": np.kron(np.eye(m_out), vec_of(obs2.effects).T)}, vec_of(obs1.effects).ravel())
-    prob.add_equality({"p": np.kron(np.ones(m_out), np.eye(m_in))}, np.ones(m_in))
-    res = solve_feasibility(prob, tols)
+    if not all(isinstance(d, (Observable, Channel)) for d in (target, source)):
+        raise TypeError(f"an order question takes observables and channels, not "
+                        f"{type(target).__name__} and {type(source).__name__}")
+    margins, factors = margins_of((target, source))
+    res = solve_feasibility(order_problem(margins, factors), tols)
     if not res.feasible:
         return OrderReport(res)
-    mat = np.clip(res.witness["p"].reshape(m_out, m_in), 0.0, None)
-    mat /= mat.sum(axis=0, keepdims=True)
-    recon = np.einsum("yx,xab->yab", mat, obs2.effects)
-    residual = float(np.abs(recon - obs1.effects).max())
-    return OrderReport(res, StochasticMatrix(mat), residual)
+    f, atol = order_factor(res.witness), tols.witness_atol
+    dt, ds = (d.out_dim if isinstance(d, Channel) else 1 for d in (target, source))
+    if isinstance(target, Observable) and isinstance(source, Observable):
+        mat = np.clip(f[..., 0, 0].real, 0.0, None)
+        factor = StochasticMatrix(mat / mat.sum(axis=0, keepdims=True))
+        blocks = factor.matrix[..., None, None]
+    elif isinstance(source, Observable):
+        factor = tuple(State(m, atol=atol) for m in f[0])
+        blocks = np.stack([s.matrix for s in factor])[None]
+    elif isinstance(target, Observable):
+        factor = Observable(f[:, 0].swapaxes(1, 2), target.outcomes, atol=atol)
+        blocks = factor.effects.swapaxes(1, 2)[:, None]
+    else:
+        factor = Channel.from_choi(f[0, 0], ds, dt, atol=atol)
+        blocks = factor.choi()[None, None]
+    (tgt, *_), (src, *_) = margins
+    src = src.reshape((-1,) + src.shape[-2:])
+    recon = sum(choi_compose(s, blocks[:, x], factors[0], ds, dt) for x, s in enumerate(src))
+    return OrderReport(res, factor, float(np.abs(recon - tgt.reshape(recon.shape)).max()))

@@ -100,8 +100,9 @@ margin's rows are the pair ``(term, groups)`` of
 :meth:`SdpProblem.add_equality`, the partial trace onto the kept factors
 (:func:`partial_trace_map`) on each fibre of the grid, in one row group per
 margin whose pieces are the devices' blocks: the face step reads their
-kernels there.  Only the order questions (division, post-processing,
-sequential recovery) write their rows by hand.
+kernels there.  :func:`order_problem` writes the other question once, on
+the same margins: is one device a component of another, target = F o source
+for a device F?  These two builders write every problem but the faces'.
 A 1x1 PSD block is the scalar interval [0, cap]: it is clipped with the
 scalar blocks and checked as a scalar, and ``split`` still returns it as a
 1x1 matrix.
@@ -126,13 +127,14 @@ __all__ = [
     "SdpProblem",
     "joint_problem",
     "joint_witness",
+    "order_problem",
+    "order_factor",
     "SolveResult",
     "Decision",
     "Certificate",
     "ThresholdResult",
     "real_linear_map",
     "partial_trace_map",
-    "vec_of",
     "solve_feasibility",
     "verify_witness",
     "UpperEnd",
@@ -193,11 +195,6 @@ class _Block(NamedTuple):
     def interval(self) -> bool:
         """Scalar blocks and 1x1 PSD blocks: each coordinate lies in [0, cap]."""
         return self.kind == "scalar" or self.dim == 1
-
-
-def vec_of(matrix) -> np.ndarray:
-    """Real vectorization of a Hermitian matrix (row vector for constraints)."""
-    return la.hermitian_to_real_vec(np.asarray(matrix, dtype=complex))
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -324,6 +321,20 @@ def partial_trace_map(dims, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     re = total + i * total - i * (i + 1) // 2 + j - i - 1  # the real part of total entry (i, j), i < j
     cols = np.concatenate([at, re, re + total * (total - 1) // 2]).ravel()
     return np.repeat(np.arange(len(at) ** 2), at.shape[1]), cols, np.ones(cols.size)
+
+
+def _compose_map(j_first: np.ndarray, din: int, dmid: int, dout: int) -> np.ndarray:
+    """Row-major matrix of Choi(E) -> Choi(E o first), built as the transpose of
+    its adjoint Y -> sum_ij J[j, n, i, m] Y[i, o, j, p], J = Choi(first) on
+    (din, dmid, din, dmid): one BLAS product per slice of basis matrices."""
+    a = j_first.reshape(din, dmid, din, dmid)
+
+    def adjoint(y):
+        y = y.reshape(-1, din, dout, din, dout)
+        out = np.tensordot(y, a, axes=([1, 3], [2, 0]))  # (., o, p, n, m)
+        return out.transpose(0, 4, 1, 3, 2).reshape(-1, dmid * dout, dmid * dout)
+
+    return real_linear_map(adjoint, din * dout, dmid * dout).T
 
 
 class _Layout:
@@ -523,6 +534,16 @@ class SdpProblem:
         return x
 
 
+def _refuse_sizes(record: str, side: int, counts) -> None:
+    """The gate's size check, the same for every question: ``ValueError`` when the
+    blocks of ``record`` have a side, or its grid ``counts`` an axis, above ``MAX_BLOCK_SIDE``."""
+    most = max(counts, default=1)
+    if side > MAX_BLOCK_SIDE or most > MAX_BLOCK_SIDE:
+        over = f"{record} block side {side}" if side > MAX_BLOCK_SIDE else f"an axis of {most} outcomes"
+        raise ValueError(f"problem too large: block side {side}, {most} outcomes; {over} exceeds the cap "
+                         f"{MAX_BLOCK_SIDE}")
+
+
 def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = NoiseClass.TRIVIAL_NOISE) -> SdpProblem:
     """Joint device with the given margins: the one compatibility question.
 
@@ -586,10 +607,7 @@ def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = Noise
     counts, side = tuple(grid[a] for a in range(len(grid))), math.prod(factors)
     if math.prod(counts) > MAX_GRID_POINTS:
         raise ValueError(f"joint grid of {math.prod(counts)} outcome tuples exceeds the cap {MAX_GRID_POINTS}")
-    if side > MAX_BLOCK_SIDE:
-        raise ValueError(f"joint block side {side} exceeds the cap {MAX_BLOCK_SIDE}")
-    if max(counts, default=0) > MAX_BLOCK_SIDE:
-        raise ValueError(f"problem too large: block side {side}, {max(counts)} outcomes")
+    _refuse_sizes("joint", side, counts)
     uniform = weights is not None and noise is NoiseClass.UNIFORM_NOISE
     compatible = weights is not None and noise is NoiseClass.COMPATIBLE_NOISE
     if compatible and len(set(weights)) > 1:
@@ -623,17 +641,17 @@ def joint_problem(margins, weights=None, factors=None, noise: NoiseClass = Noise
     rhs = []  # b by row group, in the layout's order
     for k, (device, axes, keep, on) in enumerate(margins):
         pieces = math.prod(device.shape[:-2])
-        b = (1.0 if weights is None else weights[k]) * vec_of(device).ravel()
+        b = (1.0 if weights is None else weights[k]) * la.hermitian_to_real_vec(device).ravel()
         if uniform:
-            spread = vec_of(device.reshape((pieces,) + device.shape[-2:]).sum(axis=0) / pieces)
+            spread = la.hermitian_to_real_vec(device.reshape((pieces,) + device.shape[-2:]).sum(axis=0) / pieces)
             b = b + (1 - weights[k]) * np.tile(spread, pieces)
         rhs.append(b)
         if own_record:  # total trace 1 - w, or (1 - w) I on the input
             caps[f"n{k}"] = _cap("psd", f"n{k}", math.prod(factors[f] for f in (on if trivial else keep)),
                                  1.0 if trivial else cap)
-            rhs.append((1 - weights[k]) * vec_of(np.eye(1 if trivial else factors[0])))
+            rhs.append((1 - weights[k]) * la.hermitian_to_real_vec(np.eye(1 if trivial else factors[0])))
     if compatible:
-        rhs.append((1 - weights[0]) * vec_of(np.eye(factors[0])))
+        rhs.append((1 - weights[0]) * la.hermitian_to_real_vec(np.eye(factors[0])))
     shapes = tuple((axes, keep, on, device.shape) for device, axes, keep, on in margins)
     layout = _joint_layout(tuple(map(int, factors)), shapes, None if weights is None else noise)
     return SdpProblem._on(layout, caps, rhs)
@@ -696,6 +714,44 @@ def joint_witness(witness: dict[str, np.ndarray]) -> tuple[np.ndarray, tuple[np.
     records ``n{k}``, one stack per margin, or is ``None`` (no weights, or
     compatible noise)."""
     return witness["g"], tuple(witness[f"n{k}"] for k in range(len(witness)) if f"n{k}" in witness) or None
+
+
+def order_problem(margins, factors) -> SdpProblem:
+    """Is the target a component of the source: target = F o source for a device F?
+
+    ``margins`` and ``factors`` are those :func:`obscompat.margins_of` writes for
+    ``(target, source)``: stacks of Choi blocks on the input, factor 0, and the
+    outputs each device keeps (an observable has none).  F is the record
+    ``factor``, PSD blocks on source output x target output on the grid (target
+    outcome y, source outcome x), each with the trace cap of the source's output
+    dimension.  Rows: per y, sum_x Choi(F[y, x] o source_x) = target_y (the maps of
+    :func:`_compose_map` side by side); then per x, sum_y tr_out F[y, x] = I.
+    Before anything is built, ``ValueError`` refuses a block side or an outcome
+    axis above ``MAX_BLOCK_SIDE``, in the gate's words, and devices on two inputs.
+    """
+    (target, _, t_keep, _), (source, _, s_keep, _) = margins
+    din = factors[0]
+    dt, ds = (math.prod(factors[f] for f in keep[1:]) for keep in (t_keep, s_keep))
+    tgt, src = (np.asarray(m).reshape((-1,) + np.shape(m)[-2:]) for m in (target, source))
+    _refuse_sizes("factor", ds * dt, (len(tgt), len(src)))
+    for blocks, d in ((tgt, dt), (src, ds)):
+        if blocks.shape[-1] != din * d:
+            raise ValueError(f"the target and the source must share one input: blocks of side {din * d} "
+                             f"expected, not {blocks.shape[-1]}")
+    prob = SdpProblem()
+    at = prob._add("psd", "factor", ds * dt, float(ds), (len(tgt), len(src)))  # the blocks' offsets
+    comp, k = np.hstack([_compose_map(s, din, ds, dt) for s in src]), (din * dt) ** 2
+    prob._add_rows([_per_block(_entries("factor", comp, k, comp.shape[1:]), at[:, :1], k)],
+                   la.hermitian_to_real_vec(tgt).ravel(), len(tgt))
+    prob._add_rows([_per_block(partial_trace_map((ds, dt), (0,)), at.T, ds * ds)],
+                   np.tile(la.hermitian_to_real_vec(np.eye(ds)), len(src)), len(src))
+    return prob
+
+
+def order_factor(witness: dict[str, np.ndarray]) -> np.ndarray:
+    """The factor F of a solved :func:`order_problem`: the record ``factor``, of shape
+    ``(target outcomes, source outcomes, side, side)``."""
+    return witness["factor"]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import pytest
 
 import qincompat as q
 from conftest import pair_problem
-from qincompat import chancompat, sdpcore
+from qincompat import sdpcore
 from qincompat import linalg as la
 from qincompat.config import DEFAULT_TOLS, Tolerances
 from qincompat.sdpcore import Verdict
@@ -212,7 +212,7 @@ def test_compose_map_equals_probed_map(rng, din, dmid, dout):
     # the map built from its adjoint equals the probed forward map of
     # choi_compose, up to the summation order
     j = q.random_channel(din, dmid, rng).choi()
-    got = chancompat._compose_map(j, din, dmid, dout)
+    got = sdpcore._compose_map(j, din, dmid, dout)
     want = sdpcore.real_linear_map(lambda h: q.choi_compose(j, h, din, dmid, dout), dmid * dout, din * dout)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.abs(got - want).max() <= 1e-13
@@ -301,9 +301,3 @@ def test_state_marginal_shared_mismatch():
     rep = q.state_marginal_feasible(rho_ab, rho_bc, (2, 2, 2))
     assert rep.verdict is Verdict.INFEASIBLE_CERTIFIED
     assert rep.solve.iterations == 0
-
-
-def test_state_marginal_pure_rejected():
-    prod = np.eye(4) / 4
-    with pytest.raises(ValueError):
-        q.state_marginal_feasible(prod, prod, (2, 2, 2), pure_required=True)

@@ -1,15 +1,16 @@
 """Lint as a test: every name a package module imports is read in that module,
 every module-level private function or class is read somewhere in the package,
 every ``Tolerances`` field is read from a passed record, only sdpcore
-spells the names of the joint device's blocks, no other module names a
-block or a witness key by an f-string, only sdpcore drives a
+spells the names of the joint device's and the factor's records, no other
+module names a block or a witness key by an f-string, only sdpcore drives a
 bisection, only ``sdpcore._certificate`` makes a certificate, only the
 dense witness check assembles A, ``real_linear_map`` gains no caller,
 only ``threshold_search`` calls ``solve_feasibility`` inside sdpcore,
 only ``SdpProblem`` and ``_Data`` read a problem's layout, only
 ``devices`` mixes a device with noise, only sdpcore sets a ``MAX_*`` cap
-and only the shared solve and search paths ask ``joint_problem``; and a
-guard on what solving imports."""
+or writes a problem, only the shared solve and search paths ask
+``joint_problem`` and only ``postprocessing_order`` asks ``order_problem``;
+and a guard on what solving imports."""
 import ast
 import dataclasses
 import os
@@ -112,9 +113,10 @@ def test_every_tolerance_field_is_read_from_a_passed_record():
 
 def joint_block_names(source: str) -> list[int]:
     """Lines that spell the names ``sdpcore.joint_problem`` gives the joint
-    device's records: the string ``"g"``, or an f-string that starts ``g{`` or ``n{``."""
+    device's records, or ``sdpcore.order_problem`` its factor's: the string ``"g"``
+    or ``"factor"``, or an f-string that starts ``g{`` or ``n{``."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Constant) and node.value == "g"
+                   if isinstance(node, ast.Constant) and node.value in ("g", "factor")
                    or isinstance(node, ast.JoinedStr) and len(node.values) > 1
                    and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("g", "n")
                    and isinstance(node.values[1], ast.FormattedValue)})
@@ -123,13 +125,15 @@ def joint_block_names(source: str) -> list[int]:
 def test_scan_finds_joint_block_names():
     source = ('a = f"g{i}"\nb = f"n{k}_{x}"\nc = "g{i}"\nd = f"gap{i}"\n'
               'e = f"{g}"\nf = f"ng{i}"\ng = w[f"g{i}"] + f"{x:n}"\n'
-              'h = witness["g"]\ni = "g" in w\nj = w["gg"] + w[g] + w.g\n')
-    assert joint_block_names(source) == [1, 2, 7, 8, 9]
+              'h = witness["g"]\ni = "g" in w\nj = w["gg"] + w[g] + w.g\n'
+              'k = res.witness["factor"]\nm = w.factor + w["factors"]\n')
+    assert joint_block_names(source) == [1, 2, 7, 8, 9, 11]
 
 
 def test_only_sdpcore_names_joint_blocks():
-    # the layout of a joint device on its outcome grid is sdpcore's alone:
-    # other modules read it through sdpcore.joint_witness
+    # the layout of a joint device on its outcome grid, and of an order question's
+    # factor, is sdpcore's alone: other modules read them through sdpcore.joint_witness
+    # and sdpcore.order_factor
     spelled = {p.name for p in SOURCES if joint_block_names(p.read_text(encoding="utf-8"))}
     assert spelled == {"sdpcore.py"}
 
@@ -288,10 +292,10 @@ def test_scan_finds_calls_by_function():
 
 def test_real_linear_map_gains_no_caller():
     # the probed map costs in_dim calls of a dense basis slice; triplets written
-    # from indices replace it, and the three callers left are to go the same way
+    # from indices replace it, and the two callers left are to go the same way
     callers = [f"{p.stem}.{where}" for p in SOURCES
                for where in calls_by_function(p.read_text(encoding="utf-8"), "real_linear_map")]
-    assert callers == ["chancompat._compose_map", "obschan.rank1_channel_form_check", "obschan.sequential_recover"]
+    assert callers == ["obschan.rank1_channel_form_check", "sdpcore._compose_map"]
 
 
 def noise_mixers(sources: dict[str, str]) -> list[str]:
@@ -337,12 +341,19 @@ def test_device_margins_are_written_in_one_place():
     assert askers == ["obscompat._decide", "obscompat._search"]
 
 
-def test_only_the_order_questions_write_a_problem():
-    # every compatibility question builds through sdpcore.joint_problem; the
-    # order questions, whose maps compose a device, write their rows by hand
+def test_order_questions_are_asked_in_one_place():
+    # obscompat.postprocessing_order lays out an order question's pair by margins_of
+    # and asks sdpcore.order_problem; channel division and sequential recovery call it
+    askers = sorted(f"{p.stem}.{where}" for p in SOURCES if p.name != "sdpcore.py"
+                    for where in calls_by_function(p.read_text(encoding="utf-8"), "order_problem"))
+    assert askers == ["obscompat.postprocessing_order"]
+
+
+def test_only_sdpcore_writes_a_problem():
+    # every question builds through sdpcore.joint_problem or sdpcore.order_problem
     writers = [f"{p.stem}.{where}" for p in SOURCES if p.name != "sdpcore.py"
                for where in calls_by_function(p.read_text(encoding="utf-8"), "SdpProblem")]
-    assert writers == ["chancompat.channel_division", "obschan.sequential_recover", "obscompat.postprocessing_order"]
+    assert writers == []
 
 
 def test_only_threshold_search_solves_inside_sdpcore():

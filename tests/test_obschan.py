@@ -100,7 +100,7 @@ def test_sequential_recover_compatible(sharp_x, sharp_z):
     second = noisy(sharp_z, 0.5)
     res = q.sequential_recover(first, second)
     assert res.feasible
-    rec = res.observable
+    rec = res.factor
     assert rec is not None
     # the recovered observable acts after the first measurement branch
     assert rec.dim == q.least_disturbing_channel(first).out_dim
@@ -164,3 +164,19 @@ def test_nddr_undecided_order_is_not_consistent(rng):
     rep = q.nddr_test(coarse, fine, rng=rng, samples=2, tols=Tolerances(feas=1e-18, max_iter=20))
     assert rep.order.verdict is Verdict.UNDECIDED
     assert rep.consistent is None
+
+
+def test_measure_and_prepare_order_matches_the_rank1_form(rng):
+    # a channel after a rank-one observable is a component of it exactly when it
+    # measures it and prepares one state per outcome
+    for i in range(20):
+        obs = q.sharp_observable(q.random_unitary(2, rng))
+        if i % 2 == 0:
+            states = [q.random_state(3, rng) for _ in range(2)]
+            choi = sum(np.kron(e.T, s.matrix) for e, s in zip(obs.effects, states))
+            chan = q.Channel.from_choi(choi, 2, 3)
+        else:
+            chan = q.random_channel(2, 3, rng)
+        rep = q.postprocessing_order(chan, obs)
+        assert rep.verdict is not Verdict.UNDECIDED
+        assert rep.below == q.rank1_channel_form_check(obs, chan) == (i % 2 == 0)

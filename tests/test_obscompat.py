@@ -499,7 +499,7 @@ def test_postprocessing_order(sharp_z):
     rep = q.postprocessing_order(noisy(sharp_z, 0.5), sharp_z)
     assert rep.below
     want = np.array([[0.75, 0.25], [0.25, 0.75]])
-    assert np.abs(rep.witness.matrix - want).max() < 1e-6
+    assert np.abs(rep.factor.matrix - want).max() < 1e-6
     assert not q.postprocessing_order(sharp_z, noisy(sharp_z, 0.5)).below
 
 
@@ -528,3 +528,55 @@ def test_order_reflexive_with_nearly_parallel_effects(theta):
 def test_order_report_takes_its_solve_first():
     with pytest.raises(TypeError):
         q.OrderReport(True)
+
+
+def _order_pairs():
+    x = q.sharp_observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    z = q.sharp_observable(np.eye(2))
+    deph, ident = q.diag_channel(dim=2), q.identity_channel(2)
+    return {
+        # a channel after an observable measures and prepares: one state per outcome
+        "dephasing after Z": (deph, z, Verdict.FEASIBLE, tuple),
+        # no information without disturbance: the identity keeps what Z destroys
+        "identity after Z": (ident, z, Verdict.INFEASIBLE_CERTIFIED, type(None)),
+        "Z after dephasing": (z, deph, Verdict.FEASIBLE, q.Observable),
+        "X after dephasing": (x, deph, Verdict.INFEASIBLE_CERTIFIED, type(None)),
+        "X after identity": (x, ident, Verdict.FEASIBLE, q.Observable),
+        "coin after Z": (q.trivial_observable([0.3, 0.7], 2), z, Verdict.FEASIBLE, q.StochasticMatrix),
+        "depolarizing after X": (q.depolarizing_channel(2), x, Verdict.FEASIBLE, tuple),
+        "dephasing after identity": (deph, ident, Verdict.FEASIBLE, q.Channel),
+    }
+
+
+ORDER_PAIRS = _order_pairs()
+
+
+@pytest.mark.parametrize("name", ORDER_PAIRS)
+def test_order_pairs(name):
+    # observables and channels on either side: one order question, its factor typed by
+    # the pair, and its residual that of the returned factor
+    target, source, verdict, kind = ORDER_PAIRS[name]
+    rep = q.postprocessing_order(target, source)
+    assert rep.verdict is verdict and isinstance(rep.factor, kind)
+    if verdict is Verdict.INFEASIBLE_CERTIFIED:
+        assert rep.solve.iterations == 0
+        return
+    assert rep.residual < q.DEFAULT_TOLS.witness_atol
+    if isinstance(rep.factor, tuple):  # one state per outcome of the source
+        assert len(rep.factor) == source.n_outcomes and all(isinstance(s, q.State) for s in rep.factor)
+        choi = sum(np.kron(e.T, s.matrix) for e, s in zip(source.effects, rep.factor))
+        assert np.abs(choi - target.choi()).max() < q.DEFAULT_TOLS.witness_atol
+    elif isinstance(rep.factor, q.Observable):  # the observable after the channel: its Heisenberg image
+        heisenberg = np.einsum("kai,yab,kbj->yij", source.kraus.conj(), rep.factor.effects, source.kraus)
+        assert rep.factor.dim == source.out_dim
+        assert np.abs(heisenberg - target.effects).max() < q.DEFAULT_TOLS.witness_atol
+
+
+def test_order_refuses_other_devices(sharp_z):
+    inst = q.luders_instrument(sharp_z)
+    tester = q.prepare_measure_tester(np.eye(2) / 2, sharp_z)
+    for target, source in ((inst, sharp_z), (sharp_z, inst), (tester, sharp_z)):
+        with pytest.raises(TypeError):
+            q.postprocessing_order(target, source)
+    with pytest.raises(ValueError, match="share one input"):
+        q.postprocessing_order(sharp_z, q.identity_channel(3))

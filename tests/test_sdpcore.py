@@ -19,7 +19,7 @@ from qincompat.process import check_tester_pair, prepare_measure_tester
 from qincompat.sdpcore import (Certificate, SdpProblem, SolveResult, UpperEnd, Verdict, _components,
                                _Projector, bisect_threshold, joint_problem, joint_witness,
                                partial_trace_map, real_linear_map, solve_feasibility,
-                               threshold_search, vec_of, verify_witness)
+                               threshold_search, verify_witness)
 from qincompat.steering import check_lhs, max_entangled_assemblage
 
 
@@ -81,7 +81,7 @@ def compose_case(din, dmid, dout):
 
 def heisenberg_case(rng, monkeypatch):
     x, _, z = q.mub_qubit()
-    return captured_map(monkeypatch, obschan, lambda: obschan.sequential_recover(x, z))
+    return captured_map(monkeypatch, sdpcore, lambda: obschan.sequential_recover(x, z))
 
 
 def kron_case(rng, monkeypatch):
@@ -257,7 +257,7 @@ def test_assemble_split(rng):
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=2.0)
     prob.add_scalar_block("p", 2, cap=1.0)
-    prob.add_equality({"x": 1.0}, vec_of(np.eye(3) / 3))
+    prob.add_equality({"x": 1.0}, la.hermitian_to_real_vec(np.eye(3) / 3))
     a, b = prob.assemble()
     assert a.shape[1] == prob.n_vars == 9 + 2
     x = np.arange(prob.n_vars, dtype=float)
@@ -426,7 +426,7 @@ def joint_by_definition(margins, weights=None):
     n{k}[x] lifted by (x) I when weighted, equal w_k M_k(x); per weighted k,
     the noise blocks' traces sum to 1 - w_k.  Terms are keyed by block
     (:func:`block_at`)."""
-    lift = vec_of(np.eye(margins[0].shape[-1]))[:, None]
+    lift = la.hermitian_to_real_vec(np.eye(margins[0].shape[-1]))[:, None]
     combos = list(itertools.product(*(range(len(m)) for m in margins)))
     equalities = []
     for k, m in enumerate(margins):
@@ -435,10 +435,30 @@ def joint_by_definition(margins, weights=None):
             terms = {("g", t): 1.0 for t in combos if t[k] == x}
             if weights is not None:
                 terms[(f"n{k}", (x,))] = -lift
-            equalities.append((terms, w * vec_of(m[x])))
+            equalities.append((terms, w * la.hermitian_to_real_vec(m[x])))
         if weights is not None:
             equalities.append(({(f"n{k}", (x,)): np.ones((1, 1)) for x in range(len(m))}, (1 - w) * np.array([1.0])))
     return joint_problem(margins, weights), equalities
+
+
+def order_by_definition(target, source):
+    """The problem of ``postprocessing_order(target, source)`` and its ``(terms, rhs)``
+    from the definition: per target outcome y, the blocks F[y, x] composed after
+    source_x by ``q.choi_compose``, the map probed on the basis (:func:`basis_loop`),
+    summed over x equal target_y; per source outcome x, the blocks F[y, x] traced over
+    the target's output (:func:`trace_map`) sum to I.  The devices' blocks are their
+    margins of ``q.margins_of((target, source))``; terms are keyed by block."""
+    prob = built_problem(obscompat, lambda: q.postprocessing_order(target, source))
+    (tgt, *_), (src, *_) = q.margins_of((target, source))[0]
+    din = target.dim if isinstance(target, q.Observable) else target.in_dim
+    dt, ds = (d.out_dim if isinstance(d, q.Channel) else 1 for d in (target, source))
+    tgt, src = tgt.reshape(-1, din * dt, din * dt), src.reshape(-1, din * ds, din * ds)
+    maps = [basis_loop(lambda f, s=s: q.choi_compose(s, f, din, ds, dt), ds * dt, din * dt) for s in src]
+    equalities = [({("factor", (y, x)): maps[x] for x in range(len(src))}, la.hermitian_to_real_vec(tgt[y]))
+                  for y in range(len(tgt))]
+    equalities += [({("factor", (y, x)): trace_map((ds, dt), (0,)) for y in range(len(tgt))},
+                    la.hermitian_to_real_vec(np.eye(ds))) for x in range(len(src))]
+    return prob, equalities
 
 
 _TRACE_MAPS = {}
@@ -450,7 +470,8 @@ def trace_map(dims, keep):
     key = (tuple(dims), tuple(keep))
     if key not in _TRACE_MAPS:
         n = math.prod(dims)
-        cols = [vec_of(la.partial_trace(la.real_vec_to_hermitian(np.eye(n * n)[i : i + n], n), dims, keep))
+        cols = [la.hermitian_to_real_vec(la.partial_trace(la.real_vec_to_hermitian(np.eye(n * n)[i : i + n], n),
+                                                          dims, keep))
                 for i in range(0, n * n, n)]
         _TRACE_MAPS[key] = np.concatenate(cols).T
     return _TRACE_MAPS[key]
@@ -482,17 +503,18 @@ def joint_by_partial_trace(margins, factors, weights=None, noise=q.NoiseClass.TR
                 terms.update({("ng", t): -trace for t in fibre})
             elif weights is not None and not uniform:
                 terms[(f"n{k}", x)] = -trace_map(dims, [keep.index(f) for f in own]).T
-            rhs = w * vec_of(device[x])
+            rhs = w * la.hermitian_to_real_vec(device[x])
             if uniform:
-                rhs = rhs + (1 - w) * vec_of(device.reshape((-1,) + device.shape[-2:]).sum(axis=0) / len(outcomes))
+                total = device.reshape((-1,) + device.shape[-2:]).sum(axis=0)
+                rhs = rhs + (1 - w) * la.hermitian_to_real_vec(total / len(outcomes))
             equalities.append((terms, rhs))
         if weights is not None and not (compatible or uniform):
             own_dims, to = [factors[f] for f in own], () if trivial else (0,)
-            eye = vec_of(np.eye(math.prod(own_dims[i] for i in to)))
+            eye = la.hermitian_to_real_vec(np.eye(math.prod(own_dims[i] for i in to)))
             equalities.append(({(f"n{k}", x): trace_map(own_dims, to) for x in outcomes}, (1 - w) * eye))
     if weights is not None and compatible:
         equalities.append(({("ng", t): trace_map(factors, (0,)) for t in combos},
-                           (1 - weights[0]) * vec_of(np.eye(factors[0]))))
+                           (1 - weights[0]) * la.hermitian_to_real_vec(np.eye(factors[0]))))
     return prob, equalities
 
 
@@ -531,12 +553,13 @@ def _assembly_cases():
         "lhs": lambda: joint_by_definition(max_entangled_assemblage([x, z]).blocks),
         "tester": lambda: joint_by_partial_trace(*process._margins(*testers)),
         "tester_weighted": lambda: joint_by_partial_trace(*process._margins(*testers), (0.6, 1.0)),
-        "division": lambda: recorded(lambda: built_problem(chancompat, lambda: chancompat.channel_division(
-            chan, q.conjugate_channel(chan)))),
-        "sequential": lambda: recorded(lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z))),
+        "division": lambda: order_by_definition(chan, q.conjugate_channel(chan)),
+        "sequential": lambda: order_by_definition(z, q.least_disturbing_channel(x)),
         # groups of three blocks and of one, on a stack of three
-        "sequential_3": lambda: recorded(lambda: built_problem(obschan, lambda: obschan.sequential_recover(
-            first3, second3))),
+        "sequential_3": lambda: order_by_definition(second3, q.least_disturbing_channel(first3)),
+        # the other two pairs, on grids of 3 x 4 and 1 x 3 blocks
+        "order": lambda: order_by_definition(first3, obs4),
+        "measure_prepare": lambda: order_by_definition(chan, obs),
         "coefficients": lambda: recorded(_coefficient_problem),
     }
     for mode in CHANNEL_NOISE:
@@ -559,16 +582,22 @@ def _assembly_cases():
 
 
 ASSEMBLY_CASES = _assembly_cases()
+PROBED_ORDER_CASES = ("division", "sequential", "sequential_3", "order", "measure_prepare")
 
 
 @pytest.mark.parametrize("name", ASSEMBLY_CASES)
 def test_assemble_equals_per_term_writer(name):
     # the triplet store gives the (A, b) that the terms passed in write one
-    # at a time, bit for bit, signed zeros included
+    # at a time, bit for bit, signed zeros included; an order problem's
+    # composition maps, written from their adjoint, equal the maps probed
+    # from choi_compose up to the rounding of either
     prob, equalities = ASSEMBLY_CASES[name]()
     a, b = prob.assemble()
     ref_a, ref_b = assemble_by_term(prob, equalities)
-    assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
+    if name in PROBED_ORDER_CASES:
+        assert np.all(np.abs(a - ref_a) <= 4 * np.finfo(float).eps * np.abs(ref_a).max())
+    else:
+        assert np.array_equal(a, ref_a) and np.array_equal(np.signbit(a), np.signbit(ref_a))
     assert np.array_equal(b, ref_b) and np.array_equal(np.signbit(b), np.signbit(ref_b))
 
 
@@ -576,14 +605,14 @@ def test_block_groups_are_rebuilt_when_a_block_is_added():
     prob = SdpProblem()
     prob.add_psd_block("x", 2, trace_cap=2.0)
     prob.add_scalar_block("p", 2)
-    prob.add_equality({"x": 1.0}, vec_of(np.eye(2) / 2))
+    prob.add_equality({"x": 1.0}, la.hermitian_to_real_vec(np.eye(2) / 2))
     prob.add_equality({"p": 1.0}, np.array([0.25, 0.5]))
     assert solve_feasibility(prob).feasible
     # a block of an existing group's size, added after a split and a solve
     prob.split(np.zeros(prob.n_vars))
     prob.add_psd_block("y", 2, trace_cap=1.0)
     target = np.array([[0.5, 0.25j], [-0.25j, 0.25]])
-    prob.add_equality({"y": 1.0}, vec_of(target))
+    prob.add_equality({"y": 1.0}, la.hermitian_to_real_vec(target))
     parts = prob.split(np.arange(prob.n_vars, dtype=float))
     blk = prob.block("y")
     assert np.array_equal(parts["y"], la.real_vec_to_hermitian(
@@ -613,7 +642,7 @@ def test_joint_problem_fibres(rng):
         for i, t in enumerate(combos):
             want = np.eye(4) if t[k] == x else np.zeros((4, 4))
             assert np.array_equal(a[4 * r : 4 * r + 4, 4 * i : 4 * i + 4], want)
-        assert np.array_equal(b[4 * r : 4 * r + 4], vec_of(margins[k][x]))
+        assert np.array_equal(b[4 * r : 4 * r + 4], la.hermitian_to_real_vec(margins[k][x]))
 
 
 @pytest.mark.parametrize("weights", [None, (0.6,) * 10], ids=["plain", "weighted"])
@@ -750,7 +779,7 @@ def test_unit_psd_block_is_a_scalar_interval(rng):
                 prob.add_psd_block(f"n{i}", 1, trace_cap=cap)
             else:
                 prob.add_scalar_block(f"n{i}", 1, cap=cap)
-        prob.add_equality({"x": vec_of(np.eye(2))[None, :], "n0": np.ones((1, 1))},
+        prob.add_equality({"x": la.hermitian_to_real_vec(np.eye(2))[None, :], "n0": np.ones((1, 1))},
                           np.array([1.0]))
         return prob
 
@@ -841,13 +870,13 @@ def _projector_cases():
         "channel_pair_d2": lambda: pair_problem(chan, chan3),
         "channel_pair_d3": lambda: pair_problem(
             q.identity_channel(3), q.identity_channel(3)),
-        "division": lambda: built_problem(chancompat, lambda: chancompat.channel_division(
+        "division": lambda: built_problem(obscompat, lambda: chancompat.channel_division(
             chan, q.conjugate_channel(chan3))),
         "state_marginal": lambda: built_problem(obscompat, lambda: chancompat.state_marginal_feasible(
             prod, prod, (2, 2, 2))),
         "order": lambda: built_problem(obscompat, lambda: obscompat.postprocessing_order(
             q.binarize(fine, [0, 1]), fine)),
-        "sequential": lambda: built_problem(obschan, lambda: obschan.sequential_recover(x, z)),
+        "sequential": lambda: built_problem(obscompat, lambda: obschan.sequential_recover(x, z)),
     }
     for mode in CHANNEL_NOISE:
         name = "obs_channel_" + (mode.value if mode else "plain")
@@ -861,7 +890,7 @@ def _projector_cases():
     for g in (1e-4, 3e-8):
         pair = _nearly_constant_pair(g, rng)
         cases[f"division_nearly_constant_{g:g}"] = lambda pair=pair: built_problem(
-            chancompat, lambda: chancompat.channel_division(*pair))
+            obscompat, lambda: chancompat.channel_division(*pair))
     povm16 = random_povm(16, 2, rng)
     cases["order_tall"] = lambda: built_problem(obscompat, lambda: obscompat.postprocessing_order(
         povm16, povm16))
@@ -986,7 +1015,7 @@ def test_partial_trace_builds_probe_no_map(name, monkeypatch):
         if mod_name.split(".")[0] == "qincompat" and hasattr(module, "real_linear_map"):
             monkeypatch.setattr(module, "real_linear_map", refuse)
             patched.add(module)
-    assert {sdpcore, chancompat, obschan} <= patched
+    assert {sdpcore, obschan} <= patched
     prob = PARTIAL_TRACE_BUILDS[name]()
     assert prob._m > 0
 
@@ -996,6 +1025,8 @@ def test_partial_trace_builds_probe_no_map(name, monkeypatch):
     ("channel_pair", "joint block side 72 exceeds the cap 64"),
     ("obs_channel", "block side 4, 65 outcomes"),
     ("sequential", "block side 66, 2 outcomes"),
+    ("postprocessing_order", "block side 1, 65 outcomes"),
+    ("channel_division", "factor block side 72 exceeds the cap 64"),
     ("lhs", "joint grid of 8192 outcome tuples exceeds the cap 4096"),
     ("steering_degree", "joint grid of 8192 outcome tuples exceeds the cap 4096"),
     ("tester_pair", "joint grid of 4160 outcome tuples exceeds the cap 4096"),
@@ -1013,6 +1044,8 @@ def test_size_caps_raise_before_building(case, message, monkeypatch):
         "channel_pair": lambda: q.check_channel_pair(q.random_channel(2, 6, rng), q.random_channel(2, 6, rng)),
         "obs_channel": lambda: q.check_obs_channel(random_povm(2, 65, rng), q.identity_channel(2)),
         "sequential": lambda: q.sequential_recover(random_povm(2, 33, rng), random_povm(2, 2, rng)),
+        "postprocessing_order": lambda: q.postprocessing_order(random_povm(2, 65, rng), random_povm(2, 2, rng)),
+        "channel_division": lambda: q.channel_division(q.random_channel(2, 9, rng), q.random_channel(2, 8, rng)),
         "lhs": lambda: check_lhs(max_entangled_assemblage([sx] * 13)),
         "steering_degree": lambda: q.steering_degree([sx] * 13),
         "tester_pair": lambda: check_tester_pair(*testers),
@@ -1330,7 +1363,7 @@ def test_zero_row_is_decided_by_its_right_hand_side(rhs, verdict):
     # side shows in the residual: 0 = 1 is an empty affine set
     prob = SdpProblem()
     prob.add_psd_block("x", 2, trace_cap=2.0)
-    prob.add_equality({"x": vec_of(np.eye(2))}, np.array([1.0]))
+    prob.add_equality({"x": la.hermitian_to_real_vec(np.eye(2))}, np.array([1.0]))
     prob.add_equality({"x": np.zeros((1, 4))}, np.array([rhs]))
     proj = _Projector(prob)
     assert projector_basis(proj)[0].shape[1] == 1
@@ -1412,7 +1445,7 @@ def test_feasible_pinned_block(rng):
     target = rand_psd(rng, 3, trace=1.5)
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=2.0)
-    prob.add_equality({"x": 1.0}, vec_of(target))
+    prob.add_equality({"x": 1.0}, la.hermitian_to_real_vec(target))
     res = solve_feasibility(prob)
     assert res.verdict is Verdict.FEASIBLE
     assert np.abs(res.witness["x"] - target).max() < 1e-6
@@ -1421,7 +1454,7 @@ def test_feasible_pinned_block(rng):
 def test_infeasible_inconsistent_rows():
     prob = SdpProblem()
     prob.add_psd_block("x", 2, trace_cap=2.0)
-    row = vec_of(np.eye(2))[None, :]
+    row = la.hermitian_to_real_vec(np.eye(2))[None, :]
     prob.add_equality({"x": row}, np.array([1.0]))
     prob.add_equality({"x": row.copy()}, np.array([1.5]))
     res = solve_feasibility(prob)
@@ -1436,7 +1469,7 @@ def test_infeasible_cone_separated(rng):
     assert la.min_eig(m) == pytest.approx(-0.4, abs=1e-12)
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=10.0)
-    prob.add_equality({"x": 1.0}, vec_of(m))
+    prob.add_equality({"x": 1.0}, la.hermitian_to_real_vec(m))
     res = solve_feasibility(prob)
     assert res.verdict is Verdict.INFEASIBLE_CERTIFIED
     assert res.certificate is not None
@@ -1460,7 +1493,7 @@ def test_mixed_blocks_feasible(rng):
     prob.add_psd_block("x", 2, trace_cap=1.0)
     prob.add_scalar_block("p", 2, cap=1.0)
     prob.add_equality({"p": np.ones((1, 2))}, np.array([1.0]))
-    row = vec_of(np.eye(2))[None, :]
+    row = la.hermitian_to_real_vec(np.eye(2))[None, :]
     prob.add_equality({"x": row, "p": -np.ones((1, 2))}, np.array([0.0]))
     res = solve_feasibility(prob)
     assert res.feasible
@@ -1493,7 +1526,7 @@ def test_random_infeasible_instances():
         m -= (la.min_eig(m) + rng.uniform(0.2, 1.0)) * np.eye(d)
         prob = SdpProblem()
         prob.add_psd_block("x", d, trace_cap=float(d))
-        prob.add_equality({"x": 1.0}, vec_of(m))
+        prob.add_equality({"x": 1.0}, la.hermitian_to_real_vec(m))
         res = solve_feasibility(prob)
         assert res.verdict is Verdict.INFEASIBLE_CERTIFIED, f"trial {trial}: {res.verdict}"
 
@@ -1502,7 +1535,7 @@ def test_verify_witness_rejects_corruption(rng):
     target = rand_psd(rng, 3, trace=1.0)
     prob = SdpProblem()
     prob.add_psd_block("x", 3, trace_cap=2.0)
-    prob.add_equality({"x": 1.0}, vec_of(target))
+    prob.add_equality({"x": 1.0}, la.hermitian_to_real_vec(target))
     res = solve_feasibility(prob)
     bad = dict(res.witness)
     bad["x"] = bad["x"] + 0.1 * np.eye(3)
@@ -1522,7 +1555,7 @@ def test_verify_witness_stacked_matches_block_loop(rng):
     lo = np.linalg.eigvalsh(witness[f"g{bad}"])[0]
     witness[f"g{bad}"] = witness[f"g{bad}"] - (lo + 1.5 * slack) * np.eye(2)
     total = sum(witness.values())
-    prob.add_equality(dict.fromkeys(witness, 1.0), vec_of(total))
+    prob.add_equality(dict.fromkeys(witness, 1.0), la.hermitian_to_real_vec(total))
     ok, report = verify_witness(prob, witness)
     want = min(la.min_eig(w) for w in witness.values())
     assert not ok
@@ -1710,7 +1743,7 @@ def _criterion_10(count):
             other = mix_with_trivial(random_povm(2, 2, rng), rng.uniform(0.4, 1.0))
             chan = q.luders_instrument(other).total_channel()
         yield pair_problem(m, chan)
-        yield built_problem(chancompat, lambda: q.channel_division(chan, q.least_disturbing_channel(m)))
+        yield built_problem(obscompat, lambda: q.channel_division(chan, q.least_disturbing_channel(m)))
 
 
 def test_criterion_10_evidence_holds_unreduced(monkeypatch):
@@ -1937,7 +1970,7 @@ def test_testers_at_degree_floor_never_certified(seed, outcomes, same_probe, fra
 def test_start_is_validated(rng):
     prob = SdpProblem()
     prob.add_psd_block("x", 2, trace_cap=2.0)
-    prob.add_equality({"x": 1.0}, vec_of(np.eye(2) / 2))
+    prob.add_equality({"x": 1.0}, la.hermitian_to_real_vec(np.eye(2) / 2))
     for bad in (np.zeros(3), np.zeros((1, 4)), np.array([0.0, np.nan, 0.0, 0.0]),
                 np.array([np.inf, 0.0, 0.0, 0.0])):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qincompat as q
+import qincompat.linalg as la
 from conftest import joint_tester_problem, pair_problem, recheck_functional
 from qincompat import chancompat, obscompat, process, sdpcore, steering
 from qincompat.config import DEFAULT_TOLS
@@ -128,13 +129,13 @@ def test_family_with_weight_in_the_matrix_is_rejected():
     def build(lam):
         prob = SdpProblem()
         prob.add_psd_block("x", 2, trace_cap=1.0)
-        prob.add_equality({"x": (1 + lam) * sdpcore.vec_of(np.eye(2))}, np.array([1.0]))
+        prob.add_equality({"x": (1 + lam) * la.hermitian_to_real_vec(np.eye(2))}, np.array([1.0]))
         return prob
 
     def capped(lam):  # the cones, too, must not depend on the weight
         prob = SdpProblem()
         prob.add_psd_block("x", 2, trace_cap=1.0 + lam)
-        prob.add_equality({"x": sdpcore.vec_of(np.eye(2))}, np.array([1.0]))
+        prob.add_equality({"x": la.hermitian_to_real_vec(np.eye(2))}, np.array([1.0]))
         return prob
 
     for family in (build, capped):
