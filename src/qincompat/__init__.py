@@ -20,7 +20,7 @@ from .devices import (Channel, Instrument, NaimarkDilation, Observable,
                       sharp_observable, tensor_channel, transpose_observable,
                       trivial_observable, unitary_channel, werner_cloner)
 from .sdpcore import (Certificate, Decision, SdpProblem, SolveResult,
-                      ThresholdResult, UpperEnd, Verdict, bisect_threshold,
+                      ThresholdResult, UpperEnd, LowerEnd, Verdict, bisect_threshold,
                       solve_feasibility, threshold_search, verify_witness)
 from .obscompat import (CommutatorReport, Compatibility, JointObservable,
                         JordanReport, MurReport, NoiseMode,
@@ -65,7 +65,7 @@ __all__ = [
     "diag_channel", "conjugate_channel", "ctrl_unitary_selfconjugate",
     "werner_cloner", "cloner_marginal_coefficient", "random_state",
     "random_unitary", "random_povm", "random_channel",
-    "Verdict", "SdpProblem", "SolveResult", "Decision", "ThresholdResult", "UpperEnd",
+    "Verdict", "SdpProblem", "SolveResult", "Decision", "ThresholdResult", "UpperEnd", "LowerEnd",
     "Certificate", "solve_feasibility", "verify_witness", "bisect_threshold", "threshold_search",
     "NoiseMode", "Compatibility", "margins_of", "check", "check_joint", "build_toss_joint",
     "build_postprocess_joint", "region_membership", "degree_of_compatibility",

@@ -82,7 +82,10 @@ infeasible iterates drift along the gap direction and never seed a start).
 A certified probe's multipliers y hold for every member, as A is fixed, so
 its bounded gap y.b(lam) - inf_cones <A^T y, .> + bound is affine in lam: it
 excludes every weight above the root of gap = -feas, :func:`bisect_threshold`
-drops the bracket's top to that root and approaches it from below.
+drops the bracket's top to that root and approaches it from below.  The
+bottom rises to certified lower ends: a member's affine point mixed with the
+witness at weight 0 solves the member at a lower weight exactly, and counts
+once the witness check accepts it (:class:`_LowerEnds`).
 
 Every compatibility question asks whether one device has the given devices
 as its parts, and :func:`joint_problem` writes it once.  The joint device is
@@ -138,6 +141,7 @@ __all__ = [
     "solve_feasibility",
     "verify_witness",
     "UpperEnd",
+    "LowerEnd",
     "bisect_threshold",
     "threshold_search",
 ]
@@ -335,6 +339,15 @@ def _compose_map(j_first: np.ndarray, din: int, dmid: int, dout: int) -> np.ndar
         return out.transpose(0, 4, 1, 3, 2).reshape(-1, dmid * dout, dmid * dout)
 
     return real_linear_map(adjoint, din * dout, dmid * dout).T
+
+
+def _compositions(src: np.ndarray, din: int, ds: int, dt: int) -> np.ndarray:
+    """The maps of :func:`_compose_map` for the source blocks ``src``, side by side.  Between
+    two observables (ds = dt = 1) F[y, x] is a scalar whose column is vec(source_x), written
+    as it is, with no probe of the map."""
+    if ds == dt == 1:
+        return la.hermitian_to_real_vec(src).T
+    return np.hstack([_compose_map(s, din, ds, dt) for s in src])
 
 
 class _Layout:
@@ -725,7 +738,7 @@ def order_problem(margins, factors) -> SdpProblem:
     ``factor``, PSD blocks on source output x target output on the grid (target
     outcome y, source outcome x), each with the trace cap of the source's output
     dimension.  Rows: per y, sum_x Choi(F[y, x] o source_x) = target_y (the maps of
-    :func:`_compose_map` side by side); then per x, sum_y tr_out F[y, x] = I.
+    :func:`_compositions`); then per x, sum_y tr_out F[y, x] = I.
     Before anything is built, ``ValueError`` refuses a block side or an outcome
     axis above ``MAX_BLOCK_SIDE``, in the gate's words, and devices on two inputs.
     """
@@ -740,7 +753,7 @@ def order_problem(margins, factors) -> SdpProblem:
                              f"expected, not {blocks.shape[-1]}")
     prob = SdpProblem()
     at = prob._add("psd", "factor", ds * dt, float(ds), (len(tgt), len(src)))  # the blocks' offsets
-    comp, k = np.hstack([_compose_map(s, din, ds, dt) for s in src]), (din * dt) ** 2
+    comp, k = _compositions(src, din, ds, dt), (din * dt) ** 2
     prob._add_rows([_per_block(_entries("factor", comp, k, comp.shape[1:]), at[:, :1], k)],
                    la.hermitian_to_real_vec(tgt).ravel(), len(tgt))
     prob._add_rows([_per_block(partial_trace_map((ds, dt), (0,)), at.T, ds * ds)],
@@ -1048,6 +1061,7 @@ class _Projector(_Data):
         sol = _least_norm(parts, np.column_stack([self.b, self.db]), self.problem.n_vars)
         x_part, self.dx = np.ascontiguousarray(sol.T)
         self._place(self.problem, self.b, x_part)
+        self.lower: _LowerEnds | None = None  # set only on a threshold search's members
 
     def _place(self, problem: SdpProblem, b: np.ndarray, x_part: np.ndarray) -> None:
         self.problem, self.b, self.x_part = problem, b, x_part
@@ -1146,8 +1160,12 @@ def _certificate(data: _Data, y: np.ndarray, tols: Tolerances) -> Certificate | 
     r, c, v = data.coo
     g = _apply((c, r, v), y, data.problem.n_vars)  # zero off the touched columns
     affine_value = float(y @ data.b)
-    cone_inf = data.cone_infimum(g)
     bound = float(data.rounding[0] * math.sqrt(y @ y) + data.rounding[1] * math.sqrt(g @ g))
+    # the infimum is a sum of caps times min(eigenvalue, 0), never positive: a y that fails
+    # without it fails with it, so no eigenvalue is computed for it
+    if not affine_value + bound < -tols.feas:
+        return None
+    cone_inf = data.cone_infimum(g)
     if not affine_value - cone_inf + bound < -tols.feas:  # a NaN gap never validates
         return None
     return Certificate(data.problem.split(g), affine_value, cone_inf, y, bound)
@@ -1376,7 +1394,11 @@ class _Face:
 
 def _run(proj: _Projector, tols: Tolerances, start: np.ndarray | None, spent: int = 0) -> SolveResult:
     """The iteration of :func:`solve_feasibility` on ``proj``'s problem from ``start``, with
-    what ``spent`` earlier iterations leave of the budget; its count includes them."""
+    what ``spent`` earlier iterations leave of the budget; its count includes them.
+
+    A threshold search's member carries the hook ``proj.lower`` (:class:`_LowerEnds`): it
+    sees the witness and final iterate of a FEASIBLE solve, and at each certificate
+    attempt the cone point, and a lower end it accepts there ends the solve ``UNDECIDED``."""
     # an empty affine set: r = A x_part - b has A^T r = 0 and r.b = -|r|^2, so r / |r|,
     # of gap -|r|, is tried as multipliers once |r| exceeds its rounding
     r, eps = math.sqrt(proj.residual @ proj.residual), np.finfo(float).eps
@@ -1398,12 +1420,17 @@ def _run(proj: _Projector, tols: Tolerances, start: np.ndarray | None, spent: in
             a_pt = proj.affine(pk)
             ok, _ = _check_point(proj, a_pt, _apply(proj.coo, a_pt, proj.b.size) - proj.b, tols)
             if ok:
-                return SolveResult(Verdict.FEASIBLE, proj.problem.split(a_pt), spent + it, res, iterate=x)
+                extra = 0 if proj.lower is None else proj.lower.decided(a_pt, x)
+                return SolveResult(Verdict.FEASIBLE, proj.problem.split(a_pt), spent + it + extra, res, iterate=x)
         # certificates are validated from the data, so an early attempt is safe: try at
         # iterations 1, 2, 4, ... and then every _ATTEMPT_SPACING iterations, and at the
-        # cap, with the multipliers of the gap's row-space part scaled to a unit functional
+        # cap, with the multipliers of the gap's row-space part scaled to a unit functional;
+        # a threshold search's member first mixes a lower end there (see _LowerEnds)
         if it == next_attempt or it == cap:
             next_attempt += min(it, _ATTEMPT_SPACING)
+            if proj.lower is not None and proj.lower.stops(pk):
+                return SolveResult(Verdict.UNDECIDED, None, spent + it, res, None,
+                                   "stopped at a checked lower end below the probe", x)
             y = proj.multipliers(pk - pl)
             cert = None if y is None else _certificate(proj, y, tols)
             if cert is not None:
@@ -1467,81 +1494,185 @@ class UpperEnd:
 
 
 @dataclass(frozen=True)
+class LowerEnd:
+    """A checked lower end: ``witness`` passes :func:`verify_witness` on the family's
+    member at ``at``, which may lie below or above the probe that found it."""
+
+    at: float
+    witness: dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
 class ThresholdResult:
     """Largest certified-feasible parameter of a monotone family.
 
     ``upper`` is the smallest certified upper end the search found, or
-    ``None`` when no probe returned one.
+    ``None`` when no probe returned one; ``lower`` is the lower end at
+    ``value``, or ``None`` when a plain ``True`` probe set it.
     """
 
     value: float
     history: tuple[tuple[float, bool], ...] = field(default=())
     upper: UpperEnd | None = None
+    lower: LowerEnd | None = None
 
 
-def bisect_threshold(feasible_at: Callable[[float], bool | UpperEnd], tol: float | None = None) -> ThresholdResult:
+def bisect_threshold(feasible_at: Callable[[float], bool | UpperEnd | LowerEnd],
+                     tol: float | None = None) -> ThresholdResult:
     """Bisection for the supremum of {lam : feasible_at(lam)} on [0, 1].
 
     ``feasible_at`` must be monotone (feasible below, infeasible above).  It
-    returns a bool, or an :class:`UpperEnd` for an infeasible probe whose
-    certificate excludes every weight above ``UpperEnd.at``; the bracket's
-    top then drops to that end.  While the top is a certified end, the next
-    probe is top - max(tol / 2, (top - bottom) / 4), so the search nears the
-    threshold from below, where warm starts converge fast, and a feasible
-    probe tol / 2 under the end finishes it; otherwise it is the midpoint.
-    The returned value brackets the true threshold from the feasible side,
-    so it is a certified-feasible underestimate within ``tol``, which must be
-    finite and positive.  The search also stops when the next probe would
-    round to an end of the bracket.  The monotonicity precondition is
-    checked on the observed evaluations; a feasible evaluation above an
-    infeasible one or above a certified end raises ``ValueError``.
+    returns a bool; an :class:`UpperEnd` for an infeasible probe whose
+    certificate excludes every weight above ``UpperEnd.at``, and the
+    bracket's top then drops to that end; or a :class:`LowerEnd`, a weight
+    shown feasible, to which the bracket's bottom rises (it may lie below the
+    probe, whose own weight is then neither feasible nor infeasible).  While
+    the top is a certified end, the next probe is top - max(tol / 2, (top -
+    bottom) / 6), so the search nears the threshold from below, where warm
+    starts converge fast, and a feasible probe tol / 2 under the end
+    finishes it; otherwise it is the midpoint.  The returned value brackets
+    the true threshold from the feasible side, so it is a certified-feasible
+    underestimate within ``tol``, which must be finite and positive.  The
+    search also stops when the next probe would round to an end of the
+    bracket, or when a probe moves neither end.  ``history`` holds one ``(weight, shown feasible)`` per probe.
+    The monotonicity precondition is checked on the observed evaluations: a
+    feasible evaluation or a lower end above an infeasible probe or above a
+    certified end raises ``ValueError``.
     """
     tol = DEFAULT_TOLS.bisect_tol if tol is None else tol
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"bisection tolerance {tol} must be finite and positive")
-    lo, hi = 0.0, 1.0
+    lo, hi, certified = 0.0, 1.0, False
     history: list[tuple[float, bool]] = []
+    feasible: list[float] = []  # weights shown feasible
+    infeasible: list[float] = []  # the weights the top moved to
     upper: UpperEnd | None = None
+    lower: LowerEnd | None = None
 
-    def probe(lam: float) -> bool | UpperEnd:
-        nonlocal upper
+    def probe(lam: float) -> bool:
+        """Evaluate, record and move the bracket; whether ``lam`` is shown feasible."""
+        nonlocal lo, hi, certified, upper, lower
         got = feasible_at(lam)
         if isinstance(got, UpperEnd):
             if not got.at <= lam:
                 raise ValueError(f"upper end {got.at} lies above its probe {lam}")
-            history.append((lam, False))
-            upper = got  # at most lam < hi, so below every earlier end
+            hi, certified, upper = got.at, True, got  # at most lam < hi, so below every earlier end
+            infeasible.append(got.at)
+        elif isinstance(got, LowerEnd):
+            feasible.append(got.at)
+            if got.at >= lo:
+                lo, lower = got.at, got
+        elif got:
+            feasible.append(lam)
+            lo, lower = lam, None
         else:
-            got = bool(got)
-            history.append((lam, got))
-        feas = [l for l, v in history if v]
-        infeas = [l for l, v in history if not v] + ([upper.at] if upper else [])
-        if feas and infeas and max(feas) > min(infeas):
+            hi, certified = lam, False
+            infeasible.append(lam)
+        if feasible and infeasible and max(feasible) > min(infeasible):
             raise ValueError(
-                f"non-monotone feasibility: feasible at {max(feas):.6g} "
-                f"but infeasible at {min(infeas):.6g}"
+                f"non-monotone feasibility: feasible at {max(feasible):.6g} "
+                f"but infeasible at {min(infeasible):.6g}"
             )
-        return got
+        history.append((lam, bool(max(feasible, default=-1.0) >= lam)))
+        return history[-1][1]
 
-    got = probe(hi)
-    if got is True:
-        return ThresholdResult(hi, tuple(history))
-    certified = isinstance(got, UpperEnd)  # the top of the bracket is a certified end
-    if certified:
-        hi = got.at
-    if probe(lo) is not True:
-        raise ValueError(f"feasible_at({lo}) is false; bisection needs a feasible lower bracket")
+    if probe(1.0):
+        return ThresholdResult(1.0, tuple(history), upper, lower)
+    if not probe(0.0):
+        raise ValueError("feasible_at(0.0) is false; bisection needs a feasible lower bracket")
     while hi - lo > tol:
-        lam = hi - max(tol / 2, (hi - lo) / 4) if certified else 0.5 * (lo + hi)
+        lam = hi - max(tol / 2, (hi - lo) / 6) if certified else 0.5 * (lo + hi)
+        bracket = lo, hi
         if not lo < lam < hi:  # the bracket is below the float spacing
             break
-        got = probe(lam)
-        if got is True:
-            lo = lam
-        else:
-            certified = isinstance(got, UpperEnd)
-            hi = got.at if certified else lam
-    return ThresholdResult(lo, tuple(history), upper)
+        probe(lam)
+        if (lo, hi) == bracket:  # a lower end at or below the bottom: the next probe would repeat
+            break
+    return ThresholdResult(lo, tuple(history), upper, lower)
+
+
+class _LowerEnds:
+    """A threshold search's lower ends, checked points of its members mixed from an
+    affine point and the anchor: the hook ``_Projector.lower`` of its members.
+
+    The anchor x0 is the witness of the member at 0.  For an affine point x of
+    the member at lam (A x = b(lam)), the mix (1 - s) x + s x0 solves the
+    member at (1 - s) lam, as A is fixed and b affine in the weight, and by
+    Weyl's inequality each block's least eigenvalue is at least (1 - s) l(x) +
+    s l(x0); an interval coordinate, and a cap less a trace or a coordinate,
+    is exactly that (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).  s
+    is the least weight below 1 that makes every such bound nonnegative, so
+    the mix lies in the capped cones, which :func:`_check_point` does not
+    check, and it is a lower end only when :func:`_check_point` accepts it on
+    the family's data at (1 - s) lam.  An anchor singular on a block that x
+    needs, or at a cap that x exceeds, leaves no such s.
+
+    Before each probe, :meth:`begin` names the probe's member and weight, the
+    least lower end that ends the probe early, and the weight the anchor's
+    probe extrapolates to (``None`` for none); ``found`` is the probe's lower end.
+    """
+
+    def __init__(self, family: _Projector, tols: Tolerances):
+        self.family, self.tols = family, tols
+        self.anchor: tuple[np.ndarray, np.ndarray] | None = None  # x0 and its bounds
+
+    def begin(self, member: _Projector, lam: float, floor: float, ahead: float | None) -> None:
+        self.member, self.lam, self.floor, self.ahead = member, lam, floor, ahead
+        self.found: LowerEnd | None = None
+        member.lower = self
+
+    def bounds(self, x: np.ndarray) -> np.ndarray:
+        """What the capped cones need nonnegative at ``x``: each PSD block's least
+        eigenvalue and its cap less its trace, each interval coordinate and its cap less
+        it.  A cap counts as met within 4 eps per term of its trace: a record whose
+        trace the rows force to equal its cap sits there only up to rounding."""
+        fam, got, eps = self.family, [], np.finfo(float).eps
+        for dim, idx, caps, _ in fam.psd_groups:
+            blocks = x[idx]
+            got += [_min_eigs(blocks, dim), caps * (1 + 4 * dim * eps) - blocks[:, :dim].sum(axis=1)]
+        scalars = x[fam.scalar_idx]
+        return np.concatenate(got + [scalars, fam.scalar_caps * (1 + 4 * eps) - scalars])
+
+    def mix(self, lam: float, point: np.ndarray, floor: float) -> LowerEnd | None:
+        """The lower end of ``point``, an affine point of the member at ``lam``, at
+        ``floor`` or above, or ``None``."""
+        x0, low0 = self.anchor
+        low = self.bounds(point)
+        need = low < 0
+        if np.any(need & (low0 <= 0)):
+            return None
+        s = float(np.max(-low[need] / (low0[need] - low[need]), initial=0.0)) * (1 + 4 * np.finfo(float).eps)
+        at = float((1 - s) * lam)
+        if not (s < 1 and at >= floor and np.all(low + s * (low0 - low) >= 0)):
+            return None
+        fam, x = self.family, point + s * (x0 - point)
+        b = fam.b + at * fam.db
+        if not _check_point(fam, x, _apply(fam.coo, x, b.size) - b, self.tols)[0]:
+            return None
+        return LowerEnd(at, fam.problem.split(x))
+
+    def decided(self, witness: np.ndarray, x: np.ndarray) -> int:
+        """The member was solved with the flat ``witness`` and final iterate ``x``: the
+        member at 0 makes it the anchor and, with a weight to extrapolate to, takes one
+        iteration on that member from ``x`` and mixes its affine point.  Returns the
+        iterations taken."""
+        if self.lam > 0.0:
+            return 0
+        self.anchor = witness, self.bounds(witness)
+        if self.ahead is None:
+            return 0
+        proj = self.family.at(self.ahead)._projector
+        pl = proj.affine(x)
+        self.found = self.mix(self.ahead, proj.affine(proj.cone(2.0 * pl - x)), 0.0)
+        return 1
+
+    def stops(self, pk: np.ndarray) -> bool:
+        """At a certificate attempt with the cone point ``pk``: whether the mix of its
+        affine point is a lower end at the floor or above, which ends the probe."""
+        if self.anchor is None:
+            return False
+        self.found = self.mix(self.lam, self.member.affine(pk), self.floor)
+        return self.found is not None
 
 
 def threshold_search(build: Callable[[float], SdpProblem], tols: Tolerances | None = None) -> ThresholdResult:
@@ -1557,8 +1688,16 @@ def threshold_search(build: Callable[[float], SdpProblem], tols: Tolerances | No
     by more than rounding, raises ``ValueError``: a family affine only in its
     matrix and cones would certify the threshold of another one.  Each probe is one
     :func:`solve_feasibility` of its member, started at the final iterate
-    of the last feasible probe; a certified probe hands
+    of the last probe that gave a lower end; a certified probe hands
     :func:`bisect_threshold` its functional's crossing as an upper end.
+
+    The witness of the member at 0 is the anchor of :class:`_LowerEnds`.  When
+    the top is certified, the probe at 0 takes one more iteration, on the
+    member at top - tol / 2, and mixes its affine point with the anchor; a
+    later probe at lam mixes its affine point at each certificate attempt and
+    stops at the first lower end at lam - (lam - bottom) / 4 or above.  Every
+    feasible probe and accepted mix is a :class:`LowerEnd`, so the result's
+    ``lower`` is the checked witness at its ``value``.
     """
     tols = tols or DEFAULT_TOLS
     family, half = _Projector(build(0.0), build(1.0)), _Data(build(0.5))
@@ -1566,17 +1705,24 @@ def threshold_search(build: Callable[[float], SdpProblem], tols: Tolerances | No
     if not (family.same_matrix_and_cones(half)
             and drift <= 8 * np.finfo(float).eps * max(1.0, np.abs(half.b).max(initial=0.0))):
         raise ValueError("the family is not affine in its weight: its member at 1/2 is off the line")
-    start = None
+    ends, start, lo, top = _LowerEnds(family, tols), None, 0.0, None
 
-    def probe(lam: float) -> bool | UpperEnd:
-        nonlocal start
-        res = solve_feasibility(family.at(lam), tols, start)
-        if res.feasible:
-            start = res.iterate
-            return True
+    def probe(lam: float) -> UpperEnd | LowerEnd | bool:
+        nonlocal start, lo, top
+        member = family.at(lam)
+        ahead = top - tols.bisect_tol / 2 if lam == 0.0 and top is not None else 0.0
+        ends.begin(member._projector, lam, lam - (lam - lo) / 4, ahead if ahead > 0.0 else None)
+        res = solve_feasibility(member, tols, start)
+        end = ends.found
+        if end is None and res.feasible:
+            end = LowerEnd(lam, res.witness)
+        if end is not None:
+            start, lo = res.iterate, max(lo, end.at)
+            return end
         if res.verdict is Verdict.INFEASIBLE_CERTIFIED:
             at = family.upper_end(lam, res.certificate, tols.feas)
             if at is not None:
+                top = at
                 return UpperEnd(at, res.certificate)
         return False
 

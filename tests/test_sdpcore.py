@@ -16,7 +16,7 @@ from qincompat.config import DEFAULT_TOLS
 from qincompat.devices import mix_with_trivial, random_povm, random_state, sharp_observable
 from qincompat.obscompat import check_joint
 from qincompat.process import check_tester_pair, prepare_measure_tester
-from qincompat.sdpcore import (Certificate, SdpProblem, SolveResult, UpperEnd, Verdict, _components,
+from qincompat.sdpcore import (Certificate, LowerEnd, SdpProblem, SolveResult, UpperEnd, Verdict, _components,
                                _Projector, bisect_threshold, joint_problem, joint_witness,
                                partial_trace_map, real_linear_map, solve_feasibility,
                                threshold_search, verify_witness)
@@ -1647,6 +1647,63 @@ def test_certificate_attempt_at_the_cap_runs_once(monkeypatch, sharp_x, sharp_z)
     assert len(calls) == 3
 
 
+def _certificate_without_short_cut(data, y, tols):
+    """``sdpcore._certificate`` as it was before it rejected on y.b + bound alone."""
+    r, c, v = data.coo
+    g = sdpcore._apply((c, r, v), y, data.problem.n_vars)
+    affine_value = float(y @ data.b)
+    cone_inf = data.cone_infimum(g)
+    bound = float(data.rounding[0] * math.sqrt(y @ y) + data.rounding[1] * math.sqrt(g @ g))
+    if not affine_value - cone_inf + bound < -tols.feas:
+        return None
+    return Certificate(data.problem.split(g), affine_value, cone_inf, y, bound)
+
+
+def _seeded_attempts():
+    """Seeded checks of random qubit and qutrit devices, and threshold searches."""
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        yield lambda pair=[random_povm(2, 2, rng) for _ in range(2)]: check_joint(pair).verdict
+        yield lambda pair=[random_povm(3, 3, rng) for _ in range(2)]: check_joint(pair).verdict
+        yield lambda pair=[q.random_channel(2, 2, rng) for _ in range(2)]: q.check_channel_pair(*pair).verdict
+    yield lambda: q.degree_of_compatibility(list(q.fourier_pair(3)))
+    yield lambda: q.robustness(q.diag_channel(dim=2), q.identity_channel(2), q.NoiseClass.ARBITRARY_NOISE)
+
+
+def test_certificate_short_cut_changes_no_answer(monkeypatch):
+    # the cone infimum is never positive, so y.b + bound >= -feas rejects y before any
+    # eigenvalue; on every attempt of seeded checks and searches both checks agree,
+    # and the solves reach the same verdicts in the same iterations
+    runs, agree, short = {}, [], []
+    for check in (sdpcore._certificate, _certificate_without_short_cut):
+        solves = []
+
+        def solve(*args, _solve=sdpcore.solve_feasibility, **kwargs):
+            res = _solve(*args, **kwargs)
+            solves.append((res.verdict, res.iterations))
+            return res
+
+        def spied(data, y, tols, check=check):
+            got, full = check(data, y, tols), _certificate_without_short_cut(data, y, tols)
+            agree.append((got is None) == (full is None))
+            r, c, v = data.coo
+            g = sdpcore._apply((c, r, v), y, data.problem.n_vars)
+            bound = data.rounding[0] * math.sqrt(y @ y) + data.rounding[1] * math.sqrt(g @ g)
+            short.append(not float(y @ data.b) + bound < -tols.feas)
+            return got
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sdpcore, "_certificate", spied)
+            for module in (obscompat, chancompat, sdpcore):
+                mp.setattr(module, "solve_feasibility", solve, raising=False)
+            results = [attempt() for attempt in _seeded_attempts()]
+        runs[check] = results, solves
+    (got, got_solves), (want, want_solves) = runs.values()
+    assert got == want and got_solves == want_solves
+    assert all(agree) and len(agree) > 100
+    assert 0 < sum(short) < len(short)
+
+
 # --- faces the data expose ------------------------------------------------------
 
 def without_faces(monkeypatch):
@@ -2075,7 +2132,7 @@ def test_bisect_threshold_approaches_a_certified_end_from_below():
     assert lams[:2] == [1.0, 0.0]
     lo, hi = 0.0, 0.45  # the first probe's end
     for lam, ok in res.history[2:]:
-        assert lam == hi - max(tol / 2, (hi - lo) / 4)
+        assert lam == hi - max(tol / 2, (hi - lo) / 6)
         if ok:
             lo = lam
         else:
@@ -2094,9 +2151,58 @@ def test_bisect_threshold_takes_midpoints_below_an_uncertified_probe():
 
     res = bisect_threshold(probe, tol=1e-2)
     lams = [lam for lam, _ in res.history]
-    assert lams[:4] == [1.0, 0.0, 0.375, 0.1875]  # 0.5 - 0.5 / 4, then the midpoint
+    assert lams[:4] == [1.0, 0.0, 0.5 - 0.5 / 6, (0.5 - 0.5 / 6) / 2]  # 0.5 - 0.5 / 6, then the midpoint
     assert res.upper.at == 0.5
     assert res.value <= 0.3 < res.value + 1e-2
+
+
+def _lower_end(at):
+    return LowerEnd(at, {})
+
+
+def test_bisect_threshold_raises_its_bottom_to_a_lower_end():
+    # a lower end below its probe moves only the bottom: the probe's own weight is
+    # neither feasible nor infeasible, and the top stays the certified end
+    def probe(lam):
+        return UpperEnd(min(lam, 0.45), _NO_FUNCTIONAL) if lam > 0.4 else _lower_end(max(lam - 1e-3, 0.0))
+
+    res = bisect_threshold(probe, tol=1e-2)
+    third = 0.45 - 0.45 / 6
+    assert [lam for lam, _ in res.history][:4] == [1.0, 0.0, third, 0.45 - (0.45 - (third - 1e-3)) / 6]
+    assert res.history[2] == (third, False)
+    assert res.value == res.lower.at and res.upper.at - res.value <= 1e-2
+
+
+def test_bisect_threshold_stops_when_a_probe_moves_neither_end():
+    # a lower end at or below the bottom would repeat the same probe for ever
+    res = bisect_threshold(lambda lam: UpperEnd(0.5, _NO_FUNCTIONAL) if lam == 1.0 else _lower_end(0.0), tol=1e-2)
+    assert [lam for lam, _ in res.history] == [1.0, 0.0, 0.5 - 0.5 / 6]
+    assert res.value == res.lower.at == 0.0
+
+
+def test_bisect_threshold_takes_a_lower_end_above_its_probe():
+    # the probe at 0 may carry a lower end above it: the search ends once it is within tol of the top
+    res = bisect_threshold(lambda lam: UpperEnd(0.5, _NO_FUNCTIONAL) if lam else _lower_end(0.495), tol=1e-2)
+    assert res.history == ((1.0, False), (0.0, True))
+    assert res.value == res.lower.at == 0.495 and res.upper.at == 0.5
+
+
+@pytest.mark.parametrize("above", ["certified end", "infeasible probe"])
+def test_bisect_threshold_rejects_a_lower_end_above_an_infeasible_weight(above):
+    # infeasible at 1 (certified down to 0.4, or not at all) and at 0.5, then a lower end at 0.6
+    first = UpperEnd(0.4, _NO_FUNCTIONAL) if above == "certified end" else False
+
+    def probe(lam):
+        return first if lam == 1.0 else False if lam >= 0.45 else _lower_end(0.6 if lam else 0.0)
+
+    with pytest.raises(ValueError, match="feasible at 0.6 but infeasible at 0.4"
+                                         if first else "feasible at 0.6 but infeasible at 0.5"):
+        bisect_threshold(probe, tol=1e-2)
+
+
+def test_bisect_threshold_without_lower_ends_has_none():
+    res = bisect_threshold(lambda lam: lam <= 0.63, tol=1e-4)
+    assert res.lower is None
 
 
 def test_bisect_threshold_rejects_an_end_above_its_probe():

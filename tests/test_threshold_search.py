@@ -225,13 +225,36 @@ def test_upper_end_revalidates_from_problem_data(searches, name):
 
 
 def test_probe_budget(searches):
-    # certified ends cut the probes; more than 10 in one search, or 600
-    # iterations in all eleven, means a search fell back to bisection
+    # certified ends cut the probes and lower ends their iterations; more than 10
+    # probes in one search, or 250 iterations in all eleven, means a search fell
+    # back to bisection or ran its approach probes to FEASIBLE
     probes = {name: run["probes"] for name, run in searches.items()}
     assert max(probes.values()) <= 10, probes
-    assert sum(run["iterations"] for run in searches.values()) <= 600
+    assert sum(run["iterations"] for run in searches.values()) <= 250
     for run in searches.values():
         assert len(run["result"].history) == run["probes"]
+
+
+# the searches whose probe at 0 extrapolates to a lower end within tol of the certified top
+TWO_PROBES = ["degree fourier d=2", "degree X/Z uniform", "degree unbiased triple", "steering X/Z",
+              "steering unbiased triple", "tester degree", "robustness id/id trivial"]
+
+
+def test_extrapolated_lower_end_closes_the_bracket(searches):
+    # the probe at 1 certifies the top, and the probe at 0 mixes one step toward it
+    for name in TWO_PROBES:
+        run = searches[name]
+        assert run["probes"] == 2, (name, run["probes"])
+        assert [lam for lam, _ in run["result"].history] == [1.0, 0.0]
+        assert run["result"].lower.at > 0.0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_lower_end_is_a_checked_witness_at_the_value(searches, name):
+    result, build = searches[name]["result"], searches[name]["build"]
+    assert result.lower.at == result.value
+    ok, report = verify_witness(build(result.lower.at), result.lower.witness)
+    assert ok, report
 
 
 def test_steering_search_takes_fewer_probes_than_bisection(searches):
@@ -315,6 +338,68 @@ def test_noise_class_brackets(class_searches, name, noise):
     res, tol = class_searches[name, noise], DEFAULT_TOLS.bisect_tol
     assert res.value <= CLASS_FORMS.get((name, noise), res.value) <= res.upper.at <= res.value + tol
     assert q.degree_of_compatibility(list(CLASS_FAMILIES[name]), noise) == res.value
+    effects = [o.effects for o in CLASS_FAMILIES[name]]
+    member = joint_problem(effects, (res.lower.at,) * len(effects), noise=noise)
+    assert res.lower.at == res.value and verify_witness(member, res.lower.witness)[0]
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _unbiased(bloch):
+    """The unbiased two-outcome qubit observable (I +- a.sigma) / 2 of Bloch vector ``a``."""
+    half = 0.5 * np.einsum("k,kij->ij", bloch, PAULI)
+    return q.Observable(np.array([np.eye(2) / 2 + half, np.eye(2) / 2 - half]))
+
+
+def test_lower_ends_against_busch_closed_form():
+    # unbiased qubit pairs of Bloch vectors a and b are compatible exactly when
+    # |a + b| + |a - b| <= 2 (Busch 1986); under uniform noise at weight lam their
+    # vectors are lam a and lam b, so the threshold is min(1, 2 / (|a + b| + |a - b|))
+    rng, tol = np.random.default_rng(49), DEFAULT_TOLS.bisect_tol
+    for _ in range(40):
+        a, b = (v / np.linalg.norm(v) * rng.uniform(0.6, 1.0) for v in rng.normal(size=(2, 3)))
+        star = min(1.0, 2.0 / (np.linalg.norm(a + b) + np.linalg.norm(a - b)))
+        pair = [_unbiased(a), _unbiased(b)]
+        build = _uniform(pair)
+        res = sdpcore.threshold_search(build)
+        value = q.degree_of_compatibility(pair, NOISE.UNIFORM_NOISE)
+        assert value == res.value and star - tol <= value <= star + 1e-12, (a, b, value, star)
+        assert res.upper is None if star == 1.0 else res.upper.at >= star
+        ok, report = verify_witness(build(res.lower.at), res.lower.witness)
+        assert ok and res.lower.at == res.value, report
+
+
+def _singular_anchor(lam, c=1e-4):
+    # x = diag(lam, c - lam) and z = diag(lam, 1/2 - lam): feasible up to c, below tol / 2, and
+    # at 0 the one point diag(0, c), diag(0, 1/2), singular on both blocks, which every
+    # probe above c needs
+    prob = SdpProblem()
+    for name, top in (("x", c), ("z", 0.5)):
+        prob.add_psd_block(name, 2, trace_cap=2.0)
+        prob.add_equality({name: 1.0}, la.hermitian_to_real_vec(np.diag([lam, top - lam]).astype(complex)))
+    return prob
+
+
+def test_singular_anchor_falls_back_to_the_search_without_lower_ends(monkeypatch):
+    runs = []
+    for mixing in (True, False):
+        solves = []
+
+        def solve(*args, _solve=sdpcore.solve_feasibility, **kwargs):
+            solves.append(_solve(*args, **kwargs))
+            return solves[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sdpcore, "solve_feasibility", solve)
+            if not mixing:
+                mp.setattr(sdpcore._LowerEnds, "mix", lambda self, *args: None)
+            res = sdpcore.threshold_search(_singular_anchor)
+        runs.append((res, [r.verdict for r in solves]))
+    (mixed, verdicts), (plain, plain_verdicts) = runs
+    assert mixed.history == plain.history and len(mixed.history) > 2
+    assert mixed.value == plain.value == 0.0 and mixed.upper.at == plain.upper.at
+    assert verdicts == plain_verdicts and Verdict.UNDECIDED not in verdicts
 
 
 @pytest.mark.parametrize("name", list(CLASS_FAMILIES))
@@ -366,7 +451,7 @@ def test_gate_refuses_testers_whose_output_times_probe_is_not_the_identity(noise
 
 
 TESTER_BRACKETS = {NOISE.UNIFORM_NOISE: (0.706857, 0.707107), NOISE.TRIVIAL_NOISE: (0.706857, 0.707107),
-                   NOISE.COMPATIBLE_NOISE: (0.828080, 0.828562), NOISE.ARBITRARY_NOISE: (0.853397, 0.853647)}
+                   NOISE.COMPATIBLE_NOISE: (0.828427, 0.828428), NOISE.ARBITRARY_NOISE: (0.853175, 0.853574)}
 
 
 @pytest.mark.parametrize("noise", list(NOISE))
